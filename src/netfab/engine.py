@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import heapq
-import random
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from typing import Optional
@@ -10,7 +9,7 @@ from typing import Optional
 from .firewall import Firewall, NoScope, PoolExhausted, Shaper
 from .l2 import Switch
 from .l3 import ZonePolicy, ZoneRouter
-from .packet import (Arp, BROADCAST, Frame, MacAddress, Packet, FlowKey,
+from .packet import (Arp, BROADCAST, Frame, MacAddress, Packet, PrefixTable,
                      flow_key, in_network, ip_str, make_frame, pop_tag,
                      prefix_mask, push_tag)
 from .resilience import LoadBalancer, Unavailable
@@ -112,10 +111,6 @@ class Metrics:
     def fw_forwarded_bytes(self, fw: str) -> int:
         return sum(self.fw_window[fw].values())
 
-    def fw_rate_bps(self, fw: str, t0_s: int, t1_s: int) -> float:
-        total = sum(v for sec, v in self.fw_window[fw].items() if t0_s <= sec < t1_s)
-        return total * 8 / max(t1_s - t0_s, 1)
-
     def summary_lines(self) -> list[str]:
         lines = [
             f"frames_created={self.frames_created}",
@@ -143,7 +138,6 @@ class Engine:
 
     def __init__(self, seed: int = 0, trace: bool = False):
         self.seed = seed
-        self.rng = random.Random(seed)
         self.hash_salt = seed.to_bytes(8, "big", signed=True)
         self.now = 0
         self._seq = 0
@@ -297,6 +291,52 @@ class Node:
         pass
 
 
+class Resolver:
+    """ARP for one node: learned MACs, packets held until their reply, and a
+    request repeated every ARP_RETRY_US while packets wait, keyed by
+    (scope, ip). A scope is what the node sends on: a port, a VLAN or a
+    firewall side. The node's `emit(scope, payload, dst_mac)` puts a frame
+    on a scope and its `ip_on(scope)` is its own address there."""
+
+    # one per host in a campus scenario: no per-instance __dict__
+    __slots__ = ("node", "cache", "pending", "last_req")
+
+    def __init__(self, node: Node):
+        self.node = node
+        self.cache: dict[tuple, MacAddress] = {}
+        self.pending: dict[tuple, list[Packet]] = {}
+        self.last_req: dict[tuple, int] = {}
+
+    def send(self, scope, ip: int, packet: Packet):
+        """Send packet to ip's MAC, or hold it and ask for that MAC."""
+        key = (scope, ip)
+        mac = self.cache.get(key)
+        node = self.node
+        if mac is not None:
+            node.emit(scope, packet, mac)
+            return
+        self.pending.setdefault(key, []).append(packet)
+        now = node.engine.now
+        last = self.last_req.get(key)
+        if last is None or now - last >= ARP_RETRY_US:
+            self.last_req[key] = now
+            req = Arp("request", node.ip_on(scope), node.mac, ip)
+            node.emit(scope, req, BROADCAST)
+
+    def learn(self, scope, arp: Arp):
+        """Cache the sender of arp; a reply also sends what was held for it."""
+        key = (scope, arp.sender_ip)
+        self.cache[key] = arp.sender_mac
+        if arp.op == "reply":
+            for packet in self.pending.pop(key, ()):
+                self.node.emit(scope, packet, arp.sender_mac)
+
+    def clear(self):
+        self.cache.clear()
+        self.pending.clear()
+        self.last_req.clear()
+
+
 class SwitchNode(Node):
     kind = "switch"
 
@@ -336,9 +376,7 @@ class HostNode(Node):
         self.gw_ip = gw_ip
         self.group = group
         self.port = 0
-        self.arp_cache: dict[int, MacAddress] = {}
-        self.arp_last_req: dict[int, int] = {}
-        self.arp_pending: dict[int, list[Packet]] = {}
+        self.arp = Resolver(self)
         self.bulk_send: dict[str, dict] = {}
         self.bulk_recv: dict[str, dict] = {}
         self.ping_seen: Counter = Counter()
@@ -418,19 +456,13 @@ class HostNode(Node):
                 st.first_tx = self.engine.now
             self.engine.trace(self.name, "tx", None, flow_key(packet),
                               f"kind={packet.meta[0]}")
-        nh = self._next_hop(packet.dst_ip)
-        mac = self.arp_cache.get(nh)
-        if mac is not None:
-            frame = make_frame(self.mac, mac, packet)
-            self.engine.send(self.name, self.port, frame)
-            return
-        self.arp_pending.setdefault(nh, []).append(packet)
-        last = self.arp_last_req.get(nh)
-        if last is None or self.engine.now - last >= ARP_RETRY_US:
-            self.arp_last_req[nh] = self.engine.now
-            req = Arp("request", self.ip, self.mac, nh)
-            self.engine.send(self.name, self.port,
-                             make_frame(self.mac, BROADCAST, req))
+        self.arp.send(self.port, self._next_hop(packet.dst_ip), packet)
+
+    def emit(self, port, payload, dst_mac: MacAddress):
+        self.engine.send(self.name, port, make_frame(self.mac, dst_mac, payload))
+
+    def ip_on(self, _port) -> int:
+        return self.ip
 
     # -- receiving ---------------------------------------------------------
 
@@ -451,19 +483,13 @@ class HostNode(Node):
         self._deliver(payload)
 
     def _on_arp(self, arp: Arp):
-        if arp.op == "request" and arp.target_ip == self.ip:
-            self.arp_cache[arp.sender_ip] = arp.sender_mac
-            reply = Arp("reply", self.ip, self.mac, arp.sender_ip)
-            self.engine.send(self.name, self.port,
-                             make_frame(self.mac, arp.sender_mac, reply))
-        elif arp.op == "reply" and arp.target_ip == self.ip:
-            self.arp_cache[arp.sender_ip] = arp.sender_mac
-            for pkt in self.arp_pending.pop(arp.sender_ip, []):
-                mac = self.arp_cache[arp.sender_ip]
-                self.engine.send(self.name, self.port,
-                                 make_frame(self.mac, mac, pkt))
-        else:
+        if arp.target_ip != self.ip:
             self.engine.metrics.frames_filtered += 1
+            return
+        self.arp.learn(self.port, arp)
+        if arp.op == "request":
+            reply = Arp("reply", self.ip, self.mac, arp.sender_ip)
+            self.emit(self.port, reply, arp.sender_mac)
 
     def _deliver(self, pkt: Packet):
         m = self.engine.metrics
@@ -523,9 +549,7 @@ class HostNode(Node):
             st.completed_at = self.engine.now
 
     def reset_dynamic(self):
-        self.arp_cache.clear()
-        self.arp_pending.clear()
-        self.arp_last_req.clear()
+        self.arp.clear()
 
 
 class L3Node(Node):
@@ -537,9 +561,7 @@ class L3Node(Node):
         self.mac = mac
         self.router = router or ZoneRouter(name)
         self.trunk_port = "trunk"
-        self.arp: dict[int, dict[int, MacAddress]] = defaultdict(dict)
-        self.arp_last_req: dict[tuple, int] = {}
-        self.pending: dict[tuple, list[Packet]] = {}
+        self.arp = Resolver(self)
         engine.schedule(FDB_AGE_SWEEP_US, "age_tick", name)
 
     def on_event(self, kind: str, payload):
@@ -555,7 +577,7 @@ class L3Node(Node):
                 return iface
         return None
 
-    def _emit(self, vid: int, frame_payload, dst_mac: MacAddress):
+    def emit(self, vid: int, frame_payload, dst_mac: MacAddress):
         iface = self.router.interfaces[vid]
         frame = make_frame(self.mac, dst_mac, frame_payload)
         if iface.port is not None:
@@ -563,19 +585,8 @@ class L3Node(Node):
         else:
             self.engine.send(self.name, self.trunk_port, push_tag(frame, vid))
 
-    def _send_on_interface(self, vid: int, packet: Packet, target_ip: int):
-        mac = self.arp[vid].get(target_ip)
-        if mac is not None:
-            self._emit(vid, packet, mac)
-            return
-        key = (vid, target_ip)
-        self.pending.setdefault(key, []).append(packet)
-        last = self.arp_last_req.get(key)
-        if last is None or self.engine.now - last >= ARP_RETRY_US:
-            self.arp_last_req[key] = self.engine.now
-            iface = self.router.interfaces[vid]
-            req = Arp("request", iface.ip, self.mac, target_ip)
-            self._emit(vid, req, BROADCAST)
+    def ip_on(self, vid: int) -> int:
+        return self.router.interfaces[vid].ip
 
     def on_frame(self, port, frame: Frame):
         if port == self.trunk_port:
@@ -611,21 +622,16 @@ class L3Node(Node):
             return
         _, egress_vid, next_hop, out = result
         target = next_hop if next_hop is not None else out.dst_ip
-        self._send_on_interface(egress_vid, out, target)
+        self.arp.send(egress_vid, target, out)
 
     def _on_arp(self, vid: int, iface, arp: Arp):
-        self.arp[vid][arp.sender_ip] = arp.sender_mac
+        self.arp.learn(vid, arp)
         if arp.op == "request" and arp.target_ip == iface.ip:
             reply = Arp("reply", iface.ip, self.mac, arp.sender_ip)
-            self._emit(vid, reply, arp.sender_mac)
-        elif arp.op == "reply":
-            for pkt in self.pending.pop((vid, arp.sender_ip), []):
-                self._emit(vid, pkt, arp.sender_mac)
+            self.emit(vid, reply, arp.sender_mac)
 
     def reset_dynamic(self):
         self.arp.clear()
-        self.pending.clear()
-        self.arp_last_req.clear()
         self.router.reset_dynamic()
 
 
@@ -659,10 +665,23 @@ class FirewallNode(Node):
         self.policy = ZonePolicy()
         self.shapers = {s: Shaper(cap_bps, queue_frames) for s in self.sides}
         self.tick_scheduled = {s: False for s in self.sides}
-        self.arp: dict[str, dict[int, MacAddress]] = {s: {} for s in self.sides}
-        self.arp_last_req: dict[tuple, int] = {}
-        self.pending: dict[tuple, list[Packet]] = {}
+        self.next_hops = {s: self._next_hop_table(cfg)
+                          for s, cfg in self.sides.items()}
+        self.arp = Resolver(self)
         engine.schedule(NAT_SWEEP_US, "age_tick", name)
+
+    @staticmethod
+    def _next_hop_table(cfg: FirewallSide) -> PrefixTable:
+        """Next hop by destination: the connected subnet (on-link, None),
+        then the side routes, then 0/0 to the gateway."""
+        table = PrefixTable()
+        if cfg.ip is not None:
+            table.insert(cfg.ip, cfg.prefix_len, None)
+        for net, plen, via in cfg.routes:
+            table.insert(net, plen, via)
+        if cfg.gw_ip is not None:
+            table.insert(0, 0, cfg.gw_ip)
+        return table
 
     @staticmethod
     def _other(side: str) -> str:
@@ -701,38 +720,17 @@ class FirewallNode(Node):
 
     def _emit_packet(self, out_side: str, pkt: Packet, mac_hint):
         self.engine.metrics.fw_window[self.name][self.engine.now // 1_000_000] += pkt.size
-        cfg = self.sides[out_side]
         if mac_hint is not None:
-            self.engine.send(self.name, out_side,
-                             make_frame(self.mac, mac_hint, pkt))
+            self.emit(out_side, pkt, mac_hint)
             return
-        target = self._resolve_target(cfg, pkt.dst_ip)
-        mac = self.arp[out_side].get(target)
-        if mac is not None:
-            self.engine.send(self.name, out_side, make_frame(self.mac, mac, pkt))
-            return
-        key = (out_side, target)
-        self.pending.setdefault(key, []).append(pkt)
-        last = self.arp_last_req.get(key)
-        if last is None or self.engine.now - last >= ARP_RETRY_US:
-            self.arp_last_req[key] = self.engine.now
-            sender_ip = cfg.ip if cfg.ip is not None else 0
-            req = Arp("request", sender_ip, self.mac, target)
-            self.engine.send(self.name, out_side,
-                             make_frame(self.mac, BROADCAST, req))
+        next_hop = self.next_hops[out_side].lookup(pkt.dst_ip)
+        self.arp.send(out_side, pkt.dst_ip if next_hop is None else next_hop, pkt)
 
-    def _resolve_target(self, cfg: FirewallSide, dst_ip: int) -> int:
-        if cfg.ip is not None and in_network(
-                dst_ip, cfg.ip & prefix_mask(cfg.prefix_len), cfg.prefix_len):
-            return dst_ip
-        best = None
-        for net, plen, via in cfg.routes:
-            if in_network(dst_ip, net, plen):
-                if best is None or plen > best[0]:
-                    best = (plen, via)
-        if best is not None:
-            return best[1]
-        return cfg.gw_ip if cfg.gw_ip is not None else dst_ip
+    def emit(self, side: str, payload, dst_mac: MacAddress):
+        self.engine.send(self.name, side, make_frame(self.mac, dst_mac, payload))
+
+    def ip_on(self, side: str) -> int:
+        return self.sides[side].ip or 0
 
     def on_frame(self, side, frame: Frame):
         out_side = self._other(side)
@@ -824,7 +822,7 @@ class FirewallNode(Node):
     def _on_arp(self, side: str, cfg: FirewallSide, out_side: str,
                 frame: Frame, arp: Arp):
         if cfg.mode == "routed" or side == "outside":
-            self.arp[side][arp.sender_ip] = arp.sender_mac
+            self.arp.learn(side, arp)
         owned = set()
         if cfg.ip is not None:
             owned.add(cfg.ip)
@@ -833,15 +831,8 @@ class FirewallNode(Node):
         if arp.op == "request" and arp.target_ip in owned:
             reply_ip = arp.target_ip
             reply = Arp("reply", reply_ip, self.mac, arp.sender_ip)
-            self.engine.send(self.name, side,
-                             make_frame(self.mac, arp.sender_mac, reply))
+            self.emit(side, reply, arp.sender_mac)
             return
-        if arp.op == "reply" and (cfg.mode == "routed" or side == "outside"):
-            for pkt in self.pending.pop((side, arp.sender_ip), []):
-                self.engine.send(self.name, side,
-                                 make_frame(self.mac, arp.sender_mac, pkt))
-            if cfg.mode == "routed":
-                return
         if cfg.mode == "inline":
             # transparent for the spanned segment's address resolution
             self.engine.send(self.name, out_side, frame)
@@ -851,10 +842,7 @@ class FirewallNode(Node):
         for s in self.shapers.values():
             s.reset_dynamic()
         self.tick_scheduled = {s: False for s in self.sides}
-        for d in self.arp.values():
-            d.clear()
-        self.pending.clear()
-        self.arp_last_req.clear()
+        self.arp.clear()
 
 
 class BalancerNode(Node):

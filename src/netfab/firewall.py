@@ -6,8 +6,8 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .packet import (Packet, PORTLESS_PROTOCOLS, in_network, ip_str,
-                     prefix_mask)
+from .packet import (Packet, PORTLESS_PROTOCOLS, PrefixTable, in_network,
+                     ip_str, prefix_mask)
 from .l3 import ConnTable, DEFAULT_CONN_TIMEOUT_US
 
 DEFAULT_CAP_BPS = 170_000_000
@@ -83,7 +83,8 @@ class Firewall:
     def __init__(self, name: str = "fw", nat_capacity: int = DEFAULT_NAT_CAPACITY,
                  idle_timeout_us: int = DEFAULT_CONN_TIMEOUT_US):
         self.name = name
-        self.scopes: list[MasqueradeScope] = []
+        self.scopes = PrefixTable()
+        self.external_ips: set[int] = set()
         self.nat_capacity = nat_capacity
         self.idle_timeout_us = idle_timeout_us
         self.by_inside: dict[tuple, NatEntry] = {}
@@ -94,22 +95,14 @@ class Firewall:
     def add_scope(self, network: int, prefix_len: int, external_ip: int) -> MasqueradeScope:
         scope = MasqueradeScope(network & prefix_mask(prefix_len),
                                 prefix_len, external_ip)
-        self.scopes.append(scope)
+        self.scopes.insert(network, prefix_len, scope)
+        self.external_ips.add(external_ip)
         self.allocators.setdefault(external_ip, PortAllocator())
         return scope
 
     def scope_for(self, dst_ip: int) -> Optional[MasqueradeScope]:
         """Destination selects the masquerade; longest prefix wins."""
-        best = None
-        for scope in self.scopes:
-            if scope.contains(dst_ip):
-                if best is None or scope.prefix_len > best.prefix_len:
-                    best = scope
-        return best
-
-    @property
-    def external_ips(self) -> set[int]:
-        return {s.external_ip for s in self.scopes}
+        return self.scopes.lookup(dst_ip)
 
     def _inside_key(self, packet: Packet, scope: MasqueradeScope) -> tuple:
         if packet.protocol in PORTLESS_PROTOCOLS:

@@ -4,7 +4,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .packet import (FlowKey, Packet, check_vid, flow_key, in_network,
+from .packet import (FlowKey, Packet, PrefixTable, check_vid, flow_key,
                      ip_str, prefix_mask)
 
 ZONES = ("clean", "dmz", "public")
@@ -66,9 +66,6 @@ class VlanInterface:
     def network(self) -> int:
         return self.ip & prefix_mask(self.prefix_len)
 
-    def contains(self, addr: int) -> bool:
-        return in_network(addr, self.network, self.prefix_len)
-
 
 @dataclass(frozen=True)
 class Route:
@@ -76,9 +73,6 @@ class Route:
     prefix_len: int
     via_vid: Optional[int] = None
     gateway: Optional[int] = None
-
-    def matches(self, addr: int) -> bool:
-        return in_network(addr, self.prefix, self.prefix_len)
 
 
 class ConnTable:
@@ -130,7 +124,9 @@ class ZoneRouter:
                  conn_timeout_us: int = DEFAULT_CONN_TIMEOUT_US):
         self.name = name
         self.interfaces: dict[int, VlanInterface] = {}
-        self.static_routes: list[Route] = []
+        self.local_ips: set[int] = set()
+        self.connected = PrefixTable()  # VlanInterface by subnet
+        self.routes = PrefixTable()  # connected, then static Routes
         self.policy = policy or ZonePolicy()
         self.conn = ConnTable(conn_timeout_us)
         self.drop_counts: dict[str, int] = {"no-route": 0, "acl": 0, "ttl": 0}
@@ -147,6 +143,11 @@ class ZoneRouter:
                 raise OverlappingSubnet(
                     f"{ip_str(iface.network)}/{iface.prefix_len} overlaps vid {other.vid}")
         self.interfaces[vid] = iface
+        self.local_ips.add(ip)
+        self.connected.insert(ip, prefix_len, iface)
+        self.routes.insert(ip, prefix_len,
+                           Route(prefix=iface.network, prefix_len=prefix_len,
+                                 via_vid=vid))
         return iface
 
     def add_route(self, prefix: int, prefix_len: int,
@@ -159,33 +160,18 @@ class ZoneRouter:
             raise L3Error(f"gateway {ip_str(gateway)} not on any attached subnet")
         route = Route(prefix=prefix, prefix_len=prefix_len,
                       via_vid=via_vid, gateway=gateway)
-        self.static_routes.append(route)
+        self.routes.insert(prefix, prefix_len, route)
         return route
 
     def _iface_for(self, addr: int) -> Optional[VlanInterface]:
-        best = None
-        for iface in self.interfaces.values():
-            if iface.contains(addr):
-                if best is None or iface.prefix_len > best.prefix_len:
-                    best = iface
-        return best
+        return self.connected.lookup(addr)
 
     def is_local_ip(self, addr: int) -> bool:
-        return any(iface.ip == addr for iface in self.interfaces.values())
+        return addr in self.local_ips
 
     def route_lookup(self, dst_ip: int) -> Optional[Route]:
         """Longest-prefix match over connected + static routes; None = NoRoute."""
-        best: Optional[Route] = None
-        for iface in self.interfaces.values():
-            if iface.contains(dst_ip):
-                if best is None or iface.prefix_len > best.prefix_len:
-                    best = Route(prefix=iface.network, prefix_len=iface.prefix_len,
-                                 via_vid=iface.vid)
-        for route in self.static_routes:
-            if route.matches(dst_ip):
-                if best is None or route.prefix_len > best.prefix_len:
-                    best = route
-        return best
+        return self.routes.lookup(dst_ip)
 
     def resolve_egress(self, route: Route) -> tuple[int, Optional[int]]:
         """Resolve a route to (egress vid, next-hop ip or None for on-link)."""

@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import functools
-import hashlib
 import ipaddress
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Union
@@ -66,6 +65,35 @@ def prefix_mask(prefix_len: int) -> int:
 
 def in_network(addr: int, net: int, prefix_len: int) -> bool:
     return (addr & prefix_mask(prefix_len)) == net
+
+
+class PrefixTable:
+    """Longest-prefix match: one dict per prefix length, probed longest first
+    (Waldvogel et al., "Scalable High Speed IP Routing Lookups", SIGCOMM 1997).
+
+    Prefixes are masked on insert, so host bits never stop a match. For an
+    equal prefix the first value inserted wins.
+    """
+
+    def __init__(self):
+        self._by_len: dict[int, dict[int, object]] = {}
+        self._probe: list[tuple[int, dict[int, object]]] = []  # (mask, table)
+
+    def insert(self, prefix: int, prefix_len: int, value):
+        table = self._by_len.get(prefix_len)
+        if table is None:
+            table = self._by_len[prefix_len] = {}
+            self._probe = [(prefix_mask(n), self._by_len[n])
+                           for n in sorted(self._by_len, reverse=True)]
+        table.setdefault(prefix & prefix_mask(prefix_len), value)
+
+    def lookup(self, addr: int):
+        """Value of the longest prefix covering addr; None when none does."""
+        for mask, table in self._probe:
+            key = addr & mask
+            if key in table:
+                return table[key]
+        return None
 
 
 @dataclass(frozen=True, slots=True)
@@ -235,10 +263,3 @@ def frame_flow_key(frame: Frame) -> FlowKey:
     src = int.from_bytes(frame.src.octets[2:], "big")
     dst = int.from_bytes(frame.dst.octets[2:], "big")
     return FlowKey(src, dst, "icmp", 0, 0)
-
-
-def flow_digest(key: FlowKey, salt: bytes = b"") -> int:
-    """Deterministic 64-bit digest of a flow key."""
-    raw = (f"{key.src_ip},{key.dst_ip},{key.protocol},"
-           f"{key.src_port},{key.dst_port}").encode()
-    return int.from_bytes(hashlib.blake2b(raw + salt, digest_size=8).digest(), "big")

@@ -27,7 +27,6 @@ class PathHealth:
     consecutive_replies: int = 0
     state: str = "up"
     last_probe_sent: Optional[int] = None
-    last_reply: Optional[int] = None
     outstanding: bool = False
 
 
@@ -79,7 +78,6 @@ class LoadBalancer:
             raise UnknownPath(path_id)
         path.outstanding = False
         path.consecutive_missed = 0
-        path.last_reply = now
         if path.state == "down":
             path.consecutive_replies += 1
             if path.consecutive_replies >= self.up_threshold:

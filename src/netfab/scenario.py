@@ -9,13 +9,16 @@ import hashlib
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .engine import (DEFAULT_SHAPE_INTERVAL_US, Engine, FirewallNode,
-                     FirewallSide, HostNode, L3Node, SwitchNode,
+from .engine import (CBR_PACKET, DEFAULT_SHAPE_INTERVAL_US, Engine,
+                     FirewallNode, FirewallSide, HostNode, L3Node, SwitchNode,
                      BalancerNode, TrafficSpec)
 from .firewall import DEFAULT_CAP_BPS, Firewall
 from .l3 import ZonePolicy, ZoneRouter
 from .packet import MacAddress, ip_addr, ip_network, ip_str
 from .resilience import LoadBalancer
+
+# a faster cbr flow sends every 0 us, so simulated time never advances
+MAX_CBR_RATE = CBR_PACKET * 8 * 1_000_000
 
 SECTIONS = ("switch", "l3", "firewall", "balancer", "host", "link", "vlan",
             "route", "acl", "masquerade", "traffic", "fault", "engine")
@@ -60,6 +63,11 @@ class PortSpec:
     vid: Optional[int] = None
     allowed: tuple = ()
     lag: Optional[str] = None
+
+    def member_of(self, vid: int) -> bool:
+        if self.mode == "access":
+            return self.vid == vid
+        return vid in self.allowed
 
 
 @dataclass
@@ -698,7 +706,7 @@ def _check_loops(cfg: ScenarioConfig):
             sb = cfg.switches[nb].ports.get(pb)
             if sa is None or sb is None:
                 continue
-            if not (_member(sa, vid) and _member(sb, vid)):
+            if not (sa.member_of(vid) and sb.member_of(vid)):
                 continue
             if sa.lag is not None and sb.lag is not None:
                 lag_key = (na, sa.lag, nb, sb.lag)
@@ -710,10 +718,6 @@ def _check_loops(cfg: ScenarioConfig):
         cycle = _find_cycle(adjacency)
         if cycle is not None:
             raise LoopError(vid, cycle)
-
-
-def _member(spec: PortSpec, vid: int) -> bool:
-    return spec.vid == vid if spec.mode == "access" else vid in spec.allowed
 
 
 def _find_cycle(adjacency: dict) -> Optional[list]:
@@ -764,6 +768,8 @@ def validate_scenario(cfg: ScenarioConfig):
             endpoints.add((node, port))
         if link.link_id in link_ids:
             raise ValidationError(link.link_id, "duplicate link")
+        if link.bw <= 0:
+            raise ValidationError(link.link_id, "bw must be > 0")
         link_ids.add(link.link_id)
     if cfg.vlans:
         for sw in cfg.switches.values():
@@ -801,6 +807,9 @@ def validate_scenario(cfg: ScenarioConfig):
             raise ValidationError(t.flow, f"traffic src {t.src!r} is not a host")
         if t.dst is not None and t.dst not in cfg.hosts:
             raise ValidationError(t.flow, f"traffic dst {t.dst!r} is not a host")
+        if t.kind == "cbr" and not 0 < t.rate <= MAX_CBR_RATE:
+            raise ValidationError(
+                t.flow, f"cbr rate must be in (0, {MAX_CBR_RATE}] bps")
     for f in cfg.faults:
         if f.target not in names and f.target not in link_ids:
             raise ValidationError(f.target, "fault target is not a node or link")

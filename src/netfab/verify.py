@@ -210,8 +210,13 @@ def _verify_failover(cfg: ScenarioConfig, seed: int):
 def _run_digest(cfg: ScenarioConfig, seed: int) -> str:
     eng = build_engine(cfg, seed=seed, trace=True)
     eng.run_until(cfg.duration_us)
-    blob = eng.trace_text() + "\n".join(eng.metrics.summary_lines())
-    return hashlib.sha256(blob.encode()).hexdigest()
+    # hashed line by line: the digest of trace_text() + summary without
+    # building that text, which is as large as the trace again
+    digest = hashlib.sha256()
+    for line in eng.trace_lines:
+        digest.update(line.encode() + b"\n")
+    digest.update("\n".join(eng.metrics.summary_lines()).encode())
+    return digest.hexdigest()
 
 
 def _verify_determinism(cfg: ScenarioConfig, seed: int):
@@ -241,9 +246,7 @@ class StatusReport:
 def _carries(cfg: ScenarioConfig, node: str, port, vid: int) -> bool:
     if node in cfg.switches:
         spec = cfg.switches[node].ports.get(port)
-        if spec is None:
-            return False
-        return spec.vid == vid if spec.mode == "access" else vid in spec.allowed
+        return spec is not None and spec.member_of(vid)
     if node in cfg.l3s:
         decl = cfg.l3s[node]
         if port == "trunk":

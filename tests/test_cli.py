@@ -1,3 +1,5 @@
+import pytest
+
 from netfab.cli import main
 
 MINI = """
@@ -88,3 +90,18 @@ def test_status_reports_nodes(tmp_path, capsys):
     assert main(["status", mini, "--at", "1", "--node", "sw1"]) == 0
     out = capsys.readouterr().out
     assert "node=sw1" in out and "kind=switch" in out
+
+
+@pytest.mark.parametrize("old, new", [
+    ("kind=ping src=h1 dst=h2 flow=p count=2", "kind=cbr src=h1 dst=h2 flow=c"),
+    ("kind=ping src=h1 dst=h2 flow=p count=2",
+     "kind=cbr src=h1 dst=h2 flow=c rate=0"),
+    ("kind=ping src=h1 dst=h2 flow=p count=2",
+     "kind=cbr src=h1 dst=h2 flow=c rate=12000000001"),
+    ("a=h2:0 b=sw1:p2 bw=100000000", "a=h2:0 b=sw1:p2 bw=0"),
+])
+def test_run_rejects_unrunnable_input(tmp_path, capsys, old, new):
+    bad = tmp_path / "bad.nf"
+    bad.write_text(MINI.replace(old, new))
+    assert main(["run", str(bad)]) == 2
+    assert "error:" in capsys.readouterr().err

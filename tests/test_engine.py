@@ -208,11 +208,11 @@ class TestFaults:
         h1.add_generator(TrafficSpec(kind="ping", src="h1", dst="h2",
                                      flow_id="p1", dst_ip=h2.ip, count=1))
         eng.run_until(1_000_000)
-        assert h1.arp_cache
+        assert h1.arp.cache
         eng.inject_fault(1_100_000, "fail_node", "h1")
         eng.inject_fault(1_200_000, "recover", "h1")
         eng.run_until(2_000_000)
-        assert not h1.arp_cache
+        assert not h1.arp.cache
 
 
 class TestDeterminism:

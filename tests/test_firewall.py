@@ -1,8 +1,9 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from netfab.engine import Engine, FirewallNode, FirewallSide
 from netfab.firewall import (Firewall, NoScope, PoolExhausted, Shaper)
-from netfab.packet import Packet, flow_key, ip_addr, ip_network
+from netfab.packet import MacAddress, Packet, flow_key, ip_addr, ip_network
 
 
 def out_pkt(src, sport, dst="192.0.2.9", dport=80, proto="tcp"):
@@ -52,6 +53,15 @@ class TestMasqueradeOut:
                                   now=0)
         assert other.src_ip == ip_addr("203.0.113.20")
 
+    def test_equal_prefix_first_scope_wins(self):
+        fw = Firewall("fw")
+        net, plen = ip_network("198.51.100.0/24")
+        fw.add_scope(net, plen, ip_addr("203.0.113.10"))
+        fw.add_scope(net, plen, ip_addr("203.0.113.20"))
+        got = fw.masquerade_out(out_pkt("10.1.1.5", 4000, dst="198.51.100.7"),
+                                now=0)
+        assert got.src_ip == ip_addr("203.0.113.10")
+
     def test_no_scope(self):
         fw = Firewall("fw")
         net, plen = ip_network("198.51.100.0/24")
@@ -88,6 +98,19 @@ class TestMasqueradeIn:
         reply = Packet(src_ip=ip_addr("192.0.2.9"), dst_ip=ip_addr("203.0.113.1"),
                        protocol="tcp", src_port=80, dst_port=1024)
         assert fw.masquerade_in(reply, now=601_000_000) is None
+
+
+def test_side_route_longer_than_connected_subnet_wins():
+    outside = FirewallSide("outside", ip=ip_addr("192.0.2.1"), prefix_len=24,
+                           gw_ip=ip_addr("192.0.2.254"),
+                           routes=[(ip_addr("192.0.2.128"), 25,
+                                    ip_addr("192.0.2.2"))])
+    node = FirewallNode(Engine(), "fw", MacAddress(bytes(6)), Firewall("fw"),
+                        FirewallSide("inside"), outside, cap_bps=10**9)
+    next_hop = node.next_hops["outside"].lookup
+    assert next_hop(ip_addr("192.0.2.200")) == ip_addr("192.0.2.2")
+    assert next_hop(ip_addr("192.0.2.7")) is None  # on-link
+    assert next_hop(ip_addr("198.51.100.1")) == ip_addr("192.0.2.254")
 
 
 class TestSweep:

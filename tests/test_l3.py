@@ -128,26 +128,32 @@ class TestForward:
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.lists(st.tuples(st.integers(0, 2**32 - 1), st.integers(8, 28)),
-                min_size=1, max_size=8, unique_by=lambda t: t),
+@given(st.lists(st.tuples(st.integers(0, 2**32 - 1), st.integers(0, 32),
+                          st.sampled_from(["172.16.0.2", "172.16.0.3"])),
+                min_size=1, max_size=8)
+       .map(lambda specs: specs + [(net, plen, "172.16.0.3")
+                                   for net, plen, _ in specs[::2]]),
        st.integers(0, 2**32 - 1))
 def test_lpm_matches_linear_scan(route_specs, probe):
     from netfab.packet import prefix_mask, in_network
     r = ZoneRouter()
     r.add_interface(1, ip_addr("172.16.0.1"), 30, "dmz")
-    seen = set()
-    for net, plen in route_specs:
+    # connected first, then routes in insertion order; a longer prefix
+    # replaces the best so far, an equal one does not
+    best = Route(prefix=ip_addr("172.16.0.0"), prefix_len=30, via_vid=1)
+    if not in_network(probe, best.prefix, 30):
+        best = None
+    for net, plen, gw in route_specs:
         net &= prefix_mask(plen)
-        if (net, plen) in seen:
-            continue
-        seen.add((net, plen))
-        r.add_route(net, plen, gateway=ip_addr("172.16.0.2"))
-    got = r.route_lookup(probe)
-    matches = [(plen, net) for net, plen in seen if in_network(probe, net, plen)]
-    iface_net = ip_addr("172.16.0.0")
-    if in_network(probe, iface_net, 30):
-        matches.append((30, iface_net))
-    if not matches:
-        assert got is None
-    else:
-        assert got.prefix_len == max(matches)[0]
+        route = r.add_route(net, plen, gateway=ip_addr(gw))
+        if in_network(probe, net, plen) and (best is None
+                                             or plen > best.prefix_len):
+            best = route
+    assert r.route_lookup(probe) == best
+
+
+def test_route_prefix_with_host_bits_matches():
+    r = ZoneRouter()
+    r.add_interface(1, ip_addr("172.16.0.1"), 30, "dmz")
+    route = r.add_route(ip_addr("10.1.2.3"), 16, gateway=ip_addr("172.16.0.2"))
+    assert r.route_lookup(ip_addr("10.1.9.9")) == route

@@ -2,9 +2,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from netfab.packet import (AlreadyTagged, BROADCAST, Frame, InvalidVid,
-                           MacAddress, NotTagged, Packet, classify_dst,
-                           flow_key, ip_addr, ip_str, make_frame, pop_tag,
-                           push_tag)
+                           MacAddress, NotTagged, Packet, PrefixTable,
+                           classify_dst, flow_key, in_network, ip_addr, ip_str,
+                           make_frame, pop_tag, prefix_mask, push_tag)
 
 
 def mac(text):
@@ -127,3 +127,25 @@ class TestFrameBounds:
         p = Packet(src_ip=1, dst_ip=2, protocol="icmp")
         f = make_frame(mac("00:10:4b:00:00:01"), mac("00:10:4b:00:00:02"), p)
         assert f.size_bytes == 64
+
+
+prefixes = st.tuples(st.integers(0, 2**32 - 1),
+                     st.one_of(st.sampled_from([0, 32]), st.integers(0, 32)))
+
+
+@given(st.lists(prefixes, max_size=12)
+       .map(lambda entries: entries + entries[::3]),
+       st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=4))
+def test_prefix_table_matches_linear_scan(entries, probes):
+    table = PrefixTable()
+    for i, (net, plen) in enumerate(entries):
+        table.insert(net, plen, i)
+    # probe the inserted prefixes themselves as well as random addresses
+    for addr in probes + [net for net, _ in entries]:
+        best = None
+        for i, (net, plen) in enumerate(entries):
+            if in_network(addr, net & prefix_mask(plen), plen) and (
+                    best is None or plen > entries[best][1]):
+                best = i
+        assert table.lookup(addr) == best
+

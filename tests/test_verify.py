@@ -2,10 +2,10 @@ import copy
 
 import pytest
 
-from netfab.scenario import (FaultDecl, build_spring8_legacy,
+from netfab.scenario import (BUNDLED, FaultDecl, build_spring8_legacy,
                              build_spring8_redundant, build_spring8_upgraded)
-from netfab.verify import (UnknownInvariant, UnknownNode, affected_vlans,
-                           status, verify)
+from netfab.verify import (UnknownInvariant, UnknownNode, _run_digest,
+                           affected_vlans, status, verify)
 
 
 @pytest.fixture(scope="module")
@@ -71,6 +71,17 @@ class TestDeterminism:
     def test_unknown_invariant(self, legacy):
         with pytest.raises(UnknownInvariant):
             verify(legacy, "teleportation")
+
+    @pytest.mark.parametrize("name, digest", [
+        ("spring8-legacy", "0deae6957ba9991b"),
+        ("spring8-redundant", "fc1b5c2eab82dd04"),
+        ("spring8-upgraded", "3e350eb50e31a2b2"),
+    ])
+    def test_bundled_trace_digest_pinned(self, name, digest):
+        """Trace + summary at the scenario's own seed; a change here means
+        the model's behaviour changed."""
+        cfg = BUNDLED[name]()
+        assert _run_digest(cfg, cfg.seed)[:16] == digest
 
 
 class TestStatus:
