@@ -8,6 +8,7 @@ from .packet import (FlowKey, Packet, PrefixTable, check_vid, flow_key,
                      ip_str, prefix_mask)
 
 ZONES = ("clean", "dmz", "public")
+VERDICTS = ("permit", "deny-new")
 
 DEFAULT_CONN_TIMEOUT_US = 600_000_000  # 600 s idle
 
@@ -109,7 +110,7 @@ class ZonePolicy:
     def set_rule(self, from_zone: str, to_zone: str, verdict: str):
         check_zone(from_zone)
         check_zone(to_zone)
-        if verdict not in ("permit", "deny-new"):
+        if verdict not in VERDICTS:
             raise ValueError(f"unknown verdict {verdict!r}")
         self.rules[(from_zone, to_zone)] = verdict
 

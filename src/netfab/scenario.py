@@ -2,26 +2,29 @@
 
 The format is line-oriented and diff-friendly: `[section]` headers, one
 declaration per line, space-separated `key=value` pairs, `#` comments.
+`FORMAT` declares every key of every section once; the parser and the
+serializer both walk it, so what one writes the other reads back.
 """
 from __future__ import annotations
 
+import functools
 import hashlib
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import MISSING, dataclass, field, fields
+from decimal import Decimal, DecimalException
+from operator import attrgetter
+from typing import Any, Callable, NamedTuple, Optional
 
-from .engine import (CBR_PACKET, DEFAULT_SHAPE_INTERVAL_US, Engine,
+from .engine import (CBR_PACKET, DEFAULT_LINK_QUEUE, DEFAULT_PROP_US, Engine,
                      FirewallNode, FirewallSide, HostNode, L3Node, SwitchNode,
                      BalancerNode, TrafficSpec)
-from .firewall import DEFAULT_CAP_BPS, Firewall
-from .l3 import ZonePolicy, ZoneRouter
-from .packet import MacAddress, ip_addr, ip_network, ip_str
+from .firewall import DEFAULT_CAP_BPS, DEFAULT_NAT_CAPACITY, Firewall
+from .l3 import VERDICTS, ZONES, ZonePolicy, ZoneRouter
+from .packet import (MacAddress, check_vid, ip_addr, ip_network, ip_str,
+                     prefix_mask)
 from .resilience import LoadBalancer
 
 # a faster cbr flow sends every 0 us, so simulated time never advances
 MAX_CBR_RATE = CBR_PACKET * 8 * 1_000_000
-
-SECTIONS = ("switch", "l3", "firewall", "balancer", "host", "link", "vlan",
-            "route", "acl", "masquerade", "traffic", "fault", "engine")
 
 
 class ScenarioError(Exception):
@@ -107,7 +110,7 @@ class SideDecl:
 class FirewallDecl:
     name: str
     cap_bps: int = DEFAULT_CAP_BPS
-    nat_capacity: int = 1024
+    nat_capacity: int = DEFAULT_NAT_CAPACITY
     zones: bool = True
     inside: SideDecl = None
     outside: SideDecl = None
@@ -137,8 +140,8 @@ class LinkDecl:
     a: tuple
     b: tuple
     bw: int
-    prop: int = 5
-    queue: int = 256
+    prop: int = DEFAULT_PROP_US
+    queue: int = DEFAULT_LINK_QUEUE
 
     @property
     def link_id(self) -> str:
@@ -221,450 +224,441 @@ class ScenarioConfig:
                 | set(self.balancers) | set(self.hosts))
 
 
-# -- parsing ---------------------------------------------------------------
+# -- value codecs ----------------------------------------------------------
+
+class Codec(NamedTuple):
+    """Reads one value from its text and writes it back. `read` checks what
+    the value can be on its own and raises ValueError with the reason."""
+    read: Callable[[str], Any]
+    write: Callable[[Any], str] = str
+
+
+def _int_in(lo: int, hi: Optional[int] = None) -> Codec:
+    def read(text: str) -> int:
+        value = int(text)
+        if value < lo or (hi is not None and value > hi):
+            bound = f"in [{lo}, {hi}]" if hi is not None else f">= {lo}"
+            raise ValueError(f"must be {bound}, got {value}")
+        return value
+    return Codec(read)
+
+
+def _one_of(choices: tuple) -> Codec:
+    def read(text: str) -> str:
+        if text not in choices:
+            raise ValueError(f"expected one of {'/'.join(choices)}, "
+                             f"got {text!r}")
+        return text
+    return Codec(read)
+
+
+def _read_seconds(text: str) -> int:
+    """Seconds to whole microseconds, exactly for any decimal with at most
+    six places; further places round half to even."""
+    try:
+        us = Decimal(text).scaleb(6)
+        valid = us.is_finite() and 0 <= us < 2**63
+    except DecimalException:
+        valid = False
+    if not valid:
+        raise ValueError(f"expected seconds >= 0, got {text!r}")
+    return int(us.to_integral_value())
+
+
+def _write_seconds(us: int) -> str:
+    seconds, frac = divmod(us, 1_000_000)
+    return f"{seconds}.{frac:06d}".rstrip("0") if frac else str(seconds)
+
+
+def _read_ip_len(text: str) -> tuple:
+    addr, slash, plen = text.partition("/")
+    if not slash:
+        raise ValueError(f"expected ip/prefix, got {text!r}")
+    return ip_addr(addr), PREFIX_LEN.read(plen)
+
+
+def _read_network(text: str) -> tuple:
+    ip, plen = _read_ip_len(text)
+    return ip & prefix_mask(plen), plen
+
+
+def _write_ip_len(value: tuple) -> str:
+    return f"{ip_str(value[0])}/{value[1]}"
+
 
 def _port_token(tok: str):
     return int(tok) if tok.isdigit() else tok
 
 
+def _read_endpoint(text: str) -> tuple:
+    node, _, port = text.rpartition(":")
+    if not (node and port):
+        raise ValueError(f"endpoint is node:port, got {text!r}")
+    return node, _port_token(port)
+
+
+def _read_ports(text: str) -> dict:
+    ports = {}
+    for item in text.split(","):
+        parts = item.split(":")
+        if len(parts) not in (3, 4) or "" in parts:
+            raise ValueError(f"bad port spec {item!r}")
+        pid, mode, vids = _port_token(parts[0]), parts[1], parts[2]
+        if mode == "access":
+            spec = PortSpec("access", vid=VID.read(vids))
+        elif mode == "trunk":
+            spec = PortSpec("trunk", allowed=tuple(
+                sorted(VID.read(v) for v in vids.split("|"))))
+        else:
+            raise ValueError(f"unknown port mode {mode!r}")
+        if len(parts) == 4:
+            spec.lag = parts[3]
+        if pid in ports:
+            raise ValueError(f"duplicate port {pid!r}")
+        ports[pid] = spec
+    return ports
+
+
+def _write_port(pid, spec: PortSpec) -> str:
+    vids = spec.vid if spec.mode == "access" else "|".join(map(str, spec.allowed))
+    lag = f":{spec.lag}" if spec.lag is not None else ""
+    return f"{pid}:{spec.mode}:{vids}{lag}"
+
+
+def _read_side(text: str) -> SideDecl:
+    parts = text.split(":")
+    if len(parts) != 3:
+        raise ValueError(f"side spec is mode:ip/prefix:zone, got {text!r}")
+    mode, addr, zone = parts
+    ip, plen = _read_ip_len(addr) if addr else (None, 24)
+    return SideDecl(SIDE_MODE.read(mode), ip, plen, ZONE.read(zone))
+
+
+def _write_side(side: SideDecl) -> str:
+    addr = _write_ip_len((side.ip, side.prefix_len)) if side.ip is not None else ""
+    return f"{side.mode}:{addr}:{side.zone}"
+
+
+def _read_side_routes(text: str) -> list:
+    routes = []
+    for item in text.split(","):
+        net, colon, via = item.rpartition(":")
+        if not colon:
+            raise ValueError(f"side route is net/prefix:via, got {item!r}")
+        routes.append((*_read_network(net), ip_addr(via)))
+    return routes
+
+
+def _read_names(text: str) -> tuple:
+    names = tuple(text.split(","))
+    if "" in names:
+        raise ValueError(f"empty name in {text!r}")
+    return names
+
+
+def _read_override(text: str) -> dict:
+    override = {}
+    for item in text.split(","):
+        addr, _, path = item.rpartition(":")
+        if not path:
+            raise ValueError(f"override is ip:path, got {item!r}")
+        override[ip_addr(addr)] = path
+    return override
+
+
+TEXT = Codec(str)
+COUNT = _int_in(0)
+POSITIVE = _int_in(1)
+L4_PORT = _int_in(0, 65535)
+SEED = _int_in(-2**63, 2**63 - 1)  # the engine salts its hashes with 8 bytes
+PREFIX_LEN = _int_in(0, 32)
+VID = Codec(lambda text: check_vid(int(text)))
+ZONE = _one_of(ZONES)
+SIDE_MODE = _one_of(("routed", "inline"))
+ON_OFF = Codec(lambda text: _one_of(("on", "off")).read(text) == "on",
+               lambda on: "on" if on else "off")
+SECONDS = Codec(_read_seconds, _write_seconds)
+IP = Codec(ip_addr, ip_str)
+IP_LEN = Codec(_read_ip_len, _write_ip_len)
+NETWORK = Codec(_read_network, _write_ip_len)
+PORT = Codec(_port_token)
+ENDPOINT = Codec(_read_endpoint, lambda end: f"{end[0]}:{end[1]}")
+PORTS = Codec(_read_ports, lambda ports: ",".join(
+    _write_port(pid, ports[pid]) for pid in sorted(ports, key=str)))
+SIDE = Codec(_read_side, _write_side)
+SIDE_ROUTES = Codec(_read_side_routes, lambda routes: ",".join(
+    f"{ip_str(net)}/{plen}:{ip_str(via)}" for net, plen, via in routes))
+NAMES = Codec(_read_names, ",".join)
+OVERRIDE = Codec(_read_override, lambda override: ",".join(
+    f"{ip_str(addr)}:{path}" for addr, path in sorted(override.items())))
+
+
+# -- the format: one key table per section ---------------------------------
+
+@functools.cache
+def _field_defaults(cls) -> dict:
+    return {f.name: f.default if f.default is not MISSING else f.default_factory()
+            for f in fields(cls)
+            if f.default is not MISSING or f.default_factory is not MISSING}
+
+
+class Key:
+    """One `key=value` of a declaration line: the codec of its value and the
+    declaration attribute it fills. A codec that fills several attributes
+    (`ip=a/len` fills `ip` and `prefix_len`) reads and writes a tuple; a
+    dotted attribute (`inside.gw`) is a field of a field. An optional key
+    whose value equals its dataclass default is left out of the file unless
+    `always` is set."""
+    __slots__ = ("name", "codec", "owner", "attrs", "required", "shown")
+
+    def __init__(self, name: str, codec: Codec, attrs=None,
+                 required: bool = False, always: bool = False):
+        if isinstance(attrs, tuple):
+            self.owner = ""
+        else:
+            self.owner, _, leaf = (attrs or name).rpartition(".")
+            attrs = (leaf,)
+        self.name, self.codec, self.attrs = name, codec, attrs
+        self.required = required
+        self.shown = required or always
+
+    def text(self, decl) -> Optional[str]:
+        """`key=value` for `decl`, or None when the key is left out."""
+        owner = getattr(decl, self.owner) if self.owner else decl
+        values = tuple(getattr(owner, attr) for attr in self.attrs)
+        if not self.shown:
+            defaults = _field_defaults(type(owner))
+            if values == tuple(defaults[attr] for attr in self.attrs):
+                return None
+        value = values[0] if len(values) == 1 else values
+        return f"{self.name}={self.codec.write(value)}"
+
+
+class Form:
+    """One kind of declaration line: its keys in file order and the dataclass
+    they build, or None when they set the ScenarioConfig itself. The
+    declarations live in the `store` attribute of the config: a list, or a
+    dict keyed by their `index` attribute, whose values are unique across
+    all forms with that index (every kind of node has a `name`). `order`
+    sorts a list for writing. A `child` form's lines follow each parent's
+    line; its first key names the parent and it has no key of the parent's
+    first name."""
+
+    def __init__(self, cls, keys: list, store: str = "", index: str = "",
+                 order=None, child=None):
+        self.cls, self.keys, self.store = cls, keys, store
+        self.index, self.order, self.child = index, order, child
+        self.by_name = {key.name: key for key in keys}
+        self.required = [key.name for key in keys if key.required]
+
+    def read(self, kv: dict, lineno: int):
+        for name in self.required:
+            if name not in kv:
+                raise ParseError(lineno, f"missing required key {name!r}")
+        values, nested = {}, []
+        for name, text in kv.items():
+            key = self.by_name.get(name)
+            if key is None:
+                raise ParseError(lineno, f"unknown key {name!r}")
+            try:
+                value = key.codec.read(text)
+            except ValueError as exc:
+                raise ParseError(lineno, f"{name}: {exc}") from None
+            if key.owner:
+                nested.append((key, value))
+            elif len(key.attrs) == 1:
+                values[key.attrs[0]] = value
+            else:
+                values.update(zip(key.attrs, value))
+        if self.cls is None:
+            return values
+        decl = self.cls(**values)
+        for key, value in nested:
+            setattr(getattr(decl, key.owner), key.attrs[0], value)
+        return decl
+
+    def parse(self, cfg: ScenarioConfig, kv: dict, seen: dict, lineno: int):
+        """Read one declaration line into `cfg`."""
+        if self.child is not None and self.keys[0].name not in kv:
+            child = self.child
+            decl = child.read(kv, lineno)
+            ref = getattr(decl, child.keys[0].attrs[0])
+            parent = getattr(cfg, self.store).get(ref)
+            if parent is None:
+                raise ParseError(lineno, f"{child.keys[0].name} {ref!r} "
+                                 "is not declared")
+            getattr(parent, child.store).append(decl)
+            return
+        decl = self.read(kv, lineno)
+        if self.cls is None:
+            for attr, value in decl.items():
+                setattr(cfg, attr, value)
+        elif not self.index:
+            getattr(cfg, self.store).append(decl)
+        else:
+            ref = getattr(decl, self.index)
+            names = seen.setdefault(self.index, set())
+            if ref in names:
+                raise ParseError(lineno, f"duplicate {self.index} {ref!r}")
+            names.add(ref)
+            getattr(cfg, self.store)[ref] = decl
+
+    def lines(self, holder):
+        """The declaration lines of `holder`, in file order."""
+        if self.cls is None:
+            decls = [holder]
+        elif self.index:
+            table = getattr(holder, self.store)
+            decls = [table[ref] for ref in sorted(table)]
+        else:
+            decls = getattr(holder, self.store)
+            if self.order is not None:
+                decls = sorted(decls, key=self.order)
+        for decl in decls:
+            yield " ".join(filter(None, (key.text(decl) for key in self.keys)))
+            if self.child is not None:
+                yield from self.child.lines(decl)
+
+
+# section -> its declaration form, in the order the serializer writes them
+FORMAT = {
+    "engine": Form(None, [
+        Key("seed", SEED, always=True),
+        Key("duration", SECONDS, "duration_us", always=True),
+    ]),
+    "vlan": Form(VlanDecl, [
+        Key("vid", VID, required=True),
+        Key("name", TEXT, required=True),
+        Key("subnet", NETWORK),
+    ], store="vlans", index="vid"),
+    "switch": Form(SwitchDecl, [
+        Key("name", TEXT, required=True),
+        Key("ports", PORTS, required=True),
+    ], store="switches", index="name"),
+    "l3": Form(L3Decl, [
+        Key("name", TEXT, required=True),
+    ], store="l3s", index="name", child=Form(IfaceDecl, [
+        Key("node", TEXT, required=True),
+        Key("vid", VID, required=True),
+        Key("ip", IP_LEN, ("ip", "prefix_len"), required=True),
+        Key("zone", ZONE, required=True),
+        Key("port", PORT),
+    ], store="interfaces", order=attrgetter("vid"))),
+    "firewall": Form(FirewallDecl, [
+        Key("name", TEXT, required=True),
+        Key("inside", SIDE, required=True),
+        Key("outside", SIDE, required=True),
+        Key("cap", POSITIVE, "cap_bps", always=True),
+        Key("nat_capacity", COUNT, always=True),
+        Key("zones", ON_OFF, always=True),
+        Key("inside_gw", IP, "inside.gw"),
+        Key("inside_peer", TEXT, "inside.peer"),
+        Key("inside_routes", SIDE_ROUTES, "inside.routes"),
+        Key("outside_gw", IP, "outside.gw"),
+        Key("outside_peer", TEXT, "outside.peer"),
+        Key("outside_routes", SIDE_ROUTES, "outside.routes"),
+    ], store="firewalls", index="name"),
+    "balancer": Form(BalancerDecl, [
+        Key("name", TEXT, required=True),
+        Key("ip", IP, required=True),
+        Key("peer_ip", IP, required=True),
+        Key("paths", NAMES, required=True),
+        Key("override", OVERRIDE),
+    ], store="balancers", index="name"),
+    "host": Form(HostDecl, [
+        Key("name", TEXT, required=True),
+        Key("ip", IP_LEN, ("ip", "prefix_len"), required=True),
+        Key("gw", IP),
+        Key("vlan", VID),
+        Key("group", TEXT),
+    ], store="hosts", index="name"),
+    "link": Form(LinkDecl, [
+        Key("a", ENDPOINT, required=True),
+        Key("b", ENDPOINT, required=True),
+        Key("bw", POSITIVE, required=True),
+        Key("prop", COUNT),
+        Key("queue", POSITIVE),
+    ], store="links", order=attrgetter("link_id")),
+    "route": Form(RouteDecl, [
+        Key("node", TEXT, required=True),
+        Key("prefix", NETWORK, ("prefix", "prefix_len"), required=True),
+        Key("via_vid", VID),
+        Key("gateway", IP),
+    ], store="routes", order=attrgetter("node", "prefix_len", "prefix")),
+    "acl": Form(AclDecl, [
+        Key("from", ZONE, "from_zone", required=True),
+        Key("to", ZONE, "to_zone", required=True),
+        Key("verdict", _one_of(VERDICTS), required=True),
+    ], store="acls", order=attrgetter("from_zone", "to_zone")),
+    "masquerade": Form(MasqDecl, [
+        Key("node", TEXT, required=True),
+        Key("network", NETWORK, ("network", "prefix_len"), required=True),
+        Key("external", IP, required=True),
+    ], store="masquerades", order=attrgetter("node", "prefix_len", "network")),
+    "traffic": Form(TrafficDecl, [
+        Key("kind", _one_of(("cbr", "bulk", "ping")), required=True),
+        Key("src", TEXT, required=True),
+        Key("dst", TEXT),
+        Key("dst_ip", IP),
+        Key("flow", TEXT, required=True),
+        Key("start", SECONDS, "start_us"),
+        Key("stop", SECONDS, "stop_us"),
+        Key("rate", COUNT),
+        Key("total", COUNT),
+        Key("count", COUNT),
+        Key("sport", L4_PORT),
+        Key("dport", L4_PORT),
+    ], store="traffic"),
+    "fault": Form(FaultDecl, [
+        Key("at", SECONDS, "at_us", required=True),
+        Key("action", _one_of(("fail_node", "fail_link", "recover")),
+            required=True),
+        Key("target", TEXT, required=True),
+    ], store="faults"),
+}
+
+
+# -- parsing and serialization ---------------------------------------------
+
 def _parse_kv(line: str, lineno: int) -> dict:
     out = {}
     for tok in line.split():
-        if "=" not in tok:
+        k, eq, v = tok.partition("=")
+        if not eq:
             raise ParseError(lineno, f"expected key=value, got {tok!r}")
-        k, v = tok.split("=", 1)
+        if not v:
+            raise ParseError(lineno, f"empty value for key {k!r}")
         if k in out:
             raise ParseError(lineno, f"duplicate key {k!r}")
         out[k] = v
     return out
 
 
-def _need(kv: dict, key: str, lineno: int) -> str:
-    if key not in kv:
-        raise ParseError(lineno, f"missing required key {key!r}")
-    return kv.pop(key)
-
-
-def _int(value: str, lineno: int, what: str) -> int:
-    try:
-        return int(value)
-    except ValueError:
-        raise ParseError(lineno, f"{what} must be an integer, got {value!r}")
-
-
-def _ip(value: str, lineno: int) -> int:
-    try:
-        return ip_addr(value)
-    except (ValueError, OSError):
-        raise ParseError(lineno, f"bad ip address {value!r}")
-
-
-def _cidr(value: str, lineno: int) -> tuple:
-    try:
-        return ip_network(value)
-    except (ValueError, OSError):
-        raise ParseError(lineno, f"bad network {value!r}")
-
-
-def _ip_plen(value: str, lineno: int) -> tuple:
-    if "/" not in value:
-        raise ParseError(lineno, f"expected ip/prefix, got {value!r}")
-    addr, plen = value.split("/", 1)
-    return _ip(addr, lineno), _int(plen, lineno, "prefix length")
-
-
-def _seconds_us(value: str, lineno: int, what: str) -> int:
-    try:
-        return int(round(float(value) * 1_000_000))
-    except ValueError:
-        raise ParseError(lineno, f"{what} must be a number of seconds")
-
-
-def _parse_ports(value: str, lineno: int) -> dict:
-    ports = {}
-    for item in value.split(","):
-        parts = item.split(":")
-        if len(parts) not in (3, 4):
-            raise ParseError(lineno, f"bad port spec {item!r}")
-        pid = _port_token(parts[0])
-        mode = parts[1]
-        if mode == "access":
-            spec = PortSpec("access", vid=_int(parts[2], lineno, "vid"))
-        elif mode == "trunk":
-            allowed = tuple(sorted(_int(v, lineno, "vid")
-                                   for v in parts[2].split("|")))
-            spec = PortSpec("trunk", allowed=allowed)
-        else:
-            raise ParseError(lineno, f"unknown port mode {mode!r}")
-        if len(parts) == 4:
-            spec.lag = parts[3]
-        if pid in ports:
-            raise ParseError(lineno, f"duplicate port {pid!r}")
-        ports[pid] = spec
-    return ports
-
-
-def _parse_side(value: str, lineno: int) -> SideDecl:
-    parts = value.split(":")
-    if len(parts) != 3:
-        raise ParseError(lineno, f"side spec is mode:ip/prefix:zone, got {value!r}")
-    mode, addr, zone = parts
-    if mode not in ("routed", "inline"):
-        raise ParseError(lineno, f"unknown firewall side mode {mode!r}")
-    if addr:
-        ip, plen = _ip_plen(addr, lineno)
-    else:
-        ip, plen = None, 24
-    return SideDecl(mode=mode, ip=ip, prefix_len=plen, zone=zone)
-
-
-def _parse_side_routes(value: str, lineno: int) -> list:
-    routes = []
-    for item in value.split(","):
-        if ":" not in item:
-            raise ParseError(lineno, f"side route is net/prefix:via, got {item!r}")
-        netpart, via = item.rsplit(":", 1)
-        net, plen = _cidr(netpart, lineno)
-        routes.append((net, plen, _ip(via, lineno)))
-    return routes
-
-
-def _reject_extra(kv: dict, lineno: int):
-    if kv:
-        raise ParseError(lineno, f"unknown key {sorted(kv)[0]!r}")
-
-
 def parse_scenario(text: str) -> ScenarioConfig:
     cfg = ScenarioConfig()
-    section = None
+    seen: dict = {}  # index attribute -> values declared so far
+    form = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if line.startswith("[") and line.endswith("]"):
-            section = line[1:-1]
-            if section not in SECTIONS:
-                raise ParseError(lineno, f"unknown section [{section}]")
+            form = FORMAT.get(line[1:-1])
+            if form is None:
+                raise ParseError(lineno, f"unknown section {line}")
             continue
-        if section is None:
+        if form is None:
             raise ParseError(lineno, "declaration before any [section] header")
-        kv = _parse_kv(line, lineno)
-        _parse_decl(cfg, section, kv, lineno)
+        form.parse(cfg, _parse_kv(line, lineno), seen, lineno)
     return cfg
 
 
-def _parse_decl(cfg: ScenarioConfig, section: str, kv: dict, lineno: int):
-    if section == "switch":
-        name = _need(kv, "name", lineno)
-        ports = _parse_ports(_need(kv, "ports", lineno), lineno)
-        _reject_extra(kv, lineno)
-        if name in cfg.node_names():
-            raise ParseError(lineno, f"duplicate node name {name!r}")
-        cfg.switches[name] = SwitchDecl(name, ports)
-    elif section == "l3":
-        if "name" in kv:
-            name = _need(kv, "name", lineno)
-            _reject_extra(kv, lineno)
-            if name in cfg.node_names():
-                raise ParseError(lineno, f"duplicate node name {name!r}")
-            cfg.l3s[name] = L3Decl(name)
-        else:
-            node = _need(kv, "node", lineno)
-            if node not in cfg.l3s:
-                raise ParseError(lineno, f"interface for undeclared l3 {node!r}")
-            vid = _int(_need(kv, "vid", lineno), lineno, "vid")
-            ip, plen = _ip_plen(_need(kv, "ip", lineno), lineno)
-            zone = _need(kv, "zone", lineno)
-            port = kv.pop("port", None)
-            _reject_extra(kv, lineno)
-            cfg.l3s[node].interfaces.append(
-                IfaceDecl(node, vid, ip, plen, zone,
-                          _port_token(port) if port is not None else None))
-    elif section == "firewall":
-        name = _need(kv, "name", lineno)
-        decl = FirewallDecl(name)
-        decl.inside = _parse_side(_need(kv, "inside", lineno), lineno)
-        decl.outside = _parse_side(_need(kv, "outside", lineno), lineno)
-        if "cap" in kv:
-            decl.cap_bps = _int(kv.pop("cap"), lineno, "cap")
-        if "nat_capacity" in kv:
-            decl.nat_capacity = _int(kv.pop("nat_capacity"), lineno, "nat_capacity")
-        if "zones" in kv:
-            decl.zones = kv.pop("zones") == "on"
-        for side_name in ("inside", "outside"):
-            side = getattr(decl, side_name)
-            if f"{side_name}_gw" in kv:
-                side.gw = _ip(kv.pop(f"{side_name}_gw"), lineno)
-            if f"{side_name}_peer" in kv:
-                side.peer = kv.pop(f"{side_name}_peer")
-            if f"{side_name}_routes" in kv:
-                side.routes = _parse_side_routes(kv.pop(f"{side_name}_routes"),
-                                                 lineno)
-        _reject_extra(kv, lineno)
-        if name in cfg.node_names():
-            raise ParseError(lineno, f"duplicate node name {name!r}")
-        cfg.firewalls[name] = decl
-    elif section == "balancer":
-        name = _need(kv, "name", lineno)
-        ip = _ip(_need(kv, "ip", lineno), lineno)
-        peer_ip = _ip(_need(kv, "peer_ip", lineno), lineno)
-        paths = tuple(_need(kv, "paths", lineno).split(","))
-        override = {}
-        if "override" in kv:
-            for item in kv.pop("override").split(","):
-                if ":" not in item:
-                    raise ParseError(lineno, f"override is ip:path, got {item!r}")
-                addr, path = item.rsplit(":", 1)
-                override[_ip(addr, lineno)] = path
-        _reject_extra(kv, lineno)
-        if name in cfg.node_names():
-            raise ParseError(lineno, f"duplicate node name {name!r}")
-        cfg.balancers[name] = BalancerDecl(name, ip, peer_ip, paths, override)
-    elif section == "host":
-        name = _need(kv, "name", lineno)
-        ip, plen = _ip_plen(_need(kv, "ip", lineno), lineno)
-        decl = HostDecl(name, ip, plen)
-        if "gw" in kv:
-            decl.gw = _ip(kv.pop("gw"), lineno)
-        if "vlan" in kv:
-            decl.vlan = _int(kv.pop("vlan"), lineno, "vlan")
-        if "group" in kv:
-            decl.group = kv.pop("group")
-        _reject_extra(kv, lineno)
-        if name in cfg.node_names():
-            raise ParseError(lineno, f"duplicate node name {name!r}")
-        cfg.hosts[name] = decl
-    elif section == "link":
-        def endpoint(value):
-            if ":" not in value:
-                raise ParseError(lineno, f"endpoint is node:port, got {value!r}")
-            node, port = value.rsplit(":", 1)
-            return node, _port_token(port)
-        a = endpoint(_need(kv, "a", lineno))
-        b = endpoint(_need(kv, "b", lineno))
-        decl = LinkDecl(a, b, _int(_need(kv, "bw", lineno), lineno, "bw"))
-        if "prop" in kv:
-            decl.prop = _int(kv.pop("prop"), lineno, "prop")
-        if "queue" in kv:
-            decl.queue = _int(kv.pop("queue"), lineno, "queue")
-        _reject_extra(kv, lineno)
-        cfg.links.append(decl)
-    elif section == "vlan":
-        vid = _int(_need(kv, "vid", lineno), lineno, "vid")
-        name = _need(kv, "name", lineno)
-        subnet = _cidr(kv.pop("subnet"), lineno) if "subnet" in kv else None
-        _reject_extra(kv, lineno)
-        if vid in cfg.vlans:
-            raise ParseError(lineno, f"duplicate vlan {vid}")
-        cfg.vlans[vid] = VlanDecl(vid, name, subnet)
-    elif section == "route":
-        node = _need(kv, "node", lineno)
-        net, plen = _cidr(_need(kv, "prefix", lineno), lineno)
-        via_vid = gateway = None
-        if "via_vid" in kv:
-            via_vid = _int(kv.pop("via_vid"), lineno, "via_vid")
-        if "gateway" in kv:
-            gateway = _ip(kv.pop("gateway"), lineno)
-        _reject_extra(kv, lineno)
-        if (via_vid is None) == (gateway is None):
-            raise ParseError(lineno, "route needs exactly one of via_vid/gateway")
-        cfg.routes.append(RouteDecl(node, net, plen, via_vid, gateway))
-    elif section == "acl":
-        decl = AclDecl(_need(kv, "from", lineno), _need(kv, "to", lineno),
-                       _need(kv, "verdict", lineno))
-        _reject_extra(kv, lineno)
-        cfg.acls.append(decl)
-    elif section == "masquerade":
-        node = _need(kv, "node", lineno)
-        net, plen = _cidr(_need(kv, "network", lineno), lineno)
-        external = _ip(_need(kv, "external", lineno), lineno)
-        _reject_extra(kv, lineno)
-        cfg.masquerades.append(MasqDecl(node, net, plen, external))
-    elif section == "traffic":
-        kind = _need(kv, "kind", lineno)
-        if kind not in ("cbr", "bulk", "ping"):
-            raise ParseError(lineno, f"unknown traffic kind {kind!r}")
-        decl = TrafficDecl(kind, _need(kv, "src", lineno),
-                           _need(kv, "flow", lineno))
-        if "dst" in kv:
-            decl.dst = kv.pop("dst")
-        if "dst_ip" in kv:
-            decl.dst_ip = _ip(kv.pop("dst_ip"), lineno)
-        if decl.dst is None and decl.dst_ip is None:
-            raise ParseError(lineno, "traffic needs dst or dst_ip")
-        if "start" in kv:
-            decl.start_us = _seconds_us(kv.pop("start"), lineno, "start")
-        if "stop" in kv:
-            decl.stop_us = _seconds_us(kv.pop("stop"), lineno, "stop")
-        for key in ("rate", "total", "count", "sport", "dport"):
-            if key in kv:
-                setattr(decl, key, _int(kv.pop(key), lineno, key))
-        _reject_extra(kv, lineno)
-        cfg.traffic.append(decl)
-    elif section == "fault":
-        at_us = _seconds_us(_need(kv, "at", lineno), lineno, "at")
-        action = _need(kv, "action", lineno)
-        if action not in ("fail_node", "fail_link", "recover"):
-            raise ParseError(lineno, f"unknown fault action {action!r}")
-        target = _need(kv, "target", lineno)
-        _reject_extra(kv, lineno)
-        cfg.faults.append(FaultDecl(at_us, action, target))
-    elif section == "engine":
-        if "seed" in kv:
-            cfg.seed = _int(kv.pop("seed"), lineno, "seed")
-        if "duration" in kv:
-            cfg.duration_us = _seconds_us(kv.pop("duration"), lineno, "duration")
-        _reject_extra(kv, lineno)
-
-
-# -- serialization ---------------------------------------------------------
-
-def _fmt_port(pid, spec: PortSpec) -> str:
-    if spec.mode == "access":
-        body = f"{pid}:access:{spec.vid}"
-    else:
-        body = f"{pid}:trunk:{'|'.join(str(v) for v in spec.allowed)}"
-    if spec.lag is not None:
-        body += f":{spec.lag}"
-    return body
-
-
 def serialize_scenario(cfg: ScenarioConfig) -> str:
-    out = ["[engine]",
-           f"seed={cfg.seed} duration={cfg.duration_us / 1e6:g}", ""]
-    if cfg.vlans:
-        out.append("[vlan]")
-        for vid in sorted(cfg.vlans):
-            v = cfg.vlans[vid]
-            line = f"vid={vid} name={v.name}"
-            if v.subnet is not None:
-                line += f" subnet={ip_str(v.subnet[0])}/{v.subnet[1]}"
-            out.append(line)
-        out.append("")
-    if cfg.switches:
-        out.append("[switch]")
-        for name in sorted(cfg.switches):
-            sw = cfg.switches[name]
-            ports = ",".join(_fmt_port(p, sw.ports[p]) for p in sorted(
-                sw.ports, key=str))
-            out.append(f"name={name} ports={ports}")
-        out.append("")
-    if cfg.l3s:
-        out.append("[l3]")
-        for name in sorted(cfg.l3s):
-            out.append(f"name={name}")
-            for i in sorted(cfg.l3s[name].interfaces, key=lambda x: x.vid):
-                line = (f"node={name} vid={i.vid} ip={ip_str(i.ip)}/"
-                        f"{i.prefix_len} zone={i.zone}")
-                if i.port is not None:
-                    line += f" port={i.port}"
-                out.append(line)
-        out.append("")
-    if cfg.firewalls:
-        out.append("[firewall]")
-        for name in sorted(cfg.firewalls):
-            fw = cfg.firewalls[name]
-            parts = [f"name={name}"]
-            for side_name in ("inside", "outside"):
-                s = getattr(fw, side_name)
-                addr = f"{ip_str(s.ip)}/{s.prefix_len}" if s.ip is not None else ""
-                parts.append(f"{side_name}={s.mode}:{addr}:{s.zone}")
-            parts.append(f"cap={fw.cap_bps}")
-            parts.append(f"nat_capacity={fw.nat_capacity}")
-            parts.append(f"zones={'on' if fw.zones else 'off'}")
-            for side_name in ("inside", "outside"):
-                s = getattr(fw, side_name)
-                if s.gw is not None:
-                    parts.append(f"{side_name}_gw={ip_str(s.gw)}")
-                if s.peer is not None:
-                    parts.append(f"{side_name}_peer={s.peer}")
-                if s.routes:
-                    routes = ",".join(f"{ip_str(n)}/{p}:{ip_str(v)}"
-                                      for n, p, v in s.routes)
-                    parts.append(f"{side_name}_routes={routes}")
-            out.append(" ".join(parts))
-        out.append("")
-    if cfg.balancers:
-        out.append("[balancer]")
-        for name in sorted(cfg.balancers):
-            b = cfg.balancers[name]
-            line = (f"name={name} ip={ip_str(b.ip)} peer_ip={ip_str(b.peer_ip)}"
-                    f" paths={','.join(b.paths)}")
-            if b.override:
-                items = ",".join(f"{ip_str(a)}:{p}"
-                                 for a, p in sorted(b.override.items()))
-                line += f" override={items}"
-            out.append(line)
-        out.append("")
-    if cfg.hosts:
-        out.append("[host]")
-        for name in sorted(cfg.hosts):
-            h = cfg.hosts[name]
-            line = f"name={name} ip={ip_str(h.ip)}/{h.prefix_len}"
-            if h.gw is not None:
-                line += f" gw={ip_str(h.gw)}"
-            if h.vlan is not None:
-                line += f" vlan={h.vlan}"
-            if h.group is not None:
-                line += f" group={h.group}"
-            out.append(line)
-        out.append("")
-    if cfg.links:
-        out.append("[link]")
-        for l in sorted(cfg.links, key=lambda x: x.link_id):
-            line = (f"a={l.a[0]}:{l.a[1]} b={l.b[0]}:{l.b[1]} bw={l.bw}")
-            if l.prop != 5:
-                line += f" prop={l.prop}"
-            if l.queue != 256:
-                line += f" queue={l.queue}"
-            out.append(line)
-        out.append("")
-    if cfg.routes:
-        out.append("[route]")
-        for r in sorted(cfg.routes, key=lambda x: (x.node, x.prefix_len, x.prefix)):
-            line = f"node={r.node} prefix={ip_str(r.prefix)}/{r.prefix_len}"
-            if r.via_vid is not None:
-                line += f" via_vid={r.via_vid}"
-            else:
-                line += f" gateway={ip_str(r.gateway)}"
-            out.append(line)
-        out.append("")
-    if cfg.acls:
-        out.append("[acl]")
-        for a in sorted(cfg.acls, key=lambda x: (x.from_zone, x.to_zone)):
-            out.append(f"from={a.from_zone} to={a.to_zone} verdict={a.verdict}")
-        out.append("")
-    if cfg.masquerades:
-        out.append("[masquerade]")
-        for m in sorted(cfg.masquerades,
-                        key=lambda x: (x.node, x.prefix_len, x.network)):
-            out.append(f"node={m.node} network={ip_str(m.network)}/"
-                       f"{m.prefix_len} external={ip_str(m.external)}")
-        out.append("")
-    if cfg.traffic:
-        out.append("[traffic]")
-        for t in cfg.traffic:
-            parts = [f"kind={t.kind}", f"src={t.src}"]
-            if t.dst is not None:
-                parts.append(f"dst={t.dst}")
-            if t.dst_ip is not None:
-                parts.append(f"dst_ip={ip_str(t.dst_ip)}")
-            parts.append(f"flow={t.flow}")
-            if t.start_us:
-                parts.append(f"start={t.start_us / 1e6:g}")
-            if t.stop_us is not None:
-                parts.append(f"stop={t.stop_us / 1e6:g}")
-            for key in ("rate", "total", "count", "sport", "dport"):
-                v = getattr(t, key)
-                if v:
-                    parts.append(f"{key}={v}")
-            out.append(" ".join(parts))
-        out.append("")
-    if cfg.faults:
-        out.append("[fault]")
-        for f in cfg.faults:
-            out.append(f"at={f.at_us / 1e6:g} action={f.action} target={f.target}")
-        out.append("")
+    out = []
+    for section, form in FORMAT.items():
+        lines = list(form.lines(cfg))
+        if lines:
+            out += [f"[{section}]", *lines, ""]
     return "\n".join(out).rstrip("\n") + "\n"
 
 
@@ -768,8 +762,6 @@ def validate_scenario(cfg: ScenarioConfig):
             endpoints.add((node, port))
         if link.link_id in link_ids:
             raise ValidationError(link.link_id, "duplicate link")
-        if link.bw <= 0:
-            raise ValidationError(link.link_id, "bw must be > 0")
         link_ids.add(link.link_id)
     if cfg.vlans:
         for sw in cfg.switches.values():
@@ -786,6 +778,9 @@ def validate_scenario(cfg: ScenarioConfig):
     for route in cfg.routes:
         if route.node not in cfg.l3s:
             raise ValidationError(route.node, "route on undeclared l3 switch")
+        if (route.via_vid is None) == (route.gateway is None):
+            raise ValidationError(route.node,
+                                  "route needs exactly one of via_vid/gateway")
     for masq in cfg.masquerades:
         if masq.node not in cfg.firewalls:
             raise ValidationError(masq.node,
@@ -805,14 +800,23 @@ def validate_scenario(cfg: ScenarioConfig):
     for t in cfg.traffic:
         if t.src not in cfg.hosts:
             raise ValidationError(t.flow, f"traffic src {t.src!r} is not a host")
+        if t.dst is None and t.dst_ip is None:
+            raise ValidationError(t.flow, "traffic needs dst or dst_ip")
         if t.dst is not None and t.dst not in cfg.hosts:
             raise ValidationError(t.flow, f"traffic dst {t.dst!r} is not a host")
         if t.kind == "cbr" and not 0 < t.rate <= MAX_CBR_RATE:
             raise ValidationError(
                 t.flow, f"cbr rate must be in (0, {MAX_CBR_RATE}] bps")
+        if t.kind == "ping" and t.count <= 0:
+            raise ValidationError(t.flow, "ping count must be > 0")
+        if t.kind == "bulk" and t.total <= 0:
+            raise ValidationError(t.flow, "bulk total must be > 0")
+    targets = {"fail_node": ("node", names), "fail_link": ("link", link_ids)}
+    either = ("node or link", names | link_ids)
     for f in cfg.faults:
-        if f.target not in names and f.target not in link_ids:
-            raise ValidationError(f.target, "fault target is not a node or link")
+        what, pool = targets.get(f.action, either)
+        if f.target not in pool:
+            raise ValidationError(f.target, f"{f.action} target is not a {what}")
     _check_loops(cfg)
 
 
@@ -1020,22 +1024,34 @@ def build_spring8_legacy() -> ScenarioConfig:
     return cfg
 
 
-def build_spring8_upgraded() -> ScenarioConfig:
-    """Post-upgrade fabric: Gigabit backbone, 4 quadrant L3 switches, 32 edge
-    switches, one VLAN per beamline, 4 zone firewalls capped at 170 Mbps."""
-    cfg = ScenarioConfig()
-    cfg.duration_us = 20_000_000
-    _declare_vlans(cfg, clean=False)
-    b_by_switch = _populate_edge(cfg, host_bw=FAST, flat=False,
-                                 gw_for=beamline_gw)
+def _quadrant_vids(q: int) -> tuple:
+    return tuple(sorted([MGMT_VID] + [beamline_vid(b) for b in QUADRANTS[q]]
+                        + list(STAFF_VIDS[q - 1:q])))
+
+
+def _gateway(name: str, mgmt_ip: str, beamlines, staff_vids) -> L3Decl:
+    """An L3 switch on the management VLAN that routes for the given beamline
+    and staff VLANs."""
+    return L3Decl(name, [IfaceDecl(name, MGMT_VID, ip_addr(mgmt_ip), 24, "dmz")]
+                  + [IfaceDecl(name, beamline_vid(b), ip_addr(beamline_gw(b)),
+                               24, "dmz") for b in beamlines]
+                  + [IfaceDecl(name, vid, ip_addr(f"10.0.{vid}.1"), 24, "dmz")
+                     for vid in staff_vids])
+
+
+def _aggregate(cfg: ScenarioConfig, b_by_switch: dict, bundled: bool) -> dict:
+    """Four quadrant aggregation switches over the edge switches, each up to
+    the backbone on one trunk or, when `bundled`, on two aggregated into one
+    logical trunk. Returns the backbone's ports toward them."""
     bb_ports = {}
     for q in range(1, 5):
-        agg = f"agg{q}"
-        quadrant_vids = sorted(
-            [MGMT_VID] + [beamline_vid(b) for b in QUADRANTS[q]]
-            + ([STAFF_VIDS[q - 1]] if q <= 2 else []))
-        agg_ports = {"up": PortSpec("trunk", allowed=tuple(quadrant_vids)),
-                     "r": PortSpec("trunk", allowed=tuple(quadrant_vids))}
+        agg, vids = f"agg{q}", _quadrant_vids(q)
+        # (aggregation port, backbone port) of each physical uplink
+        uplinks = ([("up1", f"a{q}x"), ("up2", f"a{q}y")] if bundled
+                   else [("up", f"a{q}")])
+        agg_ports = {up: PortSpec("trunk", allowed=vids,
+                                  lag="lag1" if bundled else None)
+                     for up, _ in uplinks}
         for i in range((q - 1) * 8 + 1, q * 8 + 1):
             sw = f"sw{i:02d}"
             agg_ports[f"d{i:02d}"] = PortSpec(
@@ -1044,33 +1060,57 @@ def build_spring8_upgraded() -> ScenarioConfig:
         if q <= 2:
             agg_ports["staff"] = PortSpec("access", vid=STAFF_VIDS[q - 1])
         cfg.switches[agg] = SwitchDecl(agg, agg_ports)
-        bb_ports[f"a{q}"] = PortSpec("trunk", allowed=tuple(quadrant_vids))
-        cfg.links.append(LinkDecl((agg, "up"), ("bb", f"a{q}"), GIG))
-    bb_ports["mon"] = PortSpec("access", vid=MGMT_VID)
-    bb_ports["nms"] = PortSpec("access", vid=MGMT_VID)
-    cfg.switches["bb"] = SwitchDecl("bb", bb_ports)
-    cfg.hosts["monitor"] = HostDecl("monitor", ip_addr("10.0.1.250"), 24,
-                                    gw=ip_addr("10.0.1.1"), vlan=MGMT_VID,
-                                    group="mgmt")
-    cfg.hosts["nms"] = HostDecl("nms", ip_addr("10.0.1.251"), 24,
-                                gw=ip_addr("10.0.1.1"), vlan=MGMT_VID,
-                                group="mgmt")
-    cfg.links.append(LinkDecl(("monitor", 0), ("bb", "mon"), FAST))
-    cfg.links.append(LinkDecl(("nms", 0), ("bb", "nms"), FAST))
+        for up, bb_port in uplinks:
+            bb_ports[bb_port] = PortSpec("trunk", allowed=vids,
+                                         lag=f"lag{agg}" if bundled else None)
+            cfg.links.append(LinkDecl((agg, up), ("bb", bb_port), GIG))
+    return bb_ports
+
+
+def _add_operations(cfg: ScenarioConfig):
+    """The monitor and NMS hosts on the backbone's management VLAN."""
+    for host, n, port in (("monitor", 250, "mon"), ("nms", 251, "nms")):
+        cfg.switches["bb"].ports[port] = PortSpec("access", vid=MGMT_VID)
+        cfg.hosts[host] = HostDecl(host, ip_addr(f"10.0.1.{n}"), 24,
+                                   gw=ip_addr("10.0.1.1"), vlan=MGMT_VID,
+                                   group="mgmt")
+        cfg.links.append(LinkDecl((host, 0), ("bb", port), FAST))
+
+
+def _add_staff(cfg: ScenarioConfig):
+    for i, vid in enumerate(STAFF_VIDS, start=1):
+        host = f"staff{i}"
+        cfg.hosts[host] = HostDecl(host, ip_addr(f"10.0.{vid}.10"), 24,
+                                   gw=ip_addr(f"10.0.{vid}.1"), vlan=vid,
+                                   group="staff")
+        cfg.links.append(LinkDecl((host, 0), (f"agg{i}", "staff"), FAST))
+
+
+def _add_default_flows(cfg: ScenarioConfig, outside_host: str):
+    cfg.traffic.append(TrafficDecl("ping", "monitor", "mon-check",
+                                   dst="bl01h1", count=3))
+    cfg.traffic.append(TrafficDecl("bulk", "bl01h1", "daq", dst=outside_host,
+                                   total=10_000_000, sport=40_000, dport=5001))
+
+
+def build_spring8_upgraded() -> ScenarioConfig:
+    """Post-upgrade fabric: Gigabit backbone, 4 quadrant L3 switches, 32 edge
+    switches, one VLAN per beamline, 4 zone firewalls capped at 170 Mbps."""
+    cfg = ScenarioConfig()
+    cfg.duration_us = 20_000_000
+    _declare_vlans(cfg, clean=False)
+    b_by_switch = _populate_edge(cfg, host_bw=FAST, flat=False,
+                                 gw_for=beamline_gw)
+    cfg.switches["bb"] = SwitchDecl("bb", _aggregate(cfg, b_by_switch,
+                                                     bundled=False))
+    _add_operations(cfg)
 
     for q in range(1, 5):
         name = f"r{q}"
-        decl = L3Decl(name)
-        decl.interfaces.append(IfaceDecl(name, MGMT_VID,
-                                         ip_addr(f"10.0.1.{q}"), 24, "dmz"))
-        for b in QUADRANTS[q]:
-            decl.interfaces.append(IfaceDecl(name, beamline_vid(b),
-                                             ip_addr(beamline_gw(b)), 24, "dmz"))
-        if q <= 2:
-            vid = STAFF_VIDS[q - 1]
-            decl.interfaces.append(IfaceDecl(name, vid,
-                                             ip_addr(f"10.0.{vid}.1"), 24, "dmz"))
-        cfg.l3s[name] = decl
+        cfg.switches[f"agg{q}"].ports["r"] = PortSpec(
+            "trunk", allowed=_quadrant_vids(q))
+        cfg.l3s[name] = _gateway(name, f"10.0.1.{q}", QUADRANTS[q],
+                                 STAFF_VIDS[q - 1:q])
         cfg.links.append(LinkDecl((name, "trunk"), (f"agg{q}", "r"), GIG))
         # other quadrants' beamline subnets are one transit hop away
         for b in range(1, BEAMLINES + 1):
@@ -1103,17 +1143,8 @@ def build_spring8_upgraded() -> ScenarioConfig:
                                        group="outside")
         cfg.links.append(LinkDecl((f"fw{q}", "outside"), (f"oa{q}", 0), GIG))
 
-    for i, vid in enumerate(STAFF_VIDS, start=1):
-        host = f"staff{i}"
-        cfg.hosts[host] = HostDecl(host, ip_addr(f"10.0.{vid}.10"), 24,
-                                   gw=ip_addr(f"10.0.{vid}.1"), vlan=vid,
-                                   group="staff")
-        cfg.links.append(LinkDecl((host, 0), (f"agg{i}", "staff"), FAST))
-
-    cfg.traffic.append(TrafficDecl("ping", "monitor", "mon-check",
-                                   dst="bl01h1", count=3))
-    cfg.traffic.append(TrafficDecl("bulk", "bl01h1", "daq", dst="oa1",
-                                   total=10_000_000, sport=40_000, dport=5001))
+    _add_staff(cfg)
+    _add_default_flows(cfg, "oa1")
     return cfg
 
 
@@ -1125,48 +1156,13 @@ def build_spring8_redundant() -> ScenarioConfig:
     _declare_vlans(cfg, clean=True)
     b_by_switch = _populate_edge(cfg, host_bw=FAST, flat=False,
                                  gw_for=beamline_gw)
-    bb_ports = {}
-    for q in range(1, 5):
-        agg = f"agg{q}"
-        quadrant_vids = sorted(
-            [MGMT_VID] + [beamline_vid(b) for b in QUADRANTS[q]]
-            + ([STAFF_VIDS[q - 1]] if q <= 2 else []))
-        agg_ports = {
-            # two physical uplinks aggregated into one logical trunk
-            "up1": PortSpec("trunk", allowed=tuple(quadrant_vids), lag="lag1"),
-            "up2": PortSpec("trunk", allowed=tuple(quadrant_vids), lag="lag1"),
-        }
-        for i in range((q - 1) * 8 + 1, q * 8 + 1):
-            sw = f"sw{i:02d}"
-            agg_ports[f"d{i:02d}"] = PortSpec(
-                "trunk", allowed=tuple(_edge_switch_vids(b_by_switch, sw)))
-            cfg.links.append(LinkDecl((sw, "up"), (agg, f"d{i:02d}"), FAST))
-        if q <= 2:
-            agg_ports["staff"] = PortSpec("access", vid=STAFF_VIDS[q - 1])
-        cfg.switches[agg] = SwitchDecl(agg, agg_ports)
-        bb_ports[f"a{q}x"] = PortSpec("trunk", allowed=tuple(quadrant_vids),
-                                      lag=f"lag{agg}")
-        bb_ports[f"a{q}y"] = PortSpec("trunk", allowed=tuple(quadrant_vids),
-                                      lag=f"lag{agg}")
-        cfg.links.append(LinkDecl((agg, "up1"), ("bb", f"a{q}x"), GIG))
-        cfg.links.append(LinkDecl((agg, "up2"), ("bb", f"a{q}y"), GIG))
-    all_vids = tuple(sorted(cfg.vlans))
-    bb_ports["l3"] = PortSpec("trunk", allowed=all_vids)
-    bb_ports["mon"] = PortSpec("access", vid=MGMT_VID)
-    bb_ports["nms"] = PortSpec("access", vid=MGMT_VID)
+    bb_ports = _aggregate(cfg, b_by_switch, bundled=True)
+    bb_ports["l3"] = PortSpec("trunk", allowed=tuple(sorted(cfg.vlans)))
     bb_ports["adm"] = PortSpec("access", vid=CLEAN_VID)
     cfg.switches["bb"] = SwitchDecl("bb", bb_ports)
 
     name = "l3r"
-    decl = L3Decl(name)
-    decl.interfaces.append(IfaceDecl(name, MGMT_VID, ip_addr("10.0.1.1"), 24,
-                                     "dmz"))
-    for b in range(1, BEAMLINES + 1):
-        decl.interfaces.append(IfaceDecl(name, beamline_vid(b),
-                                         ip_addr(beamline_gw(b)), 24, "dmz"))
-    for vid in STAFF_VIDS:
-        decl.interfaces.append(IfaceDecl(name, vid, ip_addr(f"10.0.{vid}.1"),
-                                         24, "dmz"))
+    decl = _gateway(name, "10.0.1.1", range(1, BEAMLINES + 1), STAFF_VIDS)
     decl.interfaces.append(IfaceDecl(name, CLEAN_VID,
                                      ip_addr(f"10.0.{CLEAN_VID}.1"), 24,
                                      "clean"))
@@ -1175,24 +1171,12 @@ def build_spring8_redundant() -> ScenarioConfig:
     cfg.l3s[name] = decl
     cfg.links.append(LinkDecl((name, "trunk"), ("bb", "l3"), GIG))
 
-    cfg.hosts["monitor"] = HostDecl("monitor", ip_addr("10.0.1.250"), 24,
-                                    gw=ip_addr("10.0.1.1"), vlan=MGMT_VID,
-                                    group="mgmt")
-    cfg.hosts["nms"] = HostDecl("nms", ip_addr("10.0.1.251"), 24,
-                                gw=ip_addr("10.0.1.1"), vlan=MGMT_VID,
-                                group="mgmt")
+    _add_operations(cfg)
     cfg.hosts["admin"] = HostDecl("admin", ip_addr(f"10.0.{CLEAN_VID}.10"), 24,
                                   gw=ip_addr(f"10.0.{CLEAN_VID}.1"),
                                   vlan=CLEAN_VID, group="clean")
-    cfg.links.append(LinkDecl(("monitor", 0), ("bb", "mon"), FAST))
-    cfg.links.append(LinkDecl(("nms", 0), ("bb", "nms"), FAST))
     cfg.links.append(LinkDecl(("admin", 0), ("bb", "adm"), FAST))
-    for i, vid in enumerate(STAFF_VIDS, start=1):
-        host = f"staff{i}"
-        cfg.hosts[host] = HostDecl(host, ip_addr(f"10.0.{vid}.10"), 24,
-                                   gw=ip_addr(f"10.0.{vid}.1"), vlan=vid,
-                                   group="staff")
-        cfg.links.append(LinkDecl((host, 0), (f"agg{i}", "staff"), FAST))
+    _add_staff(cfg)
 
     # protected path: l3r:wan - lbi - {fw1, fw2} - lbo - public switch
     override = {ip_addr("192.0.2.61"): "fw1", ip_addr("192.0.2.62"): "fw2"}
@@ -1225,10 +1209,7 @@ def build_spring8_redundant() -> ScenarioConfig:
     cfg.links.append(LinkDecl(("ext1", 0), ("psw", "h1"), GIG))
     cfg.links.append(LinkDecl(("ext2", 0), ("psw", "h2"), GIG))
 
-    cfg.traffic.append(TrafficDecl("ping", "monitor", "mon-check",
-                                   dst="bl01h1", count=3))
-    cfg.traffic.append(TrafficDecl("bulk", "bl01h1", "daq", dst="ext1",
-                                   total=10_000_000, sport=40_000, dport=5001))
+    _add_default_flows(cfg, "ext1")
     return cfg
 
 

@@ -99,9 +99,40 @@ def test_status_reports_nodes(tmp_path, capsys):
     ("kind=ping src=h1 dst=h2 flow=p count=2",
      "kind=cbr src=h1 dst=h2 flow=c rate=12000000001"),
     ("a=h2:0 b=sw1:p2 bw=100000000", "a=h2:0 b=sw1:p2 bw=0"),
+    # one value out of its range or form
+    ("[vlan]\nvid=10 name=lab\n\n[switch]\nname=sw1 ports=p1:access:10,",
+     "[switch]\nname=sw1 ports=p1:access:5000,"),
+    ("name=h1 ip=10.0.10.1/24", "name=h1 ip=10.0.10.1/40"),
+    ("seed=1 duration=3", "seed=1 duration=-1"),
+    ("flow=p count=2", "flow=p count=2 start=-1"),
+    ("seed=1 duration=3", "seed=9223372036854775808 duration=3"),
+    ("kind=ping src=h1 dst=h2 flow=p count=2",
+     "kind=ping src=h1 dst=h2 flow=p count=2 sport=70000"),
+    ("kind=ping src=h1 dst=h2 flow=p count=2",
+     "kind=cbr src=h1 dst=h2 flow=c rate=1000000 dport=65536"),
+    ("a=h2:0 b=sw1:p2 bw=100000000", "a=h2:0 b=sw1:p2 bw=100000000 prop=-1"),
+    ("a=h2:0 b=sw1:p2 bw=100000000", "a=h2:0 b=sw1:p2 bw=100000000 queue=0"),
+    ("[traffic]", "[firewall]\nname=fw1 inside=routed:10.0.10.254/24:dmz "
+     "outside=routed:198.18.0.1/24:public zones=yes\n\n[traffic]"),
+    ("vid=10 name=lab", "vid=10 name="),
+    # declarations that do not fit together
+    ("flow=p count=2", "flow=p count=0"),
+    ("kind=ping src=h1 dst=h2 flow=p count=2",
+     "kind=bulk src=h1 dst=h2 flow=b total=0"),
+    ("[traffic]", "[fault]\nat=1 action=fail_link target=sw1\n\n[traffic]"),
+    ("[traffic]",
+     "[fault]\nat=1 action=fail_node target=h1:0-sw1:p1\n\n[traffic]"),
 ])
 def test_run_rejects_unrunnable_input(tmp_path, capsys, old, new):
     bad = tmp_path / "bad.nf"
     bad.write_text(MINI.replace(old, new))
     assert main(["run", str(bad)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_internal_error_exit_code(tmp_path, capsys, monkeypatch):
+    def crash(*_args, **_kwargs):
+        raise RuntimeError("boom")
+    monkeypatch.setattr("netfab.cli.build_engine", crash)
+    assert main(["run", write_mini(tmp_path)]) == 3
+    assert capsys.readouterr().err == "internal error: RuntimeError: boom\n"

@@ -1,8 +1,17 @@
-import pytest
+import hashlib
+from operator import attrgetter
 
-from netfab.packet import ip_addr
-from netfab.scenario import (BUNDLED, LoopError, ParseError, ValidationError,
-                             build_engine, build_spring8_legacy,
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from netfab.l3 import VERDICTS, ZONES
+from netfab.packet import ip_addr, prefix_mask
+from netfab.scenario import (BUNDLED, AclDecl, BalancerDecl, FaultDecl,
+                             FirewallDecl, HostDecl, IfaceDecl, L3Decl,
+                             LinkDecl, LoopError, MasqDecl, ParseError,
+                             PortSpec, RouteDecl, ScenarioConfig, SideDecl,
+                             SwitchDecl, TrafficDecl, ValidationError,
+                             VlanDecl, build_engine, build_spring8_legacy,
                              build_spring8_redundant, build_spring8_upgraded,
                              load_scenario, parse_scenario, serialize_scenario,
                              validate_scenario, QUADRANTS)
@@ -167,12 +176,145 @@ class TestRoundTrip:
         once = serialize_scenario(parse_scenario(MINIMAL))
         assert serialize_scenario(parse_scenario(once)) == once
 
+    @pytest.mark.parametrize("name, digest", [
+        ("spring8-legacy", "08cc484fbfb038fa"),
+        ("spring8-redundant", "b9dcad2fa9e19a7c"),
+        ("spring8-upgraded", "3de20ed3301c8ad0"),
+        ("minimal", "cab7666e308feec7"),
+    ])
+    def test_serialization_pinned(self, name, digest):
+        """sha256[:16] of the serialized text; a change here means the
+        file format changed."""
+        cfg = (parse_scenario(MINIMAL) if name == "minimal"
+               else BUNDLED[name]())
+        text = serialize_scenario(cfg)
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
+
     def test_load_scenario_from_file(self, tmp_path):
         path = tmp_path / "mini.nf"
         path.write_text(MINIMAL)
         cfg = load_scenario(str(path))
         assert "sw1" in cfg.switches
         assert "h2" in load_scenario("spring8-legacy").hosts or True
+
+
+# -- parse(serialize(cfg)) == cfg for any config the format can express ------
+
+WORDS = st.text("abcdefgh", min_size=1, max_size=4)
+PORT_IDS = st.integers(0, 99) | WORDS
+VIDS = st.integers(1, 4094)
+IPS = st.integers(0, 2**32 - 1)
+PREFIX_LENS = st.integers(0, 32)
+ZONE_NAMES = st.sampled_from(ZONES)
+TIMES_US = st.integers(0, 10**12)
+L4_PORTS = st.integers(0, 65535)
+COUNTS = st.integers(0, 10**10)
+
+
+def maybe(strategy):
+    return st.none() | strategy
+
+
+@st.composite
+def networks(draw):
+    plen = draw(PREFIX_LENS)
+    return draw(IPS) & prefix_mask(plen), plen
+
+
+def keyed(keys, build):
+    """A dict of declarations under their own name or vid, as parsed."""
+    return st.lists(keys, max_size=3, unique=True).flatmap(
+        lambda ks: st.tuples(*map(build, ks)).map(
+            lambda decls: dict(zip(ks, decls))))
+
+
+def in_file_order(strategy, key):
+    return st.lists(strategy, max_size=3).map(lambda ds: sorted(ds, key=key))
+
+
+PORT_SPECS = (
+    st.builds(PortSpec, st.just("access"), vid=VIDS, lag=maybe(WORDS))
+    | st.builds(PortSpec, st.just("trunk"), lag=maybe(WORDS),
+                allowed=st.lists(VIDS, min_size=1, max_size=3).map(
+                    lambda vids: tuple(sorted(vids)))))
+
+
+@st.composite
+def sides(draw):
+    ip = draw(maybe(IPS))
+    return SideDecl(draw(st.sampled_from(("routed", "inline"))), ip,
+                    24 if ip is None else draw(PREFIX_LENS), draw(ZONE_NAMES),
+                    gw=draw(maybe(IPS)), peer=draw(maybe(WORDS)),
+                    routes=draw(st.lists(st.builds(
+                        lambda net, via: (*net, via), networks(), IPS),
+                        max_size=2)))
+
+
+@st.composite
+def flows(draw):
+    dst, dst_ip = draw(st.sampled_from(((True, False), (False, True),
+                                        (True, True))))
+    return TrafficDecl(
+        draw(st.sampled_from(("cbr", "bulk", "ping"))), draw(WORDS),
+        draw(WORDS), dst=draw(WORDS) if dst else None,
+        dst_ip=draw(IPS) if dst_ip else None, start_us=draw(TIMES_US),
+        stop_us=draw(maybe(TIMES_US)), rate=draw(COUNTS),
+        total=draw(COUNTS), count=draw(COUNTS), sport=draw(L4_PORTS),
+        dport=draw(L4_PORTS))
+
+
+# node names carry a per-kind prefix so they are unique across sections
+CONFIGS = st.builds(
+    ScenarioConfig,
+    seed=st.integers(-2**63, 2**63 - 1),
+    duration_us=TIMES_US,
+    vlans=keyed(VIDS, lambda vid: st.builds(VlanDecl, st.just(vid), WORDS,
+                                            maybe(networks()))),
+    switches=keyed(WORDS.map("s".__add__), lambda name: st.builds(
+        SwitchDecl, st.just(name),
+        st.dictionaries(PORT_IDS, PORT_SPECS, min_size=1, max_size=3))),
+    l3s=keyed(WORDS.map("r".__add__), lambda name: st.builds(
+        L3Decl, st.just(name), in_file_order(st.builds(
+            IfaceDecl, st.just(name), VIDS, IPS, PREFIX_LENS, ZONE_NAMES,
+            maybe(PORT_IDS)), attrgetter("vid")))),
+    firewalls=keyed(WORDS.map("f".__add__), lambda name: st.builds(
+        FirewallDecl, st.just(name), cap_bps=st.integers(1, 10**10),
+        nat_capacity=st.integers(0, 10**4), zones=st.booleans(),
+        inside=sides(), outside=sides())),
+    balancers=keyed(WORDS.map("b".__add__), lambda name: st.builds(
+        BalancerDecl, st.just(name), IPS, IPS,
+        st.lists(WORDS, min_size=1, max_size=3).map(tuple),
+        st.dictionaries(IPS, WORDS, max_size=2))),
+    hosts=keyed(WORDS.map("h".__add__), lambda name: st.builds(
+        HostDecl, st.just(name), IPS, PREFIX_LENS, gw=maybe(IPS),
+        vlan=maybe(VIDS), group=maybe(WORDS))),
+    links=in_file_order(st.builds(
+        LinkDecl, st.tuples(WORDS, PORT_IDS), st.tuples(WORDS, PORT_IDS),
+        st.integers(1, 10**10), prop=st.integers(0, 10**4),
+        queue=st.integers(1, 10**4)), attrgetter("link_id")),
+    routes=in_file_order(st.builds(
+        lambda node, net, via: RouteDecl(node, *net, **via), WORDS,
+        networks(), st.fixed_dictionaries({"via_vid": VIDS})
+        | st.fixed_dictionaries({"gateway": IPS})),
+        attrgetter("node", "prefix_len", "prefix")),
+    acls=in_file_order(st.builds(AclDecl, ZONE_NAMES, ZONE_NAMES,
+                                 st.sampled_from(VERDICTS)),
+                       attrgetter("from_zone", "to_zone")),
+    masquerades=in_file_order(st.builds(
+        lambda node, net, ext: MasqDecl(node, *net, ext), WORDS, networks(),
+        IPS), attrgetter("node", "prefix_len", "network")),
+    traffic=st.lists(flows(), max_size=3),
+    faults=st.lists(st.builds(
+        FaultDecl, TIMES_US,
+        st.sampled_from(("fail_node", "fail_link", "recover")),
+        WORDS | st.builds("{}:1-{}:p2".format, WORDS, WORDS)), max_size=3),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(CONFIGS)
+def test_parse_inverts_serialize(cfg):
+    assert parse_scenario(serialize_scenario(cfg)) == cfg
 
 
 class TestBundledCounts:

@@ -3,7 +3,8 @@ import copy
 import pytest
 
 from netfab.scenario import (BUNDLED, FaultDecl, build_spring8_legacy,
-                             build_spring8_redundant, build_spring8_upgraded)
+                             build_spring8_redundant, build_spring8_upgraded,
+                             parse_scenario, serialize_scenario)
 from netfab.verify import (UnknownInvariant, UnknownNode, _run_digest,
                            affected_vlans, status, verify)
 
@@ -72,15 +73,20 @@ class TestDeterminism:
         with pytest.raises(UnknownInvariant):
             verify(legacy, "teleportation")
 
-    @pytest.mark.parametrize("name, digest", [
-        ("spring8-legacy", "0deae6957ba9991b"),
-        ("spring8-redundant", "fc1b5c2eab82dd04"),
-        ("spring8-upgraded", "3e350eb50e31a2b2"),
+    @pytest.mark.parametrize("name, digest, parsed", [
+        pytest.param(name, digest, parsed,
+                     id=f"{name}-{digest}" + ("-parsed" if parsed else ""))
+        for name, digest in (("spring8-legacy", "0deae6957ba9991b"),
+                             ("spring8-redundant", "fc1b5c2eab82dd04"),
+                             ("spring8-upgraded", "3e350eb50e31a2b2"))
+        for parsed in (False, True)
     ])
-    def test_bundled_trace_digest_pinned(self, name, digest):
+    def test_bundled_trace_digest_pinned(self, name, digest, parsed):
         """Trace + summary at the scenario's own seed; a change here means
-        the model's behaviour changed."""
+        the model's behaviour changed. The scenario's text runs the same."""
         cfg = BUNDLED[name]()
+        if parsed:
+            cfg = parse_scenario(serialize_scenario(cfg))
         assert _run_digest(cfg, cfg.seed)[:16] == digest
 
 
