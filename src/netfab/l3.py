@@ -154,7 +154,7 @@ class ZoneRouter:
     def add_route(self, prefix: int, prefix_len: int,
                   via_vid: Optional[int] = None, gateway: Optional[int] = None) -> Route:
         if (via_vid is None) == (gateway is None):
-            raise ValueError("route needs exactly one of via_vid / gateway")
+            raise L3Error("route needs exactly one of via_vid/gateway")
         if via_vid is not None and via_vid not in self.interfaces:
             raise UnknownVid(f"no interface for vid {via_vid}")
         if gateway is not None and self._iface_for(gateway) is None:

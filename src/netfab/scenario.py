@@ -18,7 +18,7 @@ from .engine import (CBR_PACKET, DEFAULT_LINK_QUEUE, DEFAULT_PROP_US, Engine,
                      FirewallNode, FirewallSide, HostNode, L3Node, SwitchNode,
                      BalancerNode, TrafficSpec)
 from .firewall import DEFAULT_CAP_BPS, DEFAULT_NAT_CAPACITY, Firewall
-from .l3 import VERDICTS, ZONES, ZonePolicy, ZoneRouter
+from .l3 import VERDICTS, ZONES, L3Error, ZonePolicy, ZoneRouter
 from .packet import (MacAddress, check_vid, ip_addr, ip_network, ip_str,
                      prefix_mask)
 from .resilience import LoadBalancer
@@ -66,11 +66,6 @@ class PortSpec:
     vid: Optional[int] = None
     allowed: tuple = ()
     lag: Optional[str] = None
-
-    def member_of(self, vid: int) -> bool:
-        if self.mode == "access":
-            return self.vid == vid
-        return vid in self.allowed
 
 
 @dataclass
@@ -680,36 +675,41 @@ def _valid_port(cfg: ScenarioConfig, node: str, port) -> bool:
     return False
 
 
+def carried_vids(cfg: ScenarioConfig, node: str, port) -> Optional[frozenset]:
+    """The VIDs `node` carries on `port`: a switch port's access VID or
+    allowed set, the VIDs of an L3 port's interfaces (`trunk`: those with no
+    port), or None for a host, firewall or balancer, which passes any VID."""
+    if node in cfg.switches:
+        spec = cfg.switches[node].ports.get(port)
+        if spec is None:
+            return frozenset()
+        return frozenset((spec.vid,) if spec.mode == "access" else spec.allowed)
+    if node in cfg.l3s:
+        key = None if port == "trunk" else port
+        return frozenset(i.vid for i in cfg.l3s[node].interfaces
+                         if i.port == key)
+    return None
+
+
 def _check_loops(cfg: ScenarioConfig):
     """Per-VLAN cycle detection over the switch fabric; a LAG is one edge."""
-    carried = set()
-    for sw in cfg.switches.values():
-        for spec in sw.ports.values():
-            if spec.mode == "access":
-                carried.add(spec.vid)
-            else:
-                carried.update(spec.allowed)
-    for vid in sorted(carried):
-        adjacency: dict[str, list] = {}
-        seen_lags = set()
-        for link in cfg.links:
-            (na, pa), (nb, pb) = link.a, link.b
-            if na not in cfg.switches or nb not in cfg.switches:
-                continue
-            sa = cfg.switches[na].ports.get(pa)
-            sb = cfg.switches[nb].ports.get(pb)
-            if sa is None or sb is None:
-                continue
-            if not (sa.member_of(vid) and sb.member_of(vid)):
-                continue
-            if sa.lag is not None and sb.lag is not None:
-                lag_key = (na, sa.lag, nb, sb.lag)
-                if lag_key in seen_lags:
+    adjacency: dict = {}  # vid -> node -> neighbours
+    seen_lags = set()
+    for link in cfg.links:
+        (na, pa), (nb, pb) = link.a, link.b
+        if na not in cfg.switches or nb not in cfg.switches:
+            continue
+        lags = (cfg.switches[na].ports[pa].lag, cfg.switches[nb].ports[pb].lag)
+        for vid in carried_vids(cfg, na, pa) & carried_vids(cfg, nb, pb):
+            if None not in lags:
+                if (vid, na, nb, lags) in seen_lags:
                     continue  # parallel LAG member, same logical edge
-                seen_lags.add(lag_key)
-            adjacency.setdefault(na, []).append(nb)
-            adjacency.setdefault(nb, []).append(na)
-        cycle = _find_cycle(adjacency)
+                seen_lags.add((vid, na, nb, lags))
+            edges = adjacency.setdefault(vid, {})
+            edges.setdefault(na, []).append(nb)
+            edges.setdefault(nb, []).append(na)
+    for vid in sorted(adjacency):
+        cycle = _find_cycle(adjacency[vid])
         if cycle is not None:
             raise LoopError(vid, cycle)
 
@@ -764,10 +764,9 @@ def validate_scenario(cfg: ScenarioConfig):
             raise ValidationError(link.link_id, "duplicate link")
         link_ids.add(link.link_id)
     if cfg.vlans:
-        for sw in cfg.switches.values():
-            for pid, spec in sw.ports.items():
-                vids = [spec.vid] if spec.mode == "access" else spec.allowed
-                for vid in vids:
+        for name, sw in cfg.switches.items():
+            for pid in sw.ports:
+                for vid in sorted(carried_vids(cfg, name, pid)):
                     if vid not in cfg.vlans:
                         raise ValidationError(f"{sw.name}:{pid}",
                                               f"vlan {vid} is not declared")
@@ -778,9 +777,11 @@ def validate_scenario(cfg: ScenarioConfig):
     for route in cfg.routes:
         if route.node not in cfg.l3s:
             raise ValidationError(route.node, "route on undeclared l3 switch")
-        if (route.via_vid is None) == (route.gateway is None):
-            raise ValidationError(route.node,
-                                  "route needs exactly one of via_vid/gateway")
+    for name in cfg.l3s:
+        try:
+            _router(cfg, name)
+        except L3Error as exc:
+            raise ValidationError(name, str(exc)) from None
     for masq in cfg.masquerades:
         if masq.node not in cfg.firewalls:
             raise ValidationError(masq.node,
@@ -797,7 +798,11 @@ def validate_scenario(cfg: ScenarioConfig):
             if path not in bal.paths:
                 raise ValidationError(bal.name,
                                       f"override path {path!r} not in paths")
+    flows = set()
     for t in cfg.traffic:
+        if t.flow in flows:
+            raise ValidationError(t.flow, "duplicate flow")
+        flows.add(t.flow)
         if t.src not in cfg.hosts:
             raise ValidationError(t.flow, f"traffic src {t.src!r} is not a host")
         if t.dst is None and t.dst_ip is None:
@@ -822,6 +827,19 @@ def validate_scenario(cfg: ScenarioConfig):
 
 # -- engine construction ---------------------------------------------------
 
+def _router(cfg: ScenarioConfig, name: str, policy=None) -> ZoneRouter:
+    """L3 switch `name`; raises `L3Error` when its lines conflict."""
+    router = ZoneRouter(name, policy=policy)
+    for iface in sorted(cfg.l3s[name].interfaces, key=lambda i: i.vid):
+        router.add_interface(iface.vid, iface.ip, iface.prefix_len,
+                             iface.zone, port=iface.port)
+    for route in cfg.routes:
+        if route.node == name:
+            router.add_route(route.prefix, route.prefix_len,
+                             via_vid=route.via_vid, gateway=route.gateway)
+    return router
+
+
 def build_engine(cfg: ScenarioConfig, seed: Optional[int] = None,
                  trace: bool = False) -> Engine:
     eng = Engine(seed=cfg.seed if seed is None else seed, trace=trace)
@@ -835,16 +853,9 @@ def build_engine(cfg: ScenarioConfig, seed: Optional[int] = None,
                                        allowed=spec.allowed,
                                        lag_group=spec.lag)
 
-    for name, decl in sorted(cfg.l3s.items()):
-        router = ZoneRouter(name, policy=ZonePolicy(policy_rules))
-        for iface in sorted(decl.interfaces, key=lambda i: i.vid):
-            router.add_interface(iface.vid, iface.ip, iface.prefix_len,
-                                 iface.zone, port=iface.port)
-        for route in cfg.routes:
-            if route.node == name:
-                router.add_route(route.prefix, route.prefix_len,
-                                 via_vid=route.via_vid, gateway=route.gateway)
-        L3Node(eng, name, node_mac(name), router)
+    for name in sorted(cfg.l3s):
+        L3Node(eng, name, node_mac(name),
+               _router(cfg, name, ZonePolicy(policy_rules)))
 
     for name, decl in sorted(cfg.firewalls.items()):
         fw = Firewall(name, nat_capacity=decl.nat_capacity)

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import copy
+import functools
 import hashlib
 from dataclasses import dataclass, field
 from typing import Optional
@@ -12,7 +13,7 @@ from .firewall import Firewall
 from .packet import Packet, ip_addr, ip_str
 from .resilience import Unavailable
 from .scenario import (FaultDecl, HostDecl, LinkDecl, PortSpec,
-                       ScenarioConfig, TrafficDecl, build_engine)
+                       ScenarioConfig, TrafficDecl, build_engine, carried_vids)
 
 INVARIANTS = ("isolation", "zone-policy", "nat-bijection", "failover",
               "determinism")
@@ -243,51 +244,6 @@ class StatusReport:
         return out
 
 
-def _carries(cfg: ScenarioConfig, node: str, port, vid: int) -> bool:
-    if node in cfg.switches:
-        spec = cfg.switches[node].ports.get(port)
-        return spec is not None and spec.member_of(vid)
-    if node in cfg.l3s:
-        decl = cfg.l3s[node]
-        if port == "trunk":
-            return any(i.vid == vid and i.port is None for i in decl.interfaces)
-        return any(i.port == port and i.vid == vid for i in decl.interfaces)
-    return True  # hosts, firewalls, balancers pass what reaches them
-
-
-def _l2_path_exists(cfg: ScenarioConfig, vid: int, src: str, dst: str,
-                    dead_nodes: set, dead_links: set) -> bool:
-    if src in dead_nodes or dst in dead_nodes:
-        return False
-    frontier = [src]
-    seen = {src}
-    while frontier:
-        node = frontier.pop()
-        if node == dst:
-            return True
-        for link in cfg.links:
-            if link.link_id in dead_links:
-                continue
-            for (na, pa), (nb, pb) in ((link.a, link.b), (link.b, link.a)):
-                if na != node or nb in seen or nb in dead_nodes:
-                    continue
-                if _carries(cfg, na, pa, vid) and _carries(cfg, nb, pb, vid):
-                    seen.add(nb)
-                    frontier.append(nb)
-    return dst in seen
-
-
-def _gateway_node(cfg: ScenarioConfig, gw_ip: int) -> Optional[str]:
-    for name, decl in cfg.l3s.items():
-        if any(i.ip == gw_ip for i in decl.interfaces):
-            return name
-    for name, decl in cfg.firewalls.items():
-        for side in (decl.inside, decl.outside):
-            if side.ip == gw_ip:
-                return name
-    return None
-
-
 def _monitor_host(cfg: ScenarioConfig) -> Optional[str]:
     mgmt = sorted(h for h, d in cfg.hosts.items() if d.group == "mgmt")
     return mgmt[0] if mgmt else None
@@ -295,32 +251,60 @@ def _monitor_host(cfg: ScenarioConfig) -> Optional[str]:
 
 def affected_vlans(cfg: ScenarioConfig, dead_nodes: set,
                    dead_links: set) -> list[int]:
-    """Beamline VLANs whose hosts lost their management reachability."""
+    """Beamline VLANs whose hosts lost their management reachability.
+
+    A host needs an L2 path on its VLAN to its gateway, and the gateway one
+    on the monitor's VLAN to the monitor host. A link carries a VID when both
+    ends do, so a path is symmetric: one search per (VID, gateway or monitor)
+    answers for every host behind it.
+    """
     monitor = _monitor_host(cfg)
+    mon_vid = cfg.hosts[monitor].vlan if monitor is not None else None
+    adjacency: dict = {}  # node -> [(neighbour, VIDs or None for all, link)]
+    for link in cfg.links:
+        (na, pa), (nb, pb) = link.a, link.b
+        va, vb = carried_vids(cfg, na, pa), carried_vids(cfg, nb, pb)
+        shared = vb if va is None else va if vb is None else va & vb
+        link_id = link.link_id
+        adjacency.setdefault(na, []).append((nb, shared, link_id))
+        adjacency.setdefault(nb, []).append((na, shared, link_id))
+    gateways: dict = {}  # ip -> node; L3 switches before firewalls, first wins
+    for name, decl in cfg.l3s.items():
+        for iface in decl.interfaces:
+            gateways.setdefault(iface.ip, name)
+    for name, decl in cfg.firewalls.items():
+        for side in (decl.inside, decl.outside):
+            gateways.setdefault(side.ip, name)
 
     def unreachable(dead_n, dead_l):
+        @functools.cache
+        def reached(vid, start):
+            """The nodes with a live L2 path on `vid` to `start`."""
+            seen = set() if start in dead_n else {start}
+            frontier = list(seen)
+            while frontier:
+                for nxt, vids, link_id in adjacency.get(frontier.pop(), ()):
+                    if (nxt not in seen and nxt not in dead_n
+                            and (vids is None or vid in vids)
+                            and link_id not in dead_l):
+                        seen.add(nxt)
+                        frontier.append(nxt)
+            return seen
+
         bad = set()
-        for host, decl in sorted(cfg.hosts.items()):
+        for host, decl in cfg.hosts.items():
             if decl.vlan is None or decl.group in (None, "mgmt", "outside"):
                 continue
-            ok = True
             if host in dead_n:
                 ok = False
             elif decl.gw is None:
-                if monitor is not None:
-                    ok = _l2_path_exists(cfg, decl.vlan, host, monitor,
-                                         dead_n, dead_l)
+                ok = monitor is None or host in reached(decl.vlan, monitor)
             else:
-                gw_node = _gateway_node(cfg, decl.gw)
-                if gw_node is None:
-                    ok = False
-                else:
-                    ok = _l2_path_exists(cfg, decl.vlan, host, gw_node,
-                                         dead_n, dead_l)
-                    if ok and monitor is not None:
-                        mon_vid = cfg.hosts[monitor].vlan
-                        ok = _l2_path_exists(cfg, mon_vid, gw_node, monitor,
-                                             dead_n, dead_l)
+                gw_node = gateways.get(decl.gw)
+                ok = (gw_node is not None
+                      and host in reached(decl.vlan, gw_node)
+                      and (monitor is None
+                           or gw_node in reached(mon_vid, monitor)))
             if not ok:
                 bad.add(decl.vlan)
         return bad

@@ -122,6 +122,25 @@ def test_status_reports_nodes(tmp_path, capsys):
     ("[traffic]", "[fault]\nat=1 action=fail_link target=sw1\n\n[traffic]"),
     ("[traffic]",
      "[fault]\nat=1 action=fail_node target=h1:0-sw1:p1\n\n[traffic]"),
+    ("kind=ping src=h1 dst=h2 flow=p count=2",
+     "kind=ping src=h1 dst=h2 flow=p count=2\n"
+     "kind=ping src=h2 dst=h1 flow=p count=3"),
+    # an L3 switch whose interfaces or routes conflict
+    ("[traffic]", "[l3]\nname=core\n"
+     "node=core vid=10 ip=10.0.10.254/24 zone=dmz\n"
+     "node=core vid=10 ip=10.0.20.254/24 zone=dmz\n\n[traffic]"),
+    ("[traffic]", "[l3]\nname=core\n"
+     "node=core vid=10 ip=10.0.10.254/24 zone=dmz\n"
+     "node=core vid=20 ip=10.0.0.254/16 zone=dmz\n\n[traffic]"),
+    ("[traffic]", "[l3]\nname=core\n"
+     "node=core vid=10 ip=10.0.10.254/24 zone=dmz\n\n"
+     "[route]\nnode=core prefix=10.9.0.0/16 via_vid=20\n\n[traffic]"),
+    ("[traffic]", "[l3]\nname=core\n"
+     "node=core vid=10 ip=10.0.10.254/24 zone=dmz\n\n"
+     "[route]\nnode=core prefix=10.9.0.0/16 gateway=10.0.20.1\n\n[traffic]"),
+    ("[traffic]", "[l3]\nname=core\n"
+     "node=core vid=10 ip=10.0.10.254/24 zone=dmz\n\n"
+     "[route]\nnode=core prefix=10.9.0.0/16\n\n[traffic]"),
 ])
 def test_run_rejects_unrunnable_input(tmp_path, capsys, old, new):
     bad = tmp_path / "bad.nf"

@@ -1,8 +1,15 @@
 import copy
+import hashlib
+import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from netfab.scenario import (BUNDLED, FaultDecl, build_spring8_legacy,
+from conftest import affected_vlans_oracle
+from netfab.fabric import random_topology
+from netfab.packet import ip_addr
+from netfab.scenario import (BUNDLED, FaultDecl, IfaceDecl, L3Decl, LinkDecl,
+                             PortSpec, build_spring8_legacy,
                              build_spring8_redundant, build_spring8_upgraded,
                              parse_scenario, serialize_scenario)
 from netfab.verify import (UnknownInvariant, UnknownNode, _run_digest,
@@ -127,3 +134,61 @@ class TestStatus:
         # sw02 carries beamlines 2 and 10 (quadrant 1 spreads 17 beamlines
         # over 8 switches, so only sw01 picks up a third one)
         assert affected_vlans(redundant, {"sw02"}, set()) == [3, 11]
+
+    @pytest.mark.parametrize("name, digest, count", [
+        ("spring8-upgraded", "f41aff9ee16198dd", 89),
+        ("spring8-redundant", "13fc00e235ab2234", 90),
+    ])
+    def test_single_fault_answers_pinned(self, name, digest, count):
+        """Every single dead switch, L3 switch, firewall or balancer, then
+        every dead link between two of them; the digest of the answers is
+        the one the per-host search gave."""
+        cfg = BUNDLED[name]()
+        infra = {*cfg.switches, *cfg.l3s, *cfg.firewalls, *cfg.balancers}
+        faults = [(n, {n}, set()) for n in sorted(infra)]
+        faults += [(l.link_id, set(), {l.link_id}) for l in cfg.links
+                   if l.a[0] in infra and l.b[0] in infra]
+        lines = []
+        for target, nodes, links in faults:
+            vlans = affected_vlans(cfg, nodes, links)
+            lines.append(f"{target} {','.join(map(str, vlans)) or '-'}")
+        assert len(lines) == count
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16] \
+            == digest
+
+
+def _with_gateway(cfg, rng):
+    """Put an L3 switch on a trunk of a random switch, with interfaces on
+    some VLANs, and point some of those VLANs' hosts at it."""
+    vids = sorted(cfg.vlans)
+    sw = rng.choice(sorted(cfg.switches))
+    cfg.switches[sw].ports["r"] = PortSpec("trunk", allowed=tuple(
+        sorted(rng.sample(vids, rng.randint(1, len(vids))))))
+    core = L3Decl("core")
+    for vid in rng.sample(vids, rng.randint(1, len(vids))):
+        core.interfaces.append(
+            IfaceDecl("core", vid, ip_addr(f"10.{vid}.0.254"), 16, "dmz"))
+    cfg.l3s["core"] = core
+    cfg.links.append(LinkDecl(("core", "trunk"), (sw, "r"), 100_000_000))
+    gateways = {i.vid: i.ip for i in core.interfaces}
+    for decl in cfg.hosts.values():
+        if decl.vlan in gateways and rng.random() < 0.7:
+            decl.gw = gateways[decl.vlan]
+
+
+@settings(deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), gateway=st.booleans(), data=st.data())
+def test_affected_vlans_matches_per_host_search(seed, gateway, data):
+    rng = random.Random(seed)
+    cfg = random_topology(rng)
+    if gateway:
+        _with_gateway(cfg, rng)
+    monitor = rng.choice(sorted(cfg.hosts))
+    for name, decl in cfg.hosts.items():
+        decl.group = "mgmt" if name == monitor else f"bl{decl.vlan:02d}"
+    dead_nodes = data.draw(st.sets(st.sampled_from(sorted(cfg.node_names())),
+                                   max_size=4))
+    dead_links = data.draw(st.sets(st.sampled_from(
+        [l.link_id for l in cfg.links]), max_size=4))
+    assert affected_vlans(cfg, dead_nodes, dead_links) == \
+        affected_vlans_oracle(cfg, dead_nodes, dead_links)
