@@ -10,8 +10,8 @@ from .firewall import Firewall, NoScope, PoolExhausted, Shaper
 from .l2 import Switch
 from .l3 import ZonePolicy, ZoneRouter
 from .packet import (Arp, BROADCAST, Frame, MacAddress, Packet, PrefixTable,
-                     flow_key, in_network, ip_str, make_frame, pop_tag,
-                     prefix_mask, push_tag)
+                     flow_key, frame_copy, ip_str, make_frame, prefix_mask,
+                     vlan_tag)
 from .resilience import LoadBalancer, Unavailable
 
 DEFAULT_PROP_US = 5
@@ -67,9 +67,6 @@ class Link:
     pending: list = field(default_factory=lambda: [0, 0])
     bytes_dir: list = field(default_factory=lambda: [0, 0])
 
-    def other_end(self, direction: int) -> tuple[str, object]:
-        return self.b if direction == 0 else self.a
-
 
 @dataclass
 class FlowStats:
@@ -87,7 +84,6 @@ class Metrics:
     def __init__(self):
         self.flows: dict[str, FlowStats] = {}
         self.drops: Counter = Counter()
-        self.link_bytes: Counter = Counter()
         self.fw_window: dict[str, Counter] = defaultdict(Counter)
         self.unavailable = 0
         self.frames_created = 0
@@ -108,9 +104,6 @@ class Metrics:
     def dropped_total(self) -> int:
         return sum(self.drops.values())
 
-    def fw_forwarded_bytes(self, fw: str) -> int:
-        return sum(self.fw_window[fw].values())
-
     def summary_lines(self) -> list[str]:
         lines = [
             f"frames_created={self.frames_created}",
@@ -123,7 +116,7 @@ class Metrics:
         for (node, reason), n in sorted(self.drops.items()):
             lines.append(f"drop.{node}.{reason}={n}")
         for fw in sorted(self.fw_window):
-            lines.append(f"fw_forwarded_bytes.{fw}={self.fw_forwarded_bytes(fw)}")
+            lines.append(f"fw_forwarded_bytes.{fw}={sum(self.fw_window[fw].values())}")
         lines.append("flow\toffered_B\tdelivered_B\tpayload_B\tcompleted_s")
         for fid in sorted(self.flows):
             st = self.flows[fid]
@@ -145,6 +138,9 @@ class Engine:
         self.nodes: dict[str, "Node"] = {}
         self.links: dict[str, Link] = {}
         self.link_at: dict[tuple, Link] = {}
+        self._ends: dict[tuple, tuple] = {}  # -> link, direction, far node, port
+        # handler(kind, target, payload) by kind; others go to node.on_event
+        self._handlers = {"deliver": self._deliver, "fault": self._apply_fault}
         self.metrics = Metrics()
         self.trace_enabled = trace
         self.trace_lines: list[str] = []
@@ -166,6 +162,8 @@ class Engine:
         self.links[link_id] = link
         self.link_at[(a_node, a_port)] = link
         self.link_at[(b_node, b_port)] = link
+        self._ends[(a_node, a_port)] = (link, 0, self.nodes[b_node], b_port)
+        self._ends[(b_node, b_port)] = (link, 1, self.nodes[a_node], a_port)
         return link
 
     # -- event machinery ---------------------------------------------------
@@ -184,40 +182,33 @@ class Engine:
     def run_until(self, t_end_us: int) -> Metrics:
         if t_end_us < self.now:
             raise ValueError("cannot run backwards")
-        while self._heap and self._heap[0][0] <= t_end_us:
-            at, _seq, kind, target, payload = heapq.heappop(self._heap)
+        heap, pop = self._heap, heapq.heappop
+        handlers, on_event = self._handlers, self._node_event
+        while heap and heap[0][0] <= t_end_us:
+            at, _seq, kind, target, payload = pop(heap)
             self.now = at
-            self._dispatch(kind, target, payload)
+            handlers.get(kind, on_event)(kind, target, payload)
         self.now = t_end_us
         return self.metrics
 
-    def _dispatch(self, kind: str, target: str, payload):
-        if kind == "fault":
-            self._apply_fault(target, payload)
-            return
-        if kind == "deliver":
-            port, frame, link, direction = payload
-            link.pending[direction] -= 1
-            self.metrics.frames_consumed += 1
-            if not link.up:
-                self.metrics.drop(link.link_id, "link-down")
-                return
-            node = self.nodes[target]
-            if node.failed:
-                self.metrics.drop(target, "fault")
-                self.trace(target, "drop", None, None, "node failed")
-                return
+    def _deliver(self, _kind, target: str, payload):
+        (link, direction, node, port), frame = payload
+        link.pending[direction] -= 1
+        self.metrics.frames_consumed += 1
+        if not link.up:
+            self.metrics.drop(link.link_id, "link-down")
+        elif node.failed:
+            self.metrics.drop(target, "fault")
+            self.trace(target, "drop", None, None, "node failed")
+        else:
             node.on_frame(port, frame)
-            return
-        node = self.nodes.get(target)
-        if node is None:
-            return
-        if kind == "traffic" and node.failed:
-            return
-        # tick chains stay alive across faults; handlers skip work while failed
-        node.on_event(kind, payload)
 
-    def _apply_fault(self, target: str, action: str):
+    def _node_event(self, kind: str, target: str, payload):
+        node = self.nodes.get(target)
+        if node is not None and not (kind == "traffic" and node.failed):
+            node.on_event(kind, payload)
+
+    def _apply_fault(self, _kind, target: str, action: str):
         self.trace(target, "fault", None, None, action)
         if target in self.links:
             self.links[target].up = action == "recover"
@@ -232,28 +223,27 @@ class Engine:
     # -- frame transport ---------------------------------------------------
 
     def send(self, node_name: str, port, frame: Frame):
-        link = self.link_at.get((node_name, port))
-        if link is None:
+        end = self._ends.get((node_name, port))
+        if end is None:
             self.metrics.drop(node_name, "no-link")
             return
+        link, direction, far_node, _far_port = end
         if not link.up:
             self.metrics.drop(node_name, "link-down")
             return
-        direction = 0 if link.a == (node_name, port) else 1
-        if link.pending[direction] >= link.queue_cap:
+        pending = link.pending
+        if pending[direction] >= link.queue_cap:
             self.metrics.drop(node_name, "queue")
             return
-        ser = frame.size_bytes * 8 * 1_000_000 // link.bandwidth_bps
-        start = max(self.now, link.busy_until[direction])
-        link.busy_until[direction] = start + ser
-        arrival = start + ser + link.prop_us
-        link.pending[direction] += 1
-        link.bytes_dir[direction] += frame.size_bytes
-        self.metrics.link_bytes[link.link_id] += frame.size_bytes
+        size = frame.size_bytes
+        busy = link.busy_until
+        start = max(self.now, busy[direction])
+        busy[direction] = done = start + size * 8_000_000 // link.bandwidth_bps
+        pending[direction] += 1
+        link.bytes_dir[direction] += size
         self.metrics.frames_created += 1
-        dest_node, dest_port = link.other_end(direction)
-        self.schedule(arrival, "deliver", dest_node,
-                      (dest_port, frame, link, direction))
+        self.schedule(done + link.prop_us, "deliver", far_node.name,
+                      (end, frame))
 
     def residual_frames(self) -> int:
         return sum(l.pending[0] + l.pending[1] for l in self.links.values())
@@ -286,6 +276,12 @@ class Node:
 
     def on_event(self, kind: str, payload):
         pass
+
+    def _repeat(self, kind: str, interval_us: int) -> bool:
+        """Schedule the next event of a periodic kind; True when the node is
+        up to do this one's work. Ticks keep running while a node is failed."""
+        self.engine.schedule(self.engine.now + interval_us, kind, self.name)
+        return not self.failed
 
     def reset_dynamic(self):
         pass
@@ -353,11 +349,8 @@ class SwitchNode(Node):
             self.engine.send(self.name, out_port, out_frame)
 
     def on_event(self, kind: str, payload):
-        if kind == "age_tick":
-            self.engine.schedule(self.engine.now + FDB_AGE_SWEEP_US,
-                                 "age_tick", self.name)
-            if not self.failed:
-                self.switch.age_fdb(self.engine.now)
+        if kind == "age_tick" and self._repeat(kind, FDB_AGE_SWEEP_US):
+            self.switch.age_fdb(self.engine.now)
 
     def reset_dynamic(self):
         self.switch.reset_dynamic()
@@ -373,6 +366,7 @@ class HostNode(Node):
         self.mac = mac
         self.ip = ip
         self.prefix_len = prefix_len
+        self.mask = prefix_mask(prefix_len)
         self.gw_ip = gw_ip
         self.group = group
         self.port = 0
@@ -441,8 +435,7 @@ class HostNode(Node):
     # -- sending -----------------------------------------------------------
 
     def _next_hop(self, dst_ip: int) -> int:
-        net = self.ip & prefix_mask(self.prefix_len)
-        if in_network(dst_ip, net, self.prefix_len) or self.gw_ip is None:
+        if (dst_ip ^ self.ip) & self.mask == 0 or self.gw_ip is None:
             return dst_ip
         return self.gw_ip
 
@@ -454,8 +447,9 @@ class HostNode(Node):
             st.offered_payload += packet.payload_bytes
             if st.first_tx is None:
                 st.first_tx = self.engine.now
-            self.engine.trace(self.name, "tx", None, flow_key(packet),
-                              f"kind={packet.meta[0]}")
+            if self.engine.trace_enabled:
+                self.engine.trace(self.name, "tx", None, flow_key(packet),
+                                  f"kind={packet.meta[0]}")
         self.arp.send(self.port, self._next_hop(packet.dst_ip), packet)
 
     def emit(self, port, payload, dst_mac: MacAddress):
@@ -503,8 +497,9 @@ class HostNode(Node):
             st.delivered_bytes += pkt.size
             st.delivered_payload += pkt.payload_bytes
             m.host_delivered += 1
-            self.engine.trace(self.name, "rx", None, flow_key(pkt),
-                              f"kind={meta[0]}")
+            if self.engine.trace_enabled:
+                self.engine.trace(self.name, "rx", None, flow_key(pkt),
+                                  f"kind={meta[0]}")
         if not meta:
             return
         if meta[0] == "bulk":
@@ -561,21 +556,14 @@ class L3Node(Node):
         self.mac = mac
         self.router = router or ZoneRouter(name)
         self.trunk_port = "trunk"
+        ifaces = reversed(self.router.interfaces.values())  # first one wins
+        self.port_iface = {i.port: i for i in ifaces if i.port is not None}
         self.arp = Resolver(self)
         engine.schedule(FDB_AGE_SWEEP_US, "age_tick", name)
 
     def on_event(self, kind: str, payload):
-        if kind == "age_tick":
-            self.engine.schedule(self.engine.now + FDB_AGE_SWEEP_US,
-                                 "age_tick", self.name)
-            if not self.failed:
-                self.router.conn.sweep(self.engine.now)
-
-    def _iface_for_port(self, port):
-        for iface in self.router.interfaces.values():
-            if iface.port == port:
-                return iface
-        return None
+        if kind == "age_tick" and self._repeat(kind, FDB_AGE_SWEEP_US):
+            self.router.conn.sweep(self.engine.now)
 
     def emit(self, vid: int, frame_payload, dst_mac: MacAddress):
         iface = self.router.interfaces[vid]
@@ -583,7 +571,8 @@ class L3Node(Node):
         if iface.port is not None:
             self.engine.send(self.name, iface.port, frame)
         else:
-            self.engine.send(self.name, self.trunk_port, push_tag(frame, vid))
+            self.engine.send(self.name, self.trunk_port,
+                             frame_copy(frame, frame.size_bytes + 4, vlan_tag(vid)))
 
     def ip_on(self, vid: int) -> int:
         return self.router.interfaces[vid].ip
@@ -593,9 +582,10 @@ class L3Node(Node):
             if frame.tag is None or frame.tag.vid not in self.router.interfaces:
                 self.engine.metrics.drop(self.name, "vlan")
                 return
-            inner, vid = pop_tag(frame)
+            inner = frame_copy(frame, frame.size_bytes - 4, None)
+            vid = frame.tag.vid
         else:
-            iface = self._iface_for_port(port)
+            iface = self.port_iface.get(port)
             if iface is None or frame.tag is not None:
                 self.engine.metrics.drop(self.name, "vlan")
                 return
@@ -683,15 +673,10 @@ class FirewallNode(Node):
             table.insert(0, 0, cfg.gw_ip)
         return table
 
-    @staticmethod
-    def _other(side: str) -> str:
-        return "outside" if side == "inside" else "inside"
-
     def on_event(self, kind: str, payload):
         now = self.engine.now
         if kind == "age_tick":
-            self.engine.schedule(now + NAT_SWEEP_US, "age_tick", self.name)
-            if not self.failed:
+            if self._repeat(kind, NAT_SWEEP_US):
                 self.fw.sweep_expired(now)
         elif kind == "shape_tick":
             side = payload
@@ -733,7 +718,7 @@ class FirewallNode(Node):
         return self.sides[side].ip or 0
 
     def on_frame(self, side, frame: Frame):
-        out_side = self._other(side)
+        out_side = "outside" if side == "inside" else "inside"
         cfg = self.sides[side]
         payload = frame.payload
         now = self.engine.now
@@ -750,42 +735,41 @@ class FirewallNode(Node):
         if pkt.protocol == "probe":
             # health checks are control-plane: no NAT, no shaping
             hint = frame.dst if self.sides[out_side].mode == "inline" else None
-            self._emit_transit(out_side, pkt, hint)
+            self._emit_packet(out_side, pkt, hint)
             return
         if side == "inside":
             self._outbound(pkt, frame, now)
         else:
             self._inbound(pkt, frame, now)
 
-    def _emit_transit(self, out_side: str, pkt: Packet, mac_hint):
-        cfg = self.sides[out_side]
-        if mac_hint is None and cfg.mode == "inline":
-            mac_hint = cfg.peer_mac or BROADCAST
-        self._emit_packet(out_side, pkt, mac_hint)
+    def _denied(self, from_side: str, to_side: str, key, now: int) -> bool:
+        """Zone policy denies a new flow and key is not a reply: drop it."""
+        verdict = self.policy.verdict(self.sides[from_side].zone,
+                                      self.sides[to_side].zone)
+        if verdict != "deny-new" or self.fw.conn.established(key, now):
+            return False
+        self.engine.metrics.drop(self.name, "acl")
+        self.engine.trace(self.name, "drop", None, key, "acl")
+        return True
 
     def _outbound(self, pkt: Packet, frame: Frame, now: int):
         out_cfg = self.sides["outside"]
-        if self.enforce_zones:
-            zf = self.sides["inside"].zone
-            zt = out_cfg.zone
-            key = flow_key(pkt)
-            if (self.policy.verdict(zf, zt) == "deny-new"
-                    and not self.fw.conn.established(key, now)):
-                self.engine.metrics.drop(self.name, "acl")
-                self.engine.trace(self.name, "drop", None, key, "acl")
-                return
+        engine = self.engine
+        key = flow_key(pkt)
+        if self.enforce_zones and self._denied("inside", "outside", key, now):
+            return
         try:
-            translated = self.fw.masquerade_out(pkt, now)
-            self.engine.trace(self.name, "nat", None, flow_key(pkt),
-                              f"out via {ip_str(translated.src_ip)}:{translated.src_port}")
-            out = translated
+            out = self.fw.masquerade_out(pkt, now)
+            if engine.trace_enabled:
+                engine.trace(self.name, "nat", None, key,
+                             f"out via {ip_str(out.src_ip)}:{out.src_port}")
         except NoScope:
             out = pkt
         except PoolExhausted:
-            self.engine.metrics.drop(self.name, "nat-full")
-            self.engine.trace(self.name, "drop", None, flow_key(pkt), "nat-full")
+            engine.metrics.drop(self.name, "nat-full")
+            engine.trace(self.name, "drop", None, key, "nat-full")
             return
-        self.fw.conn.note(flow_key(pkt), now)
+        self.fw.conn.note(key, now)
         hint = frame.dst if out_cfg.mode == "inline" else None
         self._enqueue("outside", out, hint)
 
@@ -798,8 +782,10 @@ class FirewallNode(Node):
                 self.engine.trace(self.name, "drop", None, flow_key(pkt),
                                   "no-binding")
                 return
-            self.engine.trace(self.name, "nat", None, flow_key(pkt),
-                              f"in to {ip_str(translated.dst_ip)}:{translated.dst_port}")
+            if self.engine.trace_enabled:
+                self.engine.trace(
+                    self.name, "nat", None, flow_key(pkt),
+                    f"in to {ip_str(translated.dst_ip)}:{translated.dst_port}")
             hint = in_cfg.peer_mac if in_cfg.mode == "inline" else None
             self._enqueue("inside", translated, hint)
             return
@@ -808,13 +794,8 @@ class FirewallNode(Node):
             self._enqueue("inside", pkt, frame.dst)
             return
         # routed inbound to an untranslated address: stateful zone check
-        zf = self.sides["outside"].zone
-        zt = in_cfg.zone
         key = flow_key(pkt)
-        if (self.policy.verdict(zf, zt) == "deny-new"
-                and not self.fw.conn.established(key, now)):
-            self.engine.metrics.drop(self.name, "acl")
-            self.engine.trace(self.name, "drop", None, key, "acl")
+        if self._denied("outside", "inside", key, now):
             return
         self.fw.conn.note(key, now)
         self._enqueue("inside", pkt, None)
@@ -823,14 +804,10 @@ class FirewallNode(Node):
                 frame: Frame, arp: Arp):
         if cfg.mode == "routed" or side == "outside":
             self.arp.learn(side, arp)
-        owned = set()
-        if cfg.ip is not None:
-            owned.add(cfg.ip)
-        if side == "outside":
-            owned |= self.fw.external_ips
-        if arp.op == "request" and arp.target_ip in owned:
-            reply_ip = arp.target_ip
-            reply = Arp("reply", reply_ip, self.mac, arp.sender_ip)
+        owned = arp.target_ip == cfg.ip or (
+            side == "outside" and arp.target_ip in self.fw.external_ips)
+        if arp.op == "request" and owned:
+            reply = Arp("reply", arp.target_ip, self.mac, arp.sender_ip)
             self.emit(side, reply, arp.sender_mac)
             return
         if cfg.mode == "inline":
@@ -858,14 +835,10 @@ class BalancerNode(Node):
         engine.schedule(lb.probe_interval_us, "probe_tick", name)
 
     def on_event(self, kind: str, payload):
-        if kind != "probe_tick":
+        if kind != "probe_tick" or not self._repeat(kind,
+                                                    self.lb.probe_interval_us):
             return
-        now = self.engine.now
-        self.engine.schedule(now + self.lb.probe_interval_us, "probe_tick",
-                             self.name)
-        if self.failed:
-            return
-        due = self.lb.probe_tick(now)
+        due = self.lb.probe_tick(self.engine.now)
         self._drain_transitions()
         for pid in due:
             pkt = Packet(src_ip=self.ip, dst_ip=self.peer_ip, protocol="probe",
@@ -908,7 +881,8 @@ class BalancerNode(Node):
             self.engine.metrics.drop(self.name, "unavailable")
             self.engine.trace(self.name, "drop", None, key, "unavailable")
             return
-        self.engine.trace(self.name, "tx", None, key, f"dispatch path={pid}")
+        if self.engine.trace_enabled:
+            self.engine.trace(self.name, "tx", None, key, f"dispatch path={pid}")
         self.engine.send(self.name, pid, frame)
 
     def _from_back(self, port, frame: Frame, payload):

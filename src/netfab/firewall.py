@@ -140,11 +140,9 @@ class Firewall:
             self.by_inside[key] = entry
             self.by_outside[okey] = entry
         entry.last_activity = now
-        return Packet(src_ip=entry.outside[0], dst_ip=packet.dst_ip,
-                      protocol=packet.protocol, src_port=entry.outside[1],
-                      dst_port=packet.dst_port,
-                      payload_bytes=packet.payload_bytes, ttl=packet.ttl,
-                      meta=packet.meta)
+        return Packet(entry.outside[0], packet.dst_ip, packet.protocol,
+                      entry.outside[1], packet.dst_port, packet.payload_bytes,
+                      packet.ttl, packet.meta)
 
     def masquerade_in(self, packet: Packet, now: int) -> Optional[Packet]:
         """Reverse-translate an inbound packet; None means drop(no-binding)."""
@@ -162,11 +160,9 @@ class Firewall:
         if not entry.scope.contains(packet.src_ip):
             return None
         entry.last_activity = now
-        return Packet(src_ip=packet.src_ip, dst_ip=entry.inside[0],
-                      protocol=packet.protocol, src_port=packet.src_port,
-                      dst_port=entry.inside[1],
-                      payload_bytes=packet.payload_bytes, ttl=packet.ttl,
-                      meta=packet.meta)
+        return Packet(packet.src_ip, entry.inside[0], packet.protocol,
+                      packet.src_port, entry.inside[1], packet.payload_bytes,
+                      packet.ttl, packet.meta)
 
     def _remove(self, entry: NatEntry):
         scope = entry.scope
@@ -207,7 +203,6 @@ class Shaper:
         self.queue: deque = deque()
         self.carry_bytes = 0.0
         self.drops = 0
-        self.released_bytes = 0
 
     def offer(self, size: int, item) -> bool:
         """Queue an item; False when the queue is full (newest arrival dropped)."""
@@ -227,7 +222,6 @@ class Shaper:
         while self.queue and self.queue[0][0] <= budget:
             size, item = self.queue.popleft()
             budget -= size
-            self.released_bytes += size
             released.append(item)
         # unused budget carries over, bounded by one interval's worth
         self.carry_bytes = min(budget, budget_bytes)

@@ -5,8 +5,8 @@ import hashlib
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .packet import (Frame, FlowKey, InvalidVid, check_vid, classify_dst,
-                     frame_flow_key, pop_tag, push_tag)
+from .packet import (Frame, FlowKey, InvalidVid, check_vid, frame_copy,
+                     frame_flow_key, vlan_tag)
 
 DEFAULT_FDB_AGING_US = 300_000_000  # 300 s
 
@@ -50,7 +50,7 @@ class PortConfig:
         return vid in self.allowed
 
 
-@dataclass
+@dataclass(slots=True)
 class FdbEntry:
     vlan: int
     mac: "MacAddress"
@@ -78,7 +78,12 @@ def lag_select(members: list, key: FlowKey, salt: bytes = b"") -> int:
 
 
 class Switch:
-    """One VLAN-aware learning bridge; owned by a single engine."""
+    """One VLAN-aware learning bridge; owned by a single engine.
+
+    It forwards from per-VLAN tables, as Linux bridge VLAN filtering does
+    (net/bridge/br_vlan.c), built on first use and dropped by every port
+    change. LAG choices are memoised until a port change or FDB sweep.
+    """
 
     def __init__(self, name: str, fdb_aging_us: int = DEFAULT_FDB_AGING_US,
                  hash_salt: bytes = b""):
@@ -88,14 +93,9 @@ class Switch:
         self.fdb_aging_us = fdb_aging_us
         self.hash_salt = hash_salt
         self.counters: dict[int, dict[str, int]] = {}
-
-    def _counters(self, port_id: int) -> dict[str, int]:
-        c = self.counters.get(port_id)
-        if c is None:
-            c = {"rx_frames": 0, "rx_bytes": 0, "tx_frames": 0,
-                 "tx_bytes": 0, "drop_frames": 0, "drop_bytes": 0}
-            self.counters[port_id] = c
-        return c
+        self._egress: dict[tuple, Optional[tuple]] = {}  # by (port, vid)
+        self._plans: dict[tuple, tuple] = {}  # (ingress, vid) -> egresses
+        self._lag_memo: dict[tuple, int] = {}  # (live, flow key) -> member
 
     def configure_port(self, port_id: int, mode: str, vid: Optional[int] = None,
                        allowed=(), lag_group: Optional[str] = None) -> PortConfig:
@@ -104,7 +104,11 @@ class Switch:
         cfg = PortConfig(port_id=port_id, mode=mode, vid=vid,
                          allowed=frozenset(allowed), lag_group=lag_group)
         self.ports[port_id] = cfg
-        self._counters(port_id)
+        if port_id not in self.counters:
+            self.counters[port_id] = {"rx_frames": 0, "rx_bytes": 0,
+                                      "tx_frames": 0, "tx_bytes": 0,
+                                      "drop_frames": 0, "drop_bytes": 0}
+        self._forget_tables()
         # purge learned entries for VLANs this port no longer carries
         stale = [k for k, e in self.fdb.items()
                  if e.port == port_id and not cfg.member_of(e.vlan)]
@@ -116,101 +120,111 @@ class Switch:
         if port_id not in self.ports:
             raise UnknownPort(f"{self.name} has no port {port_id}")
         self.ports[port_id].up = up
+        self._forget_tables()
 
-    def vlan_members(self, vid: int) -> list[int]:
-        return [p for p, cfg in sorted(self.ports.items()) if cfg.member_of(vid)]
-
-    def _drop(self, port_id: int, frame: Frame):
-        c = self._counters(port_id)
-        c["drop_frames"] += 1
-        c["drop_bytes"] += frame.size_bytes
+    def _forget_tables(self):
+        self._egress.clear()
+        self._plans.clear()
+        self._lag_memo.clear()
 
     def ingress(self, port_id: int, frame: Frame, now: int) -> list[tuple[int, Frame]]:
-        """Process an arriving frame; returns (egress port, frame) emissions."""
-        if port_id not in self.ports:
-            raise UnknownPort(f"{self.name} has no port {port_id}")
-        port = self.ports[port_id]
-        c = self._counters(port_id)
-        c["rx_frames"] += 1
-        c["rx_bytes"] += frame.size_bytes
-        if not port.up:
-            self._drop(port_id, frame)
-            return []
+        """Process an arriving frame; returns (egress port, frame) emissions.
 
-        # VLAN classification
-        if frame.tag is None and port.mode == "access":
-            vid = port.vid
-            inner = frame
-        elif frame.tag is not None and port.mode == "trunk" and frame.tag.vid in port.allowed:
-            inner, vid = pop_tag(frame)
+        A frame that arrives tagged with pcp 0 leaves trunks as the same
+        object; the untagged copy is made once, when an access port needs it.
+        """
+        port = self.ports.get(port_id)
+        if port is None:
+            raise UnknownPort(f"{self.name} has no port {port_id}")
+        c = self.counters[port_id]
+        size = frame.size_bytes
+        c["rx_frames"] += 1
+        c["rx_bytes"] += size
+        # VLAN classification: a trunk has no vid, an access port no allowed
+        tag = frame.tag
+        if tag is None:
+            vid, untagged, tagged = port.vid, frame, None
         else:
-            self._drop(port_id, frame)
+            vid = tag.vid if tag.vid in port.allowed else None
+            untagged, tagged = None, (frame if tag.pcp == 0 else None)
+            size -= 4
+        if vid is None or not port.up:
+            c["drop_frames"] += 1
+            c["drop_bytes"] += frame.size_bytes
             return []
 
         # learning
-        if not frame.src.is_multicast:
-            self.fdb[(vid, frame.src)] = FdbEntry(vid, frame.src, port_id, now)
+        src = frame.src
+        if not src.is_multicast:
+            self.fdb[(vid, src)] = FdbEntry(vid, src, port_id, now)
 
         # forwarding decision
-        targets: list[int] = []
-        entry = self.fdb.get((vid, frame.dst)) if classify_dst(inner) == "unicast" else None
-        if entry is not None:
-            if entry.port != port_id:
-                tcfg = self.ports.get(entry.port)
-                if tcfg is not None and tcfg.member_of(vid):
-                    targets = [self._lag_resolve(entry.port, vid, inner)]
-                    targets = [t for t in targets if t is not None]
-            # destination behind the ingress port: filter silently
+        entry = None if frame.dst.is_multicast else self.fdb.get((vid, frame.dst))
+        if entry is None:
+            egresses = self._flood_targets(port_id, vid)
+        elif entry.port == port_id:
+            return []  # destination behind the ingress port: filter silently
         else:
-            targets = self._flood_targets(port_id, vid, inner)
+            egress = self._egress_of(entry.port, vid)
+            egresses = (egress,) if egress is not None else ()
 
         out: list[tuple[int, Frame]] = []
-        for t in targets:
-            tcfg = self.ports[t]
-            if tcfg.mode == "access":
-                emitted = inner
+        for t, live in egresses:
+            if live is not None:
+                key = (live, frame_flow_key(frame))
+                t = self._lag_memo.get(key)
+                if t is None:
+                    t = self._lag_memo[key] = lag_select(*key, self.hash_salt)
+            if self.ports[t].mode == "trunk":
+                if tagged is None:
+                    tagged = frame_copy(frame, size + 4, vlan_tag(vid))
+                emitted = tagged
             else:
-                emitted = push_tag(inner, vid)
-            tc = self._counters(t)
+                if untagged is None:
+                    untagged = frame_copy(frame, size, None)
+                emitted = untagged
+            tc = self.counters[t]
             tc["tx_frames"] += 1
             tc["tx_bytes"] += emitted.size_bytes
             out.append((t, emitted))
         return out
 
-    def _lag_resolve(self, port_id: int, vid: int, inner: Frame) -> Optional[int]:
-        """Map a chosen port to a live member of its LAG group (itself if ungrouped)."""
-        cfg = self.ports[port_id]
-        if cfg.lag_group is None:
-            return port_id if cfg.up else None
-        live = [p for p, c in sorted(self.ports.items())
-                if c.lag_group == cfg.lag_group and c.up and c.member_of(vid)]
-        if not live:
-            return None
-        return lag_select(live, frame_flow_key(inner), self.hash_salt)
+    def _egress_of(self, port_id: int, vid: int) -> Optional[tuple]:
+        """How a frame for port_id leaves: (port, None), (None, live members
+        of its LAG group), or None when it cannot."""
+        key = (port_id, vid)
+        if key not in self._egress:
+            cfg = self.ports.get(port_id)
+            egress = None
+            if cfg is not None and cfg.member_of(vid):
+                if cfg.lag_group is None:
+                    egress = (port_id, None) if cfg.up else None
+                else:
+                    live = tuple(p for p, c in sorted(self.ports.items())
+                                 if c.lag_group == cfg.lag_group and c.up
+                                 and c.member_of(vid))
+                    egress = (None, live) if live else None
+            self._egress[key] = egress
+        return self._egress[key]
 
-    def _flood_targets(self, ingress_port: int, vid: int, inner: Frame) -> list[int]:
-        targets = []
-        seen_groups = set()
-        ingress_group = self.ports[ingress_port].lag_group
-        for p, cfg in sorted(self.ports.items()):
-            if p == ingress_port or not cfg.up or not cfg.member_of(vid):
-                continue
-            if cfg.lag_group is not None:
-                if cfg.lag_group == ingress_group or cfg.lag_group in seen_groups:
-                    continue
-                seen_groups.add(cfg.lag_group)
-                choice = self._lag_resolve(p, vid, inner)
-                if choice is not None:
-                    targets.append(choice)
-            else:
-                targets.append(p)
-        return targets
+    def _flood_targets(self, ingress_port: int, vid: int) -> tuple:
+        """Every other VLAN member in port order, a LAG group once at its
+        first live member, never the ingress port's group."""
+        plan = self._plans.get((ingress_port, vid))
+        if plan is None:
+            group = self.ports[ingress_port].lag_group
+            plan = self._plans[(ingress_port, vid)] = tuple(
+                e for p, cfg in sorted(self.ports.items())
+                if p != ingress_port and (e := self._egress_of(p, vid))
+                and (e[1] is None or (p == e[1][0] and cfg.lag_group != group)))
+        return plan
 
     def age_fdb(self, now: int):
         stale = [k for k, e in self.fdb.items()
                  if now - e.last_seen > self.fdb_aging_us]
         for k in stale:
             del self.fdb[k]
+        self._lag_memo.clear()
 
     def reset_dynamic(self):
         self.fdb.clear()

@@ -206,10 +206,9 @@ class ZoneRouter:
             self.drop_counts["ttl"] += 1
             return ("drop", "ttl")
         self.conn.note(key, now)
-        out = Packet(src_ip=packet.src_ip, dst_ip=packet.dst_ip,
-                     protocol=packet.protocol, src_port=packet.src_port,
-                     dst_port=packet.dst_port, payload_bytes=packet.payload_bytes,
-                     ttl=packet.ttl - 1, meta=packet.meta)
+        out = Packet(packet.src_ip, packet.dst_ip, packet.protocol,
+                     packet.src_port, packet.dst_port, packet.payload_bytes,
+                     packet.ttl - 1, packet.meta)
         return ("forward", egress_vid, next_hop, out)
 
     def reset_dynamic(self):

@@ -59,6 +59,7 @@ def ip_network(value: str) -> tuple[int, int]:
     return int(net.network_address), net.prefixlen
 
 
+@functools.lru_cache(maxsize=64)
 def prefix_mask(prefix_len: int) -> int:
     return ((1 << prefix_len) - 1) << (32 - prefix_len) if prefix_len else 0
 
@@ -155,7 +156,9 @@ class FlowKey(NamedTuple):
                 f"{ip_str(self.dst_ip)}:{self.dst_port}")
 
 
-@dataclass(frozen=True, slots=True)
+# Packet and Frame are not frozen, which would make them four times as slow to
+# build, but are never changed: one frame object may be on several links.
+@dataclass(slots=True, unsafe_hash=True)
 class Packet:
     src_ip: int
     dst_ip: int
@@ -203,7 +206,7 @@ def payload_size(payload: Payload) -> int:
     return int(payload)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Frame:
     src: MacAddress
     dst: MacAddress
@@ -218,29 +221,40 @@ class Frame:
                 f"frame size {self.size_bytes} outside [{MIN_FRAME}, {limit}]")
 
 
+@functools.cache
+def vlan_tag(vid: int) -> VlanTag:
+    """The one pcp-0 tag of a VID."""
+    return VlanTag(vid)
+
+
+def frame_copy(frame: Frame, size_bytes: int, tag: Optional[VlanTag]) -> Frame:
+    """push_tag or pop_tag for the forwarding path: no checks."""
+    out = object.__new__(Frame)
+    out.src, out.dst, out.payload = frame.src, frame.dst, frame.payload
+    out.size_bytes, out.tag = size_bytes, tag
+    return out
+
+
 def make_frame(src: MacAddress, dst: MacAddress, payload: Payload,
                tag: Optional[VlanTag] = None) -> Frame:
     size = max(MIN_FRAME, payload_size(payload) + ETH_OVERHEAD)
     if tag is not None:
         size += 4
-    return Frame(src=src, dst=dst, payload=payload, size_bytes=size, tag=tag)
+    return Frame(src, dst, payload, size, tag)
 
 
 def push_tag(frame: Frame, vid: int, pcp: int = 0) -> Frame:
     if frame.tag is not None:
         raise AlreadyTagged(f"frame already tagged with vid {frame.tag.vid}")
     check_vid(vid)
-    return Frame(src=frame.src, dst=frame.dst, payload=frame.payload,
-                 size_bytes=frame.size_bytes + 4, tag=VlanTag(vid=vid, pcp=pcp))
+    tag = vlan_tag(vid) if pcp == 0 else VlanTag(vid, pcp)
+    return frame_copy(frame, frame.size_bytes + 4, tag)
 
 
 def pop_tag(frame: Frame) -> tuple[Frame, int]:
     if frame.tag is None:
         raise NotTagged("frame carries no 802.1Q tag")
-    vid = frame.tag.vid
-    stripped = Frame(src=frame.src, dst=frame.dst, payload=frame.payload,
-                     size_bytes=frame.size_bytes - 4, tag=None)
-    return stripped, vid
+    return frame_copy(frame, frame.size_bytes - 4, None), frame.tag.vid
 
 
 def classify_dst(frame: Frame) -> str:

@@ -3,8 +3,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import ReferenceSwitch
 from netfab.l2 import InvalidVid, NoLiveMember, Switch, UnknownPort, lag_select
-from netfab.packet import (BROADCAST, FlowKey, MacAddress, make_frame,
+from netfab.packet import (BROADCAST, FlowKey, MacAddress, Packet, make_frame,
                            push_tag)
 
 
@@ -197,3 +198,76 @@ def test_flood_matches_membership_oracle(data):
             assert f.tag is None
         else:
             assert f.tag is not None and f.tag.vid == vid
+
+
+def _port_spec(draw, vids):
+    if draw(st.booleans()):
+        return "access", {"vid": draw(st.sampled_from(vids))}
+    return "trunk", {"allowed": draw(st.sets(st.sampled_from(vids),
+                                             min_size=1))}
+
+
+def _frame(draw, macs, vids):
+    src = draw(st.sampled_from(macs))
+    dst = draw(st.sampled_from(macs + [BROADCAST, MacAddress.parse(
+        "01:00:5e:00:00:01")]))
+    payload = draw(st.one_of(
+        st.integers(0, 100),
+        st.builds(Packet, src_ip=st.integers(1, 4), dst_ip=st.integers(1, 4),
+                  protocol=st.just("udp"), src_port=st.integers(1, 6),
+                  dst_port=st.integers(1, 3))))
+    frame = make_frame(src, dst, payload)
+    if draw(st.booleans()):
+        frame = push_tag(frame, draw(st.sampled_from(vids)),
+                         pcp=draw(st.sampled_from([0, 0, 0, 5])))
+    return frame
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_switch_matches_reference(data):
+    """The table-driven switch against the per-frame port scan it replaced:
+    the same emissions (port, equal frame, order), counters and FDB after
+    every frame, port change and age sweep."""
+    draw = data.draw
+    vids = [1, 2, 3]
+    salt = draw(st.binary(max_size=4))
+    sw, ref = Switch("sw", hash_salt=salt), ReferenceSwitch("sw", hash_salt=salt)
+    n_ports = draw(st.integers(2, 8))
+    # LAG groups of 2-3 ports, not necessarily adjacent in port order
+    order = draw(st.permutations(range(1, n_ports + 1)))
+    groups = dict.fromkeys(order)
+    i = 0
+    while i < n_ports:
+        size = draw(st.sampled_from([1, 1, 2, 3]))
+        if size > 1:
+            groups.update(dict.fromkeys(order[i:i + size], f"g{i}"))
+        i += size
+    for p in range(1, n_ports + 1):
+        mode, kw = _port_spec(draw, vids)
+        for s in (sw, ref):
+            s.configure_port(p, mode, lag_group=groups[p], **kw)
+    macs = [mac(i) for i in range(1, 6)]
+    now = 0
+    for _ in range(draw(st.integers(1, 40))):
+        now += draw(st.integers(0, 100_000_000))
+        action = draw(st.sampled_from(["frame"] * 6 + ["configure", "up",
+                                                       "age"]))
+        port = draw(st.integers(1, n_ports))
+        if action == "frame":
+            frame = _frame(draw, macs, vids)
+            assert sw.ingress(port, frame, now) == ref.ingress(port, frame, now)
+        elif action == "configure":
+            mode, kw = _port_spec(draw, vids)
+            lag = draw(st.sampled_from([None, "g0", "g9"]))
+            for s in (sw, ref):
+                s.configure_port(port, mode, lag_group=lag, **kw)
+        elif action == "up":
+            up = not ref.ports[port].up
+            for s in (sw, ref):
+                s.set_port_up(port, up)
+        else:
+            for s in (sw, ref):
+                s.age_fdb(now)
+        assert sw.counters == ref.counters
+        assert sw.fdb == ref.fdb
