@@ -23,6 +23,9 @@ ARP_RETRY_US = 1_000_000
 BULK_WINDOW = 65_536
 BULK_SEGMENT = 1_460
 BULK_ACK_EVERY = 4
+RTO_INITIAL_US = 1_000_000
+RTO_MIN_US = 200_000
+RTO_MAX_US = 60_000_000
 CBR_PACKET = 1_500
 PING_INTERVAL_US = 1_000_000
 
@@ -78,6 +81,36 @@ class FlowStats:
     delivered_payload: int = 0
     first_tx: Optional[int] = None
     completed_at: Optional[int] = None
+
+
+class BulkSender:
+    """Sender side of one bulk flow: a byte sequence space sent go-back-N
+    and one retransmission timer (RFC 6298: SRTT/RTTVAR, Karn's rule,
+    doubling backoff), in integer microseconds."""
+
+    __slots__ = ("spec", "una", "next", "high", "timed", "srtt", "rttvar",
+                 "rto", "deadline", "armed")
+
+    def __init__(self, spec: TrafficSpec):
+        self.spec = spec
+        self.una = 0  # first unacknowledged byte
+        self.next = 0  # next byte to send
+        self.high = 0  # one past the highest byte ever sent
+        self.timed: Optional[tuple] = None  # (end byte, sent at) being timed
+        self.srtt: Optional[int] = None
+        self.rttvar = 0
+        self.rto = RTO_INITIAL_US
+        self.deadline: Optional[int] = None  # timer expiry; None when off
+        self.armed: Optional[int] = None  # time of the live "rto" event
+
+    def measure(self, rtt: int):
+        if self.srtt is None:
+            self.srtt, self.rttvar = rtt, rtt // 2
+        else:
+            self.rttvar = (3 * self.rttvar + abs(self.srtt - rtt)) // 4
+            self.srtt = (7 * self.srtt + rtt) // 8
+        self.rto = min(max(self.srtt + max(1, 4 * self.rttvar), RTO_MIN_US),
+                       RTO_MAX_US)
 
 
 class Metrics:
@@ -371,7 +404,7 @@ class HostNode(Node):
         self.group = group
         self.port = 0
         self.arp = Resolver(self)
-        self.bulk_send: dict[str, dict] = {}
+        self.bulk_send: dict[str, BulkSender] = {}
         self.bulk_recv: dict[str, dict] = {}
         self.ping_seen: Counter = Counter()
         self.generators: list[TrafficSpec] = []
@@ -384,6 +417,9 @@ class HostNode(Node):
         self.engine.schedule(spec.start_us, "traffic", self.name, ("start", idx))
 
     def on_event(self, kind: str, payload):
+        if kind == "rto":
+            self._on_rto(payload)
+            return
         if kind != "traffic":
             return
         if payload[0] == "ping":
@@ -405,8 +441,7 @@ class HostNode(Node):
             interval = CBR_PACKET * 8 * 1_000_000 // spec.rate_bps
             self.engine.schedule(now + interval, "traffic", self.name, ("start", idx))
         elif spec.kind == "bulk":
-            st = {"spec": spec, "sent": 0, "acked": 0}
-            self.bulk_send[spec.flow_id] = st
+            self.bulk_send[spec.flow_id] = BulkSender(spec)
             self._bulk_pump(spec.flow_id)
         elif spec.kind == "ping":
             self._send_ping(spec, idx, 0)
@@ -421,16 +456,53 @@ class HostNode(Node):
 
     def _bulk_pump(self, fid: str):
         st = self.bulk_send[fid]
-        spec = st["spec"]
-        while (st["sent"] < spec.total_bytes
-               and st["sent"] - st["acked"] < BULK_WINDOW):
-            seg = min(BULK_SEGMENT, spec.total_bytes - st["sent"])
+        spec = st.spec
+        total = spec.total_bytes
+        while st.next < total and st.next - st.una < BULK_WINDOW:
+            seg = min(BULK_SEGMENT, total - st.next)
             pkt = Packet(src_ip=self.ip, dst_ip=spec.dst_ip, protocol="tcp",
                          src_port=spec.src_port, dst_port=spec.dst_port,
                          payload_bytes=seg,
-                         meta=("bulk", fid, "data", seg, spec.total_bytes))
-            st["sent"] += seg
+                         meta=("bulk", fid, "data", seg, total, st.next))
+            st.next += seg
+            if st.next > st.high:  # new data; Karn: only it is timed
+                st.high = st.next
+                if st.timed is None:
+                    st.timed = (st.next, self.engine.now)
             self.send_packet(pkt, offered=True)
+        if st.deadline is None and st.una < st.next:
+            self._start_rto(fid, st)
+
+    def _start_rto(self, fid: str, st: BulkSender):
+        """Set the timer to expire RTO from now. The flow keeps one live
+        "rto" event: a later deadline is met when that event fires early."""
+        now = self.engine.now
+        st.deadline = now + st.rto
+        if st.armed is None or st.armed > st.deadline:
+            st.armed = st.deadline
+            self.engine.schedule(st.deadline, "rto", self.name, fid)
+
+    def _on_rto(self, fid: str):
+        st = self.bulk_send[fid]
+        now = self.engine.now
+        if st.armed != now:
+            return  # superseded by an earlier deadline
+        st.armed = None
+        if st.deadline is None:
+            return
+        if now < st.deadline:
+            st.armed = st.deadline
+            self.engine.schedule(st.deadline, "rto", self.name, fid)
+            return
+        st.deadline = None
+        if self.failed:
+            self._start_rto(fid, st)
+            return
+        # expiry: back off, forget the timed segment, resend from una
+        st.rto = min(2 * st.rto, RTO_MAX_US)
+        st.timed = None
+        st.next = st.una
+        self._bulk_pump(fid)
 
     # -- sending -----------------------------------------------------------
 
@@ -495,7 +567,8 @@ class HostNode(Node):
             st = m.flow(meta[1])
             st.delivered_packets += 1
             st.delivered_bytes += pkt.size
-            st.delivered_payload += pkt.payload_bytes
+            if meta[0] != "bulk":  # bulk counts each byte once, in order
+                st.delivered_payload += pkt.payload_bytes
             m.host_delivered += 1
             if self.engine.trace_enabled:
                 self.engine.trace(self.name, "rx", None, flow_key(pkt),
@@ -510,25 +583,42 @@ class HostNode(Node):
     def _on_bulk(self, pkt: Packet):
         _, fid, kind, *rest = pkt.meta
         if kind == "data":
-            seg, total = rest
+            # only the next in-order segment is taken; an ACK goes every
+            # BULK_ACK_EVERY segments, at completion, and at once on an
+            # out-of-order or duplicate segment
+            seg, total, offset = rest
             st = self.bulk_recv.setdefault(fid, {"received": 0, "segs": 0})
-            st["received"] += seg
-            st["segs"] += 1
-            done = st["received"] >= total
-            if done and self.engine.metrics.flow(fid).completed_at is None:
-                self.engine.metrics.flow(fid).completed_at = self.engine.now
-            if st["segs"] % BULK_ACK_EVERY == 0 or done:
+            in_order = offset == st["received"]
+            if in_order:
+                st["received"] += seg
+                st["segs"] += 1
+                flow = self.engine.metrics.flow(fid)
+                flow.delivered_payload += seg
+                if st["received"] >= total and flow.completed_at is None:
+                    flow.completed_at = self.engine.now
+            if (not in_order or st["segs"] % BULK_ACK_EVERY == 0
+                    or st["received"] >= total):
                 ack = Packet(src_ip=self.ip, dst_ip=pkt.src_ip, protocol="tcp",
                              src_port=pkt.dst_port, dst_port=pkt.src_port,
                              payload_bytes=0,
                              meta=("bulk", fid, "ack", st["received"]))
                 self.send_packet(ack)
-        else:  # ack
+        else:  # cumulative ack
             acked = rest[0]
             st = self.bulk_send.get(fid)
             if st is None:
                 return
-            st["acked"] = max(st["acked"], acked)
+            if acked > st.una:
+                now = self.engine.now
+                st.una = acked
+                st.next = max(st.next, acked)
+                if st.timed is not None and acked >= st.timed[0]:
+                    st.measure(now - st.timed[1])
+                    st.timed = None
+                # RFC 6298 (5.2), (5.3): off when all is acked, else restart
+                st.deadline = None
+                if acked < st.next:
+                    self._start_rto(fid, st)
             self._bulk_pump(fid)
 
     def _on_ping(self, pkt: Packet):

@@ -2,9 +2,10 @@ import hashlib
 
 import pytest
 
-from netfab.engine import (Engine, HostNode, SwitchNode, TrafficSpec,
-                           UnknownTarget, bulk_transfer_time)
+from netfab.engine import (BulkSender, Engine, HostNode, SwitchNode,
+                           TrafficSpec, UnknownTarget, bulk_transfer_time)
 from netfab.packet import MacAddress, Packet, ip_addr, make_frame
+from netfab.scenario import FaultDecl, build_engine, load_scenario
 
 
 def mac(i):
@@ -244,3 +245,100 @@ class TestDeterminism:
             assert len(fields) == 6
             keys = [f.split("=", 1)[0] for f in fields]
             assert keys == ["t", "node", "ev", "vlan", "flow", "info"]
+
+
+class TestBulkRecovery:
+    def test_fw1_failure_mid_transfer_completes(self):
+        """`daq` crosses fw1 on spring8-redundant; with fw1 failed at 0.4 s
+        it stalled at 4,810,700 of 10,000,000 bytes before retransmission."""
+        cfg = load_scenario("spring8-redundant")
+        cfg.faults.append(FaultDecl(400_000, "fail_node", "fw1"))
+        eng = build_engine(cfg)
+        eng.run_until(cfg.duration_us)
+        st = eng.metrics.flows["daq"]
+        assert st.completed_at is not None
+        assert st.delivered_payload == 10_000_000
+        assert st.offered_payload > 10_000_000  # retransmissions are offered
+
+    def test_link_failure_and_recovery_mid_transfer(self):
+        eng = Engine(trace=True)
+        h1, h2 = lan(eng)
+        total = 2_000_000  # about 0.17 s at 100 Mbps without the outage
+        h1.add_generator(TrafficSpec(kind="bulk", src="h1", dst="h2",
+                                     flow_id="b1", dst_ip=h2.ip,
+                                     total_bytes=total, src_port=40000,
+                                     dst_port=5001))
+        eng.inject_fault(50_000, "fail_link", "h2:0-sw:p2")
+        eng.inject_fault(400_000, "recover", "h2:0-sw:p2")
+        eng.run_until(10_000_000)
+        st = eng.metrics.flows["b1"]
+        assert st.completed_at is not None and st.completed_at > 400_000
+        assert st.delivered_payload == total  # no byte counted twice
+        assert h2.bulk_recv["b1"]["received"] == total
+        assert st.offered_payload > total
+        assert eng.metrics.drops[("sw", "link-down")] > 0
+        # the first resend, lost on the dead link, doubles the RTO from its
+        # 200 ms floor: the second comes 400 ms later
+        sent = sorted({int(line.split("\t")[0][2:]) for line in eng.trace_lines
+                       if "\tnode=h1\tev=tx\t" in line})
+        resent = [t for t in sent if t > 50_000]
+        assert resent[1] - resent[0] == 400_000
+
+    def test_segments_after_a_gap_wait_for_it(self):
+        """A 300 µs outage drops a few segments inside the window; the
+        transfer completes with each byte counted once, and the segments
+        behind the gap reach the receiver twice."""
+        eng = Engine()
+        h1, h2 = lan(eng)
+        total = 500_000
+        h1.add_generator(TrafficSpec(kind="bulk", src="h1", dst="h2",
+                                     flow_id="b1", dst_ip=h2.ip,
+                                     total_bytes=total, src_port=40000,
+                                     dst_port=5001))
+        eng.inject_fault(20_000, "fail_link", "h2:0-sw:p2")
+        eng.inject_fault(20_300, "recover", "h2:0-sw:p2")
+        eng.run_until(5_000_000)
+        st = eng.metrics.flows["b1"]
+        assert st.completed_at is not None
+        assert st.delivered_payload == total == h2.bulk_recv["b1"]["received"]
+        segments = -(-total // 1460)
+        assert st.delivered_packets > segments  # refused segments came again
+
+    def test_receiver_takes_only_the_next_segment(self):
+        eng = Engine()
+        h1, h2 = lan(eng)
+
+        def data(offset):
+            return Packet(src_ip=h1.ip, dst_ip=h2.ip, protocol="tcp",
+                          src_port=1, dst_port=2, payload_bytes=1460,
+                          meta=("bulk", "b", "data", 1460, 5840, offset))
+
+        # in order, gap, in order, duplicate, in order, last
+        for offset, taken in ((0, 1460), (2920, 1460), (1460, 2920),
+                              (1460, 2920), (2920, 4380), (4380, 5840)):
+            h2._deliver(data(offset))
+            assert h2.bulk_recv["b"]["received"] == taken
+        assert eng.metrics.flows["b"].delivered_payload == 5840
+        # ACKs (held for h1's MAC): at once for the gap and the duplicate,
+        # then on the fourth segment taken, which completes the flow
+        acks = [p.meta[3] for p in h2.arp.pending[(0, h1.ip)]]
+        assert acks == [1460, 2920, 5840]
+
+    def test_rto_follows_rfc6298(self):
+        def sender():
+            return BulkSender(TrafficSpec(kind="bulk", src="a", dst="b",
+                                          flow_id="f"))
+        st = sender()
+        assert st.rto == 1_000_000  # before any sample
+        st.measure(100_000)
+        assert (st.srtt, st.rttvar, st.rto) == (100_000, 50_000, 300_000)
+        st.measure(100_000)
+        assert (st.srtt, st.rttvar, st.rto) == (100_000, 37_500, 250_000)
+        st.measure(20_000)
+        assert (st.srtt, st.rttvar) == (90_000, 48_125)
+        st = sender()
+        st.measure(1_000)
+        assert st.rto == 200_000  # floor
+        st = sender()
+        st.measure(100_000_000)
+        assert st.rto == 60_000_000  # ceiling
