@@ -2,9 +2,10 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 
-from .engine import UnknownTarget
+from .engine import UnknownTarget, trace_line
 from .scenario import (BUNDLED, SECONDS, SEED, Codec, FaultDecl,
                        ScenarioError, build_engine, load_scenario,
                        parse_scenario, serialize_scenario, validate_scenario)
@@ -33,12 +34,16 @@ def _option(codec: Codec):
     return read
 
 
+def _output(path):
+    """The file to write at path: stdout, left open, for "-"; None for None."""
+    if path is None or path == "-":
+        return contextlib.nullcontext(path and sys.stdout)
+    return open(path, "w", encoding="utf-8")
+
+
 def _write(path: str, text: str):
-    if path == "-":
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    with _output(path) as fh:
+        fh.write(text)
 
 
 def cmd_run(args) -> int:
@@ -46,10 +51,9 @@ def cmd_run(args) -> int:
     if args.seed is not None:
         cfg.seed = args.seed
     until_us = args.until if args.until is not None else cfg.duration_us
-    eng = build_engine(cfg, trace=args.trace is not None)
-    metrics = eng.run_until(until_us)
-    if args.trace is not None:
-        _write(args.trace, eng.trace_text())
+    with _output(args.trace) as out:  # each trace line as it happens
+        sink = out and (lambda *record: out.write(trace_line(*record) + "\n"))
+        metrics = build_engine(cfg, trace=sink).run_until(until_us)
     report = [f"scenario={args.scenario}", f"seed={cfg.seed}",
               f"until={SECONDS.write(until_us)}"]
     report.extend(metrics.summary_lines())

@@ -159,10 +159,21 @@ class Metrics:
         return lines
 
 
-class Engine:
-    """Single-owner event loop; identical (scenario, seed) gives identical traces."""
+def trace_line(t: int, node: str, ev: str, vlan, flow, info: str) -> str:
+    """The text form of one trace record: six tab-separated key=value fields."""
+    vstr = str(vlan) if vlan is not None else "-"
+    fstr = str(flow) if flow is not None else "-"
+    return f"t={t}\tnode={node}\tev={ev}\tvlan={vstr}\tflow={fstr}\tinfo={info}"
 
-    def __init__(self, seed: int = 0, trace: bool = False):
+
+class Engine:
+    """Single-owner event loop; identical (scenario, seed) gives identical traces.
+
+    `trace` is a sink called with each record (t, node, ev, vlan, flow, info)
+    as it happens, or True to keep each record's `trace_line` in
+    `trace_lines`."""
+
+    def __init__(self, seed: int = 0, trace=False):
         self.seed = seed
         self.hash_salt = seed.to_bytes(8, "big", signed=True)
         self.now = 0
@@ -175,8 +186,12 @@ class Engine:
         # handler(kind, target, payload) by kind; others go to node.on_event
         self._handlers = {"deliver": self._deliver, "fault": self._apply_fault}
         self.metrics = Metrics()
-        self.trace_enabled = trace
         self.trace_lines: list[str] = []
+        if trace is True:
+            lines = self.trace_lines
+            trace = lambda *record: lines.append(trace_line(*record))
+        self.trace_sink = trace or None
+        self.trace_enabled = self.trace_sink is not None
 
     # -- construction ------------------------------------------------------
 
@@ -284,12 +299,8 @@ class Engine:
     # -- trace -------------------------------------------------------------
 
     def trace(self, node: str, ev: str, vlan, flow, info: str):
-        if not self.trace_enabled:
-            return
-        vstr = str(vlan) if vlan is not None else "-"
-        fstr = str(flow) if flow is not None else "-"
-        self.trace_lines.append(
-            f"t={self.now}\tnode={node}\tev={ev}\tvlan={vstr}\tflow={fstr}\tinfo={info}")
+        if self.trace_enabled:
+            self.trace_sink(self.now, node, ev, vlan, flow, info)
 
     def trace_text(self) -> str:
         return "\n".join(self.trace_lines) + ("\n" if self.trace_lines else "")

@@ -841,7 +841,8 @@ def _router(cfg: ScenarioConfig, name: str, policy=None) -> ZoneRouter:
 
 
 def build_engine(cfg: ScenarioConfig, seed: Optional[int] = None,
-                 trace: bool = False) -> Engine:
+                 trace=False) -> Engine:
+    """The engine for cfg; `trace` is as for `Engine`."""
     eng = Engine(seed=cfg.seed if seed is None else seed, trace=trace)
     policy_rules = {(a.from_zone, a.to_zone): a.verdict for a in cfg.acls}
 

@@ -7,6 +7,7 @@ import hashlib
 from dataclasses import dataclass, field
 from typing import Optional
 
+from .engine import trace_line
 from .fabric import (broadcast_delivery, build_switch_fabric, host_attachment,
                      host_vid)
 from .firewall import Firewall
@@ -182,18 +183,16 @@ def _verify_failover(cfg: ScenarioConfig, seed: int):
                     dport=5002),
     ]
     trial.faults = [FaultDecl(10_000_000, "fail_node", "fw1")]
-    eng = build_engine(trial, seed=seed, trace=True)
+    first = {}  # "path_down" / "tx" -> t of the first fw1 down / late dispatch
+
+    def watch(t, _node, ev, _vlan, _flow, info):
+        if (ev == "path_down" and info == "path=fw1" or ev == "tx"
+                and info == "dispatch path=fw1" and t > 14_000_000):
+            first.setdefault(ev, t)
+
+    eng = build_engine(trial, seed=seed, trace=watch)
     eng.run_until(22_000_000)
-    down_at = None
-    late_dispatch = None
-    for line in eng.trace_lines:
-        fields = dict(f.split("=", 1) for f in line.split("\t"))
-        t = int(fields["t"])
-        if fields["ev"] == "path_down" and "path=fw1" in fields["info"]:
-            down_at = down_at if down_at is not None else t
-        if (fields["ev"] == "tx" and "dispatch path=fw1" in fields["info"]
-                and t > 14_000_000):
-            late_dispatch = late_dispatch if late_dispatch is not None else t
+    down_at, late_dispatch = first.get("path_down"), first.get("tx")
     if down_at is None:
         return False, "fw1 was never marked down"
     if late_dispatch is not None:
@@ -209,13 +208,11 @@ def _verify_failover(cfg: ScenarioConfig, seed: int):
 # -- determinism -----------------------------------------------------------
 
 def _run_digest(cfg: ScenarioConfig, seed: int) -> str:
-    eng = build_engine(cfg, seed=seed, trace=True)
-    eng.run_until(cfg.duration_us)
-    # hashed line by line: the digest of trace_text() + summary without
-    # building that text, which is as large as the trace again
+    """sha256 of trace_text() + the summary, fed one line at a time."""
     digest = hashlib.sha256()
-    for line in eng.trace_lines:
-        digest.update(line.encode() + b"\n")
+    eng = build_engine(cfg, seed=seed, trace=lambda *record: digest.update(
+        (trace_line(*record) + "\n").encode()))
+    eng.run_until(cfg.duration_us)
     digest.update("\n".join(eng.metrics.summary_lines()).encode())
     return digest.hexdigest()
 

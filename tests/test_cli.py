@@ -1,6 +1,11 @@
+import os
+import tracemalloc
+
 import pytest
 
 from netfab.cli import main
+from netfab.scenario import build_engine, load_scenario
+from test_acceptance import FIREWALL_RIG
 
 MINI = """
 [engine]
@@ -47,6 +52,49 @@ def test_run_writes_report_and_trace(tmp_path, capsys):
     assert "frames_created=" in rep and "flow\t" in rep
     lines = trace.read_text().splitlines()
     assert lines and all(l.startswith("t=") and "\tev=" in l for l in lines)
+
+
+@pytest.mark.parametrize("name", ["spring8-legacy", "spring8-redundant",
+                                  "spring8-upgraded"])
+def test_trace_file_matches_trace_text(name, tmp_path):
+    trace = tmp_path / "t.log"
+    assert main(["run", name, "--trace", str(trace),
+                 "--report", os.devnull]) == 0
+    cfg = load_scenario(name)
+    eng = build_engine(cfg, trace=True)
+    eng.run_until(cfg.duration_us)
+    assert trace.read_bytes() == eng.trace_text().encode()
+
+
+def test_trace_to_stdout_precedes_report(tmp_path, capsys):
+    assert main(["run", write_mini(tmp_path), "--trace", "-"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    first_report = out.index(f"scenario={tmp_path / 'mini.nf'}")
+    assert first_report > 0
+    assert all(l.startswith("t=") for l in out[:first_report])
+    assert not any(l.startswith("t=") for l in out[first_report:])
+
+
+def test_traced_run_memory_is_flat(tmp_path):
+    """Tracing the criterion-4 rig to a file: the trace streams, so doubling
+    the horizon (past the first window's ramp) leaves the peak flat."""
+    rig = tmp_path / "rig.nf"
+    rig.write_text(FIREWALL_RIG.format(duration=60, total=1_000_000_000))
+
+    def peak(until: str) -> int:
+        tracemalloc.start()
+        try:
+            assert main(["run", str(rig), "--until", until, "--trace",
+                         str(tmp_path / "t.log"),
+                         "--report", os.devnull]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak("0.01")  # first-call allocations
+    short, long = peak("0.5"), peak("1")
+    assert (tmp_path / "t.log").stat().st_size > 4_000_000
+    assert long <= 1.2 * short
 
 
 def test_run_report_to_stdout(tmp_path, capsys):

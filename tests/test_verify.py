@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import affected_vlans_oracle
+from netfab import engine
 from netfab.fabric import random_topology
 from netfab.packet import ip_addr
 from netfab.scenario import (BUNDLED, FaultDecl, IfaceDecl, L3Decl, LinkDecl,
@@ -70,6 +71,18 @@ class TestFailover:
 
     def test_non_redundant_fails(self, upgraded):
         assert not verify(upgraded, "failover").passed
+
+    def test_reads_records_not_lines(self, redundant, monkeypatch):
+        """The check watches trace records as they happen; no line is
+        formatted, and the answer is the one it gave parsing lines."""
+        def no_lines(*_record):
+            raise AssertionError("a trace line was formatted")
+
+        monkeypatch.setattr(engine, "trace_line", no_lines)
+        r = verify(redundant, "failover")
+        assert r.passed
+        assert r.detail == ("switchover in 3.0s; post-failover transfer "
+                            "completed at 15.087s")
 
 
 class TestDeterminism:
