@@ -23,6 +23,7 @@ ARP_RETRY_US = 1_000_000
 BULK_WINDOW = 65_536
 BULK_SEGMENT = 1_460
 BULK_ACK_EVERY = 4
+BULK_LOSS_WINDOW = BULK_ACK_EVERY * BULK_SEGMENT  # always draws an ACK
 RTO_INITIAL_US = 1_000_000
 RTO_MIN_US = 200_000
 RTO_MAX_US = 60_000_000
@@ -86,10 +87,12 @@ class FlowStats:
 class BulkSender:
     """Sender side of one bulk flow: a byte sequence space sent go-back-N
     and one retransmission timer (RFC 6298: SRTT/RTTVAR, Karn's rule,
-    doubling backoff), in integer microseconds."""
+    doubling backoff), in integer microseconds. The window falls to
+    BULK_LOSS_WINDOW on an expiry and grows back by the bytes each new ACK
+    covers (RFC 5681 slow start, with no ssthresh)."""
 
     __slots__ = ("spec", "una", "next", "high", "timed", "srtt", "rttvar",
-                 "rto", "deadline", "armed")
+                 "rto", "deadline", "armed", "window")
 
     def __init__(self, spec: TrafficSpec):
         self.spec = spec
@@ -102,6 +105,7 @@ class BulkSender:
         self.rto = RTO_INITIAL_US
         self.deadline: Optional[int] = None  # timer expiry; None when off
         self.armed: Optional[int] = None  # time of the live "rto" event
+        self.window = BULK_WINDOW  # bytes that may be unacknowledged
 
     def measure(self, rtt: int):
         if self.srtt is None:
@@ -469,7 +473,7 @@ class HostNode(Node):
         st = self.bulk_send[fid]
         spec = st.spec
         total = spec.total_bytes
-        while st.next < total and st.next - st.una < BULK_WINDOW:
+        while st.next < total and st.next - st.una < st.window:
             seg = min(BULK_SEGMENT, total - st.next)
             pkt = Packet(src_ip=self.ip, dst_ip=spec.dst_ip, protocol="tcp",
                          src_port=spec.src_port, dst_port=spec.dst_port,
@@ -511,6 +515,7 @@ class HostNode(Node):
             return
         # expiry: back off, forget the timed segment, resend from una
         st.rto = min(2 * st.rto, RTO_MAX_US)
+        st.window = BULK_LOSS_WINDOW
         st.timed = None
         st.next = st.una
         self._bulk_pump(fid)
@@ -621,6 +626,7 @@ class HostNode(Node):
                 return
             if acked > st.una:
                 now = self.engine.now
+                st.window = min(st.window + acked - st.una, BULK_WINDOW)
                 st.una = acked
                 st.next = max(st.next, acked)
                 if st.timed is not None and acked >= st.timed[0]:

@@ -2,8 +2,9 @@ import hashlib
 
 import pytest
 
-from netfab.engine import (BulkSender, Engine, HostNode, SwitchNode,
-                           TrafficSpec, UnknownTarget, bulk_transfer_time)
+from netfab.engine import (BULK_LOSS_WINDOW, BULK_WINDOW, BulkSender, Engine,
+                           HostNode, SwitchNode, TrafficSpec, UnknownTarget,
+                           bulk_transfer_time)
 from netfab.packet import MacAddress, Packet, ip_addr, make_frame
 from netfab.scenario import FaultDecl, build_engine, load_scenario
 
@@ -303,6 +304,40 @@ class TestBulkRecovery:
         assert st.delivered_payload == total == h2.bulk_recv["b1"]["received"]
         segments = -(-total // 1460)
         assert st.delivered_packets > segments  # refused segments came again
+
+    def test_resend_after_rto_fits_a_short_bottleneck_queue(self):
+        """A 10 Mbps link with an 8-frame queue behind a 1 Gbps one. Resending
+        the whole 64 KiB window after each expiry overran the queue every
+        time: 105,120 of 150,000 bytes in 60 s, with 327 queue drops."""
+        eng = Engine()
+        sw = SwitchNode(eng, "sw")
+        for i, bw, queue in ((1, 1_000_000_000, 256), (2, 10_000_000, 8)):
+            sw.switch.configure_port(f"p{i}", "access", vid=1)
+            HostNode(eng, f"h{i}", mac(i), ip_addr(f"10.0.0.{i}"), 24)
+            eng.add_link(f"h{i}", 0, "sw", f"p{i}", bw, queue_cap=queue)
+        h1, h2 = eng.nodes["h1"], eng.nodes["h2"]
+        h1.add_generator(TrafficSpec(kind="bulk", src="h1", dst="h2",
+                                     flow_id="b1", dst_ip=h2.ip,
+                                     total_bytes=150_000, src_port=40000,
+                                     dst_port=5001))
+        eng.run_until(60_000_000)
+        st = eng.metrics.flows["b1"]
+        assert st.delivered_payload == 150_000
+        assert st.completed_at < 15_000_000
+        assert 0 < eng.metrics.drops[("sw", "queue")] < 100
+        # slow start: the window fell to 4 segments and grew back with ACKs
+        assert BULK_LOSS_WINDOW < h1.bulk_send["b1"].window <= BULK_WINDOW
+
+    def test_loss_free_window_stays_at_64k(self):
+        eng = Engine()
+        h1, h2 = lan(eng)
+        h1.add_generator(TrafficSpec(kind="bulk", src="h1", dst="h2",
+                                     flow_id="b1", dst_ip=h2.ip,
+                                     total_bytes=500_000, src_port=40000,
+                                     dst_port=5001))
+        eng.run_until(1_000_000)
+        assert eng.metrics.flows["b1"].completed_at is not None
+        assert h1.bulk_send["b1"].window == BULK_WINDOW
 
     def test_receiver_takes_only_the_next_segment(self):
         eng = Engine()
