@@ -20,6 +20,7 @@ DEFAULT_SHAPE_INTERVAL_US = 1_000
 FDB_AGE_SWEEP_US = 60_000_000
 NAT_SWEEP_US = 10_000_000
 ARP_RETRY_US = 1_000_000
+ARP_PENDING_MAX = 101  # Linux neighbour unres_qlen
 BULK_WINDOW = 65_536
 BULK_SEGMENT = 1_460
 BULK_ACK_EVERY = 4
@@ -338,7 +339,8 @@ class Node:
 class Resolver:
     """ARP for one node: learned MACs, packets held until their reply, and a
     request repeated every ARP_RETRY_US while packets wait, keyed by
-    (scope, ip). A scope is what the node sends on: a port, a VLAN or a
+    (scope, ip). At most ARP_PENDING_MAX packets wait for one MAC; a new one
+    pushes out the oldest, counted as an `arp-pending` drop. A scope is what the node sends on: a port, a VLAN or a
     firewall side. The node's `emit(scope, payload, dst_mac)` puts a frame
     on a scope and its `ip_on(scope)` is its own address there."""
 
@@ -359,7 +361,11 @@ class Resolver:
         if mac is not None:
             node.emit(scope, packet, mac)
             return
-        self.pending.setdefault(key, []).append(packet)
+        held = self.pending.setdefault(key, [])
+        if len(held) == ARP_PENDING_MAX:
+            del held[0]
+            node.engine.metrics.drop(node.name, "arp-pending")
+        held.append(packet)
         now = node.engine.now
         last = self.last_req.get(key)
         if last is None or now - last >= ARP_RETRY_US:

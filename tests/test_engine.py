@@ -2,9 +2,9 @@ import hashlib
 
 import pytest
 
-from netfab.engine import (BULK_LOSS_WINDOW, BULK_WINDOW, BulkSender, Engine,
-                           HostNode, SwitchNode, TrafficSpec, UnknownTarget,
-                           bulk_transfer_time)
+from netfab.engine import (ARP_PENDING_MAX, BULK_LOSS_WINDOW, BULK_WINDOW,
+                           BulkSender, Engine, HostNode, SwitchNode,
+                           TrafficSpec, UnknownTarget, bulk_transfer_time)
 from netfab.packet import MacAddress, Packet, ip_addr, make_frame
 from netfab.scenario import FaultDecl, build_engine, load_scenario
 
@@ -159,6 +159,29 @@ class TestEndToEnd:
         st = eng.metrics.flows["c1"]
         assert st.delivered_packets < st.offered_packets
         assert eng.metrics.dropped_total() > 0
+
+    def test_arp_pending_list_is_bounded(self):
+        """The gateway never answers: the oldest held packet makes room for
+        each new one past ARP_PENDING_MAX, as Linux's unres_qlen does."""
+        eng = Engine()
+        SwitchNode(eng, "sw").switch.configure_port("p1", "access", vid=1)
+        gw = ip_addr("10.0.0.254")
+        h1 = HostNode(eng, "h1", mac(1), ip_addr("10.0.0.1"), 24, gw_ip=gw)
+        eng.add_link("h1", 0, "sw", "p1", 100_000_000)
+        h1.add_generator(TrafficSpec(kind="cbr", src="h1", dst="remote",
+                                     flow_id="c1", dst_ip=ip_addr("10.9.0.1"),
+                                     rate_bps=1_000_000, src_port=40000,
+                                     dst_port=5001, stop_us=10_000_000))
+        eng.run_until(10_000_000)
+        held = h1.arp.pending[(0, gw)]
+        offered = eng.metrics.flows["c1"].offered_packets
+        assert len(held) == ARP_PENDING_MAX < offered
+        assert eng.metrics.drops[("h1", "arp-pending")] == offered - 101
+        oldest = held[0]
+        newest = Packet(src_ip=h1.ip, dst_ip=gw, protocol="udp")
+        h1.arp.send(0, gw, newest)
+        assert held[-1] is newest and all(p is not oldest for p in held)
+        assert len(held) == ARP_PENDING_MAX
 
     def test_frame_conservation(self):
         eng = Engine()
