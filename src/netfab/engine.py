@@ -340,9 +340,10 @@ class Resolver:
     """ARP for one node: learned MACs, packets held until their reply, and a
     request repeated every ARP_RETRY_US while packets wait, keyed by
     (scope, ip). At most ARP_PENDING_MAX packets wait for one MAC; a new one
-    pushes out the oldest, counted as an `arp-pending` drop. A scope is what the node sends on: a port, a VLAN or a
-    firewall side. The node's `emit(scope, payload, dst_mac)` puts a frame
-    on a scope and its `ip_on(scope)` is its own address there."""
+    pushes out the oldest, counted as an `arp-pending` drop. A scope is what
+    the node sends on: a port, a VLAN or a firewall side. The node's
+    `emit(scope, payload, dst_mac)` puts a frame on a scope and its
+    `ip_on(scope)` is its own address there."""
 
     # one per host in a campus scenario: no per-instance __dict__
     __slots__ = ("node", "cache", "pending", "last_req")

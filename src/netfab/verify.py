@@ -186,8 +186,8 @@ def _verify_failover(cfg: ScenarioConfig, seed: int):
     first = {}  # "path_down" / "tx" -> t of the first fw1 down / late dispatch
 
     def watch(t, _node, ev, _vlan, _flow, info):
-        if (ev == "path_down" and info == "path=fw1" or ev == "tx"
-                and info == "dispatch path=fw1" and t > 14_000_000):
+        if (ev == "path_down" and info == "path=fw1") or (
+                ev == "tx" and info == "dispatch path=fw1" and t > 14_000_000):
             first.setdefault(ev, t)
 
     eng = build_engine(trial, seed=seed, trace=watch)
