@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 import heapq
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -70,7 +70,6 @@ class Link:
     queue_cap: int = DEFAULT_LINK_QUEUE
     busy_until: list = field(default_factory=lambda: [0, 0])
     pending: list = field(default_factory=lambda: [0, 0])
-    bytes_dir: list = field(default_factory=lambda: [0, 0])
 
 
 @dataclass
@@ -81,7 +80,6 @@ class FlowStats:
     delivered_packets: int = 0
     delivered_bytes: int = 0
     delivered_payload: int = 0
-    first_tx: Optional[int] = None
     completed_at: Optional[int] = None
 
 
@@ -122,7 +120,7 @@ class Metrics:
     def __init__(self):
         self.flows: dict[str, FlowStats] = {}
         self.drops: Counter = Counter()
-        self.fw_window: dict[str, Counter] = defaultdict(Counter)
+        self.fw_bytes: Counter = Counter()  # forwarded, by firewall
         self.unavailable = 0
         self.frames_created = 0
         self.frames_consumed = 0
@@ -153,8 +151,8 @@ class Metrics:
         ]
         for (node, reason), n in sorted(self.drops.items()):
             lines.append(f"drop.{node}.{reason}={n}")
-        for fw in sorted(self.fw_window):
-            lines.append(f"fw_forwarded_bytes.{fw}={sum(self.fw_window[fw].values())}")
+        for fw, n in sorted(self.fw_bytes.items()):
+            lines.append(f"fw_forwarded_bytes.{fw}={n}")
         lines.append("flow\toffered_B\tdelivered_B\tpayload_B\tcompleted_s")
         for fid in sorted(self.flows):
             st = self.flows[fid]
@@ -264,7 +262,15 @@ class Engine:
     def _apply_fault(self, _kind, target: str, action: str):
         self.trace(target, "fault", None, None, action)
         if target in self.links:
-            self.links[target].up = action == "recover"
+            link = self.links[target]
+            link.up = action == "recover"
+            # a LAG member leaves its bundle while its link is down (IEEE
+            # 802.1AX); a plain switch port stays up and drops as link-down
+            for name, port in (link.a, link.b):
+                node = self.nodes[name]
+                cfg = node.switch.ports.get(port) if node.kind == "switch" else None
+                if cfg is not None and cfg.lag_group is not None:
+                    node.switch.set_port_up(port, link.up)
             return
         node = self.nodes[target]
         if action == "recover":
@@ -293,7 +299,6 @@ class Engine:
         start = max(self.now, busy[direction])
         busy[direction] = done = start + size * 8_000_000 // link.bandwidth_bps
         pending[direction] += 1
-        link.bytes_dir[direction] += size
         self.metrics.frames_created += 1
         self.schedule(done + link.prop_us, "deliver", far_node.name,
                       (end, frame))
@@ -391,16 +396,17 @@ class Resolver:
 class SwitchNode(Node):
     kind = "switch"
 
-    def __init__(self, engine: Engine, name: str, fdb_aging_us=None):
+    def __init__(self, engine: Engine, name: str):
         super().__init__(engine, name)
-        kwargs = {"hash_salt": engine.hash_salt}
-        if fdb_aging_us is not None:
-            kwargs["fdb_aging_us"] = fdb_aging_us
-        self.switch = Switch(name, **kwargs)
+        self.switch = Switch(name, hash_salt=engine.hash_salt)
         engine.schedule(FDB_AGE_SWEEP_US, "age_tick", name)
 
     def on_frame(self, port, frame: Frame):
-        for out_port, out_frame in self.switch.ingress(port, frame, self.engine.now):
+        out = self.switch.ingress(port, frame, self.engine.now)
+        if out is None:
+            self.engine.metrics.drop(self.name, "vlan")
+            return
+        for out_port, out_frame in out:
             self.engine.send(self.name, out_port, out_frame)
 
     def on_event(self, kind: str, payload):
@@ -540,8 +546,6 @@ class HostNode(Node):
             st.offered_packets += 1
             st.offered_bytes += packet.size
             st.offered_payload += packet.payload_bytes
-            if st.first_tx is None:
-                st.first_tx = self.engine.now
             if self.engine.trace_enabled:
                 self.engine.trace(self.name, "tx", None, flow_key(packet),
                                   f"kind={packet.meta[0]}")
@@ -756,18 +760,14 @@ class FirewallNode(Node):
 
     def __init__(self, engine: Engine, name: str, mac: MacAddress,
                  fw: Firewall, inside: FirewallSide, outside: FirewallSide,
-                 cap_bps: int, queue_frames: int = 256,
-                 shape_interval_us: int = DEFAULT_SHAPE_INTERVAL_US,
-                 enforce_zones: bool = True):
+                 cap_bps: int, enforce_zones: bool = True):
         super().__init__(engine, name)
         self.mac = mac
         self.fw = fw
         self.sides = {"inside": inside, "outside": outside}
-        self.cap_bps = cap_bps
-        self.shape_interval_us = shape_interval_us
         self.enforce_zones = enforce_zones
         self.policy = ZonePolicy()
-        self.shapers = {s: Shaper(cap_bps, queue_frames) for s in self.sides}
+        self.shapers = {s: Shaper(cap_bps) for s in self.sides}
         self.tick_scheduled = {s: False for s in self.sides}
         self.next_hops = {s: self._next_hop_table(cfg)
                           for s, cfg in self.sides.items()}
@@ -797,7 +797,7 @@ class FirewallNode(Node):
             self.tick_scheduled[side] = False
             if self.failed:
                 return
-            released = self.shapers[side].shape(now, self.shape_interval_us)
+            released = self.shapers[side].shape(now, DEFAULT_SHAPE_INTERVAL_US)
             for pkt, mac_hint in released:
                 self._emit_packet(side, pkt, mac_hint)
             if self.shapers[side].queue:
@@ -807,7 +807,7 @@ class FirewallNode(Node):
         if self.tick_scheduled[side]:
             return
         self.tick_scheduled[side] = True
-        interval = self.shape_interval_us
+        interval = DEFAULT_SHAPE_INTERVAL_US
         next_at = (self.engine.now // interval + 1) * interval
         self.engine.schedule(next_at, "shape_tick", self.name, side)
 
@@ -818,7 +818,7 @@ class FirewallNode(Node):
         self._schedule_tick(out_side)
 
     def _emit_packet(self, out_side: str, pkt: Packet, mac_hint):
-        self.engine.metrics.fw_window[self.name][self.engine.now // 1_000_000] += pkt.size
+        self.engine.metrics.fw_bytes[self.name] += pkt.size
         if mac_hint is not None:
             self.emit(out_side, pkt, mac_hint)
             return

@@ -48,7 +48,7 @@ def propagate(switches: dict, peer: dict, ingress: tuple,
     queue = [(ingress[0], ingress[1], frame)]
     while queue:
         node, port, fr = queue.pop()
-        for out_port, out_frame in switches[node].ingress(port, fr, 0):
+        for out_port, out_frame in switches[node].ingress(port, fr, 0) or ():
             other = peer.get((node, out_port))
             if other is None:
                 continue

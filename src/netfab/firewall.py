@@ -202,12 +202,10 @@ class Shaper:
         self.queue_frames = queue_frames
         self.queue: deque = deque()
         self.carry_bytes = 0.0
-        self.drops = 0
 
     def offer(self, size: int, item) -> bool:
         """Queue an item; False when the queue is full (newest arrival dropped)."""
         if len(self.queue) >= self.queue_frames:
-            self.drops += 1
             return False
         self.queue.append((size, item))
         return True

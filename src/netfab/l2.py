@@ -92,7 +92,6 @@ class Switch:
         self.fdb: dict[tuple, FdbEntry] = {}
         self.fdb_aging_us = fdb_aging_us
         self.hash_salt = hash_salt
-        self.counters: dict[int, dict[str, int]] = {}
         self._egress: dict[tuple, Optional[tuple]] = {}  # by (port, vid)
         self._plans: dict[tuple, tuple] = {}  # (ingress, vid) -> egresses
         self._lag_memo: dict[tuple, int] = {}  # (live, flow key) -> member
@@ -104,10 +103,6 @@ class Switch:
         cfg = PortConfig(port_id=port_id, mode=mode, vid=vid,
                          allowed=frozenset(allowed), lag_group=lag_group)
         self.ports[port_id] = cfg
-        if port_id not in self.counters:
-            self.counters[port_id] = {"rx_frames": 0, "rx_bytes": 0,
-                                      "tx_frames": 0, "tx_bytes": 0,
-                                      "drop_frames": 0, "drop_bytes": 0}
         self._forget_tables()
         # purge learned entries for VLANs this port no longer carries
         stale = [k for k, e in self.fdb.items()
@@ -127,8 +122,10 @@ class Switch:
         self._plans.clear()
         self._lag_memo.clear()
 
-    def ingress(self, port_id: int, frame: Frame, now: int) -> list[tuple[int, Frame]]:
-        """Process an arriving frame; returns (egress port, frame) emissions.
+    def ingress(self, port_id: int, frame: Frame,
+                now: int) -> Optional[list[tuple[int, Frame]]]:
+        """Process an arriving frame; returns (egress port, frame) emissions,
+        or None when the port refuses it: down, or not carrying its VID.
 
         A frame that arrives tagged with pcp 0 leaves trunks as the same
         object; the untagged copy is made once, when an access port needs it.
@@ -136,10 +133,7 @@ class Switch:
         port = self.ports.get(port_id)
         if port is None:
             raise UnknownPort(f"{self.name} has no port {port_id}")
-        c = self.counters[port_id]
         size = frame.size_bytes
-        c["rx_frames"] += 1
-        c["rx_bytes"] += size
         # VLAN classification: a trunk has no vid, an access port no allowed
         tag = frame.tag
         if tag is None:
@@ -149,9 +143,7 @@ class Switch:
             untagged, tagged = None, (frame if tag.pcp == 0 else None)
             size -= 4
         if vid is None or not port.up:
-            c["drop_frames"] += 1
-            c["drop_bytes"] += frame.size_bytes
-            return []
+            return None
 
         # learning
         src = frame.src
@@ -178,15 +170,11 @@ class Switch:
             if self.ports[t].mode == "trunk":
                 if tagged is None:
                     tagged = frame_copy(frame, size + 4, vlan_tag(vid))
-                emitted = tagged
+                out.append((t, tagged))
             else:
                 if untagged is None:
                     untagged = frame_copy(frame, size, None)
-                emitted = untagged
-            tc = self.counters[t]
-            tc["tx_frames"] += 1
-            tc["tx_bytes"] += emitted.size_bytes
-            out.append((t, emitted))
+                out.append((t, untagged))
         return out
 
     def _egress_of(self, port_id: int, vid: int) -> Optional[tuple]:

@@ -130,7 +130,6 @@ class ZoneRouter:
         self.routes = PrefixTable()  # connected, then static Routes
         self.policy = policy or ZonePolicy()
         self.conn = ConnTable(conn_timeout_us)
-        self.drop_counts: dict[str, int] = {"no-route": 0, "acl": 0, "ttl": 0}
 
     def add_interface(self, vid: int, ip: int, prefix_len: int, zone: str,
                       port: Optional[str] = None) -> VlanInterface:
@@ -193,17 +192,14 @@ class ZoneRouter:
             raise UnknownVid(f"no interface for ingress vid {ingress_vid}")
         route = self.route_lookup(packet.dst_ip)
         if route is None:
-            self.drop_counts["no-route"] += 1
             return ("drop", "no-route")
         egress_vid, next_hop = self.resolve_egress(route)
         zf = self.interfaces[ingress_vid].zone
         zt = self.interfaces[egress_vid].zone
         key = flow_key(packet)
         if self.policy.verdict(zf, zt) == "deny-new" and not self.conn.established(key, now):
-            self.drop_counts["acl"] += 1
             return ("drop", "acl")
         if packet.ttl <= 1:
-            self.drop_counts["ttl"] += 1
             return ("drop", "ttl")
         self.conn.note(key, now)
         out = Packet(packet.src_ip, packet.dst_ip, packet.protocol,

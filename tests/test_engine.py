@@ -5,8 +5,9 @@ import pytest
 from netfab.engine import (ARP_PENDING_MAX, BULK_LOSS_WINDOW, BULK_WINDOW,
                            BulkSender, Engine, HostNode, SwitchNode,
                            TrafficSpec, UnknownTarget, bulk_transfer_time)
-from netfab.packet import MacAddress, Packet, ip_addr, make_frame
-from netfab.scenario import FaultDecl, build_engine, load_scenario
+from netfab.packet import MacAddress, Packet, ip_addr, make_frame, push_tag
+from netfab.scenario import (FaultDecl, TrafficDecl, build_engine,
+                             load_scenario, parse_scenario)
 
 
 def mac(i):
@@ -239,6 +240,104 @@ class TestFaults:
         eng.inject_fault(1_200_000, "recover", "h1")
         eng.run_until(2_000_000)
         assert not h1.arp.cache
+
+
+    @pytest.mark.parametrize("member", ["agg1:up1-bb:a1x",
+                                        "agg1:up2-bb:a1y"])
+    def test_failed_lag_member_leaves_its_bundle(self, member):
+        """spring8-redundant with one agg1-bb LAG member failed at 0.5 s.
+        While the dead member kept its place in the bundle's hashing and
+        flood plan, every one of these flows and `daq` stalled."""
+        cfg = load_scenario("spring8-redundant")
+        cfg.faults += [FaultDecl(500_000, "fail_link", member),
+                       FaultDecl(3_500_000, "recover", member)]
+        for i in range(8):
+            cfg.traffic.append(TrafficDecl(
+                "bulk", f"bl{i // 2 + 1:02d}h{i % 2 + 2}", f"n{i}",
+                dst=f"ext{i % 2 + 1}", start_us=1_000_000, total=200_000,
+                sport=40_000 + i, dport=5001))
+        eng = build_engine(cfg)
+        eng.run_until(3_000_000)
+        flows = eng.metrics.flows
+        assert len(flows) == 10
+        assert [f for f, st in flows.items() if st.completed_at is None] == []
+        assert not any(r == "link-down" for _, r in eng.metrics.drops)
+        ends = [eng.nodes[n].switch.ports[p] for n, p in (eng.links[member].a,
+                                                           eng.links[member].b)]
+        assert not any(port.up for port in ends)
+        eng.run_until(4_000_000)
+        assert all(port.up for port in ends)
+
+
+# the criterion-3 NAT firewall rig at a 10 Mbps cap, fed 50 Mbps for 0.5 s
+SHAPER_RIG = """
+[engine]
+seed=1 duration=2
+
+[vlan]
+vid=10 name=dmz subnet=10.0.0.0/24
+vid=20 name=public subnet=198.18.0.0/24
+
+[switch]
+name=si ports=h:access:10,f:access:10
+name=so ports=h:access:20,f:access:20
+
+[firewall]
+name=fw inside=routed:10.0.0.1/24:dmz outside=routed:198.18.0.1/24:public cap=10000000 nat_capacity=1024 zones=on
+
+[masquerade]
+node=fw network=0.0.0.0/0 external=198.18.0.61
+
+[host]
+name=h1 ip=10.0.0.9/24 gw=10.0.0.1 vlan=10
+name=h2 ip=198.18.0.9/24 gw=198.18.0.1 vlan=20
+
+[link]
+a=h1:0 b=si:h bw=1000000000
+a=si:f b=fw:inside bw=1000000000
+a=h2:0 b=so:h bw=1000000000
+a=so:f b=fw:outside bw=1000000000
+
+[traffic]
+kind=cbr src=h1 dst=h2 flow=c1 rate=50000000 stop=0.5 sport=40000 dport=5001
+"""
+
+
+class TestDropCounts:
+    """Each dropped frame or packet is counted once, in `Metrics.drops`."""
+
+    def test_untagged_frame_on_a_trunk_is_a_vlan_drop(self):
+        eng = Engine()
+        sw = SwitchNode(eng, "sw")
+        sw.switch.configure_port("t", "trunk", allowed={10})
+        sw.switch.configure_port("p", "access", vid=10)
+        HostNode(eng, "h1", mac(1), ip_addr("10.0.0.1"), 24)
+        HostNode(eng, "h2", mac(2), ip_addr("10.0.0.2"), 24)
+        eng.add_link("h1", 0, "sw", "t", 100_000_000)
+        eng.add_link("h2", 0, "sw", "p", 100_000_000)
+        for _ in range(3):
+            eng.send("h1", 0, big_frame())  # untagged: the trunk refuses it
+        eng.send("h1", 0, push_tag(big_frame(), 10))  # carried to h2
+        eng.run_until(1_000_000)
+        m = eng.metrics
+        assert m.drops[("sw", "vlan")] == 3 == m.dropped_total()
+        assert m.frames_created == m.frames_consumed == 5
+
+    def test_shaper_overflow_is_one_queue_drop(self):
+        cfg = parse_scenario(SHAPER_RIG)
+        eng = build_engine(cfg)
+        refused = []
+        for shaper in eng.nodes["fw"].shapers.values():
+            def offer(size, item, offer=shaper.offer):
+                taken = offer(size, item)
+                refused.append(not taken)
+                return taken
+            shaper.offer = offer
+        eng.run_until(cfg.duration_us)
+        m, st = eng.metrics, eng.metrics.flows["c1"]
+        assert sum(refused) > 0
+        assert m.drops == {("fw", "queue"): sum(refused)}
+        assert st.offered_packets == st.delivered_packets + sum(refused)
 
 
 class TestDeterminism:

@@ -84,7 +84,6 @@ class TestZonePolicy:
         r = make_router()
         res = r.forward(pkt("192.0.2.50", "10.0.10.5"), ingress_vid=20, now=0)
         assert res == ("drop", "acl")
-        assert r.drop_counts["acl"] == 1
 
     def test_established_reply_permitted(self):
         r = make_router()
