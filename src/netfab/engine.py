@@ -186,8 +186,6 @@ class Engine:
         self.links: dict[str, Link] = {}
         self.link_at: dict[tuple, Link] = {}
         self._ends: dict[tuple, tuple] = {}  # -> link, direction, far node, port
-        # handler(kind, target, payload) by kind; others go to node.on_event
-        self._handlers = {"deliver": self._deliver, "fault": self._apply_fault}
         self.metrics = Metrics()
         self.trace_lines: list[str] = []
         if trace is True:
@@ -233,33 +231,31 @@ class Engine:
     def run_until(self, t_end_us: int) -> Metrics:
         if t_end_us < self.now:
             raise ValueError("cannot run backwards")
-        heap, pop = self._heap, heapq.heappop
-        handlers, on_event = self._handlers, self._node_event
+        heap, pop, metrics = self._heap, heapq.heappop, self.metrics
         while heap and heap[0][0] <= t_end_us:
             at, _seq, kind, target, payload = pop(heap)
             self.now = at
-            handlers.get(kind, on_event)(kind, target, payload)
+            if kind == "deliver":  # a frame reaches the far end of its link
+                (link, direction, node, port), frame = payload
+                link.pending[direction] -= 1
+                metrics.frames_consumed += 1
+                if not link.up:
+                    metrics.drop(link.link_id, "link-down")
+                elif node.failed:
+                    metrics.drop(target, "fault")
+                    self.trace(target, "drop", None, None, "node failed")
+                else:
+                    node.on_frame(port, frame)
+            elif kind == "fault":
+                self._apply_fault(target, payload)
+            else:
+                node = self.nodes.get(target)
+                if node is not None and not (kind == "traffic" and node.failed):
+                    node.on_event(kind, payload)
         self.now = t_end_us
-        return self.metrics
+        return metrics
 
-    def _deliver(self, _kind, target: str, payload):
-        (link, direction, node, port), frame = payload
-        link.pending[direction] -= 1
-        self.metrics.frames_consumed += 1
-        if not link.up:
-            self.metrics.drop(link.link_id, "link-down")
-        elif node.failed:
-            self.metrics.drop(target, "fault")
-            self.trace(target, "drop", None, None, "node failed")
-        else:
-            node.on_frame(port, frame)
-
-    def _node_event(self, kind: str, target: str, payload):
-        node = self.nodes.get(target)
-        if node is not None and not (kind == "traffic" and node.failed):
-            node.on_event(kind, payload)
-
-    def _apply_fault(self, _kind, target: str, action: str):
+    def _apply_fault(self, target: str, action: str):
         self.trace(target, "fault", None, None, action)
         if target in self.links:
             link = self.links[target]
@@ -296,7 +292,7 @@ class Engine:
             return
         size = frame.size_bytes
         busy = link.busy_until
-        start = max(self.now, busy[direction])
+        start = self.now if self.now > busy[direction] else busy[direction]
         busy[direction] = done = start + size * 8_000_000 // link.bandwidth_bps
         pending[direction] += 1
         self.metrics.frames_created += 1
@@ -760,13 +756,14 @@ class FirewallNode(Node):
 
     def __init__(self, engine: Engine, name: str, mac: MacAddress,
                  fw: Firewall, inside: FirewallSide, outside: FirewallSide,
-                 cap_bps: int, enforce_zones: bool = True):
+                 cap_bps: int, enforce_zones: bool = True,
+                 policy: Optional[ZonePolicy] = None):
         super().__init__(engine, name)
         self.mac = mac
         self.fw = fw
         self.sides = {"inside": inside, "outside": outside}
         self.enforce_zones = enforce_zones
-        self.policy = ZonePolicy()
+        self.policy = policy or ZonePolicy()
         self.shapers = {s: Shaper(cap_bps) for s in self.sides}
         self.tick_scheduled = {s: False for s in self.sides}
         self.next_hops = {s: self._next_hop_table(cfg)

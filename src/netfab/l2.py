@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .packet import (Frame, FlowKey, InvalidVid, check_vid, frame_copy,
@@ -145,13 +145,18 @@ class Switch:
         if vid is None or not port.up:
             return None
 
-        # learning
+        # learning: a known station's entry is refreshed in place
+        fdb = self.fdb
         src = frame.src
         if not src.is_multicast:
-            self.fdb[(vid, src)] = FdbEntry(vid, src, port_id, now)
+            known = fdb.get((vid, src))
+            if known is None:
+                fdb[(vid, src)] = FdbEntry(vid, src, port_id, now)
+            else:
+                known.port, known.last_seen = port_id, now
 
         # forwarding decision
-        entry = None if frame.dst.is_multicast else self.fdb.get((vid, frame.dst))
+        entry = None if frame.dst.is_multicast else fdb.get((vid, frame.dst))
         if entry is None:
             egresses = self._flood_targets(port_id, vid)
         elif entry.port == port_id:

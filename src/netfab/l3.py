@@ -1,11 +1,11 @@
 """Layer-3 switch: VLAN interfaces, longest-prefix routing, zone ACLs, conntrack."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .packet import (FlowKey, Packet, PrefixTable, check_vid, flow_key,
-                     ip_str, prefix_mask)
+                     ip_str, packet_copy, prefix_mask)
 
 ZONES = ("clean", "dmz", "public")
 VERDICTS = ("permit", "deny-new")
@@ -202,10 +202,8 @@ class ZoneRouter:
         if packet.ttl <= 1:
             return ("drop", "ttl")
         self.conn.note(key, now)
-        out = Packet(packet.src_ip, packet.dst_ip, packet.protocol,
-                     packet.src_port, packet.dst_port, packet.payload_bytes,
-                     packet.ttl - 1, packet.meta)
-        return ("forward", egress_vid, next_hop, out)
+        return ("forward", egress_vid, next_hop,
+                packet_copy(packet, packet.ttl - 1))
 
     def reset_dynamic(self):
         self.conn.entries.clear()

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import functools
 import ipaddress
+import weakref
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Union
 
@@ -97,13 +98,26 @@ class PrefixTable:
         return None
 
 
-@dataclass(frozen=True, slots=True)
 class MacAddress:
-    octets: bytes
+    """A 48-bit MAC address, interned: there is one object per address, held
+    in a weak-valued table, so equality and hashing are identity and no
+    Python-level __eq__ or __hash__ runs on a forwarding-table probe."""
 
-    def __post_init__(self):
-        if len(self.octets) != 6:
-            raise ValueError("MAC address needs exactly 6 octets")
+    __slots__ = ("octets", "is_broadcast", "is_multicast", "__weakref__")
+    _interned = weakref.WeakValueDictionary()  # octets -> MacAddress
+
+    def __new__(cls, octets: bytes):
+        mac = cls._interned.get(octets)
+        if mac is None:
+            if len(octets) != 6:
+                raise ValueError("MAC address needs exactly 6 octets")
+            mac = object.__new__(cls)
+            init = object.__setattr__
+            init(mac, "octets", octets)
+            init(mac, "is_broadcast", octets == b"\xff" * 6)
+            init(mac, "is_multicast", bool(octets[0] & 1))
+            cls._interned[octets] = mac
+        return mac
 
     @classmethod
     def parse(cls, text: str) -> "MacAddress":
@@ -112,13 +126,16 @@ class MacAddress:
             raise ValueError(f"bad MAC address {text!r}")
         return cls(bytes(int(p, 16) for p in parts))
 
-    @property
-    def is_broadcast(self) -> bool:
-        return self.octets == b"\xff" * 6
+    def __setattr__(self, name, _value=None):
+        raise AttributeError(f"MacAddress is immutable: cannot change {name!r}")
 
-    @property
-    def is_multicast(self) -> bool:
-        return bool(self.octets[0] & 1)
+    __delattr__ = __setattr__
+
+    def __reduce__(self):  # copy and pickle give back the interned object
+        return MacAddress, (self.octets,)
+
+    def __repr__(self) -> str:
+        return f"MacAddress(octets={self.octets!r})"
 
     def __str__(self) -> str:
         return ":".join(f"{b:02x}" for b in self.octets)
@@ -200,7 +217,7 @@ Payload = Union[Packet, Arp, int]
 
 def payload_size(payload: Payload) -> int:
     if isinstance(payload, Packet):
-        return payload.size
+        return payload.payload_bytes + IP_HEADER_BYTES
     if isinstance(payload, Arp):
         return 28
     return int(payload)
@@ -227,6 +244,17 @@ def vlan_tag(vid: int) -> VlanTag:
     return VlanTag(vid)
 
 
+def packet_copy(packet: Packet, ttl: int) -> Packet:
+    """packet with another ttl, for routing: no checks, as ttl has none."""
+    out = object.__new__(Packet)
+    out.src_ip, out.dst_ip, out.protocol = (
+        packet.src_ip, packet.dst_ip, packet.protocol)
+    out.src_port, out.dst_port, out.payload_bytes = (
+        packet.src_port, packet.dst_port, packet.payload_bytes)
+    out.ttl, out.meta = ttl, packet.meta
+    return out
+
+
 def frame_copy(frame: Frame, size_bytes: int, tag: Optional[VlanTag]) -> Frame:
     """push_tag or pop_tag for the forwarding path: no checks."""
     out = object.__new__(Frame)
@@ -237,10 +265,20 @@ def frame_copy(frame: Frame, size_bytes: int, tag: Optional[VlanTag]) -> Frame:
 
 def make_frame(src: MacAddress, dst: MacAddress, payload: Payload,
                tag: Optional[VlanTag] = None) -> Frame:
-    size = max(MIN_FRAME, payload_size(payload) + ETH_OVERHEAD)
+    """A new frame for payload: Frame's size check without its __init__."""
+    size = payload_size(payload) + ETH_OVERHEAD
+    if size < MIN_FRAME:
+        size = MIN_FRAME
+    limit = MAX_UNTAGGED
     if tag is not None:
         size += 4
-    return Frame(src, dst, payload, size, tag)
+        limit = MAX_TAGGED
+    if size > limit:
+        raise ValueError(f"frame size {size} outside [{MIN_FRAME}, {limit}]")
+    out = object.__new__(Frame)
+    out.src, out.dst, out.payload, out.size_bytes, out.tag = (
+        src, dst, payload, size, tag)
+    return out
 
 
 def push_tag(frame: Frame, vid: int, pcp: int = 0) -> Frame:
@@ -266,8 +304,9 @@ def classify_dst(frame: Frame) -> str:
 
 
 def flow_key(packet: Packet) -> FlowKey:
-    return FlowKey(packet.src_ip, packet.dst_ip, packet.protocol,
-                   packet.src_port, packet.dst_port)
+    return tuple.__new__(FlowKey, (  # skips the namedtuple's Python __new__
+        packet.src_ip, packet.dst_ip, packet.protocol, packet.src_port,
+        packet.dst_port))
 
 
 def frame_flow_key(frame: Frame) -> FlowKey:

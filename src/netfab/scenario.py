@@ -871,10 +871,9 @@ def build_engine(cfg: ScenarioConfig, seed: Optional[int] = None,
                 zone=s.zone, gw_ip=s.gw,
                 peer_mac=node_mac(s.peer) if s.peer is not None else None,
                 routes=list(s.routes))
-        node = FirewallNode(eng, name, node_mac(name), fw, sides["inside"],
-                            sides["outside"], decl.cap_bps,
-                            enforce_zones=decl.zones)
-        node.policy = ZonePolicy(policy_rules)
+        FirewallNode(eng, name, node_mac(name), fw, sides["inside"],
+                     sides["outside"], decl.cap_bps, enforce_zones=decl.zones,
+                     policy=ZonePolicy(policy_rules))
 
     for name, decl in sorted(cfg.balancers.items()):
         lb = LoadBalancer(name, list(decl.paths), hash_salt=eng.hash_salt)
@@ -993,11 +992,6 @@ def _populate_edge(cfg: ScenarioConfig, host_bw: int, flat: bool, gw_for,
                 pn += 1
         cfg.switches[sw] = SwitchDecl(sw, ports)
     return b_by_switch
-
-
-def _agg_for_switch(sw: str) -> str:
-    idx = int(sw[2:])
-    return f"agg{(idx - 1) // 8 + 1}"
 
 
 def build_spring8_legacy() -> ScenarioConfig:

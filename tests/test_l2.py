@@ -271,3 +271,28 @@ def test_switch_matches_reference(data):
             for s in (sw, ref):
                 s.age_fdb(now)
         assert sw.fdb == ref.fdb
+
+
+class TestFdbRefresh:
+    def test_station_seen_again_keeps_one_entry(self):
+        sw = build_switch([(1, "access", 10), (2, "access", 10)])
+        sw.ingress(1, uni_frame(1, 2), now=0)
+        sw.ingress(1, uni_frame(1, 2), now=200_000_000)
+        assert list(sw.fdb) == [(10, mac(1))]
+        entry = sw.fdb[(10, mac(1))]
+        assert (entry.port, entry.last_seen) == (1, 200_000_000)
+        sw.age_fdb(now=500_000_000)  # 300 s after the last frame
+        assert (10, mac(1)) in sw.fdb
+        sw.age_fdb(now=500_000_001)
+        assert sw.fdb == {}
+
+    def test_moved_station_relearned_on_new_port(self):
+        sw = build_switch([(1, "access", 10), (2, "access", 10),
+                           (3, "access", 10)])
+        sw.ingress(1, uni_frame(1, 2), now=0)
+        sw.ingress(2, uni_frame(1, 2), now=5)
+        assert list(sw.fdb) == [(10, mac(1))]
+        entry = sw.fdb[(10, mac(1))]
+        assert (entry.port, entry.last_seen) == (2, 5)
+        out = sw.ingress(3, uni_frame(3, 1), now=6)
+        assert [p for p, _ in out] == [2]

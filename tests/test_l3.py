@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import pytest
@@ -156,3 +157,17 @@ def test_route_prefix_with_host_bits_matches():
     r.add_interface(1, ip_addr("172.16.0.1"), 30, "dmz")
     route = r.add_route(ip_addr("10.1.2.3"), 16, gateway=ip_addr("172.16.0.2"))
     assert r.route_lookup(ip_addr("10.1.9.9")) == route
+
+
+def test_forward_copies_packet_with_ttl_one_less():
+    r = make_router()
+    p = Packet(src_ip=ip_addr("10.0.30.5"), dst_ip=ip_addr("10.0.10.5"),
+               protocol="udp", src_port=5000, dst_port=53, payload_bytes=100,
+               ttl=9, meta=("cbr", "f1"))
+    before = dataclasses.replace(p)
+    verdict, vid, next_hop, out = r.forward(p, ingress_vid=30, now=0)
+    assert (verdict, vid, next_hop) == ("forward", 10, None)
+    assert out is not p
+    assert out == dataclasses.replace(p, ttl=8)
+    assert hash(out) == hash(dataclasses.replace(p, ttl=8))
+    assert p == before and p.ttl == 9

@@ -1,10 +1,15 @@
+import copy
+import gc
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
-from netfab.packet import (AlreadyTagged, BROADCAST, Frame, InvalidVid,
+from netfab.packet import (AlreadyTagged, Arp, BROADCAST, Frame, InvalidVid,
                            MacAddress, NotTagged, Packet, PrefixTable,
-                           classify_dst, flow_key, in_network, ip_addr, ip_str,
-                           make_frame, pop_tag, prefix_mask, push_tag)
+                           VlanTag, classify_dst, flow_key, in_network,
+                           ip_addr, ip_str, make_frame, pop_tag, prefix_mask,
+                           push_tag)
 
 
 def mac(text):
@@ -149,3 +154,86 @@ def test_prefix_table_matches_linear_scan(entries, probes):
                 best = i
         assert table.lookup(addr) == best
 
+
+
+class TestMacAddressValue:
+    def test_equal_octets_are_one_object(self):
+        a = MacAddress(bytes([0x00, 0x10, 0x4b, 0x12, 0x34, 0x56]))
+        b = MacAddress(bytes([0x00, 0x10, 0x4b, 0x12, 0x34, 0x56]))
+        assert a is b
+        assert a == b and hash(a) == hash(b)
+        assert a != MacAddress(bytes([0x00, 0x10, 0x4b, 0x12, 0x34, 0x57]))
+
+    def test_copies_are_the_interned_object(self):
+        m = mac("00:10:4b:aa:bb:cc")
+        assert copy.copy(m) is m
+        assert copy.deepcopy(m) is m
+        assert copy.deepcopy({"k": [m]})["k"][0] is m
+        assert pickle.loads(pickle.dumps(m)) is m
+
+    def test_immutable(self):
+        m = mac("00:10:4b:aa:bb:cc")
+        with pytest.raises(AttributeError):
+            m.octets = b"\x00" * 6
+        with pytest.raises(AttributeError):
+            m.is_broadcast = True
+        assert m.octets == bytes([0x00, 0x10, 0x4b, 0xaa, 0xbb, 0xcc])
+
+    @pytest.mark.parametrize("n", [0, 5, 7])
+    def test_length_other_than_six_rejected(self, n):
+        with pytest.raises(ValueError):
+            MacAddress(bytes(n))
+
+    def test_parse_str_round_trip(self):
+        m = MacAddress(bytes([0x02, 0xab, 0x00, 0x01, 0xfe, 0xff]))
+        assert str(m) == "02:ab:00:01:fe:ff"
+        assert MacAddress.parse(str(m)) is m
+
+    def test_flags(self):
+        assert BROADCAST.is_broadcast and BROADCAST.is_multicast
+        assert mac("01:00:5e:00:00:01").is_multicast
+        assert not mac("01:00:5e:00:00:01").is_broadcast
+        assert not mac("00:10:4b:00:00:01").is_multicast
+
+    def test_unreferenced_address_leaves_the_table(self):
+        octets = bytes([0x00, 0x10, 0x4b, 0xde, 0xad, 0x01])
+        m = MacAddress(octets)
+        assert MacAddress._interned.get(octets) is m
+        del m
+        gc.collect()
+        assert octets not in MacAddress._interned
+
+
+class TestLeanConstructors:
+    src, dst = mac("00:10:4b:00:00:01"), mac("00:10:4b:00:00:02")
+
+    def test_make_frame_untagged_limit(self):
+        assert make_frame(self.src, self.dst, 1500).size_bytes == 1518
+        with pytest.raises(ValueError):
+            make_frame(self.src, self.dst, 1501)
+
+    def test_make_frame_tagged_limit(self):
+        tag = VlanTag(10)
+        assert make_frame(self.src, self.dst, 1500, tag).size_bytes == 1522
+        for payload in (1501, 1505):
+            with pytest.raises(ValueError):
+                make_frame(self.src, self.dst, payload, tag)
+
+    def test_make_frame_minimum(self):
+        assert make_frame(self.src, self.dst, 0).size_bytes == 64
+        assert make_frame(self.src, self.dst, 0, VlanTag(10)).size_bytes == 68
+        arp = Arp("request", 1, self.src, 2)
+        assert make_frame(self.src, BROADCAST, arp).size_bytes == 64
+
+    @given(st.integers(0, 1500), st.booleans())
+    def test_make_frame_equals_checked_frame(self, n, tagged):
+        tag = VlanTag(7) if tagged else None
+        p = Packet(src_ip=1, dst_ip=2, protocol="udp", src_port=5,
+                   dst_port=6, payload_bytes=max(0, n - 40))
+        for payload, payload_bytes in ((n, n), (p, p.size)):
+            size = max(64, payload_bytes + 18) + (4 if tagged else 0)
+            if size > (1522 if tagged else 1518):
+                continue
+            got = make_frame(self.src, self.dst, payload, tag)
+            want = Frame(self.src, self.dst, payload, size, tag)
+            assert got == want and hash(got) == hash(want)
