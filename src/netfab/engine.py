@@ -91,7 +91,7 @@ class BulkSender:
     covers (RFC 5681 slow start, with no ssthresh)."""
 
     __slots__ = ("spec", "una", "next", "high", "timed", "srtt", "rttvar",
-                 "rto", "deadline", "armed", "window")
+                 "rto", "deadline", "armed", "window", "stats")
 
     def __init__(self, spec: TrafficSpec):
         self.spec = spec
@@ -105,6 +105,7 @@ class BulkSender:
         self.deadline: Optional[int] = None  # timer expiry; None when off
         self.armed: Optional[int] = None  # time of the live "rto" event
         self.window = BULK_WINDOW  # bytes that may be unacknowledged
+        self.stats: Optional[FlowStats] = None  # the flow's, once it offers
 
     def measure(self, rtt: int):
         if self.srtt is None:
@@ -461,28 +462,29 @@ class HostNode(Node):
                          src_port=spec.src_port, dst_port=spec.dst_port,
                          payload_bytes=payload_bytes,
                          meta=("cbr", spec.flow_id))
-            self.send_packet(pkt, offered=True)
+            self.send_packet(pkt, self.engine.metrics.flow(spec.flow_id))
             interval = CBR_PACKET * 8 * 1_000_000 // spec.rate_bps
             self.engine.schedule(now + interval, "traffic", self.name, ("start", idx))
         elif spec.kind == "bulk":
-            self.bulk_send[spec.flow_id] = BulkSender(spec)
-            self._bulk_pump(spec.flow_id)
+            self.bulk_send[spec.flow_id] = st = BulkSender(spec)
+            self._bulk_pump(st)
         elif spec.kind == "ping":
             self._send_ping(spec, idx, 0)
 
     def _send_ping(self, spec: TrafficSpec, idx: int, seq: int):
         pkt = Packet(src_ip=self.ip, dst_ip=spec.dst_ip, protocol="icmp",
                      payload_bytes=56, meta=("ping", spec.flow_id, "req", seq))
-        self.send_packet(pkt, offered=True)
+        self.send_packet(pkt, self.engine.metrics.flow(spec.flow_id))
         if seq + 1 < spec.count:
             self.engine.schedule(self.engine.now + PING_INTERVAL_US, "traffic",
                                  self.name, ("ping", idx, seq + 1))
 
-    def _bulk_pump(self, fid: str):
-        st = self.bulk_send[fid]
+    def _bulk_pump(self, st: BulkSender):
         spec = st.spec
-        total = spec.total_bytes
+        fid, total = spec.flow_id, spec.total_bytes
         while st.next < total and st.next - st.una < st.window:
+            if st.stats is None:  # a flow is in the summary once it offers
+                st.stats = self.engine.metrics.flow(fid)
             seg = min(BULK_SEGMENT, total - st.next)
             pkt = Packet(src_ip=self.ip, dst_ip=spec.dst_ip, protocol="tcp",
                          src_port=spec.src_port, dst_port=spec.dst_port,
@@ -493,7 +495,7 @@ class HostNode(Node):
                 st.high = st.next
                 if st.timed is None:
                     st.timed = (st.next, self.engine.now)
-            self.send_packet(pkt, offered=True)
+            self.send_packet(pkt, st.stats)
         if st.deadline is None and st.una < st.next:
             self._start_rto(fid, st)
 
@@ -527,7 +529,7 @@ class HostNode(Node):
         st.window = BULK_LOSS_WINDOW
         st.timed = None
         st.next = st.una
-        self._bulk_pump(fid)
+        self._bulk_pump(st)
 
     # -- sending -----------------------------------------------------------
 
@@ -536,12 +538,12 @@ class HostNode(Node):
             return dst_ip
         return self.gw_ip
 
-    def send_packet(self, packet: Packet, offered: bool = False):
-        if offered and packet.meta:
-            st = self.engine.metrics.flow(packet.meta[1])
-            st.offered_packets += 1
-            st.offered_bytes += packet.size
-            st.offered_payload += packet.payload_bytes
+    def send_packet(self, packet: Packet, stats: Optional[FlowStats] = None):
+        """Send packet; with its flow's stats it counts as offered."""
+        if stats is not None:
+            stats.offered_packets += 1
+            stats.offered_bytes += packet.size
+            stats.offered_payload += packet.payload_bytes
             if self.engine.trace_enabled:
                 self.engine.trace(self.name, "tx", None, flow_key(packet),
                                   f"kind={packet.meta[0]}")
@@ -581,81 +583,81 @@ class HostNode(Node):
             self.emit(self.port, reply, arp.sender_mac)
 
     def _deliver(self, pkt: Packet):
-        m = self.engine.metrics
         meta = pkt.meta
-        is_forward = bool(meta) and not (
-            meta[0] == "bulk" and meta[2] == "ack") and not (
-            meta[0] == "ping" and meta[2] == "rep")
-        if meta and is_forward:
-            st = m.flow(meta[1])
-            st.delivered_packets += 1
-            st.delivered_bytes += pkt.size
-            if meta[0] != "bulk":  # bulk counts each byte once, in order
-                st.delivered_payload += pkt.payload_bytes
-            m.host_delivered += 1
-            if self.engine.trace_enabled:
-                self.engine.trace(self.name, "rx", None, flow_key(pkt),
-                                  f"kind={meta[0]}")
         if not meta:
             return
-        if meta[0] == "bulk":
-            self._on_bulk(pkt)
-        elif meta[0] == "ping":
-            self._on_ping(pkt)
-
-    def _on_bulk(self, pkt: Packet):
-        _, fid, kind, *rest = pkt.meta
-        if kind == "data":
-            # only the next in-order segment is taken; an ACK goes every
-            # BULK_ACK_EVERY segments, at completion, and at once on an
-            # out-of-order or duplicate segment
-            seg, total, offset = rest
-            st = self.bulk_recv.setdefault(fid, {"received": 0, "segs": 0})
-            in_order = offset == st["received"]
-            if in_order:
-                st["received"] += seg
-                st["segs"] += 1
-                flow = self.engine.metrics.flow(fid)
-                flow.delivered_payload += seg
-                if st["received"] >= total and flow.completed_at is None:
-                    flow.completed_at = self.engine.now
-            if (not in_order or st["segs"] % BULK_ACK_EVERY == 0
-                    or st["received"] >= total):
-                ack = Packet(src_ip=self.ip, dst_ip=pkt.src_ip, protocol="tcp",
-                             src_port=pkt.dst_port, dst_port=pkt.src_port,
-                             payload_bytes=0,
-                             meta=("bulk", fid, "ack", st["received"]))
-                self.send_packet(ack)
-        else:  # cumulative ack
-            acked = rest[0]
-            st = self.bulk_send.get(fid)
-            if st is None:
+        kind = meta[0]
+        if kind == "bulk":
+            if meta[2] == "ack":
+                self._on_ack(meta[1], meta[3])
                 return
-            if acked > st.una:
-                now = self.engine.now
-                st.window = min(st.window + acked - st.una, BULK_WINDOW)
-                st.una = acked
-                st.next = max(st.next, acked)
-                if st.timed is not None and acked >= st.timed[0]:
-                    st.measure(now - st.timed[1])
-                    st.timed = None
-                # RFC 6298 (5.2), (5.3): off when all is acked, else restart
-                st.deadline = None
-                if acked < st.next:
-                    self._start_rto(fid, st)
-            self._bulk_pump(fid)
-
-    def _on_ping(self, pkt: Packet):
-        _, fid, kind, seq = pkt.meta
-        if kind == "req":
+            rx = self.bulk_recv.get(meta[1])
+            if rx is None:
+                rx = self.bulk_recv[meta[1]] = {
+                    "received": 0, "segs": 0,
+                    "flow": self.engine.metrics.flow(meta[1])}
+            st = rx["flow"]
+        elif kind == "ping" and meta[2] == "rep":
+            self.ping_seen[meta[1]] += 1
+            self.engine.metrics.flow(meta[1]).completed_at = self.engine.now
+            return
+        else:
+            st = self.engine.metrics.flow(meta[1])
+        st.delivered_packets += 1
+        st.delivered_bytes += pkt.size
+        self.engine.metrics.host_delivered += 1
+        if self.engine.trace_enabled:
+            self.engine.trace(self.name, "rx", None, flow_key(pkt),
+                              f"kind={kind}")
+        if kind == "bulk":
+            self._on_bulk_data(pkt, rx)
+            return
+        st.delivered_payload += pkt.payload_bytes  # bulk's: once, in order
+        if kind == "ping":
             reply = Packet(src_ip=self.ip, dst_ip=pkt.src_ip, protocol="icmp",
                            payload_bytes=pkt.payload_bytes,
-                           meta=("ping", fid, "rep", seq))
+                           meta=("ping", meta[1], "rep", meta[3]))
             self.send_packet(reply)
-        else:
-            self.ping_seen[fid] += 1
-            st = self.engine.metrics.flow(fid)
-            st.completed_at = self.engine.now
+
+    def _on_bulk_data(self, pkt: Packet, rx: dict):
+        # only the next in-order segment is taken; an ACK goes every
+        # BULK_ACK_EVERY segments, at completion, and at once on an
+        # out-of-order or duplicate segment
+        _, fid, _, seg, total, offset = pkt.meta
+        in_order = offset == rx["received"]
+        if in_order:
+            rx["received"] += seg
+            rx["segs"] += 1
+            flow = rx["flow"]
+            flow.delivered_payload += seg
+            if rx["received"] >= total and flow.completed_at is None:
+                flow.completed_at = self.engine.now
+        if (not in_order or rx["segs"] % BULK_ACK_EVERY == 0
+                or rx["received"] >= total):
+            ack = Packet(src_ip=self.ip, dst_ip=pkt.src_ip, protocol="tcp",
+                         src_port=pkt.dst_port, dst_port=pkt.src_port,
+                         payload_bytes=0,
+                         meta=("bulk", fid, "ack", rx["received"]))
+            self.send_packet(ack)
+
+    def _on_ack(self, fid: str, acked: int):
+        """A cumulative ACK at the sender."""
+        st = self.bulk_send.get(fid)
+        if st is None:
+            return
+        if acked > st.una:
+            now = self.engine.now
+            st.window = min(st.window + acked - st.una, BULK_WINDOW)
+            st.una = acked
+            st.next = max(st.next, acked)
+            if st.timed is not None and acked >= st.timed[0]:
+                st.measure(now - st.timed[1])
+                st.timed = None
+            # RFC 6298 (5.2), (5.3): off when all is acked, else restart
+            st.deadline = None
+            if acked < st.next:
+                self._start_rto(fid, st)
+        self._bulk_pump(st)
 
     def reset_dynamic(self):
         self.arp.clear()
@@ -801,8 +803,7 @@ class FirewallNode(Node):
                 self._schedule_tick(side)
 
     def _schedule_tick(self, side: str):
-        if self.tick_scheduled[side]:
-            return
+        """The side's next shape_tick; its caller knows none is pending."""
         self.tick_scheduled[side] = True
         interval = DEFAULT_SHAPE_INTERVAL_US
         next_at = (self.engine.now // interval + 1) * interval
@@ -811,8 +812,8 @@ class FirewallNode(Node):
     def _enqueue(self, out_side: str, pkt: Packet, mac_hint):
         if not self.shapers[out_side].offer(pkt.size, (pkt, mac_hint)):
             self.engine.metrics.drop(self.name, "queue")
-            return
-        self._schedule_tick(out_side)
+        elif not self.tick_scheduled[out_side]:
+            self._schedule_tick(out_side)
 
     def _emit_packet(self, out_side: str, pkt: Packet, mac_hint):
         self.engine.metrics.fw_bytes[self.name] += pkt.size
@@ -972,8 +973,8 @@ class BalancerNode(Node):
             self._from_back(port, frame, payload)
 
     def _from_front(self, frame: Frame, payload):
-        up = self.lb.up_paths()
         if isinstance(payload, Arp):
+            up = self.lb.up_paths()
             owner = self.lb.dest_override.get(payload.target_ip)
             pid = owner if owner in up else (up[0] if up else None)
             if pid is None:

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .packet import (Packet, PORTLESS_PROTOCOLS, PrefixTable, in_network,
-                     ip_str, prefix_mask)
+                     ip_str, packet_copy, prefix_mask)
 from .l3 import ConnTable, DEFAULT_CONN_TIMEOUT_US
 
 DEFAULT_CAP_BPS = 170_000_000
@@ -29,7 +29,9 @@ class PoolExhausted(NatError):
     pass
 
 
-@dataclass(frozen=True)
+# eq=False: NAT keys hold the scope by identity, hashed in C. scope_for gives
+# one scope per (network, prefix_len), so this keys bindings as values would.
+@dataclass(frozen=True, eq=False)
 class MasqueradeScope:
     network: int
     prefix_len: int
@@ -140,9 +142,8 @@ class Firewall:
             self.by_inside[key] = entry
             self.by_outside[okey] = entry
         entry.last_activity = now
-        return Packet(entry.outside[0], packet.dst_ip, packet.protocol,
-                      entry.outside[1], packet.dst_port, packet.payload_bytes,
-                      packet.ttl, packet.meta)
+        return packet_copy(packet, entry.outside[0], packet.dst_ip,
+                           entry.outside[1], packet.dst_port, packet.ttl)
 
     def masquerade_in(self, packet: Packet, now: int) -> Optional[Packet]:
         """Reverse-translate an inbound packet; None means drop(no-binding)."""
@@ -160,9 +161,8 @@ class Firewall:
         if not entry.scope.contains(packet.src_ip):
             return None
         entry.last_activity = now
-        return Packet(packet.src_ip, entry.inside[0], packet.protocol,
-                      packet.src_port, entry.inside[1], packet.payload_bytes,
-                      packet.ttl, packet.meta)
+        return packet_copy(packet, packet.src_ip, entry.inside[0],
+                           packet.src_port, entry.inside[1], packet.ttl)
 
     def _remove(self, entry: NatEntry):
         scope = entry.scope

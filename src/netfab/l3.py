@@ -203,7 +203,8 @@ class ZoneRouter:
             return ("drop", "ttl")
         self.conn.note(key, now)
         return ("forward", egress_vid, next_hop,
-                packet_copy(packet, packet.ttl - 1))
+                packet_copy(packet, packet.src_ip, packet.dst_ip,
+                            packet.src_port, packet.dst_port, packet.ttl - 1))
 
     def reset_dynamic(self):
         self.conn.entries.clear()

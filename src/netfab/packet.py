@@ -4,7 +4,7 @@ from __future__ import annotations
 import functools
 import ipaddress
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Union
 
 TPID = 0x8100
@@ -185,6 +185,8 @@ class Packet:
     payload_bytes: int = 0
     ttl: int = 64
     meta: tuple = ()
+    # modeled on-the-wire IP packet size, set once: read on every hop
+    size: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.protocol not in PROTOCOLS:
@@ -196,11 +198,7 @@ class Packet:
             raise ValueError("ports must be 16-bit")
         if self.payload_bytes < 0:
             raise ValueError("payload_bytes must be >= 0")
-
-    @property
-    def size(self) -> int:
-        """Modeled on-the-wire IP packet size."""
-        return self.payload_bytes + IP_HEADER_BYTES
+        self.size = self.payload_bytes + IP_HEADER_BYTES
 
 
 @dataclass(frozen=True, slots=True)
@@ -217,7 +215,7 @@ Payload = Union[Packet, Arp, int]
 
 def payload_size(payload: Payload) -> int:
     if isinstance(payload, Packet):
-        return payload.payload_bytes + IP_HEADER_BYTES
+        return payload.size
     if isinstance(payload, Arp):
         return 28
     return int(payload)
@@ -244,14 +242,16 @@ def vlan_tag(vid: int) -> VlanTag:
     return VlanTag(vid)
 
 
-def packet_copy(packet: Packet, ttl: int) -> Packet:
-    """packet with another ttl, for routing: no checks, as ttl has none."""
+def packet_copy(packet: Packet, src_ip: int, dst_ip: int, src_port: int,
+                dst_port: int, ttl: int) -> Packet:
+    """packet with other endpoints or ttl, for routing and NAT: no checks.
+    The caller passes ports it took from a checked packet or a NAT pool, so
+    they fit the protocol; ttl has no check."""
     out = object.__new__(Packet)
-    out.src_ip, out.dst_ip, out.protocol = (
-        packet.src_ip, packet.dst_ip, packet.protocol)
+    out.src_ip, out.dst_ip, out.protocol = src_ip, dst_ip, packet.protocol
     out.src_port, out.dst_port, out.payload_bytes = (
-        packet.src_port, packet.dst_port, packet.payload_bytes)
-    out.ttl, out.meta = ttl, packet.meta
+        src_port, dst_port, packet.payload_bytes)
+    out.ttl, out.meta, out.size = ttl, packet.meta, packet.size
     return out
 
 
@@ -266,7 +266,8 @@ def frame_copy(frame: Frame, size_bytes: int, tag: Optional[VlanTag]) -> Frame:
 def make_frame(src: MacAddress, dst: MacAddress, payload: Payload,
                tag: Optional[VlanTag] = None) -> Frame:
     """A new frame for payload: Frame's size check without its __init__."""
-    size = payload_size(payload) + ETH_OVERHEAD
+    size = (payload.size if payload.__class__ is Packet
+            else payload_size(payload)) + ETH_OVERHEAD
     if size < MIN_FRAME:
         size = MIN_FRAME
     limit = MAX_UNTAGGED

@@ -1,9 +1,15 @@
+import dataclasses
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from netfab.engine import Engine, FirewallNode, FirewallSide
+from netfab.engine import Engine, FirewallNode, FirewallSide, HostNode
 from netfab.firewall import (Firewall, NoScope, PoolExhausted, Shaper)
-from netfab.packet import MacAddress, Packet, flow_key, ip_addr, ip_network
+from netfab.packet import (MacAddress, Packet, PORTLESS_PROTOCOLS, PROTOCOLS,
+                           flow_key, ip_addr, ip_network, packet_copy)
+from netfab.scenario import build_engine, parse_scenario, validate_scenario
+from test_acceptance import FIREWALL_RIG
 
 
 def out_pkt(src, sport, dst="192.0.2.9", dport=80, proto="tcp"):
@@ -213,3 +219,104 @@ class TestShaper:
         for i in range(5):
             shaper.offer(100, i)
         assert shaper.shape(0, 1_000_000) == [0, 1, 2, 3, 4]
+
+
+@st.composite
+def valid_packets(draw):
+    protocol = draw(st.sampled_from(sorted(PROTOCOLS)))
+    port = (st.just(0) if protocol in PORTLESS_PROTOCOLS
+            else st.integers(0, 65535))
+    return Packet(src_ip=draw(st.integers(0, 2**32 - 1)),
+                  dst_ip=draw(st.integers(0, 2**32 - 1)), protocol=protocol,
+                  src_port=draw(port), dst_port=draw(port),
+                  payload_bytes=draw(st.integers(0, 1480)),
+                  ttl=draw(st.integers(1, 255)),
+                  meta=draw(st.sampled_from(
+                      [(), ("cbr", "c"), ("bulk", "b", "data", 9, 90, 18)])))
+
+
+def checked(p):
+    """p built again through Packet's checks."""
+    return Packet(p.src_ip, p.dst_ip, p.protocol, p.src_port, p.dst_port,
+                  p.payload_bytes, p.ttl, p.meta)
+
+
+def assert_same_as_checked(p):
+    want = checked(p)
+    assert p == want and hash(p) == hash(want) and p.size == want.size
+
+
+class TestUncheckedCopies:
+    @given(valid_packets())
+    def test_nat_and_ttl_copies_equal_checked_packets(self, p):
+        fw = default_fw()
+        out = fw.masquerade_out(p, now=0)
+        assert_same_as_checked(out)
+        assert out.src_ip == ip_addr("203.0.113.1")
+        assert out.src_port == (0 if p.protocol in PORTLESS_PROTOCOLS else 1024)
+        reply = Packet(src_ip=p.dst_ip, dst_ip=out.src_ip, protocol=p.protocol,
+                       src_port=p.dst_port, dst_port=out.src_port,
+                       payload_bytes=p.payload_bytes, ttl=p.ttl, meta=p.meta)
+        back = fw.masquerade_in(reply, now=1)
+        assert_same_as_checked(back)
+        assert (back.dst_ip, back.dst_port) == (p.src_ip, p.src_port)
+        assert (back.ttl, back.meta, back.payload_bytes) == (
+            p.ttl, p.meta, p.payload_bytes)
+        routed = packet_copy(p, p.src_ip, p.dst_ip, p.src_port, p.dst_port,
+                             p.ttl - 1)
+        assert_same_as_checked(routed)
+        assert routed == dataclasses.replace(p, ttl=p.ttl - 1)
+
+    def test_replace_sets_size(self):
+        p = Packet(src_ip=1, dst_ip=2, protocol="udp", payload_bytes=100)
+        assert dataclasses.replace(p).size == 140
+        assert dataclasses.replace(p, payload_bytes=7).size == 47
+        with pytest.raises(ValueError):
+            dataclasses.replace(p, size=10)  # set from payload_bytes only
+
+
+class TestFirewallRigPath:
+    """The criterion 3/4 rig: one backlogged NAT'd transfer through the
+    170 Mbps shaper."""
+
+    def test_checks_run_once_per_host_packet_and_one_tick_per_side(
+            self, monkeypatch):
+        cfg = parse_scenario(FIREWALL_RIG.format(duration=0.2,
+                                                 total=2_000_000_000))
+        validate_scenario(cfg)
+        eng = build_engine(cfg)
+        calls = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(Packet, "__post_init__",
+                            counted("checks", Packet.__post_init__))
+        for name in ("masquerade_out", "masquerade_in"):
+            monkeypatch.setattr(Firewall, name,
+                                counted(name, getattr(Firewall, name)))
+        send_packet = HostNode.send_packet
+
+        def host_send(host, packet, *args, **kwargs):
+            calls["acks"] += packet.meta[2] == "ack"
+            return send_packet(host, packet, *args, **kwargs)
+
+        monkeypatch.setattr(HostNode, "send_packet", host_send)
+        fw = eng.nodes["fw"]
+        backlogged = 0
+        for t in range(250, cfg.duration_us + 1, 250):
+            eng.run_until(t)
+            pending = Counter(e[4] for e in eng._heap
+                              if e[2] == "shape_tick" and e[3] == "fw")
+            for side, shaper in fw.shapers.items():
+                assert pending[side] == (1 if shaper.queue else 0), (t, side)
+            backlogged += bool(fw.shapers["outside"].queue)
+        offered = eng.metrics.flows["xfer"].offered_packets
+        assert backlogged > 0
+        # every segment and ACK is translated, and none is checked again
+        assert 0 < calls["masquerade_out"] <= offered
+        assert 0 < calls["masquerade_in"] <= calls["acks"]
+        assert calls["checks"] == offered + calls["acks"]
