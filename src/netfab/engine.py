@@ -10,8 +10,8 @@ from .firewall import Firewall, NoScope, PoolExhausted, Shaper
 from .l2 import Switch
 from .l3 import ZonePolicy, ZoneRouter
 from .packet import (Arp, BROADCAST, Frame, MacAddress, Packet, PrefixTable,
-                     flow_key, frame_copy, ip_str, make_frame, prefix_mask,
-                     vlan_tag)
+                     flow_key, frame_copy, ip_str, make_frame, node_mac,
+                     prefix_mask, vlan_tag)
 from .resilience import LoadBalancer, Unavailable
 
 DEFAULT_PROP_US = 5
@@ -36,20 +36,16 @@ class UnknownTarget(Exception):
     pass
 
 
-def bulk_transfer_time(rate_cap_bps: float, total_bytes: float) -> float:
-    """Ideal lower bound (seconds) for a transfer through a rate-capped path."""
-    if rate_cap_bps <= 0:
-        raise ValueError("rate_cap must be > 0")
-    return total_bytes * 8 / rate_cap_bps
-
-
 @dataclass
 class TrafficSpec:
+    """One flow a host generates, as a `[traffic]` line declares it. The
+    host sends to `dst_ip`; a flow declared by `dst` alone gets a copy with
+    the host's address filled in."""
     kind: str  # cbr | bulk | ping
     src: str
-    dst: str
     flow_id: str
-    dst_ip: int = 0
+    dst: Optional[str] = None  # a host's name
+    dst_ip: Optional[int] = None
     start_us: int = 0
     stop_us: Optional[int] = None
     rate_bps: int = 0
@@ -173,11 +169,10 @@ def trace_line(t: int, node: str, ev: str, vlan, flow, info: str) -> str:
 class Engine:
     """Single-owner event loop; identical (scenario, seed) gives identical traces.
 
-    `trace` is a sink called with each record (t, node, ev, vlan, flow, info)
-    as it happens, or True to keep each record's `trace_line` in
-    `trace_lines`."""
+    `trace` is None or a sink called with each record (t, node, ev, vlan,
+    flow, info) as it happens; `trace_line` is a record's text."""
 
-    def __init__(self, seed: int = 0, trace=False):
+    def __init__(self, seed: int = 0, trace=None):
         self.seed = seed
         self.hash_salt = seed.to_bytes(8, "big", signed=True)
         self.now = 0
@@ -188,12 +183,8 @@ class Engine:
         self.link_at: dict[tuple, Link] = {}
         self._ends: dict[tuple, tuple] = {}  # -> link, direction, far node, port
         self.metrics = Metrics()
-        self.trace_lines: list[str] = []
-        if trace is True:
-            lines = self.trace_lines
-            trace = lambda *record: lines.append(trace_line(*record))
-        self.trace_sink = trace or None
-        self.trace_enabled = self.trace_sink is not None
+        self.trace_sink = trace
+        self.trace_enabled = trace is not None
 
     # -- construction ------------------------------------------------------
 
@@ -308,9 +299,6 @@ class Engine:
     def trace(self, node: str, ev: str, vlan, flow, info: str):
         if self.trace_enabled:
             self.trace_sink(self.now, node, ev, vlan, flow, info)
-
-    def trace_text(self) -> str:
-        return "\n".join(self.trace_lines) + ("\n" if self.trace_lines else "")
 
 
 class Node:
@@ -743,13 +731,13 @@ class L3Node(Node):
 
 @dataclass
 class FirewallSide:
-    side: str  # "inside" | "outside"
+    """One side of a firewall, as its `[firewall]` line declares it."""
     mode: str = "routed"  # "routed" | "inline"
     ip: Optional[int] = None
     prefix_len: int = 24
     zone: str = "dmz"
-    gw_ip: Optional[int] = None
-    peer_mac: Optional[MacAddress] = None  # inline: far-end router MAC
+    gw: Optional[int] = None
+    peer: Optional[str] = None  # inline: the far-end router's name
     routes: list = field(default_factory=list)  # (net, plen, via_ip)
 
 
@@ -764,8 +752,15 @@ class FirewallNode(Node):
         self.mac = mac
         self.fw = fw
         self.sides = {"inside": inside, "outside": outside}
-        self.enforce_zones = enforce_zones
-        self.policy = policy or ZonePolicy()
+        policy = policy or ZonePolicy()
+        # zones and policy are fixed, so each direction's verdict is too:
+        # outbound is checked only with enforce_zones, routed inbound always
+        self.deny_new = {
+            "inside": enforce_zones and policy.verdict(
+                inside.zone, outside.zone) == "deny-new",
+            "outside": policy.verdict(outside.zone, inside.zone) == "deny-new"}
+        self.peer_mac = (node_mac(inside.peer) if inside.peer is not None
+                         else None)  # inline: the far-end router's MAC
         self.shapers = {s: Shaper(cap_bps) for s in self.sides}
         self.tick_scheduled = {s: False for s in self.sides}
         self.next_hops = {s: self._next_hop_table(cfg)
@@ -782,8 +777,8 @@ class FirewallNode(Node):
             table.insert(cfg.ip, cfg.prefix_len, None)
         for net, plen, via in cfg.routes:
             table.insert(net, plen, via)
-        if cfg.gw_ip is not None:
-            table.insert(0, 0, cfg.gw_ip)
+        if cfg.gw is not None:
+            table.insert(0, 0, cfg.gw)
         return table
 
     def on_event(self, kind: str, payload):
@@ -854,11 +849,10 @@ class FirewallNode(Node):
         else:
             self._inbound(pkt, frame, now)
 
-    def _denied(self, from_side: str, to_side: str, key, now: int) -> bool:
-        """Zone policy denies a new flow and key is not a reply: drop it."""
-        verdict = self.policy.verdict(self.sides[from_side].zone,
-                                      self.sides[to_side].zone)
-        if verdict != "deny-new" or self.fw.conn.established(key, now):
+    def _denied(self, from_side: str, key, now: int) -> bool:
+        """Zone policy denies new flows from from_side and key is not a
+        reply: drop it."""
+        if not self.deny_new[from_side] or self.fw.conn.established(key, now):
             return False
         self.engine.metrics.drop(self.name, "acl")
         self.engine.trace(self.name, "drop", None, key, "acl")
@@ -868,7 +862,7 @@ class FirewallNode(Node):
         out_cfg = self.sides["outside"]
         engine = self.engine
         key = flow_key(pkt)
-        if self.enforce_zones and self._denied("inside", "outside", key, now):
+        if self._denied("inside", key, now):
             return
         try:
             out = self.fw.masquerade_out(pkt, now)
@@ -898,7 +892,7 @@ class FirewallNode(Node):
                 self.engine.trace(
                     self.name, "nat", None, flow_key(pkt),
                     f"in to {ip_str(translated.dst_ip)}:{translated.dst_port}")
-            hint = in_cfg.peer_mac if in_cfg.mode == "inline" else None
+            hint = self.peer_mac if in_cfg.mode == "inline" else None
             self._enqueue("inside", translated, hint)
             return
         if in_cfg.mode == "inline":
@@ -907,7 +901,7 @@ class FirewallNode(Node):
             return
         # routed inbound to an untranslated address: stateful zone check
         key = flow_key(pkt)
-        if self._denied("outside", "inside", key, now):
+        if self._denied("outside", key, now):
             return
         self.fw.conn.note(key, now)
         self._enqueue("inside", pkt, None)

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import functools
+import hashlib
 import ipaddress
 import weakref
 from dataclasses import dataclass, field
@@ -142,6 +143,12 @@ class MacAddress:
 
 
 BROADCAST = MacAddress(b"\xff" * 6)
+
+
+def node_mac(name: str) -> MacAddress:
+    """Stable locally-administered MAC derived from the node name."""
+    digest = hashlib.blake2b(name.encode(), digest_size=6).digest()
+    return MacAddress(bytes([0x02]) + digest[1:])
 
 
 @dataclass(frozen=True, slots=True)
@@ -294,14 +301,6 @@ def pop_tag(frame: Frame) -> tuple[Frame, int]:
     if frame.tag is None:
         raise NotTagged("frame carries no 802.1Q tag")
     return frame_copy(frame, frame.size_bytes - 4, None), frame.tag.vid
-
-
-def classify_dst(frame: Frame) -> str:
-    if frame.dst.is_broadcast:
-        return "broadcast"
-    if frame.dst.is_multicast:
-        return "multicast"
-    return "unicast"
 
 
 def flow_key(packet: Packet) -> FlowKey:

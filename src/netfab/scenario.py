@@ -4,12 +4,14 @@ The format is line-oriented and diff-friendly: `[section]` headers, one
 declaration per line, space-separated `key=value` pairs, `#` comments.
 `FORMAT` declares every key of every section once; the parser and the
 serializer both walk it, so what one writes the other reads back.
+`[traffic]` lines and firewall sides fill the engine's own records
+(`TrafficSpec`, `FirewallSide`), which `build_engine` hands over unchanged;
+a flow declared by `dst` alone goes as a copy with its `dst_ip` filled in.
 """
 from __future__ import annotations
 
 import functools
-import hashlib
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields, replace
 from decimal import Decimal, DecimalException
 from operator import attrgetter
 from typing import Any, Callable, NamedTuple, Optional
@@ -18,8 +20,9 @@ from .engine import (CBR_PACKET, DEFAULT_LINK_QUEUE, DEFAULT_PROP_US, Engine,
                      FirewallNode, FirewallSide, HostNode, L3Node, SwitchNode,
                      BalancerNode, TrafficSpec)
 from .firewall import DEFAULT_CAP_BPS, DEFAULT_NAT_CAPACITY, Firewall
+from .l2 import Switch
 from .l3 import VERDICTS, ZONES, L3Error, ZonePolicy, ZoneRouter
-from .packet import (MacAddress, check_vid, ip_addr, ip_network, ip_str,
+from .packet import (check_vid, ip_addr, ip_network, ip_str, node_mac,
                      prefix_mask)
 from .resilience import LoadBalancer
 
@@ -50,12 +53,6 @@ class LoopError(ScenarioError):
         super().__init__(f"vlan {vid} forms a loop: {' - '.join(cycle)}")
         self.vid = vid
         self.cycle = cycle
-
-
-def node_mac(name: str) -> MacAddress:
-    """Stable locally-administered MAC derived from the node name."""
-    digest = hashlib.blake2b(name.encode(), digest_size=6).digest()
-    return MacAddress(bytes([0x02]) + digest[1:])
 
 
 # -- declarations ----------------------------------------------------------
@@ -91,24 +88,13 @@ class L3Decl:
 
 
 @dataclass
-class SideDecl:
-    mode: str
-    ip: Optional[int]
-    prefix_len: int
-    zone: str
-    gw: Optional[int] = None
-    peer: Optional[str] = None
-    routes: list = field(default_factory=list)  # (net, plen, via)
-
-
-@dataclass
 class FirewallDecl:
     name: str
     cap_bps: int = DEFAULT_CAP_BPS
     nat_capacity: int = DEFAULT_NAT_CAPACITY
     zones: bool = True
-    inside: SideDecl = None
-    outside: SideDecl = None
+    inside: FirewallSide = None
+    outside: FirewallSide = None
 
 
 @dataclass
@@ -172,22 +158,6 @@ class MasqDecl:
     network: int
     prefix_len: int
     external: int
-
-
-@dataclass
-class TrafficDecl:
-    kind: str
-    src: str
-    flow: str
-    dst: Optional[str] = None
-    dst_ip: Optional[int] = None
-    start_us: int = 0
-    stop_us: Optional[int] = None
-    rate: int = 0
-    total: int = 0
-    count: int = 0
-    sport: int = 0
-    dport: int = 0
 
 
 @dataclass
@@ -320,16 +290,16 @@ def _write_port(pid, spec: PortSpec) -> str:
     return f"{pid}:{spec.mode}:{vids}{lag}"
 
 
-def _read_side(text: str) -> SideDecl:
+def _read_side(text: str) -> FirewallSide:
     parts = text.split(":")
     if len(parts) != 3:
         raise ValueError(f"side spec is mode:ip/prefix:zone, got {text!r}")
     mode, addr, zone = parts
     ip, plen = _read_ip_len(addr) if addr else (None, 24)
-    return SideDecl(SIDE_MODE.read(mode), ip, plen, ZONE.read(zone))
+    return FirewallSide(SIDE_MODE.read(mode), ip, plen, ZONE.read(zone))
 
 
-def _write_side(side: SideDecl) -> str:
+def _write_side(side: FirewallSide) -> str:
     addr = _write_ip_len((side.ip, side.prefix_len)) if side.ip is not None else ""
     return f"{side.mode}:{addr}:{side.zone}"
 
@@ -590,19 +560,19 @@ FORMAT = {
         Key("network", NETWORK, ("network", "prefix_len"), required=True),
         Key("external", IP, required=True),
     ], store="masquerades", order=attrgetter("node", "prefix_len", "network")),
-    "traffic": Form(TrafficDecl, [
+    "traffic": Form(TrafficSpec, [
         Key("kind", _one_of(("cbr", "bulk", "ping")), required=True),
         Key("src", TEXT, required=True),
         Key("dst", TEXT),
         Key("dst_ip", IP),
-        Key("flow", TEXT, required=True),
+        Key("flow", TEXT, "flow_id", required=True),
         Key("start", SECONDS, "start_us"),
         Key("stop", SECONDS, "stop_us"),
-        Key("rate", COUNT),
-        Key("total", COUNT),
+        Key("rate", COUNT, "rate_bps"),
+        Key("total", COUNT, "total_bytes"),
         Key("count", COUNT),
-        Key("sport", L4_PORT),
-        Key("dport", L4_PORT),
+        Key("sport", L4_PORT, "src_port"),
+        Key("dport", L4_PORT, "dst_port"),
     ], store="traffic"),
     "fault": Form(FaultDecl, [
         Key("at", SECONDS, "at_us", required=True),
@@ -800,22 +770,23 @@ def validate_scenario(cfg: ScenarioConfig):
                                       f"override path {path!r} not in paths")
     flows = set()
     for t in cfg.traffic:
-        if t.flow in flows:
-            raise ValidationError(t.flow, "duplicate flow")
-        flows.add(t.flow)
+        fid = t.flow_id
+        if fid in flows:
+            raise ValidationError(fid, "duplicate flow")
+        flows.add(fid)
         if t.src not in cfg.hosts:
-            raise ValidationError(t.flow, f"traffic src {t.src!r} is not a host")
+            raise ValidationError(fid, f"traffic src {t.src!r} is not a host")
         if t.dst is None and t.dst_ip is None:
-            raise ValidationError(t.flow, "traffic needs dst or dst_ip")
+            raise ValidationError(fid, "traffic needs dst or dst_ip")
         if t.dst is not None and t.dst not in cfg.hosts:
-            raise ValidationError(t.flow, f"traffic dst {t.dst!r} is not a host")
-        if t.kind == "cbr" and not 0 < t.rate <= MAX_CBR_RATE:
+            raise ValidationError(fid, f"traffic dst {t.dst!r} is not a host")
+        if t.kind == "cbr" and not 0 < t.rate_bps <= MAX_CBR_RATE:
             raise ValidationError(
-                t.flow, f"cbr rate must be in (0, {MAX_CBR_RATE}] bps")
+                fid, f"cbr rate must be in (0, {MAX_CBR_RATE}] bps")
         if t.kind == "ping" and t.count <= 0:
-            raise ValidationError(t.flow, "ping count must be > 0")
-        if t.kind == "bulk" and t.total <= 0:
-            raise ValidationError(t.flow, "bulk total must be > 0")
+            raise ValidationError(fid, "ping count must be > 0")
+        if t.kind == "bulk" and t.total_bytes <= 0:
+            raise ValidationError(fid, "bulk total must be > 0")
     targets = {"fail_node": ("node", names), "fail_link": ("link", link_ids)}
     either = ("node or link", names | link_ids)
     for f in cfg.faults:
@@ -826,6 +797,14 @@ def validate_scenario(cfg: ScenarioConfig):
 
 
 # -- engine construction ---------------------------------------------------
+
+def configure_ports(switch: Switch, decl: SwitchDecl):
+    """Give switch the ports decl declares."""
+    for pid in sorted(decl.ports, key=str):
+        spec = decl.ports[pid]
+        switch.configure_port(pid, spec.mode, vid=spec.vid,
+                              allowed=spec.allowed, lag_group=spec.lag)
+
 
 def _router(cfg: ScenarioConfig, name: str, policy=None) -> ZoneRouter:
     """L3 switch `name`; raises `L3Error` when its lines conflict."""
@@ -841,18 +820,14 @@ def _router(cfg: ScenarioConfig, name: str, policy=None) -> ZoneRouter:
 
 
 def build_engine(cfg: ScenarioConfig, seed: Optional[int] = None,
-                 trace=False) -> Engine:
-    """The engine for cfg; `trace` is as for `Engine`."""
+                 trace=None) -> Engine:
+    """The engine for cfg; `trace` is as for `Engine`. The engine shares
+    cfg's traffic and firewall side records and changes none of cfg."""
     eng = Engine(seed=cfg.seed if seed is None else seed, trace=trace)
     policy_rules = {(a.from_zone, a.to_zone): a.verdict for a in cfg.acls}
 
     for name, decl in sorted(cfg.switches.items()):
-        node = SwitchNode(eng, name)
-        for pid in sorted(decl.ports, key=str):
-            spec = decl.ports[pid]
-            node.switch.configure_port(pid, spec.mode, vid=spec.vid,
-                                       allowed=spec.allowed,
-                                       lag_group=spec.lag)
+        configure_ports(SwitchNode(eng, name).switch, decl)
 
     for name in sorted(cfg.l3s):
         L3Node(eng, name, node_mac(name),
@@ -863,16 +838,8 @@ def build_engine(cfg: ScenarioConfig, seed: Optional[int] = None,
         for masq in cfg.masquerades:
             if masq.node == name:
                 fw.add_scope(masq.network, masq.prefix_len, masq.external)
-        sides = {}
-        for side_name in ("inside", "outside"):
-            s = getattr(decl, side_name)
-            sides[side_name] = FirewallSide(
-                side=side_name, mode=s.mode, ip=s.ip, prefix_len=s.prefix_len,
-                zone=s.zone, gw_ip=s.gw,
-                peer_mac=node_mac(s.peer) if s.peer is not None else None,
-                routes=list(s.routes))
-        FirewallNode(eng, name, node_mac(name), fw, sides["inside"],
-                     sides["outside"], decl.cap_bps, enforce_zones=decl.zones,
+        FirewallNode(eng, name, node_mac(name), fw, decl.inside, decl.outside,
+                     decl.cap_bps, enforce_zones=decl.zones,
                      policy=ZonePolicy(policy_rules))
 
     for name, decl in sorted(cfg.balancers.items()):
@@ -888,14 +855,10 @@ def build_engine(cfg: ScenarioConfig, seed: Optional[int] = None,
         eng.add_link(link.a[0], link.a[1], link.b[0], link.b[1], link.bw,
                      prop_us=link.prop, queue_cap=link.queue)
 
-    for t in cfg.traffic:
-        dst_ip = t.dst_ip if t.dst_ip is not None else cfg.hosts[t.dst].ip
-        spec = TrafficSpec(kind=t.kind, src=t.src, dst=t.dst or ip_str(dst_ip),
-                           flow_id=t.flow, dst_ip=dst_ip, start_us=t.start_us,
-                           stop_us=t.stop_us, rate_bps=t.rate,
-                           total_bytes=t.total, count=t.count,
-                           src_port=t.sport, dst_port=t.dport)
-        eng.nodes[t.src].add_generator(spec)
+    for spec in cfg.traffic:
+        if spec.dst_ip is None:
+            spec = replace(spec, dst_ip=cfg.hosts[spec.dst].ip)
+        eng.nodes[spec.src].add_generator(spec)
 
     for f in cfg.faults:
         eng.inject_fault(f.at_us, f.action, f.target)
@@ -1016,8 +979,8 @@ def build_spring8_legacy() -> ScenarioConfig:
                                     group="mgmt")
     cfg.links.append(LinkDecl(("monitor", 0), ("bb", "mon"), FAST))
     fw = FirewallDecl("fw0")
-    fw.inside = SideDecl("routed", ip_addr("10.0.0.1"), 8, "dmz")
-    fw.outside = SideDecl("routed", ip_addr("198.18.0.1"), 24, "public")
+    fw.inside = FirewallSide("routed", ip_addr("10.0.0.1"), 8, "dmz")
+    fw.outside = FirewallSide("routed", ip_addr("198.18.0.1"), 24, "public")
     cfg.firewalls["fw0"] = fw
     cfg.masquerades.append(MasqDecl("fw0", ip_addr("0.0.0.0"), 0,
                                     ip_addr("198.18.0.61")))
@@ -1025,7 +988,7 @@ def build_spring8_legacy() -> ScenarioConfig:
     cfg.hosts["inet1"] = HostDecl("inet1", ip_addr("198.18.0.9"), 24,
                                   group="outside")
     cfg.links.append(LinkDecl(("fw0", "outside"), ("inet1", 0), FAST))
-    cfg.traffic.append(TrafficDecl("ping", "bl01h1", "mon-check",
+    cfg.traffic.append(TrafficSpec("ping", "bl01h1", "mon-check",
                                    dst="monitor", count=3))
     return cfg
 
@@ -1093,10 +1056,11 @@ def _add_staff(cfg: ScenarioConfig):
 
 
 def _add_default_flows(cfg: ScenarioConfig, outside_host: str):
-    cfg.traffic.append(TrafficDecl("ping", "monitor", "mon-check",
+    cfg.traffic.append(TrafficSpec("ping", "monitor", "mon-check",
                                    dst="bl01h1", count=3))
-    cfg.traffic.append(TrafficDecl("bulk", "bl01h1", "daq", dst=outside_host,
-                                   total=10_000_000, sport=40_000, dport=5001))
+    cfg.traffic.append(TrafficSpec("bulk", "bl01h1", "daq", dst=outside_host,
+                                   total_bytes=10_000_000, src_port=40_000,
+                                   dst_port=5001))
 
 
 def build_spring8_upgraded() -> ScenarioConfig:
@@ -1134,10 +1098,11 @@ def build_spring8_upgraded() -> ScenarioConfig:
                                     gateway=ip_addr(f"172.16.{q}.2")))
 
         fw = FirewallDecl(f"fw{q}")
-        fw.inside = SideDecl("routed", ip_addr(f"172.16.{q}.2"), 30, "dmz",
-                             gw=ip_addr(f"172.16.{q}.1"))
+        fw.inside = FirewallSide("routed", ip_addr(f"172.16.{q}.2"), 30,
+                                 "dmz", gw=ip_addr(f"172.16.{q}.1"))
         fw.inside.routes = [(ip_addr("10.0.0.0"), 8, ip_addr(f"172.16.{q}.1"))]
-        fw.outside = SideDecl("routed", ip_addr(f"198.18.{q}.1"), 24, "public")
+        fw.outside = FirewallSide("routed", ip_addr(f"198.18.{q}.1"), 24,
+                                  "public")
         cfg.firewalls[f"fw{q}"] = fw
         cfg.masquerades.append(MasqDecl(f"fw{q}", ip_addr("0.0.0.0"), 0,
                                         ip_addr(f"198.18.{q}.61")))
@@ -1195,8 +1160,8 @@ def build_spring8_redundant() -> ScenarioConfig:
     cfg.links.append(LinkDecl((name, "wan"), ("lbi", "front"), GIG))
     for i in (1, 2):
         fw = FirewallDecl(f"fw{i}", nat_capacity=64, zones=False)
-        fw.inside = SideDecl("inline", None, 24, "dmz", peer=name)
-        fw.outside = SideDecl("inline", None, 24, "public")
+        fw.inside = FirewallSide("inline", None, 24, "dmz", peer=name)
+        fw.outside = FirewallSide("inline", None, 24, "public")
         cfg.firewalls[f"fw{i}"] = fw
         cfg.masquerades.append(MasqDecl(f"fw{i}", ip_addr("192.0.2.0"), 24,
                                         ip_addr(f"192.0.2.{60 + i}")))

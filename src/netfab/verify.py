@@ -7,14 +7,14 @@ import hashlib
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .engine import trace_line
+from .engine import TrafficSpec, trace_line
 from .fabric import (broadcast_delivery, build_switch_fabric, host_attachment,
                      host_vid)
 from .firewall import Firewall
 from .packet import Packet, ip_addr, ip_str
 from .resilience import Unavailable
 from .scenario import (FaultDecl, HostDecl, LinkDecl, PortSpec,
-                       ScenarioConfig, TrafficDecl, build_engine, carried_vids)
+                       ScenarioConfig, build_engine, carried_vids)
 
 INVARIANTS = ("isolation", "zone-policy", "nat-bijection", "failover",
               "determinism")
@@ -108,11 +108,12 @@ def _verify_zone_policy(cfg: ScenarioConfig, seed: int):
         return False, "scenario lacks inside/outside hosts or masquerade scopes"
     trial = copy.deepcopy(cfg)
     trial.traffic = [
-        TrafficDecl("ping", inside[0], "zp-out", dst=outside, count=3),
+        TrafficSpec("ping", inside[0], "zp-out", dst=outside, count=3),
         # unsolicited tcp initiation from outside at the masqueraded edge;
         # no inside binding ever used port 80, so nothing may get through
-        TrafficDecl("cbr", outside, "zp-in", dst_ip=ext_ip, rate=2_000_000,
-                    sport=30_000, dport=80, stop_us=3_000_000),
+        TrafficSpec("cbr", outside, "zp-in", dst_ip=ext_ip,
+                    rate_bps=2_000_000, src_port=30_000, dst_port=80,
+                    stop_us=3_000_000),
     ]
     trial.faults = []
     eng = build_engine(trial, seed=seed)
@@ -176,11 +177,12 @@ def _verify_failover(cfg: ScenarioConfig, seed: int):
         return False, "scenario lacks probe traffic endpoints"
     trial = copy.deepcopy(cfg)
     trial.traffic = [
-        TrafficDecl("cbr", inside[0], "steady", dst=outside, rate=4_000_000,
-                    sport=40_000, dport=5001, stop_us=20_000_000),
-        TrafficDecl("bulk", inside[1], "after", dst=outside,
-                    total=1_000_000, start_us=15_000_000, sport=40_001,
-                    dport=5002),
+        TrafficSpec("cbr", inside[0], "steady", dst=outside,
+                    rate_bps=4_000_000, src_port=40_000, dst_port=5001,
+                    stop_us=20_000_000),
+        TrafficSpec("bulk", inside[1], "after", dst=outside,
+                    total_bytes=1_000_000, start_us=15_000_000,
+                    src_port=40_001, dst_port=5002),
     ]
     trial.faults = [FaultDecl(10_000_000, "fail_node", "fw1")]
     first = {}  # "path_down" / "tx" -> t of the first fw1 down / late dispatch
@@ -208,7 +210,7 @@ def _verify_failover(cfg: ScenarioConfig, seed: int):
 # -- determinism -----------------------------------------------------------
 
 def _run_digest(cfg: ScenarioConfig, seed: int) -> str:
-    """sha256 of trace_text() + the summary, fed one line at a time."""
+    """sha256 of the trace text + the summary, fed one line at a time."""
     digest = hashlib.sha256()
     eng = build_engine(cfg, seed=seed, trace=lambda *record: digest.update(
         (trace_line(*record) + "\n").encode()))

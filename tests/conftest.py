@@ -1,10 +1,13 @@
-"""Shared oracles plus the acceptance-verdict summary hook."""
+"""Shared oracles, test helpers and the acceptance-verdict summary hook."""
+import random
 from typing import Optional
 
+from netfab.engine import trace_line
 from netfab.l2 import (DEFAULT_FDB_AGING_US, FdbEntry, PortConfig,
                        UnknownPort, lag_select)
-from netfab.packet import (Frame, classify_dst, frame_flow_key, pop_tag,
-                           push_tag)
+from netfab.packet import Frame, frame_flow_key, ip_addr, pop_tag, push_tag
+from netfab.scenario import (HostDecl, LinkDecl, PortSpec, ScenarioConfig,
+                             SwitchDecl, VlanDecl)
 
 _acceptance_lines = []
 
@@ -19,6 +22,65 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance criteria")
         for line in _acceptance_lines:
             terminalreporter.write_line(line)
+
+
+class TraceLines(list):
+    """An in-memory trace sink: each record's `trace_line`, in order."""
+
+    def __call__(self, *record):
+        self.append(trace_line(*record))
+
+    def text(self) -> str:
+        return "\n".join(self) + ("\n" if self else "")
+
+
+def bulk_transfer_time(rate_cap_bps: float, total_bytes: float) -> float:
+    """Ideal lower bound (seconds) for a transfer through a rate-capped path."""
+    if rate_cap_bps <= 0:
+        raise ValueError("rate_cap must be > 0")
+    return total_bytes * 8 / rate_cap_bps
+
+
+def classify_dst(frame: Frame) -> str:
+    if frame.dst.is_broadcast:
+        return "broadcast"
+    if frame.dst.is_multicast:
+        return "multicast"
+    return "unicast"
+
+
+def random_topology(rng: random.Random) -> ScenarioConfig:
+    """A random loop-free access/trunk fabric: ≤ 8 switches, ≤ 16 VLANs,
+    ≤ 64 hosts. Inter-switch links are trunks with random allowed sets."""
+    cfg = ScenarioConfig()
+    n_sw = rng.randint(1, 8)
+    n_vid = rng.randint(1, 16)
+    vids = list(range(1, n_vid + 1))
+    for v in vids:
+        cfg.vlans[v] = VlanDecl(v, f"v{v}")
+    ports: dict[str, dict] = {f"s{i}": {} for i in range(1, n_sw + 1)}
+    for i in range(2, n_sw + 1):  # random spanning tree
+        j = rng.randint(1, i - 1)
+        a, b = f"s{i}", f"s{j}"
+        pa, pb = f"t{len(ports[a])}", f"t{len(ports[b])}"
+        ports[a][pa] = PortSpec("trunk", allowed=tuple(
+            sorted(rng.sample(vids, rng.randint(1, n_vid)))))
+        ports[b][pb] = PortSpec("trunk", allowed=tuple(
+            sorted(rng.sample(vids, rng.randint(1, n_vid)))))
+        cfg.links.append(LinkDecl((a, pa), (b, pb), 100_000_000))
+    n_hosts = rng.randint(2, 64)
+    for h in range(1, n_hosts + 1):
+        sw = f"s{rng.randint(1, n_sw)}"
+        vid = rng.choice(vids)
+        pid = f"h{len(ports[sw])}"
+        ports[sw][pid] = PortSpec("access", vid=vid)
+        name = f"h{h}"
+        cfg.hosts[name] = HostDecl(name, ip_addr(f"10.{vid}.0.{h}"), 16,
+                                   vlan=vid)
+        cfg.links.append(LinkDecl((name, 0), (sw, pid), 100_000_000))
+    for name, pp in ports.items():
+        cfg.switches[name] = SwitchDecl(name, pp)
+    return cfg
 
 
 def vlan_reach_oracle(cfg, src_host):

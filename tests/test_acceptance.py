@@ -7,12 +7,12 @@ run shows the verdict for every criterion, then asserts it.
 import random
 import time
 
-from conftest import record_acceptance, vlan_reach_oracle
-from netfab.fabric import (broadcast_delivery, build_switch_fabric,
-                           random_topology)
+from conftest import random_topology, record_acceptance, vlan_reach_oracle
+from netfab.engine import TrafficSpec
+from netfab.fabric import broadcast_delivery, build_switch_fabric
 from netfab.firewall import Firewall
 from netfab.packet import Packet, ip_addr
-from netfab.scenario import (BUNDLED, FaultDecl, TrafficDecl, build_engine,
+from netfab.scenario import (BUNDLED, FaultDecl, build_engine,
                              build_spring8_redundant, build_spring8_upgraded,
                              parse_scenario, validate_scenario)
 from netfab.verify import verify
@@ -158,9 +158,9 @@ def test_criterion_6_firewall_failover():
 
     # With both firewalls down, the balancer must report the path unavailable.
     both_down = build_spring8_redundant()
-    both_down.traffic.append(TrafficDecl(
-        kind="cbr", src="bl01h1", dst="ext1", flow="doomed",
-        start_us=15_000_000, rate=1_000_000, dport=5002))
+    both_down.traffic.append(TrafficSpec(
+        kind="cbr", src="bl01h1", dst="ext1", flow_id="doomed",
+        start_us=15_000_000, rate_bps=1_000_000, dst_port=5002))
     for target in ("fw1", "fw2"):
         both_down.faults.append(FaultDecl(10_000_000, "fail_node", target))
     eng = build_engine(both_down)
@@ -171,9 +171,9 @@ def test_criterion_6_firewall_failover():
     # persists for the rest of the run.
     single = build_spring8_upgraded()
     single.duration_us = 30_000_000
-    single.traffic.append(TrafficDecl(
-        kind="cbr", src="bl01h1", dst="oa1", flow="outage",
-        start_us=15_000_000, rate=1_000_000, dport=5002))
+    single.traffic.append(TrafficSpec(
+        kind="cbr", src="bl01h1", dst="oa1", flow_id="outage",
+        start_us=15_000_000, rate_bps=1_000_000, dst_port=5002))
     single.faults.append(FaultDecl(10_000_000, "fail_node", "fw1"))
     eng2 = build_engine(single)
     eng2.run_until(single.duration_us)

@@ -3,6 +3,7 @@ import tracemalloc
 
 import pytest
 
+from conftest import TraceLines
 from netfab.cli import main
 from netfab.scenario import build_engine, load_scenario
 from test_acceptance import FIREWALL_RIG
@@ -61,9 +62,9 @@ def test_trace_file_matches_trace_text(name, tmp_path):
     assert main(["run", name, "--trace", str(trace),
                  "--report", os.devnull]) == 0
     cfg = load_scenario(name)
-    eng = build_engine(cfg, trace=True)
-    eng.run_until(cfg.duration_us)
-    assert trace.read_bytes() == eng.trace_text().encode()
+    lines = TraceLines()
+    build_engine(cfg, trace=lines).run_until(cfg.duration_us)
+    assert trace.read_bytes() == lines.text().encode()
 
 
 def test_trace_to_stdout_precedes_report(tmp_path, capsys):

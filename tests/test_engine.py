@@ -2,12 +2,13 @@ import hashlib
 
 import pytest
 
+from conftest import TraceLines, bulk_transfer_time
 from netfab.engine import (ARP_PENDING_MAX, BULK_LOSS_WINDOW, BULK_WINDOW,
                            BulkSender, Engine, HostNode, SwitchNode,
-                           TrafficSpec, UnknownTarget, bulk_transfer_time)
+                           TrafficSpec, UnknownTarget)
 from netfab.packet import MacAddress, Packet, ip_addr, make_frame, push_tag
-from netfab.scenario import (FaultDecl, TrafficDecl, build_engine,
-                             load_scenario, parse_scenario)
+from netfab.scenario import (FaultDecl, build_engine, load_scenario,
+                             parse_scenario)
 
 
 def mac(i):
@@ -252,10 +253,10 @@ class TestFaults:
         cfg.faults += [FaultDecl(500_000, "fail_link", member),
                        FaultDecl(3_500_000, "recover", member)]
         for i in range(8):
-            cfg.traffic.append(TrafficDecl(
+            cfg.traffic.append(TrafficSpec(
                 "bulk", f"bl{i // 2 + 1:02d}h{i % 2 + 2}", f"n{i}",
-                dst=f"ext{i % 2 + 1}", start_us=1_000_000, total=200_000,
-                sport=40_000 + i, dport=5001))
+                dst=f"ext{i % 2 + 1}", start_us=1_000_000, total_bytes=200_000,
+                src_port=40_000 + i, dst_port=5001))
         eng = build_engine(cfg)
         eng.run_until(3_000_000)
         flows = eng.metrics.flows
@@ -342,7 +343,8 @@ class TestDropCounts:
 
 class TestDeterminism:
     def run_digest(self, seed):
-        eng = Engine(seed=seed, trace=True)
+        lines = TraceLines()
+        eng = Engine(seed=seed, trace=lines)
         h1, h2, h3 = lan(eng, hosts=3)
         h1.add_generator(TrafficSpec(kind="cbr", src="h1", dst="h2",
                                      flow_id="c1", dst_ip=h2.ip,
@@ -351,20 +353,21 @@ class TestDeterminism:
         h3.add_generator(TrafficSpec(kind="ping", src="h3", dst="h1",
                                      flow_id="p1", dst_ip=h1.ip, count=3))
         eng.run_until(4_000_000)
-        blob = eng.trace_text() + "\n".join(eng.metrics.summary_lines())
+        blob = lines.text() + "\n".join(eng.metrics.summary_lines())
         return hashlib.sha256(blob.encode()).hexdigest()
 
     def test_same_seed_same_trace(self):
         assert self.run_digest(42) == self.run_digest(42)
 
     def test_trace_line_format(self):
-        eng = Engine(seed=1, trace=True)
+        lines = TraceLines()
+        eng = Engine(seed=1, trace=lines)
         h1, h2 = lan(eng)
         h1.add_generator(TrafficSpec(kind="ping", src="h1", dst="h2",
                                      flow_id="p1", dst_ip=h2.ip, count=1))
         eng.run_until(1_000_000)
-        assert eng.trace_lines
-        for line in eng.trace_lines:
+        assert lines
+        for line in lines:
             fields = line.split("\t")
             assert len(fields) == 6
             keys = [f.split("=", 1)[0] for f in fields]
@@ -385,7 +388,8 @@ class TestBulkRecovery:
         assert st.offered_payload > 10_000_000  # retransmissions are offered
 
     def test_link_failure_and_recovery_mid_transfer(self):
-        eng = Engine(trace=True)
+        lines = TraceLines()
+        eng = Engine(trace=lines)
         h1, h2 = lan(eng)
         total = 2_000_000  # about 0.17 s at 100 Mbps without the outage
         h1.add_generator(TrafficSpec(kind="bulk", src="h1", dst="h2",
@@ -403,7 +407,7 @@ class TestBulkRecovery:
         assert eng.metrics.drops[("sw", "link-down")] > 0
         # the first resend, lost on the dead link, doubles the RTO from its
         # 200 ms floor: the second comes 400 ms later
-        sent = sorted({int(line.split("\t")[0][2:]) for line in eng.trace_lines
+        sent = sorted({int(line.split("\t")[0][2:]) for line in lines
                        if "\tnode=h1\tev=tx\t" in line})
         resent = [t for t in sent if t > 50_000]
         assert resent[1] - resent[0] == 400_000

@@ -1,8 +1,7 @@
 import random
 
-from conftest import vlan_reach_oracle
-from netfab.fabric import (broadcast_delivery, build_switch_fabric,
-                           random_topology)
+from conftest import random_topology, vlan_reach_oracle
+from netfab.fabric import broadcast_delivery, build_switch_fabric
 
 
 def test_generated_topologies_validate():

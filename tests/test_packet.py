@@ -5,11 +5,11 @@ import pickle
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import classify_dst
 from netfab.packet import (AlreadyTagged, Arp, BROADCAST, Frame, InvalidVid,
                            MacAddress, NotTagged, Packet, PrefixTable,
-                           VlanTag, classify_dst, flow_key, in_network,
-                           ip_addr, ip_str, make_frame, pop_tag, prefix_mask,
-                           push_tag)
+                           VlanTag, flow_key, in_network, ip_addr, ip_str,
+                           make_frame, pop_tag, prefix_mask, push_tag)
 
 
 def mac(text):

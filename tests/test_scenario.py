@@ -4,13 +4,14 @@ from operator import attrgetter
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from netfab.engine import FirewallSide, TrafficSpec
 from netfab.l3 import VERDICTS, ZONES
 from netfab.packet import ip_addr, prefix_mask
 from netfab.scenario import (BUNDLED, AclDecl, BalancerDecl, FaultDecl,
                              FirewallDecl, HostDecl, IfaceDecl, L3Decl,
                              LinkDecl, LoopError, MasqDecl, ParseError,
-                             PortSpec, RouteDecl, ScenarioConfig, SideDecl,
-                             SwitchDecl, TrafficDecl, ValidationError,
+                             PortSpec, RouteDecl, ScenarioConfig,
+                             SwitchDecl, ValidationError,
                              VlanDecl, build_engine, build_spring8_legacy,
                              build_spring8_redundant, build_spring8_upgraded,
                              load_scenario, parse_scenario, serialize_scenario,
@@ -190,6 +191,22 @@ class TestRoundTrip:
         text = serialize_scenario(cfg)
         assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
 
+    @pytest.mark.parametrize("name", sorted(BUNDLED))
+    def test_engine_leaves_declarations_untouched(self, name):
+        """The engine shares cfg's traffic and firewall side records, so
+        building and running it must not change what cfg serializes to."""
+        cfg = BUNDLED[name]()
+        before = serialize_scenario(cfg)
+        eng = build_engine(cfg)
+        assert serialize_scenario(cfg) == before
+        eng.run_until(cfg.duration_us)
+        assert serialize_scenario(cfg) == before
+        decl = next(t for t in cfg.traffic if t.flow_id == "mon-check")
+        (gen,) = [g for g in eng.nodes[decl.src].generators
+                  if g.flow_id == "mon-check"]
+        assert decl.dst_ip is None  # declared by dst alone
+        assert gen.dst_ip == cfg.hosts[decl.dst].ip
+
     def test_load_scenario_from_file(self, tmp_path):
         path = tmp_path / "mini.nf"
         path.write_text(MINIMAL)
@@ -242,25 +259,25 @@ PORT_SPECS = (
 @st.composite
 def sides(draw):
     ip = draw(maybe(IPS))
-    return SideDecl(draw(st.sampled_from(("routed", "inline"))), ip,
-                    24 if ip is None else draw(PREFIX_LENS), draw(ZONE_NAMES),
-                    gw=draw(maybe(IPS)), peer=draw(maybe(WORDS)),
-                    routes=draw(st.lists(st.builds(
-                        lambda net, via: (*net, via), networks(), IPS),
-                        max_size=2)))
+    return FirewallSide(
+        draw(st.sampled_from(("routed", "inline"))), ip,
+        24 if ip is None else draw(PREFIX_LENS), draw(ZONE_NAMES),
+        gw=draw(maybe(IPS)), peer=draw(maybe(WORDS)),
+        routes=draw(st.lists(st.builds(
+            lambda net, via: (*net, via), networks(), IPS), max_size=2)))
 
 
 @st.composite
 def flows(draw):
     dst, dst_ip = draw(st.sampled_from(((True, False), (False, True),
                                         (True, True))))
-    return TrafficDecl(
+    return TrafficSpec(
         draw(st.sampled_from(("cbr", "bulk", "ping"))), draw(WORDS),
         draw(WORDS), dst=draw(WORDS) if dst else None,
         dst_ip=draw(IPS) if dst_ip else None, start_us=draw(TIMES_US),
-        stop_us=draw(maybe(TIMES_US)), rate=draw(COUNTS),
-        total=draw(COUNTS), count=draw(COUNTS), sport=draw(L4_PORTS),
-        dport=draw(L4_PORTS))
+        stop_us=draw(maybe(TIMES_US)), rate_bps=draw(COUNTS),
+        total_bytes=draw(COUNTS), count=draw(COUNTS), src_port=draw(L4_PORTS),
+        dst_port=draw(L4_PORTS))
 
 
 # node names carry a per-kind prefix so they are unique across sections

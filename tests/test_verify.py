@@ -5,9 +5,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import affected_vlans_oracle
+from conftest import affected_vlans_oracle, random_topology
 from netfab import engine
-from netfab.fabric import random_topology
 from netfab.packet import ip_addr
 from netfab.scenario import (BUNDLED, FaultDecl, IfaceDecl, L3Decl, LinkDecl,
                              PortSpec, build_spring8_legacy,
