@@ -1,6 +1,7 @@
 """Deterministic discrete-event core: time, links, hosts, middleboxes, metrics."""
 from __future__ import annotations
 
+import functools
 import heapq
 from collections import Counter
 from dataclasses import dataclass, field
@@ -9,8 +10,8 @@ from typing import Optional
 from .firewall import Firewall, NoScope, PoolExhausted, Shaper
 from .l2 import Switch
 from .l3 import ZonePolicy, ZoneRouter
-from .packet import (Arp, BROADCAST, Frame, MacAddress, Packet, PrefixTable,
-                     flow_key, frame_copy, ip_str, make_frame, node_mac,
+from .packet import (Arp, BROADCAST, FlowKey, Frame, MacAddress, Packet,
+                     PrefixTable, flow_key, ip_str, make_frame, node_mac,
                      prefix_mask, vlan_tag)
 from .resilience import LoadBalancer, Unavailable
 
@@ -159,10 +160,16 @@ class Metrics:
         return lines
 
 
+@functools.lru_cache(maxsize=4096)
+def _flow_text(flow: FlowKey) -> str:
+    """str(flow), formatted once: a run traces each flow many times."""
+    return str(flow)
+
+
 def trace_line(t: int, node: str, ev: str, vlan, flow, info: str) -> str:
     """The text form of one trace record: six tab-separated key=value fields."""
-    vstr = str(vlan) if vlan is not None else "-"
-    fstr = str(flow) if flow is not None else "-"
+    vstr = "-" if vlan is None else vlan
+    fstr = "-" if flow is None else _flow_text(flow)
     return f"t={t}\tnode={node}\tev={ev}\tvlan={vstr}\tflow={fstr}\tinfo={info}"
 
 
@@ -670,39 +677,40 @@ class L3Node(Node):
             self.router.conn.sweep(self.engine.now)
 
     def emit(self, vid: int, frame_payload, dst_mac: MacAddress):
-        iface = self.router.interfaces[vid]
-        frame = make_frame(self.mac, dst_mac, frame_payload)
-        if iface.port is not None:
-            self.engine.send(self.name, iface.port, frame)
+        port = self.router.interfaces[vid].port
+        if port is not None:
+            self.engine.send(self.name, port,
+                             make_frame(self.mac, dst_mac, frame_payload))
         else:
-            self.engine.send(self.name, self.trunk_port,
-                             frame_copy(frame, frame.size_bytes + 4, vlan_tag(vid)))
+            self.engine.send(self.name, self.trunk_port, make_frame(
+                self.mac, dst_mac, frame_payload, vlan_tag(vid)))
 
     def ip_on(self, vid: int) -> int:
         return self.router.interfaces[vid].ip
 
     def on_frame(self, port, frame: Frame):
+        # reads the payload and destination in place: untagging needs no copy
+        tag = frame.tag
         if port == self.trunk_port:
-            if frame.tag is None or frame.tag.vid not in self.router.interfaces:
+            if tag is None or tag.vid not in self.router.interfaces:
                 self.engine.metrics.drop(self.name, "vlan")
                 return
-            inner = frame_copy(frame, frame.size_bytes - 4, None)
-            vid = frame.tag.vid
+            vid = tag.vid
         else:
             iface = self.port_iface.get(port)
-            if iface is None or frame.tag is not None:
+            if iface is None or tag is not None:
                 self.engine.metrics.drop(self.name, "vlan")
                 return
-            inner, vid = frame, iface.vid
+            vid = iface.vid
         iface = self.router.interfaces[vid]
-        payload = inner.payload
+        payload = frame.payload
         if isinstance(payload, Arp):
             self._on_arp(vid, iface, payload)
             return
         if not isinstance(payload, Packet):
             self.engine.metrics.frames_filtered += 1
             return
-        if inner.dst != self.mac and not inner.dst.is_broadcast:
+        if frame.dst != self.mac and not frame.dst.is_broadcast:
             self.engine.metrics.frames_filtered += 1
             return
         if self.router.is_local_ip(payload.dst_ip):

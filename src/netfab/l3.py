@@ -193,15 +193,19 @@ class ZoneRouter:
         route = self.route_lookup(packet.dst_ip)
         if route is None:
             return ("drop", "no-route")
-        egress_vid, next_hop = self.resolve_egress(route)
-        zf = self.interfaces[ingress_vid].zone
-        zt = self.interfaces[egress_vid].zone
+        egress_vid, next_hop = route.via_vid, None
+        if egress_vid is None:
+            egress_vid, next_hop = self.resolve_egress(route)
+        # ZonePolicy.rules holds every zone pair, so indexing it is verdict()
+        zones = (self.interfaces[ingress_vid].zone,
+                 self.interfaces[egress_vid].zone)
         key = flow_key(packet)
-        if self.policy.verdict(zf, zt) == "deny-new" and not self.conn.established(key, now):
+        if (self.policy.rules[zones] == "deny-new"
+                and not self.conn.established(key, now)):
             return ("drop", "acl")
         if packet.ttl <= 1:
             return ("drop", "ttl")
-        self.conn.note(key, now)
+        self.conn.entries[key] = now  # ConnTable.note
         return ("forward", egress_vid, next_hop,
                 packet_copy(packet, packet.src_ip, packet.dst_ip,
                             packet.src_port, packet.dst_port, packet.ttl - 1))

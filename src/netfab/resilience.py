@@ -41,7 +41,9 @@ class LoadBalancer:
         if len(path_ids) != 2:
             raise ValueError("exactly two firewall paths are balanced")
         self.name = name
-        self.paths = {pid: PathHealth(pid) for pid in path_ids}
+        # in path-id order, which reset_dynamic keeps: every list of paths
+        # this class returns is sorted without sorting
+        self.paths = {pid: PathHealth(pid) for pid in sorted(path_ids)}
         self.probe_interval_us = probe_interval_us
         self.down_threshold = down_threshold
         self.up_threshold = up_threshold
@@ -51,13 +53,12 @@ class LoadBalancer:
         self.transitions: list[tuple[str, str]] = []  # (path, up|down), drained by owner
 
     def up_paths(self) -> list[str]:
-        return [pid for pid in sorted(self.paths) if self.paths[pid].state == "up"]
+        return [pid for pid, path in self.paths.items() if path.state == "up"]
 
     def probe_tick(self, now: int) -> list[str]:
         """Evaluate misses and return the paths due a new probe."""
         due = []
-        for pid in sorted(self.paths):
-            path = self.paths[pid]
+        for pid, path in self.paths.items():
             if (path.last_probe_sent is not None
                     and now < path.last_probe_sent + self.probe_interval_us):
                 continue

@@ -1,10 +1,9 @@
 """Invariant checks over scenarios and fault-time status reports."""
 from __future__ import annotations
 
-import copy
 import functools
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from .engine import TrafficSpec, trace_line
@@ -69,15 +68,20 @@ def _verify_isolation(cfg: ScenarioConfig, seed: int):
     b_hosts = _beamline_hosts(cfg, "bl02")
     if not a_hosts or not b_hosts:
         return False, "scenario lacks bl01/bl02 host groups for the probe"
-    trial = copy.deepcopy(cfg)
-    _, peer = build_switch_fabric(trial)
-    b_attach = host_attachment(trial, peer, b_hosts[0])
-    b_vid = host_vid(trial, peer, b_hosts[0])
-    sw_name, _ = b_attach
-    trial.switches[sw_name].ports["rogue"] = PortSpec("access", vid=b_vid)
-    trial.hosts["rogue"] = HostDecl("rogue", ip_addr("10.1.1.200"), 24,
-                                    vlan=b_vid, group="rogue")
-    trial.links.append(LinkDecl(("rogue", 0), (sw_name, "rogue"), 100_000_000))
+    _, peer = build_switch_fabric(cfg)
+    sw_name, _ = host_attachment(cfg, peer, b_hosts[0])
+    b_vid = host_vid(cfg, peer, b_hosts[0])
+    # cfg with the rogue added: new containers and a new record wherever the
+    # trial differs, the caller's declarations shared and left unchanged
+    switch = cfg.switches[sw_name]
+    trial = replace(
+        cfg,
+        switches={**cfg.switches, sw_name: replace(switch, ports={
+            **switch.ports, "rogue": PortSpec("access", vid=b_vid)})},
+        hosts={**cfg.hosts, "rogue": HostDecl(
+            "rogue", ip_addr("10.1.1.200"), 24, vlan=b_vid, group="rogue")},
+        links=[*cfg.links, LinkDecl(("rogue", 0), (sw_name, "rogue"),
+                                    100_000_000)])
     delivered = broadcast_delivery(trial, "rogue")
     crossed = sorted(delivered & set(a_hosts))
     if crossed:
@@ -106,16 +110,14 @@ def _verify_zone_policy(cfg: ScenarioConfig, seed: int):
     ext_ip = _external_ip(cfg)
     if not inside or outside is None or ext_ip is None:
         return False, "scenario lacks inside/outside hosts or masquerade scopes"
-    trial = copy.deepcopy(cfg)
-    trial.traffic = [
+    trial = replace(cfg, faults=[], traffic=[
         TrafficSpec("ping", inside[0], "zp-out", dst=outside, count=3),
         # unsolicited tcp initiation from outside at the masqueraded edge;
         # no inside binding ever used port 80, so nothing may get through
         TrafficSpec("cbr", outside, "zp-in", dst_ip=ext_ip,
                     rate_bps=2_000_000, src_port=30_000, dst_port=80,
                     stop_us=3_000_000),
-    ]
-    trial.faults = []
+    ])
     eng = build_engine(trial, seed=seed)
     eng.run_until(6_000_000)
     out_flow = eng.metrics.flows.get("zp-out")
@@ -175,16 +177,14 @@ def _verify_failover(cfg: ScenarioConfig, seed: int):
     outside = _outside_host(cfg)
     if not inside or outside is None:
         return False, "scenario lacks probe traffic endpoints"
-    trial = copy.deepcopy(cfg)
-    trial.traffic = [
+    trial = replace(cfg, traffic=[
         TrafficSpec("cbr", inside[0], "steady", dst=outside,
                     rate_bps=4_000_000, src_port=40_000, dst_port=5001,
                     stop_us=20_000_000),
         TrafficSpec("bulk", inside[1], "after", dst=outside,
                     total_bytes=1_000_000, start_us=15_000_000,
                     src_port=40_001, dst_port=5002),
-    ]
-    trial.faults = [FaultDecl(10_000_000, "fail_node", "fw1")]
+    ], faults=[FaultDecl(10_000_000, "fail_node", "fw1")])
     first = {}  # "path_down" / "tx" -> t of the first fw1 down / late dispatch
 
     def watch(t, _node, ev, _vlan, _flow, info):
@@ -209,13 +209,28 @@ def _verify_failover(cfg: ScenarioConfig, seed: int):
 
 # -- determinism -----------------------------------------------------------
 
+DIGEST_BATCH = 512  # trace lines hashed per sha256 update
+
+
 def _run_digest(cfg: ScenarioConfig, seed: int) -> str:
-    """sha256 of the trace text + the summary, fed one line at a time."""
+    """sha256 of the trace text (each line ending in a newline) + the summary.
+
+    Lines are hashed in batches as the run goes, so memory stays bounded; a
+    sha256 fed in pieces gives the digest of their concatenation."""
     digest = hashlib.sha256()
-    eng = build_engine(cfg, seed=seed, trace=lambda *record: digest.update(
-        (trace_line(*record) + "\n").encode()))
+    batch = []
+
+    def sink(*record):
+        batch.append(trace_line(*record))
+        if len(batch) == DIGEST_BATCH:
+            batch.append("")  # the last line's newline
+            digest.update("\n".join(batch).encode())
+            batch.clear()
+
+    eng = build_engine(cfg, seed=seed, trace=sink)
     eng.run_until(cfg.duration_us)
-    digest.update("\n".join(eng.metrics.summary_lines()).encode())
+    batch.append("\n".join(eng.metrics.summary_lines()))  # after the last batch
+    digest.update("\n".join(batch).encode())
     return digest.hexdigest()
 
 
@@ -338,8 +353,8 @@ def status(cfg: ScenarioConfig, at_us: int,
         elif obj.kind == "firewall":
             details = f"nat={obj.fw.nat_size()} conn={len(obj.fw.conn)}"
         elif obj.kind == "balancer":
-            health = ",".join(f"{p}:{obj.lb.paths[p].state}"
-                              for p in sorted(obj.lb.paths))
+            health = ",".join(f"{p}:{path.state}"
+                              for p, path in obj.lb.paths.items())
             details = f"paths={health}"
         report.nodes.append((name, obj.kind, state, details))
     return report

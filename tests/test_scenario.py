@@ -212,7 +212,10 @@ class TestRoundTrip:
         path.write_text(MINIMAL)
         cfg = load_scenario(str(path))
         assert "sw1" in cfg.switches
-        assert "h2" in load_scenario("spring8-legacy").hosts or True
+        assert cfg.hosts["h2"].ip == ip_addr("10.0.10.2")
+        assert cfg.hosts["h2"].vlan == 10
+        assert (serialize_scenario(load_scenario("spring8-legacy"))
+                == serialize_scenario(build_spring8_legacy()))
 
 
 # -- parse(serialize(cfg)) == cfg for any config the format can express ------

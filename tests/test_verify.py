@@ -1,19 +1,21 @@
 import copy
 import hashlib
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import affected_vlans_oracle, random_topology
+from conftest import TraceLines, affected_vlans_oracle, random_topology
 from netfab import engine
 from netfab.packet import ip_addr
 from netfab.scenario import (BUNDLED, FaultDecl, IfaceDecl, L3Decl, LinkDecl,
                              PortSpec, build_spring8_legacy,
                              build_spring8_redundant, build_spring8_upgraded,
-                             parse_scenario, serialize_scenario)
-from netfab.verify import (UnknownInvariant, UnknownNode, _run_digest,
-                           affected_vlans, status, verify)
+                             build_engine, parse_scenario, serialize_scenario)
+from netfab.verify import (DIGEST_BATCH, INVARIANTS, UnknownInvariant,
+                           UnknownNode, _run_digest, affected_vlans, status,
+                           verify)
 
 
 @pytest.fixture(scope="module")
@@ -107,6 +109,40 @@ class TestDeterminism:
         if parsed:
             cfg = parse_scenario(serialize_scenario(cfg))
         assert _run_digest(cfg, cfg.seed)[:16] == digest
+
+    def test_batched_digest_hashes_every_line(self):
+        """The digest is sha256 of the whole trace text, then the summary,
+        however the lines are batched: a run with a failover spans many
+        batches and ends in a partial one."""
+        cfg = replace(build_spring8_redundant(), duration_us=4_000_000,
+                      faults=[FaultDecl(1_000_000, "fail_node", "fw1")])
+        lines = TraceLines()
+        eng = build_engine(cfg, seed=cfg.seed, trace=lines)
+        eng.run_until(cfg.duration_us)
+        events = {line.split("\t")[2] for line in lines}
+        assert {"ev=fault", "ev=drop", "ev=probe", "ev=path_down",
+                "ev=tx", "ev=rx", "ev=nat"} <= events
+        assert len(lines) > 4 * DIGEST_BATCH and len(lines) % DIGEST_BATCH
+        text = lines.text() + "\n".join(eng.metrics.summary_lines())
+        assert _run_digest(cfg, cfg.seed) == \
+            hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(BUNDLED))
+def test_queries_leave_the_scenario_untouched(name):
+    """verify's trial runs and status share the caller's declarations, so
+    every query must leave what cfg serializes to as it was."""
+    cfg = BUNDLED[name]()
+    before = serialize_scenario(cfg)
+    for invariant in INVARIANTS:
+        if invariant == "failover" and not cfg.balancers:
+            continue
+        verify(cfg, invariant, seed=cfg.seed)
+    status(cfg, 2_000_000)
+    assert serialize_scenario(cfg) == before
+    assert "rogue" not in cfg.hosts
+    assert not any("rogue" in sw.ports for sw in cfg.switches.values())
+    assert not any("rogue" in (link.a[0], link.b[0]) for link in cfg.links)
 
 
 class TestStatus:
