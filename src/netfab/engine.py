@@ -301,6 +301,15 @@ class Engine:
     def residual_frames(self) -> int:
         return sum(l.pending[0] + l.pending[1] for l in self.links.values())
 
+    def close(self):
+        """Drop the nodes and the queued events that point to them. Each node
+        points back to its engine, so until then the engine is a reference
+        cycle that only a full garbage collection frees. `metrics`, `links`
+        and `link_at` stay readable; a closed engine has nothing left to run."""
+        self.nodes.clear()
+        self._ends.clear()
+        self._heap.clear()
+
     # -- trace -------------------------------------------------------------
 
     def trace(self, node: str, ev: str, vlan, flow, info: str):
@@ -338,24 +347,23 @@ class Resolver:
     request repeated every ARP_RETRY_US while packets wait, keyed by
     (scope, ip). At most ARP_PENDING_MAX packets wait for one MAC; a new one
     pushes out the oldest, counted as an `arp-pending` drop. A scope is what
-    the node sends on: a port, a VLAN or a firewall side. The node's
-    `emit(scope, payload, dst_mac)` puts a frame on a scope and its
+    the node sends on: a port, a VLAN or a firewall side. The owning node
+    passes itself to each call, so a resolver holds no reference back to it;
+    its `emit(scope, payload, dst_mac)` puts a frame on a scope and its
     `ip_on(scope)` is its own address there."""
 
     # one per host in a campus scenario: no per-instance __dict__
-    __slots__ = ("node", "cache", "pending", "last_req")
+    __slots__ = ("cache", "pending", "last_req")
 
-    def __init__(self, node: Node):
-        self.node = node
+    def __init__(self):
         self.cache: dict[tuple, MacAddress] = {}
         self.pending: dict[tuple, list[Packet]] = {}
         self.last_req: dict[tuple, int] = {}
 
-    def send(self, scope, ip: int, packet: Packet):
+    def send(self, node: Node, scope, ip: int, packet: Packet):
         """Send packet to ip's MAC, or hold it and ask for that MAC."""
         key = (scope, ip)
         mac = self.cache.get(key)
-        node = self.node
         if mac is not None:
             node.emit(scope, packet, mac)
             return
@@ -371,13 +379,13 @@ class Resolver:
             req = Arp("request", node.ip_on(scope), node.mac, ip)
             node.emit(scope, req, BROADCAST)
 
-    def learn(self, scope, arp: Arp):
+    def learn(self, node: Node, scope, arp: Arp):
         """Cache the sender of arp; a reply also sends what was held for it."""
         key = (scope, arp.sender_ip)
         self.cache[key] = arp.sender_mac
         if arp.op == "reply":
             for packet in self.pending.pop(key, ()):
-                self.node.emit(scope, packet, arp.sender_mac)
+                node.emit(scope, packet, arp.sender_mac)
 
     def clear(self):
         self.cache.clear()
@@ -423,7 +431,7 @@ class HostNode(Node):
         self.gw_ip = gw_ip
         self.group = group
         self.port = 0
-        self.arp = Resolver(self)
+        self.arp = Resolver()
         self.bulk_send: dict[str, BulkSender] = {}
         self.bulk_recv: dict[str, dict] = {}
         self.ping_seen: Counter = Counter()
@@ -542,7 +550,7 @@ class HostNode(Node):
             if self.engine.trace_enabled:
                 self.engine.trace(self.name, "tx", None, flow_key(packet),
                                   f"kind={packet.meta[0]}")
-        self.arp.send(self.port, self._next_hop(packet.dst_ip), packet)
+        self.arp.send(self, self.port, self._next_hop(packet.dst_ip), packet)
 
     def emit(self, port, payload, dst_mac: MacAddress):
         self.engine.send(self.name, port, make_frame(self.mac, dst_mac, payload))
@@ -572,7 +580,7 @@ class HostNode(Node):
         if arp.target_ip != self.ip:
             self.engine.metrics.frames_filtered += 1
             return
-        self.arp.learn(self.port, arp)
+        self.arp.learn(self, self.port, arp)
         if arp.op == "request":
             reply = Arp("reply", self.ip, self.mac, arp.sender_ip)
             self.emit(self.port, reply, arp.sender_mac)
@@ -669,7 +677,7 @@ class L3Node(Node):
         self.trunk_port = "trunk"
         ifaces = reversed(self.router.interfaces.values())  # first one wins
         self.port_iface = {i.port: i for i in ifaces if i.port is not None}
-        self.arp = Resolver(self)
+        self.arp = Resolver()
         engine.schedule(FDB_AGE_SWEEP_US, "age_tick", name)
 
     def on_event(self, kind: str, payload):
@@ -724,10 +732,10 @@ class L3Node(Node):
             return
         _, egress_vid, next_hop, out = result
         target = next_hop if next_hop is not None else out.dst_ip
-        self.arp.send(egress_vid, target, out)
+        self.arp.send(self, egress_vid, target, out)
 
     def _on_arp(self, vid: int, iface, arp: Arp):
-        self.arp.learn(vid, arp)
+        self.arp.learn(self, vid, arp)
         if arp.op == "request" and arp.target_ip == iface.ip:
             reply = Arp("reply", iface.ip, self.mac, arp.sender_ip)
             self.emit(vid, reply, arp.sender_mac)
@@ -773,7 +781,7 @@ class FirewallNode(Node):
         self.tick_scheduled = {s: False for s in self.sides}
         self.next_hops = {s: self._next_hop_table(cfg)
                           for s, cfg in self.sides.items()}
-        self.arp = Resolver(self)
+        self.arp = Resolver()
         engine.schedule(NAT_SWEEP_US, "age_tick", name)
 
     @staticmethod
@@ -824,7 +832,8 @@ class FirewallNode(Node):
             self.emit(out_side, pkt, mac_hint)
             return
         next_hop = self.next_hops[out_side].lookup(pkt.dst_ip)
-        self.arp.send(out_side, pkt.dst_ip if next_hop is None else next_hop, pkt)
+        self.arp.send(self, out_side,
+                      pkt.dst_ip if next_hop is None else next_hop, pkt)
 
     def emit(self, side: str, payload, dst_mac: MacAddress):
         self.engine.send(self.name, side, make_frame(self.mac, dst_mac, payload))
@@ -917,7 +926,7 @@ class FirewallNode(Node):
     def _on_arp(self, side: str, cfg: FirewallSide, out_side: str,
                 frame: Frame, arp: Arp):
         if cfg.mode == "routed" or side == "outside":
-            self.arp.learn(side, arp)
+            self.arp.learn(self, side, arp)
         owned = arp.target_ip == cfg.ip or (
             side == "outside" and arp.target_ip in self.fw.external_ips)
         if arp.op == "request" and owned:

@@ -6,7 +6,7 @@ import hashlib
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
-from .engine import TrafficSpec, trace_line
+from .engine import Metrics, TrafficSpec, trace_line
 from .fabric import (broadcast_delivery, build_switch_fabric, host_attachment,
                      host_vid)
 from .firewall import Firewall
@@ -53,6 +53,17 @@ def verify(cfg: ScenarioConfig, invariant: str, seed: int = 0) -> VerifyResult:
     }[invariant]
     passed, detail = check(cfg, seed)
     return VerifyResult(invariant, passed, detail)
+
+
+def _simulate(cfg: ScenarioConfig, seed: int, until_us: int,
+              trace=None) -> Metrics:
+    """Run cfg's engine to until_us and close it, so no node outlives the
+    query; its metrics stay readable."""
+    eng = build_engine(cfg, seed=seed, trace=trace)
+    try:
+        return eng.run_until(until_us)
+    finally:
+        eng.close()
 
 
 # -- isolation -------------------------------------------------------------
@@ -118,10 +129,9 @@ def _verify_zone_policy(cfg: ScenarioConfig, seed: int):
                     rate_bps=2_000_000, src_port=30_000, dst_port=80,
                     stop_us=3_000_000),
     ])
-    eng = build_engine(trial, seed=seed)
-    eng.run_until(6_000_000)
-    out_flow = eng.metrics.flows.get("zp-out")
-    in_flow = eng.metrics.flows.get("zp-in")
+    flows = _simulate(trial, seed, 6_000_000).flows
+    out_flow = flows.get("zp-out")
+    in_flow = flows.get("zp-in")
     if out_flow is None or out_flow.completed_at is None:
         return False, "permitted dmz->public flow did not complete"
     if in_flow is not None and in_flow.delivered_packets > 0:
@@ -192,14 +202,13 @@ def _verify_failover(cfg: ScenarioConfig, seed: int):
                 ev == "tx" and info == "dispatch path=fw1" and t > 14_000_000):
             first.setdefault(ev, t)
 
-    eng = build_engine(trial, seed=seed, trace=watch)
-    eng.run_until(22_000_000)
+    metrics = _simulate(trial, seed, 22_000_000, trace=watch)
     down_at, late_dispatch = first.get("path_down"), first.get("tx")
     if down_at is None:
         return False, "fw1 was never marked down"
     if late_dispatch is not None:
         return False, f"packet dispatched to failed fw1 at t={late_dispatch}µs"
-    after = eng.metrics.flows.get("after")
+    after = metrics.flows.get("after")
     if after is None or after.completed_at is None:
         return False, "connection opened after failover did not complete"
     return True, (f"switchover in {(down_at - 10_000_000) / 1e6:.1f}s; "
@@ -227,9 +236,8 @@ def _run_digest(cfg: ScenarioConfig, seed: int) -> str:
             digest.update("\n".join(batch).encode())
             batch.clear()
 
-    eng = build_engine(cfg, seed=seed, trace=sink)
-    eng.run_until(cfg.duration_us)
-    batch.append("\n".join(eng.metrics.summary_lines()))  # after the last batch
+    metrics = _simulate(cfg, seed, cfg.duration_us, trace=sink)
+    batch.append("\n".join(metrics.summary_lines()))  # after the last batch
     digest.update("\n".join(batch).encode())
     return digest.hexdigest()
 
@@ -328,33 +336,36 @@ def affected_vlans(cfg: ScenarioConfig, dead_nodes: set,
     return sorted(faulted - baseline)
 
 
+def _node_details(obj) -> str:
+    """The state one `status` line reports for a node of obj's kind."""
+    if obj.kind == "switch":
+        return f"ports={len(obj.switch.ports)} fdb={len(obj.switch.fdb)}"
+    if obj.kind == "l3":
+        return (f"interfaces={len(obj.router.interfaces)} "
+                f"conn={len(obj.router.conn)}")
+    if obj.kind == "firewall":
+        return f"nat={obj.fw.nat_size()} conn={len(obj.fw.conn)}"
+    if obj.kind == "balancer":
+        health = ",".join(f"{p}:{path.state}"
+                          for p, path in obj.lb.paths.items())
+        return f"paths={health}"
+    return ""
+
+
 def status(cfg: ScenarioConfig, at_us: int,
            node: Optional[str] = None) -> StatusReport:
     if node is not None and node not in cfg.node_names():
         raise UnknownNode(node)
     eng = build_engine(cfg)
-    eng.run_until(at_us)
-    dead_nodes = {n for n, obj in eng.nodes.items() if obj.failed}
-    dead_links = {lid for lid, link in eng.links.items() if not link.up}
-    report = StatusReport(at_us=at_us,
-                          affected_vlans=affected_vlans(cfg, dead_nodes,
-                                                        dead_links))
-    for name in sorted(eng.nodes):
-        if node is not None and name != node:
-            continue
-        obj = eng.nodes[name]
-        state = "failed" if obj.failed else "up"
-        details = ""
-        if obj.kind == "switch":
-            details = f"ports={len(obj.switch.ports)} fdb={len(obj.switch.fdb)}"
-        elif obj.kind == "l3":
-            details = (f"interfaces={len(obj.router.interfaces)} "
-                       f"conn={len(obj.router.conn)}")
-        elif obj.kind == "firewall":
-            details = f"nat={obj.fw.nat_size()} conn={len(obj.fw.conn)}"
-        elif obj.kind == "balancer":
-            health = ",".join(f"{p}:{path.state}"
-                              for p, path in obj.lb.paths.items())
-            details = f"paths={health}"
-        report.nodes.append((name, obj.kind, state, details))
-    return report
+    try:
+        eng.run_until(at_us)
+        dead_nodes = {n for n, obj in eng.nodes.items() if obj.failed}
+        dead_links = {lid for lid, link in eng.links.items() if not link.up}
+        rows = [(name, obj.kind, "failed" if obj.failed else "up",
+                 _node_details(obj))
+                for name, obj in sorted(eng.nodes.items())
+                if node is None or name == node]
+    finally:
+        eng.close()  # after the node states are read
+    return StatusReport(at_us, rows,
+                        affected_vlans(cfg, dead_nodes, dead_links))

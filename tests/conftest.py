@@ -1,6 +1,9 @@
 """Shared oracles, test helpers and the acceptance-verdict summary hook."""
+import gc
 import random
 from typing import Optional
+
+import pytest
 
 from netfab.engine import trace_line
 from netfab.l2 import (DEFAULT_FDB_AGING_US, FdbEntry, PortConfig,
@@ -22,6 +25,17 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance criteria")
         for line in _acceptance_lines:
             terminalreporter.write_line(line)
+
+
+@pytest.fixture
+def gc_off():
+    """The cyclic garbage collector off for one test, so only reference
+    counting frees objects, and `gc.collect()` counts what it would not."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    yield
+    if was_enabled:
+        gc.enable()
 
 
 class TraceLines(list):

@@ -1,4 +1,5 @@
 import hashlib
+import weakref
 
 import pytest
 
@@ -7,8 +8,8 @@ from netfab.engine import (ARP_PENDING_MAX, BULK_LOSS_WINDOW, BULK_WINDOW,
                            BulkSender, Engine, HostNode, SwitchNode,
                            TrafficSpec, UnknownTarget)
 from netfab.packet import MacAddress, Packet, ip_addr, make_frame, push_tag
-from netfab.scenario import (FaultDecl, build_engine, load_scenario,
-                             parse_scenario)
+from netfab.scenario import (FaultDecl, build_engine, build_spring8_redundant,
+                             load_scenario, parse_scenario)
 
 
 def mac(i):
@@ -182,7 +183,7 @@ class TestEndToEnd:
         assert dropped == offered - ARP_PENDING_MAX
         oldest = held[0]
         newest = Packet(src_ip=h1.ip, dst_ip=gw, protocol="udp")
-        h1.arp.send(0, gw, newest)
+        h1.arp.send(h1, 0, gw, newest)
         assert held[-1] is newest and all(p is not oldest for p in held)
         assert len(held) == ARP_PENDING_MAX
 
@@ -195,6 +196,20 @@ class TestEndToEnd:
         m = eng.metrics
         assert m.frames_created == m.frames_consumed + eng.residual_frames()
         assert eng.residual_frames() == 0
+
+
+def test_close_frees_every_node(gc_off):
+    """After close, reference counting alone frees the engine and its nodes;
+    the metrics it returned still read the same."""
+    eng = build_engine(build_spring8_redundant())
+    metrics = eng.run_until(3_000_000)
+    summary = metrics.summary_lines()
+    refs = [weakref.ref(eng), *(weakref.ref(n) for n in eng.nodes.values())]
+    assert len(refs) > 500
+    eng.close()
+    del eng
+    assert [r for r in refs if r() is not None] == []
+    assert metrics.summary_lines() == summary
 
 
 class TestFaults:

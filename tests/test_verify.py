@@ -1,4 +1,6 @@
 import copy
+import functools
+import gc
 import hashlib
 import random
 from dataclasses import replace
@@ -143,6 +145,21 @@ def test_queries_leave_the_scenario_untouched(name):
     assert "rogue" not in cfg.hosts
     assert not any("rogue" in sw.ports for sw in cfg.switches.values())
     assert not any("rogue" in (link.a[0], link.b[0]) for link in cfg.links)
+
+
+@pytest.mark.parametrize("name", sorted(BUNDLED))
+def test_queries_leave_no_cyclic_garbage(name, gc_off):
+    """Every engine a query builds is closed before it returns, so reference
+    counting frees it and a full collection afterwards finds nothing."""
+    cfg = BUNDLED[name]()
+    queries = [functools.partial(verify, cfg, invariant, seed=cfg.seed)
+               for invariant in INVARIANTS
+               if invariant != "failover" or cfg.balancers]
+    queries.append(functools.partial(status, cfg, 3_500_000))
+    for query in queries:
+        gc.collect()
+        query()
+        assert gc.collect() == 0, query.args
 
 
 class TestStatus:
