@@ -675,8 +675,8 @@ class L3Node(Node):
         self.mac = mac
         self.router = router or ZoneRouter(name)
         self.trunk_port = "trunk"
-        ifaces = reversed(self.router.interfaces.values())  # first one wins
-        self.port_iface = {i.port: i for i in ifaces if i.port is not None}
+        self.port_iface = {i.port: i for i in self.router.interfaces.values()
+                           if i.port is not None}
         self.arp = Resolver()
         engine.schedule(FDB_AGE_SWEEP_US, "age_tick", name)
 

@@ -69,5 +69,4 @@ def host_vid(cfg: ScenarioConfig, peer: dict, host: str) -> Optional[int]:
     attach = host_attachment(cfg, peer, host)
     if attach is None:
         return None
-    spec = cfg.switches[attach[0]].ports[attach[1]]
-    return spec.vid if spec.mode == "access" else None
+    return cfg.switches[attach[0]].ports[attach[1]].vid

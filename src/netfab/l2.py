@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from .packet import (Frame, FlowKey, InvalidVid, check_vid, frame_copy,
@@ -23,31 +23,33 @@ class NoLiveMember(L2Error):
     pass
 
 
-@dataclass
+@dataclass(frozen=True)
 class PortConfig:
-    port_id: int
+    """One switch port's VLAN membership, as a `[switch]` line declares it.
+    The config and every switch built from it share the record, so it is
+    frozen; whether the port is up is the switch's state."""
     mode: str  # "access" | "trunk"
     vid: Optional[int] = None
     allowed: frozenset = frozenset()
     lag_group: Optional[str] = None
-    up: bool = True
 
     def __post_init__(self):
         if self.mode == "access":
             check_vid(self.vid)
-            self.allowed = frozenset()
+            object.__setattr__(self, "allowed", frozenset())
         elif self.mode == "trunk":
             if not self.allowed:
                 raise InvalidVid("trunk allowed set must be non-empty")
-            self.allowed = frozenset(check_vid(v) for v in self.allowed)
-            self.vid = None
+            object.__setattr__(self, "allowed",
+                               frozenset(check_vid(v) for v in self.allowed))
+            object.__setattr__(self, "vid", None)
         else:
             raise ValueError(f"unknown port mode {self.mode!r}")
 
-    def member_of(self, vid: int) -> bool:
-        if self.mode == "access":
-            return self.vid == vid
-        return vid in self.allowed
+    @property
+    def vids(self) -> frozenset:
+        """The VIDs the port carries."""
+        return self.allowed if self.mode == "trunk" else frozenset((self.vid,))
 
 
 @dataclass(slots=True)
@@ -89,6 +91,7 @@ class Switch:
                  hash_salt: bytes = b""):
         self.name = name
         self.ports: dict[int, PortConfig] = {}
+        self.down: set = set()  # ports set down by set_port_up
         self.fdb: dict[tuple, FdbEntry] = {}
         self.fdb_aging_us = fdb_aging_us
         self.hash_salt = hash_salt
@@ -96,17 +99,17 @@ class Switch:
         self._plans: dict[tuple, tuple] = {}  # (ingress, vid) -> egresses
         self._lag_memo: dict[tuple, int] = {}  # (live, flow key) -> member
 
-    def configure_port(self, port_id: int, mode: str, vid: Optional[int] = None,
-                       allowed=(), lag_group: Optional[str] = None) -> PortConfig:
-        if port_id in self.ports and lag_group is None:
-            lag_group = self.ports[port_id].lag_group
-        cfg = PortConfig(port_id=port_id, mode=mode, vid=vid,
-                         allowed=frozenset(allowed), lag_group=lag_group)
+    def configure_port(self, port_id, cfg: PortConfig) -> PortConfig:
+        """Give port_id cfg's membership, up; with no LAG it keeps its group."""
+        old = self.ports.get(port_id)
+        if cfg.lag_group is None and old is not None:
+            cfg = replace(cfg, lag_group=old.lag_group)
         self.ports[port_id] = cfg
+        self.down.discard(port_id)
         self._forget_tables()
         # purge learned entries for VLANs this port no longer carries
         stale = [k for k, e in self.fdb.items()
-                 if e.port == port_id and not cfg.member_of(e.vlan)]
+                 if e.port == port_id and e.vlan not in cfg.vids]
         for k in stale:
             del self.fdb[k]
         return cfg
@@ -114,7 +117,10 @@ class Switch:
     def set_port_up(self, port_id: int, up: bool):
         if port_id not in self.ports:
             raise UnknownPort(f"{self.name} has no port {port_id}")
-        self.ports[port_id].up = up
+        if up:
+            self.down.discard(port_id)
+        else:
+            self.down.add(port_id)
         self._forget_tables()
 
     def _forget_tables(self):
@@ -142,7 +148,7 @@ class Switch:
             vid = tag.vid if tag.vid in port.allowed else None
             untagged, tagged = None, (frame if tag.pcp == 0 else None)
             size -= 4
-        if vid is None or not port.up:
+        if vid is None or port_id in self.down:
             return None
 
         # learning: a known station's entry is refreshed in place
@@ -189,13 +195,13 @@ class Switch:
         if key not in self._egress:
             cfg = self.ports.get(port_id)
             egress = None
-            if cfg is not None and cfg.member_of(vid):
+            if cfg is not None and vid in cfg.vids:
                 if cfg.lag_group is None:
-                    egress = (port_id, None) if cfg.up else None
+                    egress = None if port_id in self.down else (port_id, None)
                 else:
                     live = tuple(p for p, c in sorted(self.ports.items())
-                                 if c.lag_group == cfg.lag_group and c.up
-                                 and c.member_of(vid))
+                                 if c.lag_group == cfg.lag_group
+                                 and p not in self.down and vid in c.vids)
                     egress = (None, live) if live else None
             self._egress[key] = egress
         return self._egress[key]

@@ -49,8 +49,10 @@ def check_zone(zone: str) -> str:
     return zone
 
 
-@dataclass
+@dataclass(frozen=True)
 class VlanInterface:
+    """One L3 interface, as an `[l3]` interface line declares it; the config
+    and the router share the record."""
     vid: int
     ip: int
     prefix_len: int
@@ -70,6 +72,8 @@ class VlanInterface:
 
 @dataclass(frozen=True)
 class Route:
+    """One static route, as a `[route]` line declares it, or a connected
+    subnet's route."""
     prefix: int
     prefix_len: int
     via_vid: Optional[int] = None
@@ -131,36 +135,34 @@ class ZoneRouter:
         self.policy = policy or ZonePolicy()
         self.conn = ConnTable(conn_timeout_us)
 
-    def add_interface(self, vid: int, ip: int, prefix_len: int, zone: str,
-                      port: Optional[str] = None) -> VlanInterface:
-        iface = VlanInterface(vid=vid, ip=ip, prefix_len=prefix_len,
-                              zone=zone, port=port)
-        if vid in self.interfaces:
-            raise DuplicateVid(f"interface for vid {vid} already exists")
+    def add_interface(self, iface: VlanInterface) -> VlanInterface:
+        if iface.vid in self.interfaces:
+            raise DuplicateVid(f"interface for vid {iface.vid} already exists")
         for other in self.interfaces.values():
             short = min(iface.prefix_len, other.prefix_len)
             if (iface.ip & prefix_mask(short)) == (other.ip & prefix_mask(short)):
                 raise OverlappingSubnet(
                     f"{ip_str(iface.network)}/{iface.prefix_len} overlaps vid {other.vid}")
-        self.interfaces[vid] = iface
-        self.local_ips.add(ip)
-        self.connected.insert(ip, prefix_len, iface)
-        self.routes.insert(ip, prefix_len,
-                           Route(prefix=iface.network, prefix_len=prefix_len,
-                                 via_vid=vid))
+            if iface.port is not None and iface.port == other.port:
+                # an untagged port carries one VLAN
+                raise L3Error(f"port {iface.port!r} already has vid {other.vid}")
+        self.interfaces[iface.vid] = iface
+        self.local_ips.add(iface.ip)
+        self.connected.insert(iface.ip, iface.prefix_len, iface)
+        self.routes.insert(iface.ip, iface.prefix_len,
+                           Route(prefix=iface.network,
+                                 prefix_len=iface.prefix_len, via_vid=iface.vid))
         return iface
 
-    def add_route(self, prefix: int, prefix_len: int,
-                  via_vid: Optional[int] = None, gateway: Optional[int] = None) -> Route:
-        if (via_vid is None) == (gateway is None):
+    def add_route(self, route: Route) -> Route:
+        if (route.via_vid is None) == (route.gateway is None):
             raise L3Error("route needs exactly one of via_vid/gateway")
-        if via_vid is not None and via_vid not in self.interfaces:
-            raise UnknownVid(f"no interface for vid {via_vid}")
-        if gateway is not None and self._iface_for(gateway) is None:
-            raise L3Error(f"gateway {ip_str(gateway)} not on any attached subnet")
-        route = Route(prefix=prefix, prefix_len=prefix_len,
-                      via_vid=via_vid, gateway=gateway)
-        self.routes.insert(prefix, prefix_len, route)
+        if route.via_vid is not None and route.via_vid not in self.interfaces:
+            raise UnknownVid(f"no interface for vid {route.via_vid}")
+        if route.gateway is not None and self._iface_for(route.gateway) is None:
+            raise L3Error(
+                f"gateway {ip_str(route.gateway)} not on any attached subnet")
+        self.routes.insert(route.prefix, route.prefix_len, route)
         return route
 
     def _iface_for(self, addr: int) -> Optional[VlanInterface]:

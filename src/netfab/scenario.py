@@ -4,9 +4,11 @@ The format is line-oriented and diff-friendly: `[section]` headers, one
 declaration per line, space-separated `key=value` pairs, `#` comments.
 `FORMAT` declares every key of every section once; the parser and the
 serializer both walk it, so what one writes the other reads back.
-`[traffic]` lines and firewall sides fill the engine's own records
-(`TrafficSpec`, `FirewallSide`), which `build_engine` hands over unchanged;
-a flow declared by `dst` alone goes as a copy with its `dst_ip` filled in.
+Switch ports, interfaces, routes, `[traffic]` lines and firewall sides fill
+the engine's own records (`PortConfig`, `VlanInterface`, `Route`,
+`TrafficSpec`, `FirewallSide`). `build_engine` hands them over unchanged and
+the engine shares them, never writing to them; a flow declared by `dst`
+alone goes as a copy with its `dst_ip` filled in.
 """
 from __future__ import annotations
 
@@ -20,8 +22,9 @@ from .engine import (CBR_PACKET, DEFAULT_LINK_QUEUE, DEFAULT_PROP_US, Engine,
                      FirewallNode, FirewallSide, HostNode, L3Node, SwitchNode,
                      BalancerNode, TrafficSpec)
 from .firewall import DEFAULT_CAP_BPS, DEFAULT_NAT_CAPACITY, Firewall
-from .l2 import Switch
-from .l3 import VERDICTS, ZONES, L3Error, ZonePolicy, ZoneRouter
+from .l2 import PortConfig, Switch
+from .l3 import (VERDICTS, ZONES, L3Error, Route, VlanInterface, ZonePolicy,
+                 ZoneRouter)
 from .packet import (check_vid, ip_addr, ip_network, ip_str, node_mac,
                      prefix_mask)
 from .resilience import LoadBalancer
@@ -58,33 +61,16 @@ class LoopError(ScenarioError):
 # -- declarations ----------------------------------------------------------
 
 @dataclass
-class PortSpec:
-    mode: str  # access | trunk
-    vid: Optional[int] = None
-    allowed: tuple = ()
-    lag: Optional[str] = None
-
-
-@dataclass
 class SwitchDecl:
     name: str
     ports: dict = field(default_factory=dict)
 
 
 @dataclass
-class IfaceDecl:
-    node: str
-    vid: int
-    ip: int
-    prefix_len: int
-    zone: str
-    port: Optional[str] = None
-
-
-@dataclass
 class L3Decl:
     name: str
     interfaces: list = field(default_factory=list)
+    routes: list = field(default_factory=list)
 
 
 @dataclass
@@ -137,15 +123,6 @@ class VlanDecl:
 
 
 @dataclass
-class RouteDecl:
-    node: str
-    prefix: int
-    prefix_len: int
-    via_vid: Optional[int] = None
-    gateway: Optional[int] = None
-
-
-@dataclass
 class AclDecl:
     from_zone: str
     to_zone: str
@@ -176,7 +153,6 @@ class ScenarioConfig:
     hosts: dict = field(default_factory=dict)
     links: list = field(default_factory=list)
     vlans: dict = field(default_factory=dict)
-    routes: list = field(default_factory=list)
     acls: list = field(default_factory=list)
     masquerades: list = field(default_factory=list)
     traffic: list = field(default_factory=list)
@@ -263,31 +239,28 @@ def _read_endpoint(text: str) -> tuple:
 
 
 def _read_ports(text: str) -> dict:
+    """The ports a `ports=` value declares; `PortConfig` checks the VIDs."""
     ports = {}
     for item in text.split(","):
         parts = item.split(":")
         if len(parts) not in (3, 4) or "" in parts:
             raise ValueError(f"bad port spec {item!r}")
         pid, mode, vids = _port_token(parts[0]), parts[1], parts[2]
-        if mode == "access":
-            spec = PortSpec("access", vid=VID.read(vids))
-        elif mode == "trunk":
-            spec = PortSpec("trunk", allowed=tuple(
-                sorted(VID.read(v) for v in vids.split("|"))))
+        lag = parts[3] if len(parts) == 4 else None
+        if mode == "trunk":
+            spec = PortConfig(mode, allowed=frozenset(
+                int(v) for v in vids.split("|")), lag_group=lag)
         else:
-            raise ValueError(f"unknown port mode {mode!r}")
-        if len(parts) == 4:
-            spec.lag = parts[3]
+            spec = PortConfig(mode, vid=int(vids), lag_group=lag)
         if pid in ports:
             raise ValueError(f"duplicate port {pid!r}")
         ports[pid] = spec
     return ports
 
 
-def _write_port(pid, spec: PortSpec) -> str:
-    vids = spec.vid if spec.mode == "access" else "|".join(map(str, spec.allowed))
-    lag = f":{spec.lag}" if spec.lag is not None else ""
-    return f"{pid}:{spec.mode}:{vids}{lag}"
+def _write_port(pid, spec: PortConfig) -> str:
+    lag = f":{spec.lag_group}" if spec.lag_group is not None else ""
+    return f"{pid}:{spec.mode}:{'|'.join(map(str, sorted(spec.vids)))}{lag}"
 
 
 def _read_side(text: str) -> FirewallSide:
@@ -332,6 +305,7 @@ def _read_override(text: str) -> dict:
 
 
 TEXT = Codec(str)
+INT = Codec(int)
 COUNT = _int_in(0)
 POSITIVE = _int_in(1)
 L4_PORT = _int_in(0, 65535)
@@ -371,9 +345,10 @@ class Key:
     """One `key=value` of a declaration line: the codec of its value and the
     declaration attribute it fills. A codec that fills several attributes
     (`ip=a/len` fills `ip` and `prefix_len`) reads and writes a tuple; a
-    dotted attribute (`inside.gw`) is a field of a field. An optional key
-    whose value equals its dataclass default is left out of the file unless
-    `always` is set."""
+    dotted attribute (`inside.gw`) is a field of a field, and a key that
+    fills none (`attrs=()`) names the declaration that holds this one. An
+    optional key whose value equals its dataclass default is left out of the
+    file unless `always` is set."""
     __slots__ = ("name", "codec", "owner", "attrs", "required", "shown")
 
     def __init__(self, name: str, codec: Codec, attrs=None,
@@ -404,14 +379,16 @@ class Form:
     they build, or None when they set the ScenarioConfig itself. The
     declarations live in the `store` attribute of the config: a list, or a
     dict keyed by their `index` attribute, whose values are unique across
-    all forms with that index (every kind of node has a `name`). `order`
-    sorts a list for writing. A `child` form's lines follow each parent's
-    line; its first key names the parent and it has no key of the parent's
-    first name."""
+    all forms with that index (every kind of node has a `name`). A dotted
+    store (`l3s.routes`) is a list in each declaration of a config dict (its
+    `under` part), and a line's first key names the declaration it goes in.
+    `order` sorts a list for writing. A `child` form's lines follow each
+    parent's line; it has no key of the parent's first name."""
 
     def __init__(self, cls, keys: list, store: str = "", index: str = "",
                  order=None, child=None):
-        self.cls, self.keys, self.store = cls, keys, store
+        self.cls, self.keys = cls, keys
+        self.under, _, self.store = store.rpartition(".")
         self.index, self.order, self.child = index, order, child
         self.by_name = {key.name: key for key in keys}
         self.required = [key.name for key in keys if key.required]
@@ -437,52 +414,61 @@ class Form:
                 values.update(zip(key.attrs, value))
         if self.cls is None:
             return values
-        decl = self.cls(**values)
+        try:  # an engine record checks its own values
+            decl = self.cls(**values)
+        except ValueError as exc:
+            raise ParseError(lineno, str(exc)) from None
         for key, value in nested:
             setattr(getattr(decl, key.owner), key.attrs[0], value)
         return decl
 
-    def parse(self, cfg: ScenarioConfig, kv: dict, seen: dict, lineno: int):
-        """Read one declaration line into `cfg`."""
+    def parse(self, cfg: ScenarioConfig, kv: dict, seen: dict, lineno: int,
+              placed: list):
+        """Read one declaration line into `cfg`; one for a dotted store goes
+        to `placed` until its holder may be declared."""
+        form = self
         if self.child is not None and self.keys[0].name not in kv:
-            child = self.child
-            decl = child.read(kv, lineno)
-            ref = getattr(decl, child.keys[0].attrs[0])
-            parent = getattr(cfg, self.store).get(ref)
-            if parent is None:
-                raise ParseError(lineno, f"{child.keys[0].name} {ref!r} "
-                                 "is not declared")
-            getattr(parent, child.store).append(decl)
-            return
-        decl = self.read(kv, lineno)
-        if self.cls is None:
+            form = self.child
+        decl = form.read(kv, lineno)
+        if form.under:
+            placed.append((form, kv[form.keys[0].name], decl, lineno))
+        elif form.cls is None:
             for attr, value in decl.items():
                 setattr(cfg, attr, value)
-        elif not self.index:
-            getattr(cfg, self.store).append(decl)
+        elif not form.index:
+            getattr(cfg, form.store).append(decl)
         else:
-            ref = getattr(decl, self.index)
-            names = seen.setdefault(self.index, set())
+            ref = getattr(decl, form.index)
+            names = seen.setdefault(form.index, set())
             if ref in names:
-                raise ParseError(lineno, f"duplicate {self.index} {ref!r}")
+                raise ParseError(lineno, f"duplicate {form.index} {ref!r}")
             names.add(ref)
-            getattr(cfg, self.store)[ref] = decl
+            getattr(cfg, form.store)[ref] = decl
 
-    def lines(self, holder):
-        """The declaration lines of `holder`, in file order."""
+    def lines(self, holder, ref=None):
+        """The declaration lines of `holder`, in file order. For a dotted
+        store they name their holder `ref`; given the config instead, they
+        are those of each declaration of its `under` dict in turn."""
+        if self.under and ref is None:
+            table = getattr(holder, self.under)
+            for name in sorted(table):
+                yield from self.lines(table[name], name)
+            return
         if self.cls is None:
             decls = [holder]
         elif self.index:
             table = getattr(holder, self.store)
-            decls = [table[ref] for ref in sorted(table)]
+            decls = [table[name] for name in sorted(table)]
         else:
             decls = getattr(holder, self.store)
             if self.order is not None:
                 decls = sorted(decls, key=self.order)
+        keys = self.keys[1:] if self.under else self.keys
+        lead = f"{self.keys[0].name}={ref} " if self.under else ""
         for decl in decls:
-            yield " ".join(filter(None, (key.text(decl) for key in self.keys)))
+            yield lead + " ".join(filter(None, (key.text(decl) for key in keys)))
             if self.child is not None:
-                yield from self.child.lines(decl)
+                yield from self.child.lines(decl, getattr(decl, self.index))
 
 
 # section -> its declaration form, in the order the serializer writes them
@@ -502,13 +488,13 @@ FORMAT = {
     ], store="switches", index="name"),
     "l3": Form(L3Decl, [
         Key("name", TEXT, required=True),
-    ], store="l3s", index="name", child=Form(IfaceDecl, [
-        Key("node", TEXT, required=True),
-        Key("vid", VID, required=True),
+    ], store="l3s", index="name", child=Form(VlanInterface, [
+        Key("node", TEXT, (), required=True),
+        Key("vid", INT, required=True),
         Key("ip", IP_LEN, ("ip", "prefix_len"), required=True),
         Key("zone", ZONE, required=True),
         Key("port", PORT),
-    ], store="interfaces", order=attrgetter("vid"))),
+    ], store="l3s.interfaces", order=attrgetter("vid"))),
     "firewall": Form(FirewallDecl, [
         Key("name", TEXT, required=True),
         Key("inside", SIDE, required=True),
@@ -544,12 +530,12 @@ FORMAT = {
         Key("prop", COUNT),
         Key("queue", POSITIVE),
     ], store="links", order=attrgetter("link_id")),
-    "route": Form(RouteDecl, [
-        Key("node", TEXT, required=True),
+    "route": Form(Route, [
+        Key("node", TEXT, (), required=True),
         Key("prefix", NETWORK, ("prefix", "prefix_len"), required=True),
         Key("via_vid", VID),
         Key("gateway", IP),
-    ], store="routes", order=attrgetter("node", "prefix_len", "prefix")),
+    ], store="l3s.routes", order=attrgetter("prefix_len", "prefix")),
     "acl": Form(AclDecl, [
         Key("from", ZONE, "from_zone", required=True),
         Key("to", ZONE, "to_zone", required=True),
@@ -602,6 +588,7 @@ def _parse_kv(line: str, lineno: int) -> dict:
 def parse_scenario(text: str) -> ScenarioConfig:
     cfg = ScenarioConfig()
     seen: dict = {}  # index attribute -> values declared so far
+    placed: list = []  # (form, holder's name, declaration, line)
     form = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -614,7 +601,13 @@ def parse_scenario(text: str) -> ScenarioConfig:
             continue
         if form is None:
             raise ParseError(lineno, "declaration before any [section] header")
-        form.parse(cfg, _parse_kv(line, lineno), seen, lineno)
+        form.parse(cfg, _parse_kv(line, lineno), seen, lineno, placed)
+    for form, ref, decl, lineno in placed:
+        holder = getattr(cfg, form.under).get(ref)
+        if holder is None:
+            raise ParseError(lineno, f"{form.keys[0].name} {ref!r} is not a "
+                             f"declared {form.under[:-1]}")
+        getattr(holder, form.store).append(decl)
     return cfg
 
 
@@ -651,9 +644,7 @@ def carried_vids(cfg: ScenarioConfig, node: str, port) -> Optional[frozenset]:
     port), or None for a host, firewall or balancer, which passes any VID."""
     if node in cfg.switches:
         spec = cfg.switches[node].ports.get(port)
-        if spec is None:
-            return frozenset()
-        return frozenset((spec.vid,) if spec.mode == "access" else spec.allowed)
+        return frozenset() if spec is None else spec.vids
     if node in cfg.l3s:
         key = None if port == "trunk" else port
         return frozenset(i.vid for i in cfg.l3s[node].interfaces
@@ -669,7 +660,8 @@ def _check_loops(cfg: ScenarioConfig):
         (na, pa), (nb, pb) = link.a, link.b
         if na not in cfg.switches or nb not in cfg.switches:
             continue
-        lags = (cfg.switches[na].ports[pa].lag, cfg.switches[nb].ports[pb].lag)
+        lags = (cfg.switches[na].ports[pa].lag_group,
+                cfg.switches[nb].ports[pb].lag_group)
         for vid in carried_vids(cfg, na, pa) & carried_vids(cfg, nb, pb):
             if None not in lags:
                 if (vid, na, nb, lags) in seen_lags:
@@ -744,9 +736,6 @@ def validate_scenario(cfg: ScenarioConfig):
             if host.vlan is not None and host.vlan not in cfg.vlans:
                 raise ValidationError(host.name,
                                       f"vlan {host.vlan} is not declared")
-    for route in cfg.routes:
-        if route.node not in cfg.l3s:
-            raise ValidationError(route.node, "route on undeclared l3 switch")
     for name in cfg.l3s:
         try:
             _router(cfg, name)
@@ -801,28 +790,27 @@ def validate_scenario(cfg: ScenarioConfig):
 def configure_ports(switch: Switch, decl: SwitchDecl):
     """Give switch the ports decl declares."""
     for pid in sorted(decl.ports, key=str):
-        spec = decl.ports[pid]
-        switch.configure_port(pid, spec.mode, vid=spec.vid,
-                              allowed=spec.allowed, lag_group=spec.lag)
+        switch.configure_port(pid, decl.ports[pid])
 
 
 def _router(cfg: ScenarioConfig, name: str, policy=None) -> ZoneRouter:
     """L3 switch `name`; raises `L3Error` when its lines conflict."""
     router = ZoneRouter(name, policy=policy)
-    for iface in sorted(cfg.l3s[name].interfaces, key=lambda i: i.vid):
-        router.add_interface(iface.vid, iface.ip, iface.prefix_len,
-                             iface.zone, port=iface.port)
-    for route in cfg.routes:
-        if route.node == name:
-            router.add_route(route.prefix, route.prefix_len,
-                             via_vid=route.via_vid, gateway=route.gateway)
+    decl = cfg.l3s[name]
+    for iface in sorted(decl.interfaces, key=attrgetter("vid")):
+        if iface.port == "trunk":  # L3Node sends on it tagged
+            raise L3Error(f"vid {iface.vid}: port 'trunk' is the tagged "
+                          "trunk; an interface on it has no port")
+        router.add_interface(iface)
+    for route in decl.routes:
+        router.add_route(route)
     return router
 
 
 def build_engine(cfg: ScenarioConfig, seed: Optional[int] = None,
                  trace=None) -> Engine:
     """The engine for cfg; `trace` is as for `Engine`. The engine shares
-    cfg's traffic and firewall side records and changes none of cfg."""
+    cfg's records and changes none of cfg."""
     eng = Engine(seed=cfg.seed if seed is None else seed, trace=trace)
     policy_rules = {(a.from_zone, a.to_zone): a.verdict for a in cfg.acls}
 
@@ -936,15 +924,15 @@ def _populate_edge(cfg: ScenarioConfig, host_bw: int, flat: bool, gw_for,
     for sw, beamlines in b_by_switch.items():
         ports = {}
         if flat:
-            ports["up"] = PortSpec("access", vid=MGMT_VID)
+            ports["up"] = PortConfig("access", vid=MGMT_VID)
         else:
-            ports["up"] = PortSpec("trunk",
-                                   allowed=tuple(_edge_switch_vids(b_by_switch, sw)))
+            ports["up"] = PortConfig(
+                "trunk", allowed=_edge_switch_vids(b_by_switch, sw))
         pn = 1
         for b in beamlines:
             vid = MGMT_VID if flat else beamline_vid(b)
             for n in range(HOSTS_PER_BEAMLINE):
-                ports[f"p{pn}"] = PortSpec("access", vid=vid)
+                ports[f"p{pn}"] = PortConfig("access", vid=vid)
                 host = f"bl{b:02d}h{n + 1}"
                 gw = gw_for(b)
                 cfg.hosts[host] = HostDecl(
@@ -969,10 +957,10 @@ def build_spring8_legacy() -> ScenarioConfig:
                    host_plen=8)
     bb_ports = {}
     for i in range(1, 33):
-        bb_ports[f"d{i:02d}"] = PortSpec("access", vid=MGMT_VID)
+        bb_ports[f"d{i:02d}"] = PortConfig("access", vid=MGMT_VID)
         cfg.links.append(LinkDecl((f"sw{i:02d}", "up"), ("bb", f"d{i:02d}"), TEN))
-    bb_ports["mon"] = PortSpec("access", vid=MGMT_VID)
-    bb_ports["fw"] = PortSpec("access", vid=MGMT_VID)
+    bb_ports["mon"] = PortConfig("access", vid=MGMT_VID)
+    bb_ports["fw"] = PortConfig("access", vid=MGMT_VID)
     cfg.switches["bb"] = SwitchDecl("bb", bb_ports)
     cfg.hosts["monitor"] = HostDecl("monitor", ip_addr("10.0.1.250"), 8,
                                     gw=ip_addr("10.0.0.1"), vlan=MGMT_VID,
@@ -1001,10 +989,10 @@ def _quadrant_vids(q: int) -> tuple:
 def _gateway(name: str, mgmt_ip: str, beamlines, staff_vids) -> L3Decl:
     """An L3 switch on the management VLAN that routes for the given beamline
     and staff VLANs."""
-    return L3Decl(name, [IfaceDecl(name, MGMT_VID, ip_addr(mgmt_ip), 24, "dmz")]
-                  + [IfaceDecl(name, beamline_vid(b), ip_addr(beamline_gw(b)),
-                               24, "dmz") for b in beamlines]
-                  + [IfaceDecl(name, vid, ip_addr(f"10.0.{vid}.1"), 24, "dmz")
+    return L3Decl(name, [VlanInterface(MGMT_VID, ip_addr(mgmt_ip), 24, "dmz")]
+                  + [VlanInterface(beamline_vid(b), ip_addr(beamline_gw(b)),
+                                   24, "dmz") for b in beamlines]
+                  + [VlanInterface(vid, ip_addr(f"10.0.{vid}.1"), 24, "dmz")
                      for vid in staff_vids])
 
 
@@ -1018,20 +1006,20 @@ def _aggregate(cfg: ScenarioConfig, b_by_switch: dict, bundled: bool) -> dict:
         # (aggregation port, backbone port) of each physical uplink
         uplinks = ([("up1", f"a{q}x"), ("up2", f"a{q}y")] if bundled
                    else [("up", f"a{q}")])
-        agg_ports = {up: PortSpec("trunk", allowed=vids,
-                                  lag="lag1" if bundled else None)
+        agg_ports = {up: PortConfig("trunk", allowed=vids,
+                                    lag_group="lag1" if bundled else None)
                      for up, _ in uplinks}
         for i in range((q - 1) * 8 + 1, q * 8 + 1):
             sw = f"sw{i:02d}"
-            agg_ports[f"d{i:02d}"] = PortSpec(
-                "trunk", allowed=tuple(_edge_switch_vids(b_by_switch, sw)))
+            agg_ports[f"d{i:02d}"] = PortConfig(
+                "trunk", allowed=_edge_switch_vids(b_by_switch, sw))
             cfg.links.append(LinkDecl((sw, "up"), (agg, f"d{i:02d}"), FAST))
         if q <= 2:
-            agg_ports["staff"] = PortSpec("access", vid=STAFF_VIDS[q - 1])
+            agg_ports["staff"] = PortConfig("access", vid=STAFF_VIDS[q - 1])
         cfg.switches[agg] = SwitchDecl(agg, agg_ports)
         for up, bb_port in uplinks:
-            bb_ports[bb_port] = PortSpec("trunk", allowed=vids,
-                                         lag=f"lag{agg}" if bundled else None)
+            bb_ports[bb_port] = PortConfig(
+                "trunk", allowed=vids, lag_group=f"lag{agg}" if bundled else None)
             cfg.links.append(LinkDecl((agg, up), ("bb", bb_port), GIG))
     return bb_ports
 
@@ -1039,7 +1027,7 @@ def _aggregate(cfg: ScenarioConfig, b_by_switch: dict, bundled: bool) -> dict:
 def _add_operations(cfg: ScenarioConfig):
     """The monitor and NMS hosts on the backbone's management VLAN."""
     for host, n, port in (("monitor", 250, "mon"), ("nms", 251, "nms")):
-        cfg.switches["bb"].ports[port] = PortSpec("access", vid=MGMT_VID)
+        cfg.switches["bb"].ports[port] = PortConfig("access", vid=MGMT_VID)
         cfg.hosts[host] = HostDecl(host, ip_addr(f"10.0.1.{n}"), 24,
                                    gw=ip_addr("10.0.1.1"), vlan=MGMT_VID,
                                    group="mgmt")
@@ -1077,25 +1065,23 @@ def build_spring8_upgraded() -> ScenarioConfig:
 
     for q in range(1, 5):
         name = f"r{q}"
-        cfg.switches[f"agg{q}"].ports["r"] = PortSpec(
+        cfg.switches[f"agg{q}"].ports["r"] = PortConfig(
             "trunk", allowed=_quadrant_vids(q))
         cfg.l3s[name] = _gateway(name, f"10.0.1.{q}", QUADRANTS[q],
                                  STAFF_VIDS[q - 1:q])
         cfg.links.append(LinkDecl((name, "trunk"), (f"agg{q}", "r"), GIG))
+        routes = cfg.l3s[name].routes
         # other quadrants' beamline subnets are one transit hop away
         for b in range(1, BEAMLINES + 1):
             if quadrant_of(b) != q:
                 net, plen = ip_network(beamline_subnet(b))
-                cfg.routes.append(RouteDecl(
-                    name, net, plen,
-                    gateway=ip_addr(f"10.0.1.{quadrant_of(b)}")))
+                routes.append(Route(
+                    net, plen, gateway=ip_addr(f"10.0.1.{quadrant_of(b)}")))
         for i, vid in enumerate(STAFF_VIDS, start=1):
             if i != q:
                 net, plen = ip_network(f"10.0.{vid}.0/24")
-                cfg.routes.append(RouteDecl(name, net, plen,
-                                            gateway=ip_addr(f"10.0.1.{i}")))
-        cfg.routes.append(RouteDecl(name, 0, 0,
-                                    gateway=ip_addr(f"172.16.{q}.2")))
+                routes.append(Route(net, plen, gateway=ip_addr(f"10.0.1.{i}")))
+        routes.append(Route(0, 0, gateway=ip_addr(f"172.16.{q}.2")))
 
         fw = FirewallDecl(f"fw{q}")
         fw.inside = FirewallSide("routed", ip_addr(f"172.16.{q}.2"), 30,
@@ -1107,8 +1093,8 @@ def build_spring8_upgraded() -> ScenarioConfig:
         cfg.masquerades.append(MasqDecl(f"fw{q}", ip_addr("0.0.0.0"), 0,
                                         ip_addr(f"198.18.{q}.61")))
         cfg.l3s[name].interfaces.append(
-            IfaceDecl(name, 70 + q, ip_addr(f"172.16.{q}.1"), 30, "dmz",
-                      port="fw"))
+            VlanInterface(70 + q, ip_addr(f"172.16.{q}.1"), 30, "dmz",
+                          port="fw"))
         cfg.links.append(LinkDecl((name, "fw"), (f"fw{q}", "inside"), GIG))
         cfg.hosts[f"oa{q}"] = HostDecl(f"oa{q}", ip_addr(f"198.18.{q}.9"), 24,
                                        group="outside")
@@ -1128,17 +1114,17 @@ def build_spring8_redundant() -> ScenarioConfig:
     b_by_switch = _populate_edge(cfg, host_bw=FAST, flat=False,
                                  gw_for=beamline_gw)
     bb_ports = _aggregate(cfg, b_by_switch, bundled=True)
-    bb_ports["l3"] = PortSpec("trunk", allowed=tuple(sorted(cfg.vlans)))
-    bb_ports["adm"] = PortSpec("access", vid=CLEAN_VID)
+    bb_ports["l3"] = PortConfig("trunk", allowed=frozenset(cfg.vlans))
+    bb_ports["adm"] = PortConfig("access", vid=CLEAN_VID)
     cfg.switches["bb"] = SwitchDecl("bb", bb_ports)
 
     name = "l3r"
     decl = _gateway(name, "10.0.1.1", range(1, BEAMLINES + 1), STAFF_VIDS)
-    decl.interfaces.append(IfaceDecl(name, CLEAN_VID,
-                                     ip_addr(f"10.0.{CLEAN_VID}.1"), 24,
-                                     "clean"))
-    decl.interfaces.append(IfaceDecl(name, 99, ip_addr("192.0.2.1"), 24,
-                                     "public", port="wan"))
+    decl.interfaces.append(VlanInterface(CLEAN_VID,
+                                         ip_addr(f"10.0.{CLEAN_VID}.1"), 24,
+                                         "clean"))
+    decl.interfaces.append(VlanInterface(99, ip_addr("192.0.2.1"), 24,
+                                         "public", port="wan"))
     cfg.l3s[name] = decl
     cfg.links.append(LinkDecl((name, "trunk"), ("bb", "l3"), GIG))
 
@@ -1168,9 +1154,9 @@ def build_spring8_redundant() -> ScenarioConfig:
         cfg.links.append(LinkDecl(("lbi", f"fw{i}"), (f"fw{i}", "inside"), GIG))
         cfg.links.append(LinkDecl((f"fw{i}", "outside"), ("lbo", f"fw{i}"), GIG))
     cfg.switches["psw"] = SwitchDecl("psw", {
-        "lb": PortSpec("access", vid=MGMT_VID),
-        "h1": PortSpec("access", vid=MGMT_VID),
-        "h2": PortSpec("access", vid=MGMT_VID),
+        "lb": PortConfig("access", vid=MGMT_VID),
+        "h1": PortConfig("access", vid=MGMT_VID),
+        "h2": PortConfig("access", vid=MGMT_VID),
     })
     cfg.links.append(LinkDecl(("lbo", "front"), ("psw", "lb"), GIG))
     cfg.hosts["ext1"] = HostDecl("ext1", ip_addr("192.0.2.9"), 24,

@@ -10,10 +10,11 @@ from .engine import Metrics, TrafficSpec, trace_line
 from .fabric import (broadcast_delivery, build_switch_fabric, host_attachment,
                      host_vid)
 from .firewall import Firewall
+from .l2 import PortConfig
 from .packet import Packet, ip_addr, ip_str
 from .resilience import Unavailable
-from .scenario import (FaultDecl, HostDecl, LinkDecl, PortSpec,
-                       ScenarioConfig, build_engine, carried_vids)
+from .scenario import (FaultDecl, HostDecl, LinkDecl, ScenarioConfig,
+                       build_engine, carried_vids)
 
 INVARIANTS = ("isolation", "zone-policy", "nat-bijection", "failover",
               "determinism")
@@ -88,7 +89,7 @@ def _verify_isolation(cfg: ScenarioConfig, seed: int):
     trial = replace(
         cfg,
         switches={**cfg.switches, sw_name: replace(switch, ports={
-            **switch.ports, "rogue": PortSpec("access", vid=b_vid)})},
+            **switch.ports, "rogue": PortConfig("access", vid=b_vid)})},
         hosts={**cfg.hosts, "rogue": HostDecl(
             "rogue", ip_addr("10.1.1.200"), 24, vlan=b_vid, group="rogue")},
         links=[*cfg.links, LinkDecl(("rogue", 0), (sw_name, "rogue"),

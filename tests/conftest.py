@@ -1,6 +1,7 @@
 """Shared oracles, test helpers and the acceptance-verdict summary hook."""
 import gc
 import random
+from dataclasses import dataclass
 from typing import Optional
 
 import pytest
@@ -8,9 +9,10 @@ import pytest
 from netfab.engine import trace_line
 from netfab.l2 import (DEFAULT_FDB_AGING_US, FdbEntry, PortConfig,
                        UnknownPort, lag_select)
-from netfab.packet import Frame, frame_flow_key, ip_addr, pop_tag, push_tag
-from netfab.scenario import (HostDecl, LinkDecl, PortSpec, ScenarioConfig,
-                             SwitchDecl, VlanDecl)
+from netfab.packet import (Frame, InvalidVid, check_vid, frame_flow_key,
+                           ip_addr, pop_tag, push_tag)
+from netfab.scenario import (HostDecl, LinkDecl, ScenarioConfig, SwitchDecl,
+                             VlanDecl)
 
 _acceptance_lines = []
 
@@ -77,9 +79,9 @@ def random_topology(rng: random.Random) -> ScenarioConfig:
         j = rng.randint(1, i - 1)
         a, b = f"s{i}", f"s{j}"
         pa, pb = f"t{len(ports[a])}", f"t{len(ports[b])}"
-        ports[a][pa] = PortSpec("trunk", allowed=tuple(
+        ports[a][pa] = PortConfig("trunk", allowed=tuple(
             sorted(rng.sample(vids, rng.randint(1, n_vid)))))
-        ports[b][pb] = PortSpec("trunk", allowed=tuple(
+        ports[b][pb] = PortConfig("trunk", allowed=tuple(
             sorted(rng.sample(vids, rng.randint(1, n_vid)))))
         cfg.links.append(LinkDecl((a, pa), (b, pb), 100_000_000))
     n_hosts = rng.randint(2, 64)
@@ -87,7 +89,7 @@ def random_topology(rng: random.Random) -> ScenarioConfig:
         sw = f"s{rng.randint(1, n_sw)}"
         vid = rng.choice(vids)
         pid = f"h{len(ports[sw])}"
-        ports[sw][pid] = PortSpec("access", vid=vid)
+        ports[sw][pid] = PortConfig("access", vid=vid)
         name = f"h{h}"
         cfg.hosts[name] = HostDecl(name, ip_addr(f"10.{vid}.0.{h}"), 16,
                                    vlan=vid)
@@ -223,15 +225,46 @@ def _monitor_host(cfg):
     return mgmt[0] if mgmt else None
 
 
+@dataclass
+class ReferencePort:
+    """`netfab.l2.PortConfig` as it was when the port's up flag was part of
+    the record; the reference switch's own, so it does not change along with
+    the code it checks."""
+    port_id: int
+    mode: str  # "access" | "trunk"
+    vid: Optional[int] = None
+    allowed: frozenset = frozenset()
+    lag_group: Optional[str] = None
+    up: bool = True
+
+    def __post_init__(self):
+        if self.mode == "access":
+            check_vid(self.vid)
+            self.allowed = frozenset()
+        elif self.mode == "trunk":
+            if not self.allowed:
+                raise InvalidVid("trunk allowed set must be non-empty")
+            self.allowed = frozenset(check_vid(v) for v in self.allowed)
+            self.vid = None
+        else:
+            raise ValueError(f"unknown port mode {self.mode!r}")
+
+    def member_of(self, vid: int) -> bool:
+        if self.mode == "access":
+            return self.vid == vid
+        return vid in self.allowed
+
+
 class ReferenceSwitch:
     """`netfab.l2.Switch` as it was before its forwarding tables: every frame
     scans the ports. The reference the table-driven switch is compared
-    against; kept verbatim apart from this name and docstring."""
+    against; kept verbatim apart from this name, this docstring and its
+    port record, `ReferencePort`."""
 
     def __init__(self, name: str, fdb_aging_us: int = DEFAULT_FDB_AGING_US,
                  hash_salt: bytes = b""):
         self.name = name
-        self.ports: dict[int, PortConfig] = {}
+        self.ports: dict[int, ReferencePort] = {}
         self.fdb: dict[tuple, FdbEntry] = {}
         self.fdb_aging_us = fdb_aging_us
         self.hash_salt = hash_salt
@@ -246,11 +279,11 @@ class ReferenceSwitch:
         return c
 
     def configure_port(self, port_id: int, mode: str, vid: Optional[int] = None,
-                       allowed=(), lag_group: Optional[str] = None) -> PortConfig:
+                       allowed=(), lag_group: Optional[str] = None) -> ReferencePort:
         if port_id in self.ports and lag_group is None:
             lag_group = self.ports[port_id].lag_group
-        cfg = PortConfig(port_id=port_id, mode=mode, vid=vid,
-                         allowed=frozenset(allowed), lag_group=lag_group)
+        cfg = ReferencePort(port_id=port_id, mode=mode, vid=vid,
+                            allowed=frozenset(allowed), lag_group=lag_group)
         self.ports[port_id] = cfg
         self._counters(port_id)
         # purge learned entries for VLANs this port no longer carries

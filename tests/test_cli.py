@@ -152,6 +152,8 @@ def test_status_reports_nodes(tmp_path, capsys):
     ("[vlan]\nvid=10 name=lab\n\n[switch]\nname=sw1 ports=p1:access:10,",
      "[switch]\nname=sw1 ports=p1:access:5000,"),
     ("name=h1 ip=10.0.10.1/24", "name=h1 ip=10.0.10.1/40"),
+    ("[traffic]", "[l3]\nname=core\n"
+     "node=core vid=5000 ip=10.0.10.254/24 zone=dmz\n\n[traffic]"),
     ("seed=1 duration=3", "seed=1 duration=-1"),
     ("flow=p count=2", "flow=p count=2 start=-1"),
     ("seed=1 duration=3", "seed=9223372036854775808 duration=3"),
@@ -190,6 +192,15 @@ def test_status_reports_nodes(tmp_path, capsys):
     ("[traffic]", "[l3]\nname=core\n"
      "node=core vid=10 ip=10.0.10.254/24 zone=dmz\n\n"
      "[route]\nnode=core prefix=10.9.0.0/16\n\n[traffic]"),
+    ("[traffic]", "[route]\nnode=sw1 prefix=10.9.0.0/16 via_vid=10\n\n"
+     "[traffic]"),
+    # an L3 interface the engine would send on the wrong port: the tagged
+    # trunk, or an untagged port that already carries another VLAN
+    ("[traffic]", "[l3]\nname=core\n"
+     "node=core vid=10 ip=10.0.10.254/24 zone=dmz port=trunk\n\n[traffic]"),
+    ("[traffic]", "[l3]\nname=core\n"
+     "node=core vid=10 ip=10.0.10.254/24 zone=dmz port=r\n"
+     "node=core vid=20 ip=10.0.20.254/24 zone=dmz port=r\n\n[traffic]"),
 ])
 def test_run_rejects_unrunnable_input(tmp_path, capsys, old, new):
     bad = tmp_path / "bad.nf"

@@ -7,6 +7,7 @@ from conftest import TraceLines, bulk_transfer_time
 from netfab.engine import (ARP_PENDING_MAX, BULK_LOSS_WINDOW, BULK_WINDOW,
                            BulkSender, Engine, HostNode, SwitchNode,
                            TrafficSpec, UnknownTarget)
+from netfab.l2 import PortConfig
 from netfab.packet import MacAddress, Packet, ip_addr, make_frame, push_tag
 from netfab.scenario import (FaultDecl, build_engine, build_spring8_redundant,
                              load_scenario, parse_scenario)
@@ -30,7 +31,7 @@ def lan(eng, bw=100_000_000, hosts=2):
     sw = SwitchNode(eng, "sw")
     out = []
     for i in range(1, hosts + 1):
-        sw.switch.configure_port(f"p{i}", "access", vid=1)
+        sw.switch.configure_port(f"p{i}", PortConfig("access", vid=1))
         h = HostNode(eng, f"h{i}", mac(i), ip_addr(f"10.0.0.{i}"), 24)
         eng.add_link(h.name, 0, "sw", f"p{i}", bw)
         out.append(h)
@@ -167,7 +168,8 @@ class TestEndToEnd:
         """The gateway never answers: the oldest held packet makes room for
         each new one past ARP_PENDING_MAX, as Linux's unres_qlen does."""
         eng = Engine()
-        SwitchNode(eng, "sw").switch.configure_port("p1", "access", vid=1)
+        SwitchNode(eng, "sw").switch.configure_port(
+            "p1", PortConfig("access", vid=1))
         gw = ip_addr("10.0.0.254")
         h1 = HostNode(eng, "h1", mac(1), ip_addr("10.0.0.1"), 24, gw_ip=gw)
         eng.add_link("h1", 0, "sw", "p1", 100_000_000)
@@ -278,11 +280,11 @@ class TestFaults:
         assert len(flows) == 10
         assert [f for f, st in flows.items() if st.completed_at is None] == []
         assert not any(r == "link-down" for _, r in eng.metrics.drops)
-        ends = [eng.nodes[n].switch.ports[p] for n, p in (eng.links[member].a,
-                                                           eng.links[member].b)]
-        assert not any(port.up for port in ends)
+        ends = [(eng.nodes[n].switch, p) for n, p in (eng.links[member].a,
+                                                       eng.links[member].b)]
+        assert all(p in sw.down for sw, p in ends)
         eng.run_until(4_000_000)
-        assert all(port.up for port in ends)
+        assert not any(p in sw.down for sw, p in ends)
 
 
 # the criterion-3 NAT firewall rig at a 10 Mbps cap, fed 50 Mbps for 0.5 s
@@ -325,8 +327,8 @@ class TestDropCounts:
     def test_untagged_frame_on_a_trunk_is_a_vlan_drop(self):
         eng = Engine()
         sw = SwitchNode(eng, "sw")
-        sw.switch.configure_port("t", "trunk", allowed={10})
-        sw.switch.configure_port("p", "access", vid=10)
+        sw.switch.configure_port("t", PortConfig("trunk", allowed={10}))
+        sw.switch.configure_port("p", PortConfig("access", vid=10))
         HostNode(eng, "h1", mac(1), ip_addr("10.0.0.1"), 24)
         HostNode(eng, "h2", mac(2), ip_addr("10.0.0.2"), 24)
         eng.add_link("h1", 0, "sw", "t", 100_000_000)
@@ -454,7 +456,7 @@ class TestBulkRecovery:
         eng = Engine()
         sw = SwitchNode(eng, "sw")
         for i, bw, queue in ((1, 1_000_000_000, 256), (2, 10_000_000, 8)):
-            sw.switch.configure_port(f"p{i}", "access", vid=1)
+            sw.switch.configure_port(f"p{i}", PortConfig("access", vid=1))
             HostNode(eng, f"h{i}", mac(i), ip_addr(f"10.0.0.{i}"), 24)
             eng.add_link(f"h{i}", 0, "sw", f"p{i}", bw, queue_cap=queue)
         h1, h2 = eng.nodes["h1"], eng.nodes["h2"]

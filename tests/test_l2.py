@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import ReferenceSwitch
-from netfab.l2 import InvalidVid, NoLiveMember, Switch, UnknownPort, lag_select
+from netfab.l2 import (InvalidVid, NoLiveMember, PortConfig, Switch,
+                       UnknownPort, lag_select)
 from netfab.packet import (BROADCAST, FlowKey, MacAddress, Packet, make_frame,
                            push_tag)
 
@@ -28,9 +29,10 @@ def build_switch(ports):
         pid, mode, v = spec[:3]
         lag = spec[3] if len(spec) > 3 else None
         if mode == "access":
-            sw.configure_port(pid, "access", vid=v, lag_group=lag)
+            sw.configure_port(pid, PortConfig("access", vid=v, lag_group=lag))
         else:
-            sw.configure_port(pid, "trunk", allowed=v, lag_group=lag)
+            sw.configure_port(pid, PortConfig("trunk", allowed=v,
+                                              lag_group=lag))
     return sw
 
 
@@ -98,7 +100,7 @@ class TestIngress:
                            (3, "access", 20)])
         out = sw.ingress(1, bcast_frame(1), now=0)
         assert {p for p, _ in out} == {2}
-        sw.configure_port(1, "access", vid=20)
+        sw.configure_port(1, PortConfig("access", vid=20))
         out = sw.ingress(1, bcast_frame(1), now=1)
         assert {p for p, _ in out} == {3}
 
@@ -106,13 +108,13 @@ class TestIngress:
         sw = build_switch([(1, "access", 10), (2, "access", 10)])
         sw.ingress(1, uni_frame(1, 2), now=0)
         assert (10, mac(1)) in sw.fdb
-        sw.configure_port(1, "access", vid=20)
+        sw.configure_port(1, PortConfig("access", vid=20))
         assert (10, mac(1)) not in sw.fdb
 
     def test_empty_trunk_rejected(self):
         sw = Switch("sw")
         with pytest.raises(InvalidVid):
-            sw.configure_port(1, "trunk", allowed=set())
+            sw.configure_port(1, PortConfig("trunk", allowed=set()))
 
 
 class TestAging:
@@ -243,8 +245,8 @@ def test_switch_matches_reference(data):
         i += size
     for p in range(1, n_ports + 1):
         mode, kw = _port_spec(draw, vids)
-        for s in (sw, ref):
-            s.configure_port(p, mode, lag_group=groups[p], **kw)
+        sw.configure_port(p, PortConfig(mode, lag_group=groups[p], **kw))
+        ref.configure_port(p, mode, lag_group=groups[p], **kw)
     macs = [mac(i) for i in range(1, 6)]
     now = 0
     for _ in range(draw(st.integers(1, 40))):
@@ -261,8 +263,8 @@ def test_switch_matches_reference(data):
         elif action == "configure":
             mode, kw = _port_spec(draw, vids)
             lag = draw(st.sampled_from([None, "g0", "g9"]))
-            for s in (sw, ref):
-                s.configure_port(port, mode, lag_group=lag, **kw)
+            sw.configure_port(port, PortConfig(mode, lag_group=lag, **kw))
+            ref.configure_port(port, mode, lag_group=lag, **kw)
         elif action == "up":
             up = not ref.ports[port].up
             for s in (sw, ref):

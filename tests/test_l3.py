@@ -4,16 +4,16 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from netfab.l3 import (DuplicateVid, OverlappingSubnet, Route, ZonePolicy,
-                       ZoneRouter)
+from netfab.l3 import (DuplicateVid, OverlappingSubnet, Route, VlanInterface,
+                       ZonePolicy, ZoneRouter)
 from netfab.packet import Packet, ip_addr, ip_network
 
 
 def make_router():
     r = ZoneRouter("l3")
-    r.add_interface(10, ip_addr("10.0.10.1"), 24, "dmz")
-    r.add_interface(20, ip_addr("192.0.2.1"), 24, "public")
-    r.add_interface(30, ip_addr("10.0.30.1"), 24, "clean")
+    r.add_interface(VlanInterface(10, ip_addr("10.0.10.1"), 24, "dmz"))
+    r.add_interface(VlanInterface(20, ip_addr("192.0.2.1"), 24, "public"))
+    r.add_interface(VlanInterface(30, ip_addr("10.0.30.1"), 24, "clean"))
     return r
 
 
@@ -29,30 +29,31 @@ class TestInterfaces:
     def test_sixty_six_interfaces(self):
         r = ZoneRouter()
         for k in range(1, 67):
-            r.add_interface(k, ip_addr(f"10.{k // 256}.{k % 256}.1"), 24, "dmz")
+            r.add_interface(VlanInterface(
+                k, ip_addr(f"10.{k // 256}.{k % 256}.1"), 24, "dmz"))
         assert len(r.interfaces) == 66
 
     def test_duplicate_vid(self):
         r = ZoneRouter()
-        r.add_interface(5, ip_addr("10.0.5.1"), 24, "dmz")
+        r.add_interface(VlanInterface(5, ip_addr("10.0.5.1"), 24, "dmz"))
         with pytest.raises(DuplicateVid):
-            r.add_interface(5, ip_addr("10.0.6.1"), 24, "dmz")
+            r.add_interface(VlanInterface(5, ip_addr("10.0.6.1"), 24, "dmz"))
 
     def test_overlapping_subnet(self):
         r = ZoneRouter()
-        r.add_interface(1, ip_addr("10.0.1.1"), 24, "dmz")
+        r.add_interface(VlanInterface(1, ip_addr("10.0.1.1"), 24, "dmz"))
         with pytest.raises(OverlappingSubnet):
-            r.add_interface(2, ip_addr("10.0.1.129"), 25, "dmz")
+            r.add_interface(VlanInterface(2, ip_addr("10.0.1.129"), 25, "dmz"))
 
 
 class TestRouteLookup:
     def test_longest_prefix_wins(self):
         r = ZoneRouter()
-        r.add_interface(1, ip_addr("172.16.0.1"), 30, "dmz")
+        r.add_interface(VlanInterface(1, ip_addr("172.16.0.1"), 30, "dmz"))
         net_a, len_a = ip_network("10.0.0.0/16")
         net_b, len_b = ip_network("10.0.1.0/24")
-        r.add_route(net_a, len_a, gateway=ip_addr("172.16.0.2"))
-        r.add_route(net_b, len_b, via_vid=1)
+        r.add_route(Route(net_a, len_a, gateway=ip_addr("172.16.0.2")))
+        r.add_route(Route(net_b, len_b, via_vid=1))
         assert r.route_lookup(ip_addr("10.0.1.7")).prefix_len == 24
         assert r.route_lookup(ip_addr("10.0.2.7")).prefix_len == 16
 
@@ -67,9 +68,10 @@ class TestRouteLookup:
         results = set()
         for perm in itertools.permutations(routes):
             r = ZoneRouter()
-            r.add_interface(1, ip_addr("172.16.0.1"), 30, "dmz")
+            r.add_interface(VlanInterface(1, ip_addr("172.16.0.1"), 30, "dmz"))
             for net, plen in perm:
-                r.add_route(ip_addr(net), plen, gateway=ip_addr("172.16.0.2"))
+                r.add_route(Route(ip_addr(net), plen,
+                                  gateway=ip_addr("172.16.0.2")))
             results.add(tuple(r.route_lookup(ip_addr(p)).prefix_len for p in probes))
         assert len(results) == 1
 
@@ -137,7 +139,7 @@ class TestForward:
 def test_lpm_matches_linear_scan(route_specs, probe):
     from netfab.packet import prefix_mask, in_network
     r = ZoneRouter()
-    r.add_interface(1, ip_addr("172.16.0.1"), 30, "dmz")
+    r.add_interface(VlanInterface(1, ip_addr("172.16.0.1"), 30, "dmz"))
     # connected first, then routes in insertion order; a longer prefix
     # replaces the best so far, an equal one does not
     best = Route(prefix=ip_addr("172.16.0.0"), prefix_len=30, via_vid=1)
@@ -145,7 +147,7 @@ def test_lpm_matches_linear_scan(route_specs, probe):
         best = None
     for net, plen, gw in route_specs:
         net &= prefix_mask(plen)
-        route = r.add_route(net, plen, gateway=ip_addr(gw))
+        route = r.add_route(Route(net, plen, gateway=ip_addr(gw)))
         if in_network(probe, net, plen) and (best is None
                                              or plen > best.prefix_len):
             best = route
@@ -154,8 +156,9 @@ def test_lpm_matches_linear_scan(route_specs, probe):
 
 def test_route_prefix_with_host_bits_matches():
     r = ZoneRouter()
-    r.add_interface(1, ip_addr("172.16.0.1"), 30, "dmz")
-    route = r.add_route(ip_addr("10.1.2.3"), 16, gateway=ip_addr("172.16.0.2"))
+    r.add_interface(VlanInterface(1, ip_addr("172.16.0.1"), 30, "dmz"))
+    route = r.add_route(Route(ip_addr("10.1.2.3"), 16,
+                              gateway=ip_addr("172.16.0.2")))
     assert r.route_lookup(ip_addr("10.1.9.9")) == route
 
 

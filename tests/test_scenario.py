@@ -1,18 +1,19 @@
 import hashlib
+from dataclasses import asdict
 from operator import attrgetter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from netfab.engine import FirewallSide, TrafficSpec
-from netfab.l3 import VERDICTS, ZONES
+from netfab.l2 import PortConfig
+from netfab.l3 import VERDICTS, ZONES, Route, VlanInterface
 from netfab.packet import ip_addr, prefix_mask
 from netfab.scenario import (BUNDLED, AclDecl, BalancerDecl, FaultDecl,
-                             FirewallDecl, HostDecl, IfaceDecl, L3Decl,
-                             LinkDecl, LoopError, MasqDecl, ParseError,
-                             PortSpec, RouteDecl, ScenarioConfig,
-                             SwitchDecl, ValidationError,
-                             VlanDecl, build_engine, build_spring8_legacy,
+                             FirewallDecl, HostDecl, L3Decl, LinkDecl,
+                             LoopError, MasqDecl, ParseError, ScenarioConfig,
+                             SwitchDecl, ValidationError, VlanDecl,
+                             build_engine, build_spring8_legacy,
                              build_spring8_redundant, build_spring8_upgraded,
                              load_scenario, parse_scenario, serialize_scenario,
                              validate_scenario, QUADRANTS)
@@ -59,6 +60,26 @@ class TestParse:
         with pytest.raises(ParseError) as err:
             parse_scenario(bad)
         assert err.value.line == 3
+
+    @pytest.mark.parametrize("text, line", [
+        ("[switch]\nname=sw1 ports=p1:access:10,p2:access:5000\n", 2),
+        ("[switch]\nname=sw1 ports=t:trunk:10|0\n", 2),
+        ("[l3]\nname=core\nnode=core vid=4095 ip=10.0.0.1/24 zone=dmz\n", 3),
+    ])
+    def test_vid_out_of_range_names_its_line(self, text, line):
+        """The port and interface records check their own VIDs."""
+        with pytest.raises(ParseError) as err:
+            parse_scenario(text)
+        assert err.value.line == line
+        assert "vid must be in [1, 4094]" in err.value.reason
+
+    def test_route_section_before_its_l3_switch(self):
+        cfg = parse_scenario(
+            "[route]\nnode=core prefix=10.9.0.0/16 via_vid=10\n\n"
+            "[l3]\nname=core\nnode=core vid=10 ip=10.0.10.254/24 zone=dmz\n")
+        validate_scenario(cfg)
+        assert cfg.l3s["core"].routes == [
+            Route(ip_addr("10.9.0.0"), 16, via_vid=10)]
 
     def test_unknown_section(self):
         with pytest.raises(ParseError):
@@ -193,14 +214,44 @@ class TestRoundTrip:
 
     @pytest.mark.parametrize("name", sorted(BUNDLED))
     def test_engine_leaves_declarations_untouched(self, name):
-        """The engine shares cfg's traffic and firewall side records, so
-        building and running it must not change what cfg serializes to."""
+        """The engine shares cfg's port, interface, route, traffic and
+        firewall side records, and each switch keeps its own ports dict. So
+        building it and running it through a LAG member's failure and
+        recovery must change no record, no ports dict and no serialized
+        byte of cfg."""
         cfg = BUNDLED[name]()
+        member = next((l.link_id for l in cfg.links if l.a[0] in cfg.switches
+                       and cfg.switches[l.a[0]].ports[l.a[1]].lag_group), None)
+        if member is not None:
+            cfg.faults += [FaultDecl(1_000_000, "fail_link", member),
+                           FaultDecl(2_000_000, "recover", member)]
+        records = [*(p for sw in cfg.switches.values()
+                     for p in sw.ports.values()),
+                   *(r for l3 in cfg.l3s.values()
+                     for r in (*l3.interfaces, *l3.routes)),
+                   *cfg.traffic,
+                   *(s for fw in cfg.firewalls.values()
+                     for s in (fw.inside, fw.outside))]
+        fields = [asdict(r) for r in records]
+        ports = {n: [(p, id(r)) for p, r in sw.ports.items()]
+                 for n, sw in cfg.switches.items()}
         before = serialize_scenario(cfg)
+
+        def untouched():
+            assert [asdict(r) for r in records] == fields
+            for n, sw in cfg.switches.items():
+                assert [(p, id(r)) for p, r in sw.ports.items()] == ports[n]
+                own = eng.nodes[n].switch.ports
+                assert own is not sw.ports
+                assert all(own[p] is r for p, r in sw.ports.items())
+            assert serialize_scenario(cfg) == before
+
         eng = build_engine(cfg)
-        assert serialize_scenario(cfg) == before
+        untouched()
+        eng.run_until(1_500_000)  # the member is down
+        untouched()
         eng.run_until(cfg.duration_us)
-        assert serialize_scenario(cfg) == before
+        untouched()
         decl = next(t for t in cfg.traffic if t.flow_id == "mon-check")
         (gen,) = [g for g in eng.nodes[decl.src].generators
                   if g.flow_id == "mon-check"]
@@ -253,10 +304,10 @@ def in_file_order(strategy, key):
 
 
 PORT_SPECS = (
-    st.builds(PortSpec, st.just("access"), vid=VIDS, lag=maybe(WORDS))
-    | st.builds(PortSpec, st.just("trunk"), lag=maybe(WORDS),
-                allowed=st.lists(VIDS, min_size=1, max_size=3).map(
-                    lambda vids: tuple(sorted(vids)))))
+    st.builds(PortConfig, st.just("access"), vid=VIDS,
+              lag_group=maybe(WORDS))
+    | st.builds(PortConfig, st.just("trunk"), lag_group=maybe(WORDS),
+                allowed=st.frozensets(VIDS, min_size=1, max_size=3)))
 
 
 @st.composite
@@ -295,8 +346,13 @@ CONFIGS = st.builds(
         st.dictionaries(PORT_IDS, PORT_SPECS, min_size=1, max_size=3))),
     l3s=keyed(WORDS.map("r".__add__), lambda name: st.builds(
         L3Decl, st.just(name), in_file_order(st.builds(
-            IfaceDecl, st.just(name), VIDS, IPS, PREFIX_LENS, ZONE_NAMES,
-            maybe(PORT_IDS)), attrgetter("vid")))),
+            VlanInterface, VIDS, IPS, PREFIX_LENS, ZONE_NAMES,
+            maybe(PORT_IDS)), attrgetter("vid")),
+        in_file_order(st.builds(
+            lambda net, via: Route(*net, **via), networks(),
+            st.fixed_dictionaries({"via_vid": VIDS})
+            | st.fixed_dictionaries({"gateway": IPS})),
+            attrgetter("prefix_len", "prefix")))),
     firewalls=keyed(WORDS.map("f".__add__), lambda name: st.builds(
         FirewallDecl, st.just(name), cap_bps=st.integers(1, 10**10),
         nat_capacity=st.integers(0, 10**4), zones=st.booleans(),
@@ -312,11 +368,6 @@ CONFIGS = st.builds(
         LinkDecl, st.tuples(WORDS, PORT_IDS), st.tuples(WORDS, PORT_IDS),
         st.integers(1, 10**10), prop=st.integers(0, 10**4),
         queue=st.integers(1, 10**4)), attrgetter("link_id")),
-    routes=in_file_order(st.builds(
-        lambda node, net, via: RouteDecl(node, *net, **via), WORDS,
-        networks(), st.fixed_dictionaries({"via_vid": VIDS})
-        | st.fixed_dictionaries({"gateway": IPS})),
-        attrgetter("node", "prefix_len", "prefix")),
     acls=in_file_order(st.builds(AclDecl, ZONE_NAMES, ZONE_NAMES,
                                  st.sampled_from(VERDICTS)),
                        attrgetter("from_zone", "to_zone")),
@@ -399,10 +450,10 @@ class TestBundledCounts:
     def test_redundant_has_lag(self):
         cfg = build_spring8_redundant()
         lagged = [(sw.name, pid) for sw in cfg.switches.values()
-                  for pid, p in sw.ports.items() if p.lag is not None]
+                  for pid, p in sw.ports.items() if p.lag_group is not None]
         assert lagged
-        bb_lags = {p.lag for p in cfg.switches["bb"].ports.values()
-                   if p.lag is not None}
+        bb_lags = {p.lag_group for p in cfg.switches["bb"].ports.values()
+                   if p.lag_group is not None}
         assert len(bb_lags) == 4  # one bundle per aggregation switch
 
     def test_redundant_override_maps_each_firewall(self):

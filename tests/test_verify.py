@@ -10,9 +10,11 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import TraceLines, affected_vlans_oracle, random_topology
 from netfab import engine
+from netfab.l2 import PortConfig
+from netfab.l3 import VlanInterface
 from netfab.packet import ip_addr
-from netfab.scenario import (BUNDLED, FaultDecl, IfaceDecl, L3Decl, LinkDecl,
-                             PortSpec, build_spring8_legacy,
+from netfab.scenario import (BUNDLED, FaultDecl, L3Decl, LinkDecl,
+                             build_spring8_legacy,
                              build_spring8_redundant, build_spring8_upgraded,
                              build_engine, parse_scenario, serialize_scenario)
 from netfab.verify import (DIGEST_BATCH, INVARIANTS, UnknownInvariant,
@@ -227,12 +229,12 @@ def _with_gateway(cfg, rng):
     some VLANs, and point some of those VLANs' hosts at it."""
     vids = sorted(cfg.vlans)
     sw = rng.choice(sorted(cfg.switches))
-    cfg.switches[sw].ports["r"] = PortSpec("trunk", allowed=tuple(
+    cfg.switches[sw].ports["r"] = PortConfig("trunk", allowed=tuple(
         sorted(rng.sample(vids, rng.randint(1, len(vids))))))
     core = L3Decl("core")
     for vid in rng.sample(vids, rng.randint(1, len(vids))):
         core.interfaces.append(
-            IfaceDecl("core", vid, ip_addr(f"10.{vid}.0.254"), 16, "dmz"))
+            VlanInterface(vid, ip_addr(f"10.{vid}.0.254"), 16, "dmz"))
     cfg.l3s["core"] = core
     cfg.links.append(LinkDecl(("core", "trunk"), (sw, "r"), 100_000_000))
     gateways = {i.vid: i.ip for i in core.interfaces}
