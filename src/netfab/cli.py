@@ -5,7 +5,7 @@ import argparse
 import contextlib
 import sys
 
-from .engine import UnknownTarget, trace_line
+from .engine import FAULT_ACTIONS, UnknownTarget, trace_line
 from .scenario import (BUNDLED, SECONDS, SEED, Codec, FaultDecl,
                        ScenarioError, build_engine, load_scenario,
                        parse_scenario, serialize_scenario, validate_scenario)
@@ -115,8 +115,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("scenario")
     p.add_argument("--at", type=_option(SECONDS), required=True,
                    metavar="SECONDS")
-    p.add_argument("--action", required=True,
-                   choices=("fail_node", "fail_link", "recover"))
+    p.add_argument("--action", required=True, choices=FAULT_ACTIONS)
     p.add_argument("--target", required=True)
     p.set_defaults(func=cmd_inject)
 

@@ -7,17 +7,17 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .firewall import Firewall, NoScope, PoolExhausted, Shaper
+from .firewall import (Firewall, NoScope, PoolExhausted, SHAPE_INTERVAL_US,
+                       Shaper)
 from .l2 import Switch
 from .l3 import ZonePolicy, ZoneRouter
 from .packet import (Arp, BROADCAST, FlowKey, Frame, MacAddress, Packet,
                      PrefixTable, flow_key, ip_str, make_frame, node_mac,
                      prefix_mask, vlan_tag)
-from .resilience import LoadBalancer, Unavailable
+from .resilience import PROBE_INTERVAL_US, LoadBalancer, Unavailable
 
 DEFAULT_PROP_US = 5
 DEFAULT_LINK_QUEUE = 256
-DEFAULT_SHAPE_INTERVAL_US = 1_000
 FDB_AGE_SWEEP_US = 60_000_000
 NAT_SWEEP_US = 10_000_000
 ARP_RETRY_US = 1_000_000
@@ -31,6 +31,7 @@ RTO_MIN_US = 200_000
 RTO_MAX_US = 60_000_000
 CBR_PACKET = 1_500
 PING_INTERVAL_US = 1_000_000
+FAULT_ACTIONS = ("fail_node", "fail_link", "recover")
 
 
 class UnknownTarget(Exception):
@@ -221,7 +222,7 @@ class Engine:
         heapq.heappush(self._heap, (at, self._seq, kind, target, payload))
 
     def inject_fault(self, at_us: int, action: str, target: str):
-        if action not in ("fail_node", "fail_link", "recover"):
+        if action not in FAULT_ACTIONS:
             raise ValueError(f"unknown fault action {action!r}")
         if target not in self.nodes and target not in self.links:
             raise UnknownTarget(target)
@@ -421,15 +422,12 @@ class HostNode(Node):
     kind = "host"
 
     def __init__(self, engine: Engine, name: str, mac: MacAddress, ip: int,
-                 prefix_len: int, gw_ip: Optional[int] = None,
-                 group: Optional[str] = None):
+                 prefix_len: int, gw_ip: Optional[int] = None):
         super().__init__(engine, name)
         self.mac = mac
         self.ip = ip
-        self.prefix_len = prefix_len
         self.mask = prefix_mask(prefix_len)
         self.gw_ip = gw_ip
-        self.group = group
         self.port = 0
         self.arp = Resolver()
         self.bulk_send: dict[str, BulkSender] = {}
@@ -670,11 +668,10 @@ class L3Node(Node):
     kind = "l3"
 
     def __init__(self, engine: Engine, name: str, mac: MacAddress,
-                 router: Optional[ZoneRouter] = None):
+                 router: ZoneRouter):
         super().__init__(engine, name)
         self.mac = mac
-        self.router = router or ZoneRouter(name)
-        self.trunk_port = "trunk"
+        self.router = router
         self.port_iface = {i.port: i for i in self.router.interfaces.values()
                            if i.port is not None}
         self.arp = Resolver()
@@ -690,7 +687,7 @@ class L3Node(Node):
             self.engine.send(self.name, port,
                              make_frame(self.mac, dst_mac, frame_payload))
         else:
-            self.engine.send(self.name, self.trunk_port, make_frame(
+            self.engine.send(self.name, "trunk", make_frame(
                 self.mac, dst_mac, frame_payload, vlan_tag(vid)))
 
     def ip_on(self, vid: int) -> int:
@@ -699,7 +696,7 @@ class L3Node(Node):
     def on_frame(self, port, frame: Frame):
         # reads the payload and destination in place: untagging needs no copy
         tag = frame.tag
-        if port == self.trunk_port:
+        if port == "trunk":
             if tag is None or tag.vid not in self.router.interfaces:
                 self.engine.metrics.drop(self.name, "vlan")
                 return
@@ -807,7 +804,7 @@ class FirewallNode(Node):
             self.tick_scheduled[side] = False
             if self.failed:
                 return
-            released = self.shapers[side].shape(now, DEFAULT_SHAPE_INTERVAL_US)
+            released = self.shapers[side].shape()
             for pkt, mac_hint in released:
                 self._emit_packet(side, pkt, mac_hint)
             if self.shapers[side].queue:
@@ -816,8 +813,7 @@ class FirewallNode(Node):
     def _schedule_tick(self, side: str):
         """The side's next shape_tick; its caller knows none is pending."""
         self.tick_scheduled[side] = True
-        interval = DEFAULT_SHAPE_INTERVAL_US
-        next_at = (self.engine.now // interval + 1) * interval
+        next_at = (self.engine.now // SHAPE_INTERVAL_US + 1) * SHAPE_INTERVAL_US
         self.engine.schedule(next_at, "shape_tick", self.name, side)
 
     def _enqueue(self, out_side: str, pkt: Packet, mac_hint):
@@ -938,10 +934,10 @@ class FirewallNode(Node):
             self.engine.send(self.name, out_side, frame)
 
     def reset_dynamic(self):
+        # a pending shape_tick stays queued, so tick_scheduled stays as it is
         self.fw.reset_dynamic()
         for s in self.shapers.values():
             s.reset_dynamic()
-        self.tick_scheduled = {s: False for s in self.sides}
         self.arp.clear()
 
 
@@ -955,11 +951,10 @@ class BalancerNode(Node):
         self.ip = ip
         self.peer_ip = peer_ip
         self.lb = lb
-        engine.schedule(lb.probe_interval_us, "probe_tick", name)
+        engine.schedule(PROBE_INTERVAL_US, "probe_tick", name)
 
     def on_event(self, kind: str, payload):
-        if kind != "probe_tick" or not self._repeat(kind,
-                                                    self.lb.probe_interval_us):
+        if kind != "probe_tick" or not self._repeat(kind, PROBE_INTERVAL_US):
             return
         due = self.lb.probe_tick(self.engine.now)
         self._drain_transitions()

@@ -8,10 +8,11 @@ from typing import Optional
 
 from .packet import (Packet, PORTLESS_PROTOCOLS, PrefixTable, in_network,
                      ip_str, packet_copy, prefix_mask)
-from .l3 import ConnTable, DEFAULT_CONN_TIMEOUT_US
+from .l3 import ConnTable, CONN_TIMEOUT_US
 
 DEFAULT_CAP_BPS = 170_000_000
-DEFAULT_QUEUE_FRAMES = 256
+QUEUE_FRAMES = 256  # per shaper
+SHAPE_INTERVAL_US = 1_000  # shaper tick
 DEFAULT_NAT_CAPACITY = 1024
 FIRST_NAT_PORT = 1024
 LAST_NAT_PORT = 65535
@@ -82,17 +83,15 @@ class PortAllocator:
 class Firewall:
     """NAT + conntrack state of one firewall instance."""
 
-    def __init__(self, name: str = "fw", nat_capacity: int = DEFAULT_NAT_CAPACITY,
-                 idle_timeout_us: int = DEFAULT_CONN_TIMEOUT_US):
+    def __init__(self, name: str = "fw", nat_capacity: int = DEFAULT_NAT_CAPACITY):
         self.name = name
         self.scopes = PrefixTable()
         self.external_ips: set[int] = set()
         self.nat_capacity = nat_capacity
-        self.idle_timeout_us = idle_timeout_us
         self.by_inside: dict[tuple, NatEntry] = {}
         self.by_outside: dict[tuple, NatEntry] = {}
         self.allocators: dict[int, PortAllocator] = {}
-        self.conn = ConnTable(idle_timeout_us)
+        self.conn = ConnTable()
 
     def add_scope(self, network: int, prefix_len: int, external_ip: int) -> MasqueradeScope:
         scope = MasqueradeScope(network & prefix_mask(prefix_len),
@@ -155,7 +154,7 @@ class Firewall:
         entry = self.by_outside.get(okey)
         if entry is None:
             return None
-        if now - entry.last_activity > self.idle_timeout_us:
+        if now - entry.last_activity > CONN_TIMEOUT_US:
             self._remove(entry)
             return None
         if not entry.scope.contains(packet.src_ip):
@@ -178,7 +177,7 @@ class Firewall:
 
     def sweep_expired(self, now: int):
         stale = [e for e in self.by_inside.values()
-                 if now - e.last_activity > self.idle_timeout_us]
+                 if now - e.last_activity > CONN_TIMEOUT_US]
         for e in stale:
             self._remove(e)
         self.conn.sweep(now)
@@ -196,32 +195,28 @@ class Firewall:
 class Shaper:
     """Byte-budget FIFO modeling the measured forwarding cap of one direction."""
 
-    def __init__(self, cap_bps: int = DEFAULT_CAP_BPS,
-                 queue_frames: int = DEFAULT_QUEUE_FRAMES):
+    def __init__(self, cap_bps: int = DEFAULT_CAP_BPS):
         self.cap_bps = cap_bps
-        self.queue_frames = queue_frames
         self.queue: deque = deque()
         self.carry_bytes = 0.0
 
     def offer(self, size: int, item) -> bool:
         """Queue an item; False when the queue is full (newest arrival dropped)."""
-        if len(self.queue) >= self.queue_frames:
+        if len(self.queue) >= QUEUE_FRAMES:
             return False
         self.queue.append((size, item))
         return True
 
-    def shape(self, now: int, interval_us: int) -> list:
-        """Release queued items in FIFO order within the interval's byte budget."""
-        if interval_us <= 0:
-            raise ValueError("interval must be > 0")
-        budget_bytes = self.cap_bps * interval_us / 8e6
+    def shape(self) -> list:
+        """Release queued items in FIFO order within one tick's byte budget."""
+        budget_bytes = self.cap_bps * SHAPE_INTERVAL_US / 8e6
         budget = budget_bytes + self.carry_bytes
         released = []
         while self.queue and self.queue[0][0] <= budget:
             size, item = self.queue.popleft()
             budget -= size
             released.append(item)
-        # unused budget carries over, bounded by one interval's worth
+        # unused budget carries over, bounded by one tick's worth
         self.carry_bytes = min(budget, budget_bytes)
         return released
 

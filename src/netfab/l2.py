@@ -8,7 +8,7 @@ from typing import Optional
 from .packet import (Frame, FlowKey, InvalidVid, check_vid, frame_copy,
                      frame_flow_key, vlan_tag)
 
-DEFAULT_FDB_AGING_US = 300_000_000  # 300 s
+FDB_AGING_US = 300_000_000  # 300 s
 
 
 class L2Error(Exception):
@@ -87,13 +87,11 @@ class Switch:
     change. LAG choices are memoised until a port change or FDB sweep.
     """
 
-    def __init__(self, name: str, fdb_aging_us: int = DEFAULT_FDB_AGING_US,
-                 hash_salt: bytes = b""):
+    def __init__(self, name: str, hash_salt: bytes = b""):
         self.name = name
         self.ports: dict[int, PortConfig] = {}
         self.down: set = set()  # ports set down by set_port_up
         self.fdb: dict[tuple, FdbEntry] = {}
-        self.fdb_aging_us = fdb_aging_us
         self.hash_salt = hash_salt
         self._egress: dict[tuple, Optional[tuple]] = {}  # by (port, vid)
         self._plans: dict[tuple, tuple] = {}  # (ingress, vid) -> egresses
@@ -220,7 +218,7 @@ class Switch:
 
     def age_fdb(self, now: int):
         stale = [k for k, e in self.fdb.items()
-                 if now - e.last_seen > self.fdb_aging_us]
+                 if now - e.last_seen > FDB_AGING_US]
         for k in stale:
             del self.fdb[k]
         self._lag_memo.clear()

@@ -10,7 +10,7 @@ from .packet import (FlowKey, Packet, PrefixTable, check_vid, flow_key,
 ZONES = ("clean", "dmz", "public")
 VERDICTS = ("permit", "deny-new")
 
-DEFAULT_CONN_TIMEOUT_US = 600_000_000  # 600 s idle
+CONN_TIMEOUT_US = 600_000_000  # 600 s idle
 
 #: clean > dmz > public trust ordering; initiation allowed down the ordering,
 #: replies admitted statefully.
@@ -84,8 +84,7 @@ class ConnTable:
     """Established-connection table: a flow is established while its mirror
     was forwarded within the idle timeout."""
 
-    def __init__(self, timeout_us: int = DEFAULT_CONN_TIMEOUT_US):
-        self.timeout_us = timeout_us
+    def __init__(self):
         self.entries: dict[FlowKey, int] = {}
 
     def note(self, key: FlowKey, now: int):
@@ -93,10 +92,10 @@ class ConnTable:
 
     def established(self, key: FlowKey, now: int) -> bool:
         seen = self.entries.get(key.mirrored())
-        return seen is not None and now - seen <= self.timeout_us
+        return seen is not None and now - seen <= CONN_TIMEOUT_US
 
     def sweep(self, now: int):
-        stale = [k for k, t in self.entries.items() if now - t > self.timeout_us]
+        stale = [k for k, t in self.entries.items() if now - t > CONN_TIMEOUT_US]
         for k in stale:
             del self.entries[k]
 
@@ -125,15 +124,14 @@ class ZonePolicy:
 class ZoneRouter:
     """Routing + zone-policy core of a Layer-3 switch (single engine owner)."""
 
-    def __init__(self, name: str = "l3", policy: Optional[ZonePolicy] = None,
-                 conn_timeout_us: int = DEFAULT_CONN_TIMEOUT_US):
+    def __init__(self, name: str = "l3", policy: Optional[ZonePolicy] = None):
         self.name = name
         self.interfaces: dict[int, VlanInterface] = {}
         self.local_ips: set[int] = set()
         self.connected = PrefixTable()  # VlanInterface by subnet
         self.routes = PrefixTable()  # connected, then static Routes
         self.policy = policy or ZonePolicy()
-        self.conn = ConnTable(conn_timeout_us)
+        self.conn = ConnTable()
 
     def add_interface(self, iface: VlanInterface) -> VlanInterface:
         if iface.vid in self.interfaces:

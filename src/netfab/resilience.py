@@ -7,9 +7,9 @@ from typing import Optional
 from .l2 import lag_select
 from .packet import FlowKey
 
-DEFAULT_PROBE_INTERVAL_US = 1_000_000
-DEFAULT_DOWN_THRESHOLD = 3
-DEFAULT_UP_THRESHOLD = 2
+PROBE_INTERVAL_US = 1_000_000
+DOWN_THRESHOLD = 3  # missed probes before a path goes down
+UP_THRESHOLD = 2  # replies before a down path comes back
 
 
 class Unavailable(Exception):
@@ -33,20 +33,13 @@ class PathHealth:
 class LoadBalancer:
     """Health-probes two firewall paths and pins flows to live ones."""
 
-    def __init__(self, name: str, path_ids: list[str],
-                 probe_interval_us: int = DEFAULT_PROBE_INTERVAL_US,
-                 down_threshold: int = DEFAULT_DOWN_THRESHOLD,
-                 up_threshold: int = DEFAULT_UP_THRESHOLD,
-                 hash_salt: bytes = b""):
+    def __init__(self, name: str, path_ids: list[str], hash_salt: bytes = b""):
         if len(path_ids) != 2:
             raise ValueError("exactly two firewall paths are balanced")
         self.name = name
         # in path-id order, which reset_dynamic keeps: every list of paths
         # this class returns is sorted without sorting
         self.paths = {pid: PathHealth(pid) for pid in sorted(path_ids)}
-        self.probe_interval_us = probe_interval_us
-        self.down_threshold = down_threshold
-        self.up_threshold = up_threshold
         self.hash_salt = hash_salt
         self.flow_affinity: dict[FlowKey, str] = {}
         self.dest_override: dict[int, str] = {}  # external ip -> path
@@ -60,12 +53,12 @@ class LoadBalancer:
         due = []
         for pid, path in self.paths.items():
             if (path.last_probe_sent is not None
-                    and now < path.last_probe_sent + self.probe_interval_us):
+                    and now < path.last_probe_sent + PROBE_INTERVAL_US):
                 continue
             if path.outstanding:
                 path.consecutive_missed += 1
                 path.consecutive_replies = 0
-                if path.state == "up" and path.consecutive_missed >= self.down_threshold:
+                if path.state == "up" and path.consecutive_missed >= DOWN_THRESHOLD:
                     path.state = "down"
                     self.transitions.append((pid, "down"))
             path.outstanding = True
@@ -81,7 +74,7 @@ class LoadBalancer:
         path.consecutive_missed = 0
         if path.state == "down":
             path.consecutive_replies += 1
-            if path.consecutive_replies >= self.up_threshold:
+            if path.consecutive_replies >= UP_THRESHOLD:
                 path.state = "up"
                 path.consecutive_replies = 0
                 self.transitions.append((path_id, "up"))

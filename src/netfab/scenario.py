@@ -19,8 +19,8 @@ from operator import attrgetter
 from typing import Any, Callable, NamedTuple, Optional
 
 from .engine import (CBR_PACKET, DEFAULT_LINK_QUEUE, DEFAULT_PROP_US, Engine,
-                     FirewallNode, FirewallSide, HostNode, L3Node, SwitchNode,
-                     BalancerNode, TrafficSpec)
+                     FAULT_ACTIONS, FirewallNode, FirewallSide, HostNode,
+                     L3Node, SwitchNode, BalancerNode, TrafficSpec)
 from .firewall import DEFAULT_CAP_BPS, DEFAULT_NAT_CAPACITY, Firewall
 from .l2 import PortConfig, Switch
 from .l3 import (VERDICTS, ZONES, L3Error, Route, VlanInterface, ZonePolicy,
@@ -562,8 +562,7 @@ FORMAT = {
     ], store="traffic"),
     "fault": Form(FaultDecl, [
         Key("at", SECONDS, "at_us", required=True),
-        Key("action", _one_of(("fail_node", "fail_link", "recover")),
-            required=True),
+        Key("action", _one_of(FAULT_ACTIONS), required=True),
         Key("target", TEXT, required=True),
     ], store="faults"),
 }
@@ -837,7 +836,7 @@ def build_engine(cfg: ScenarioConfig, seed: Optional[int] = None,
 
     for name, decl in sorted(cfg.hosts.items()):
         HostNode(eng, name, node_mac(name), decl.ip, decl.prefix_len,
-                 gw_ip=decl.gw, group=decl.group)
+                 gw_ip=decl.gw)
 
     for link in cfg.links:
         eng.add_link(link.a[0], link.a[1], link.b[0], link.b[1], link.bw,

@@ -7,8 +7,9 @@ from typing import Optional
 import pytest
 
 from netfab.engine import trace_line
-from netfab.l2 import (DEFAULT_FDB_AGING_US, FdbEntry, PortConfig,
-                       UnknownPort, lag_select)
+# ReferenceSwitch keeps the constant's name from when it was a default
+from netfab.l2 import FDB_AGING_US as DEFAULT_FDB_AGING_US
+from netfab.l2 import FdbEntry, PortConfig, UnknownPort, lag_select
 from netfab.packet import (Frame, InvalidVid, check_vid, frame_flow_key,
                            ip_addr, pop_tag, push_tag)
 from netfab.scenario import (HostDecl, LinkDecl, ScenarioConfig, SwitchDecl,

@@ -150,8 +150,23 @@ class TestSweep:
         fw.masquerade_out(out_pkt("10.1.1.5", 4000), now=0)
         fw.sweep_expired(now=600_000_000)
         assert fw.nat_size() == 1
+        fw.sweep_expired(now=600_000_001)
+        assert fw.nat_size() == 0
         fw.sweep_expired(now=601_000_000)
         assert fw.nat_size() == 0
+
+    @pytest.mark.parametrize("at, kept", [(600_000_000, True),
+                                          (600_000_001, False)])
+    def test_reply_at_the_idle_edge(self, at, kept):
+        """A binding idle for exactly the 600 s timeout still translates;
+        one microsecond more and it is gone, as the sweep does."""
+        fw = default_fw()
+        fw.masquerade_out(out_pkt("10.1.1.5", 4000), now=0)
+        reply = Packet(src_ip=ip_addr("192.0.2.9"),
+                       dst_ip=ip_addr("203.0.113.1"), protocol="tcp",
+                       src_port=80, dst_port=1024)
+        assert (fw.masquerade_in(reply, now=at) is not None) == kept
+        assert fw.nat_size() == int(kept)
 
     def test_empty_noop(self):
         fw = default_fw()
@@ -205,19 +220,17 @@ class TestBijection:
 
 class TestShaper:
     def test_saturating_release_matches_cap(self):
-        shaper = Shaper(cap_bps=170_000_000, queue_frames=256)
+        shaper = Shaper(cap_bps=170_000_000)
         released_bytes = 0
         interval = 1_000  # 1 ms ticks over 10 s
         offered_per_tick = 1_000_000_000 * interval // 8_000_000  # 1 Gbps
-        now = 0
         for _ in range(10_000):
             filled = 0
             while filled + 1500 <= offered_per_tick:
                 shaper.offer(1500, "pkt")
                 filled += 1500
-            for _ in shaper.shape(now, interval):
+            for _ in shaper.shape():
                 released_bytes += 1500
-            now += interval
         expect = 170_000_000 * 10 / 8
         assert abs(released_bytes - expect) / expect < 0.02
 
@@ -225,25 +238,25 @@ class TestShaper:
         shaper = Shaper(cap_bps=170_000_000)
         for _ in range(10):
             shaper.offer(1500, "pkt")
-        out = shaper.shape(0, 1_000_000)
+        out = shaper.shape()
         assert len(out) == 10 and not shaper.queue
 
     def test_zero_offered(self):
         shaper = Shaper()
-        assert shaper.shape(0, 1_000) == []
+        assert shaper.shape() == []
 
     def test_overflow_drops_newest(self):
-        shaper = Shaper(queue_frames=2)
-        assert shaper.offer(100, "a")
-        assert shaper.offer(100, "b")
-        assert not shaper.offer(100, "c")
-        assert [i for _, i in shaper.queue] == ["a", "b"]
+        shaper = Shaper()
+        for i in range(256):
+            assert shaper.offer(100, i)
+        assert not shaper.offer(100, "newest")
+        assert [i for _, i in shaper.queue] == list(range(256))
 
     def test_fifo_order(self):
         shaper = Shaper(cap_bps=8_000_000)
         for i in range(5):
             shaper.offer(100, i)
-        assert shaper.shape(0, 1_000_000) == [0, 1, 2, 3, 4]
+        assert shaper.shape() == [0, 1, 2, 3, 4]
 
 
 @st.composite
@@ -345,3 +358,31 @@ class TestFirewallRigPath:
         assert 0 < calls["masquerade_out"] <= offered
         assert 0 < calls["masquerade_in"] <= calls["acks"]
         assert calls["checks"] == offered + calls["acks"]
+
+    def test_recover_of_a_busy_firewall_keeps_one_tick_per_side(self):
+        """A recover empties the shaper queues but leaves a pending
+        shape_tick queued; the next arrival must not schedule a second one,
+        which would double the side's rate."""
+        bulk = "kind=bulk src=h1 dst=h2 flow=xfer total=0"
+        text = FIREWALL_RIG.format(duration=2.5, total=0)
+        assert bulk in text
+        text = text.replace(bulk, "kind=cbr src=h1 dst=h2 flow=xfer "
+                                  "rate=500000000")
+        text += "\n[fault]\nat=1.0001 action=recover target=fw\n"
+        cfg = parse_scenario(text)
+        validate_scenario(cfg)
+        eng = build_engine(cfg)
+        fw = eng.nodes["fw"]
+        for t in range(1_000_000, 1_010_001, 250):
+            eng.run_until(t)
+            pending = Counter(e[4] for e in eng._heap
+                              if e[2] == "shape_tick" and e[3] == "fw")
+            for side, shaper in fw.shapers.items():
+                assert pending[side] <= 1, (t, side)
+                if shaper.queue:
+                    assert pending[side] == 1, (t, side)
+        eng.run_until(1_500_000)
+        before = eng.metrics.flows["xfer"].delivered_bytes
+        eng.run_until(2_500_000)
+        mbps = (eng.metrics.flows["xfer"].delivered_bytes - before) * 8 / 1e6
+        assert abs(mbps - 170.0) <= 170.0 * 0.01

@@ -108,6 +108,9 @@ class TestZonePolicy:
         r = make_router()
         r.forward(pkt("10.0.10.5", "192.0.2.50"), 10, 0)
         reply = pkt("192.0.2.50", "10.0.10.5", sport=80, dport=4000)
+        # idle for exactly the 600 s timeout is still established
+        assert r.forward(reply, 20, 600_000_000)[0] == "forward"
+        assert r.forward(reply, 20, 600_000_001) == ("drop", "acl")
         late = 601_000_000
         assert r.forward(reply, 20, late) == ("drop", "acl")
 
