@@ -250,7 +250,7 @@ class Engine:
                 self._apply_fault(target, payload)
             else:
                 node = self.nodes.get(target)
-                if node is not None and not (kind == "traffic" and node.failed):
+                if node is not None:
                     node.on_event(kind, payload)
         self.now = t_end_us
         return metrics
@@ -436,6 +436,7 @@ class HostNode(Node):
         self.generators: list[TrafficSpec] = []
 
     # -- traffic -----------------------------------------------------------
+    # a failed host keeps each flow's schedule and sends nothing
 
     def add_generator(self, spec: TrafficSpec):
         idx = len(self.generators)
@@ -458,24 +459,29 @@ class HostNode(Node):
         if spec.kind == "cbr":
             if spec.stop_us is not None and now >= spec.stop_us:
                 return
-            payload_bytes = CBR_PACKET - 40
-            pkt = Packet(src_ip=self.ip, dst_ip=spec.dst_ip, protocol="udp",
-                         src_port=spec.src_port, dst_port=spec.dst_port,
-                         payload_bytes=payload_bytes,
-                         meta=("cbr", spec.flow_id))
-            self.send_packet(pkt, self.engine.metrics.flow(spec.flow_id))
+            if not self.failed:
+                self.send_packet(Packet(
+                    src_ip=self.ip, dst_ip=spec.dst_ip, protocol="udp",
+                    src_port=spec.src_port, dst_port=spec.dst_port,
+                    payload_bytes=CBR_PACKET - 40, meta=("cbr", spec.flow_id)),
+                    self.engine.metrics.flow(spec.flow_id))
             interval = CBR_PACKET * 8 * 1_000_000 // spec.rate_bps
             self.engine.schedule(now + interval, "traffic", self.name, ("start", idx))
         elif spec.kind == "bulk":
             self.bulk_send[spec.flow_id] = st = BulkSender(spec)
-            self._bulk_pump(st)
+            if self.failed:  # starts once the timer finds the host up
+                self._start_rto(spec.flow_id, st)
+            else:
+                self._bulk_pump(st)
         elif spec.kind == "ping":
             self._send_ping(spec, idx, 0)
 
     def _send_ping(self, spec: TrafficSpec, idx: int, seq: int):
-        pkt = Packet(src_ip=self.ip, dst_ip=spec.dst_ip, protocol="icmp",
-                     payload_bytes=56, meta=("ping", spec.flow_id, "req", seq))
-        self.send_packet(pkt, self.engine.metrics.flow(spec.flow_id))
+        if not self.failed:
+            pkt = Packet(src_ip=self.ip, dst_ip=spec.dst_ip, protocol="icmp",
+                         payload_bytes=56,
+                         meta=("ping", spec.flow_id, "req", seq))
+            self.send_packet(pkt, self.engine.metrics.flow(spec.flow_id))
         if seq + 1 < spec.count:
             self.engine.schedule(self.engine.now + PING_INTERVAL_US, "traffic",
                                  self.name, ("ping", idx, seq + 1))

@@ -2,8 +2,6 @@
 propagate single frames without the event engine."""
 from __future__ import annotations
 
-from typing import Optional
-
 from .l2 import Switch
 from .packet import BROADCAST, Frame, make_frame, node_mac
 from .scenario import ScenarioConfig, configure_ports
@@ -64,9 +62,3 @@ def broadcast_delivery(cfg: ScenarioConfig, src_host: str,
     reached = propagate(switches, peer, attach, frame)
     return {node for node, _port in reached if node in cfg.hosts}
 
-
-def host_vid(cfg: ScenarioConfig, peer: dict, host: str) -> Optional[int]:
-    attach = host_attachment(cfg, peer, host)
-    if attach is None:
-        return None
-    return cfg.switches[attach[0]].ports[attach[1]].vid

@@ -651,58 +651,80 @@ def carried_vids(cfg: ScenarioConfig, node: str, port) -> Optional[frozenset]:
     return None
 
 
-def _check_loops(cfg: ScenarioConfig):
-    """Per-VLAN cycle detection over the switch fabric; a LAG is one edge."""
-    adjacency: dict = {}  # vid -> node -> neighbours
-    seen_lags = set()
-    for link in cfg.links:
+def vlan_graph(cfg: ScenarioConfig, links) -> dict:
+    """node -> [(peer, vids, link id, bundle)] for each of `links` ending at
+    it. `vids` are the VIDs both ends carry (`carried_vids`); None: any.
+    `bundle` is both ends' (switch, LAG) pairs, whichever end is `a`, so
+    all members of a bundle share it (IEEE 802.1AX); None off a bundle."""
+    switches = cfg.switches
+    graph: dict = {}
+    for link in links:
         (na, pa), (nb, pb) = link.a, link.b
-        if na not in cfg.switches or nb not in cfg.switches:
-            continue
-        lags = (cfg.switches[na].ports[pa].lag_group,
-                cfg.switches[nb].ports[pb].lag_group)
-        for vid in carried_vids(cfg, na, pa) & carried_vids(cfg, nb, pb):
+        va, vb = carried_vids(cfg, na, pa), carried_vids(cfg, nb, pb)
+        vids = vb if va is None else va if vb is None else va & vb
+        bundle = None
+        if na in switches and nb in switches:
+            lags = (switches[na].ports[pa].lag_group,
+                    switches[nb].ports[pb].lag_group)
             if None not in lags:
-                if (vid, na, nb, lags) in seen_lags:
-                    continue  # parallel LAG member, same logical edge
-                seen_lags.add((vid, na, nb, lags))
-            edges = adjacency.setdefault(vid, {})
-            edges.setdefault(na, []).append(nb)
-            edges.setdefault(nb, []).append(na)
-    for vid in sorted(adjacency):
-        cycle = _find_cycle(adjacency[vid])
-        if cycle is not None:
-            raise LoopError(vid, cycle)
+                bundle = frozenset(zip((na, nb), lags))
+        link_id = link.link_id
+        graph.setdefault(na, []).append((nb, vids, link_id, bundle))
+        graph.setdefault(nb, []).append((na, vids, link_id, bundle))
+    return graph
 
 
-def _find_cycle(adjacency: dict) -> Optional[list]:
-    visited = set()
-    for start in sorted(adjacency):
-        if start in visited:
-            continue
-        stack = [(start, None)]
-        parent = {start: None}
-        while stack:
-            node, via = stack.pop()
-            if node in visited:
+def vlan_reach(graph: dict, vid: int, start: str, dead_nodes,
+               dead_links) -> dict:
+    """The nodes with a path on `vid` to `start` in `graph` that avoids
+    `dead_nodes` and `dead_links`, each mapped to the node it was reached
+    from (`start` to None); empty when `start` is dead."""
+    via = {} if start in dead_nodes else {start: None}
+    frontier = list(via)
+    while frontier:
+        node = frontier.pop()
+        for nxt, vids, link_id, _bundle in graph.get(node, ()):
+            if (nxt not in via and nxt not in dead_nodes
+                    and (vids is None or vid in vids)
+                    and link_id not in dead_links):
+                via[nxt] = node
+                frontier.append(nxt)
+    return via
+
+
+def _check_loops(cfg: ScenarioConfig):
+    """Per-VLAN cycle check over the switch fabric; a LAG bundle is one
+    edge. Each VID's forest takes its edges in turn; one whose ends it
+    already joins closes a cycle with the forest path `vlan_reach` finds."""
+    switches = cfg.switches
+    graph = vlan_graph(cfg, [l for l in cfg.links
+                             if l.a[0] in switches and l.b[0] in switches])
+    edges: dict = {}  # vid -> bundle or link id -> (node, peer)
+    for node, ends in graph.items():
+        for peer, vids, link_id, bundle in ends:
+            for vid in vids:
+                edges.setdefault(vid, {}).setdefault(bundle or link_id,
+                                                     (node, peer))
+    for vid in sorted(edges):
+        up: dict = {}  # the forest: node -> a node nearer its tree's root
+        for count, (node, peer) in enumerate(edges[vid].values()):
+            a, b = node, peer
+            while a in up:
+                a = up[a]
+            while b in up:
+                b = up[b]
+            if a != b:
+                up[b] = a
                 continue
-            visited.add(node)
-            skipped_parent = False
-            for nxt in adjacency.get(node, []):
-                if nxt == via and not skipped_parent:
-                    skipped_parent = True  # the edge we arrived on
-                    continue
-                if nxt in parent:
-                    # close the cycle: walk both branches up to the root
-                    path = [nxt, node]
-                    cur = via
-                    while cur is not None and cur != nxt:
-                        path.append(cur)
-                        cur = parent[cur]
-                    return path
-                parent[nxt] = node
-                stack.append((nxt, node))
-    return None
+            kept = set(list(edges[vid])[:count])  # the forest's edges
+            dead = {link_id for ends in graph.values()
+                    for _, _, link_id, bundle in ends
+                    if (bundle or link_id) not in kept}
+            tree = vlan_reach(graph, vid, node, (), dead)
+            cycle = [peer]
+            while cycle[-1] != node:
+                cycle.append(tree[cycle[-1]])
+            raise LoopError(vid, cycle)
 
 
 def validate_scenario(cfg: ScenarioConfig):

@@ -7,17 +7,12 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from .engine import Metrics, TrafficSpec, trace_line
-from .fabric import (broadcast_delivery, build_switch_fabric, host_attachment,
-                     host_vid)
+from .fabric import broadcast_delivery
 from .firewall import Firewall
 from .l2 import PortConfig
 from .packet import Packet, ip_addr, ip_str
-from .resilience import Unavailable
 from .scenario import (FaultDecl, HostDecl, LinkDecl, ScenarioConfig,
-                       build_engine, carried_vids)
-
-INVARIANTS = ("isolation", "zone-policy", "nat-bijection", "failover",
-              "determinism")
+                       build_engine, vlan_graph, vlan_reach)
 
 
 class UnknownInvariant(Exception):
@@ -43,15 +38,9 @@ class VerifyResult:
 
 
 def verify(cfg: ScenarioConfig, invariant: str, seed: int = 0) -> VerifyResult:
-    if invariant not in INVARIANTS:
+    check = CHECKS.get(invariant)
+    if check is None:
         raise UnknownInvariant(invariant)
-    check = {
-        "isolation": _verify_isolation,
-        "zone-policy": _verify_zone_policy,
-        "nat-bijection": _verify_nat_bijection,
-        "failover": _verify_failover,
-        "determinism": _verify_determinism,
-    }[invariant]
     passed, detail = check(cfg, seed)
     return VerifyResult(invariant, passed, detail)
 
@@ -73,19 +62,27 @@ def _beamline_hosts(cfg: ScenarioConfig, group: str) -> list[str]:
     return sorted(h for h, d in cfg.hosts.items() if d.group == group)
 
 
+def _first_host(cfg: ScenarioConfig, group: str) -> Optional[str]:
+    return min((h for h, d in cfg.hosts.items() if d.group == group),
+               default=None)
+
+
 def _verify_isolation(cfg: ScenarioConfig, seed: int):
     """Attach a host claiming beamline A's addressing at beamline B's switch
     and check whether its frames can reach A's hosts at all."""
     a_hosts = _beamline_hosts(cfg, "bl01")
-    b_hosts = _beamline_hosts(cfg, "bl02")
-    if not a_hosts or not b_hosts:
+    probe = _first_host(cfg, "bl02")
+    if not a_hosts or probe is None:
         return False, "scenario lacks bl01/bl02 host groups for the probe"
-    _, peer = build_switch_fabric(cfg)
-    sw_name, _ = host_attachment(cfg, peer, b_hosts[0])
-    b_vid = host_vid(cfg, peer, b_hosts[0])
+    sw_name, port = next((end for link in cfg.links
+                          for near, end in ((link.a, link.b), (link.b, link.a))
+                          if near == (probe, 0)), (None, None))
+    switch = cfg.switches.get(sw_name)
+    b_vid = None if switch is None else switch.ports[port].vid
+    if b_vid is None:
+        return False, f"bl02 probe host {probe} is on no switch access port"
     # cfg with the rogue added: new containers and a new record wherever the
     # trial differs, the caller's declarations shared and left unchanged
-    switch = cfg.switches[sw_name]
     trial = replace(
         cfg,
         switches={**cfg.switches, sw_name: replace(switch, ports={
@@ -105,11 +102,6 @@ def _verify_isolation(cfg: ScenarioConfig, seed: int):
 
 # -- zone policy -----------------------------------------------------------
 
-def _outside_host(cfg: ScenarioConfig) -> Optional[str]:
-    names = sorted(h for h, d in cfg.hosts.items() if d.group == "outside")
-    return names[0] if names else None
-
-
 def _external_ip(cfg: ScenarioConfig) -> Optional[int]:
     masq = sorted(cfg.masquerades, key=lambda m: m.node)
     return masq[0].external if masq else None
@@ -118,7 +110,7 @@ def _external_ip(cfg: ScenarioConfig) -> Optional[int]:
 def _verify_zone_policy(cfg: ScenarioConfig, seed: int):
     """Outbound dmz->public traffic flows; unsolicited public->dmz does not."""
     inside = _beamline_hosts(cfg, "bl01")
-    outside = _outside_host(cfg)
+    outside = _first_host(cfg, "outside")
     ext_ip = _external_ip(cfg)
     if not inside or outside is None or ext_ip is None:
         return False, "scenario lacks inside/outside hosts or masquerade scopes"
@@ -185,7 +177,7 @@ def _verify_failover(cfg: ScenarioConfig, seed: int):
     if not cfg.balancers:
         return False, "scenario has no redundant firewall path"
     inside = _beamline_hosts(cfg, "bl01")
-    outside = _outside_host(cfg)
+    outside = _first_host(cfg, "outside")
     if not inside or outside is None:
         return False, "scenario lacks probe traffic endpoints"
     trial = replace(cfg, traffic=[
@@ -251,6 +243,16 @@ def _verify_determinism(cfg: ScenarioConfig, seed: int):
     return True, f"two runs, one digest {first[:12]}"
 
 
+CHECKS = {
+    "isolation": _verify_isolation,
+    "zone-policy": _verify_zone_policy,
+    "nat-bijection": _verify_nat_bijection,
+    "failover": _verify_failover,
+    "determinism": _verify_determinism,
+}
+INVARIANTS = tuple(CHECKS)
+
+
 # -- status ----------------------------------------------------------------
 
 @dataclass
@@ -267,30 +269,16 @@ class StatusReport:
         return out
 
 
-def _monitor_host(cfg: ScenarioConfig) -> Optional[str]:
-    mgmt = sorted(h for h, d in cfg.hosts.items() if d.group == "mgmt")
-    return mgmt[0] if mgmt else None
-
-
 def affected_vlans(cfg: ScenarioConfig, dead_nodes: set,
                    dead_links: set) -> list[int]:
     """Beamline VLANs whose hosts lost their management reachability.
 
     A host needs an L2 path on its VLAN to its gateway, and the gateway one
-    on the monitor's VLAN to the monitor host. A link carries a VID when both
-    ends do, so a path is symmetric: one search per (VID, gateway or monitor)
-    answers for every host behind it.
-    """
-    monitor = _monitor_host(cfg)
+    on the monitor's VLAN to the monitor host. A path is symmetric, so one
+    `vlan_reach` per (VID, gateway or monitor) serves all hosts behind it."""
+    monitor = _first_host(cfg, "mgmt")
     mon_vid = cfg.hosts[monitor].vlan if monitor is not None else None
-    adjacency: dict = {}  # node -> [(neighbour, VIDs or None for all, link)]
-    for link in cfg.links:
-        (na, pa), (nb, pb) = link.a, link.b
-        va, vb = carried_vids(cfg, na, pa), carried_vids(cfg, nb, pb)
-        shared = vb if va is None else va if vb is None else va & vb
-        link_id = link.link_id
-        adjacency.setdefault(na, []).append((nb, shared, link_id))
-        adjacency.setdefault(nb, []).append((na, shared, link_id))
+    graph = vlan_graph(cfg, cfg.links)
     gateways: dict = {}  # ip -> node; L3 switches before firewalls, first wins
     for name, decl in cfg.l3s.items():
         for iface in decl.interfaces:
@@ -302,17 +290,7 @@ def affected_vlans(cfg: ScenarioConfig, dead_nodes: set,
     def unreachable(dead_n, dead_l):
         @functools.cache
         def reached(vid, start):
-            """The nodes with a live L2 path on `vid` to `start`."""
-            seen = set() if start in dead_n else {start}
-            frontier = list(seen)
-            while frontier:
-                for nxt, vids, link_id in adjacency.get(frontier.pop(), ()):
-                    if (nxt not in seen and nxt not in dead_n
-                            and (vids is None or vid in vids)
-                            and link_id not in dead_l):
-                        seen.add(nxt)
-                        frontier.append(nxt)
-            return seen
+            return vlan_reach(graph, vid, start, dead_n, dead_l)
 
         bad = set()
         for host, decl in cfg.hosts.items():

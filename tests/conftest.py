@@ -139,6 +139,45 @@ def _member(spec, vid):
     return spec.vid == vid if spec.mode == "access" else vid in spec.allowed
 
 
+def switch_links_on(cfg, vid) -> dict:
+    """Each logical inter-switch link whose two ports carry `vid`, keyed by
+    its LAG bundle's two (switch, group) pairs, or by its link id when it
+    is not a bundle member, and mapped to its two switches."""
+    edges = {}
+    for link in cfg.links:
+        (na, pa), (nb, pb) = link.a, link.b
+        if na not in cfg.switches or nb not in cfg.switches:
+            continue
+        sa, sb = cfg.switches[na].ports[pa], cfg.switches[nb].ports[pb]
+        if _member(sa, vid) and _member(sb, vid):
+            key = (frozenset([(na, sa.lag_group), (nb, sb.lag_group)])
+                   if sa.lag_group and sb.lag_group else link.link_id)
+            edges[key] = (na, nb)
+    return edges
+
+
+def looped_vids(cfg) -> set:
+    """The VIDs whose inter-switch links form a cycle, by counting rather
+    than searching: a VID's graph has one iff its edges outnumber its nodes
+    minus its connected components. Components come from relabelling each
+    edge's ends with the smaller label until no label changes."""
+    looped = set()
+    for vid in cfg.vlans:
+        edges = switch_links_on(cfg, vid)
+        label = {n: n for pair in edges.values() for n in pair}
+        changed = True
+        while changed:
+            changed = False
+            for a, b in edges.values():
+                low = min(label[a], label[b])
+                if label[a] != low or label[b] != low:
+                    label[a] = label[b] = low
+                    changed = True
+        if len(edges) > len(label) - len(set(label.values())):
+            looped.add(vid)
+    return looped
+
+
 def affected_vlans_oracle(cfg, dead_nodes, dead_links):
     """`verify.affected_vlans` as one L2 search per host, rescanning every
     link for every node it visits; the reference the component search is

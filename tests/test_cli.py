@@ -110,6 +110,36 @@ def test_verify_exit_codes(capsys):
     assert "result=fail" in capsys.readouterr().out
 
 
+ISOLATION_PROBE = """
+[vlan]
+vid=10 name=a
+vid=20 name=b
+
+[switch]
+name=sw1 ports=p1:access:10,p2:access:20,t1:trunk:10|20
+
+[host]
+name=a1 ip=10.1.1.1/24 vlan=10 group=bl01
+name=b1 ip=10.1.2.1/24 vlan=20 group=bl02
+
+[link]
+a=a1:0 b=sw1:p1 bw=100000000
+"""
+
+
+@pytest.mark.parametrize("b1_link", ["a=b1:0 b=sw1:t1 bw=100000000", ""])
+def test_isolation_probe_needs_an_access_port(tmp_path, capsys, b1_link):
+    """The probe plugs its rogue host in beside the first bl02 host; when
+    that host is on a trunk port or on no switch, the check fails (exit 1)
+    rather than the program (exit 3)."""
+    path = tmp_path / "probe.nf"
+    path.write_text(ISOLATION_PROBE + b1_link + "\n")
+    assert main(["verify", str(path), "--invariant", "isolation"]) == 1
+    out = capsys.readouterr().out
+    assert "result=fail" in out
+    assert "detail=bl02 probe host b1 is on no switch access port" in out
+
+
 def test_parse_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.nf"
     bad.write_text("[switch]\nwhat\n")

@@ -4,6 +4,7 @@ import weakref
 import pytest
 
 from conftest import TraceLines, bulk_transfer_time
+from test_acceptance import FIREWALL_RIG
 from netfab.engine import (ARP_PENDING_MAX, BULK_LOSS_WINDOW, BULK_WINDOW,
                            BulkSender, Engine, HostNode, SwitchNode,
                            TrafficSpec, UnknownTarget)
@@ -259,6 +260,41 @@ class TestFaults:
         eng.run_until(2_000_000)
         assert not h1.arp.cache
 
+    def test_failed_host_keeps_its_flow_schedules(self):
+        """h1 on the firewall rig fails at 0.5 s and recovers at 1.5 s. It
+        offers nothing in between, then each flow goes on where its schedule
+        stands: cbr every 12 ms from 1.5 s, the ping's seqs 2 and 3 (seq 1,
+        due at 1 s, falls in the outage), and a bulk flow due at 1 s starts
+        when its retransmission timer finds h1 up. Dropping a failed host's
+        traffic events used to end its cbr and ping flows for good: 42 cbr
+        packets and 1 ping offered by 4 s, and the bulk flow never began."""
+        bulk = ("kind=bulk src=h1 dst=h2 flow=xfer total=0 sport=40000 "
+                "dport=5001")
+        text = FIREWALL_RIG.format(duration=4, total=0)
+        assert bulk in text
+        text = text.replace(bulk, "\n".join([
+            "kind=cbr src=h1 dst=h2 flow=c rate=1000000 sport=40000",
+            "kind=ping src=h1 dst=h2 flow=p count=4",
+            "kind=bulk src=h1 dst=h2 flow=b total=100000 start=1 "
+            "sport=40001 dport=5001"]))
+        text += ("\n[fault]\nat=0.5 action=fail_node target=h1\n"
+                 "at=1.5 action=recover target=h1\n")
+        eng = build_engine(parse_scenario(text))
+        flows = eng.metrics.flows
+
+        def offered():
+            return {f: st.offered_packets for f, st in sorted(flows.items())}
+
+        eng.run_until(500_000)
+        assert offered() == {"c": 42, "p": 1}  # sends at 0, 12, ... 492 ms
+        eng.run_until(1_499_999)
+        assert offered() == {"c": 42, "p": 1}
+        eng.run_until(4_000_000)
+        assert flows["c"].offered_packets == 42 + 209  # 1.5 s ... 3.996 s
+        assert flows["p"].offered_packets == 3
+        assert eng.nodes["h1"].ping_seen["p"] == 3
+        assert flows["b"].completed_at is not None
+        assert flows["b"].delivered_payload == 100_000
 
     @pytest.mark.parametrize("member", ["agg1:up1-bb:a1x",
                                         "agg1:up2-bb:a1y"])

@@ -1,10 +1,12 @@
 import hashlib
+import random
 from dataclasses import asdict
 from operator import attrgetter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import looped_vids, random_topology, switch_links_on
 from netfab.engine import FirewallSide, TrafficSpec
 from netfab.l2 import PortConfig
 from netfab.l3 import VERDICTS, ZONES, Route, VlanInterface
@@ -168,6 +170,23 @@ a=s1:t2 b=s2:t2 bw=1000000000
 """
         validate_scenario(parse_scenario(text))
 
+    def test_lag_members_cabled_either_way_are_one_edge(self):
+        """A bundle is one logical link whichever end each member's
+        declaration names first (IEEE 802.1AX)."""
+        text = """
+[vlan]
+vid=10 name=v10
+
+[switch]
+name=s1 ports=t1:trunk:10:g1,t2:trunk:10:g1
+name=s2 ports=t1:trunk:10:g1,t2:trunk:10:g1
+
+[link]
+a=s1:t1 b=s2:t1 bw=1000000000
+a=s2:t2 b=s1:t2 bw=1000000000
+"""
+        validate_scenario(parse_scenario(text))
+
     def test_parallel_links_without_lag_loop(self):
         text = """
 [vlan]
@@ -183,6 +202,49 @@ a=s1:t2 b=s2:t2 bw=1000000000
 """
         with pytest.raises(LoopError):
             validate_scenario(parse_scenario(text))
+
+
+@settings(max_examples=60, deadline=2000)
+@given(st.integers(0, 2**32 - 1), st.data())
+def test_loop_check_matches_cycle_count(seed, data):
+    """Extra inter-switch links on a random tree fabric and two new
+    switches, some of them LAGs whose members are cabled either way round:
+    validation reports a loop exactly when some VID's links, a bundle
+    counted once, close a cycle, and the loop it reports is a cycle of
+    links that carry its VID."""
+    cfg = random_topology(random.Random(seed))
+    for name in ("y1", "y2"):
+        cfg.switches[name] = SwitchDecl(name, {})
+    names, vids = sorted(cfg.switches), sorted(cfg.vlans)
+    for k in range(data.draw(st.integers(0, 4))):
+        a, b = data.draw(st.lists(st.sampled_from(names), min_size=2,
+                                  max_size=2))
+        lags = data.draw(st.lists(st.sampled_from([None, "g1", "g2"]),
+                                  min_size=2, max_size=2))
+        allowed = data.draw(st.sets(st.sampled_from(vids), min_size=1))
+        for m in range(data.draw(st.integers(1, 3))):  # members
+            ends = []
+            for name, lag in zip((a, b), lags):
+                port = f"x{k}.{m}.{len(ends)}"
+                cfg.switches[name].ports[port] = PortConfig(
+                    "trunk", allowed=allowed, lag_group=lag)
+                ends.append((name, port))
+            if data.draw(st.booleans()):
+                ends.reverse()
+            cfg.links.append(LinkDecl(ends[0], ends[1], 100_000_000))
+    looped = looped_vids(cfg)
+    if not looped:
+        validate_scenario(cfg)
+        return
+    with pytest.raises(LoopError) as err:
+        validate_scenario(cfg)
+    vid, cycle = err.value.vid, err.value.cycle
+    assert vid == min(looped) and len(set(cycle)) == len(cycle)
+    edges = switch_links_on(cfg, vid)
+    for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+        joining = [key for key, pair in edges.items() if {a, b} == set(pair)]
+        # a two-switch cycle goes out on one logical link, back on another
+        assert len(joining) >= (2 if len(cycle) == 2 else 1)
 
 
 class TestRoundTrip:
