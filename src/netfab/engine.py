@@ -13,7 +13,7 @@ from .l2 import Switch
 from .l3 import ZonePolicy, ZoneRouter
 from .packet import (Arp, BROADCAST, FlowKey, Frame, MacAddress, Packet,
                      PrefixTable, flow_key, ip_str, make_frame, node_mac,
-                     prefix_mask, vlan_tag)
+                     prefix_mask)
 from .resilience import PROBE_INTERVAL_US, LoadBalancer, Unavailable
 
 DEFAULT_PROP_US = 5
@@ -55,6 +55,11 @@ class TrafficSpec:
     count: int = 0
     src_port: int = 0
     dst_port: int = 0
+
+
+def link_id_of(a: tuple, b: tuple) -> str:
+    """The id of the link from end a to end b, each (node, port)."""
+    return f"{a[0]}:{a[1]}-{b[0]}:{b[1]}"
 
 
 @dataclass
@@ -205,14 +210,13 @@ class Engine:
     def add_link(self, a_node: str, a_port, b_node: str, b_port,
                  bandwidth_bps: int, prop_us: int = DEFAULT_PROP_US,
                  queue_cap: int = DEFAULT_LINK_QUEUE) -> Link:
-        link_id = f"{a_node}:{a_port}-{b_node}:{b_port}"
-        link = Link(link_id, (a_node, a_port), (b_node, b_port),
-                    bandwidth_bps, prop_us, queue_cap=queue_cap)
-        self.links[link_id] = link
-        self.link_at[(a_node, a_port)] = link
-        self.link_at[(b_node, b_port)] = link
-        self._ends[(a_node, a_port)] = (link, 0, self.nodes[b_node], b_port)
-        self._ends[(b_node, b_port)] = (link, 1, self.nodes[a_node], a_port)
+        a, b = (a_node, a_port), (b_node, b_port)
+        link = Link(link_id_of(a, b), a, b, bandwidth_bps, prop_us,
+                    queue_cap=queue_cap)
+        self.links[link.link_id] = link
+        self.link_at[a] = self.link_at[b] = link
+        self._ends[a] = (link, 0, self.nodes[b_node], b_port)
+        self._ends[b] = (link, 1, self.nodes[a_node], a_port)
         return link
 
     # -- event machinery ---------------------------------------------------
@@ -694,22 +698,21 @@ class L3Node(Node):
                              make_frame(self.mac, dst_mac, frame_payload))
         else:
             self.engine.send(self.name, "trunk", make_frame(
-                self.mac, dst_mac, frame_payload, vlan_tag(vid)))
+                self.mac, dst_mac, frame_payload, vid))
 
     def ip_on(self, vid: int) -> int:
         return self.router.interfaces[vid].ip
 
     def on_frame(self, port, frame: Frame):
         # reads the payload and destination in place: untagging needs no copy
-        tag = frame.tag
+        vid = frame.tag
         if port == "trunk":
-            if tag is None or tag.vid not in self.router.interfaces:
+            if vid not in self.router.interfaces:  # None is never a key
                 self.engine.metrics.drop(self.name, "vlan")
                 return
-            vid = tag.vid
         else:
             iface = self.port_iface.get(port)
-            if iface is None or tag is not None:
+            if iface is None or vid is not None:
                 self.engine.metrics.drop(self.name, "vlan")
                 return
             vid = iface.vid

@@ -45,12 +45,14 @@ class MasqueradeScope:
 
 @dataclass
 class NatEntry:
-    inside: tuple[int, int]  # (ip, port)
+    """One binding, filed under inside_key, (ip, port, protocol, scope,
+    remote), in Firewall.by_inside and under outside_key, (external ip, port,
+    protocol, remote), in by_outside. A portless protocol has port 0 and the
+    remote IP tells its bindings apart; any other has remote None."""
+    inside_key: tuple
+    outside_key: tuple
     scope: MasqueradeScope
-    outside: tuple[int, int]
-    protocol: str
     last_activity: int
-    remote_ip: Optional[int] = None  # discriminator for portless protocols
 
 
 class PortAllocator:
@@ -105,53 +107,44 @@ class Firewall:
         """Destination selects the masquerade; longest prefix wins."""
         return self.scopes.lookup(dst_ip)
 
-    def _inside_key(self, packet: Packet, scope: MasqueradeScope) -> tuple:
-        if packet.protocol in PORTLESS_PROTOCOLS:
-            return (packet.src_ip, 0, packet.protocol, scope, packet.dst_ip)
-        return (packet.src_ip, packet.src_port, packet.protocol, scope, None)
-
     def masquerade_out(self, packet: Packet, now: int) -> Packet:
         """Rewrite an outbound packet's source to the scope's external endpoint."""
         scope = self.scope_for(packet.dst_ip)
         if scope is None:
             raise NoScope(f"no masquerade scope covers {ip_str(packet.dst_ip)}")
-        key = self._inside_key(packet, scope)
-        entry = self.by_inside.get(key)
+        protocol = packet.protocol
+        remote = packet.dst_ip if protocol in PORTLESS_PROTOCOLS else None
+        ikey = (packet.src_ip, packet.src_port, protocol, scope, remote)
+        entry = self.by_inside.get(ikey)
         if entry is None:
             if len(self.by_inside) >= self.nat_capacity:
                 self.sweep_expired(now)
             if len(self.by_inside) >= self.nat_capacity:
                 raise PoolExhausted(
                     f"NAT table full ({self.nat_capacity} entries)")
-            portless = packet.protocol in PORTLESS_PROTOCOLS
-            if portless:
-                out_port = 0
-                okey = (scope.external_ip, 0, packet.protocol, packet.dst_ip)
+            external = scope.external_ip
+            if remote is None:
+                okey = (external, self.allocators[external].allocate(),
+                        protocol, None)
+            else:
+                okey = (external, 0, protocol, remote)
                 if okey in self.by_outside:
                     raise PoolExhausted(
                         "portless binding for this destination already in use")
-            else:
-                out_port = self.allocators[scope.external_ip].allocate()
-                okey = (scope.external_ip, out_port, packet.protocol, None)
-            entry = NatEntry(inside=(packet.src_ip, packet.src_port),
-                             scope=scope,
-                             outside=(scope.external_ip, out_port),
-                             protocol=packet.protocol, last_activity=now,
-                             remote_ip=packet.dst_ip if portless else None)
-            self.by_inside[key] = entry
+            entry = NatEntry(ikey, okey, scope, now)
+            self.by_inside[ikey] = entry
             self.by_outside[okey] = entry
         entry.last_activity = now
-        return packet_copy(packet, entry.outside[0], packet.dst_ip,
-                           entry.outside[1], packet.dst_port, packet.ttl)
+        okey = entry.outside_key
+        return packet_copy(packet, okey[0], packet.dst_ip, okey[1],
+                           packet.dst_port, packet.ttl)
 
     def masquerade_in(self, packet: Packet, now: int) -> Optional[Packet]:
         """Reverse-translate an inbound packet; None means drop(no-binding)."""
-        portless = packet.protocol in PORTLESS_PROTOCOLS
-        if portless:
-            okey = (packet.dst_ip, 0, packet.protocol, packet.src_ip)
-        else:
-            okey = (packet.dst_ip, packet.dst_port, packet.protocol, None)
-        entry = self.by_outside.get(okey)
+        protocol = packet.protocol
+        remote = packet.src_ip if protocol in PORTLESS_PROTOCOLS else None
+        entry = self.by_outside.get(
+            (packet.dst_ip, packet.dst_port, protocol, remote))
         if entry is None:
             return None
         if now - entry.last_activity > CONN_TIMEOUT_US:
@@ -160,20 +153,16 @@ class Firewall:
         if not entry.scope.contains(packet.src_ip):
             return None
         entry.last_activity = now
-        return packet_copy(packet, packet.src_ip, entry.inside[0],
-                           packet.src_port, entry.inside[1], packet.ttl)
+        ikey = entry.inside_key
+        return packet_copy(packet, packet.src_ip, ikey[0], packet.src_port,
+                           ikey[1], packet.ttl)
 
     def _remove(self, entry: NatEntry):
-        scope = entry.scope
-        if entry.protocol in PORTLESS_PROTOCOLS:
-            ikey = (entry.inside[0], 0, entry.protocol, scope, entry.remote_ip)
-            okey = (entry.outside[0], 0, entry.protocol, entry.remote_ip)
-        else:
-            ikey = (entry.inside[0], entry.inside[1], entry.protocol, scope, None)
-            okey = (entry.outside[0], entry.outside[1], entry.protocol, None)
-            self.allocators[entry.outside[0]].release(entry.outside[1])
-        self.by_inside.pop(ikey, None)
-        self.by_outside.pop(okey, None)
+        self.by_inside.pop(entry.inside_key, None)
+        self.by_outside.pop(entry.outside_key, None)
+        external, port = entry.outside_key[:2]
+        if port:
+            self.allocators[external].release(port)
 
     def sweep_expired(self, now: int):
         stale = [e for e in self.by_inside.values()

@@ -6,7 +6,7 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 from .packet import (Frame, FlowKey, InvalidVid, check_vid, frame_copy,
-                     frame_flow_key, vlan_tag)
+                     frame_flow_key)
 
 FDB_AGING_US = 300_000_000  # 300 s
 
@@ -131,21 +131,20 @@ class Switch:
         """Process an arriving frame; returns (egress port, frame) emissions,
         or None when the port refuses it: down, or not carrying its VID.
 
-        A frame that arrives tagged with pcp 0 leaves trunks as the same
-        object; the untagged copy is made once, when an access port needs it.
+        A frame that arrives tagged leaves trunks as the same object; the
+        untagged copy is made once, when an access port needs it.
         """
         port = self.ports.get(port_id)
         if port is None:
             raise UnknownPort(f"{self.name} has no port {port_id}")
-        size = frame.size_bytes
         # VLAN classification: a trunk has no vid, an access port no allowed
-        tag = frame.tag
-        if tag is None:
+        vid = frame.tag
+        if vid is None:
             vid, untagged, tagged = port.vid, frame, None
+        elif vid in port.allowed:
+            untagged, tagged = None, frame
         else:
-            vid = tag.vid if tag.vid in port.allowed else None
-            untagged, tagged = None, (frame if tag.pcp == 0 else None)
-            size -= 4
+            return None
         if vid is None or port_id in self.down:
             return None
 
@@ -178,11 +177,11 @@ class Switch:
                     t = self._lag_memo[key] = lag_select(*key, self.hash_salt)
             if self.ports[t].mode == "trunk":
                 if tagged is None:
-                    tagged = frame_copy(frame, size + 4, vlan_tag(vid))
+                    tagged = frame_copy(frame, vid)
                 out.append((t, tagged))
             else:
                 if untagged is None:
-                    untagged = frame_copy(frame, size, None)
+                    untagged = frame_copy(frame, None)
                 out.append((t, untagged))
         return out
 

@@ -8,11 +8,11 @@ import weakref
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Union
 
-TPID = 0x8100
 MIN_FRAME = 64
 MAX_UNTAGGED = 1518
 MAX_TAGGED = 1522
 ETH_OVERHEAD = 18  # header + FCS, untagged
+TAG_BYTES = 4  # an 802.1Q tag
 IP_HEADER_BYTES = 40  # modeled IPv4 + transport header cost
 
 PORTLESS_PROTOCOLS = frozenset({"icmp", "probe"})
@@ -151,19 +151,6 @@ def node_mac(name: str) -> MacAddress:
     return MacAddress(bytes([0x02]) + digest[1:])
 
 
-@dataclass(frozen=True, slots=True)
-class VlanTag:
-    vid: int
-    pcp: int = 0
-
-    tpid = TPID
-
-    def __post_init__(self):
-        check_vid(self.vid)
-        if not 0 <= self.pcp <= 7:
-            raise ValueError(f"pcp must be in [0, 7], got {self.pcp}")
-
-
 class FlowKey(NamedTuple):
     src_ip: int
     dst_ip: int
@@ -234,19 +221,16 @@ class Frame:
     dst: MacAddress
     payload: Payload
     size_bytes: int
-    tag: Optional[VlanTag] = None
+    tag: Optional[int] = None  # its 802.1Q tag's VID; no 802.1p priority
 
     def __post_init__(self):
-        limit = MAX_TAGGED if self.tag is not None else MAX_UNTAGGED
+        limit = MAX_UNTAGGED
+        if self.tag is not None:
+            check_vid(self.tag)
+            limit = MAX_TAGGED
         if not MIN_FRAME <= self.size_bytes <= limit:
             raise ValueError(
                 f"frame size {self.size_bytes} outside [{MIN_FRAME}, {limit}]")
-
-
-@functools.cache
-def vlan_tag(vid: int) -> VlanTag:
-    """The one pcp-0 tag of a VID."""
-    return VlanTag(vid)
 
 
 def packet_copy(packet: Packet, src_ip: int, dst_ip: int, src_port: int,
@@ -262,16 +246,21 @@ def packet_copy(packet: Packet, src_ip: int, dst_ip: int, src_port: int,
     return out
 
 
-def frame_copy(frame: Frame, size_bytes: int, tag: Optional[VlanTag]) -> Frame:
-    """push_tag or pop_tag for the forwarding path: no checks."""
+def frame_copy(frame: Frame, tag: Optional[int]) -> Frame:
+    """frame retagged with tag, for the forwarding path: no checks."""
+    size = frame.size_bytes
+    if frame.tag is not None:
+        size -= TAG_BYTES
+    if tag is not None:
+        size += TAG_BYTES
     out = object.__new__(Frame)
     out.src, out.dst, out.payload = frame.src, frame.dst, frame.payload
-    out.size_bytes, out.tag = size_bytes, tag
+    out.size_bytes, out.tag = size, tag
     return out
 
 
 def make_frame(src: MacAddress, dst: MacAddress, payload: Payload,
-               tag: Optional[VlanTag] = None) -> Frame:
+               tag: Optional[int] = None) -> Frame:
     """A new frame for payload: Frame's size check without its __init__."""
     size = (payload.size if payload.__class__ is Packet
             else payload_size(payload)) + ETH_OVERHEAD
@@ -279,7 +268,7 @@ def make_frame(src: MacAddress, dst: MacAddress, payload: Payload,
         size = MIN_FRAME
     limit = MAX_UNTAGGED
     if tag is not None:
-        size += 4
+        size += TAG_BYTES
         limit = MAX_TAGGED
     if size > limit:
         raise ValueError(f"frame size {size} outside [{MIN_FRAME}, {limit}]")
@@ -289,18 +278,16 @@ def make_frame(src: MacAddress, dst: MacAddress, payload: Payload,
     return out
 
 
-def push_tag(frame: Frame, vid: int, pcp: int = 0) -> Frame:
+def push_tag(frame: Frame, vid: int) -> Frame:
     if frame.tag is not None:
-        raise AlreadyTagged(f"frame already tagged with vid {frame.tag.vid}")
-    check_vid(vid)
-    tag = vlan_tag(vid) if pcp == 0 else VlanTag(vid, pcp)
-    return frame_copy(frame, frame.size_bytes + 4, tag)
+        raise AlreadyTagged(f"frame already tagged with vid {frame.tag}")
+    return frame_copy(frame, check_vid(vid))
 
 
 def pop_tag(frame: Frame) -> tuple[Frame, int]:
     if frame.tag is None:
         raise NotTagged("frame carries no 802.1Q tag")
-    return frame_copy(frame, frame.size_bytes - 4, None), frame.tag.vid
+    return frame_copy(frame, None), frame.tag
 
 
 def flow_key(packet: Packet) -> FlowKey:

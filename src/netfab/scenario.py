@@ -20,7 +20,8 @@ from typing import Any, Callable, NamedTuple, Optional
 
 from .engine import (CBR_PACKET, DEFAULT_LINK_QUEUE, DEFAULT_PROP_US, Engine,
                      FAULT_ACTIONS, FirewallNode, FirewallSide, HostNode,
-                     L3Node, SwitchNode, BalancerNode, TrafficSpec)
+                     L3Node, SwitchNode, BalancerNode, TrafficSpec,
+                     link_id_of)
 from .firewall import DEFAULT_CAP_BPS, DEFAULT_NAT_CAPACITY, Firewall
 from .l2 import PortConfig, Switch
 from .l3 import (VERDICTS, ZONES, L3Error, Route, VlanInterface, ZonePolicy,
@@ -112,7 +113,7 @@ class LinkDecl:
 
     @property
     def link_id(self) -> str:
-        return f"{self.a[0]}:{self.a[1]}-{self.b[0]}:{self.b[1]}"
+        return link_id_of(self.a, self.b)
 
 
 @dataclass

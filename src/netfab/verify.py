@@ -150,7 +150,8 @@ def _verify_nat_bijection(cfg: ScenarioConfig, seed: int):
         return False, f"firewall {name} has no masquerade scope"
     for m in scopes:
         fw.add_scope(m.network, m.prefix_len, m.external)
-    remote = scopes[0].external + 100  # an address inside the first scope
+    scope = scopes[0]  # the remote is an address inside the first scope
+    remote = scope.network + 100 % (1 << (32 - scope.prefix_len))
     outside_seen = {}
     for i in range(64):
         pkt = Packet(src_ip=ip_addr(f"10.{i // 8 + 1}.1.{i % 8 + 10}"),
@@ -174,12 +175,23 @@ def _verify_nat_bijection(cfg: ScenarioConfig, seed: int):
 # -- failover --------------------------------------------------------------
 
 def _verify_failover(cfg: ScenarioConfig, seed: int):
+    """Fail the node on the first balancer's first path at 10 s: the path
+    must go down, take no later dispatch, and a transfer opened after the
+    switchover must complete."""
     if not cfg.balancers:
         return False, "scenario has no redundant firewall path"
     inside = _beamline_hosts(cfg, "bl01")
     outside = _first_host(cfg, "outside")
-    if not inside or outside is None:
+    if len(inside) < 2 or outside is None:
         return False, "scenario lacks probe traffic endpoints"
+    balancer = min(cfg.balancers)
+    path = cfg.balancers[balancer].paths[0]
+    end, target = (balancer, path), None  # target: the path's far end
+    for link in cfg.links:
+        if end in (link.a, link.b):
+            target = (link.b if link.a == end else link.a)[0]
+    if target is None:
+        return False, f"path {path} of {balancer} is cabled to nothing"
     trial = replace(cfg, traffic=[
         TrafficSpec("cbr", inside[0], "steady", dst=outside,
                     rate_bps=4_000_000, src_port=40_000, dst_port=5001,
@@ -187,20 +199,23 @@ def _verify_failover(cfg: ScenarioConfig, seed: int):
         TrafficSpec("bulk", inside[1], "after", dst=outside,
                     total_bytes=1_000_000, start_us=15_000_000,
                     src_port=40_001, dst_port=5002),
-    ], faults=[FaultDecl(10_000_000, "fail_node", "fw1")])
-    first = {}  # "path_down" / "tx" -> t of the first fw1 down / late dispatch
+    ], faults=[FaultDecl(10_000_000, "fail_node", target)])
+    first = {}  # "path_down" / "tx" -> t of the first down / late dispatch
+    watched = f"path={path}"
 
     def watch(t, _node, ev, _vlan, _flow, info):
-        if (ev == "path_down" and info == "path=fw1") or (
-                ev == "tx" and info == "dispatch path=fw1" and t > 14_000_000):
+        if (ev == "path_down" and info == watched) or (
+                ev == "tx" and info == "dispatch " + watched
+                and t > 14_000_000):
             first.setdefault(ev, t)
 
     metrics = _simulate(trial, seed, 22_000_000, trace=watch)
     down_at, late_dispatch = first.get("path_down"), first.get("tx")
     if down_at is None:
-        return False, "fw1 was never marked down"
+        return False, f"path {path} was never marked down"
     if late_dispatch is not None:
-        return False, f"packet dispatched to failed fw1 at t={late_dispatch}µs"
+        return False, (f"packet dispatched to failed path {path} at "
+                       f"t={late_dispatch}µs")
     after = metrics.flows.get("after")
     if after is None or after.completed_at is None:
         return False, "connection opened after failover did not complete"

@@ -362,7 +362,7 @@ class ReferenceSwitch:
         if frame.tag is None and port.mode == "access":
             vid = port.vid
             inner = frame
-        elif frame.tag is not None and port.mode == "trunk" and frame.tag.vid in port.allowed:
+        elif frame.tag is not None and port.mode == "trunk" and frame.tag in port.allowed:
             inner, vid = pop_tag(frame)
         else:
             self._drop(port_id, frame)

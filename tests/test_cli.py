@@ -1,11 +1,13 @@
 import os
+import re
 import tracemalloc
 
 import pytest
 
 from conftest import TraceLines
 from netfab.cli import main
-from netfab.scenario import build_engine, load_scenario
+from netfab.scenario import (build_engine, build_spring8_redundant,
+                             load_scenario, serialize_scenario)
 from test_acceptance import FIREWALL_RIG
 
 MINI = """
@@ -138,6 +140,37 @@ def test_isolation_probe_needs_an_access_port(tmp_path, capsys, b1_link):
     out = capsys.readouterr().out
     assert "result=fail" in out
     assert "detail=bl02 probe host b1 is on no switch access port" in out
+
+
+def test_nat_bijection_remote_inside_scope(tmp_path, capsys):
+    """The synthetic flows' remote comes from the masquerade scope's own
+    network, not from its external address, which may lie outside it."""
+    path = tmp_path / "rig.nf"
+    path.write_text(FIREWALL_RIG.format(duration=3, total=1_000_000).replace(
+        "network=0.0.0.0/0", "network=203.0.113.0/24"))
+    assert main(["verify", str(path), "--invariant", "nat-bijection"]) == 0
+    assert ("detail=64 flows, 64 distinct outside tuples, 64 correct "
+            "reversals") in capsys.readouterr().out
+
+
+def test_failover_with_renamed_firewalls(tmp_path, capsys):
+    path = tmp_path / "renamed.nf"
+    text = serialize_scenario(build_spring8_redundant())
+    path.write_text(text.replace("fw1", "fwa").replace("fw2", "fwb"))
+    assert main(["verify", str(path), "--invariant", "failover"]) == 0
+    assert ("detail=switchover in 3.0s; post-failover transfer completed at "
+            "15.087s") in capsys.readouterr().out
+
+
+def test_failover_needs_two_bl01_hosts(tmp_path, capsys):
+    path = tmp_path / "one-host.nf"
+    text = serialize_scenario(build_spring8_redundant())
+    path.write_text("\n".join(line for line in text.splitlines()
+                              if not re.search(r"\bbl01h[2-8]\b", line)))
+    assert main(["verify", str(path), "--invariant", "failover"]) == 1
+    out = capsys.readouterr().out
+    assert "result=fail" in out
+    assert "detail=scenario lacks probe traffic endpoints" in out
 
 
 def test_parse_error_exit_code(tmp_path, capsys):

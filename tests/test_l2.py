@@ -65,7 +65,21 @@ class TestIngress:
         assert got == flood_oracle(ports, 1, 10) == {2, 4}
         by_port = dict(out)
         assert by_port[2].tag is None
-        assert by_port[4].tag is not None and by_port[4].tag.vid == 10
+        assert by_port[4].tag is not None and by_port[4].tag == 10
+
+    def test_tagged_frame_shared_on_egress(self):
+        """A tagged frame leaves every trunk as the arriving object, and
+        every access port gets one shared copy without the 4-byte tag."""
+        sw = build_switch([(1, "trunk", {10}), (2, "trunk", {10}),
+                           (3, "trunk", {10, 20}), (4, "access", 10),
+                           (5, "access", 10)])
+        frame = push_tag(bcast_frame(1), vid=10)
+        by_port = dict(sw.ingress(1, frame, now=0))
+        assert set(by_port) == {2, 3, 4, 5}
+        assert by_port[2] is frame and by_port[3] is frame
+        assert by_port[4] is by_port[5]
+        assert by_port[4].tag is None
+        assert by_port[4].size_bytes == frame.size_bytes - 4
 
     def test_learning_suppresses_flood(self):
         sw = build_switch([(1, "access", 10), (2, "access", 10),
@@ -197,7 +211,7 @@ def test_flood_matches_membership_oracle(data):
         if cfg.mode == "access":
             assert f.tag is None
         else:
-            assert f.tag is not None and f.tag.vid == vid
+            assert f.tag is not None and f.tag == vid
 
 
 def _port_spec(draw, vids):
@@ -218,8 +232,7 @@ def _frame(draw, macs, vids):
                   dst_port=st.integers(1, 3))))
     frame = make_frame(src, dst, payload)
     if draw(st.booleans()):
-        frame = push_tag(frame, draw(st.sampled_from(vids)),
-                         pcp=draw(st.sampled_from([0, 0, 0, 5])))
+        frame = push_tag(frame, draw(st.sampled_from(vids)))
     return frame
 
 

@@ -8,8 +8,8 @@ from hypothesis import given, strategies as st
 from conftest import classify_dst
 from netfab.packet import (AlreadyTagged, Arp, BROADCAST, Frame, InvalidVid,
                            MacAddress, NotTagged, Packet, PrefixTable,
-                           VlanTag, flow_key, in_network, ip_addr, ip_str,
-                           make_frame, pop_tag, prefix_mask, push_tag)
+                           flow_key, in_network, ip_addr, ip_str, make_frame,
+                           pop_tag, prefix_mask, push_tag)
 
 
 def mac(text):
@@ -25,8 +25,7 @@ class TestTagging:
     def test_push_tag_adds_four_bytes(self):
         f = push_tag(untagged(64), vid=5)
         assert f.size_bytes == 68
-        assert f.tag.vid == 5
-        assert f.tag.tpid == 0x8100
+        assert f.tag == 5
 
     def test_push_on_tagged_frame_rejected(self):
         f = push_tag(untagged(), vid=5)
@@ -44,6 +43,13 @@ class TestTagging:
         assert back == orig
         assert vid == 62
 
+    def test_checked_frame_rejects_invalid_tag(self):
+        for vid in (0, 4095):
+            with pytest.raises(InvalidVid):
+                Frame(src=mac("00:10:4b:00:00:01"),
+                      dst=mac("00:10:4b:00:00:02"), payload=50,
+                      size_bytes=68, tag=vid)
+
     def test_pop_untagged_rejected(self):
         with pytest.raises(NotTagged):
             pop_tag(untagged())
@@ -55,11 +61,10 @@ class TestTagging:
         assert back.size_bytes == 1518
 
     @given(st.integers(min_value=1, max_value=4094),
-           st.integers(min_value=64, max_value=1518),
-           st.integers(min_value=0, max_value=7))
-    def test_push_pop_property(self, vid, size, pcp):
+           st.integers(min_value=64, max_value=1518))
+    def test_push_pop_property(self, vid, size):
         orig = untagged(size)
-        tagged = push_tag(orig, vid=vid, pcp=pcp)
+        tagged = push_tag(orig, vid=vid)
         assert 64 <= tagged.size_bytes <= 1522
         back, got = pop_tag(tagged)
         assert back == orig and got == vid
@@ -213,7 +218,7 @@ class TestLeanConstructors:
             make_frame(self.src, self.dst, 1501)
 
     def test_make_frame_tagged_limit(self):
-        tag = VlanTag(10)
+        tag = 10
         assert make_frame(self.src, self.dst, 1500, tag).size_bytes == 1522
         for payload in (1501, 1505):
             with pytest.raises(ValueError):
@@ -221,13 +226,13 @@ class TestLeanConstructors:
 
     def test_make_frame_minimum(self):
         assert make_frame(self.src, self.dst, 0).size_bytes == 64
-        assert make_frame(self.src, self.dst, 0, VlanTag(10)).size_bytes == 68
+        assert make_frame(self.src, self.dst, 0, 10).size_bytes == 68
         arp = Arp("request", 1, self.src, 2)
         assert make_frame(self.src, BROADCAST, arp).size_bytes == 64
 
     @given(st.integers(0, 1500), st.booleans())
     def test_make_frame_equals_checked_frame(self, n, tagged):
-        tag = VlanTag(7) if tagged else None
+        tag = 7 if tagged else None
         p = Packet(src_ip=1, dst_ip=2, protocol="udp", src_port=5,
                    dst_port=6, payload_bytes=max(0, n - 40))
         for payload, payload_bytes in ((n, n), (p, p.size)):

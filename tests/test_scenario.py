@@ -310,6 +310,9 @@ class TestRoundTrip:
 
         eng = build_engine(cfg)
         untouched()
+        # fault targets are checked against the declared ids, and injected
+        # by the engine's: the two must be one set
+        assert set(eng.links) == {l.link_id for l in cfg.links}
         eng.run_until(1_500_000)  # the member is down
         untouched()
         eng.run_until(cfg.duration_us)
