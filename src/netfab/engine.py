@@ -62,17 +62,47 @@ def link_id_of(a: tuple, b: tuple) -> str:
     return f"{a[0]}:{a[1]}-{b[0]}:{b[1]}"
 
 
-@dataclass
-class Link:
+@dataclass(slots=True)
+class Direction:
+    """One direction of a link: a FIFO toward the far end (`node`, `port`)
+    with the link's settings, so a frame hop reads this record alone.
+    `busy_until` is when the last frame sent finishes serializing and
+    `pending` counts the frames in flight. A link points to its directions
+    and none points back."""
     link_id: str
-    a: tuple[str, object]
-    b: tuple[str, object]
     bandwidth_bps: int
-    prop_us: int = DEFAULT_PROP_US
+    prop_us: int
+    queue_cap: int
+    node: Optional["Node"]  # None once the engine is closed
+    port: object
     up: bool = True
-    queue_cap: int = DEFAULT_LINK_QUEUE
-    busy_until: list = field(default_factory=lambda: [0, 0])
-    pending: list = field(default_factory=lambda: [0, 0])
+    busy_until: int = 0
+    pending: int = 0
+
+
+@dataclass(slots=True)
+class Link:
+    """A full-duplex link between ends a and b, each (node, port): two
+    independent directions, a to b and b to a."""
+    link_id: str
+    a: tuple
+    b: tuple
+    directions: tuple
+
+    @property
+    def up(self) -> bool:
+        return self.directions[0].up
+
+    @up.setter
+    def up(self, up: bool):
+        for d in self.directions:
+            d.up = up
+
+    @property
+    def pending(self) -> tuple:
+        """Frames in flight a to b and b to a."""
+        to_b, to_a = self.directions
+        return to_b.pending, to_a.pending
 
 
 @dataclass
@@ -194,7 +224,7 @@ class Engine:
         self.nodes: dict[str, "Node"] = {}
         self.links: dict[str, Link] = {}
         self.link_at: dict[tuple, Link] = {}
-        self._ends: dict[tuple, tuple] = {}  # -> link, direction, far node, port
+        self._ends: dict[tuple, Direction] = {}  # by the end sending on it
         self.metrics = Metrics()
         self.trace_sink = trace
         self.trace_enabled = trace is not None
@@ -211,17 +241,21 @@ class Engine:
                  bandwidth_bps: int, prop_us: int = DEFAULT_PROP_US,
                  queue_cap: int = DEFAULT_LINK_QUEUE) -> Link:
         a, b = (a_node, a_port), (b_node, b_port)
-        link = Link(link_id_of(a, b), a, b, bandwidth_bps, prop_us,
-                    queue_cap=queue_cap)
-        self.links[link.link_id] = link
+        link_id = link_id_of(a, b)
+        self._ends[a] = to_b = Direction(link_id, bandwidth_bps, prop_us,
+                                         queue_cap, self.nodes[b_node], b_port)
+        self._ends[b] = to_a = Direction(link_id, bandwidth_bps, prop_us,
+                                         queue_cap, self.nodes[a_node], a_port)
+        link = self.links[link_id] = Link(link_id, a, b, (to_b, to_a))
         self.link_at[a] = self.link_at[b] = link
-        self._ends[a] = (link, 0, self.nodes[b_node], b_port)
-        self._ends[b] = (link, 1, self.nodes[a_node], a_port)
         return link
 
     # -- event machinery ---------------------------------------------------
 
     def schedule(self, at: int, kind: str, target: str, payload=None):
+        """Queue event `kind` for node `target` at time `at`. Every event
+        enters here: the sequence number taken here is what orders events
+        at the same time, in the order they were scheduled."""
         self._seq += 1
         heapq.heappush(self._heap, (at, self._seq, kind, target, payload))
 
@@ -240,16 +274,17 @@ class Engine:
             at, _seq, kind, target, payload = pop(heap)
             self.now = at
             if kind == "deliver":  # a frame reaches the far end of its link
-                (link, direction, node, port), frame = payload
-                link.pending[direction] -= 1
+                direction, frame = payload
+                direction.pending -= 1
                 metrics.frames_consumed += 1
-                if not link.up:
-                    metrics.drop(link.link_id, "link-down")
+                node = direction.node
+                if not direction.up:
+                    metrics.drop(direction.link_id, "link-down")
                 elif node.failed:
                     metrics.drop(target, "fault")
                     self.trace(target, "drop", None, None, "node failed")
                 else:
-                    node.on_frame(port, frame)
+                    node.on_frame(direction.port, frame)
             elif kind == "fault":
                 self._apply_fault(target, payload)
             else:
@@ -282,29 +317,26 @@ class Engine:
     # -- frame transport ---------------------------------------------------
 
     def send(self, node_name: str, port, frame: Frame):
-        end = self._ends.get((node_name, port))
-        if end is None:
+        direction = self._ends.get((node_name, port))
+        if direction is None:
             self.metrics.drop(node_name, "no-link")
             return
-        link, direction, far_node, _far_port = end
-        if not link.up:
+        if not direction.up:
             self.metrics.drop(node_name, "link-down")
             return
-        pending = link.pending
-        if pending[direction] >= link.queue_cap:
+        if direction.pending >= direction.queue_cap:
             self.metrics.drop(node_name, "queue")
             return
-        size = frame.size_bytes
-        busy = link.busy_until
-        start = self.now if self.now > busy[direction] else busy[direction]
-        busy[direction] = done = start + size * 8_000_000 // link.bandwidth_bps
-        pending[direction] += 1
+        now, busy = self.now, direction.busy_until
+        direction.busy_until = done = (now if now > busy else busy) + (
+            frame.size_bytes * 8_000_000 // direction.bandwidth_bps)
+        direction.pending += 1
         self.metrics.frames_created += 1
-        self.schedule(done + link.prop_us, "deliver", far_node.name,
-                      (end, frame))
+        self.schedule(done + direction.prop_us, "deliver",
+                      direction.node.name, (direction, frame))
 
     def residual_frames(self) -> int:
-        return sum(l.pending[0] + l.pending[1] for l in self.links.values())
+        return sum(sum(l.pending) for l in self.links.values())
 
     def close(self):
         """Drop the nodes and the queued events that point to them. Each node
@@ -312,6 +344,9 @@ class Engine:
         cycle that only a full garbage collection frees. `metrics`, `links`
         and `link_at` stay readable; a closed engine has nothing left to run."""
         self.nodes.clear()
+        for link in self.links.values():
+            for direction in link.directions:
+                direction.node = None
         self._ends.clear()
         self._heap.clear()
 

@@ -91,9 +91,10 @@ class Switch:
         self.name = name
         self.ports: dict[int, PortConfig] = {}
         self.down: set = set()  # ports set down by set_port_up
+        self.trunks: set = set()  # ports whose mode is "trunk"
         self.fdb: dict[tuple, FdbEntry] = {}
         self.hash_salt = hash_salt
-        self._egress: dict[tuple, Optional[tuple]] = {}  # by (port, vid)
+        self._egress: dict[tuple, tuple] = {}  # by (port, vid)
         self._plans: dict[tuple, tuple] = {}  # (ingress, vid) -> egresses
         self._lag_memo: dict[tuple, int] = {}  # (live, flow key) -> member
 
@@ -104,6 +105,10 @@ class Switch:
             cfg = replace(cfg, lag_group=old.lag_group)
         self.ports[port_id] = cfg
         self.down.discard(port_id)
+        if cfg.mode == "trunk":
+            self.trunks.add(port_id)
+        else:
+            self.trunks.discard(port_id)
         self._forget_tables()
         # purge learned entries for VLANs this port no longer carries
         stale = [k for k, e in self.fdb.items()
@@ -165,17 +170,19 @@ class Switch:
         elif entry.port == port_id:
             return []  # destination behind the ingress port: filter silently
         else:
-            egress = self._egress_of(entry.port, vid)
-            egresses = (egress,) if egress is not None else ()
+            egresses = self._egress.get((entry.port, vid))
+            if egresses is None:
+                egresses = self._egress_of(entry.port, vid)
 
         out: list[tuple[int, Frame]] = []
+        trunks = self.trunks
         for t, live in egresses:
             if live is not None:
                 key = (live, frame_flow_key(frame))
                 t = self._lag_memo.get(key)
                 if t is None:
                     t = self._lag_memo[key] = lag_select(*key, self.hash_salt)
-            if self.ports[t].mode == "trunk":
+            if t in trunks:
                 if tagged is None:
                     tagged = frame_copy(frame, vid)
                 out.append((t, tagged))
@@ -185,21 +192,24 @@ class Switch:
                 out.append((t, untagged))
         return out
 
-    def _egress_of(self, port_id: int, vid: int) -> Optional[tuple]:
-        """How a frame for port_id leaves: (port, None), (None, live members
-        of its LAG group), or None when it cannot."""
+    def _egress_of(self, port_id: int, vid: int) -> tuple:
+        """How a frame for port_id leaves: ((port, None),), ((None, live
+        members of its LAG group),), or () when it cannot. `ingress` reads
+        the memo itself and calls this only on a miss."""
         key = (port_id, vid)
         if key not in self._egress:
             cfg = self.ports.get(port_id)
-            egress = None
+            egress = ()
             if cfg is not None and vid in cfg.vids:
                 if cfg.lag_group is None:
-                    egress = None if port_id in self.down else (port_id, None)
+                    if port_id not in self.down:
+                        egress = ((port_id, None),)
                 else:
                     live = tuple(p for p, c in sorted(self.ports.items())
                                  if c.lag_group == cfg.lag_group
                                  and p not in self.down and vid in c.vids)
-                    egress = (None, live) if live else None
+                    if live:
+                        egress = ((None, live),)
             self._egress[key] = egress
         return self._egress[key]
 
@@ -210,9 +220,9 @@ class Switch:
         if plan is None:
             group = self.ports[ingress_port].lag_group
             plan = self._plans[(ingress_port, vid)] = tuple(
-                e for p, cfg in sorted(self.ports.items())
-                if p != ingress_port and (e := self._egress_of(p, vid))
-                and (e[1] is None or (p == e[1][0] and cfg.lag_group != group)))
+                e for p, cfg in sorted(self.ports.items()) if p != ingress_port
+                for e in self._egress_of(p, vid)
+                if e[1] is None or (p == e[1][0] and cfg.lag_group != group))
         return plan
 
     def age_fdb(self, now: int):

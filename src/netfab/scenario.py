@@ -32,6 +32,9 @@ from .resilience import LoadBalancer
 
 # a faster cbr flow sends every 0 us, so simulated time never advances
 MAX_CBR_RATE = CBR_PACKET * 8 * 1_000_000
+# the latest time a file or option may give, one day: an idle campus costs
+# about 19 events per simulated second, so a day is some 1.6M events
+MAX_SECONDS = 86_400
 
 
 class ScenarioError(Exception):
@@ -195,15 +198,16 @@ def _one_of(choices: tuple) -> Codec:
 
 
 def _read_seconds(text: str) -> int:
-    """Seconds to whole microseconds, exactly for any decimal with at most
-    six places; further places round half to even."""
+    """Seconds in [0, MAX_SECONDS] to whole microseconds, exactly for any
+    decimal with at most six places; further places round half to even."""
     try:
         us = Decimal(text).scaleb(6)
-        valid = us.is_finite() and 0 <= us < 2**63
+        valid = us.is_finite() and 0 <= us <= MAX_SECONDS * 1_000_000
     except DecimalException:
         valid = False
     if not valid:
-        raise ValueError(f"expected seconds >= 0, got {text!r}")
+        raise ValueError(f"expected seconds in [0, {MAX_SECONDS}], "
+                         f"got {text!r}")
     return int(us.to_integral_value())
 
 

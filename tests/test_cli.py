@@ -272,6 +272,37 @@ def test_run_rejects_unrunnable_input(tmp_path, capsys, old, new):
     assert "error:" in capsys.readouterr().err
 
 
+def assert_rejects_line(tmp_path, capsys, text: str, bad_line: str):
+    """`netfab run` exits 2 on text, naming the line that is bad_line."""
+    lineno = text.splitlines().index(bad_line) + 1
+    path = tmp_path / "bad.nf"
+    path.write_text(text)
+    assert main(["run", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: line {lineno}: ")
+    assert "expected seconds in [0, 86400]" in err
+
+
+def test_duration_over_a_day_rejected(tmp_path, capsys):
+    bad = "seed=1 duration=86400.000001"
+    assert_rejects_line(tmp_path, capsys,
+                        MINI.replace("seed=1 duration=3", bad), bad)
+
+
+def test_fault_time_over_a_day_rejected(tmp_path, capsys):
+    bad = "at=1e9 action=fail_node target=sw1"
+    text = MINI.replace("[traffic]", f"[fault]\n{bad}\n\n[traffic]")
+    assert_rejects_line(tmp_path, capsys, text, bad)
+
+
+def test_until_over_a_day_rejected(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", write_mini(tmp_path), "--until", "86401"])
+    assert exc.value.code == 2
+    assert "--until: expected seconds in [0, 86400], got '86401'" \
+        in capsys.readouterr().err
+
+
 def test_internal_error_exit_code(tmp_path, capsys, monkeypatch):
     def crash(*_args, **_kwargs):
         raise RuntimeError("boom")

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import weakref
 
@@ -67,6 +68,24 @@ class TestTransport:
         eng.send("h1", 0, big_frame())
         arrivals = sorted(e[0] for e in eng._heap)
         assert arrivals == [125, 245]
+
+    def test_directions_are_independent(self):
+        """Each direction of a link is its own FIFO with its own queue."""
+        eng = Engine()
+        HostNode(eng, "h1", mac(1), ip_addr("10.0.0.1"), 24)
+        HostNode(eng, "h2", mac(2), ip_addr("10.0.0.2"), 24)
+        link = eng.add_link("h1", 0, "h2", 0, 100_000_000, queue_cap=3)
+        eng.send("h1", 0, big_frame())
+        eng.send("h2", 0, big_frame())
+        assert sorted((e[0], e[3]) for e in eng._heap) == [(125, "h1"),
+                                                           (125, "h2")]
+        for _ in range(3):
+            eng.send("h1", 0, big_frame())
+        assert link.pending == (3, 1)
+        assert eng.metrics.drops == {("h1", "queue"): 1}
+        eng.send("h2", 0, big_frame())
+        assert link.pending == (3, 2)
+        assert eng.metrics.drops == {("h1", "queue"): 1}
 
     def test_same_time_events_fire_in_schedule_order(self):
         eng = Engine()
@@ -202,8 +221,10 @@ class TestEndToEnd:
 
 
 def test_close_frees_every_node(gc_off):
-    """After close, reference counting alone frees the engine and its nodes;
-    the metrics it returned still read the same."""
+    """After close, reference counting alone frees the engine and its nodes,
+    and leaves no cyclic garbage; the metrics it returned still read the
+    same."""
+    gc.collect()
     eng = build_engine(build_spring8_redundant())
     metrics = eng.run_until(3_000_000)
     summary = metrics.summary_lines()
@@ -212,6 +233,7 @@ def test_close_frees_every_node(gc_off):
     eng.close()
     del eng
     assert [r for r in refs if r() is not None] == []
+    assert gc.collect() == 0
     assert metrics.summary_lines() == summary
 
 

@@ -11,10 +11,11 @@ from netfab.engine import FirewallSide, TrafficSpec
 from netfab.l2 import PortConfig
 from netfab.l3 import VERDICTS, ZONES, Route, VlanInterface
 from netfab.packet import ip_addr, prefix_mask
-from netfab.scenario import (BUNDLED, AclDecl, BalancerDecl, FaultDecl,
-                             FirewallDecl, HostDecl, L3Decl, LinkDecl,
-                             LoopError, MasqDecl, ParseError, ScenarioConfig,
-                             SwitchDecl, ValidationError, VlanDecl,
+from netfab.scenario import (BUNDLED, MAX_SECONDS, AclDecl, BalancerDecl,
+                             FaultDecl, FirewallDecl, HostDecl, L3Decl,
+                             LinkDecl, LoopError, MasqDecl, ParseError,
+                             ScenarioConfig, SwitchDecl, ValidationError,
+                             VlanDecl,
                              build_engine, build_spring8_legacy,
                              build_spring8_redundant, build_spring8_upgraded,
                              load_scenario, parse_scenario, serialize_scenario,
@@ -342,7 +343,7 @@ VIDS = st.integers(1, 4094)
 IPS = st.integers(0, 2**32 - 1)
 PREFIX_LENS = st.integers(0, 32)
 ZONE_NAMES = st.sampled_from(ZONES)
-TIMES_US = st.integers(0, 10**12)
+TIMES_US = st.integers(0, MAX_SECONDS * 1_000_000)
 L4_PORTS = st.integers(0, 65535)
 COUNTS = st.integers(0, 10**10)
 

@@ -2,8 +2,12 @@ import copy
 import functools
 import gc
 import hashlib
+import os
 import random
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -130,6 +134,28 @@ class TestDeterminism:
         text = lines.text() + "\n".join(eng.metrics.summary_lines())
         assert _run_digest(cfg, cfg.seed) == \
             hashlib.sha256(text.encode()).hexdigest()
+
+    def test_bundled_trace_digests_ignore_the_hash_seed(self):
+        """String hashes, and so the order of sets of strings, change with
+        PYTHONHASHSEED; a run in one process cannot see whether its trace
+        depends on them, so two processes with different seeds compare."""
+        script = ("from netfab.scenario import BUNDLED\n"
+                  "from netfab.verify import _run_digest\n"
+                  "for name in sorted(BUNDLED):\n"
+                  "    cfg = BUNDLED[name]()\n"
+                  "    print(name, _run_digest(cfg, cfg.seed))\n")
+        src = str(Path(engine.__file__).resolve().parents[1])
+        outputs = []
+        for hash_seed in ("0", "1"):
+            env = {**os.environ, "PYTHONHASHSEED": hash_seed,
+                   "PYTHONPATH": os.pathsep.join(
+                       filter(None, (src, os.environ.get("PYTHONPATH"))))}
+            outputs.append(subprocess.run(
+                [sys.executable, "-c", script], env=env, capture_output=True,
+                text=True, check=True, timeout=300).stdout)
+        assert [line.split()[0] for line in outputs[0].splitlines()] == \
+            sorted(BUNDLED)
+        assert outputs[0] == outputs[1]
 
 
 @pytest.mark.parametrize("name", sorted(BUNDLED))
