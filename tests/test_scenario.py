@@ -15,8 +15,7 @@ from netfab.scenario import (BUNDLED, MAX_SECONDS, AclDecl, BalancerDecl,
                              FaultDecl, FirewallDecl, HostDecl, L3Decl,
                              LinkDecl, LoopError, MasqDecl, ParseError,
                              ScenarioConfig, SwitchDecl, ValidationError,
-                             VlanDecl,
-                             build_engine, build_spring8_legacy,
+                             VlanDecl, build_engine, build_spring8_legacy,
                              build_spring8_redundant, build_spring8_upgraded,
                              load_scenario, parse_scenario, serialize_scenario,
                              validate_scenario, QUADRANTS)
