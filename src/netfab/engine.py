@@ -661,6 +661,7 @@ class HostNode(Node):
         st.delivered_payload += pkt.payload_bytes  # bulk's: once, in order
         if kind == "ping":
             reply = Packet(src_ip=self.ip, dst_ip=pkt.src_ip, protocol="icmp",
+                           src_port=pkt.dst_port, dst_port=pkt.src_port,
                            payload_bytes=pkt.payload_bytes,
                            meta=("ping", meta[1], "rep", meta[3]))
             self.send_packet(reply)

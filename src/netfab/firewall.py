@@ -3,11 +3,11 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
-from .packet import (Packet, PORTLESS_PROTOCOLS, PrefixTable, in_network,
-                     ip_str, packet_copy, prefix_mask)
+from .packet import (Packet, PrefixTable, in_network, ip_str, packet_copy,
+                     prefix_mask)
 from .l3 import ConnTable, CONN_TIMEOUT_US
 
 DEFAULT_CAP_BPS = 170_000_000
@@ -45,13 +45,11 @@ class MasqueradeScope:
 
 @dataclass
 class NatEntry:
-    """One binding, filed under inside_key, (ip, port, protocol, scope,
-    remote), in Firewall.by_inside and under outside_key, (external ip, port,
-    protocol, remote), in by_outside. A portless protocol has port 0 and the
-    remote IP tells its bindings apart; any other has remote None."""
+    """One binding, filed under inside_key, (ip, port, protocol, scope), in
+    Firewall.by_inside and under outside_key, (external ip, port, protocol),
+    in by_outside. An ICMP echo carries its identifier as the port."""
     inside_key: tuple
     outside_key: tuple
-    scope: MasqueradeScope
     last_activity: int
 
 
@@ -113,8 +111,7 @@ class Firewall:
         if scope is None:
             raise NoScope(f"no masquerade scope covers {ip_str(packet.dst_ip)}")
         protocol = packet.protocol
-        remote = packet.dst_ip if protocol in PORTLESS_PROTOCOLS else None
-        ikey = (packet.src_ip, packet.src_port, protocol, scope, remote)
+        ikey = (packet.src_ip, packet.src_port, protocol, scope)
         entry = self.by_inside.get(ikey)
         if entry is None:
             if len(self.by_inside) >= self.nat_capacity:
@@ -123,15 +120,8 @@ class Firewall:
                 raise PoolExhausted(
                     f"NAT table full ({self.nat_capacity} entries)")
             external = scope.external_ip
-            if remote is None:
-                okey = (external, self.allocators[external].allocate(),
-                        protocol, None)
-            else:
-                okey = (external, 0, protocol, remote)
-                if okey in self.by_outside:
-                    raise PoolExhausted(
-                        "portless binding for this destination already in use")
-            entry = NatEntry(ikey, okey, scope, now)
+            okey = (external, self.allocators[external].allocate(), protocol)
+            entry = NatEntry(ikey, okey, now)
             self.by_inside[ikey] = entry
             self.by_outside[okey] = entry
         entry.last_activity = now
@@ -141,28 +131,25 @@ class Firewall:
 
     def masquerade_in(self, packet: Packet, now: int) -> Optional[Packet]:
         """Reverse-translate an inbound packet; None means drop(no-binding)."""
-        protocol = packet.protocol
-        remote = packet.src_ip if protocol in PORTLESS_PROTOCOLS else None
         entry = self.by_outside.get(
-            (packet.dst_ip, packet.dst_port, protocol, remote))
+            (packet.dst_ip, packet.dst_port, packet.protocol))
         if entry is None:
             return None
         if now - entry.last_activity > CONN_TIMEOUT_US:
             self._remove(entry)
             return None
-        if not entry.scope.contains(packet.src_ip):
+        ikey = entry.inside_key
+        if not ikey[3].contains(packet.src_ip):
             return None
         entry.last_activity = now
-        ikey = entry.inside_key
         return packet_copy(packet, packet.src_ip, ikey[0], packet.src_port,
                            ikey[1], packet.ttl)
 
     def _remove(self, entry: NatEntry):
         self.by_inside.pop(entry.inside_key, None)
         self.by_outside.pop(entry.outside_key, None)
-        external, port = entry.outside_key[:2]
-        if port:
-            self.allocators[external].release(port)
+        external, port, _ = entry.outside_key
+        self.allocators[external].release(port)
 
     def sweep_expired(self, now: int):
         stale = [e for e in self.by_inside.values()

@@ -15,7 +15,7 @@ ETH_OVERHEAD = 18  # header + FCS, untagged
 TAG_BYTES = 4  # an 802.1Q tag
 IP_HEADER_BYTES = 40  # modeled IPv4 + transport header cost
 
-PORTLESS_PROTOCOLS = frozenset({"icmp", "probe"})
+PORTLESS_PROTOCOLS = frozenset({"probe"})  # health checks: NAT never sees them
 PROTOCOLS = frozenset({"tcp", "udp", "icmp", "probe"})
 
 

@@ -1,7 +1,7 @@
 """Redundant firewall paths: probe-driven health state and per-flow dispatch."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .l2 import lag_select

@@ -748,6 +748,14 @@ def validate_scenario(cfg: ScenarioConfig):
                 raise ValidationError(link.link_id,
                                       f"port {node}:{port} used by two links")
             endpoints.add((node, port))
+        for (node, _), (peer, port) in ((link.a, link.b), (link.b, link.a)):
+            host = cfg.hosts.get(node)
+            if host is not None and host.vlan is not None:
+                vids = carried_vids(cfg, peer, port)
+                if vids is not None and host.vlan not in vids:
+                    raise ValidationError(
+                        node, f"vlan {host.vlan} is not carried by "
+                              f"{peer}:{port}")
         if link.link_id in link_ids:
             raise ValidationError(link.link_id, "duplicate link")
         link_ids.add(link.link_id)
@@ -964,7 +972,7 @@ def _populate_edge(cfg: ScenarioConfig, host_bw: int, flat: bool, gw_for,
                 cfg.hosts[host] = HostDecl(
                     host, ip_addr(beamline_host_ip(b, n)), host_plen,
                     gw=ip_addr(gw) if gw is not None else None,
-                    vlan=beamline_vid(b), group=f"bl{b:02d}")
+                    vlan=vid, group=f"bl{b:02d}")
                 cfg.links.append(LinkDecl((host, 0), (sw, f"p{pn}"), host_bw))
                 pn += 1
         cfg.switches[sw] = SwitchDecl(sw, ports)
@@ -976,9 +984,10 @@ def build_spring8_legacy() -> ScenarioConfig:
     10 Mbps edge uplinks, a single border firewall."""
     cfg = ScenarioConfig()
     cfg.duration_us = 10_000_000
-    _declare_vlans(cfg, clean=False)
     # flat broadcast domain: every campus address is on-link, the border
-    # firewall is the only gateway
+    # firewall is the only gateway; beamlines are host groups, not VLANs
+    cfg.vlans[MGMT_VID] = VlanDecl(MGMT_VID, "bl-user-lan",
+                                   ip_network("10.0.0.0/8"))
     _populate_edge(cfg, host_bw=TEN, flat=True, gw_for=lambda b: "10.0.0.1",
                    host_plen=8)
     bb_ports = {}

@@ -272,6 +272,17 @@ def test_run_rejects_unrunnable_input(tmp_path, capsys, old, new):
     assert "error:" in capsys.readouterr().err
 
 
+def test_host_vlan_not_on_its_port_rejected(tmp_path, capsys):
+    """h2 declares VID 20, which is declared but not what its access port
+    carries, so it could never reach a VID 20 peer."""
+    bad = tmp_path / "bad.nf"
+    bad.write_text(MINI.replace("vid=10 name=lab",
+                                "vid=10 name=lab\nvid=20 name=office")
+                   .replace("10.0.10.2/24 vlan=10", "10.0.10.2/24 vlan=20"))
+    assert main(["run", str(bad)]) == 2
+    assert "h2: vlan 20 is not carried by sw1:p2" in capsys.readouterr().err
+
+
 def assert_rejects_line(tmp_path, capsys, text: str, bad_line: str):
     """`netfab run` exits 2 on text, naming the line that is bad_line."""
     lineno = text.splitlines().index(bad_line) + 1

@@ -14,7 +14,7 @@ from test_acceptance import FIREWALL_RIG
 
 
 def out_pkt(src, sport, dst="192.0.2.9", dport=80, proto="tcp"):
-    if proto in ("icmp", "probe"):
+    if proto in PORTLESS_PROTOCOLS:
         sport = dport = 0
     return Packet(src_ip=ip_addr(src), dst_ip=ip_addr(dst), protocol=proto,
                   src_port=sport, dst_port=dport, payload_bytes=100)
@@ -82,6 +82,21 @@ class TestMasqueradeOut:
         fw.masquerade_out(out_pkt("10.1.1.6", 4000), now=0)
         with pytest.raises(PoolExhausted):
             fw.masquerade_out(out_pkt("10.1.1.7", 4000), now=0)
+
+    def test_echo_identifier_translated_like_a_port(self):
+        """Two inside hosts ping one remote through one scope: each echo's
+        identifier gets its own outside value, and each reply, whose ports
+        are the request's swapped, goes back to its own host."""
+        fw = default_fw()
+        outs = [fw.masquerade_out(out_pkt(src, 0, proto="icmp", dport=0),
+                                  now=0) for src in ("10.1.1.5", "10.1.1.6")]
+        assert [o.src_port for o in outs] == [1024, 1025]
+        for src, out in zip(("10.1.1.5", "10.1.1.6"), outs):
+            reply = Packet(src_ip=out.dst_ip, dst_ip=out.src_ip,
+                           protocol="icmp", src_port=out.dst_port,
+                           dst_port=out.src_port)
+            back = fw.masquerade_in(reply, now=1)
+            assert (back.dst_ip, back.dst_port) == (ip_addr(src), 0)
 
 
 class TestMasqueradeIn:
@@ -260,10 +275,11 @@ class TestShaper:
 
 
 @st.composite
-def valid_packets(draw):
-    protocol = draw(st.sampled_from(sorted(PROTOCOLS)))
-    port = (st.just(0) if protocol in PORTLESS_PROTOCOLS
-            else st.integers(0, 65535))
+def translated_packets(draw):
+    """What the NAT translates: tcp and udp, and icmp with its 16-bit echo
+    identifier in the port fields. Probes are never translated."""
+    protocol = draw(st.sampled_from(sorted(PROTOCOLS - PORTLESS_PROTOCOLS)))
+    port = st.integers(0, 65535)
     return Packet(src_ip=draw(st.integers(0, 2**32 - 1)),
                   dst_ip=draw(st.integers(0, 2**32 - 1)), protocol=protocol,
                   src_port=draw(port), dst_port=draw(port),
@@ -285,13 +301,13 @@ def assert_same_as_checked(p):
 
 
 class TestUncheckedCopies:
-    @given(valid_packets())
+    @given(translated_packets())
     def test_nat_and_ttl_copies_equal_checked_packets(self, p):
         fw = default_fw()
         out = fw.masquerade_out(p, now=0)
         assert_same_as_checked(out)
         assert out.src_ip == ip_addr("203.0.113.1")
-        assert out.src_port == (0 if p.protocol in PORTLESS_PROTOCOLS else 1024)
+        assert out.src_port == 1024
         reply = Packet(src_ip=p.dst_ip, dst_ip=out.src_ip, protocol=p.protocol,
                        src_port=p.dst_port, dst_port=out.src_port,
                        payload_bytes=p.payload_bytes, ttl=p.ttl, meta=p.meta)
@@ -311,6 +327,36 @@ class TestUncheckedCopies:
         assert dataclasses.replace(p, payload_bytes=7).size == 47
         with pytest.raises(ValueError):
             dataclasses.replace(p, size=10)  # set from payload_bytes only
+
+
+def test_two_inside_hosts_ping_one_remote():
+    """h1 and a second inside host h3 each ping h2 through one masquerade
+    scope. With echo bindings keyed by the remote address, h3's first echo
+    found h1's binding and was dropped as nat-full for the binding's 600 s
+    idle time."""
+    text = FIREWALL_RIG.format(duration=4, total=0)
+    for old, new in [
+            ("ports=h:access:10,f:access:10",
+             "ports=h:access:10,h3:access:10,f:access:10"),
+            ("name=h2 ", "name=h3 ip=10.0.0.10/24 gw=10.0.0.1 vlan=10\n"
+                         "name=h2 "),
+            ("a=h2:0 ", "a=h3:0 b=si:h3 bw=1000000000\na=h2:0 "),
+            ("kind=bulk src=h1 dst=h2 flow=xfer total=0 sport=40000 "
+             "dport=5001", "kind=ping src=h1 dst=h2 flow=p1 count=3\n"
+                           "kind=ping src=h3 dst=h2 flow=p3 count=3")]:
+        assert old in text
+        text = text.replace(old, new)
+    cfg = parse_scenario(text)
+    validate_scenario(cfg)
+    eng = build_engine(cfg)
+    eng.run_until(cfg.duration_us)
+    for host, fid in (("h1", "p1"), ("h3", "p3")):
+        st_ = eng.metrics.flows[fid]
+        assert st_.offered_packets == st_.delivered_packets == 3
+        assert eng.nodes[host].ping_seen[fid] == 3
+        assert st_.completed_at is not None
+    assert eng.metrics.drops[("fw", "nat-full")] == 0
+    assert eng.nodes["fw"].fw.nat_size() == 2
 
 
 class TestFirewallRigPath:

@@ -121,7 +121,7 @@ class TestFlowKey:
 
     def test_ports_required_zero_for_portless(self):
         with pytest.raises(ValueError):
-            Packet(src_ip=1, dst_ip=2, protocol="icmp", src_port=5)
+            Packet(src_ip=1, dst_ip=2, protocol="probe", src_port=5)
 
 
 class TestFrameBounds:

@@ -261,7 +261,7 @@ class TestRoundTrip:
         assert serialize_scenario(parse_scenario(once)) == once
 
     @pytest.mark.parametrize("name, digest", [
-        ("spring8-legacy", "08cc484fbfb038fa"),
+        ("spring8-legacy", "3361c62ff29b41ca"),
         ("spring8-redundant", "b9dcad2fa9e19a7c"),
         ("spring8-upgraded", "3de20ed3301c8ad0"),
         ("minimal", "cab7666e308feec7"),
@@ -457,7 +457,8 @@ class TestBundledCounts:
     def test_legacy_segments_and_bandwidths(self):
         cfg = build_spring8_legacy()
         validate_scenario(cfg)
-        assert len(cfg.vlans) == 65
+        assert list(cfg.vlans) == [1]  # the flat LAN carries no other VID
+        assert {h.vlan for h in cfg.hosts.values()} <= {1, None}
         uplinks = [l for l in cfg.links
                    if l.a[0].startswith("sw") and l.b[0] == "bb"]
         assert uplinks and all(l.bw == 10_000_000 for l in uplinks)

@@ -5,14 +5,19 @@ reports the ones it cannot find as "not traced". Its own suite checks that
 list is empty, but only when the benchmark's tests run; this checks the same
 lookups with the program's tests, and runs a scenario under the hooks, which
 turn themselves off when an attribute they read is gone.
+
+It also lints the package for imports no module uses.
 """
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
 
 from netfab.scenario import build_engine, load_scenario
 
-LAYERS = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
+ROOT = Path(__file__).resolve().parents[1]
+LAYERS = ROOT / "perfbench" / "layers.py"
+PACKAGE = ROOT / "src" / "netfab"
 
 
 def _load_layers():
@@ -56,3 +61,27 @@ def test_bench_hooks_stay_enabled_on_a_run():
             "resilience.affinity.entries",
             "resilience.unavailable"} <= set(state)
     assert state["l3.conn.entries"] > 0
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """Names path imports but never reads. `from __future__` is exempt, and
+    an annotation counts as a read: under postponed evaluation the parser
+    still makes it expressions."""
+    tree = ast.parse(path.read_text(), str(path))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return [f"{path.name}:{line} {name}"
+            for name, line in imported.items() if name not in used]
+
+
+def test_no_unused_imports():
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert modules
+    assert [u for m in modules for u in _unused_imports(m)] == []

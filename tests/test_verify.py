@@ -229,6 +229,7 @@ class TestStatus:
         assert affected_vlans(redundant, {"sw02"}, set()) == [3, 11]
 
     @pytest.mark.parametrize("name, digest, count", [
+        ("spring8-legacy", "696b03ab5ae89d1d", 67),  # each one: [1]
         ("spring8-upgraded", "f41aff9ee16198dd", 89),
         ("spring8-redundant", "13fc00e235ab2234", 90),
     ])
