@@ -11,9 +11,8 @@ from .firewall import (Firewall, NoScope, PoolExhausted, SHAPE_INTERVAL_US,
                        Shaper)
 from .l2 import Switch
 from .l3 import ZonePolicy, ZoneRouter
-from .packet import (Arp, BROADCAST, FlowKey, Frame, MacAddress, Packet,
-                     PrefixTable, flow_key, ip_str, make_frame, node_mac,
-                     prefix_mask)
+from .packet import (Arp, BROADCAST, FlowKey, Frame, Packet, PrefixTable,
+                     flow_key, ip_str, make_frame, node_mac, prefix_mask)
 from .resilience import PROBE_INTERVAL_US, LoadBalancer, Unavailable
 
 DEFAULT_PROP_US = 5
@@ -396,7 +395,7 @@ class Resolver:
     __slots__ = ("cache", "pending", "last_req")
 
     def __init__(self):
-        self.cache: dict[tuple, MacAddress] = {}
+        self.cache: dict[tuple, bytes] = {}
         self.pending: dict[tuple, list[Packet]] = {}
         self.last_req: dict[tuple, int] = {}
 
@@ -460,7 +459,7 @@ class SwitchNode(Node):
 class HostNode(Node):
     kind = "host"
 
-    def __init__(self, engine: Engine, name: str, mac: MacAddress, ip: int,
+    def __init__(self, engine: Engine, name: str, mac: bytes, ip: int,
                  prefix_len: int, gw_ip: Optional[int] = None):
         super().__init__(engine, name)
         self.mac = mac
@@ -595,7 +594,7 @@ class HostNode(Node):
                                   f"kind={packet.meta[0]}")
         self.arp.send(self, self.port, self._next_hop(packet.dst_ip), packet)
 
-    def emit(self, port, payload, dst_mac: MacAddress):
+    def emit(self, port, payload, dst_mac: bytes):
         self.engine.send(self.name, port, make_frame(self.mac, dst_mac, payload))
 
     def ip_on(self, _port) -> int:
@@ -611,7 +610,7 @@ class HostNode(Node):
         if not isinstance(payload, Packet):
             self.engine.metrics.frames_filtered += 1
             return
-        if frame.dst != self.mac and not frame.dst.is_broadcast:
+        if frame.dst != self.mac and frame.dst != BROADCAST:
             self.engine.metrics.frames_filtered += 1
             return
         if payload.dst_ip != self.ip:
@@ -713,7 +712,7 @@ class HostNode(Node):
 class L3Node(Node):
     kind = "l3"
 
-    def __init__(self, engine: Engine, name: str, mac: MacAddress,
+    def __init__(self, engine: Engine, name: str, mac: bytes,
                  router: ZoneRouter):
         super().__init__(engine, name)
         self.mac = mac
@@ -727,7 +726,7 @@ class L3Node(Node):
         if kind == "age_tick" and self._repeat(kind, FDB_AGE_SWEEP_US):
             self.router.conn.sweep(self.engine.now)
 
-    def emit(self, vid: int, frame_payload, dst_mac: MacAddress):
+    def emit(self, vid: int, frame_payload, dst_mac: bytes):
         port = self.router.interfaces[vid].port
         if port is not None:
             self.engine.send(self.name, port,
@@ -760,7 +759,7 @@ class L3Node(Node):
         if not isinstance(payload, Packet):
             self.engine.metrics.frames_filtered += 1
             return
-        if frame.dst != self.mac and not frame.dst.is_broadcast:
+        if frame.dst != self.mac and frame.dst != BROADCAST:
             self.engine.metrics.frames_filtered += 1
             return
         if self.router.is_local_ip(payload.dst_ip):
@@ -802,7 +801,7 @@ class FirewallSide:
 class FirewallNode(Node):
     kind = "firewall"
 
-    def __init__(self, engine: Engine, name: str, mac: MacAddress,
+    def __init__(self, engine: Engine, name: str, mac: bytes,
                  fw: Firewall, inside: FirewallSide, outside: FirewallSide,
                  cap_bps: int, enforce_zones: bool = True,
                  policy: Optional[ZonePolicy] = None):
@@ -876,7 +875,7 @@ class FirewallNode(Node):
         self.arp.send(self, out_side,
                       pkt.dst_ip if next_hop is None else next_hop, pkt)
 
-    def emit(self, side: str, payload, dst_mac: MacAddress):
+    def emit(self, side: str, payload, dst_mac: bytes):
         self.engine.send(self.name, side, make_frame(self.mac, dst_mac, payload))
 
     def ip_on(self, side: str) -> int:
@@ -893,7 +892,7 @@ class FirewallNode(Node):
         if not isinstance(payload, Packet):
             self.engine.metrics.frames_filtered += 1
             return
-        if cfg.mode == "routed" and frame.dst != self.mac and not frame.dst.is_broadcast:
+        if cfg.mode == "routed" and frame.dst != self.mac and frame.dst != BROADCAST:
             self.engine.metrics.frames_filtered += 1
             return
         pkt = payload
@@ -989,7 +988,7 @@ class FirewallNode(Node):
 class BalancerNode(Node):
     kind = "balancer"
 
-    def __init__(self, engine: Engine, name: str, mac: MacAddress, ip: int,
+    def __init__(self, engine: Engine, name: str, mac: bytes, ip: int,
                  peer_ip: int, lb: LoadBalancer):
         super().__init__(engine, name)
         self.mac = mac

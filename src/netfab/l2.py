@@ -54,8 +54,7 @@ class PortConfig:
 
 @dataclass(slots=True)
 class FdbEntry:
-    vlan: int
-    mac: "MacAddress"
+    """A learned station; its (vid, mac) key holds the rest."""
     port: int
     last_seen: int
 
@@ -112,7 +111,7 @@ class Switch:
         self._forget_tables()
         # purge learned entries for VLANs this port no longer carries
         stale = [k for k, e in self.fdb.items()
-                 if e.port == port_id and e.vlan not in cfg.vids]
+                 if e.port == port_id and k[0] not in cfg.vids]
         for k in stale:
             del self.fdb[k]
         return cfg
@@ -153,18 +152,19 @@ class Switch:
         if vid is None or port_id in self.down:
             return None
 
-        # learning: a known station's entry is refreshed in place
+        # learning refreshes a known station's entry in place; a group source
+        # is never learned, so a frame to a group address misses and floods
         fdb = self.fdb
         src = frame.src
-        if not src.is_multicast:
+        if not src[0] & 1:
             known = fdb.get((vid, src))
             if known is None:
-                fdb[(vid, src)] = FdbEntry(vid, src, port_id, now)
+                fdb[(vid, src)] = FdbEntry(port_id, now)
             else:
                 known.port, known.last_seen = port_id, now
 
         # forwarding decision
-        entry = None if frame.dst.is_multicast else fdb.get((vid, frame.dst))
+        entry = fdb.get((vid, frame.dst))
         if entry is None:
             egresses = self._flood_targets(port_id, vid)
         elif entry.port == port_id:

@@ -4,7 +4,6 @@ from __future__ import annotations
 import functools
 import hashlib
 import ipaddress
-import weakref
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Union
 
@@ -99,56 +98,13 @@ class PrefixTable:
         return None
 
 
-class MacAddress:
-    """A 48-bit MAC address, interned: there is one object per address, held
-    in a weak-valued table, so equality and hashing are identity and no
-    Python-level __eq__ or __hash__ runs on a forwarding-table probe."""
-
-    __slots__ = ("octets", "is_broadcast", "is_multicast", "__weakref__")
-    _interned = weakref.WeakValueDictionary()  # octets -> MacAddress
-
-    def __new__(cls, octets: bytes):
-        mac = cls._interned.get(octets)
-        if mac is None:
-            if len(octets) != 6:
-                raise ValueError("MAC address needs exactly 6 octets")
-            mac = object.__new__(cls)
-            init = object.__setattr__
-            init(mac, "octets", octets)
-            init(mac, "is_broadcast", octets == b"\xff" * 6)
-            init(mac, "is_multicast", bool(octets[0] & 1))
-            cls._interned[octets] = mac
-        return mac
-
-    @classmethod
-    def parse(cls, text: str) -> "MacAddress":
-        parts = text.split(":")
-        if len(parts) != 6:
-            raise ValueError(f"bad MAC address {text!r}")
-        return cls(bytes(int(p, 16) for p in parts))
-
-    def __setattr__(self, name, _value=None):
-        raise AttributeError(f"MacAddress is immutable: cannot change {name!r}")
-
-    __delattr__ = __setattr__
-
-    def __reduce__(self):  # copy and pickle give back the interned object
-        return MacAddress, (self.octets,)
-
-    def __repr__(self) -> str:
-        return f"MacAddress(octets={self.octets!r})"
-
-    def __str__(self) -> str:
-        return ":".join(f"{b:02x}" for b in self.octets)
+BROADCAST = b"\xff" * 6  # a MAC address is its 6 octets
 
 
-BROADCAST = MacAddress(b"\xff" * 6)
-
-
-def node_mac(name: str) -> MacAddress:
+def node_mac(name: str) -> bytes:
     """Stable locally-administered MAC derived from the node name."""
     digest = hashlib.blake2b(name.encode(), digest_size=6).digest()
-    return MacAddress(bytes([0x02]) + digest[1:])
+    return b"\x02" + digest[1:]
 
 
 class FlowKey(NamedTuple):
@@ -200,7 +156,7 @@ class Arp:
     """In-VLAN address resolution: broadcast request, unicast reply."""
     op: str  # "request" | "reply"
     sender_ip: int
-    sender_mac: MacAddress
+    sender_mac: bytes
     target_ip: int
 
 
@@ -217,13 +173,15 @@ def payload_size(payload: Payload) -> int:
 
 @dataclass(slots=True, unsafe_hash=True)
 class Frame:
-    src: MacAddress
-    dst: MacAddress
+    src: bytes  # 6 octets; bit 0 of the first is the group bit
+    dst: bytes
     payload: Payload
     size_bytes: int
     tag: Optional[int] = None  # its 802.1Q tag's VID; no 802.1p priority
 
     def __post_init__(self):
+        if len(self.src) != 6 or len(self.dst) != 6:
+            raise ValueError("MAC address needs exactly 6 octets")
         limit = MAX_UNTAGGED
         if self.tag is not None:
             check_vid(self.tag)
@@ -259,7 +217,7 @@ def frame_copy(frame: Frame, tag: Optional[int]) -> Frame:
     return out
 
 
-def make_frame(src: MacAddress, dst: MacAddress, payload: Payload,
+def make_frame(src: bytes, dst: bytes, payload: Payload,
                tag: Optional[int] = None) -> Frame:
     """A new frame for payload: Frame's size check without its __init__."""
     size = (payload.size if payload.__class__ is Packet
@@ -300,6 +258,6 @@ def frame_flow_key(frame: Frame) -> FlowKey:
     """Flow key for hashing decisions; MAC-derived fallback for non-IP frames."""
     if isinstance(frame.payload, Packet):
         return flow_key(frame.payload)
-    src = int.from_bytes(frame.src.octets[2:], "big")
-    dst = int.from_bytes(frame.dst.octets[2:], "big")
+    src = int.from_bytes(frame.src[2:], "big")
+    dst = int.from_bytes(frame.dst[2:], "big")
     return FlowKey(src, dst, "icmp", 0, 0)

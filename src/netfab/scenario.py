@@ -26,8 +26,8 @@ from .firewall import DEFAULT_CAP_BPS, DEFAULT_NAT_CAPACITY, Firewall
 from .l2 import PortConfig, Switch
 from .l3 import (VERDICTS, ZONES, L3Error, Route, VlanInterface, ZonePolicy,
                  ZoneRouter)
-from .packet import (check_vid, ip_addr, ip_network, ip_str, node_mac,
-                     prefix_mask)
+from .packet import (check_vid, in_network, ip_addr, ip_network, ip_str,
+                     node_mac, prefix_mask)
 from .resilience import LoadBalancer
 
 # a faster cbr flow sends every 0 us, so simulated time never advances
@@ -750,7 +750,14 @@ def validate_scenario(cfg: ScenarioConfig):
             endpoints.add((node, port))
         for (node, _), (peer, port) in ((link.a, link.b), (link.b, link.a)):
             host = cfg.hosts.get(node)
-            if host is not None and host.vlan is not None:
+            if host is None:
+                continue
+            switch = cfg.switches.get(peer)
+            if switch is not None and switch.ports[port].mode == "trunk":
+                raise ValidationError(  # a trunk has no native VLAN
+                    node, f"{peer}:{port} is a trunk port, which drops "
+                          "untagged frames")
+            if host.vlan is not None:
                 vids = carried_vids(cfg, peer, port)
                 if vids is not None and host.vlan not in vids:
                     raise ValidationError(
@@ -767,9 +774,16 @@ def validate_scenario(cfg: ScenarioConfig):
                         raise ValidationError(f"{sw.name}:{pid}",
                                               f"vlan {vid} is not declared")
         for host in cfg.hosts.values():
-            if host.vlan is not None and host.vlan not in cfg.vlans:
+            if host.vlan is None:
+                continue
+            vlan = cfg.vlans.get(host.vlan)
+            if vlan is None:
                 raise ValidationError(host.name,
                                       f"vlan {host.vlan} is not declared")
+            if vlan.subnet and not in_network(host.ip, *vlan.subnet):
+                raise ValidationError(host.name, (
+                    f"{ip_str(host.ip)} is outside vlan {vlan.vid}'s subnet "
+                    f"{_write_ip_len(vlan.subnet)}"))
     for name in cfg.l3s:
         try:
             _router(cfg, name)

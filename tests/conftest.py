@@ -10,8 +10,8 @@ from netfab.engine import trace_line
 # ReferenceSwitch keeps the constant's name from when it was a default
 from netfab.l2 import FDB_AGING_US as DEFAULT_FDB_AGING_US
 from netfab.l2 import FdbEntry, PortConfig, UnknownPort, lag_select
-from netfab.packet import (Frame, InvalidVid, check_vid, frame_flow_key,
-                           ip_addr, pop_tag, push_tag)
+from netfab.packet import (BROADCAST, Frame, InvalidVid, check_vid,
+                           frame_flow_key, ip_addr, pop_tag, push_tag)
 from netfab.scenario import (HostDecl, LinkDecl, ScenarioConfig, SwitchDecl,
                              VlanDecl)
 
@@ -59,9 +59,9 @@ def bulk_transfer_time(rate_cap_bps: float, total_bytes: float) -> float:
 
 
 def classify_dst(frame: Frame) -> str:
-    if frame.dst.is_broadcast:
+    if frame.dst == BROADCAST:
         return "broadcast"
-    if frame.dst.is_multicast:
+    if frame.dst[0] & 1:
         return "multicast"
     return "unicast"
 
@@ -298,8 +298,9 @@ class ReferencePort:
 class ReferenceSwitch:
     """`netfab.l2.Switch` as it was before its forwarding tables: every frame
     scans the ports. The reference the table-driven switch is compared
-    against; kept verbatim apart from this name, this docstring and its
-    port record, `ReferencePort`."""
+    against; kept verbatim apart from this name, this docstring, its port
+    record, `ReferencePort`, and the shapes of a MAC address and an FDB
+    entry."""
 
     def __init__(self, name: str, fdb_aging_us: int = DEFAULT_FDB_AGING_US,
                  hash_salt: bytes = b""):
@@ -328,7 +329,7 @@ class ReferenceSwitch:
         self._counters(port_id)
         # purge learned entries for VLANs this port no longer carries
         stale = [k for k, e in self.fdb.items()
-                 if e.port == port_id and not cfg.member_of(e.vlan)]
+                 if e.port == port_id and not cfg.member_of(k[0])]
         for k in stale:
             del self.fdb[k]
         return cfg
@@ -369,8 +370,8 @@ class ReferenceSwitch:
             return []
 
         # learning
-        if not frame.src.is_multicast:
-            self.fdb[(vid, frame.src)] = FdbEntry(vid, frame.src, port_id, now)
+        if not frame.src[0] & 1:
+            self.fdb[(vid, frame.src)] = FdbEntry(port_id, now)
 
         # forwarding decision
         targets: list[int] = []

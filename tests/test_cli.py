@@ -129,17 +129,26 @@ a=a1:0 b=sw1:p1 bw=100000000
 """
 
 
-@pytest.mark.parametrize("b1_link", ["a=b1:0 b=sw1:t1 bw=100000000", ""])
-def test_isolation_probe_needs_an_access_port(tmp_path, capsys, b1_link):
+def test_isolation_probe_needs_an_access_port(tmp_path, capsys):
     """The probe plugs its rogue host in beside the first bl02 host; when
-    that host is on a trunk port or on no switch, the check fails (exit 1)
-    rather than the program (exit 3)."""
+    that host is on no switch, the check fails (exit 1) rather than the
+    program (exit 3)."""
     path = tmp_path / "probe.nf"
-    path.write_text(ISOLATION_PROBE + b1_link + "\n")
+    path.write_text(ISOLATION_PROBE)
     assert main(["verify", str(path), "--invariant", "isolation"]) == 1
     out = capsys.readouterr().out
     assert "result=fail" in out
     assert "detail=bl02 probe host b1 is on no switch access port" in out
+
+
+def test_host_on_trunk_port_rejected(tmp_path, capsys):
+    """A trunk has no native VLAN, so it would drop every untagged frame
+    the host sends."""
+    path = tmp_path / "probe.nf"
+    path.write_text(ISOLATION_PROBE + "a=b1:0 b=sw1:t1 bw=100000000\n")
+    assert main(["verify", str(path), "--invariant", "isolation"]) == 2
+    assert ("error: b1: sw1:t1 is a trunk port, which drops untagged frames"
+            in capsys.readouterr().err)
 
 
 def test_nat_bijection_remote_inside_scope(tmp_path, capsys):
@@ -281,6 +290,16 @@ def test_host_vlan_not_on_its_port_rejected(tmp_path, capsys):
                    .replace("10.0.10.2/24 vlan=10", "10.0.10.2/24 vlan=20"))
     assert main(["run", str(bad)]) == 2
     assert "h2: vlan 20 is not carried by sw1:p2" in capsys.readouterr().err
+
+
+def test_host_outside_its_vlan_subnet_rejected(tmp_path, capsys):
+    bad = tmp_path / "bad.nf"
+    bad.write_text(MINI.replace("vid=10 name=lab",
+                                "vid=10 name=lab subnet=10.0.10.0/25")
+                   .replace("10.0.10.2/24", "10.0.10.200/24"))
+    assert main(["run", str(bad)]) == 2
+    assert ("h2: 10.0.10.200 is outside vlan 10's subnet 10.0.10.0/25"
+            in capsys.readouterr().err)
 
 
 def assert_rejects_line(tmp_path, capsys, text: str, bad_line: str):

@@ -10,13 +10,13 @@ from netfab.engine import (ARP_PENDING_MAX, BULK_LOSS_WINDOW, BULK_WINDOW,
                            BulkSender, Engine, HostNode, SwitchNode,
                            TrafficSpec, UnknownTarget)
 from netfab.l2 import PortConfig
-from netfab.packet import MacAddress, Packet, ip_addr, make_frame, push_tag
+from netfab.packet import Packet, ip_addr, make_frame, push_tag
 from netfab.scenario import (FaultDecl, build_engine, build_spring8_redundant,
                              load_scenario, parse_scenario)
 
 
 def mac(i):
-    return MacAddress(bytes([0x00, 0x10, 0x4b, 0, 0, i]))
+    return bytes([0x00, 0x10, 0x4b, 0, 0, i])
 
 
 def big_frame():

@@ -6,9 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from netfab.engine import Engine, FirewallNode, FirewallSide, HostNode
 from netfab.firewall import (Firewall, NoScope, PoolExhausted, Shaper)
-from netfab.packet import (MacAddress, Packet, PORTLESS_PROTOCOLS, PROTOCOLS,
-                           flow_key, ip_addr, ip_network, make_frame,
-                           packet_copy)
+from netfab.packet import (Packet, PORTLESS_PROTOCOLS, PROTOCOLS, ip_addr,
+                           ip_network, make_frame, packet_copy)
 from netfab.scenario import build_engine, parse_scenario, validate_scenario
 from test_acceptance import FIREWALL_RIG
 
@@ -127,7 +126,7 @@ def test_side_route_longer_than_connected_subnet_wins():
                            gw=ip_addr("192.0.2.254"),
                            routes=[(ip_addr("192.0.2.128"), 25,
                                     ip_addr("192.0.2.2"))])
-    node = FirewallNode(Engine(), "fw", MacAddress(bytes(6)), Firewall("fw"),
+    node = FirewallNode(Engine(), "fw", bytes(6), Firewall("fw"),
                         FirewallSide(), outside, cap_bps=10**9)
     next_hop = node.next_hops["outside"].lookup
     assert next_hop(ip_addr("192.0.2.200")) == ip_addr("192.0.2.2")
@@ -147,15 +146,14 @@ def test_zone_check_gates_outbound_only_with_zones_on(from_side, zones,
                                  else ("dmz", "public"))
     eng = Engine()
     node = FirewallNode(
-        eng, "fw", MacAddress(bytes(6)), Firewall("fw"),
+        eng, "fw", bytes(6), Firewall("fw"),
         FirewallSide(ip=ip_addr("10.0.0.1"), zone=inside_zone),
         FirewallSide(ip=ip_addr("198.18.0.1"), zone=outside_zone),
         cap_bps=10**9, enforce_zones=zones)
     src, dst = (near, far) if from_side == "inside" else (far, near)
     pkt = Packet(src_ip=src, dst_ip=dst, protocol="tcp", src_port=40_000,
                  dst_port=80)
-    node.on_frame(from_side, make_frame(MacAddress(b"\x02" + bytes(5)),
-                                        node.mac, pkt))
+    node.on_frame(from_side, make_frame(b"\x02" + bytes(5), node.mac, pkt))
     assert eng.metrics.drops[("fw", "acl")] == dropped
 
 

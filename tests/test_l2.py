@@ -6,12 +6,13 @@ from hypothesis import given, settings, strategies as st
 from conftest import ReferenceSwitch
 from netfab.l2 import (InvalidVid, NoLiveMember, PortConfig, Switch,
                        UnknownPort, lag_select)
-from netfab.packet import (BROADCAST, FlowKey, MacAddress, Packet, make_frame,
-                           push_tag)
+from netfab.packet import BROADCAST, FlowKey, Packet, make_frame, push_tag
+
+MULTICAST = bytes.fromhex("01005e000001")
 
 
 def mac(i):
-    return MacAddress(bytes([0x00, 0x10, 0x4b, 0, i >> 8, i & 0xFF]))
+    return bytes([0x00, 0x10, 0x4b, 0, i >> 8, i & 0xFF])
 
 
 def bcast_frame(src_i):
@@ -222,9 +223,8 @@ def _port_spec(draw, vids):
 
 
 def _frame(draw, macs, vids):
-    src = draw(st.sampled_from(macs))
-    dst = draw(st.sampled_from(macs + [BROADCAST, MacAddress.parse(
-        "01:00:5e:00:00:01")]))
+    src = draw(st.sampled_from(macs + [MULTICAST]))  # never learned
+    dst = draw(st.sampled_from(macs + [BROADCAST, MULTICAST]))
     payload = draw(st.one_of(
         st.integers(0, 100),
         st.builds(Packet, src_ip=st.integers(1, 4), dst_ip=st.integers(1, 4),

@@ -1,24 +1,17 @@
-import copy
-import gc
-import pickle
-
 import pytest
 from hypothesis import given, strategies as st
 
 from conftest import classify_dst
 from netfab.packet import (AlreadyTagged, Arp, BROADCAST, Frame, InvalidVid,
-                           MacAddress, NotTagged, Packet, PrefixTable,
-                           flow_key, in_network, ip_addr, ip_str, make_frame,
+                           NotTagged, Packet, PrefixTable, flow_key,
+                           in_network, ip_addr, ip_str, make_frame, node_mac,
                            pop_tag, prefix_mask, push_tag)
 
-
-def mac(text):
-    return MacAddress.parse(text)
+SRC, DST = bytes.fromhex("00104b000001"), bytes.fromhex("00104b000002")
 
 
 def untagged(size=64):
-    return Frame(src=mac("00:10:4b:00:00:01"), dst=mac("00:10:4b:00:00:02"),
-                 payload=size - 18, size_bytes=size)
+    return Frame(src=SRC, dst=DST, payload=size - 18, size_bytes=size)
 
 
 class TestTagging:
@@ -46,9 +39,7 @@ class TestTagging:
     def test_checked_frame_rejects_invalid_tag(self):
         for vid in (0, 4095):
             with pytest.raises(InvalidVid):
-                Frame(src=mac("00:10:4b:00:00:01"),
-                      dst=mac("00:10:4b:00:00:02"), payload=50,
-                      size_bytes=68, tag=vid)
+                Frame(src=SRC, dst=DST, payload=50, size_bytes=68, tag=vid)
 
     def test_pop_untagged_rejected(self):
         with pytest.raises(NotTagged):
@@ -72,23 +63,23 @@ class TestTagging:
 
 class TestClassify:
     def test_broadcast(self):
-        f = Frame(src=mac("00:10:4b:00:00:01"), dst=BROADCAST,
+        f = Frame(src=SRC, dst=BROADCAST,
                   payload=46, size_bytes=64)
         assert classify_dst(f) == "broadcast"
 
     def test_multicast(self):
-        f = Frame(src=mac("00:10:4b:00:00:01"), dst=mac("01:00:5e:00:00:01"),
+        f = Frame(src=SRC, dst=bytes.fromhex("01005e000001"),
                   payload=46, size_bytes=64)
         assert classify_dst(f) == "multicast"
 
     def test_unicast(self):
-        f = Frame(src=mac("00:10:4b:00:00:01"), dst=mac("00:10:4b:aa:bb:cc"),
+        f = Frame(src=SRC, dst=bytes.fromhex("00104baabbcc"),
                   payload=46, size_bytes=64)
         assert classify_dst(f) == "unicast"
 
     @given(st.binary(min_size=6, max_size=6))
     def test_partition(self, raw):
-        f = Frame(src=mac("00:10:4b:00:00:01"), dst=MacAddress(raw),
+        f = Frame(src=SRC, dst=raw,
                   payload=46, size_bytes=64)
         cls = classify_dst(f)
         assert cls in ("unicast", "broadcast", "multicast")
@@ -133,9 +124,16 @@ class TestFrameBounds:
         with pytest.raises(ValueError):
             untagged(1519)
 
+    @pytest.mark.parametrize("n", [0, 5, 7])
+    def test_length_other_than_six_rejected(self, n):
+        with pytest.raises(ValueError):
+            Frame(src=bytes(n), dst=BROADCAST, payload=46, size_bytes=64)
+        with pytest.raises(ValueError):
+            Frame(src=BROADCAST, dst=bytes(n), payload=46, size_bytes=64)
+
     def test_make_frame_pads_to_minimum(self):
         p = Packet(src_ip=1, dst_ip=2, protocol="icmp")
-        f = make_frame(mac("00:10:4b:00:00:01"), mac("00:10:4b:00:00:02"), p)
+        f = make_frame(SRC, DST, p)
         assert f.size_bytes == 64
 
 
@@ -162,55 +160,15 @@ def test_prefix_table_matches_linear_scan(entries, probes):
 
 
 class TestMacAddressValue:
-    def test_equal_octets_are_one_object(self):
-        a = MacAddress(bytes([0x00, 0x10, 0x4b, 0x12, 0x34, 0x56]))
-        b = MacAddress(bytes([0x00, 0x10, 0x4b, 0x12, 0x34, 0x56]))
-        assert a is b
-        assert a == b and hash(a) == hash(b)
-        assert a != MacAddress(bytes([0x00, 0x10, 0x4b, 0x12, 0x34, 0x57]))
-
-    def test_copies_are_the_interned_object(self):
-        m = mac("00:10:4b:aa:bb:cc")
-        assert copy.copy(m) is m
-        assert copy.deepcopy(m) is m
-        assert copy.deepcopy({"k": [m]})["k"][0] is m
-        assert pickle.loads(pickle.dumps(m)) is m
-
-    def test_immutable(self):
-        m = mac("00:10:4b:aa:bb:cc")
-        with pytest.raises(AttributeError):
-            m.octets = b"\x00" * 6
-        with pytest.raises(AttributeError):
-            m.is_broadcast = True
-        assert m.octets == bytes([0x00, 0x10, 0x4b, 0xaa, 0xbb, 0xcc])
-
-    @pytest.mark.parametrize("n", [0, 5, 7])
-    def test_length_other_than_six_rejected(self, n):
-        with pytest.raises(ValueError):
-            MacAddress(bytes(n))
-
-    def test_parse_str_round_trip(self):
-        m = MacAddress(bytes([0x02, 0xab, 0x00, 0x01, 0xfe, 0xff]))
-        assert str(m) == "02:ab:00:01:fe:ff"
-        assert MacAddress.parse(str(m)) is m
-
     def test_flags(self):
-        assert BROADCAST.is_broadcast and BROADCAST.is_multicast
-        assert mac("01:00:5e:00:00:01").is_multicast
-        assert not mac("01:00:5e:00:00:01").is_broadcast
-        assert not mac("00:10:4b:00:00:01").is_multicast
-
-    def test_unreferenced_address_leaves_the_table(self):
-        octets = bytes([0x00, 0x10, 0x4b, 0xde, 0xad, 0x01])
-        m = MacAddress(octets)
-        assert MacAddress._interned.get(octets) is m
-        del m
-        gc.collect()
-        assert octets not in MacAddress._interned
+        """The group bit is bit 0 of the first octet; a node's own address
+        is unicast and locally administered."""
+        assert BROADCAST == b"\xff" * 6 and BROADCAST[0] & 1
+        assert len(node_mac("h1")) == 6 and node_mac("h1")[0] == 0x02
 
 
 class TestLeanConstructors:
-    src, dst = mac("00:10:4b:00:00:01"), mac("00:10:4b:00:00:02")
+    src, dst = SRC, DST
 
     def test_make_frame_untagged_limit(self):
         assert make_frame(self.src, self.dst, 1500).size_bytes == 1518

@@ -6,7 +6,7 @@ list is empty, but only when the benchmark's tests run; this checks the same
 lookups with the program's tests, and runs a scenario under the hooks, which
 turn themselves off when an attribute they read is gone.
 
-It also lints the package for imports no module uses.
+It also lints the package and its tests for imports no module uses.
 """
 import ast
 import importlib
@@ -18,6 +18,7 @@ from netfab.scenario import build_engine, load_scenario
 ROOT = Path(__file__).resolve().parents[1]
 LAYERS = ROOT / "perfbench" / "layers.py"
 PACKAGE = ROOT / "src" / "netfab"
+TESTS = ROOT / "tests"
 
 
 def _load_layers():
@@ -82,6 +83,6 @@ def _unused_imports(path: Path) -> list[str]:
 
 
 def test_no_unused_imports():
-    modules = sorted(PACKAGE.glob("*.py"))
+    modules = sorted(PACKAGE.glob("*.py")) + sorted(TESTS.glob("*.py"))
     assert modules
     assert [u for m in modules for u in _unused_imports(m)] == []
