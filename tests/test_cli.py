@@ -141,11 +141,13 @@ def test_isolation_probe_needs_an_access_port(tmp_path, capsys):
     assert "detail=bl02 probe host b1 is on no switch access port" in out
 
 
-def test_host_on_trunk_port_rejected(tmp_path, capsys):
+@pytest.mark.parametrize("b1_link", ["a=b1:0 b=sw1:t1 bw=100000000",
+                                     "a=sw1:t1 b=b1:0 bw=100000000"])
+def test_host_on_trunk_port_rejected(tmp_path, capsys, b1_link):
     """A trunk has no native VLAN, so it would drop every untagged frame
-    the host sends."""
+    the host sends, whichever end of the link names the host."""
     path = tmp_path / "probe.nf"
-    path.write_text(ISOLATION_PROBE + "a=b1:0 b=sw1:t1 bw=100000000\n")
+    path.write_text(ISOLATION_PROBE + b1_link + "\n")
     assert main(["verify", str(path), "--invariant", "isolation"]) == 2
     assert ("error: b1: sw1:t1 is a trunk port, which drops untagged frames"
             in capsys.readouterr().err)

@@ -10,7 +10,7 @@ from netfab.engine import (ARP_PENDING_MAX, BULK_LOSS_WINDOW, BULK_WINDOW,
                            BulkSender, Engine, HostNode, SwitchNode,
                            TrafficSpec, UnknownTarget)
 from netfab.l2 import PortConfig
-from netfab.packet import Packet, ip_addr, make_frame, push_tag
+from netfab.packet import BROADCAST, Packet, ip_addr, make_frame, push_tag
 from netfab.scenario import (FaultDecl, build_engine, build_spring8_redundant,
                              load_scenario, parse_scenario)
 
@@ -398,6 +398,21 @@ class TestDropCounts:
         m = eng.metrics
         assert m.drops[("sw", "vlan")] == 3 == m.dropped_total()
         assert m.frames_created == m.frames_consumed == 5
+
+    def test_host_takes_its_own_and_broadcast_but_not_a_group_address(self):
+        """A host accepts a frame to its own MAC or to broadcast; any other
+        group address is filtered, since no host joins a multicast group."""
+        eng = Engine()
+        lan(eng)
+        pkt = Packet(src_ip=ip_addr("10.0.0.1"), dst_ip=ip_addr("10.0.0.2"),
+                     protocol="udp", payload_bytes=100, meta=("cbr", "c1"))
+        for dst in (mac(2), BROADCAST, bytes.fromhex("01005e000001")):
+            eng.send("h1", 0, make_frame(mac(1), dst, pkt))
+        eng.run_until(1_000_000)
+        m = eng.metrics
+        assert m.host_delivered == 2 == m.flows["c1"].delivered_packets
+        assert m.frames_filtered == 1
+        assert m.dropped_total() == 0
 
     def test_shaper_overflow_is_one_queue_drop(self):
         cfg = parse_scenario(SHAPER_RIG)

@@ -126,6 +126,27 @@ class TestIngress:
         sw.configure_port(1, PortConfig("access", vid=20))
         assert (10, mac(1)) not in sw.fdb
 
+    def test_purge_keeps_the_vlans_the_port_still_carries(self):
+        sw = build_switch([(1, "trunk", {10, 20}), (2, "access", 10),
+                           (3, "access", 20)])
+        for vid in (10, 20):
+            sw.ingress(1, push_tag(uni_frame(1, 2), vid=vid), now=0)
+        sw.ingress(2, uni_frame(2, 1), now=1)
+        sw.configure_port(1, PortConfig("trunk", allowed={20}))
+        assert set(sw.fdb) == {(20, mac(1)), (10, mac(2))}
+
+    def test_group_source_not_learned(self):
+        """A group address is never a station, so it is not learned, and a
+        frame to it floods even after it has been seen as a source."""
+        sw = build_switch([(1, "access", 10), (2, "access", 10),
+                           (3, "access", 10)])
+        out = sw.ingress(1, make_frame(MULTICAST, mac(2), 46), now=0)
+        assert {p for p, _ in out} == {2, 3}
+        assert sw.fdb == {}
+        out = sw.ingress(2, make_frame(mac(2), MULTICAST, 46), now=1)
+        assert {p for p, _ in out} == {1, 3}
+        assert list(sw.fdb) == [(10, mac(2))]
+
     def test_empty_trunk_rejected(self):
         sw = Switch("sw")
         with pytest.raises(InvalidVid):

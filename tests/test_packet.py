@@ -4,8 +4,9 @@ from hypothesis import given, strategies as st
 from conftest import classify_dst
 from netfab.packet import (AlreadyTagged, Arp, BROADCAST, Frame, InvalidVid,
                            NotTagged, Packet, PrefixTable, flow_key,
-                           in_network, ip_addr, ip_str, make_frame, node_mac,
-                           pop_tag, prefix_mask, push_tag)
+                           frame_flow_key, in_network, ip_addr, ip_str,
+                           make_frame, node_mac, pop_tag, prefix_mask,
+                           push_tag)
 
 SRC, DST = bytes.fromhex("00104b000001"), bytes.fromhex("00104b000002")
 
@@ -165,6 +166,14 @@ class TestMacAddressValue:
         is unicast and locally administered."""
         assert BROADCAST == b"\xff" * 6 and BROADCAST[0] & 1
         assert len(node_mac("h1")) == 6 and node_mac("h1")[0] == 0x02
+
+
+def test_non_ip_flow_key_from_low_mac_octets():
+    """A frame without an IP packet hashes on the last four octets of each
+    MAC address."""
+    f = make_frame(bytes.fromhex("02aa01020304"),
+                   bytes.fromhex("02bb0a0b0c0d"), 46)
+    assert frame_flow_key(f) == (0x01020304, 0x0a0b0c0d, "icmp", 0, 0)
 
 
 class TestLeanConstructors:
