@@ -2,9 +2,9 @@
 from __future__ import annotations
 
 import functools
-import heapq
 from collections import Counter
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 from typing import Optional
 
 from .firewall import (Firewall, NoScope, PoolExhausted, SHAPE_INTERVAL_US,
@@ -12,7 +12,7 @@ from .firewall import (Firewall, NoScope, PoolExhausted, SHAPE_INTERVAL_US,
 from .l2 import Switch
 from .l3 import ZonePolicy, ZoneRouter
 from .packet import (Arp, BROADCAST, FlowKey, Frame, Packet, PrefixTable,
-                     flow_key, ip_str, make_frame, node_mac, prefix_mask)
+                     ip_str, make_frame, node_mac, prefix_mask)
 from .resilience import PROBE_INTERVAL_US, LoadBalancer, Unavailable
 
 DEFAULT_PROP_US = 5
@@ -252,11 +252,12 @@ class Engine:
     # -- event machinery ---------------------------------------------------
 
     def schedule(self, at: int, kind: str, target: str, payload=None):
-        """Queue event `kind` for node `target` at time `at`. Every event
-        enters here: the sequence number taken here is what orders events
-        at the same time, in the order they were scheduled."""
+        """Queue event `kind` for node `target` at time `at`: timers,
+        traffic and faults enter here, frame deliveries in `send`. Both take
+        the next number of one sequence, which orders events at the same
+        time in the order they were queued."""
         self._seq += 1
-        heapq.heappush(self._heap, (at, self._seq, kind, target, payload))
+        heappush(self._heap, (at, self._seq, kind, target, payload))
 
     def inject_fault(self, at_us: int, action: str, target: str):
         if action not in FAULT_ACTIONS:
@@ -268,22 +269,22 @@ class Engine:
     def run_until(self, t_end_us: int) -> Metrics:
         if t_end_us < self.now:
             raise ValueError("cannot run backwards")
-        heap, pop, metrics = self._heap, heapq.heappop, self.metrics
+        heap, pop, metrics = self._heap, heappop, self.metrics
         while heap and heap[0][0] <= t_end_us:
             at, _seq, kind, target, payload = pop(heap)
             self.now = at
-            if kind == "deliver":  # a frame reaches the far end of its link
-                direction, frame = payload
-                direction.pending -= 1
+            if kind == "deliver":
+                # frame `payload` reaches the far end of direction `target`
+                target.pending -= 1
                 metrics.frames_consumed += 1
-                node = direction.node
-                if not direction.up:
-                    metrics.drop(direction.link_id, "link-down")
+                node = target.node
+                if not target.up:
+                    metrics.drop(target.link_id, "link-down")
                 elif node.failed:
-                    metrics.drop(target, "fault")
-                    self.trace(target, "drop", None, None, "node failed")
+                    metrics.drop(node.name, "fault")
+                    self.trace(node.name, "drop", None, None, "node failed")
                 else:
-                    node.on_frame(direction.port, frame)
+                    node.on_frame(target.port, payload)
             elif kind == "fault":
                 self._apply_fault(target, payload)
             else:
@@ -331,8 +332,9 @@ class Engine:
             frame.size_bytes * 8_000_000 // direction.bandwidth_bps)
         direction.pending += 1
         self.metrics.frames_created += 1
-        self.schedule(done + direction.prop_us, "deliver",
-                      direction.node.name, (direction, frame))
+        self._seq = seq = self._seq + 1
+        heappush(self._heap,
+                 (done + direction.prop_us, seq, "deliver", direction, frame))
 
     def residual_frames(self) -> int:
         return sum(sum(l.pending) for l in self.links.values())
@@ -578,11 +580,6 @@ class HostNode(Node):
 
     # -- sending -----------------------------------------------------------
 
-    def _next_hop(self, dst_ip: int) -> int:
-        if (dst_ip ^ self.ip) & self.mask == 0 or self.gw_ip is None:
-            return dst_ip
-        return self.gw_ip
-
     def send_packet(self, packet: Packet, stats: Optional[FlowStats] = None):
         """Send packet; with its flow's stats it counts as offered."""
         if stats is not None:
@@ -590,9 +587,12 @@ class HostNode(Node):
             stats.offered_bytes += packet.size
             stats.offered_payload += packet.payload_bytes
             if self.engine.trace_enabled:
-                self.engine.trace(self.name, "tx", None, flow_key(packet),
+                self.engine.trace(self.name, "tx", None, packet.key,
                                   f"kind={packet.meta[0]}")
-        self.arp.send(self, self.port, self._next_hop(packet.dst_ip), packet)
+        dst_ip = packet.dst_ip  # on-link, else through the gateway
+        if (dst_ip ^ self.ip) & self.mask and self.gw_ip is not None:
+            dst_ip = self.gw_ip
+        self.arp.send(self, self.port, dst_ip, packet)
 
     def emit(self, port, payload, dst_mac: bytes):
         self.engine.send(self.name, port, make_frame(self.mac, dst_mac, payload))
@@ -652,7 +652,7 @@ class HostNode(Node):
         st.delivered_bytes += pkt.size
         self.engine.metrics.host_delivered += 1
         if self.engine.trace_enabled:
-            self.engine.trace(self.name, "rx", None, flow_key(pkt),
+            self.engine.trace(self.name, "rx", None, pkt.key,
                               f"kind={kind}")
         if kind == "bulk":
             self._on_bulk_data(pkt, rx)
@@ -762,14 +762,14 @@ class L3Node(Node):
         if frame.dst != self.mac and frame.dst != BROADCAST:
             self.engine.metrics.frames_filtered += 1
             return
-        if self.router.is_local_ip(payload.dst_ip):
+        if payload.dst_ip in self.router.local_ips:
             self.engine.metrics.frames_filtered += 1
             return
         result = self.router.forward(payload, vid, self.engine.now)
         if result[0] == "drop":
             reason = result[1]
             self.engine.metrics.drop(self.name, reason)
-            self.engine.trace(self.name, "drop", vid, flow_key(payload), reason)
+            self.engine.trace(self.name, "drop", vid, payload.key, reason)
             return
         _, egress_vid, next_hop, out = result
         target = next_hop if next_hop is not None else out.dst_ip
@@ -906,10 +906,10 @@ class FirewallNode(Node):
         else:
             self._inbound(pkt, frame, now)
 
-    def _denied(self, from_side: str, key, now: int) -> bool:
-        """Zone policy denies new flows from from_side and key is not a
-        reply: drop it."""
-        if not self.deny_new[from_side] or self.fw.conn.established(key, now):
+    def _denied(self, key, now: int) -> bool:
+        """On a side whose new flows zone policy denies, drop key unless it
+        is a reply."""
+        if self.fw.conn.established(key, now):
             return False
         self.engine.metrics.drop(self.name, "acl")
         self.engine.trace(self.name, "drop", None, key, "acl")
@@ -918,8 +918,8 @@ class FirewallNode(Node):
     def _outbound(self, pkt: Packet, frame: Frame, now: int):
         out_cfg = self.sides["outside"]
         engine = self.engine
-        key = flow_key(pkt)
-        if self._denied("inside", key, now):
+        key = pkt.key
+        if self.deny_new["inside"] and self._denied(key, now):
             return
         try:
             out = self.fw.masquerade_out(pkt, now)
@@ -932,7 +932,7 @@ class FirewallNode(Node):
             engine.metrics.drop(self.name, "nat-full")
             engine.trace(self.name, "drop", None, key, "nat-full")
             return
-        self.fw.conn.note(key, now)
+        self.fw.conn.entries[key] = now
         hint = frame.dst if out_cfg.mode == "inline" else None
         self._enqueue("outside", out, hint)
 
@@ -942,12 +942,12 @@ class FirewallNode(Node):
             translated = self.fw.masquerade_in(pkt, now)
             if translated is None:
                 self.engine.metrics.drop(self.name, "no-binding")
-                self.engine.trace(self.name, "drop", None, flow_key(pkt),
+                self.engine.trace(self.name, "drop", None, pkt.key,
                                   "no-binding")
                 return
             if self.engine.trace_enabled:
                 self.engine.trace(
-                    self.name, "nat", None, flow_key(pkt),
+                    self.name, "nat", None, pkt.key,
                     f"in to {ip_str(translated.dst_ip)}:{translated.dst_port}")
             hint = self.peer_mac if in_cfg.mode == "inline" else None
             self._enqueue("inside", translated, hint)
@@ -957,10 +957,10 @@ class FirewallNode(Node):
             self._enqueue("inside", pkt, frame.dst)
             return
         # routed inbound to an untranslated address: stateful zone check
-        key = flow_key(pkt)
-        if self._denied("outside", key, now):
+        key = pkt.key
+        if self.deny_new["outside"] and self._denied(key, now):
             return
-        self.fw.conn.note(key, now)
+        self.fw.conn.entries[key] = now
         self._enqueue("inside", pkt, None)
 
     def _on_arp(self, side: str, cfg: FirewallSide, out_side: str,
@@ -1005,7 +1005,7 @@ class BalancerNode(Node):
         for pid in due:
             pkt = Packet(src_ip=self.ip, dst_ip=self.peer_ip, protocol="probe",
                          meta=("probe", self.name, "req", pid))
-            self.engine.trace(self.name, "probe", None, flow_key(pkt),
+            self.engine.trace(self.name, "probe", None, pkt.key,
                               f"send path={pid}")
             self.engine.send(self.name, pid, make_frame(self.mac, BROADCAST, pkt))
 
@@ -1035,7 +1035,7 @@ class BalancerNode(Node):
         if not isinstance(payload, Packet):
             self.engine.metrics.frames_filtered += 1
             return
-        key = flow_key(payload)
+        key = payload.key
         try:
             pid = self.lb.dispatch(key, payload.dst_ip)
         except Unavailable:
@@ -1058,7 +1058,7 @@ class BalancerNode(Node):
                 self.engine.send(self.name, port,
                                  make_frame(self.mac, BROADCAST, reply))
             elif meta and meta[0] == "probe" and meta[2] == "rep":
-                self.engine.trace(self.name, "probe", None, flow_key(payload),
+                self.engine.trace(self.name, "probe", None, payload.key,
                                   f"reply path={port}")
                 self.lb.on_probe_reply(port, self.engine.now)
                 self._drain_transitions()

@@ -6,8 +6,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
-from .packet import (Packet, PrefixTable, in_network, ip_str, packet_copy,
-                     prefix_mask)
+from .packet import Packet, PrefixTable, ip_str, packet_copy, prefix_mask
 from .l3 import ConnTable, CONN_TIMEOUT_US
 
 DEFAULT_CAP_BPS = 170_000_000
@@ -30,17 +29,14 @@ class PoolExhausted(NatError):
     pass
 
 
-# eq=False: NAT keys hold the scope by identity, hashed in C. scope_for gives
-# one scope per (network, prefix_len), so this keys bindings as values would.
+# eq=False: NAT keys hold the scope by identity, hashed in C. The scope table
+# keeps one scope per (network, prefix_len), so this keys bindings as values
+# would. add_scope masks `network`.
 @dataclass(frozen=True, eq=False)
 class MasqueradeScope:
     network: int
     prefix_len: int
     external_ip: int
-
-    def contains(self, addr: int) -> bool:
-        return in_network(addr, self.network & prefix_mask(self.prefix_len),
-                          self.prefix_len)
 
 
 @dataclass
@@ -101,13 +97,10 @@ class Firewall:
         self.allocators.setdefault(external_ip, PortAllocator())
         return scope
 
-    def scope_for(self, dst_ip: int) -> Optional[MasqueradeScope]:
-        """Destination selects the masquerade; longest prefix wins."""
-        return self.scopes.lookup(dst_ip)
-
     def masquerade_out(self, packet: Packet, now: int) -> Packet:
-        """Rewrite an outbound packet's source to the scope's external endpoint."""
-        scope = self.scope_for(packet.dst_ip)
+        """Rewrite an outbound packet's source to the external endpoint of
+        the scope its destination selects; the longest prefix wins."""
+        scope = self.scopes.lookup(packet.dst_ip)
         if scope is None:
             raise NoScope(f"no masquerade scope covers {ip_str(packet.dst_ip)}")
         protocol = packet.protocol
@@ -139,7 +132,8 @@ class Firewall:
             self._remove(entry)
             return None
         ikey = entry.inside_key
-        if not ikey[3].contains(packet.src_ip):
+        scope = ikey[3]  # the reply must come from the scope's destinations
+        if packet.src_ip & prefix_mask(scope.prefix_len) != scope.network:
             return None
         entry.last_activity = now
         return packet_copy(packet, packet.src_ip, ikey[0], packet.src_port,

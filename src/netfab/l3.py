@@ -4,8 +4,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .packet import (FlowKey, Packet, PrefixTable, check_vid, flow_key,
-                     ip_str, packet_copy, prefix_mask)
+from .packet import (FlowKey, Packet, PrefixTable, check_vid, ip_str,
+                     packet_copy, prefix_mask)
 
 ZONES = ("clean", "dmz", "public")
 VERDICTS = ("permit", "deny-new")
@@ -87,9 +87,6 @@ class ConnTable:
     def __init__(self):
         self.entries: dict[FlowKey, int] = {}
 
-    def note(self, key: FlowKey, now: int):
-        self.entries[key] = now
-
     def established(self, key: FlowKey, now: int) -> bool:
         seen = self.entries.get(key.mirrored())
         return seen is not None and now - seen <= CONN_TIMEOUT_US
@@ -166,9 +163,6 @@ class ZoneRouter:
     def _iface_for(self, addr: int) -> Optional[VlanInterface]:
         return self.connected.lookup(addr)
 
-    def is_local_ip(self, addr: int) -> bool:
-        return addr in self.local_ips
-
     def route_lookup(self, dst_ip: int) -> Optional[Route]:
         """Longest-prefix match over connected + static routes; None = NoRoute."""
         return self.routes.lookup(dst_ip)
@@ -199,13 +193,13 @@ class ZoneRouter:
         # ZonePolicy.rules holds every zone pair, so indexing it is verdict()
         zones = (self.interfaces[ingress_vid].zone,
                  self.interfaces[egress_vid].zone)
-        key = flow_key(packet)
+        key = packet.key
         if (self.policy.rules[zones] == "deny-new"
                 and not self.conn.established(key, now)):
             return ("drop", "acl")
         if packet.ttl <= 1:
             return ("drop", "ttl")
-        self.conn.entries[key] = now  # ConnTable.note
+        self.conn.entries[key] = now
         return ("forward", egress_vid, next_hop,
                 packet_copy(packet, packet.src_ip, packet.dst_ip,
                             packet.src_port, packet.dst_port, packet.ttl - 1))

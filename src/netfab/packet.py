@@ -115,8 +115,9 @@ class FlowKey(NamedTuple):
     dst_port: int
 
     def mirrored(self) -> "FlowKey":
-        return FlowKey(self.dst_ip, self.src_ip, self.protocol,
-                       self.dst_port, self.src_port)
+        return tuple.__new__(FlowKey, (  # skips the namedtuple's __new__
+            self.dst_ip, self.src_ip, self.protocol, self.dst_port,
+            self.src_port))
 
     def __str__(self) -> str:
         return (f"{ip_str(self.src_ip)}:{self.src_port}->"
@@ -137,6 +138,9 @@ class Packet:
     meta: tuple = ()
     # modeled on-the-wire IP packet size, set once: read on every hop
     size: int = field(init=False, compare=False, repr=False)
+    # the flow key of the fields above, set once: read on every routed,
+    # translated, balanced or LAG hop
+    key: FlowKey = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.protocol not in PROTOCOLS:
@@ -149,6 +153,9 @@ class Packet:
         if self.payload_bytes < 0:
             raise ValueError("payload_bytes must be >= 0")
         self.size = self.payload_bytes + IP_HEADER_BYTES
+        self.key = tuple.__new__(FlowKey, (  # skips the namedtuple's __new__
+            self.src_ip, self.dst_ip, self.protocol, self.src_port,
+            self.dst_port))
 
 
 @dataclass(frozen=True, slots=True)
@@ -201,6 +208,8 @@ def packet_copy(packet: Packet, src_ip: int, dst_ip: int, src_port: int,
     out.src_port, out.dst_port, out.payload_bytes = (
         src_port, dst_port, packet.payload_bytes)
     out.ttl, out.meta, out.size = ttl, packet.meta, packet.size
+    out.key = tuple.__new__(FlowKey, (
+        src_ip, dst_ip, packet.protocol, src_port, dst_port))
     return out
 
 
@@ -249,15 +258,13 @@ def pop_tag(frame: Frame) -> tuple[Frame, int]:
 
 
 def flow_key(packet: Packet) -> FlowKey:
-    return tuple.__new__(FlowKey, (  # skips the namedtuple's Python __new__
-        packet.src_ip, packet.dst_ip, packet.protocol, packet.src_port,
-        packet.dst_port))
+    return packet.key
 
 
 def frame_flow_key(frame: Frame) -> FlowKey:
     """Flow key for hashing decisions; MAC-derived fallback for non-IP frames."""
     if isinstance(frame.payload, Packet):
-        return flow_key(frame.payload)
+        return frame.payload.key
     src = int.from_bytes(frame.src[2:], "big")
     dst = int.from_bytes(frame.dst[2:], "big")
     return FlowKey(src, dst, "icmp", 0, 0)

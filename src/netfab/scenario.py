@@ -752,9 +752,12 @@ def validate_scenario(cfg: ScenarioConfig):
             host = cfg.hosts.get(node)
             if host is None:
                 continue
+            # a switch trunk has no native VLAN; an L3 switch's `trunk`
+            # takes tagged frames only
             switch = cfg.switches.get(peer)
-            if switch is not None and switch.ports[port].mode == "trunk":
-                raise ValidationError(  # a trunk has no native VLAN
+            if (switch.ports[port].mode == "trunk" if switch is not None
+                    else port == "trunk" and peer in cfg.l3s):
+                raise ValidationError(
                     node, f"{peer}:{port} is a trunk port, which drops "
                           "untagged frames")
             if host.vlan is not None:
@@ -830,7 +833,34 @@ def validate_scenario(cfg: ScenarioConfig):
         what, pool = targets.get(f.action, either)
         if f.target not in pool:
             raise ValidationError(f.target, f"{f.action} target is not a {what}")
+    _check_gateways(cfg)
     _check_loops(cfg)
+
+
+def _check_gateways(cfg: ScenarioConfig):
+    """A host's gateway is an L3 interface on its VLAN or a firewall side in
+    its VLAN's declared subnet. Without a subnet any firewall side will do;
+    without a VLAN, any L3 interface too."""
+    l3_ips: dict = {}  # vid, and None for any, -> interface addresses
+    for decl in cfg.l3s.values():
+        for iface in decl.interfaces:
+            for vid in (iface.vid, None):
+                l3_ips.setdefault(vid, set()).add(iface.ip)
+    fw_ips = {side.ip for fw in cfg.firewalls.values()
+              for side in (fw.inside, fw.outside) if side.ip is not None}
+    for host in cfg.hosts.values():
+        gw = host.gw
+        if gw is None or gw in l3_ips.get(host.vlan, ()):
+            continue
+        vlan = cfg.vlans.get(host.vlan)
+        subnet = vlan.subnet if vlan is not None else None
+        if gw in fw_ips and (subnet is None or in_network(gw, *subnet)):
+            continue
+        on = "" if host.vlan is None else f" on vlan {host.vlan}"
+        within = "" if subnet is None else f" in {_write_ip_len(subnet)}"
+        raise ValidationError(host.name, (
+            f"gateway {ip_str(gw)} is not an L3 interface{on} or a "
+            f"firewall side{within}"))
 
 
 # -- engine construction ---------------------------------------------------

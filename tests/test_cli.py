@@ -153,6 +153,81 @@ def test_host_on_trunk_port_rejected(tmp_path, capsys, b1_link):
             in capsys.readouterr().err)
 
 
+ROUTED = """
+[engine]
+seed=1 duration=3
+
+[l3]
+name=core
+node=core vid=10 ip=10.0.10.254/24 zone=dmz port=p
+node=core vid=20 ip=10.0.20.254/24 zone=dmz port=r
+
+[host]
+name=h1 ip=10.0.10.1/24 gw=10.0.10.254 vlan=10
+name=h2 ip=10.0.20.1/24 gw=10.0.20.254 vlan=20
+
+[link]
+a=h1:0 b=core:p bw=100000000
+a=h2:0 b=core:r bw=100000000
+
+[traffic]
+kind=ping src=h1 dst=h2 flow=p count=2
+"""
+
+
+@pytest.mark.parametrize("h1_link", ["a=h1:0 b=core:trunk bw=100000000",
+                                     "a=core:trunk b=h1:0 bw=100000000"])
+def test_host_on_l3_trunk_port_rejected(tmp_path, capsys, h1_link):
+    """An L3 switch's `trunk` takes tagged frames only, so it would drop
+    every untagged frame the host sends, whichever end names the host."""
+    path = tmp_path / "routed.nf"
+    path.write_text(ROUTED.replace(
+        "node=core vid=10 ip=10.0.10.254/24 zone=dmz port=p",
+        "node=core vid=10 ip=10.0.10.254/24 zone=dmz").replace(
+        "a=h1:0 b=core:p bw=100000000", h1_link))
+    assert main(["run", str(path)]) == 2
+    assert ("error: h1: core:trunk is a trunk port, which drops untagged "
+            "frames" in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("old, new, error", [
+    ("", "", None),
+    ("gw=10.0.20.254 vlan=20", "gw=10.0.10.254", None),
+    ("gw=10.0.20.254 vlan=20", "gw=10.0.10.254 vlan=20",
+     "h2: gateway 10.0.10.254 is not an L3 interface on vlan 20 or a "
+     "firewall side"),
+    ("gw=10.0.20.254 vlan=20", "gw=10.0.20.253 vlan=20",
+     "h2: gateway 10.0.20.253 is not an L3 interface on vlan 20 or a "
+     "firewall side"),
+    ("gw=10.0.20.254 vlan=20", "gw=10.0.20.253",
+     "h2: gateway 10.0.20.253 is not an L3 interface or a firewall side"),
+])
+def test_host_gateway_must_be_a_router(tmp_path, capsys, old, new, error):
+    """A host's gateway is an L3 interface on its VLAN (or, without a
+    VLAN, any L3 interface or firewall side)."""
+    path = tmp_path / "routed.nf"
+    path.write_text(ROUTED.replace(old, new))
+    if error is None:
+        assert main(["run", str(path)]) == 0
+        assert "host_delivered=2\n" in capsys.readouterr().out
+        return
+    assert main(["run", str(path)]) == 2
+    assert f"error: {error}" in capsys.readouterr().err
+
+
+def test_host_gateway_firewall_side_in_its_vlan_subnet(tmp_path, capsys):
+    """A firewall side is a gateway only for the VLAN whose declared subnet
+    holds its address: the rig's inside address is no gateway for h2."""
+    path = tmp_path / "rig.nf"
+    text = FIREWALL_RIG.format(duration=3, total=1_000_000)
+    assert "gw=198.18.0.1 vlan=20" in text
+    path.write_text(text.replace("gw=198.18.0.1 vlan=20",
+                                 "gw=10.0.0.1 vlan=20"))
+    assert main(["run", str(path)]) == 2
+    assert ("error: h2: gateway 10.0.0.1 is not an L3 interface on vlan 20 "
+            "or a firewall side in 198.18.0.0/24") in capsys.readouterr().err
+
+
 def test_nat_bijection_remote_inside_scope(tmp_path, capsys):
     """The synthetic flows' remote comes from the masquerade scope's own
     network, not from its external address, which may lie outside it."""

@@ -7,7 +7,7 @@ import pytest
 from conftest import TraceLines, bulk_transfer_time
 from test_acceptance import FIREWALL_RIG
 from netfab.engine import (ARP_PENDING_MAX, BULK_LOSS_WINDOW, BULK_WINDOW,
-                           BulkSender, Engine, HostNode, SwitchNode,
+                           BulkSender, Engine, HostNode, Node, SwitchNode,
                            TrafficSpec, UnknownTarget)
 from netfab.l2 import PortConfig
 from netfab.packet import BROADCAST, Packet, ip_addr, make_frame, push_tag
@@ -47,8 +47,8 @@ class TestTransport:
         HostNode(eng, "h2", mac(2), ip_addr("10.0.0.2"), 24)
         eng.add_link("h1", 0, "h2", 0, 100_000_000)
         eng.send("h1", 0, big_frame())
-        at, _, kind, target, _ = eng._heap[0]
-        assert (kind, target) == ("deliver", "h2")
+        at, _, kind, direction, _ = eng._heap[0]
+        assert (kind, direction.node.name) == ("deliver", "h2")
         assert at == 120 + 5  # 1500B at 100 Mbps plus propagation
 
     def test_serialization_1gbps(self):
@@ -77,8 +77,8 @@ class TestTransport:
         link = eng.add_link("h1", 0, "h2", 0, 100_000_000, queue_cap=3)
         eng.send("h1", 0, big_frame())
         eng.send("h2", 0, big_frame())
-        assert sorted((e[0], e[3]) for e in eng._heap) == [(125, "h1"),
-                                                           (125, "h2")]
+        assert sorted((e[0], e[3].node.name) for e in eng._heap) == [
+            (125, "h1"), (125, "h2")]
         for _ in range(3):
             eng.send("h1", 0, big_frame())
         assert link.pending == (3, 1)
@@ -100,6 +100,34 @@ class TestTransport:
             eng.schedule(100, "tick", "sw", i)
         eng.run_until(100)
         assert order == [0, 1, 2, 3, 4]
+
+    @pytest.mark.parametrize("send_first", [True, False])
+    def test_same_time_delivery_and_event_fire_in_queue_order(self,
+                                                              send_first):
+        """`send` and `schedule` push onto one heap with one sequence, so a
+        delivery and an event due at the same microsecond fire in the order
+        they were queued."""
+        eng = Engine()
+        order = []
+
+        class Probe(Node):
+            def on_frame(self, port, frame):
+                order.append("frame")
+
+            def on_event(self, kind, payload):
+                order.append(kind)
+
+        HostNode(eng, "h1", mac(1), ip_addr("10.0.0.1"), 24)
+        Probe(eng, "p")
+        eng.add_link("h1", 0, "p", 0, 100_000_000)
+        steps = [lambda: eng.send("h1", 0, big_frame()),
+                 lambda: eng.schedule(125, "tick", "p")]
+        for step in steps if send_first else reversed(steps):
+            step()
+        assert sorted(e[0] for e in eng._heap) == [125, 125]
+        eng.run_until(125)
+        assert order == (["frame", "tick"] if send_first
+                         else ["tick", "frame"])
 
     def test_empty_run(self):
         eng = Engine()

@@ -6,8 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from netfab.engine import Engine, FirewallNode, FirewallSide, HostNode
 from netfab.firewall import (Firewall, NoScope, PoolExhausted, Shaper)
-from netfab.packet import (Packet, PORTLESS_PROTOCOLS, PROTOCOLS, ip_addr,
-                           ip_network, make_frame, packet_copy)
+from netfab.packet import (FlowKey, Packet, PORTLESS_PROTOCOLS, PROTOCOLS,
+                           flow_key, ip_addr, ip_network, make_frame,
+                           packet_copy)
 from netfab.scenario import build_engine, parse_scenario, validate_scenario
 from test_acceptance import FIREWALL_RIG
 
@@ -296,6 +297,7 @@ def checked(p):
 def assert_same_as_checked(p):
     want = checked(p)
     assert p == want and hash(p) == hash(want) and p.size == want.size
+    assert p.key == want.key
 
 
 class TestUncheckedCopies:
@@ -325,6 +327,29 @@ class TestUncheckedCopies:
         assert dataclasses.replace(p, payload_bytes=7).size == 47
         with pytest.raises(ValueError):
             dataclasses.replace(p, size=10)  # set from payload_bytes only
+
+    def test_replace_sets_key(self):
+        p = Packet(src_ip=1, dst_ip=2, protocol="udp", src_port=3, dst_port=4)
+        assert dataclasses.replace(p, dst_port=5).key == (1, 2, "udp", 3, 5)
+        with pytest.raises(ValueError):
+            dataclasses.replace(p, key=FlowKey(1, 2, "udp", 3, 4))
+
+    @given(translated_packets())
+    def test_nat_and_ttl_copies_carry_their_flow_key(self, p):
+        """The key a packet carries is its 5-tuple, also on the unchecked
+        copies that NAT and routing make."""
+        fw = default_fw()
+        out = fw.masquerade_out(p, now=0)
+        reply = Packet(src_ip=p.dst_ip, dst_ip=out.src_ip, protocol=p.protocol,
+                       src_port=p.dst_port, dst_port=out.src_port)
+        back = fw.masquerade_in(reply, now=1)
+        routed = packet_copy(p, p.src_ip, p.dst_ip, p.src_port, p.dst_port,
+                             p.ttl - 1)
+        for q in (p, out, back, routed):
+            assert q.key.__class__ is FlowKey
+            assert q.key == FlowKey(q.src_ip, q.dst_ip, q.protocol,
+                                    q.src_port, q.dst_port)
+            assert flow_key(q) is q.key
 
 
 def test_two_inside_hosts_ping_one_remote():

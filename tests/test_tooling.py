@@ -6,11 +6,13 @@ list is empty, but only when the benchmark's tests run; this checks the same
 lookups with the program's tests, and runs a scenario under the hooks, which
 turn themselves off when an attribute they read is gone.
 
-It also lints the package and its tests for imports no module uses.
+It also lints the package and its tests for imports no module uses, and
+holds the frame hop to a budget of Python calls per event.
 """
 import ast
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
 from netfab.scenario import build_engine, load_scenario
@@ -86,3 +88,29 @@ def test_no_unused_imports():
     modules = sorted(PACKAGE.glob("*.py")) + sorted(TESTS.glob("*.py"))
     assert modules
     assert [u for m in modules for u in _unused_imports(m)] == []
+
+
+CALLS_PER_EVENT_CEILING = 6.0  # 5.93 when set
+
+
+def test_python_calls_per_event_within_budget():
+    """Python calls per processed event on spring8-redundant run to 3 s.
+    The count is exact on any host, so a call added to the frame hop shows
+    here without timing noise. Every event pushed is processed or still
+    queued, and every push takes the next sequence number."""
+    eng = build_engine(load_scenario("spring8-redundant"))
+    calls = 0
+
+    def count(_frame, event, _arg):
+        nonlocal calls
+        if event == "call":
+            calls += 1
+
+    sys.setprofile(count)
+    try:
+        eng.run_until(3_000_000)
+    finally:
+        sys.setprofile(None)
+    events = eng._seq - len(eng._heap)
+    assert events > 70_000
+    assert calls / events <= CALLS_PER_EVENT_CEILING
