@@ -18,9 +18,10 @@ EXIT_BAD_INPUT = 2
 EXIT_INTERNAL = 3
 
 
-def _load(name_or_path: str):
+def _load(name_or_path: str, horizon_us=None):
+    """The validated scenario, run to horizon_us or its `duration`."""
     cfg = load_scenario(name_or_path)
-    validate_scenario(cfg)
+    validate_scenario(cfg, horizon_us)
     return cfg
 
 
@@ -47,7 +48,7 @@ def _write(path: str, text: str):
 
 
 def cmd_run(args) -> int:
-    cfg = _load(args.scenario)
+    cfg = _load(args.scenario, args.until)
     if args.seed is not None:
         cfg.seed = args.seed
     until_us = args.until if args.until is not None else cfg.duration_us
@@ -79,7 +80,7 @@ def cmd_inject(args) -> int:
 
 
 def cmd_status(args) -> int:
-    cfg = _load(args.scenario)
+    cfg = _load(args.scenario, args.at)
     report = status(cfg, args.at, node=args.node)
     print("\n".join(report.lines()))
     return EXIT_OK

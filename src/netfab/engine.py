@@ -251,20 +251,21 @@ class Engine:
 
     # -- event machinery ---------------------------------------------------
 
-    def schedule(self, at: int, kind: str, target: str, payload=None):
-        """Queue event `kind` for node `target` at time `at`: timers,
-        traffic and faults enter here, frame deliveries in `send`. Both take
-        the next number of one sequence, which orders events at the same
-        time in the order they were queued."""
+    def schedule(self, at: int, kind: str, target, payload=None):
+        """Queue event `kind` on `target` at time `at`: timers and traffic
+        on their node, a fault on its link or node; deliveries enter in
+        `send`. Both take the next number of one sequence, which orders
+        events at the same time in the order they were queued."""
         self._seq += 1
         heappush(self._heap, (at, self._seq, kind, target, payload))
 
     def inject_fault(self, at_us: int, action: str, target: str):
         if action not in FAULT_ACTIONS:
             raise ValueError(f"unknown fault action {action!r}")
-        if target not in self.nodes and target not in self.links:
+        obj = self.links.get(target) or self.nodes.get(target)
+        if obj is None:
             raise UnknownTarget(target)
-        self.schedule(at_us, "fault", target, action)
+        self.schedule(at_us, "fault", obj, action)
 
     def run_until(self, t_end_us: int) -> Metrics:
         if t_end_us < self.now:
@@ -288,31 +289,28 @@ class Engine:
             elif kind == "fault":
                 self._apply_fault(target, payload)
             else:
-                node = self.nodes.get(target)
-                if node is not None:
-                    node.on_event(kind, payload)
+                target.on_event(kind, payload)
         self.now = t_end_us
         return metrics
 
-    def _apply_fault(self, target: str, action: str):
-        self.trace(target, "fault", None, None, action)
-        if target in self.links:
-            link = self.links[target]
-            link.up = action == "recover"
+    def _apply_fault(self, target, action: str):
+        if isinstance(target, Link):
+            self.trace(target.link_id, "fault", None, None, action)
+            target.up = action == "recover"
             # a LAG member leaves its bundle while its link is down (IEEE
             # 802.1AX); a plain switch port stays up and drops as link-down
-            for name, port in (link.a, link.b):
-                node = self.nodes[name]
-                cfg = node.switch.ports.get(port) if node.kind == "switch" else None
+            for d in target.directions:
+                node = d.node
+                cfg = node.switch.ports.get(d.port) if node.kind == "switch" else None
                 if cfg is not None and cfg.lag_group is not None:
-                    node.switch.set_port_up(port, link.up)
+                    node.switch.set_port_up(d.port, target.up)
             return
-        node = self.nodes[target]
+        self.trace(target.name, "fault", None, None, action)
         if action == "recover":
-            node.failed = False
-            node.reset_dynamic()
+            target.failed = False
+            target.reset_dynamic()
         else:
-            node.failed = True
+            target.failed = True
 
     # -- frame transport ---------------------------------------------------
 
@@ -364,6 +362,7 @@ class Node:
     def __init__(self, engine: Engine, name: str):
         self.engine = engine
         self.name = name
+        self.mac = node_mac(name)
         self.failed = False
         engine.add_node(self)
 
@@ -376,7 +375,7 @@ class Node:
     def _repeat(self, kind: str, interval_us: int) -> bool:
         """Schedule the next event of a periodic kind; True when the node is
         up to do this one's work. Ticks keep running while a node is failed."""
-        self.engine.schedule(self.engine.now + interval_us, kind, self.name)
+        self.engine.schedule(self.engine.now + interval_us, kind, self)
         return not self.failed
 
     def reset_dynamic(self):
@@ -440,7 +439,7 @@ class SwitchNode(Node):
     def __init__(self, engine: Engine, name: str):
         super().__init__(engine, name)
         self.switch = Switch(name, hash_salt=engine.hash_salt)
-        engine.schedule(FDB_AGE_SWEEP_US, "age_tick", name)
+        engine.schedule(FDB_AGE_SWEEP_US, "age_tick", self)
 
     def on_frame(self, port, frame: Frame):
         out = self.switch.ingress(port, frame, self.engine.now)
@@ -461,10 +460,9 @@ class SwitchNode(Node):
 class HostNode(Node):
     kind = "host"
 
-    def __init__(self, engine: Engine, name: str, mac: bytes, ip: int,
-                 prefix_len: int, gw_ip: Optional[int] = None):
+    def __init__(self, engine: Engine, name: str, ip: int, prefix_len: int,
+                 gw_ip: Optional[int] = None):
         super().__init__(engine, name)
-        self.mac = mac
         self.ip = ip
         self.mask = prefix_mask(prefix_len)
         self.gw_ip = gw_ip
@@ -473,28 +471,21 @@ class HostNode(Node):
         self.bulk_send: dict[str, BulkSender] = {}
         self.bulk_recv: dict[str, dict] = {}
         self.ping_seen: Counter = Counter()
-        self.generators: list[TrafficSpec] = []
 
     # -- traffic -----------------------------------------------------------
     # a failed host keeps each flow's schedule and sends nothing
 
     def add_generator(self, spec: TrafficSpec):
-        idx = len(self.generators)
-        self.generators.append(spec)
-        self.engine.schedule(spec.start_us, "traffic", self.name, ("start", idx))
+        self.engine.schedule(spec.start_us, "traffic", self, spec)
 
     def on_event(self, kind: str, payload):
-        if kind == "rto":
-            self._on_rto(payload)
-            return
         if kind != "traffic":
+            if kind == "ping":  # payload: (spec, sequence number)
+                self._send_ping(*payload)
+            elif kind == "rto":  # payload: the flow's BulkSender
+                self._on_rto(payload)
             return
-        if payload[0] == "ping":
-            _, idx, seq = payload
-            self._send_ping(self.generators[idx], idx, seq)
-            return
-        _, idx = payload
-        spec = self.generators[idx]
+        spec = payload  # the flow's TrafficSpec
         now = self.engine.now
         if spec.kind == "cbr":
             if spec.stop_us is not None and now >= spec.stop_us:
@@ -506,25 +497,25 @@ class HostNode(Node):
                     payload_bytes=CBR_PACKET - 40, meta=("cbr", spec.flow_id)),
                     self.engine.metrics.flow(spec.flow_id))
             interval = CBR_PACKET * 8 * 1_000_000 // spec.rate_bps
-            self.engine.schedule(now + interval, "traffic", self.name, ("start", idx))
+            self.engine.schedule(now + interval, "traffic", self, spec)
         elif spec.kind == "bulk":
             self.bulk_send[spec.flow_id] = st = BulkSender(spec)
             if self.failed:  # starts once the timer finds the host up
-                self._start_rto(spec.flow_id, st)
+                self._start_rto(st)
             else:
                 self._bulk_pump(st)
         elif spec.kind == "ping":
-            self._send_ping(spec, idx, 0)
+            self._send_ping(spec, 0)
 
-    def _send_ping(self, spec: TrafficSpec, idx: int, seq: int):
+    def _send_ping(self, spec: TrafficSpec, seq: int):
         if not self.failed:
             pkt = Packet(src_ip=self.ip, dst_ip=spec.dst_ip, protocol="icmp",
                          payload_bytes=56,
                          meta=("ping", spec.flow_id, "req", seq))
             self.send_packet(pkt, self.engine.metrics.flow(spec.flow_id))
         if seq + 1 < spec.count:
-            self.engine.schedule(self.engine.now + PING_INTERVAL_US, "traffic",
-                                 self.name, ("ping", idx, seq + 1))
+            self.engine.schedule(self.engine.now + PING_INTERVAL_US, "ping",
+                                 self, (spec, seq + 1))
 
     def _bulk_pump(self, st: BulkSender):
         spec = st.spec
@@ -544,19 +535,18 @@ class HostNode(Node):
                     st.timed = (st.next, self.engine.now)
             self.send_packet(pkt, st.stats)
         if st.deadline is None and st.una < st.next:
-            self._start_rto(fid, st)
+            self._start_rto(st)
 
-    def _start_rto(self, fid: str, st: BulkSender):
+    def _start_rto(self, st: BulkSender):
         """Set the timer to expire RTO from now. The flow keeps one live
         "rto" event: a later deadline is met when that event fires early."""
         now = self.engine.now
         st.deadline = now + st.rto
         if st.armed is None or st.armed > st.deadline:
             st.armed = st.deadline
-            self.engine.schedule(st.deadline, "rto", self.name, fid)
+            self.engine.schedule(st.deadline, "rto", self, st)
 
-    def _on_rto(self, fid: str):
-        st = self.bulk_send[fid]
+    def _on_rto(self, st: BulkSender):
         now = self.engine.now
         if st.armed != now:
             return  # superseded by an earlier deadline
@@ -565,11 +555,11 @@ class HostNode(Node):
             return
         if now < st.deadline:
             st.armed = st.deadline
-            self.engine.schedule(st.deadline, "rto", self.name, fid)
+            self.engine.schedule(st.deadline, "rto", self, st)
             return
         st.deadline = None
         if self.failed:
-            self._start_rto(fid, st)
+            self._start_rto(st)
             return
         # expiry: back off, forget the timed segment, resend from una
         st.rto = min(2 * st.rto, RTO_MAX_US)
@@ -702,7 +692,7 @@ class HostNode(Node):
             # RFC 6298 (5.2), (5.3): off when all is acked, else restart
             st.deadline = None
             if acked < st.next:
-                self._start_rto(fid, st)
+                self._start_rto(st)
         self._bulk_pump(st)
 
     def reset_dynamic(self):
@@ -712,15 +702,13 @@ class HostNode(Node):
 class L3Node(Node):
     kind = "l3"
 
-    def __init__(self, engine: Engine, name: str, mac: bytes,
-                 router: ZoneRouter):
+    def __init__(self, engine: Engine, name: str, router: ZoneRouter):
         super().__init__(engine, name)
-        self.mac = mac
         self.router = router
         self.port_iface = {i.port: i for i in self.router.interfaces.values()
                            if i.port is not None}
         self.arp = Resolver()
-        engine.schedule(FDB_AGE_SWEEP_US, "age_tick", name)
+        engine.schedule(FDB_AGE_SWEEP_US, "age_tick", self)
 
     def on_event(self, kind: str, payload):
         if kind == "age_tick" and self._repeat(kind, FDB_AGE_SWEEP_US):
@@ -801,12 +789,11 @@ class FirewallSide:
 class FirewallNode(Node):
     kind = "firewall"
 
-    def __init__(self, engine: Engine, name: str, mac: bytes,
-                 fw: Firewall, inside: FirewallSide, outside: FirewallSide,
-                 cap_bps: int, enforce_zones: bool = True,
+    def __init__(self, engine: Engine, name: str, fw: Firewall,
+                 inside: FirewallSide, outside: FirewallSide, cap_bps: int,
+                 enforce_zones: bool = True,
                  policy: Optional[ZonePolicy] = None):
         super().__init__(engine, name)
-        self.mac = mac
         self.fw = fw
         self.sides = {"inside": inside, "outside": outside}
         policy = policy or ZonePolicy()
@@ -823,7 +810,7 @@ class FirewallNode(Node):
         self.next_hops = {s: self._next_hop_table(cfg)
                           for s, cfg in self.sides.items()}
         self.arp = Resolver()
-        engine.schedule(NAT_SWEEP_US, "age_tick", name)
+        engine.schedule(NAT_SWEEP_US, "age_tick", self)
 
     @staticmethod
     def _next_hop_table(cfg: FirewallSide) -> PrefixTable:
@@ -858,7 +845,7 @@ class FirewallNode(Node):
         """The side's next shape_tick; its caller knows none is pending."""
         self.tick_scheduled[side] = True
         next_at = (self.engine.now // SHAPE_INTERVAL_US + 1) * SHAPE_INTERVAL_US
-        self.engine.schedule(next_at, "shape_tick", self.name, side)
+        self.engine.schedule(next_at, "shape_tick", self, side)
 
     def _enqueue(self, out_side: str, pkt: Packet, mac_hint):
         if not self.shapers[out_side].offer(pkt.size, (pkt, mac_hint)):
@@ -988,14 +975,13 @@ class FirewallNode(Node):
 class BalancerNode(Node):
     kind = "balancer"
 
-    def __init__(self, engine: Engine, name: str, mac: bytes, ip: int,
-                 peer_ip: int, lb: LoadBalancer):
+    def __init__(self, engine: Engine, name: str, ip: int, peer_ip: int,
+                 lb: LoadBalancer):
         super().__init__(engine, name)
-        self.mac = mac
         self.ip = ip
         self.peer_ip = peer_ip
         self.lb = lb
-        engine.schedule(PROBE_INTERVAL_US, "probe_tick", name)
+        engine.schedule(PROBE_INTERVAL_US, "probe_tick", self)
 
     def on_event(self, kind: str, payload):
         if kind != "probe_tick" or not self._repeat(kind, PROBE_INTERVAL_US):
@@ -1024,7 +1010,7 @@ class BalancerNode(Node):
 
     def _from_front(self, frame: Frame, payload):
         if isinstance(payload, Arp):
-            up = self.lb.up_paths()
+            up = self.lb.up
             owner = self.lb.dest_override.get(payload.target_ip)
             pid = owner if owner in up else (up[0] if up else None)
             if pid is None:

@@ -40,13 +40,18 @@ class LoadBalancer:
         # in path-id order, which reset_dynamic keeps: every list of paths
         # this class returns is sorted without sorting
         self.paths = {pid: PathHealth(pid) for pid in sorted(path_ids)}
+        # the paths whose state is up, in path order; rebuilt, never changed
+        # in place, whenever a path changes state
+        self.up: list[str] = list(self.paths)
         self.hash_salt = hash_salt
         self.flow_affinity: dict[FlowKey, str] = {}
         self.dest_override: dict[int, str] = {}  # external ip -> path
         self.transitions: list[tuple[str, str]] = []  # (path, up|down), drained by owner
 
-    def up_paths(self) -> list[str]:
-        return [pid for pid, path in self.paths.items() if path.state == "up"]
+    def _set_state(self, path: PathHealth, state: str):
+        path.state = state
+        self.up = [pid for pid, p in self.paths.items() if p.state == "up"]
+        self.transitions.append((path.path_id, state))
 
     def probe_tick(self, now: int) -> list[str]:
         """Evaluate misses and return the paths due a new probe."""
@@ -59,8 +64,7 @@ class LoadBalancer:
                 path.consecutive_missed += 1
                 path.consecutive_replies = 0
                 if path.state == "up" and path.consecutive_missed >= DOWN_THRESHOLD:
-                    path.state = "down"
-                    self.transitions.append((pid, "down"))
+                    self._set_state(path, "down")
             path.outstanding = True
             path.last_probe_sent = now
             due.append(pid)
@@ -75,13 +79,12 @@ class LoadBalancer:
         if path.state == "down":
             path.consecutive_replies += 1
             if path.consecutive_replies >= UP_THRESHOLD:
-                path.state = "up"
                 path.consecutive_replies = 0
-                self.transitions.append((path_id, "up"))
+                self._set_state(path, "up")
 
     def dispatch(self, key: FlowKey, dst_ip: Optional[int] = None) -> str:
         """Choose the path for a packet of this flow."""
-        up = self.up_paths()
+        up = self.up
         if not up:
             raise Unavailable("both firewall paths are down")
         if dst_ip is not None:
@@ -101,3 +104,4 @@ class LoadBalancer:
         self.flow_affinity.clear()
         for path in self.paths.values():
             self.paths[path.path_id] = PathHealth(path.path_id)
+        self.up = list(self.paths)

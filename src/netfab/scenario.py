@@ -18,16 +18,16 @@ from decimal import Decimal, DecimalException
 from operator import attrgetter
 from typing import Any, Callable, NamedTuple, Optional
 
-from .engine import (CBR_PACKET, DEFAULT_LINK_QUEUE, DEFAULT_PROP_US, Engine,
-                     FAULT_ACTIONS, FirewallNode, FirewallSide, HostNode,
-                     L3Node, SwitchNode, BalancerNode, TrafficSpec,
-                     link_id_of)
+from .engine import (BULK_SEGMENT, CBR_PACKET, DEFAULT_LINK_QUEUE,
+                     DEFAULT_PROP_US, PING_INTERVAL_US, Engine, FAULT_ACTIONS,
+                     FirewallNode, FirewallSide, HostNode, L3Node, SwitchNode,
+                     BalancerNode, TrafficSpec, link_id_of)
 from .firewall import DEFAULT_CAP_BPS, DEFAULT_NAT_CAPACITY, Firewall
 from .l2 import PortConfig, Switch
 from .l3 import (VERDICTS, ZONES, L3Error, Route, VlanInterface, ZonePolicy,
                  ZoneRouter)
 from .packet import (check_vid, in_network, ip_addr, ip_network, ip_str,
-                     node_mac, prefix_mask)
+                     prefix_mask)
 from .resilience import LoadBalancer
 
 # a faster cbr flow sends every 0 us, so simulated time never advances
@@ -35,6 +35,10 @@ MAX_CBR_RATE = CBR_PACKET * 8 * 1_000_000
 # the latest time a file or option may give, one day: an idle campus costs
 # about 19 events per simulated second, so a day is some 1.6M events
 MAX_SECONDS = 86_400
+# the packets a file's flows may offer up to the run's horizon, all flows
+# together: a 12 Gbps cbr flow runs about a million packets in 6 s of wall
+# time (2-vCPU VM, CPython 3.11), so the cap is about a minute of work
+MAX_OFFERED_PACKETS = 10_000_000
 
 
 class ScenarioError(Exception):
@@ -732,7 +736,9 @@ def _check_loops(cfg: ScenarioConfig):
             raise LoopError(vid, cycle)
 
 
-def validate_scenario(cfg: ScenarioConfig):
+def validate_scenario(cfg: ScenarioConfig, horizon_us: Optional[int] = None):
+    """Raise a `ScenarioError` for what the parser cannot see. `horizon_us`
+    is how far the file will run, its `duration` unless given."""
     names = cfg.node_names()
     link_ids = set()
     endpoints = set()
@@ -827,6 +833,13 @@ def validate_scenario(cfg: ScenarioConfig):
             raise ValidationError(fid, "ping count must be > 0")
         if t.kind == "bulk" and t.total_bytes <= 0:
             raise ValidationError(fid, "bulk total must be > 0")
+    if horizon_us is None:
+        horizon_us = cfg.duration_us
+    offered = offered_packets(cfg, horizon_us)
+    if offered > MAX_OFFERED_PACKETS:
+        raise ValidationError("traffic", (
+            f"the flows offer {offered} packets by {SECONDS.write(horizon_us)}"
+            f" s, over the cap of {MAX_OFFERED_PACKETS}"))
     targets = {"fail_node": ("node", names), "fail_link": ("link", link_ids)}
     either = ("node or link", names | link_ids)
     for f in cfg.faults:
@@ -835,6 +848,25 @@ def validate_scenario(cfg: ScenarioConfig):
             raise ValidationError(f.target, f"{f.action} target is not a {what}")
     _check_gateways(cfg)
     _check_loops(cfg)
+
+
+def offered_packets(cfg: ScenarioConfig, horizon_us: int) -> int:
+    """The packets cfg's flows offer by horizon_us, as the engine sends
+    them; a bulk flow counts each segment once."""
+    total = 0
+    for t in cfg.traffic:
+        if t.kind == "cbr":
+            interval = CBR_PACKET * 8 * 1_000_000 // t.rate_bps
+            # a send falls before `stop`, and by the horizon
+            last = (horizon_us if t.stop_us is None
+                    else min(horizon_us, t.stop_us - 1))
+            total += max(0, (last - t.start_us) // interval + 1)
+        elif t.kind == "bulk":
+            total += -(-t.total_bytes // BULK_SEGMENT)
+        elif t.kind == "ping":
+            total += min(t.count, max(
+                0, (horizon_us - t.start_us) // PING_INTERVAL_US + 1))
+    return total
 
 
 def _check_gateways(cfg: ScenarioConfig):
@@ -896,26 +928,23 @@ def build_engine(cfg: ScenarioConfig, seed: Optional[int] = None,
         configure_ports(SwitchNode(eng, name).switch, decl)
 
     for name in sorted(cfg.l3s):
-        L3Node(eng, name, node_mac(name),
-               _router(cfg, name, ZonePolicy(policy_rules)))
+        L3Node(eng, name, _router(cfg, name, ZonePolicy(policy_rules)))
 
     for name, decl in sorted(cfg.firewalls.items()):
         fw = Firewall(name, nat_capacity=decl.nat_capacity)
         for masq in cfg.masquerades:
             if masq.node == name:
                 fw.add_scope(masq.network, masq.prefix_len, masq.external)
-        FirewallNode(eng, name, node_mac(name), fw, decl.inside, decl.outside,
-                     decl.cap_bps, enforce_zones=decl.zones,
-                     policy=ZonePolicy(policy_rules))
+        FirewallNode(eng, name, fw, decl.inside, decl.outside, decl.cap_bps,
+                     enforce_zones=decl.zones, policy=ZonePolicy(policy_rules))
 
     for name, decl in sorted(cfg.balancers.items()):
         lb = LoadBalancer(name, list(decl.paths), hash_salt=eng.hash_salt)
         lb.dest_override.update(decl.override)
-        BalancerNode(eng, name, node_mac(name), decl.ip, decl.peer_ip, lb)
+        BalancerNode(eng, name, decl.ip, decl.peer_ip, lb)
 
     for name, decl in sorted(cfg.hosts.items()):
-        HostNode(eng, name, node_mac(name), decl.ip, decl.prefix_len,
-                 gw_ip=decl.gw)
+        HostNode(eng, name, decl.ip, decl.prefix_len, gw_ip=decl.gw)
 
     for link in cfg.links:
         eng.add_link(link.a[0], link.a[1], link.b[0], link.b[1], link.bw,

@@ -3,11 +3,13 @@ import re
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import TraceLines
 from netfab.cli import main
-from netfab.scenario import (build_engine, build_spring8_redundant,
-                             load_scenario, serialize_scenario)
+from netfab.scenario import (BUNDLED, MAX_OFFERED_PACKETS, build_engine,
+                             build_spring8_redundant, load_scenario,
+                             serialize_scenario)
 from test_acceptance import FIREWALL_RIG
 
 MINI = """
@@ -416,3 +418,83 @@ def test_internal_error_exit_code(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr("netfab.cli.build_engine", crash)
     assert main(["run", write_mini(tmp_path)]) == 3
     assert capsys.readouterr().err == "internal error: RuntimeError: boom\n"
+
+
+DAY_LONG = MINI.replace("seed=1 duration=3", "seed=1 duration=86400")
+FAST_CBR = "kind=cbr src=h1 dst=h2 flow=c rate=12000000000"
+
+
+def write_day_long(tmp_path, traffic: str) -> str:
+    path = tmp_path / "day.nf"
+    path.write_text(DAY_LONG.replace("kind=ping src=h1 dst=h2 flow=p count=2",
+                                     traffic))
+    return str(path)
+
+
+@pytest.mark.parametrize("traffic", [
+    FAST_CBR, "kind=bulk src=h1 dst=h2 flow=b total=1000000000000"])
+def test_offered_packets_over_the_cap_rejected(tmp_path, capsys, traffic):
+    """A file whose flows would offer more than MAX_OFFERED_PACKETS over its
+    day-long run exits 2 naming the cap: `run` and `verify` to its duration,
+    `status` at its end."""
+    path = write_day_long(tmp_path, traffic)
+    for argv in (["run", path], ["status", path, "--at", "86400"],
+                 ["verify", path, "--invariant", "determinism"]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: traffic: the flows offer ")
+        assert f"over the cap of {MAX_OFFERED_PACKETS}" in err
+
+
+def test_offered_packets_counted_to_the_horizon_asked(tmp_path, capsys):
+    """A cbr flow's packets are counted to `--until` or `--at`, so the
+    day-long file runs to a short horizon."""
+    path = write_day_long(tmp_path, FAST_CBR)
+    assert main(["run", path, "--until", "0.001", "--report", os.devnull]) == 0
+    assert main(["status", path, "--at", "0.001"]) == 0
+    assert "error" not in capsys.readouterr().err
+
+
+_SERIALIZED = {name: tuple(serialize_scenario(build()).splitlines())
+               for name, build in BUNDLED.items()}
+FUZZ_VALUES = ("0", "-1", "x", str(10**30))
+
+
+@st.composite
+def mutants(draw):
+    """A serialized bundled scenario with 1-3 lines deleted, duplicated or
+    given a value that is odd here: from elsewhere in the file, or one of
+    FUZZ_VALUES."""
+    lines = list(_SERIALIZED[draw(st.sampled_from(sorted(_SERIALIZED)))])
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(lines) - 1))
+        op = draw(st.sampled_from(("delete", "duplicate", "revalue")))
+        if op == "delete":
+            del lines[i]
+            continue
+        if op == "duplicate":
+            lines.insert(i, lines[i])
+            continue
+        fields = lines[i].split()
+        keyed = [j for j, f in enumerate(fields) if "=" in f]
+        if not keyed:
+            continue
+        j = draw(st.sampled_from(keyed))
+        other = [f.split("=", 1)[1] for f in
+                 lines[draw(st.integers(0, len(lines) - 1))].split()
+                 if "=" in f]
+        value = draw(st.sampled_from(sorted(other) + list(FUZZ_VALUES)))
+        fields[j] = f"{fields[j].split('=', 1)[0]}={value}"
+        lines[i] = " ".join(fields)
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=20, deadline=None)
+@given(text=mutants())
+def test_mutated_scenario_never_crashes(tmp_path_factory, text):
+    """Whatever a mutated file says, `run` answers with exit 0, 1 or 2:
+    never 3, an internal error."""
+    path = tmp_path_factory.mktemp("fuzz") / "mutant.nf"
+    path.write_text(text)
+    assert main(["run", str(path), "--until", "0.1",
+                 "--report", os.devnull]) in (0, 1, 2)

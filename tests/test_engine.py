@@ -10,13 +10,14 @@ from netfab.engine import (ARP_PENDING_MAX, BULK_LOSS_WINDOW, BULK_WINDOW,
                            BulkSender, Engine, HostNode, Node, SwitchNode,
                            TrafficSpec, UnknownTarget)
 from netfab.l2 import PortConfig
-from netfab.packet import BROADCAST, Packet, ip_addr, make_frame, push_tag
+from netfab.packet import (BROADCAST, Packet, ip_addr, make_frame, node_mac,
+                           push_tag)
 from netfab.scenario import (FaultDecl, build_engine, build_spring8_redundant,
                              load_scenario, parse_scenario)
 
 
 def mac(i):
-    return bytes([0x00, 0x10, 0x4b, 0, 0, i])
+    return node_mac(f"h{i}")
 
 
 def big_frame():
@@ -34,7 +35,7 @@ def lan(eng, bw=100_000_000, hosts=2):
     out = []
     for i in range(1, hosts + 1):
         sw.switch.configure_port(f"p{i}", PortConfig("access", vid=1))
-        h = HostNode(eng, f"h{i}", mac(i), ip_addr(f"10.0.0.{i}"), 24)
+        h = HostNode(eng, f"h{i}", ip_addr(f"10.0.0.{i}"), 24)
         eng.add_link(h.name, 0, "sw", f"p{i}", bw)
         out.append(h)
     return out
@@ -43,8 +44,8 @@ def lan(eng, bw=100_000_000, hosts=2):
 class TestTransport:
     def test_serialization_100mbps(self):
         eng = Engine()
-        HostNode(eng, "h1", mac(1), ip_addr("10.0.0.1"), 24)
-        HostNode(eng, "h2", mac(2), ip_addr("10.0.0.2"), 24)
+        HostNode(eng, "h1", ip_addr("10.0.0.1"), 24)
+        HostNode(eng, "h2", ip_addr("10.0.0.2"), 24)
         eng.add_link("h1", 0, "h2", 0, 100_000_000)
         eng.send("h1", 0, big_frame())
         at, _, kind, direction, _ = eng._heap[0]
@@ -53,16 +54,16 @@ class TestTransport:
 
     def test_serialization_1gbps(self):
         eng = Engine()
-        HostNode(eng, "h1", mac(1), ip_addr("10.0.0.1"), 24)
-        HostNode(eng, "h2", mac(2), ip_addr("10.0.0.2"), 24)
+        HostNode(eng, "h1", ip_addr("10.0.0.1"), 24)
+        HostNode(eng, "h2", ip_addr("10.0.0.2"), 24)
         eng.add_link("h1", 0, "h2", 0, 1_000_000_000)
         eng.send("h1", 0, big_frame())
         assert eng._heap[0][0] == 12 + 5
 
     def test_back_to_back_frames_queue_on_wire(self):
         eng = Engine()
-        HostNode(eng, "h1", mac(1), ip_addr("10.0.0.1"), 24)
-        HostNode(eng, "h2", mac(2), ip_addr("10.0.0.2"), 24)
+        HostNode(eng, "h1", ip_addr("10.0.0.1"), 24)
+        HostNode(eng, "h2", ip_addr("10.0.0.2"), 24)
         eng.add_link("h1", 0, "h2", 0, 100_000_000)
         eng.send("h1", 0, big_frame())
         eng.send("h1", 0, big_frame())
@@ -72,8 +73,8 @@ class TestTransport:
     def test_directions_are_independent(self):
         """Each direction of a link is its own FIFO with its own queue."""
         eng = Engine()
-        HostNode(eng, "h1", mac(1), ip_addr("10.0.0.1"), 24)
-        HostNode(eng, "h2", mac(2), ip_addr("10.0.0.2"), 24)
+        HostNode(eng, "h1", ip_addr("10.0.0.1"), 24)
+        HostNode(eng, "h2", ip_addr("10.0.0.2"), 24)
         link = eng.add_link("h1", 0, "h2", 0, 100_000_000, queue_cap=3)
         eng.send("h1", 0, big_frame())
         eng.send("h2", 0, big_frame())
@@ -95,9 +96,9 @@ class TestTransport:
             def on_event(self, kind, payload):
                 order.append(payload)
 
-        Probe(eng, "sw")
+        sw = Probe(eng, "sw")
         for i in range(5):
-            eng.schedule(100, "tick", "sw", i)
+            eng.schedule(100, "tick", sw, i)
         eng.run_until(100)
         assert order == [0, 1, 2, 3, 4]
 
@@ -117,11 +118,11 @@ class TestTransport:
             def on_event(self, kind, payload):
                 order.append(kind)
 
-        HostNode(eng, "h1", mac(1), ip_addr("10.0.0.1"), 24)
-        Probe(eng, "p")
+        HostNode(eng, "h1", ip_addr("10.0.0.1"), 24)
+        probe = Probe(eng, "p")
         eng.add_link("h1", 0, "p", 0, 100_000_000)
         steps = [lambda: eng.send("h1", 0, big_frame()),
-                 lambda: eng.schedule(125, "tick", "p")]
+                 lambda: eng.schedule(125, "tick", probe)]
         for step in steps if send_first else reversed(steps):
             step()
         assert sorted(e[0] for e in eng._heap) == [125, 125]
@@ -143,7 +144,7 @@ class TestTransport:
 
     def test_send_without_link(self):
         eng = Engine()
-        HostNode(eng, "h1", mac(1), ip_addr("10.0.0.1"), 24)
+        HostNode(eng, "h1", ip_addr("10.0.0.1"), 24)
         eng.send("h1", 0, big_frame())
         assert eng.metrics.drops[("h1", "no-link")] == 1
 
@@ -219,7 +220,7 @@ class TestEndToEnd:
         SwitchNode(eng, "sw").switch.configure_port(
             "p1", PortConfig("access", vid=1))
         gw = ip_addr("10.0.0.254")
-        h1 = HostNode(eng, "h1", mac(1), ip_addr("10.0.0.1"), 24, gw_ip=gw)
+        h1 = HostNode(eng, "h1", ip_addr("10.0.0.1"), 24, gw_ip=gw)
         eng.add_link("h1", 0, "sw", "p1", 100_000_000)
         h1.add_generator(TrafficSpec(kind="cbr", src="h1", dst="remote",
                                      flow_id="c1", dst_ip=ip_addr("10.9.0.1"),
@@ -415,8 +416,8 @@ class TestDropCounts:
         sw = SwitchNode(eng, "sw")
         sw.switch.configure_port("t", PortConfig("trunk", allowed={10}))
         sw.switch.configure_port("p", PortConfig("access", vid=10))
-        HostNode(eng, "h1", mac(1), ip_addr("10.0.0.1"), 24)
-        HostNode(eng, "h2", mac(2), ip_addr("10.0.0.2"), 24)
+        HostNode(eng, "h1", ip_addr("10.0.0.1"), 24)
+        HostNode(eng, "h2", ip_addr("10.0.0.2"), 24)
         eng.add_link("h1", 0, "sw", "t", 100_000_000)
         eng.add_link("h2", 0, "sw", "p", 100_000_000)
         for _ in range(3):
@@ -558,7 +559,7 @@ class TestBulkRecovery:
         sw = SwitchNode(eng, "sw")
         for i, bw, queue in ((1, 1_000_000_000, 256), (2, 10_000_000, 8)):
             sw.switch.configure_port(f"p{i}", PortConfig("access", vid=1))
-            HostNode(eng, f"h{i}", mac(i), ip_addr(f"10.0.0.{i}"), 24)
+            HostNode(eng, f"h{i}", ip_addr(f"10.0.0.{i}"), 24)
             eng.add_link(f"h{i}", 0, "sw", f"p{i}", bw, queue_cap=queue)
         h1, h2 = eng.nodes["h1"], eng.nodes["h2"]
         h1.add_generator(TrafficSpec(kind="bulk", src="h1", dst="h2",

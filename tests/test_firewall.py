@@ -127,7 +127,7 @@ def test_side_route_longer_than_connected_subnet_wins():
                            gw=ip_addr("192.0.2.254"),
                            routes=[(ip_addr("192.0.2.128"), 25,
                                     ip_addr("192.0.2.2"))])
-    node = FirewallNode(Engine(), "fw", bytes(6), Firewall("fw"),
+    node = FirewallNode(Engine(), "fw", Firewall("fw"),
                         FirewallSide(), outside, cap_bps=10**9)
     next_hop = node.next_hops["outside"].lookup
     assert next_hop(ip_addr("192.0.2.200")) == ip_addr("192.0.2.2")
@@ -147,7 +147,7 @@ def test_zone_check_gates_outbound_only_with_zones_on(from_side, zones,
                                  else ("dmz", "public"))
     eng = Engine()
     node = FirewallNode(
-        eng, "fw", bytes(6), Firewall("fw"),
+        eng, "fw", Firewall("fw"),
         FirewallSide(ip=ip_addr("10.0.0.1"), zone=inside_zone),
         FirewallSide(ip=ip_addr("198.18.0.1"), zone=outside_zone),
         cap_bps=10**9, enforce_zones=zones)
@@ -417,7 +417,7 @@ class TestFirewallRigPath:
         for t in range(250, cfg.duration_us + 1, 250):
             eng.run_until(t)
             pending = Counter(e[4] for e in eng._heap
-                              if e[2] == "shape_tick" and e[3] == "fw")
+                              if e[2] == "shape_tick" and e[3] is fw)
             for side, shaper in fw.shapers.items():
                 assert pending[side] == (1 if shaper.queue else 0), (t, side)
             backlogged += bool(fw.shapers["outside"].queue)
@@ -445,7 +445,7 @@ class TestFirewallRigPath:
         for t in range(1_000_000, 1_010_001, 250):
             eng.run_until(t)
             pending = Counter(e[4] for e in eng._heap
-                              if e[2] == "shape_tick" and e[3] == "fw")
+                              if e[2] == "shape_tick" and e[3] is fw)
             for side, shaper in fw.shapers.items():
                 assert pending[side] <= 1, (t, side)
                 if shaper.queue:

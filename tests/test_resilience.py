@@ -31,7 +31,7 @@ class TestHealth:
             LoadBalancer("lb", ["only"])
 
     def test_starts_up(self):
-        assert make_lb().up_paths() == ["fw1", "fw2"]
+        assert make_lb().up == ["fw1", "fw2"]
 
     def test_down_after_three_misses(self):
         # fw1 stops answering after the probe at t=10s; its miss is noticed at
@@ -115,7 +115,7 @@ class TestDispatch:
     def test_both_down_unavailable(self):
         lb = make_lb()
         run_probes(lb, 0, 4 * SEC, set())
-        assert lb.up_paths() == []
+        assert lb.up == []
         with pytest.raises(Unavailable):
             lb.dispatch(FlowKey(1, 2, "tcp", 3, 4))
 
@@ -137,7 +137,7 @@ class TestDispatch:
         lb = make_lb()
         run_probes(lb, 0, 4 * SEC, {"fw2"})
         run_probes(lb, 5 * SEC, 6 * SEC, {"fw1", "fw2"})
-        assert lb.up_paths() == ["fw1", "fw2"]
+        assert lb.up == ["fw1", "fw2"]
         rng = random.Random(9)
         got = {lb.dispatch(key(rng)) for _ in range(200)}
         assert got == {"fw1", "fw2"}

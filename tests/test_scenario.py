@@ -17,8 +17,8 @@ from netfab.scenario import (BUNDLED, MAX_SECONDS, AclDecl, BalancerDecl,
                              ScenarioConfig, SwitchDecl, ValidationError,
                              VlanDecl, build_engine, build_spring8_legacy,
                              build_spring8_redundant, build_spring8_upgraded,
-                             load_scenario, parse_scenario, serialize_scenario,
-                             validate_scenario, QUADRANTS)
+                             load_scenario, offered_packets, parse_scenario,
+                             serialize_scenario, validate_scenario, QUADRANTS)
 
 MINIMAL = """
 [engine]
@@ -125,6 +125,24 @@ class TestValidation:
         text = MINIMAL + "[fault]\nat=1 action=fail_node target=nope\n"
         with pytest.raises(ValidationError):
             validate_scenario(parse_scenario(text))
+
+    @pytest.mark.parametrize("traffic", [
+        "kind=cbr src=h1 dst=h2 flow=f rate=12000000 start=0.0005 stop=0.2",
+        "kind=cbr src=h1 dst=h2 flow=f rate=7777777 start=0.3",
+        "kind=cbr src=h1 dst=h2 flow=f rate=7777777 start=0.3 stop=0.1",
+        "kind=ping src=h1 dst=h2 flow=f count=3 start=0.5"])
+    def test_offered_packets_are_what_the_engine_sends(self, traffic):
+        """The count MAX_OFFERED_PACKETS bounds is exact for cbr and ping
+        flows at any horizon: cbr sends before `stop`, pings up to
+        `count`."""
+        cfg = parse_scenario(MINIMAL.replace(
+            "kind=ping src=h1 dst=h2 flow=p count=2", traffic))
+        validate_scenario(cfg)
+        eng = build_engine(cfg)
+        for horizon in (0, 500, 250_000, 1_000_000, 2_500_000, 5_000_000):
+            eng.run_until(horizon)
+            assert (offered_packets(cfg, horizon)
+                    == eng.metrics.flow("f").offered_packets)
 
 
 LOOPY = """
@@ -310,6 +328,13 @@ class TestRoundTrip:
 
         eng = build_engine(cfg)
         untouched()
+        # each host queues its own copy of a flow declared by dst alone
+        decl = next(t for t in cfg.traffic if t.flow_id == "mon-check")
+        (gen,) = [e[4] for e in eng._heap if e[2] == "traffic"
+                  and e[3] is eng.nodes[decl.src]
+                  and e[4].flow_id == "mon-check"]
+        assert decl.dst_ip is None  # declared by dst alone
+        assert gen.dst_ip == cfg.hosts[decl.dst].ip
         # fault targets are checked against the declared ids, and injected
         # by the engine's: the two must be one set
         assert set(eng.links) == {l.link_id for l in cfg.links}
@@ -317,11 +342,6 @@ class TestRoundTrip:
         untouched()
         eng.run_until(cfg.duration_us)
         untouched()
-        decl = next(t for t in cfg.traffic if t.flow_id == "mon-check")
-        (gen,) = [g for g in eng.nodes[decl.src].generators
-                  if g.flow_id == "mon-check"]
-        assert decl.dst_ip is None  # declared by dst alone
-        assert gen.dst_ip == cfg.hosts[decl.dst].ip
 
     def test_load_scenario_from_file(self, tmp_path):
         path = tmp_path / "mini.nf"

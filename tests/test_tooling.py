@@ -90,7 +90,7 @@ def test_no_unused_imports():
     assert [u for m in modules for u in _unused_imports(m)] == []
 
 
-CALLS_PER_EVENT_CEILING = 6.0  # 5.93 when set
+CALLS_PER_EVENT_CEILING = 5.8  # 5.72 when set
 
 
 def test_python_calls_per_event_within_budget():
