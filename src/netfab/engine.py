@@ -56,6 +56,11 @@ class TrafficSpec:
     dst_port: int = 0
 
 
+def cbr_interval_us(rate_bps: int) -> int:
+    """The whole microseconds between a cbr flow's packets at rate_bps."""
+    return CBR_PACKET * 8 * 1_000_000 // rate_bps
+
+
 def link_id_of(a: tuple, b: tuple) -> str:
     """The id of the link from end a to end b, each (node, port)."""
     return f"{a[0]}:{a[1]}-{b[0]}:{b[1]}"
@@ -496,8 +501,8 @@ class HostNode(Node):
                     src_port=spec.src_port, dst_port=spec.dst_port,
                     payload_bytes=CBR_PACKET - 40, meta=("cbr", spec.flow_id)),
                     self.engine.metrics.flow(spec.flow_id))
-            interval = CBR_PACKET * 8 * 1_000_000 // spec.rate_bps
-            self.engine.schedule(now + interval, "traffic", self, spec)
+            self.engine.schedule(now + cbr_interval_us(spec.rate_bps),
+                                 "traffic", self, spec)
         elif spec.kind == "bulk":
             self.bulk_send[spec.flow_id] = st = BulkSender(spec)
             if self.failed:  # starts once the timer finds the host up
@@ -786,6 +791,22 @@ class FirewallSide:
     routes: list = field(default_factory=list)  # (net, plen, via_ip)
 
 
+@dataclass(slots=True, eq=False)
+class SideState:
+    """One firewall side at run time: its engine port and settings, whether
+    zone policy denies new flows arriving on it, its next hops and shaper,
+    whether its shape_tick is queued, and, on an inline inside, the far-end
+    router's MAC. The two sides of a node hold no reference to each other,
+    so reference counting alone frees them once the engine is closed."""
+    port: str
+    cfg: FirewallSide
+    deny_new: bool
+    next_hops: PrefixTable
+    shaper: Shaper
+    tick_scheduled: bool = False
+    peer_mac: Optional[bytes] = None
+
+
 class FirewallNode(Node):
     kind = "firewall"
 
@@ -795,27 +816,24 @@ class FirewallNode(Node):
                  policy: Optional[ZonePolicy] = None):
         super().__init__(engine, name)
         self.fw = fw
-        self.sides = {"inside": inside, "outside": outside}
         policy = policy or ZonePolicy()
         # zones and policy are fixed, so each direction's verdict is too:
         # outbound is checked only with enforce_zones, routed inbound always
-        self.deny_new = {
-            "inside": enforce_zones and policy.verdict(
-                inside.zone, outside.zone) == "deny-new",
-            "outside": policy.verdict(outside.zone, inside.zone) == "deny-new"}
-        self.peer_mac = (node_mac(inside.peer) if inside.peer is not None
-                         else None)  # inline: the far-end router's MAC
-        self.shapers = {s: Shaper(cap_bps) for s in self.sides}
-        self.tick_scheduled = {s: False for s in self.sides}
-        self.next_hops = {s: self._next_hop_table(cfg)
-                          for s, cfg in self.sides.items()}
+        self.inside = self._side("inside", inside, enforce_zones and (
+            policy.verdict(inside.zone, outside.zone) == "deny-new"), cap_bps)
+        self.outside = self._side("outside", outside, policy.verdict(
+            outside.zone, inside.zone) == "deny-new", cap_bps)
+        if inside.mode == "inline" and inside.peer is not None:
+            self.inside.peer_mac = node_mac(inside.peer)
+        self.sides = {"inside": self.inside, "outside": self.outside}
         self.arp = Resolver()
         engine.schedule(NAT_SWEEP_US, "age_tick", self)
 
     @staticmethod
-    def _next_hop_table(cfg: FirewallSide) -> PrefixTable:
-        """Next hop by destination: the connected subnet (on-link, None),
-        then the side routes, then 0/0 to the gateway."""
+    def _side(port: str, cfg: FirewallSide, deny_new: bool,
+              cap_bps: int) -> SideState:
+        """The side's record. Next hop by destination: the connected subnet
+        (on-link, None), then the side routes, then 0/0 to the gateway."""
         table = PrefixTable()
         if cfg.ip is not None:
             table.insert(cfg.ip, cfg.prefix_len, None)
@@ -823,152 +841,133 @@ class FirewallNode(Node):
             table.insert(net, plen, via)
         if cfg.gw is not None:
             table.insert(0, 0, cfg.gw)
-        return table
+        return SideState(port, cfg, deny_new, table, Shaper(cap_bps))
 
     def on_event(self, kind: str, payload):
-        now = self.engine.now
         if kind == "age_tick":
             if self._repeat(kind, NAT_SWEEP_US):
-                self.fw.sweep_expired(now)
+                self.fw.sweep_expired(self.engine.now)
         elif kind == "shape_tick":
-            side = payload
-            self.tick_scheduled[side] = False
+            side = payload  # the side's SideState
+            side.tick_scheduled = False
             if self.failed:
                 return
-            released = self.shapers[side].shape()
-            for pkt, mac_hint in released:
+            for pkt, mac_hint in side.shaper.shape():
                 self._emit_packet(side, pkt, mac_hint)
-            if self.shapers[side].queue:
+            if side.shaper.queue:
                 self._schedule_tick(side)
 
-    def _schedule_tick(self, side: str):
+    def _schedule_tick(self, side: SideState):
         """The side's next shape_tick; its caller knows none is pending."""
-        self.tick_scheduled[side] = True
+        side.tick_scheduled = True
         next_at = (self.engine.now // SHAPE_INTERVAL_US + 1) * SHAPE_INTERVAL_US
         self.engine.schedule(next_at, "shape_tick", self, side)
 
-    def _enqueue(self, out_side: str, pkt: Packet, mac_hint):
-        if not self.shapers[out_side].offer(pkt.size, (pkt, mac_hint)):
+    def _enqueue(self, side: SideState, pkt: Packet, mac_hint):
+        if not side.shaper.offer(pkt.size, (pkt, mac_hint)):
             self.engine.metrics.drop(self.name, "queue")
-        elif not self.tick_scheduled[out_side]:
-            self._schedule_tick(out_side)
+        elif not side.tick_scheduled:
+            self._schedule_tick(side)
 
-    def _emit_packet(self, out_side: str, pkt: Packet, mac_hint):
+    def _emit_packet(self, side: SideState, pkt: Packet, mac_hint):
         self.engine.metrics.fw_bytes[self.name] += pkt.size
         if mac_hint is not None:
-            self.emit(out_side, pkt, mac_hint)
+            self.emit(side.port, pkt, mac_hint)
             return
-        next_hop = self.next_hops[out_side].lookup(pkt.dst_ip)
-        self.arp.send(self, out_side,
+        next_hop = side.next_hops.lookup(pkt.dst_ip)
+        self.arp.send(self, side.port,
                       pkt.dst_ip if next_hop is None else next_hop, pkt)
 
-    def emit(self, side: str, payload, dst_mac: bytes):
-        self.engine.send(self.name, side, make_frame(self.mac, dst_mac, payload))
+    def emit(self, port: str, payload, dst_mac: bytes):
+        self.engine.send(self.name, port, make_frame(self.mac, dst_mac, payload))
 
-    def ip_on(self, side: str) -> int:
-        return self.sides[side].ip or 0
+    def ip_on(self, port: str) -> int:
+        return self.sides[port].cfg.ip or 0
 
-    def on_frame(self, side, frame: Frame):
-        out_side = "outside" if side == "inside" else "inside"
-        cfg = self.sides[side]
+    def on_frame(self, port, frame: Frame):
+        side = self.sides[port]
+        out = self.outside if side is self.inside else self.inside
         payload = frame.payload
-        now = self.engine.now
         if isinstance(payload, Arp):
-            self._on_arp(side, cfg, out_side, frame, payload)
+            self._on_arp(side, out, frame, payload)
             return
         if not isinstance(payload, Packet):
             self.engine.metrics.frames_filtered += 1
             return
-        if cfg.mode == "routed" and frame.dst != self.mac and frame.dst != BROADCAST:
+        if (side.cfg.mode == "routed" and frame.dst != self.mac
+                and frame.dst != BROADCAST):
             self.engine.metrics.frames_filtered += 1
             return
-        pkt = payload
-        if pkt.protocol == "probe":
+        hint = frame.dst if out.cfg.mode == "inline" else None
+        if payload.protocol == "probe":
             # health checks are control-plane: no NAT, no shaping
-            hint = frame.dst if self.sides[out_side].mode == "inline" else None
-            self._emit_packet(out_side, pkt, hint)
+            self._emit_packet(out, payload, hint)
             return
-        if side == "inside":
-            self._outbound(pkt, frame, now)
-        else:
-            self._inbound(pkt, frame, now)
+        self._forward(side, out, payload, hint)
 
-    def _denied(self, key, now: int) -> bool:
-        """On a side whose new flows zone policy denies, drop key unless it
-        is a reply."""
-        if self.fw.conn.established(key, now):
-            return False
-        self.engine.metrics.drop(self.name, "acl")
-        self.engine.trace(self.name, "drop", None, key, "acl")
-        return True
-
-    def _outbound(self, pkt: Packet, frame: Frame, now: int):
-        out_cfg = self.sides["outside"]
-        engine = self.engine
-        key = pkt.key
-        if self.deny_new["inside"] and self._denied(key, now):
-            return
-        try:
-            out = self.fw.masquerade_out(pkt, now)
-            if engine.trace_enabled:
-                engine.trace(self.name, "nat", None, key,
-                             f"out via {ip_str(out.src_ip)}:{out.src_port}")
-        except NoScope:
-            out = pkt
-        except PoolExhausted:
-            engine.metrics.drop(self.name, "nat-full")
-            engine.trace(self.name, "drop", None, key, "nat-full")
-            return
-        self.fw.conn.entries[key] = now
-        hint = frame.dst if out_cfg.mode == "inline" else None
-        self._enqueue("outside", out, hint)
-
-    def _inbound(self, pkt: Packet, frame: Frame, now: int):
-        in_cfg = self.sides["inside"]
-        if pkt.dst_ip in self.fw.external_ips:
-            translated = self.fw.masquerade_in(pkt, now)
-            if translated is None:
-                self.engine.metrics.drop(self.name, "no-binding")
-                self.engine.trace(self.name, "drop", None, pkt.key,
-                                  "no-binding")
+    def _forward(self, side: SideState, out: SideState, pkt: Packet, hint):
+        """Pass pkt, which arrived on `side`, to `out`'s shaper: reverse NAT
+        and inline transit on the outside, else the zone check, NAT on the
+        inside, and a conntrack note."""
+        engine, fw = self.engine, self.fw
+        now, key = engine.now, pkt.key
+        if side is self.outside:
+            if pkt.dst_ip in fw.external_ips:
+                translated = fw.masquerade_in(pkt, now)
+                if translated is None:
+                    engine.metrics.drop(self.name, "no-binding")
+                    engine.trace(self.name, "drop", None, key, "no-binding")
+                    return
+                if engine.trace_enabled:
+                    engine.trace(self.name, "nat", None, key, "in to "
+                                 f"{ip_str(translated.dst_ip)}:"
+                                 f"{translated.dst_port}")
+                self._enqueue(out, translated, out.peer_mac)
                 return
-            if self.engine.trace_enabled:
-                self.engine.trace(
-                    self.name, "nat", None, pkt.key,
-                    f"in to {ip_str(translated.dst_ip)}:{translated.dst_port}")
-            hint = self.peer_mac if in_cfg.mode == "inline" else None
-            self._enqueue("inside", translated, hint)
+            if out.cfg.mode == "inline":
+                # transit toward the L3 switch, which owns zone policy here
+                self._enqueue(out, pkt, hint)
+                return
+        # a new flow where zone policy denies it: only replies pass
+        if side.deny_new and not fw.conn.established(key, now):
+            engine.metrics.drop(self.name, "acl")
+            engine.trace(self.name, "drop", None, key, "acl")
             return
-        if in_cfg.mode == "inline":
-            # transit toward the L3 switch, which owns zone policy here
-            self._enqueue("inside", pkt, frame.dst)
-            return
-        # routed inbound to an untranslated address: stateful zone check
-        key = pkt.key
-        if self.deny_new["outside"] and self._denied(key, now):
-            return
-        self.fw.conn.entries[key] = now
-        self._enqueue("inside", pkt, None)
+        if side is self.inside:
+            try:
+                pkt = fw.masquerade_out(pkt, now)
+                if engine.trace_enabled:
+                    engine.trace(self.name, "nat", None, key,
+                                 f"out via {ip_str(pkt.src_ip)}:{pkt.src_port}")
+            except NoScope:
+                pass
+            except PoolExhausted:
+                engine.metrics.drop(self.name, "nat-full")
+                engine.trace(self.name, "drop", None, key, "nat-full")
+                return
+        fw.conn.entries[key] = now
+        self._enqueue(out, pkt, hint)
 
-    def _on_arp(self, side: str, cfg: FirewallSide, out_side: str,
-                frame: Frame, arp: Arp):
-        if cfg.mode == "routed" or side == "outside":
-            self.arp.learn(self, side, arp)
+    def _on_arp(self, side: SideState, out: SideState, frame: Frame,
+                arp: Arp):
+        cfg = side.cfg
+        if cfg.mode == "routed" or side is self.outside:
+            self.arp.learn(self, side.port, arp)
         owned = arp.target_ip == cfg.ip or (
-            side == "outside" and arp.target_ip in self.fw.external_ips)
+            side is self.outside and arp.target_ip in self.fw.external_ips)
         if arp.op == "request" and owned:
             reply = Arp("reply", arp.target_ip, self.mac, arp.sender_ip)
-            self.emit(side, reply, arp.sender_mac)
+            self.emit(side.port, reply, arp.sender_mac)
             return
         if cfg.mode == "inline":
             # transparent for the spanned segment's address resolution
-            self.engine.send(self.name, out_side, frame)
+            self.engine.send(self.name, out.port, frame)
 
     def reset_dynamic(self):
         # a pending shape_tick stays queued, so tick_scheduled stays as it is
         self.fw.reset_dynamic()
-        for s in self.shapers.values():
-            s.reset_dynamic()
+        for side in self.sides.values():
+            side.shaper.reset_dynamic()
         self.arp.clear()
 
 

@@ -58,15 +58,14 @@ class PortAllocator:
         self.in_use: set[int] = set()
 
     def allocate(self) -> int:
-        while self.freed:
+        # a freed port left in_use as it was pushed, and leaves freed here
+        if self.freed:
             port = heapq.heappop(self.freed)
-            if port not in self.in_use:
-                self.in_use.add(port)
-                return port
-        if self.next_port > LAST_NAT_PORT:
+        elif self.next_port > LAST_NAT_PORT:
             raise PoolExhausted("no free NAT port")
-        port = self.next_port
-        self.next_port += 1
+        else:
+            port = self.next_port
+            self.next_port += 1
         self.in_use.add(port)
         return port
 
@@ -79,8 +78,7 @@ class PortAllocator:
 class Firewall:
     """NAT + conntrack state of one firewall instance."""
 
-    def __init__(self, name: str = "fw", nat_capacity: int = DEFAULT_NAT_CAPACITY):
-        self.name = name
+    def __init__(self, nat_capacity: int = DEFAULT_NAT_CAPACITY):
         self.scopes = PrefixTable()
         self.external_ips: set[int] = set()
         self.nat_capacity = nat_capacity
@@ -163,12 +161,14 @@ class Firewall:
 
 
 class Shaper:
-    """Byte-budget FIFO modeling the measured forwarding cap of one direction."""
+    """Byte-budget FIFO modeling the measured forwarding cap of one direction,
+    kept exact in bit-microseconds: a tick earns cap_bps × SHAPE_INTERVAL_US
+    and a byte costs 8_000_000."""
 
     def __init__(self, cap_bps: int = DEFAULT_CAP_BPS):
         self.cap_bps = cap_bps
         self.queue: deque = deque()
-        self.carry_bytes = 0.0
+        self.carry = 0
 
     def offer(self, size: int, item) -> bool:
         """Queue an item; False when the queue is full (newest arrival dropped)."""
@@ -178,18 +178,18 @@ class Shaper:
         return True
 
     def shape(self) -> list:
-        """Release queued items in FIFO order within one tick's byte budget."""
-        budget_bytes = self.cap_bps * SHAPE_INTERVAL_US / 8e6
-        budget = budget_bytes + self.carry_bytes
+        """Release queued items in FIFO order within one tick's budget."""
+        tick = self.cap_bps * SHAPE_INTERVAL_US
+        budget = tick + self.carry
         released = []
-        while self.queue and self.queue[0][0] <= budget:
+        while self.queue and self.queue[0][0] * 8_000_000 <= budget:
             size, item = self.queue.popleft()
-            budget -= size
+            budget -= size * 8_000_000
             released.append(item)
         # unused budget carries over, bounded by one tick's worth
-        self.carry_bytes = min(budget, budget_bytes)
+        self.carry = min(budget, tick)
         return released
 
     def reset_dynamic(self):
         self.queue.clear()
-        self.carry_bytes = 0.0
+        self.carry = 0

@@ -121,8 +121,7 @@ class ZonePolicy:
 class ZoneRouter:
     """Routing + zone-policy core of a Layer-3 switch (single engine owner)."""
 
-    def __init__(self, name: str = "l3", policy: Optional[ZonePolicy] = None):
-        self.name = name
+    def __init__(self, policy: Optional[ZonePolicy] = None):
         self.interfaces: dict[int, VlanInterface] = {}
         self.local_ips: set[int] = set()
         self.connected = PrefixTable()  # VlanInterface by subnet

@@ -33,10 +33,9 @@ class PathHealth:
 class LoadBalancer:
     """Health-probes two firewall paths and pins flows to live ones."""
 
-    def __init__(self, name: str, path_ids: list[str], hash_salt: bytes = b""):
+    def __init__(self, path_ids: list[str], hash_salt: bytes = b""):
         if len(path_ids) != 2:
             raise ValueError("exactly two firewall paths are balanced")
-        self.name = name
         # in path-id order, which reset_dynamic keeps: every list of paths
         # this class returns is sorted without sorting
         self.paths = {pid: PathHealth(pid) for pid in sorted(path_ids)}

@@ -21,7 +21,7 @@ from typing import Any, Callable, NamedTuple, Optional
 from .engine import (BULK_SEGMENT, CBR_PACKET, DEFAULT_LINK_QUEUE,
                      DEFAULT_PROP_US, PING_INTERVAL_US, Engine, FAULT_ACTIONS,
                      FirewallNode, FirewallSide, HostNode, L3Node, SwitchNode,
-                     BalancerNode, TrafficSpec, link_id_of)
+                     BalancerNode, TrafficSpec, cbr_interval_us, link_id_of)
 from .firewall import DEFAULT_CAP_BPS, DEFAULT_NAT_CAPACITY, Firewall
 from .l2 import PortConfig, Switch
 from .l3 import (VERDICTS, ZONES, L3Error, Route, VlanInterface, ZonePolicy,
@@ -856,7 +856,7 @@ def offered_packets(cfg: ScenarioConfig, horizon_us: int) -> int:
     total = 0
     for t in cfg.traffic:
         if t.kind == "cbr":
-            interval = CBR_PACKET * 8 * 1_000_000 // t.rate_bps
+            interval = cbr_interval_us(t.rate_bps)
             # a send falls before `stop`, and by the horizon
             last = (horizon_us if t.stop_us is None
                     else min(horizon_us, t.stop_us - 1))
@@ -905,7 +905,7 @@ def configure_ports(switch: Switch, decl: SwitchDecl):
 
 def _router(cfg: ScenarioConfig, name: str, policy=None) -> ZoneRouter:
     """L3 switch `name`; raises `L3Error` when its lines conflict."""
-    router = ZoneRouter(name, policy=policy)
+    router = ZoneRouter(policy=policy)
     decl = cfg.l3s[name]
     for iface in sorted(decl.interfaces, key=attrgetter("vid")):
         if iface.port == "trunk":  # L3Node sends on it tagged
@@ -931,7 +931,7 @@ def build_engine(cfg: ScenarioConfig, seed: Optional[int] = None,
         L3Node(eng, name, _router(cfg, name, ZonePolicy(policy_rules)))
 
     for name, decl in sorted(cfg.firewalls.items()):
-        fw = Firewall(name, nat_capacity=decl.nat_capacity)
+        fw = Firewall(nat_capacity=decl.nat_capacity)
         for masq in cfg.masquerades:
             if masq.node == name:
                 fw.add_scope(masq.network, masq.prefix_len, masq.external)
@@ -939,7 +939,7 @@ def build_engine(cfg: ScenarioConfig, seed: Optional[int] = None,
                      enforce_zones=decl.zones, policy=ZonePolicy(policy_rules))
 
     for name, decl in sorted(cfg.balancers.items()):
-        lb = LoadBalancer(name, list(decl.paths), hash_salt=eng.hash_salt)
+        lb = LoadBalancer(list(decl.paths), hash_salt=eng.hash_salt)
         lb.dest_override.update(decl.override)
         BalancerNode(eng, name, decl.ip, decl.peer_ip, lb)
 

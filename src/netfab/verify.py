@@ -144,7 +144,7 @@ def _verify_nat_bijection(cfg: ScenarioConfig, seed: int):
         return False, "scenario declares no firewall"
     name = sorted(cfg.firewalls)[0]
     decl = cfg.firewalls[name]
-    fw = Firewall(name, nat_capacity=max(decl.nat_capacity, 64))
+    fw = Firewall(nat_capacity=max(decl.nat_capacity, 64))
     scopes = [m for m in cfg.masquerades if m.node == name]
     if not scopes:
         return False, f"firewall {name} has no masquerade scope"

@@ -188,7 +188,7 @@ def test_criterion_6_firewall_failover():
 def test_criterion_7_nat_capacity_and_scoping():
     bijection = verify(build_spring8_upgraded(), "nat-bijection")
 
-    fw = Firewall("edge", nat_capacity=256)
+    fw = Firewall(nat_capacity=256)
     ext_private = ip_addr("198.18.0.61")
     ext_default = ip_addr("198.18.0.62")
     fw.add_scope(ip_addr("172.16.0.0"), 12, ext_private)

@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import weakref
+from collections import deque
 
 import pytest
 
@@ -266,6 +267,48 @@ def test_close_frees_every_node(gc_off):
     assert metrics.summary_lines() == summary
 
 
+def floats_reachable(root) -> list[str]:
+    """The path to each float reachable from root through dicts, lists,
+    tuples, sets, deques and the attributes of netfab objects."""
+    found, seen, stack = [], set(), [(root, "engine")]
+    while stack:
+        obj, path = stack.pop()
+        if isinstance(obj, float):
+            found.append(path)
+        if isinstance(obj, (int, float, str, bytes, type(None))) \
+                or id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, dict):
+            for k, v in obj.items():
+                stack += [(k, f"{path} key {k!r}"), (v, f"{path}[{k!r}]")]
+        elif isinstance(obj, (list, tuple, set, frozenset, deque)):
+            stack += [(v, f"{path}[{i}]") for i, v in enumerate(obj)]
+        else:
+            assert type(obj).__module__.startswith("netfab."), (path, obj)
+            names = list(getattr(obj, "__dict__", ()))
+            for cls in type(obj).__mro__:
+                names += cls.__dict__.get("__slots__", ())
+            stack += [(getattr(obj, n), f"{path}.{n}") for n in names
+                      if hasattr(obj, n)]
+    return found
+
+
+def test_simulated_state_holds_no_float():
+    """Every simulated quantity is an integer: after a campus run and a
+    backlogged pass through the firewall rig, no float is reachable from
+    either engine, its nodes, links, metrics or event heap."""
+    campus = build_engine(build_spring8_redundant())
+    campus.run_until(3_000_000)
+    rig = build_engine(parse_scenario(FIREWALL_RIG.format(
+        duration=0.2, total=2_000_000_000)))
+    rig.run_until(200_000)
+    assert rig.metrics.fw_bytes["fw"] > 0
+    for eng in (campus, rig):
+        assert floats_reachable(eng) == []
+        eng.close()
+
+
 class TestFaults:
     def test_unknown_target_rejected(self):
         eng = Engine()
@@ -447,7 +490,7 @@ class TestDropCounts:
         cfg = parse_scenario(SHAPER_RIG)
         eng = build_engine(cfg)
         refused = []
-        for shaper in eng.nodes["fw"].shapers.values():
+        for shaper in (s.shaper for s in eng.nodes["fw"].sides.values()):
             def offer(size, item, offer=shaper.offer):
                 taken = offer(size, item)
                 refused.append(not taken)

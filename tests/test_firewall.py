@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from netfab.engine import Engine, FirewallNode, FirewallSide, HostNode
-from netfab.firewall import (Firewall, NoScope, PoolExhausted, Shaper)
+from netfab.firewall import (FIRST_NAT_PORT, Firewall, NoScope,
+                             PoolExhausted, PortAllocator, Shaper)
 from netfab.packet import (FlowKey, Packet, PORTLESS_PROTOCOLS, PROTOCOLS,
                            flow_key, ip_addr, ip_network, make_frame,
                            packet_copy)
@@ -21,7 +22,7 @@ def out_pkt(src, sport, dst="192.0.2.9", dport=80, proto="tcp"):
 
 
 def default_fw(capacity=1024):
-    fw = Firewall("fw", nat_capacity=capacity)
+    fw = Firewall(nat_capacity=capacity)
     net, plen = ip_network("0.0.0.0/0")
     fw.add_scope(net, plen, ip_addr("203.0.113.1"))
     return fw
@@ -48,7 +49,7 @@ class TestMasqueradeOut:
         assert fw.nat_size() == 1
 
     def test_destination_selects_scope(self):
-        fw = Firewall("fw")
+        fw = Firewall()
         net_a, len_a = ip_network("198.51.100.0/24")
         net_b, len_b = ip_network("0.0.0.0/0")
         fw.add_scope(net_a, len_a, ip_addr("203.0.113.10"))
@@ -61,7 +62,7 @@ class TestMasqueradeOut:
         assert other.src_ip == ip_addr("203.0.113.20")
 
     def test_equal_prefix_first_scope_wins(self):
-        fw = Firewall("fw")
+        fw = Firewall()
         net, plen = ip_network("198.51.100.0/24")
         fw.add_scope(net, plen, ip_addr("203.0.113.10"))
         fw.add_scope(net, plen, ip_addr("203.0.113.20"))
@@ -70,7 +71,7 @@ class TestMasqueradeOut:
         assert got.src_ip == ip_addr("203.0.113.10")
 
     def test_no_scope(self):
-        fw = Firewall("fw")
+        fw = Firewall()
         net, plen = ip_network("198.51.100.0/24")
         fw.add_scope(net, plen, ip_addr("203.0.113.10"))
         with pytest.raises(NoScope):
@@ -127,9 +128,9 @@ def test_side_route_longer_than_connected_subnet_wins():
                            gw=ip_addr("192.0.2.254"),
                            routes=[(ip_addr("192.0.2.128"), 25,
                                     ip_addr("192.0.2.2"))])
-    node = FirewallNode(Engine(), "fw", Firewall("fw"),
+    node = FirewallNode(Engine(), "fw", Firewall(),
                         FirewallSide(), outside, cap_bps=10**9)
-    next_hop = node.next_hops["outside"].lookup
+    next_hop = node.outside.next_hops.lookup
     assert next_hop(ip_addr("192.0.2.200")) == ip_addr("192.0.2.2")
     assert next_hop(ip_addr("192.0.2.7")) is None  # on-link
     assert next_hop(ip_addr("198.51.100.1")) == ip_addr("192.0.2.254")
@@ -147,7 +148,7 @@ def test_zone_check_gates_outbound_only_with_zones_on(from_side, zones,
                                  else ("dmz", "public"))
     eng = Engine()
     node = FirewallNode(
-        eng, "fw", Firewall("fw"),
+        eng, "fw", Firewall(),
         FirewallSide(ip=ip_addr("10.0.0.1"), zone=inside_zone),
         FirewallSide(ip=ip_addr("198.18.0.1"), zone=outside_zone),
         cap_bps=10**9, enforce_zones=zones)
@@ -232,6 +233,16 @@ class TestBijection:
             assert (back.dst_ip, back.dst_port) == inside
 
 
+def test_freed_ports_come_back_lowest_first_then_fresh_ones():
+    ports = PortAllocator()
+    taken = [ports.allocate() for _ in range(5)]
+    assert taken == list(range(FIRST_NAT_PORT, FIRST_NAT_PORT + 5))
+    for port in (taken[3], taken[1], taken[2]):
+        ports.release(port)
+    assert [ports.allocate() for _ in range(4)] == [*taken[1:4],
+                                                    FIRST_NAT_PORT + 5]
+
+
 class TestShaper:
     def test_saturating_release_matches_cap(self):
         shaper = Shaper(cap_bps=170_000_000)
@@ -271,6 +282,17 @@ class TestShaper:
         for i in range(5):
             shaper.offer(100, i)
         assert shaper.shape() == [0, 1, 2, 3, 4]
+
+    def test_budget_exact_at_a_cap_of_no_whole_bytes_per_tick(self):
+        """At 512,800 bps a tick earns 64.1 B, so 640 ticks earn exactly
+        41,024 B: a backlog of 64 B packets releases 641 of them."""
+        shaper = Shaper(cap_bps=512_800)
+        released = 0
+        for _ in range(640):
+            while shaper.offer(64, "pkt"):
+                pass
+            released += len(shaper.shape())
+        assert released == 641 == 640 * 512_800 // (64 * 8_000)
 
 
 @st.composite
@@ -418,9 +440,10 @@ class TestFirewallRigPath:
             eng.run_until(t)
             pending = Counter(e[4] for e in eng._heap
                               if e[2] == "shape_tick" and e[3] is fw)
-            for side, shaper in fw.shapers.items():
-                assert pending[side] == (1 if shaper.queue else 0), (t, side)
-            backlogged += bool(fw.shapers["outside"].queue)
+            for side in fw.sides.values():
+                assert pending[side] == (1 if side.shaper.queue else 0), (
+                    t, side.port)
+            backlogged += bool(fw.outside.shaper.queue)
         offered = eng.metrics.flows["xfer"].offered_packets
         assert backlogged > 0
         # every segment and ACK is translated, and none is checked again
@@ -446,10 +469,10 @@ class TestFirewallRigPath:
             eng.run_until(t)
             pending = Counter(e[4] for e in eng._heap
                               if e[2] == "shape_tick" and e[3] is fw)
-            for side, shaper in fw.shapers.items():
-                assert pending[side] <= 1, (t, side)
-                if shaper.queue:
-                    assert pending[side] == 1, (t, side)
+            for side in fw.sides.values():
+                assert pending[side] <= 1, (t, side.port)
+                if side.shaper.queue:
+                    assert pending[side] == 1, (t, side.port)
         eng.run_until(1_500_000)
         before = eng.metrics.flows["xfer"].delivered_bytes
         eng.run_until(2_500_000)

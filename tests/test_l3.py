@@ -10,7 +10,7 @@ from netfab.packet import Packet, ip_addr, ip_network
 
 
 def make_router():
-    r = ZoneRouter("l3")
+    r = ZoneRouter()
     r.add_interface(VlanInterface(10, ip_addr("10.0.10.1"), 24, "dmz"))
     r.add_interface(VlanInterface(20, ip_addr("192.0.2.1"), 24, "public"))
     r.add_interface(VlanInterface(30, ip_addr("10.0.30.1"), 24, "clean"))

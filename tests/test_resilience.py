@@ -9,7 +9,7 @@ SEC = 1_000_000
 
 
 def make_lb(**kw):
-    return LoadBalancer("lb", ["fw1", "fw2"], **kw)
+    return LoadBalancer(["fw1", "fw2"], **kw)
 
 
 def key(rng):
@@ -28,7 +28,7 @@ def run_probes(lb, t0, t1, answering):
 class TestHealth:
     def test_two_paths_required(self):
         with pytest.raises(ValueError):
-            LoadBalancer("lb", ["only"])
+            LoadBalancer(["only"])
 
     def test_starts_up(self):
         assert make_lb().up == ["fw1", "fw2"]
