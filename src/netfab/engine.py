@@ -475,7 +475,7 @@ class HostNode(Node):
         self.arp = Resolver()
         self.bulk_send: dict[str, BulkSender] = {}
         self.bulk_recv: dict[str, dict] = {}
-        self.ping_seen: Counter = Counter()
+        self.ping_seen: dict[str, int] = {}  # echo replies, by flow
 
     # -- traffic -----------------------------------------------------------
     # a failed host keeps each flow's schedule and sends nothing
@@ -638,7 +638,7 @@ class HostNode(Node):
                     "flow": self.engine.metrics.flow(meta[1])}
             st = rx["flow"]
         elif kind == "ping" and meta[2] == "rep":
-            self.ping_seen[meta[1]] += 1
+            self.ping_seen[meta[1]] = self.ping_seen.get(meta[1], 0) + 1
             self.engine.metrics.flow(meta[1]).completed_at = self.engine.now
             return
         else:

@@ -3,7 +3,6 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import ipaddress
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Union
 
@@ -40,24 +39,42 @@ def check_vid(vid: int) -> int:
     return vid
 
 
+# IPv4 text is four decimal octets, each written as str(n) writes it: the
+# strings ipaddress.IPv4Address accepts, which refuses leading zeros,
+# signs, spaces and non-ASCII digits
+_OCTET_TEXT = [str(n) for n in range(256)]
+_OCTET = {text: n for n, text in enumerate(_OCTET_TEXT)}
+
+
 def ip_addr(value: Union[int, str]) -> int:
     """Parse a dotted-quad string (or pass through an int) to a 32-bit address."""
     if isinstance(value, int):
         if not 0 <= value < 2**32:
             raise ValueError(f"address out of range: {value}")
         return value
-    return int(ipaddress.IPv4Address(value))
+    try:
+        a, b, c, d = value.split(".")
+        return _OCTET[a] << 24 | _OCTET[b] << 16 | _OCTET[c] << 8 | _OCTET[d]
+    except (ValueError, KeyError):  # not four parts, or a part not an octet
+        raise ValueError(f"not an IPv4 address: {value!r}") from None
 
 
-@functools.lru_cache(maxsize=8192)
 def ip_str(addr: int) -> str:
-    return str(ipaddress.IPv4Address(addr))
+    if not 0 <= addr < 2**32:
+        raise ValueError(f"address out of range: {addr}")
+    text = _OCTET_TEXT
+    return ".".join((text[addr >> 24], text[addr >> 16 & 255],
+                     text[addr >> 8 & 255], text[addr & 255]))
 
 
 def ip_network(value: str) -> tuple[int, int]:
-    """Parse "a.b.c.d/len" to (network int, prefix length)."""
-    net = ipaddress.IPv4Network(value, strict=False)
-    return int(net.network_address), net.prefixlen
+    """Parse "a.b.c.d/len" to (network int, prefix length), with len in
+    [0, 32] written as an octet is; host bits are cleared."""
+    addr, _, plen = value.partition("/")
+    prefix_len = _OCTET.get(plen, 33)
+    if prefix_len > 32:
+        raise ValueError(f"not an IPv4 network: {value!r}")
+    return ip_addr(addr) & prefix_mask(prefix_len), prefix_len
 
 
 @functools.lru_cache(maxsize=64)

@@ -258,7 +258,7 @@ def _read_ports(text: str) -> dict:
         lag = parts[3] if len(parts) == 4 else None
         if mode == "trunk":
             spec = PortConfig(mode, allowed=frozenset(
-                int(v) for v in vids.split("|")), lag_group=lag)
+                map(int, vids.split("|"))), lag_group=lag)
         else:
             spec = PortConfig(mode, vid=int(vids), lag_group=lag)
         if pid in ports:
@@ -357,8 +357,11 @@ class Key:
     dotted attribute (`inside.gw`) is a field of a field, and a key that
     fills none (`attrs=()`) names the declaration that holds this one. An
     optional key whose value equals its dataclass default is left out of the
-    file unless `always` is set."""
-    __slots__ = ("name", "codec", "owner", "attrs", "required", "shown")
+    file unless `always` is set. For the parser, `read` is the codec's read,
+    or None when the value is its own text, and `attr` is the one attribute
+    of the declaration itself that the key fills, or None."""
+    __slots__ = ("name", "codec", "owner", "attrs", "required", "shown",
+                 "read", "attr")
 
     def __init__(self, name: str, codec: Codec, attrs=None,
                  required: bool = False, always: bool = False):
@@ -370,6 +373,8 @@ class Key:
         self.name, self.codec, self.attrs = name, codec, attrs
         self.required = required
         self.shown = required or always
+        self.read = None if codec is TEXT else codec.read
+        self.attr = attrs[0] if len(attrs) == 1 and not self.owner else None
 
     def text(self, decl) -> Optional[str]:
         """`key=value` for `decl`, or None when the key is left out."""
@@ -400,25 +405,28 @@ class Form:
         self.under, _, self.store = store.rpartition(".")
         self.index, self.order, self.child = index, order, child
         self.by_name = {key.name: key for key in keys}
-        self.required = [key.name for key in keys if key.required]
+        self.required = frozenset(key.name for key in keys if key.required)
 
     def read(self, kv: dict, lineno: int):
-        for name in self.required:
-            if name not in kv:
-                raise ParseError(lineno, f"missing required key {name!r}")
+        if not self.required <= kv.keys():
+            missing = next(key.name for key in self.keys
+                           if key.required and key.name not in kv)
+            raise ParseError(lineno, f"missing required key {missing!r}")
         values, nested = {}, []
-        for name, text in kv.items():
-            key = self.by_name.get(name)
+        by_name = self.by_name
+        for name, value in kv.items():
+            key = by_name.get(name)
             if key is None:
                 raise ParseError(lineno, f"unknown key {name!r}")
-            try:
-                value = key.codec.read(text)
-            except ValueError as exc:
-                raise ParseError(lineno, f"{name}: {exc}") from None
-            if key.owner:
+            if key.read is not None:
+                try:
+                    value = key.read(value)
+                except ValueError as exc:
+                    raise ParseError(lineno, f"{name}: {exc}") from None
+            if key.attr is not None:
+                values[key.attr] = value
+            elif key.owner:
                 nested.append((key, value))
-            elif len(key.attrs) == 1:
-                values[key.attrs[0]] = value
             else:
                 values.update(zip(key.attrs, value))
         if self.cls is None:
@@ -743,15 +751,16 @@ def validate_scenario(cfg: ScenarioConfig, horizon_us: Optional[int] = None):
     link_ids = set()
     endpoints = set()
     for link in cfg.links:
+        link_id = link.link_id
         for node, port in (link.a, link.b):
             if node not in names:
-                raise ValidationError(link.link_id,
+                raise ValidationError(link_id,
                                       f"link endpoint {node!r} is not declared")
             if not _valid_port(cfg, node, port):
-                raise ValidationError(link.link_id,
+                raise ValidationError(link_id,
                                       f"{node!r} has no port {port!r}")
             if (node, port) in endpoints:
-                raise ValidationError(link.link_id,
+                raise ValidationError(link_id,
                                       f"port {node}:{port} used by two links")
             endpoints.add((node, port))
         for (node, _), (peer, port) in ((link.a, link.b), (link.b, link.a)):
@@ -772,9 +781,9 @@ def validate_scenario(cfg: ScenarioConfig, horizon_us: Optional[int] = None):
                     raise ValidationError(
                         node, f"vlan {host.vlan} is not carried by "
                               f"{peer}:{port}")
-        if link.link_id in link_ids:
-            raise ValidationError(link.link_id, "duplicate link")
-        link_ids.add(link.link_id)
+        if link_id in link_ids:
+            raise ValidationError(link_id, "duplicate link")
+        link_ids.add(link_id)
     if cfg.vlans:
         for name, sw in cfg.switches.items():
             for pid in sw.ports:
@@ -803,10 +812,17 @@ def validate_scenario(cfg: ScenarioConfig, horizon_us: Optional[int] = None):
             raise ValidationError(masq.node,
                                   "masquerade scope on undeclared firewall")
     for fw in cfg.firewalls.values():
-        for side in (fw.inside, fw.outside):
-            if side.peer is not None and side.peer not in names:
-                raise ValidationError(fw.name,
-                                      f"peer {side.peer!r} is not declared")
+        # `FirewallNode` sends to a peer only from an inline inside
+        if fw.outside.peer is not None:
+            raise ValidationError(fw.name, "outside_peer has no effect: only "
+                                  "an inline inside side has a peer")
+        peer = fw.inside.peer
+        if peer is not None:
+            if fw.inside.mode != "inline":
+                raise ValidationError(fw.name, "inside_peer has no effect on "
+                                      "a routed inside side")
+            if peer not in names:
+                raise ValidationError(fw.name, f"peer {peer!r} is not declared")
     for bal in cfg.balancers.values():
         if len(bal.paths) != 2:
             raise ValidationError(bal.name, "balancer needs exactly two paths")
@@ -924,8 +940,15 @@ def build_engine(cfg: ScenarioConfig, seed: Optional[int] = None,
     eng = Engine(seed=cfg.seed if seed is None else seed, trace=trace)
     policy_rules = {(a.from_zone, a.to_zone): a.verdict for a in cfg.acls}
 
+    # a LAG member with no link is left out of its bundle, as IEEE 802.1AX
+    # aggregates only members whose link is up
+    cabled = {end for link in cfg.links for end in (link.a, link.b)}
     for name, decl in sorted(cfg.switches.items()):
-        configure_ports(SwitchNode(eng, name).switch, decl)
+        switch = SwitchNode(eng, name).switch
+        configure_ports(switch, decl)
+        for pid, spec in decl.ports.items():
+            if spec.lag_group is not None and (name, pid) not in cabled:
+                switch.set_port_up(pid, False)
 
     for name in sorted(cfg.l3s):
         L3Node(eng, name, _router(cfg, name, ZonePolicy(policy_rules)))

@@ -230,6 +230,22 @@ def test_host_gateway_firewall_side_in_its_vlan_subnet(tmp_path, capsys):
             "or a firewall side in 198.18.0.0/24") in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, error", [
+    ("outside_peer=h2", "fw: outside_peer has no effect: only an inline "
+     "inside side has a peer"),
+    ("inside_peer=h1", "fw: inside_peer has no effect on a routed inside "
+     "side"),
+])
+def test_firewall_peer_without_effect_rejected(tmp_path, capsys, key, error):
+    """The engine sends to a firewall's peer only from an inline inside, so
+    a peer declared anywhere else is refused rather than ignored."""
+    path = tmp_path / "rig.nf"
+    text = FIREWALL_RIG.format(duration=3, total=1_000_000)
+    path.write_text(text.replace("zones=on", f"zones=on {key}"))
+    assert main(["run", str(path)]) == 2
+    assert f"error: {error}\n" in capsys.readouterr().err
+
+
 def test_nat_bijection_remote_inside_scope(tmp_path, capsys):
     """The synthetic flows' remote comes from the masquerade scope's own
     network, not from its external address, which may lie outside it."""

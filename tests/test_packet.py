@@ -1,12 +1,14 @@
+import ipaddress
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from conftest import classify_dst
 from netfab.packet import (AlreadyTagged, Arp, BROADCAST, Frame, InvalidVid,
                            NotTagged, Packet, PrefixTable, flow_key,
-                           frame_flow_key, in_network, ip_addr, ip_str,
-                           make_frame, node_mac, pop_tag, prefix_mask,
-                           push_tag)
+                           frame_flow_key, in_network, ip_addr, ip_network,
+                           ip_str, make_frame, node_mac, pop_tag,
+                           prefix_mask, push_tag)
 
 SRC, DST = bytes.fromhex("00104b000001"), bytes.fromhex("00104b000002")
 
@@ -158,6 +160,77 @@ def test_prefix_table_matches_linear_scan(entries, probes):
                 best = i
         assert table.lookup(addr) == best
 
+
+# parts of dotted-quad text: canonical octets, numbers past 255, leading
+# zeros, signs, whitespace, non-ASCII digits, empty parts and stray text
+octet_texts = st.one_of(
+    st.integers(0, 255).map(str),
+    st.integers(0, 999).map(str),
+    st.builds("{}{}".format, st.sampled_from(["0", "00", "000"]),
+              st.integers(0, 255)),
+    st.builds("{}{}".format, st.sampled_from(["+", "-", " ", "\t"]),
+              st.integers(0, 255)),
+    st.builds("{}{}".format, st.integers(0, 255), st.sampled_from(
+        [" ", "\n", "/24", "x"])),
+    st.text(st.sampled_from("0123456789١٣１²⅕"),
+            min_size=1, max_size=3),
+    st.text(max_size=3),
+)
+dotted_texts = st.one_of(
+    st.lists(octet_texts, min_size=3, max_size=5).map(".".join),
+    st.lists(st.integers(0, 255).map(str), min_size=3, max_size=5)
+    .map(".".join),
+    st.text(max_size=16),
+)
+
+
+def ipaddress_value(text: str):
+    """The reference: ipaddress's int for text, or None when it refuses."""
+    try:
+        return int(ipaddress.IPv4Address(text))
+    except ValueError:
+        return None
+
+
+@settings(max_examples=500)
+@given(dotted_texts)
+def test_ip_addr_accepts_what_ipaddress_accepts(text):
+    want = ipaddress_value(text)
+    if want is None:
+        with pytest.raises(ValueError):
+            ip_addr(text)
+    else:
+        assert ip_addr(text) == want
+
+
+@given(st.one_of(st.integers(0, 2**32 - 1),
+                 st.sampled_from([0, 1, 255, 256, 2**24, 2**32 - 1])))
+def test_ip_str_matches_ipaddress(addr):
+    text = ip_str(addr)
+    assert text == str(ipaddress.IPv4Address(addr))
+    assert ip_addr(text) == addr
+
+
+@pytest.mark.parametrize("addr", [-1, 2**32])
+def test_ip_str_refuses_out_of_range(addr):
+    with pytest.raises(ValueError):
+        ipaddress.IPv4Address(addr)
+    with pytest.raises(ValueError):
+        ip_str(addr)
+
+
+@given(dotted_texts, st.one_of(st.integers(0, 32).map(str), octet_texts))
+def test_ip_network_agrees_with_ipaddress(addr, plen):
+    """Every "a.b.c.d/len" ip_network reads, ipaddress reads the same, and
+    it reads every canonical one."""
+    text = f"{addr}/{plen}"
+    try:
+        got = ip_network(text)
+    except ValueError:
+        assert ipaddress_value(addr) is None or plen not in map(str, range(33))
+        return
+    net = ipaddress.IPv4Network(text, strict=False)
+    assert got == (int(net.network_address), net.prefixlen)
 
 
 class TestMacAddressValue:

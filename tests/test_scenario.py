@@ -542,6 +542,25 @@ class TestBundledCounts:
                    if p.lag_group is not None}
         assert len(bb_lags) == 4  # one bundle per aggregation switch
 
+    def test_uncabled_lag_member_leaves_its_bundle(self):
+        """With one member link of agg3's uplink bundle deleted, every
+        quadrant-3 host still gets all 3 echo replies from bl01h2: flows
+        hash only onto the member that is cabled (IEEE 802.1AX)."""
+        cfg = build_spring8_redundant()
+        links = len(cfg.links)
+        cfg.links = [l for l in cfg.links if l.link_id != "agg3:up2-bb:a3y"]
+        assert len(cfg.links) == links - 1
+        hosts = [f"bl{b:02d}h{n}" for b in QUADRANTS[3] for n in range(1, 9)]
+        cfg.traffic = [TrafficSpec("ping", h, h, dst="bl01h2", count=3)
+                       for h in hosts]
+        validate_scenario(cfg)
+        eng = build_engine(cfg)
+        eng.run_until(4_000_000)
+        answered = [h for h in hosts if eng.nodes[h].ping_seen.get(h) == 3]
+        assert len(answered) == len(hosts) == 112
+        assert not [k for k in eng.metrics.drops if k[1] == "no-link"]
+        eng.close()
+
     def test_redundant_override_maps_each_firewall(self):
         cfg = build_spring8_redundant()
         for bal in cfg.balancers.values():

@@ -7,7 +7,8 @@ lookups with the program's tests, and runs a scenario under the hooks, which
 turn themselves off when an attribute they read is gone.
 
 It also lints the package and its tests for imports no module uses, and
-holds the frame hop to a budget of Python calls per event.
+holds the frame hop to a budget of Python calls per event and loading a
+scenario file to one per declaration line.
 """
 import ast
 import importlib
@@ -15,7 +16,8 @@ import importlib.util
 import sys
 from pathlib import Path
 
-from netfab.scenario import build_engine, load_scenario
+from netfab.scenario import (build_engine, load_scenario, parse_scenario,
+                             serialize_scenario, validate_scenario)
 
 ROOT = Path(__file__).resolve().parents[1]
 LAYERS = ROOT / "perfbench" / "layers.py"
@@ -114,3 +116,37 @@ def test_python_calls_per_event_within_budget():
     events = eng._seq - len(eng._heap)
     assert events > 70_000
     assert calls / events <= CALLS_PER_EVENT_CEILING
+
+
+LOAD_CALLS_PER_LINE_CEILING = 23.2  # 22.94 when set
+
+
+def test_python_calls_per_declaration_line_within_budget():
+    """Python calls per declaration line to parse, validate and build the
+    text of spring8-redundant, after one load has filled the module caches.
+    The count is exact on any host, so a call added to the load path shows
+    here without timing noise."""
+    text = serialize_scenario(load_scenario("spring8-redundant"))
+    lines = [l for l in text.splitlines() if l and not l.startswith("[")]
+
+    def load():
+        cfg = parse_scenario(text)
+        validate_scenario(cfg)
+        return build_engine(cfg)
+
+    load().close()
+    calls = 0
+
+    def count(_frame, event, _arg):
+        nonlocal calls
+        if event == "call":
+            calls += 1
+
+    sys.setprofile(count)
+    try:
+        eng = load()
+    finally:
+        sys.setprofile(None)
+    eng.close()
+    assert len(lines) > 1200
+    assert calls / len(lines) <= LOAD_CALLS_PER_LINE_CEILING
