@@ -64,8 +64,7 @@ def cmd_run(args) -> int:
 
 def cmd_verify(args) -> int:
     cfg = _load(args.scenario)
-    result = verify(cfg, args.invariant,
-                    seed=args.seed if args.seed is not None else cfg.seed)
+    result = verify(cfg, args.invariant, seed=args.seed)
     print("\n".join(result.lines()))
     return EXIT_OK if result.passed else EXIT_VIOLATION
 

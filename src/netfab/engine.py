@@ -31,6 +31,7 @@ RTO_MAX_US = 60_000_000
 CBR_PACKET = 1_500
 PING_INTERVAL_US = 1_000_000
 FAULT_ACTIONS = ("fail_node", "fail_link", "recover")
+FAULT_FIRST = 1 << 62  # taken off a fault's sequence number
 
 
 class UnknownTarget(Exception):
@@ -258,19 +259,24 @@ class Engine:
 
     def schedule(self, at: int, kind: str, target, payload=None):
         """Queue event `kind` on `target` at time `at`: timers and traffic
-        on their node, a fault on its link or node; deliveries enter in
-        `send`. Both take the next number of one sequence, which orders
-        events at the same time in the order they were queued."""
+        on their node; deliveries enter in `send`, faults in `inject_fault`.
+        All take the next number of one sequence, which orders events at the
+        same time in the order they were queued."""
         self._seq += 1
         heappush(self._heap, (at, self._seq, kind, target, payload))
 
     def inject_fault(self, at_us: int, action: str, target: str):
+        """Queue `action` on link or node `target`. It applies before every
+        other event of its microsecond, however late it was queued: its
+        sequence number sorts before all the others'."""
         if action not in FAULT_ACTIONS:
             raise ValueError(f"unknown fault action {action!r}")
         obj = self.links.get(target) or self.nodes.get(target)
         if obj is None:
             raise UnknownTarget(target)
-        self.schedule(at_us, "fault", obj, action)
+        self._seq += 1
+        heappush(self._heap,
+                 (at_us, self._seq - FAULT_FIRST, "fault", obj, action))
 
     def run_until(self, t_end_us: int) -> Metrics:
         if t_end_us < self.now:

@@ -4,28 +4,17 @@ from __future__ import annotations
 
 from .l2 import Switch
 from .packet import BROADCAST, Frame, make_frame, node_mac
-from .scenario import ScenarioConfig, configure_ports
+from .scenario import ScenarioConfig, configure_ports, far_ends
 
 
 def build_switch_fabric(cfg: ScenarioConfig):
     """Return (switches, peer map) for the pure-L2 part of a scenario."""
+    peer = far_ends(cfg)
     switches = {}
     for name, decl in cfg.switches.items():
         switches[name] = sw = Switch(name)
-        configure_ports(sw, decl)
-    peer = {}
-    for link in cfg.links:
-        peer[link.a] = link.b
-        peer[link.b] = link.a
+        configure_ports(sw, decl, peer)
     return switches, peer
-
-
-def host_attachment(cfg: ScenarioConfig, peer: dict, host: str):
-    """The (switch, port) a host's cable lands on, or None."""
-    end = peer.get((host, 0))
-    if end is not None and end[0] in cfg.switches:
-        return end
-    return None
 
 
 def propagate(switches: dict, peer: dict, ingress: tuple,
@@ -55,8 +44,8 @@ def broadcast_delivery(cfg: ScenarioConfig, src_host: str,
     """Hosts that receive a broadcast frame sent by `src_host`."""
     if switches is None:
         switches, peer = build_switch_fabric(cfg)
-    attach = host_attachment(cfg, peer, src_host)
-    if attach is None:
+    attach = peer.get((src_host, 0))
+    if attach is None or attach[0] not in switches:
         return set()
     frame = make_frame(node_mac(src_host), BROADCAST, 46)
     reached = propagate(switches, peer, attach, frame)

@@ -61,7 +61,8 @@ class ValidationError(ScenarioError):
 
 class LoopError(ScenarioError):
     def __init__(self, vid: int, cycle: list[str]):
-        super().__init__(f"vlan {vid} forms a loop: {' - '.join(cycle)}")
+        what = f"vlan {vid} forms" if vid else "inline firewalls form"
+        super().__init__(f"{what} a loop: {' - '.join(cycle)}")
         self.vid = vid
         self.cycle = cycle
 
@@ -638,20 +639,36 @@ def serialize_scenario(cfg: ScenarioConfig) -> str:
 
 # -- validation ------------------------------------------------------------
 
-def _valid_port(cfg: ScenarioConfig, node: str, port) -> bool:
+TAGGED = "tagged"  # how a switch trunk or an L3 switch's `trunk` frames
+
+
+def _framing(cfg: ScenarioConfig, link_id: str, node: str, port):
+    """How `node` frames on `port`: TAGGED; the one VID a switch access
+    port, an L3 `port=` interface or a host with a `vlan` names; or None,
+    untagged on any VID. Raises when node or port is not declared."""
     if node in cfg.switches:
-        return port in cfg.switches[node].ports
-    if node in cfg.hosts:
-        return port == 0
-    if node in cfg.l3s:
+        spec = cfg.switches[node].ports.get(port)
+        if spec is not None:
+            return TAGGED if spec.mode == "trunk" else spec.vid
+    elif node in cfg.hosts:
+        if port == 0:
+            return cfg.hosts[node].vlan
+    elif node in cfg.l3s:
         if port == "trunk":
-            return True
-        return any(i.port == port for i in cfg.l3s[node].interfaces)
-    if node in cfg.firewalls:
-        return port in ("inside", "outside")
-    if node in cfg.balancers:
-        return port == "front" or port in cfg.balancers[node].paths
-    return False
+            return TAGGED
+        for iface in cfg.l3s[node].interfaces:
+            if iface.port == port:
+                return iface.vid
+    elif node in cfg.firewalls:
+        if port in ("inside", "outside"):
+            return None
+    elif node in cfg.balancers:
+        if port == "front" or port in cfg.balancers[node].paths:
+            return None
+    else:
+        raise ValidationError(link_id,
+                              f"link endpoint {node!r} is not declared")
+    raise ValidationError(link_id, f"{node!r} has no port {port!r}")
 
 
 def carried_vids(cfg: ScenarioConfig, node: str, port) -> Optional[frozenset]:
@@ -710,38 +727,44 @@ def vlan_reach(graph: dict, vid: int, start: str, dead_nodes,
 
 
 def _check_loops(cfg: ScenarioConfig):
-    """Per-VLAN cycle check over the switch fabric; a LAG bundle is one
-    edge. Each VID's forest takes its edges in turn; one whose ends it
-    already joins closes a cycle with the forest path `vlan_reach` finds."""
+    """Cycle check over the broadcast domains frames cross: a switch on one
+    VID is a domain, and so is a firewall with an inline side, which passes
+    what reaches one side on to the other. A LAG bundle is one edge. The
+    edges join domains, VID by VID, into one forest; one whose ends the
+    forest already joins closes a cycle with the forest path `vlan_reach`
+    finds."""
     switches = cfg.switches
+    bridges = switches.keys() | {
+        name for name, fw in cfg.firewalls.items()
+        if "inline" in (fw.inside.mode, fw.outside.mode)}
     graph = vlan_graph(cfg, [l for l in cfg.links
-                             if l.a[0] in switches and l.b[0] in switches])
-    edges: dict = {}  # vid -> bundle or link id -> (node, peer)
+                             if l.a[0] in bridges and l.b[0] in bridges])
+    edges: dict = {}  # vid, 0 for none, -> bundle or link id -> 2 domains
     for node, ends in graph.items():
         for peer, vids, link_id, bundle in ends:
-            for vid in vids:
-                edges.setdefault(vid, {}).setdefault(bundle or link_id,
-                                                     (node, peer))
+            for vid in (0,) if vids is None else vids:  # firewall to firewall
+                edges.setdefault(vid, {}).setdefault(bundle or link_id, (
+                    (node, vid if node in switches else 0),
+                    (peer, vid if peer in switches else 0)))
+    up: dict = {}  # the forest: domain -> a domain nearer its tree's root
+    forest: dict = {}  # domain -> its forest edges, as in `vlan_graph`
     for vid in sorted(edges):
-        up: dict = {}  # the forest: node -> a node nearer its tree's root
-        for count, (node, peer) in enumerate(edges[vid].values()):
-            a, b = node, peer
-            while a in up:
-                a = up[a]
-            while b in up:
-                b = up[b]
-            if a != b:
-                up[b] = a
+        for a, b in edges[vid].values():
+            root_a, root_b = a, b
+            while root_a in up:
+                root_a = up[root_a]
+            while root_b in up:
+                root_b = up[root_b]
+            if root_a != root_b:
+                up[root_b] = root_a
+                forest.setdefault(a, []).append((b, None, None, None))
+                forest.setdefault(b, []).append((a, None, None, None))
                 continue
-            kept = set(list(edges[vid])[:count])  # the forest's edges
-            dead = {link_id for ends in graph.values()
-                    for _, _, link_id, bundle in ends
-                    if (bundle or link_id) not in kept}
-            tree = vlan_reach(graph, vid, node, (), dead)
-            cycle = [peer]
-            while cycle[-1] != node:
+            tree = vlan_reach(forest, vid, a, (), ())
+            cycle = [b]
+            while cycle[-1] != a:
                 cycle.append(tree[cycle[-1]])
-            raise LoopError(vid, cycle)
+            raise LoopError(vid, [node for node, _vid in cycle])
 
 
 def validate_scenario(cfg: ScenarioConfig, horizon_us: Optional[int] = None):
@@ -752,35 +775,28 @@ def validate_scenario(cfg: ScenarioConfig, horizon_us: Optional[int] = None):
     endpoints = set()
     for link in cfg.links:
         link_id = link.link_id
+        framing = []
         for node, port in (link.a, link.b):
-            if node not in names:
-                raise ValidationError(link_id,
-                                      f"link endpoint {node!r} is not declared")
-            if not _valid_port(cfg, node, port):
-                raise ValidationError(link_id,
-                                      f"{node!r} has no port {port!r}")
+            framing.append(_framing(cfg, link_id, node, port))
             if (node, port) in endpoints:
                 raise ValidationError(link_id,
                                       f"port {node}:{port} used by two links")
             endpoints.add((node, port))
-        for (node, _), (peer, port) in ((link.a, link.b), (link.b, link.a)):
-            host = cfg.hosts.get(node)
-            if host is None:
-                continue
-            # a switch trunk has no native VLAN; an L3 switch's `trunk`
-            # takes tagged frames only
-            switch = cfg.switches.get(peer)
-            if (switch.ports[port].mode == "trunk" if switch is not None
-                    else port == "trunk" and peer in cfg.l3s):
-                raise ValidationError(
-                    node, f"{peer}:{port} is a trunk port, which drops "
-                          "untagged frames")
-            if host.vlan is not None:
-                vids = carried_vids(cfg, peer, port)
-                if vids is not None and host.vlan not in vids:
-                    raise ValidationError(
-                        node, f"vlan {host.vlan} is not carried by "
-                              f"{peer}:{port}")
+        # one framing per link: a tagged end faces a tagged end, and two
+        # untagged ends that name a VID name the same one; an error names
+        # the untagged end, else a host end, else end a
+        ends = tuple(zip((link.a, link.b), framing))
+        if ends[0][1] == TAGGED or (ends[1][1] != TAGGED
+                                    and link.b[0] in cfg.hosts):
+            ends = ends[::-1]
+        ((node, _), near), ((peer, port), far) = ends
+        if far == TAGGED and near != TAGGED:
+            # a trunk has no native VLAN, so it drops what this end sends
+            raise ValidationError(node, f"{peer}:{port} is a trunk port, "
+                                        "which drops untagged frames")
+        if near is not None and far is not None and near != far:
+            raise ValidationError(node, f"vlan {near} is not carried by "
+                                        f"{peer}:{port}")
         if link_id in link_ids:
             raise ValidationError(link_id, "duplicate link")
         link_ids.add(link_id)
@@ -862,7 +878,16 @@ def validate_scenario(cfg: ScenarioConfig, horizon_us: Optional[int] = None):
         what, pool = targets.get(f.action, either)
         if f.target not in pool:
             raise ValidationError(f.target, f"{f.action} target is not a {what}")
-    _check_gateways(cfg)
+    for name, node in host_gateways(cfg).items():
+        if node is None:
+            host = cfg.hosts[name]
+            vlan = cfg.vlans.get(host.vlan)
+            subnet = vlan.subnet if vlan is not None else None
+            on = "" if host.vlan is None else f" on vlan {host.vlan}"
+            within = "" if subnet is None else f" in {_write_ip_len(subnet)}"
+            raise ValidationError(name, (
+                f"gateway {ip_str(host.gw)} is not an L3 interface{on} or a "
+                f"firewall side{within}"))
     _check_loops(cfg)
 
 
@@ -885,38 +910,51 @@ def offered_packets(cfg: ScenarioConfig, horizon_us: int) -> int:
     return total
 
 
-def _check_gateways(cfg: ScenarioConfig):
-    """A host's gateway is an L3 interface on its VLAN or a firewall side in
-    its VLAN's declared subnet. Without a subnet any firewall side will do;
-    without a VLAN, any L3 interface too."""
-    l3_ips: dict = {}  # vid, and None for any, -> interface addresses
-    for decl in cfg.l3s.values():
+def host_gateways(cfg: ScenarioConfig) -> dict:
+    """Each host with a `gw` -> the node that answers it, or None: an L3
+    interface at that address on the host's VLAN (on any VLAN for a host
+    without one), else a firewall side inside the VLAN's declared subnet
+    (anywhere without one). The first node declared wins."""
+    l3s: dict = {}  # (vid, and None for any, ip) -> node
+    for name, decl in cfg.l3s.items():
         for iface in decl.interfaces:
             for vid in (iface.vid, None):
-                l3_ips.setdefault(vid, set()).add(iface.ip)
-    fw_ips = {side.ip for fw in cfg.firewalls.values()
-              for side in (fw.inside, fw.outside) if side.ip is not None}
-    for host in cfg.hosts.values():
-        gw = host.gw
-        if gw is None or gw in l3_ips.get(host.vlan, ()):
-            continue
-        vlan = cfg.vlans.get(host.vlan)
-        subnet = vlan.subnet if vlan is not None else None
-        if gw in fw_ips and (subnet is None or in_network(gw, *subnet)):
-            continue
-        on = "" if host.vlan is None else f" on vlan {host.vlan}"
-        within = "" if subnet is None else f" in {_write_ip_len(subnet)}"
-        raise ValidationError(host.name, (
-            f"gateway {ip_str(gw)} is not an L3 interface{on} or a "
-            f"firewall side{within}"))
+                l3s.setdefault((vid, iface.ip), name)
+    firewalls = {side.ip: name for name, fw in reversed(cfg.firewalls.items())
+                 for side in (fw.inside, fw.outside)}
+    answers = {}
+    for host, decl in cfg.hosts.items():
+        gw = decl.gw
+        if gw is not None:
+            node = l3s.get((decl.vlan, gw))
+            vlan = cfg.vlans.get(decl.vlan)
+            if node is None and (vlan is None or vlan.subnet is None
+                                 or in_network(gw, *vlan.subnet)):
+                node = firewalls.get(gw)
+            answers[host] = node
+    return answers
 
 
 # -- engine construction ---------------------------------------------------
 
-def configure_ports(switch: Switch, decl: SwitchDecl):
-    """Give switch the ports decl declares."""
+def far_ends(cfg: ScenarioConfig) -> dict:
+    """Each cabled (node, port) -> the (node, port) at its link's far end."""
+    ends = {}
+    for link in cfg.links:
+        ends[link.a] = link.b
+        ends[link.b] = link.a
+    return ends
+
+
+def configure_ports(switch: Switch, decl: SwitchDecl, ends: dict):
+    """Give switch the ports decl declares. A LAG member with no link in
+    `ends` (`far_ends`) starts down, as IEEE 802.1AX aggregates only
+    members whose link is up."""
     for pid in sorted(decl.ports, key=str):
-        switch.configure_port(pid, decl.ports[pid])
+        spec = decl.ports[pid]
+        switch.configure_port(pid, spec)
+        if spec.lag_group is not None and (switch.name, pid) not in ends:
+            switch.set_port_up(pid, False)
 
 
 def _router(cfg: ScenarioConfig, name: str, policy=None) -> ZoneRouter:
@@ -933,22 +971,15 @@ def _router(cfg: ScenarioConfig, name: str, policy=None) -> ZoneRouter:
     return router
 
 
-def build_engine(cfg: ScenarioConfig, seed: Optional[int] = None,
-                 trace=None) -> Engine:
-    """The engine for cfg; `trace` is as for `Engine`. The engine shares
-    cfg's records and changes none of cfg."""
-    eng = Engine(seed=cfg.seed if seed is None else seed, trace=trace)
+def build_engine(cfg: ScenarioConfig, trace=None) -> Engine:
+    """The engine for cfg at its seed; `trace` is as for `Engine`. The
+    engine shares cfg's records and changes none of cfg."""
+    eng = Engine(seed=cfg.seed, trace=trace)
     policy_rules = {(a.from_zone, a.to_zone): a.verdict for a in cfg.acls}
 
-    # a LAG member with no link is left out of its bundle, as IEEE 802.1AX
-    # aggregates only members whose link is up
-    cabled = {end for link in cfg.links for end in (link.a, link.b)}
+    ends = far_ends(cfg)
     for name, decl in sorted(cfg.switches.items()):
-        switch = SwitchNode(eng, name).switch
-        configure_ports(switch, decl)
-        for pid, spec in decl.ports.items():
-            if spec.lag_group is not None and (name, pid) not in cabled:
-                switch.set_port_up(pid, False)
+        configure_ports(SwitchNode(eng, name).switch, decl, ends)
 
     for name in sorted(cfg.l3s):
         L3Node(eng, name, _router(cfg, name, ZonePolicy(policy_rules)))

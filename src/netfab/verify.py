@@ -12,7 +12,8 @@ from .firewall import Firewall
 from .l2 import PortConfig
 from .packet import Packet, ip_addr, ip_str
 from .scenario import (FaultDecl, HostDecl, LinkDecl, ScenarioConfig,
-                       build_engine, vlan_graph, vlan_reach)
+                       build_engine, far_ends, host_gateways, vlan_graph,
+                       vlan_reach)
 
 
 class UnknownInvariant(Exception):
@@ -37,19 +38,22 @@ class VerifyResult:
         return out
 
 
-def verify(cfg: ScenarioConfig, invariant: str, seed: int = 0) -> VerifyResult:
+def verify(cfg: ScenarioConfig, invariant: str,
+           seed: Optional[int] = None) -> VerifyResult:
+    """Check `invariant` on cfg, at cfg's seed or, when given, at `seed`."""
     check = CHECKS.get(invariant)
     if check is None:
         raise UnknownInvariant(invariant)
-    passed, detail = check(cfg, seed)
+    if seed is not None:
+        cfg = replace(cfg, seed=seed)
+    passed, detail = check(cfg)
     return VerifyResult(invariant, passed, detail)
 
 
-def _simulate(cfg: ScenarioConfig, seed: int, until_us: int,
-              trace=None) -> Metrics:
+def _simulate(cfg: ScenarioConfig, until_us: int, trace=None) -> Metrics:
     """Run cfg's engine to until_us and close it, so no node outlives the
     query; its metrics stay readable."""
-    eng = build_engine(cfg, seed=seed, trace=trace)
+    eng = build_engine(cfg, trace=trace)
     try:
         return eng.run_until(until_us)
     finally:
@@ -67,16 +71,14 @@ def _first_host(cfg: ScenarioConfig, group: str) -> Optional[str]:
                default=None)
 
 
-def _verify_isolation(cfg: ScenarioConfig, seed: int):
+def _verify_isolation(cfg: ScenarioConfig):
     """Attach a host claiming beamline A's addressing at beamline B's switch
     and check whether its frames can reach A's hosts at all."""
     a_hosts = _beamline_hosts(cfg, "bl01")
     probe = _first_host(cfg, "bl02")
     if not a_hosts or probe is None:
         return False, "scenario lacks bl01/bl02 host groups for the probe"
-    sw_name, port = next((end for link in cfg.links
-                          for near, end in ((link.a, link.b), (link.b, link.a))
-                          if near == (probe, 0)), (None, None))
+    sw_name, port = far_ends(cfg).get((probe, 0), (None, None))
     switch = cfg.switches.get(sw_name)
     b_vid = None if switch is None else switch.ports[port].vid
     if b_vid is None:
@@ -107,7 +109,7 @@ def _external_ip(cfg: ScenarioConfig) -> Optional[int]:
     return masq[0].external if masq else None
 
 
-def _verify_zone_policy(cfg: ScenarioConfig, seed: int):
+def _verify_zone_policy(cfg: ScenarioConfig):
     """Outbound dmz->public traffic flows; unsolicited public->dmz does not."""
     inside = _beamline_hosts(cfg, "bl01")
     outside = _first_host(cfg, "outside")
@@ -122,7 +124,7 @@ def _verify_zone_policy(cfg: ScenarioConfig, seed: int):
                     rate_bps=2_000_000, src_port=30_000, dst_port=80,
                     stop_us=3_000_000),
     ])
-    flows = _simulate(trial, seed, 6_000_000).flows
+    flows = _simulate(trial, 6_000_000).flows
     out_flow = flows.get("zp-out")
     in_flow = flows.get("zp-in")
     if out_flow is None or out_flow.completed_at is None:
@@ -137,7 +139,7 @@ def _verify_zone_policy(cfg: ScenarioConfig, seed: int):
 
 # -- nat bijection ---------------------------------------------------------
 
-def _verify_nat_bijection(cfg: ScenarioConfig, seed: int):
+def _verify_nat_bijection(cfg: ScenarioConfig):
     """64 synthetic flows through the scenario's first firewall must map to
     distinct outside tuples and reverse-translate exactly."""
     if not cfg.firewalls:
@@ -174,7 +176,7 @@ def _verify_nat_bijection(cfg: ScenarioConfig, seed: int):
 
 # -- failover --------------------------------------------------------------
 
-def _verify_failover(cfg: ScenarioConfig, seed: int):
+def _verify_failover(cfg: ScenarioConfig):
     """Fail the node on the first balancer's first path at 10 s: the path
     must go down, take no later dispatch, and a transfer opened after the
     switchover must complete."""
@@ -186,10 +188,7 @@ def _verify_failover(cfg: ScenarioConfig, seed: int):
         return False, "scenario lacks probe traffic endpoints"
     balancer = min(cfg.balancers)
     path = cfg.balancers[balancer].paths[0]
-    end, target = (balancer, path), None  # target: the path's far end
-    for link in cfg.links:
-        if end in (link.a, link.b):
-            target = (link.b if link.a == end else link.a)[0]
+    target, _port = far_ends(cfg).get((balancer, path), (None, None))
     if target is None:
         return False, f"path {path} of {balancer} is cabled to nothing"
     trial = replace(cfg, traffic=[
@@ -209,7 +208,7 @@ def _verify_failover(cfg: ScenarioConfig, seed: int):
                 and t > 14_000_000):
             first.setdefault(ev, t)
 
-    metrics = _simulate(trial, seed, 22_000_000, trace=watch)
+    metrics = _simulate(trial, 22_000_000, trace=watch)
     down_at, late_dispatch = first.get("path_down"), first.get("tx")
     if down_at is None:
         return False, f"path {path} was never marked down"
@@ -229,7 +228,7 @@ def _verify_failover(cfg: ScenarioConfig, seed: int):
 DIGEST_BATCH = 512  # trace lines hashed per sha256 update
 
 
-def _run_digest(cfg: ScenarioConfig, seed: int) -> str:
+def _run_digest(cfg: ScenarioConfig) -> str:
     """sha256 of the trace text (each line ending in a newline) + the summary.
 
     Lines are hashed in batches as the run goes, so memory stays bounded; a
@@ -244,15 +243,15 @@ def _run_digest(cfg: ScenarioConfig, seed: int) -> str:
             digest.update("\n".join(batch).encode())
             batch.clear()
 
-    metrics = _simulate(cfg, seed, cfg.duration_us, trace=sink)
+    metrics = _simulate(cfg, cfg.duration_us, trace=sink)
     batch.append("\n".join(metrics.summary_lines()))  # after the last batch
     digest.update("\n".join(batch).encode())
     return digest.hexdigest()
 
 
-def _verify_determinism(cfg: ScenarioConfig, seed: int):
-    first = _run_digest(cfg, seed)
-    second = _run_digest(cfg, seed)
+def _verify_determinism(cfg: ScenarioConfig):
+    first = _run_digest(cfg)
+    second = _run_digest(cfg)
     if first != second:
         return False, f"same seed produced digests {first[:12]} != {second[:12]}"
     return True, f"two runs, one digest {first[:12]}"
@@ -288,19 +287,14 @@ def affected_vlans(cfg: ScenarioConfig, dead_nodes: set,
                    dead_links: set) -> list[int]:
     """Beamline VLANs whose hosts lost their management reachability.
 
-    A host needs an L2 path on its VLAN to its gateway, and the gateway one
+    A host needs an L2 path on its VLAN to its gateway, the node
+    `host_gateways` names, and the gateway one
     on the monitor's VLAN to the monitor host. A path is symmetric, so one
     `vlan_reach` per (VID, gateway or monitor) serves all hosts behind it."""
     monitor = _first_host(cfg, "mgmt")
     mon_vid = cfg.hosts[monitor].vlan if monitor is not None else None
     graph = vlan_graph(cfg, cfg.links)
-    gateways: dict = {}  # ip -> node; L3 switches before firewalls, first wins
-    for name, decl in cfg.l3s.items():
-        for iface in decl.interfaces:
-            gateways.setdefault(iface.ip, name)
-    for name, decl in cfg.firewalls.items():
-        for side in (decl.inside, decl.outside):
-            gateways.setdefault(side.ip, name)
+    gateways = host_gateways(cfg)
 
     def unreachable(dead_n, dead_l):
         @functools.cache
@@ -316,7 +310,7 @@ def affected_vlans(cfg: ScenarioConfig, dead_nodes: set,
             elif decl.gw is None:
                 ok = monitor is None or host in reached(decl.vlan, monitor)
             else:
-                gw_node = gateways.get(decl.gw)
+                gw_node = gateways[host]
                 ok = (gw_node is not None
                       and host in reached(decl.vlan, gw_node)
                       and (monitor is None

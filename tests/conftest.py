@@ -66,9 +66,14 @@ def classify_dst(frame: Frame) -> str:
     return "unicast"
 
 
-def random_topology(rng: random.Random) -> ScenarioConfig:
+def random_topology(rng: random.Random,
+                    lag_members: int = 0) -> ScenarioConfig:
     """A random loop-free access/trunk fabric: ≤ 8 switches, ≤ 16 VLANs,
-    ≤ 64 hosts. Inter-switch links are trunks with random allowed sets."""
+    ≤ 64 hosts. Inter-switch links are trunks with random allowed sets.
+    With `lag_members`, each is a LAG bundle of 1 to that many members,
+    whose ports on one switch share an allowed set, and each member is
+    cabled or not at random; without it, the draws are those of a fabric
+    with no bundle."""
     cfg = ScenarioConfig()
     n_sw = rng.randint(1, 8)
     n_vid = rng.randint(1, 16)
@@ -79,12 +84,17 @@ def random_topology(rng: random.Random) -> ScenarioConfig:
     for i in range(2, n_sw + 1):  # random spanning tree
         j = rng.randint(1, i - 1)
         a, b = f"s{i}", f"s{j}"
-        pa, pb = f"t{len(ports[a])}", f"t{len(ports[b])}"
-        ports[a][pa] = PortConfig("trunk", allowed=tuple(
-            sorted(rng.sample(vids, rng.randint(1, n_vid)))))
-        ports[b][pb] = PortConfig("trunk", allowed=tuple(
-            sorted(rng.sample(vids, rng.randint(1, n_vid)))))
-        cfg.links.append(LinkDecl((a, pa), (b, pb), 100_000_000))
+        allowed_a = tuple(sorted(rng.sample(vids, rng.randint(1, n_vid))))
+        allowed_b = tuple(sorted(rng.sample(vids, rng.randint(1, n_vid))))
+        lag = f"g{i}" if lag_members else None
+        for _ in range(rng.randint(1, lag_members) if lag_members else 1):
+            pa, pb = f"t{len(ports[a])}", f"t{len(ports[b])}"
+            ports[a][pa] = PortConfig("trunk", allowed=allowed_a,
+                                      lag_group=lag)
+            ports[b][pb] = PortConfig("trunk", allowed=allowed_b,
+                                      lag_group=lag)
+            if not lag_members or rng.random() < 0.6:
+                cfg.links.append(LinkDecl((a, pa), (b, pb), 100_000_000))
     n_hosts = rng.randint(2, 64)
     for h in range(1, n_hosts + 1):
         sw = f"s{rng.randint(1, n_sw)}"

@@ -397,6 +397,133 @@ def test_host_outside_its_vlan_subnet_rejected(tmp_path, capsys):
             in capsys.readouterr().err)
 
 
+LAG_PROBE = """
+[vlan]
+vid=10 name=flat
+
+[switch]
+name=sw1 ports=p1:access:10,u1:access:10:g,u2:access:10:g
+name=sw2 ports=p1:access:10,u1:access:10:g,u2:access:10:g
+
+[host]
+name=a1 ip=10.0.10.11/24 vlan=10 group=bl01
+name=b1 ip=10.0.10.21/24 vlan=10 group=bl02
+
+[link]
+a=a1:0 b=sw1:p1 bw=100000000
+a=b1:0 b=sw2:p1 bw=100000000
+a=sw1:u1 b=sw2:u1 bw=1000000000
+
+[traffic]
+kind=ping src=b1 dst=a1 flow=p count=3
+"""
+
+
+def test_isolation_probe_leaves_out_an_uncabled_lag_member(tmp_path, capsys):
+    """One flat VLAN over a bundle with one member cabled: the engine sends
+    on that member only (IEEE 802.1AX), so the bl02 host's pings are all
+    answered, and the isolation probe, which floods on the same rule, must
+    find bl01 reachable too."""
+    path = tmp_path / "lag.nf"
+    path.write_text(LAG_PROBE)
+    assert main(["run", str(path)]) == 0
+    assert "host_delivered=3\n" in capsys.readouterr().out
+    assert main(["verify", str(path), "--invariant", "isolation"]) == 1
+    out = capsys.readouterr().out
+    assert "result=fail" in out and "reached a1" in out
+
+
+TWO_SWITCHES = """
+[engine]
+seed=1 duration=0.1
+
+[vlan]
+vid=10 name=v10
+vid=20 name=v20
+
+[switch]
+name=sw1 ports=h:access:10,a:access:10,c:access:10
+name=sw2 ports=h:access:10,a:access:20,c:access:20
+
+[host]
+name=h1 ip=10.0.10.1/24 vlan=10
+name=h2 ip=10.0.10.2/24 vlan=10
+
+[link]
+a=h1:0 b=sw1:h bw=100000000
+a=h2:0 b=sw2:h bw=100000000
+a=sw1:a b=sw2:a bw=100000000
+a=sw1:c b=sw2:c bw=100000000
+
+[traffic]
+kind=ping src=h1 dst_ip=10.0.10.99 flow=p count=1
+"""
+INLINE_LOOP = """
+[engine]
+seed=1 duration=0.1
+
+[vlan]
+vid=10 name=v10
+
+[switch]
+name=sw1 ports=h:access:10,i:access:10,o:access:10
+
+[firewall]
+name=fw inside=inline::dmz outside=inline::public
+
+[host]
+name=h1 ip=10.0.10.1/24 vlan=10
+
+[link]
+a=h1:0 b=sw1:h bw=100000000
+a=sw1:i b=fw:inside bw=100000000
+a=fw:outside b=sw1:o bw=100000000
+
+[traffic]
+kind=ping src=h1 dst_ip=10.0.10.99 flow=p count=1
+"""
+
+
+@pytest.mark.parametrize("text, error", [
+    # each access-access link bridges vlan 10 into vlan 20, so one ARP
+    # would circle sw1 - sw2 - sw1 for ever
+    (TWO_SWITCHES, "sw1: vlan 10 is not carried by sw2:a"),
+    # an inline firewall passes a broadcast from one side to the other
+    (INLINE_LOOP, "vlan 10 forms a loop: fw - sw1"),
+    # two firewalls that each bridge vlan 10 on sw1 into vlan 20 on sw2
+    (INLINE_LOOP.replace("name=sw1 ports=h:access:10,i:access:10,o:access:10",
+                         "name=sw1 ports=h:access:10,i:access:10,j:access:10\n"
+                         "name=sw2 ports=o:access:20,p:access:20")
+     .replace("vid=10 name=v10", "vid=10 name=v10\nvid=20 name=v20")
+     .replace("name=fw ", "name=fx inside=inline::dmz outside=inline::public\n"
+              "name=fw ")
+     .replace("a=fw:outside b=sw1:o bw=100000000",
+              "a=fw:outside b=sw2:o bw=100000000\n"
+              "a=sw1:j b=fx:inside bw=100000000\n"
+              "a=fx:outside b=sw2:p bw=100000000"),
+     "vlan 20 forms a loop: "),
+    # two inline firewalls cabled into a ring of their own
+    (INLINE_LOOP.replace("name=fw ", "name=fx inside=inline::dmz "
+                         "outside=inline::public\nname=fw ")
+     .replace("a=sw1:i b=fw:inside bw=100000000\n"
+              "a=fw:outside b=sw1:o bw=100000000",
+              "a=fx:outside b=fw:inside bw=100000000\n"
+              "a=fw:outside b=fx:inside bw=100000000"),
+     "inline firewalls form a loop: "),
+    # an access port sends untagged frames, which a trunk drops
+    (TWO_SWITCHES.replace("a:access:20,c:access:20", "a:trunk:10|20")
+     .replace("a=sw1:c b=sw2:c bw=100000000\n", ""),
+     "sw1: sw2:a is a trunk port, which drops untagged frames"),
+], ids=["two-access-links", "inline-firewall", "firewalls-joining-two-vlans",
+        "firewall-ring", "access-to-trunk"])
+def test_links_the_vlan_model_cannot_see_rejected(tmp_path, capsys, text,
+                                                  error):
+    path = tmp_path / "bad.nf"
+    path.write_text(text)
+    assert main(["run", str(path)]) == 2
+    assert f"error: {error}" in capsys.readouterr().err
+
+
 def assert_rejects_line(tmp_path, capsys, text: str, bad_line: str):
     """`netfab run` exits 2 on text, naming the line that is bad_line."""
     lineno = text.splitlines().index(bad_line) + 1

@@ -7,8 +7,9 @@ lookups with the program's tests, and runs a scenario under the hooks, which
 turn themselves off when an attribute they read is gone.
 
 It also lints the package and its tests for imports no module uses, and
-holds the frame hop to a budget of Python calls per event and loading a
-scenario file to one per declaration line.
+the package for definitions nothing in it reads, and holds the frame hop to
+a budget of Python calls per event and loading a scenario file to one per
+declaration line.
 """
 import ast
 import importlib
@@ -90,6 +91,49 @@ def test_no_unused_imports():
     modules = sorted(PACKAGE.glob("*.py")) + sorted(TESTS.glob("*.py"))
     assert modules
     assert [u for m in modules for u in _unused_imports(m)] == []
+
+
+# definitions nothing in the package reads, each with its reader
+READ_OUTSIDE_THE_PACKAGE = {
+    "engine.Engine.residual_frames",  # frame conservation: tests, perfbench
+    "packet.push_tag",  # tests, and perfbench's hooks
+    "packet.pop_tag",  # tests, and perfbench's hooks
+    "packet.flow_key",  # tests, and perfbench's hooks
+}
+
+
+def _definitions(path: Path):
+    """(qualified name, name) of each module-level function and class and
+    each method not named like `__x__` that path defines."""
+    tree = ast.parse(path.read_text(), str(path))
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    for node in tree.body:
+        if not isinstance(node, kinds):
+            continue
+        yield f"{path.stem}.{node.name}", node.name
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if (isinstance(item, kinds[:2])
+                        and not (item.name.startswith("__")
+                                 and item.name.endswith("__"))):
+                    yield f"{path.stem}.{node.name}.{item.name}", item.name
+
+
+def test_every_definition_is_read_in_the_package():
+    """Each function, class and method of the package is named somewhere
+    in it beyond its own definition, or is listed with the reader outside
+    the package that keeps it."""
+    modules = sorted(PACKAGE.glob("*.py"))
+    named = set()
+    for path in modules:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+    unread = {qualified for path in modules
+              for qualified, name in _definitions(path) if name not in named}
+    assert unread == READ_OUTSIDE_THE_PACKAGE
 
 
 CALLS_PER_EVENT_CEILING = 5.8  # 5.72 when set

@@ -20,7 +20,8 @@ from netfab.packet import ip_addr
 from netfab.scenario import (BUNDLED, FaultDecl, L3Decl, LinkDecl,
                              build_spring8_legacy,
                              build_spring8_redundant, build_spring8_upgraded,
-                             build_engine, parse_scenario, serialize_scenario)
+                             build_engine, host_gateways, parse_scenario,
+                             serialize_scenario, validate_scenario)
 from netfab.verify import (DIGEST_BATCH, INVARIANTS, UnknownInvariant,
                            UnknownNode, _run_digest, affected_vlans, status,
                            verify)
@@ -116,7 +117,7 @@ class TestDeterminism:
         cfg = BUNDLED[name]()
         if parsed:
             cfg = parse_scenario(serialize_scenario(cfg))
-        assert _run_digest(cfg, cfg.seed)[:16] == digest
+        assert _run_digest(cfg)[:16] == digest
 
     def test_batched_digest_hashes_every_line(self):
         """The digest is sha256 of the whole trace text, then the summary,
@@ -125,14 +126,14 @@ class TestDeterminism:
         cfg = replace(build_spring8_redundant(), duration_us=4_000_000,
                       faults=[FaultDecl(1_000_000, "fail_node", "fw1")])
         lines = TraceLines()
-        eng = build_engine(cfg, seed=cfg.seed, trace=lines)
+        eng = build_engine(cfg, trace=lines)
         eng.run_until(cfg.duration_us)
         events = {line.split("\t")[2] for line in lines}
         assert {"ev=fault", "ev=drop", "ev=probe", "ev=path_down",
                 "ev=tx", "ev=rx", "ev=nat"} <= events
         assert len(lines) > 4 * DIGEST_BATCH and len(lines) % DIGEST_BATCH
         text = lines.text() + "\n".join(eng.metrics.summary_lines())
-        assert _run_digest(cfg, cfg.seed) == \
+        assert _run_digest(cfg) == \
             hashlib.sha256(text.encode()).hexdigest()
 
     def test_bundled_trace_digests_ignore_the_hash_seed(self):
@@ -143,7 +144,7 @@ class TestDeterminism:
                   "from netfab.verify import _run_digest\n"
                   "for name in sorted(BUNDLED):\n"
                   "    cfg = BUNDLED[name]()\n"
-                  "    print(name, _run_digest(cfg, cfg.seed))\n")
+                  "    print(name, _run_digest(cfg))\n")
         src = str(Path(engine.__file__).resolve().parents[1])
         outputs = []
         for hash_seed in ("0", "1"):
@@ -249,6 +250,64 @@ class TestStatus:
         assert len(lines) == count
         assert hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16] \
             == digest
+
+
+SHARED_GATEWAY_ADDRESS = """
+[vlan]
+vid=10 name=v10
+vid=20 name=v20
+
+[switch]
+name=edge ports=h:access:20,t:trunk:10|20,u:trunk:10|20
+
+[l3]
+name=r1
+node=r1 vid=10 ip=10.0.10.1/24 zone=dmz
+name=r2
+node=r2 vid=20 ip=10.0.10.1/24 zone=dmz
+
+[host]
+name=h1 ip=10.0.10.20/24 gw=10.0.10.1 vlan=20 group=bl01
+
+[link]
+a=h1:0 b=edge:h bw=100000000
+a=r1:trunk b=edge:t bw=1000000000
+a=r2:trunk b=edge:u bw=1000000000
+"""
+
+
+def test_affected_vlans_finds_the_gateway_on_the_hosts_vlan():
+    """Two L3 switches answer one address, each on its own VLAN; a host's
+    gateway is the one on its VLAN, as validation reads it, so losing that
+    L3 switch or the host's switch cuts the host's VLAN."""
+    cfg = parse_scenario(SHARED_GATEWAY_ADDRESS)
+    validate_scenario(cfg)
+    assert host_gateways(cfg) == {"h1": "r2"}
+    assert affected_vlans(cfg, {"r2"}, set()) == [20]
+    assert affected_vlans(cfg, {"edge"}, set()) == [20]
+    assert affected_vlans(cfg, {"r1"}, set()) == []
+
+
+@pytest.mark.parametrize("name, digest", [
+    ("spring8-redundant", "f8c53ac59bd7907e"),
+    ("spring8-upgraded", "966cb4db8ccf39f0"),
+])
+def test_fault_applies_first_however_late_it_was_queued(name, digest):
+    """A fault at 0.5 s from a `[fault]` line, queued before the run, and
+    the same fault queued at 0.5 s - 1 µs, after the events of 0.5 s that
+    the run queued so far, give one trace: a fault applies before every
+    other event of its microsecond."""
+    cfg = replace(BUNDLED[name](), duration_us=12_000_000)
+    filed = replace(cfg, faults=[FaultDecl(500_000, "fail_node", "fw1")])
+    assert _run_digest(filed)[:16] == digest
+    lines = TraceLines()
+    eng = build_engine(cfg, trace=lines)
+    eng.run_until(499_999)
+    eng.inject_fault(500_000, "fail_node", "fw1")
+    eng.run_until(cfg.duration_us)
+    eng.close()
+    text = lines.text() + "\n".join(eng.metrics.summary_lines())
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
 
 
 def _with_gateway(cfg, rng):
