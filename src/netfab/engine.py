@@ -793,7 +793,6 @@ class FirewallSide:
     prefix_len: int = 24
     zone: str = "dmz"
     gw: Optional[int] = None
-    peer: Optional[str] = None  # inline: the far-end router's name
     routes: list = field(default_factory=list)  # (net, plen, via_ip)
 
 
@@ -801,9 +800,11 @@ class FirewallSide:
 class SideState:
     """One firewall side at run time: its engine port and settings, whether
     zone policy denies new flows arriving on it, its next hops and shaper,
-    whether its shape_tick is queued, and, on an inline inside, the far-end
-    router's MAC. The two sides of a node hold no reference to each other,
-    so reference counting alone frees them once the engine is closed."""
+    whether its shape_tick is queued, and, on an inline inside, the MAC its
+    last packet came from, where reverse-NAT'd packets go (a transparent
+    bridge learns stations from source addresses too, IEEE 802.1D). The two
+    sides of a node hold no reference to each other, so reference counting
+    alone frees them once the engine is closed."""
     port: str
     cfg: FirewallSide
     deny_new: bool
@@ -829,8 +830,6 @@ class FirewallNode(Node):
             policy.verdict(inside.zone, outside.zone) == "deny-new"), cap_bps)
         self.outside = self._side("outside", outside, policy.verdict(
             outside.zone, inside.zone) == "deny-new", cap_bps)
-        if inside.mode == "inline" and inside.peer is not None:
-            self.inside.peer_mac = node_mac(inside.peer)
         self.sides = {"inside": self.inside, "outside": self.outside}
         self.arp = Resolver()
         engine.schedule(NAT_SWEEP_US, "age_tick", self)
@@ -900,10 +899,12 @@ class FirewallNode(Node):
         if not isinstance(payload, Packet):
             self.engine.metrics.frames_filtered += 1
             return
-        if (side.cfg.mode == "routed" and frame.dst != self.mac
-                and frame.dst != BROADCAST):
-            self.engine.metrics.frames_filtered += 1
-            return
+        if side.cfg.mode == "routed":
+            if frame.dst != self.mac and frame.dst != BROADCAST:
+                self.engine.metrics.frames_filtered += 1
+                return
+        elif side is self.inside and payload.protocol != "probe":
+            side.peer_mac = frame.src
         hint = frame.dst if out.cfg.mode == "inline" else None
         if payload.protocol == "probe":
             # health checks are control-plane: no NAT, no shaping
@@ -957,7 +958,7 @@ class FirewallNode(Node):
     def _on_arp(self, side: SideState, out: SideState, frame: Frame,
                 arp: Arp):
         cfg = side.cfg
-        if cfg.mode == "routed" or side is self.outside:
+        if cfg.mode == "routed":  # an inline side resolves no next hop
             self.arp.learn(self, side.port, arp)
         owned = arp.target_ip == cfg.ip or (
             side is self.outside and arp.target_ip in self.fw.external_ips)
@@ -974,6 +975,7 @@ class FirewallNode(Node):
         self.fw.reset_dynamic()
         for side in self.sides.values():
             side.shaper.reset_dynamic()
+        self.inside.peer_mac = None
         self.arp.clear()
 
 

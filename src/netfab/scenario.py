@@ -40,6 +40,11 @@ MAX_SECONDS = 86_400
 # time (2-vCPU VM, CPython 3.11), so the cap is about a minute of work
 MAX_OFFERED_PACKETS = 10_000_000
 
+# the [traffic] keys that only some kinds of flow read -> those kinds
+FLOW_KEYS = {"stop": ("cbr",), "rate": ("cbr",), "total": ("bulk",),
+             "count": ("ping",), "sport": ("cbr", "bulk"),
+             "dport": ("cbr", "bulk")}
+
 
 class ScenarioError(Exception):
     pass
@@ -521,10 +526,8 @@ FORMAT = {
         Key("nat_capacity", COUNT, always=True),
         Key("zones", ON_OFF, always=True),
         Key("inside_gw", IP, "inside.gw"),
-        Key("inside_peer", TEXT, "inside.peer"),
         Key("inside_routes", SIDE_ROUTES, "inside.routes"),
         Key("outside_gw", IP, "outside.gw"),
-        Key("outside_peer", TEXT, "outside.peer"),
         Key("outside_routes", SIDE_ROUTES, "outside.routes"),
     ], store="firewalls", index="name"),
     "balancer": Form(BalancerDecl, [
@@ -639,62 +642,46 @@ def serialize_scenario(cfg: ScenarioConfig) -> str:
 
 # -- validation ------------------------------------------------------------
 
-TAGGED = "tagged"  # how a switch trunk or an L3 switch's `trunk` frames
-
-
-def _framing(cfg: ScenarioConfig, link_id: str, node: str, port):
-    """How `node` frames on `port`: TAGGED; the one VID a switch access
-    port, an L3 `port=` interface or a host with a `vlan` names; or None,
-    untagged on any VID. Raises when node or port is not declared."""
+def _framing(cfg: ScenarioConfig, node: str, port) -> Optional[tuple]:
+    """How `node` frames on `port`: (tagged, the VIDs it carries there, or
+    None for any), or None when it has no such port. A switch trunk and an
+    L3 switch's `trunk` (its interfaces without a port) are tagged; a switch
+    access port, an L3 `port=` interface and a host with a `vlan` carry
+    their VID untagged, and a firewall side, a balancer port and a host
+    without a `vlan` pass any VID untagged."""
     if node in cfg.switches:
         spec = cfg.switches[node].ports.get(port)
         if spec is not None:
-            return TAGGED if spec.mode == "trunk" else spec.vid
+            return spec.mode == "trunk", spec.vids
     elif node in cfg.hosts:
         if port == 0:
-            return cfg.hosts[node].vlan
+            vlan = cfg.hosts[node].vlan
+            return False, None if vlan is None else frozenset((vlan,))
     elif node in cfg.l3s:
-        if port == "trunk":
-            return TAGGED
-        for iface in cfg.l3s[node].interfaces:
-            if iface.port == port:
-                return iface.vid
+        key = None if port == "trunk" else port
+        vids = frozenset(i.vid for i in cfg.l3s[node].interfaces
+                         if i.port == key)
+        if vids or key is None:
+            return key is None, vids
     elif node in cfg.firewalls:
         if port in ("inside", "outside"):
-            return None
+            return False, None
     elif node in cfg.balancers:
         if port == "front" or port in cfg.balancers[node].paths:
-            return None
-    else:
-        raise ValidationError(link_id,
-                              f"link endpoint {node!r} is not declared")
-    raise ValidationError(link_id, f"{node!r} has no port {port!r}")
-
-
-def carried_vids(cfg: ScenarioConfig, node: str, port) -> Optional[frozenset]:
-    """The VIDs `node` carries on `port`: a switch port's access VID or
-    allowed set, the VIDs of an L3 port's interfaces (`trunk`: those with no
-    port), or None for a host, firewall or balancer, which passes any VID."""
-    if node in cfg.switches:
-        spec = cfg.switches[node].ports.get(port)
-        return frozenset() if spec is None else spec.vids
-    if node in cfg.l3s:
-        key = None if port == "trunk" else port
-        return frozenset(i.vid for i in cfg.l3s[node].interfaces
-                         if i.port == key)
+            return False, None
     return None
 
 
 def vlan_graph(cfg: ScenarioConfig, links) -> dict:
     """node -> [(peer, vids, link id, bundle)] for each of `links` ending at
-    it. `vids` are the VIDs both ends carry (`carried_vids`); None: any.
+    it. `vids` are the VIDs both ends carry (`_framing`); None: any.
     `bundle` is both ends' (switch, LAG) pairs, whichever end is `a`, so
     all members of a bundle share it (IEEE 802.1AX); None off a bundle."""
     switches = cfg.switches
     graph: dict = {}
     for link in links:
         (na, pa), (nb, pb) = link.a, link.b
-        va, vb = carried_vids(cfg, na, pa), carried_vids(cfg, nb, pb)
+        va, vb = _framing(cfg, na, pa)[1], _framing(cfg, nb, pb)[1]
         vids = vb if va is None else va if vb is None else va & vb
         bundle = None
         if na in switches and nb in switches:
@@ -748,23 +735,45 @@ def _check_loops(cfg: ScenarioConfig):
                     (peer, vid if peer in switches else 0)))
     up: dict = {}  # the forest: domain -> a domain nearer its tree's root
     forest: dict = {}  # domain -> its forest edges, as in `vlan_graph`
+
+    def root(domain):
+        while domain in up:
+            domain = up[domain]
+        return domain
+
+    def cycle(a, b) -> list:
+        """The domains on the forest path from domain b to domain a."""
+        tree = vlan_reach(forest, 0, a, (), ())
+        path = [b]
+        while path[-1] != a:
+            path.append(tree[path[-1]])
+        return path
+
     for vid in sorted(edges):
         for a, b in edges[vid].values():
-            root_a, root_b = a, b
-            while root_a in up:
-                root_a = up[root_a]
-            while root_b in up:
-                root_b = up[root_b]
-            if root_a != root_b:
-                up[root_b] = root_a
-                forest.setdefault(a, []).append((b, None, None, None))
-                forest.setdefault(b, []).append((a, None, None, None))
-                continue
-            tree = vlan_reach(forest, vid, a, (), ())
-            cycle = [b]
-            while cycle[-1] != a:
-                cycle.append(tree[cycle[-1]])
-            raise LoopError(vid, [node for node, _vid in cycle])
+            root_a, root_b = root(a), root(b)
+            if root_a == root_b:
+                raise LoopError(vid, [node for node, _vid in cycle(a, b)])
+            up[root_b] = root_a
+            forest.setdefault(a, []).append((b, None, None, None))
+            forest.setdefault(b, []).append((a, None, None, None))
+    ends = far_ends(cfg)
+
+    def faced(end):
+        """The domain of `end`, the far end of a balancer port, or None."""
+        if end is None or end[0] not in bridges:
+            return None
+        node, port = end
+        return node, switches[node].ports[port].vid if node in switches else 0
+
+    for name, bal in cfg.balancers.items():
+        front = faced(ends.get((name, "front")))
+        for path in bal.paths:
+            back = faced(ends.get((name, path)))
+            if None not in (front, back) and root(front) == root(back):
+                domains = cycle(back, front)
+                raise LoopError(max(vid for _node, vid in domains),
+                                [name, *(node for node, _vid in domains)])
 
 
 def validate_scenario(cfg: ScenarioConfig, horizon_us: Optional[int] = None):
@@ -777,33 +786,37 @@ def validate_scenario(cfg: ScenarioConfig, horizon_us: Optional[int] = None):
         link_id = link.link_id
         framing = []
         for node, port in (link.a, link.b):
-            framing.append(_framing(cfg, link_id, node, port))
+            framing.append(_framing(cfg, node, port))
+            if framing[-1] is None:
+                raise ValidationError(link_id, (
+                    f"{node!r} has no port {port!r}" if node in names
+                    else f"link endpoint {node!r} is not declared"))
             if (node, port) in endpoints:
                 raise ValidationError(link_id,
                                       f"port {node}:{port} used by two links")
             endpoints.add((node, port))
         # one framing per link: a tagged end faces a tagged end, and two
-        # untagged ends that name a VID name the same one; an error names
+        # untagged ends that name VIDs name the same one; an error names
         # the untagged end, else a host end, else end a
         ends = tuple(zip((link.a, link.b), framing))
-        if ends[0][1] == TAGGED or (ends[1][1] != TAGGED
-                                    and link.b[0] in cfg.hosts):
+        if ends[0][1][0] or (not ends[1][1][0] and link.b[0] in cfg.hosts):
             ends = ends[::-1]
-        ((node, _), near), ((peer, port), far) = ends
-        if far == TAGGED and near != TAGGED:
+        ((node, _), (tagged, near)), ((peer, port), (far_tagged, far)) = ends
+        if far_tagged and not tagged:
             # a trunk has no native VLAN, so it drops what this end sends
             raise ValidationError(node, f"{peer}:{port} is a trunk port, "
                                         "which drops untagged frames")
-        if near is not None and far is not None and near != far:
-            raise ValidationError(node, f"vlan {near} is not carried by "
+        if not tagged and None not in (near, far) and near != far:
+            vids = "|".join(map(str, sorted(near)))
+            raise ValidationError(node, f"vlan {vids} is not carried by "
                                         f"{peer}:{port}")
         if link_id in link_ids:
             raise ValidationError(link_id, "duplicate link")
         link_ids.add(link_id)
     if cfg.vlans:
         for name, sw in cfg.switches.items():
-            for pid in sw.ports:
-                for vid in sorted(carried_vids(cfg, name, pid)):
+            for pid, spec in sw.ports.items():
+                for vid in sorted(spec.vids):
                     if vid not in cfg.vlans:
                         raise ValidationError(f"{sw.name}:{pid}",
                                               f"vlan {vid} is not declared")
@@ -828,17 +841,12 @@ def validate_scenario(cfg: ScenarioConfig, horizon_us: Optional[int] = None):
             raise ValidationError(masq.node,
                                   "masquerade scope on undeclared firewall")
     for fw in cfg.firewalls.values():
-        # `FirewallNode` sends to a peer only from an inline inside
-        if fw.outside.peer is not None:
-            raise ValidationError(fw.name, "outside_peer has no effect: only "
-                                  "an inline inside side has a peer")
-        peer = fw.inside.peer
-        if peer is not None:
-            if fw.inside.mode != "inline":
-                raise ValidationError(fw.name, "inside_peer has no effect on "
-                                      "a routed inside side")
-            if peer not in names:
-                raise ValidationError(fw.name, f"peer {peer!r} is not declared")
+        # an inline side passes frames on to the MAC they were sent to
+        for port, side in (("inside", fw.inside), ("outside", fw.outside)):
+            if side.mode == "inline" and (side.gw is not None or side.routes):
+                key = f"{port}_gw" if side.gw is not None else f"{port}_routes"
+                raise ValidationError(fw.name,
+                                      f"{key} has no effect on an inline side")
     for bal in cfg.balancers.values():
         if len(bal.paths) != 2:
             raise ValidationError(bal.name, "balancer needs exactly two paths")
@@ -847,6 +855,8 @@ def validate_scenario(cfg: ScenarioConfig, horizon_us: Optional[int] = None):
                 raise ValidationError(bal.name,
                                       f"override path {path!r} not in paths")
     flows = set()
+    traffic_keys = FORMAT["traffic"].by_name
+    flow_defaults = _field_defaults(TrafficSpec)
     for t in cfg.traffic:
         fid = t.flow_id
         if fid in flows:
@@ -858,6 +868,13 @@ def validate_scenario(cfg: ScenarioConfig, horizon_us: Optional[int] = None):
             raise ValidationError(fid, "traffic needs dst or dst_ip")
         if t.dst is not None and t.dst not in cfg.hosts:
             raise ValidationError(fid, f"traffic dst {t.dst!r} is not a host")
+        if t.dst is not None and t.dst_ip is not None:
+            raise ValidationError(fid, "dst has no effect beside dst_ip")
+        for key, kinds in FLOW_KEYS.items():
+            attr = traffic_keys[key].attr
+            if t.kind not in kinds and getattr(t, attr) != flow_defaults[attr]:
+                raise ValidationError(fid, f"{key} has no effect on a {t.kind}"
+                                           " flow")
         if t.kind == "cbr" and not 0 < t.rate_bps <= MAX_CBR_RATE:
             raise ValidationError(
                 fid, f"cbr rate must be in (0, {MAX_CBR_RATE}] bps")
@@ -1308,7 +1325,7 @@ def build_spring8_redundant() -> ScenarioConfig:
     cfg.links.append(LinkDecl((name, "wan"), ("lbi", "front"), GIG))
     for i in (1, 2):
         fw = FirewallDecl(f"fw{i}", nat_capacity=64, zones=False)
-        fw.inside = FirewallSide("inline", None, 24, "dmz", peer=name)
+        fw.inside = FirewallSide("inline", None, 24, "dmz")
         fw.outside = FirewallSide("inline", None, 24, "public")
         cfg.firewalls[f"fw{i}"] = fw
         cfg.masquerades.append(MasqDecl(f"fw{i}", ip_addr("192.0.2.0"), 24,

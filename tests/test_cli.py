@@ -230,20 +230,117 @@ def test_host_gateway_firewall_side_in_its_vlan_subnet(tmp_path, capsys):
             "or a firewall side in 198.18.0.0/24") in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("key, error", [
-    ("outside_peer=h2", "fw: outside_peer has no effect: only an inline "
-     "inside side has a peer"),
-    ("inside_peer=h1", "fw: inside_peer has no effect on a routed inside "
-     "side"),
-])
-def test_firewall_peer_without_effect_rejected(tmp_path, capsys, key, error):
-    """The engine sends to a firewall's peer only from an inline inside, so
-    a peer declared anywhere else is refused rather than ignored."""
+@pytest.mark.parametrize("key", ["outside_peer=h2", "inside_peer=h1"])
+def test_firewall_peer_without_effect_rejected(tmp_path, capsys, key):
+    """A firewall learns its inside router from the packets it forwards,
+    so the old peer keys are no longer part of the format."""
     path = tmp_path / "rig.nf"
     text = FIREWALL_RIG.format(duration=3, total=1_000_000)
     path.write_text(text.replace("zones=on", f"zones=on {key}"))
     assert main(["run", str(path)]) == 2
-    assert f"error: {error}\n" in capsys.readouterr().err
+    name = key.partition("=")[0]
+    assert f": unknown key {name!r}\n" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", [
+    "inside_gw=192.0.2.1", "inside_routes=10.0.0.0/8:192.0.2.1",
+    "outside_gw=192.0.2.9", "outside_routes=198.51.100.0/24:192.0.2.9"])
+def test_inline_side_gateway_and_routes_rejected(tmp_path, capsys, key):
+    """An inline side passes each frame on to the MAC it was sent to, or to
+    the router its inside learned, so it never looks up a next hop."""
+    path = tmp_path / "redundant.nf"
+    text = serialize_scenario(build_spring8_redundant())
+    line = "name=fw1 inside=inline::dmz outside=inline::public"
+    assert line in text
+    path.write_text(text.replace(line, f"{line} {key}"))
+    assert main(["run", str(path)]) == 2
+    name = key.partition("=")[0]
+    assert (f"error: fw1: {name} has no effect on an inline side\n"
+            in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("traffic, error", [
+    ("kind=ping src=h1 dst=h2 flow=p count=5 stop=1",
+     "stop has no effect on a ping flow"),
+    ("kind=bulk src=h1 dst=h2 flow=p total=1000 stop=0.001",
+     "stop has no effect on a bulk flow"),
+    ("kind=bulk src=h1 dst=h2 flow=p total=1000 rate=5",
+     "rate has no effect on a bulk flow"),
+    ("kind=cbr src=h1 dst=h2 flow=p rate=100000 total=1000",
+     "total has no effect on a cbr flow"),
+    ("kind=cbr src=h1 dst=h2 flow=p rate=100000 count=2",
+     "count has no effect on a cbr flow"),
+    ("kind=ping src=h1 dst=h2 flow=p count=2 sport=7",
+     "sport has no effect on a ping flow"),
+    ("kind=ping src=h1 dst=h2 flow=p count=2 dport=7",
+     "dport has no effect on a ping flow"),
+    ("kind=ping src=h1 dst=h2 dst_ip=10.0.10.2 flow=p count=2",
+     "dst has no effect beside dst_ip"),
+])
+def test_traffic_keys_the_flow_kind_ignores_rejected(tmp_path, capsys,
+                                                     traffic, error):
+    """The engine reads `stop` and `rate` only for cbr, `total` only for
+    bulk, `count` only for ping, no port for ping, and `dst_ip` before
+    `dst`, so a key it would ignore is refused."""
+    path = tmp_path / "mini.nf"
+    path.write_text(MINI.replace("kind=ping src=h1 dst=h2 flow=p count=2",
+                                 traffic))
+    assert main(["run", str(path)]) == 2
+    assert f"error: p: {error}\n" in capsys.readouterr().err
+
+
+BALANCER_LOOP = """
+[engine]
+seed=1 duration=0.1
+
+[vlan]
+vid=10 name=v10
+
+[switch]
+name=sw ports=h:access:10,f:access:10,x:access:10
+
+[balancer]
+name=lb ip=10.0.10.2 peer_ip=10.0.10.3 paths=x,y
+
+[host]
+name=h1 ip=10.0.10.1/24 vlan=10
+
+[link]
+a=h1:0 b=sw:h bw=100000000
+a=lb:front b=sw:f bw=100000000
+a=lb:x b=sw:x bw=100000000
+
+[traffic]
+kind=ping src=h1 dst_ip=10.0.10.99 flow=p count=1
+"""
+
+
+def test_balancer_front_and_path_on_one_vlan_rejected(tmp_path, capsys):
+    """A balancer passes a broadcast from `front` to a path and a frame from
+    a path back to `front`, so both on one VLAN of sw circle for ever (29,999
+    frames in 0.1 s before the check)."""
+    path = tmp_path / "loop.nf"
+    path.write_text(BALANCER_LOOP)
+    assert main(["run", str(path)]) == 2
+    assert "error: vlan 10 forms a loop: lb - sw\n" in capsys.readouterr().err
+
+
+def test_switch_before_a_balancers_front_accepted(tmp_path, capsys):
+    """A switch between l3r:wan and lbi:front puts `front` in a domain none
+    of lbi's paths reaches, so spring8-redundant stays loop-free."""
+    path = tmp_path / "sandwich.nf"
+    text = serialize_scenario(build_spring8_redundant())
+    link = "a=l3r:wan b=lbi:front bw=1000000000"
+    assert link in text
+    path.write_text(text.replace(link, (
+        "a=l3r:wan b=wsw:r bw=1000000000\n"
+        "a=lbi:front b=wsw:f bw=1000000000")).replace(
+        "[firewall]", "[switch]\nname=wsw ports=f:access:99,r:access:99\n\n"
+        "[firewall]").replace("[vlan]\n", "[vlan]\nvid=99 name=wan\n"))
+    assert main(["run", str(path), "--until", "1"]) == 0
+    [row] = [line for line in capsys.readouterr().out.splitlines()
+             if line.startswith("daq\t")]
+    assert row.endswith("\t10000000\t0.830055")  # 0.830027 without wsw
 
 
 def test_nat_bijection_remote_inside_scope(tmp_path, capsys):

@@ -14,7 +14,8 @@ from netfab.l2 import PortConfig
 from netfab.packet import (BROADCAST, Packet, ip_addr, make_frame, node_mac,
                            push_tag)
 from netfab.scenario import (FaultDecl, build_engine, build_spring8_redundant,
-                             load_scenario, parse_scenario)
+                             load_scenario, parse_scenario, serialize_scenario,
+                             validate_scenario)
 
 
 def mac(i):
@@ -666,3 +667,26 @@ class TestBulkRecovery:
         st = sender()
         st.measure(100_000_000)
         assert st.rto == 60_000_000  # ceiling
+
+
+class TestInlinePeer:
+    def test_inside_learns_its_router_and_recover_forgets_it(self):
+        """spring8-redundant's text names no inline peer: fw1 learns l3r's
+        MAC from the `daq` packets it forwards and sends their NAT'd
+        replies there, and `recover` clears what it learned."""
+        text = serialize_scenario(build_spring8_redundant())
+        assert "inside_peer" not in text and "outside_peer" not in text
+        cfg = parse_scenario(text)
+        validate_scenario(cfg)
+        cfg.faults += [FaultDecl(1_000_000, "fail_node", "fw1"),
+                       FaultDecl(1_100_000, "recover", "fw1")]
+        eng = build_engine(cfg)
+        eng.run_until(1_000_000)
+        assert eng.metrics.flows["daq"].completed_at == 830_027
+        fw1, fw2 = eng.nodes["fw1"], eng.nodes["fw2"]
+        assert fw1.inside.peer_mac == node_mac("l3r")
+        # fw2 forwarded only health probes, and no outside side learns
+        assert fw2.inside.peer_mac is None
+        assert fw1.outside.peer_mac is None
+        eng.run_until(1_200_000)
+        assert fw1.inside.peer_mac is None

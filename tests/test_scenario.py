@@ -11,14 +11,16 @@ from netfab.engine import FirewallSide, TrafficSpec
 from netfab.l2 import PortConfig
 from netfab.l3 import VERDICTS, ZONES, Route, VlanInterface
 from netfab.packet import ip_addr, prefix_mask
-from netfab.scenario import (BUNDLED, MAX_SECONDS, AclDecl, BalancerDecl,
-                             FaultDecl, FirewallDecl, HostDecl, L3Decl,
-                             LinkDecl, LoopError, MasqDecl, ParseError,
-                             ScenarioConfig, SwitchDecl, ValidationError,
+from netfab.scenario import (BUNDLED, FORMAT, MAX_SECONDS, AclDecl,
+                             BalancerDecl, FaultDecl, FirewallDecl, HostDecl,
+                             L3Decl, LinkDecl, LoopError, MasqDecl,
+                             ParseError, ScenarioConfig, ScenarioError,
+                             SwitchDecl, ValidationError,
                              VlanDecl, build_engine, build_spring8_legacy,
                              build_spring8_redundant, build_spring8_upgraded,
                              load_scenario, offered_packets, parse_scenario,
                              serialize_scenario, validate_scenario, QUADRANTS)
+from netfab.verify import _run_digest
 
 MINIMAL = """
 [engine]
@@ -280,7 +282,7 @@ class TestRoundTrip:
 
     @pytest.mark.parametrize("name, digest", [
         ("spring8-legacy", "3361c62ff29b41ca"),
-        ("spring8-redundant", "b9dcad2fa9e19a7c"),
+        ("spring8-redundant", "6032515f41578733"),
         ("spring8-upgraded", "3de20ed3301c8ad0"),
         ("minimal", "cab7666e308feec7"),
     ])
@@ -401,7 +403,7 @@ def sides(draw):
     return FirewallSide(
         draw(st.sampled_from(("routed", "inline"))), ip,
         24 if ip is None else draw(PREFIX_LENS), draw(ZONE_NAMES),
-        gw=draw(maybe(IPS)), peer=draw(maybe(WORDS)),
+        gw=draw(maybe(IPS)),
         routes=draw(st.lists(st.builds(
             lambda net, via: (*net, via), networks(), IPS), max_size=2)))
 
@@ -566,3 +568,192 @@ class TestBundledCounts:
         for bal in cfg.balancers.values():
             assert set(bal.override.values()) == {"fw1", "fw2"}
             assert ip_addr("192.0.2.61") in bal.override
+
+
+# A campus in miniature with a line of every kind: h1's cbr flow crosses
+# the L3 switch to h2, h2's bulk flow the routed firewall fwr to o1, and
+# h1's pings the balancer pair and inline fw1 to e1 and back.
+EVERY_KEY = """
+[engine]
+seed=1 duration=2
+
+[vlan]
+vid=10 name=lab subnet=10.0.10.0/24
+vid=20 name=ops subnet=10.0.20.0/24
+vid=99 name=wan subnet=192.0.2.0/24
+
+[switch]
+name=edge ports=h1:access:10,h2:access:20,u1:trunk:10|20:g,u2:trunk:10|20:g
+name=agg ports=d1:trunk:10|20:g,d2:trunk:10|20:g,r:trunk:10|20
+name=pub ports=lb:access:99,e1:access:99
+
+[l3]
+name=core
+node=core vid=10 ip=10.0.10.1/24 zone=public
+node=core vid=20 ip=10.0.20.1/24 zone=clean
+node=core vid=30 ip=172.16.0.1/30 zone=public port=fw
+node=core vid=99 ip=192.0.2.1/24 zone=public port=wan
+
+[firewall]
+name=fwr inside=routed:172.16.0.2/30:public outside=routed:198.18.0.1/30:dmz cap=170000000 nat_capacity=1024 zones=off inside_gw=172.16.0.1 outside_gw=198.18.0.9
+name=fw1 inside=inline::public outside=inline::dmz cap=170000000 nat_capacity=64 zones=off
+name=fw2 inside=inline::public outside=inline::dmz cap=170000000 nat_capacity=64 zones=off
+
+[balancer]
+name=lbi ip=192.0.2.2 peer_ip=192.0.2.3 paths=fw1,fw2 override=192.0.2.61:fw1,192.0.2.62:fw2
+name=lbo ip=192.0.2.3 peer_ip=192.0.2.2 paths=fw1,fw2 override=192.0.2.61:fw1,192.0.2.62:fw2
+
+[host]
+name=h1 ip=10.0.10.9/24 gw=10.0.10.1 vlan=10 group=lab
+name=h2 ip=10.0.20.9/24 gw=10.0.20.1 vlan=20 group=ops
+name=e1 ip=192.0.2.9/24 vlan=99 group=outside
+name=o1 ip=198.18.0.9/24 group=outside
+
+[link]
+a=h1:0 b=edge:h1 bw=100000000
+a=h2:0 b=edge:h2 bw=100000000
+a=edge:u1 b=agg:d1 bw=1000000000
+a=edge:u2 b=agg:d2 bw=1000000000
+a=agg:r b=core:trunk bw=1000000000
+a=core:fw b=fwr:inside bw=1000000000
+a=fwr:outside b=o1:0 bw=1000000000
+a=core:wan b=lbi:front bw=1000000000
+a=lbi:fw1 b=fw1:inside bw=1000000000
+a=lbi:fw2 b=fw2:inside bw=1000000000
+a=fw1:outside b=lbo:fw1 bw=1000000000
+a=fw2:outside b=lbo:fw2 bw=1000000000
+a=lbo:front b=pub:lb bw=1000000000
+a=e1:0 b=pub:e1 bw=1000000000
+
+[route]
+node=core prefix=0.0.0.0/0 gateway=172.16.0.2
+
+[acl]
+from=public to=clean verdict=permit
+
+[masquerade]
+node=fwr network=0.0.0.0/0 external=198.18.0.61
+node=fw1 network=192.0.2.0/24 external=192.0.2.61
+node=fw2 network=192.0.2.0/24 external=192.0.2.62
+
+[traffic]
+kind=cbr src=h1 dst=h2 flow=c start=0.1 stop=1.5 rate=200000 sport=5000 dport=6000
+kind=bulk src=h2 dst=o1 flow=b start=0.2 total=30000 sport=40000 dport=5001
+kind=ping src=h1 dst=e1 flow=p start=0.3 count=2
+
+[fault]
+at=1 action=fail_link target=edge:u1-agg:d1
+"""
+
+# the keys only the offline tools read: `status` and `verify` group hosts,
+# and a VLAN's name is its label
+READ_OFFLINE = {("host", "group"), ("vlan", "name")}
+_TRAFFIC = {"kind": "bulk", "src": "h2", "dst": "o1", "dst_ip": "192.0.2.9",
+            "flow": "x", "start": "0.25", "stop": "1", "rate": "400000",
+            "total": "20000", "count": "1", "sport": "5001", "dport": "6001"}
+_FIREWALL = {"name": "fwx", "inside": "routed:172.16.0.3/30:public",
+             "outside": "inline::dmz", "cap": "100000", "nat_capacity": "0",
+             "zones": "on", "inside_gw": "172.16.0.3",
+             "inside_routes": "10.0.20.0/24:172.16.0.3",
+             "outside_gw": "198.18.0.10",
+             "outside_routes": "198.18.0.0/24:198.18.0.10"}
+# a line of EVERY_KEY, by its start, -> a new value for each of its keys;
+# the traffic and firewall lines stand for each kind of flow and side
+KEY_EDITS = {
+    "seed=1": {"seed": "3", "duration": "1.5"},
+    "vid=10 ": {"vid": "11", "subnet": "10.0.11.0/24"},
+    "name=edge ": {"name": "edge2", "ports": "h1:access:20,h2:access:20,"
+                   "u1:trunk:10|20:g,u2:trunk:10|20:g"},
+    "name=core": {"name": "core2"},
+    "node=core vid=99 ": {"node": "core2", "vid": "10", "ip": "10.0.10.2/24",
+                          "zone": "dmz", "port": "wan2"},
+    "name=fwr ": _FIREWALL,
+    "name=fw1 ": {**_FIREWALL, "inside": "routed:192.0.2.5/24:public",
+                  "outside": "routed:192.0.2.6/24:dmz"},
+    "name=lbo ": {"name": "lbx", "ip": "192.0.2.4", "peer_ip": "192.0.2.5",
+                  "paths": "fw1,fw3",
+                  "override": "192.0.2.61:fw2,192.0.2.62:fw1"},
+    "name=h1 ": {"name": "h9", "ip": "10.0.10.8/24", "gw": "10.0.10.2",
+                 "vlan": "20"},
+    "a=h2:0 ": {"a": "h2:1", "b": "edge:h1", "bw": "10000000", "prop": "50",
+                "queue": "1"},
+    "node=core prefix": {"node": "core2", "prefix": "10.0.0.0/8",
+                         "via_vid": "99", "gateway": "172.16.0.3"},
+    "from=": {"from": "dmz", "to": "dmz", "verdict": "deny-new"},
+    "node=fw1 ": {"node": "fw2", "network": "10.0.0.0/8",
+                  "external": "192.0.2.63"},
+    "kind=cbr": {**_TRAFFIC, "src": "h2"},
+    "kind=bulk": {**_TRAFFIC, "kind": "cbr", "src": "h1", "dst": "e1"},
+    "kind=ping": {**_TRAFFIC, "kind": "cbr", "src": "h2", "dst": "h2"},
+    "at=": {"at": "1.2", "action": "fail_node",
+            "target": "edge:u2-agg:d2"},
+}
+
+
+def _line_forms(text: str) -> dict:
+    """Each declaration line of text -> (its section, its FORMAT form)."""
+    forms, section = {}, None
+    for line in filter(None, text.splitlines()):
+        if line.startswith("["):
+            section = line[1:-1]
+            continue
+        form = FORMAT[section]
+        if form.child is not None and not line.startswith(
+                f"{form.keys[0].name}="):
+            form = form.child
+        forms[line] = section, form
+    return forms
+
+
+def _with_key(text: str, start: str, key: str, value: str) -> str:
+    """text with `key=value` set on its one line that begins with start."""
+    [line] = [line for line in text.splitlines() if line.startswith(start)]
+    kv = dict(tok.split("=", 1) for tok in line.split())
+    kv[key] = value
+    return text.replace(line, " ".join(f"{k}={v}" for k, v in kv.items()))
+
+
+def _outcome(text: str) -> str:
+    """The run digest of text, or "refused" when it does not validate."""
+    try:
+        cfg = parse_scenario(text)
+        validate_scenario(cfg)
+    except ScenarioError:
+        return "refused"
+    return _run_digest(cfg)
+
+
+def test_key_edits_cover_every_key():
+    """Each kind of declaration has a line in KEY_EDITS with an edit for
+    each of its keys, bar those only the offline tools read."""
+    forms = _line_forms(EVERY_KEY)
+    covered = set()
+    for start, edits in KEY_EDITS.items():
+        [(section, form)] = [forms[line] for line in forms
+                             if line.startswith(start)]
+        keys = {key.name for key in form.keys} - {
+            key for sec, key in READ_OFFLINE if sec == section}
+        assert set(edits) == keys, start
+        covered.add(id(form))
+    every_form = [form for f in FORMAT.values()
+                  for form in (f, f.child) if form is not None]
+    assert covered == set(map(id, every_form))
+    assert sum(len(form.keys) for form in every_form) == 63
+
+
+@pytest.fixture(scope="module")
+def every_key_digest():
+    digest = _outcome(EVERY_KEY)
+    assert digest != "refused"
+    return digest
+
+
+@pytest.mark.parametrize("start, key", [(start, key) for start in KEY_EDITS
+                                        for key in KEY_EDITS[start]])
+def test_every_key_changes_the_run_or_is_refused(every_key_digest, start,
+                                                 key):
+    """A key the engine ignores for its kind of line would leave the run as
+    it was: changing it must change the run digest or fail validation."""
+    edited = _with_key(EVERY_KEY, start, key, KEY_EDITS[start][key])
+    assert edited != EVERY_KEY
+    assert _outcome(edited) != every_key_digest

@@ -7,18 +7,21 @@ lookups with the program's tests, and runs a scenario under the hooks, which
 turn themselves off when an attribute they read is gone.
 
 It also lints the package and its tests for imports no module uses, and
-the package for definitions nothing in it reads, and holds the frame hop to
+the package for definitions nothing in it reads, holds the frame hop to
 a budget of Python calls per event and loading a scenario file to one per
-declaration line.
+declaration line, and keeps the README's table of scenario keys to the
+format's own.
 """
 import ast
 import importlib
+import re
 import importlib.util
 import sys
 from pathlib import Path
 
-from netfab.scenario import (build_engine, load_scenario, parse_scenario,
-                             serialize_scenario, validate_scenario)
+from netfab.scenario import (FORMAT, build_engine, load_scenario,
+                             parse_scenario, serialize_scenario,
+                             validate_scenario)
 
 ROOT = Path(__file__).resolve().parents[1]
 LAYERS = ROOT / "perfbench" / "layers.py"
@@ -194,3 +197,21 @@ def test_python_calls_per_declaration_line_within_budget():
     eng.close()
     assert len(lines) > 1200
     assert calls / len(lines) <= LOAD_CALLS_PER_LINE_CEILING
+
+
+def test_readme_keys_table_matches_the_format():
+    """Each section's row of the README's keys table names, in backticks,
+    exactly the keys `FORMAT` gives that section's lines."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    rows = {}
+    for line in readme.splitlines():
+        cells = line.split(" | ")
+        if len(cells) == 3 and re.fullmatch(r"\| `\w+`", cells[0]):
+            rows[cells[0][3:-1]] = set(re.findall(r"`(\w+)`",
+                                                  cells[1] + cells[2]))
+    assert rows.keys() == FORMAT.keys()
+    for section, form in FORMAT.items():
+        keys = {key.name for key in form.keys}
+        if form.child is not None:
+            keys |= {key.name for key in form.child.keys}
+        assert rows[section] == keys, section
