@@ -10,7 +10,7 @@ from typing import Optional
 from .firewall import (Firewall, NoScope, PoolExhausted, SHAPE_INTERVAL_US,
                        Shaper)
 from .l2 import Switch
-from .l3 import ZonePolicy, ZoneRouter
+from .l3 import DEFAULT_ZONE_POLICY, ZoneRouter
 from .packet import (Arp, BROADCAST, FlowKey, Frame, Packet, PrefixTable,
                      ip_str, make_frame, node_mac, prefix_mask)
 from .resilience import PROBE_INTERVAL_US, LoadBalancer, Unavailable
@@ -716,8 +716,6 @@ class L3Node(Node):
     def __init__(self, engine: Engine, name: str, router: ZoneRouter):
         super().__init__(engine, name)
         self.router = router
-        self.port_iface = {i.port: i for i in self.router.interfaces.values()
-                           if i.port is not None}
         self.arp = Resolver()
         engine.schedule(FDB_AGE_SWEEP_US, "age_tick", self)
 
@@ -745,7 +743,7 @@ class L3Node(Node):
                 self.engine.metrics.drop(self.name, "vlan")
                 return
         else:
-            iface = self.port_iface.get(port)
+            iface = self.router.ports.get(port)
             if iface is None or vid is not None:
                 self.engine.metrics.drop(self.name, "vlan")
                 return
@@ -820,16 +818,15 @@ class FirewallNode(Node):
     def __init__(self, engine: Engine, name: str, fw: Firewall,
                  inside: FirewallSide, outside: FirewallSide, cap_bps: int,
                  enforce_zones: bool = True,
-                 policy: Optional[ZonePolicy] = None):
+                 policy: dict = DEFAULT_ZONE_POLICY):
         super().__init__(engine, name)
         self.fw = fw
-        policy = policy or ZonePolicy()
         # zones and policy are fixed, so each direction's verdict is too:
         # outbound is checked only with enforce_zones, routed inbound always
         self.inside = self._side("inside", inside, enforce_zones and (
-            policy.verdict(inside.zone, outside.zone) == "deny-new"), cap_bps)
-        self.outside = self._side("outside", outside, policy.verdict(
-            outside.zone, inside.zone) == "deny-new", cap_bps)
+            policy[inside.zone, outside.zone] == "deny-new"), cap_bps)
+        self.outside = self._side("outside", outside, policy[
+            outside.zone, inside.zone] == "deny-new", cap_bps)
         self.sides = {"inside": self.inside, "outside": self.outside}
         self.arp = Resolver()
         engine.schedule(NAT_SWEEP_US, "age_tick", self)

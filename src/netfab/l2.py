@@ -3,10 +3,11 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, replace
+from itertools import repeat
 from typing import Optional
 
-from .packet import (Frame, FlowKey, InvalidVid, check_vid, frame_copy,
-                     frame_flow_key)
+from .packet import (VIDS, Frame, FlowKey, InvalidVid, check_vid,
+                     frame_copy, frame_flow_key)
 
 FDB_AGING_US = 300_000_000  # 300 s
 
@@ -40,8 +41,13 @@ class PortConfig:
         elif self.mode == "trunk":
             if not self.allowed:
                 raise InvalidVid("trunk allowed set must be non-empty")
-            object.__setattr__(self, "allowed",
-                               frozenset(check_vid(v) for v in self.allowed))
+            allowed = frozenset(self.allowed)  # no copy of a frozenset
+            # 10.0 == 10, so the subset test alone would pass a float
+            if not (allowed <= VIDS
+                    and all(map(isinstance, allowed, repeat(int)))):
+                for vid in allowed:
+                    check_vid(vid)  # raises for the first VID it refuses
+            object.__setattr__(self, "allowed", allowed)
             object.__setattr__(self, "vid", None)
         else:
             raise ValueError(f"unknown port mode {self.mode!r}")

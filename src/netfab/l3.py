@@ -100,46 +100,41 @@ class ConnTable:
         return len(self.entries)
 
 
-class ZonePolicy:
-    def __init__(self, rules: Optional[dict] = None):
-        self.rules = dict(DEFAULT_ZONE_POLICY)
-        if rules:
-            for (zf, zt), verdict in rules.items():
-                self.set_rule(zf, zt, verdict)
-
-    def set_rule(self, from_zone: str, to_zone: str, verdict: str):
-        check_zone(from_zone)
-        check_zone(to_zone)
-        if verdict not in VERDICTS:
-            raise ValueError(f"unknown verdict {verdict!r}")
-        self.rules[(from_zone, to_zone)] = verdict
-
-    def verdict(self, from_zone: str, to_zone: str) -> str:
-        return self.rules.get((from_zone, to_zone), "deny-new")
-
-
 class ZoneRouter:
-    """Routing + zone-policy core of a Layer-3 switch (single engine owner)."""
+    """Routing + zone-policy core of a Layer-3 switch (single engine owner).
+    `policy` maps every (from zone, to zone) pair to its verdict; the router
+    only reads it, so one table may serve many routers."""
 
-    def __init__(self, policy: Optional[ZonePolicy] = None):
+    def __init__(self, policy: dict = DEFAULT_ZONE_POLICY):
         self.interfaces: dict[int, VlanInterface] = {}
+        self.ports: dict[str, VlanInterface] = {}  # a port's one interface
         self.local_ips: set[int] = set()
         self.connected = PrefixTable()  # VlanInterface by subnet
         self.routes = PrefixTable()  # connected, then static Routes
-        self.policy = policy or ZonePolicy()
+        self.policy = policy
         self.conn = ConnTable()
 
     def add_interface(self, iface: VlanInterface) -> VlanInterface:
         if iface.vid in self.interfaces:
             raise DuplicateVid(f"interface for vid {iface.vid} already exists")
-        for other in self.interfaces.values():
-            short = min(iface.prefix_len, other.prefix_len)
-            if (iface.ip & prefix_mask(short)) == (other.ip & prefix_mask(short)):
-                raise OverlappingSubnet(
-                    f"{ip_str(iface.network)}/{iface.prefix_len} overlaps vid {other.vid}")
-            if iface.port is not None and iface.port == other.port:
-                # an untagged port carries one VLAN
-                raise L3Error(f"port {iface.port!r} already has vid {other.vid}")
+        # accepted subnets are disjoint, so at most one holds the new
+        # address, while the new subnet may hold the addresses of several
+        other = self.connected.lookup(iface.ip)
+        if other is None:
+            mask = prefix_mask(iface.prefix_len)
+            network = iface.ip & mask
+            for old in self.interfaces.values():
+                if old.ip & mask == network:
+                    other = old
+                    break
+        if other is not None:
+            raise OverlappingSubnet(
+                f"{ip_str(iface.network)}/{iface.prefix_len} overlaps vid {other.vid}")
+        if iface.port is not None:
+            other = self.ports.setdefault(iface.port, iface)
+            if other is not iface:  # an untagged port carries one VLAN
+                raise L3Error(
+                    f"port {iface.port!r} already has vid {other.vid}")
         self.interfaces[iface.vid] = iface
         self.local_ips.add(iface.ip)
         self.connected.insert(iface.ip, iface.prefix_len, iface)
@@ -149,57 +144,52 @@ class ZoneRouter:
         return iface
 
     def add_route(self, route: Route) -> Route:
+        """Install `route` and return it as installed. A gateway route is
+        bound here, once, to the interface whose subnet holds the gateway
+        (its `via_vid`), so `forward` reads the egress VID off the route."""
         if (route.via_vid is None) == (route.gateway is None):
             raise L3Error("route needs exactly one of via_vid/gateway")
-        if route.via_vid is not None and route.via_vid not in self.interfaces:
+        if route.gateway is not None:
+            iface = self.connected.lookup(route.gateway)
+            if iface is None:
+                raise L3Error(
+                    f"gateway {ip_str(route.gateway)} not on any attached subnet")
+            route = Route(route.prefix, route.prefix_len, iface.vid,
+                          route.gateway)
+        elif route.via_vid not in self.interfaces:
             raise UnknownVid(f"no interface for vid {route.via_vid}")
-        if route.gateway is not None and self._iface_for(route.gateway) is None:
-            raise L3Error(
-                f"gateway {ip_str(route.gateway)} not on any attached subnet")
-        self.routes.insert(route.prefix, route.prefix_len, route)
+        kept = self.routes.insert(route.prefix, route.prefix_len, route)
+        if kept is not route:  # the table keeps the first entry for a prefix
+            network = route.prefix & prefix_mask(route.prefix_len)
+            raise L3Error(f"route {ip_str(network)}/{route.prefix_len} never "
+                          f"takes effect: vid {kept.via_vid} already routes it")
         return route
-
-    def _iface_for(self, addr: int) -> Optional[VlanInterface]:
-        return self.connected.lookup(addr)
 
     def route_lookup(self, dst_ip: int) -> Optional[Route]:
         """Longest-prefix match over connected + static routes; None = NoRoute."""
         return self.routes.lookup(dst_ip)
 
-    def resolve_egress(self, route: Route) -> tuple[int, Optional[int]]:
-        """Resolve a route to (egress vid, next-hop ip or None for on-link)."""
-        if route.via_vid is not None:
-            return route.via_vid, None
-        iface = self._iface_for(route.gateway)
-        if iface is None:
-            raise L3Error(f"gateway {ip_str(route.gateway)} unresolvable")
-        return iface.vid, route.gateway
-
     def forward(self, packet: Packet, ingress_vid: int, now: int):
-        """One routing step.
+        """One routing step for a packet that arrived on the interface of
+        `ingress_vid`.
 
         Returns ("forward", egress_vid, next_hop_ip_or_None, packet) or
         ("drop", reason) with reason in {no-route, acl, ttl}.
         """
-        if ingress_vid not in self.interfaces:
-            raise UnknownVid(f"no interface for ingress vid {ingress_vid}")
         route = self.route_lookup(packet.dst_ip)
         if route is None:
             return ("drop", "no-route")
-        egress_vid, next_hop = route.via_vid, None
-        if egress_vid is None:
-            egress_vid, next_hop = self.resolve_egress(route)
-        # ZonePolicy.rules holds every zone pair, so indexing it is verdict()
+        egress_vid = route.via_vid
         zones = (self.interfaces[ingress_vid].zone,
                  self.interfaces[egress_vid].zone)
         key = packet.key
-        if (self.policy.rules[zones] == "deny-new"
+        if (self.policy[zones] == "deny-new"
                 and not self.conn.established(key, now)):
             return ("drop", "acl")
         if packet.ttl <= 1:
             return ("drop", "ttl")
         self.conn.entries[key] = now
-        return ("forward", egress_vid, next_hop,
+        return ("forward", egress_vid, route.gateway,
                 packet_copy(packet, packet.src_ip, packet.dst_ip,
                             packet.src_port, packet.dst_port, packet.ttl - 1))
 

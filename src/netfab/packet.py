@@ -33,6 +33,9 @@ class InvalidVid(ValueError):
     pass
 
 
+VIDS = frozenset(range(1, 4095))  # the VIDs `check_vid` accepts
+
+
 def check_vid(vid: int) -> int:
     if not isinstance(vid, int) or not 1 <= vid <= 4094:
         raise InvalidVid(f"vid must be in [1, 4094], got {vid!r}")
@@ -91,7 +94,8 @@ class PrefixTable:
     (Waldvogel et al., "Scalable High Speed IP Routing Lookups", SIGCOMM 1997).
 
     Prefixes are masked on insert, so host bits never stop a match. For an
-    equal prefix the first value inserted wins.
+    equal prefix the first value inserted wins; `insert` returns the value
+    the table keeps.
     """
 
     def __init__(self):
@@ -104,7 +108,7 @@ class PrefixTable:
             table = self._by_len[prefix_len] = {}
             self._probe = [(prefix_mask(n), self._by_len[n])
                            for n in sorted(self._by_len, reverse=True)]
-        table.setdefault(prefix & prefix_mask(prefix_len), value)
+        return table.setdefault(prefix & prefix_mask(prefix_len), value)
 
     def lookup(self, addr: int):
         """Value of the longest prefix covering addr; None when none does."""

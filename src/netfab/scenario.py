@@ -24,8 +24,8 @@ from .engine import (BULK_SEGMENT, CBR_PACKET, DEFAULT_LINK_QUEUE,
                      BalancerNode, TrafficSpec, cbr_interval_us, link_id_of)
 from .firewall import DEFAULT_CAP_BPS, DEFAULT_NAT_CAPACITY, Firewall
 from .l2 import PortConfig, Switch
-from .l3 import (VERDICTS, ZONES, L3Error, Route, VlanInterface, ZonePolicy,
-                 ZoneRouter)
+from .l3 import (DEFAULT_ZONE_POLICY, VERDICTS, ZONES, L3Error, Route,
+                 VlanInterface, ZoneRouter)
 from .packet import (check_vid, in_network, ip_addr, ip_network, ip_str,
                      prefix_mask)
 from .resilience import LoadBalancer
@@ -719,7 +719,8 @@ def _check_loops(cfg: ScenarioConfig):
     what reaches one side on to the other. A LAG bundle is one edge. The
     edges join domains, VID by VID, into one forest; one whose ends the
     forest already joins closes a cycle with the forest path `vlan_reach`
-    finds."""
+    finds. Balancers then close a loop when frames arriving at their ports
+    cause one another in a cycle (`hops`)."""
     switches = cfg.switches
     bridges = switches.keys() | {
         name for name, fw in cfg.firewalls.items()
@@ -758,22 +759,58 @@ def _check_loops(cfg: ScenarioConfig):
             forest.setdefault(a, []).append((b, None, None, None))
             forest.setdefault(b, []).append((a, None, None, None))
     ends = far_ends(cfg)
+    balancers = cfg.balancers
+    ports = [(name, port) for name, bal in balancers.items()
+             for port in ("front", *bal.paths)]
+    faced = {}  # a balancer port -> the domain its far end lies in
+    for port in ports:
+        node, far = ends.get(port, (None, None))
+        if node in bridges:
+            faced[port] = (node, switches[node].ports[far].vid
+                           if node in switches else 0)
 
-    def faced(end):
-        """The domain of `end`, the far end of a balancer port, or None."""
-        if end is None or end[0] not in bridges:
-            return None
-        node, port = end
-        return node, switches[node].ports[port].vid if node in switches else 0
+    def hops(arrival):
+        """(port sent on, next arrival) for a frame that reaches a balancer
+        port: it leaves on each path from `front`, on `front` from a path,
+        and reaches the balancer port its port is cabled to, or each other
+        balancer port whose far end shares its domain's tree."""
+        name, port = arrival
+        for out in balancers[name].paths if port == "front" else ("front",):
+            sent = (name, out)
+            if sent in faced:
+                tree = root(faced[sent])
+                yield from ((sent, other) for other, domain in faced.items()
+                            if other != sent and root(domain) == tree)
+            elif sent in ends and ends[sent][0] in balancers:
+                yield sent, ends[sent]
 
-    for name, bal in cfg.balancers.items():
-        front = faced(ends.get((name, "front")))
-        for path in bal.paths:
-            back = faced(ends.get((name, path)))
-            if None not in (front, back) and root(front) == root(back):
-                domains = cycle(back, front)
-                raise LoopError(max(vid for _node, vid in domains),
-                                [name, *(node for node, _vid in domains)])
+    def ring(trail) -> LoopError:
+        """The loop of the (sent, arrival) hops in `trail`."""
+        nodes, vids = [], []
+        for sent, arrival in trail:
+            nodes.append(sent[0])
+            if sent in faced:
+                domains = cycle(faced[arrival], faced[sent])
+                nodes += [node for node, _vid in domains]
+                vids += [vid for _node, vid in domains]
+        return LoopError(max(vids, default=0), nodes)
+
+    done = set()
+
+    def search(trail):
+        """Depth first over arrivals; `trail` holds the (sent, arrival)
+        hops that led to its last arrival."""
+        for hop in hops(trail[-1][1]):
+            for i, (_sent, seen) in enumerate(trail):
+                if seen == hop[1]:
+                    raise ring(trail[i + 1:] + [hop])
+            if hop[1] not in done:
+                search(trail + [hop])
+        done.add(trail[-1][1])
+
+    for port in ports:
+        if port not in done:
+            search([(None, port)])
 
 
 def validate_scenario(cfg: ScenarioConfig, horizon_us: Optional[int] = None):
@@ -836,6 +873,13 @@ def validate_scenario(cfg: ScenarioConfig, horizon_us: Optional[int] = None):
             _router(cfg, name)
         except L3Error as exc:
             raise ValidationError(name, str(exc)) from None
+    zone_pairs = set()
+    for acl in cfg.acls:  # the last line for a pair would hide the others
+        pair = (acl.from_zone, acl.to_zone)
+        if pair in zone_pairs:
+            raise ValidationError("acl", f"from={pair[0]} to={pair[1]} is "
+                                         "declared twice")
+        zone_pairs.add(pair)
     for masq in cfg.masquerades:
         if masq.node not in cfg.firewalls:
             raise ValidationError(masq.node,
@@ -974,8 +1018,10 @@ def configure_ports(switch: Switch, decl: SwitchDecl, ends: dict):
             switch.set_port_up(pid, False)
 
 
-def _router(cfg: ScenarioConfig, name: str, policy=None) -> ZoneRouter:
-    """L3 switch `name`; raises `L3Error` when its lines conflict."""
+def _router(cfg: ScenarioConfig, name: str,
+            policy: dict = DEFAULT_ZONE_POLICY) -> ZoneRouter:
+    """L3 switch `name`, reading zone `policy`; raises `L3Error` when its
+    lines conflict."""
     router = ZoneRouter(policy=policy)
     decl = cfg.l3s[name]
     for iface in sorted(decl.interfaces, key=attrgetter("vid")):
@@ -992,14 +1038,16 @@ def build_engine(cfg: ScenarioConfig, trace=None) -> Engine:
     """The engine for cfg at its seed; `trace` is as for `Engine`. The
     engine shares cfg's records and changes none of cfg."""
     eng = Engine(seed=cfg.seed, trace=trace)
-    policy_rules = {(a.from_zone, a.to_zone): a.verdict for a in cfg.acls}
+    # one zone-policy table, shared by every L3 switch and firewall
+    policy = {**DEFAULT_ZONE_POLICY,
+              **{(a.from_zone, a.to_zone): a.verdict for a in cfg.acls}}
 
     ends = far_ends(cfg)
     for name, decl in sorted(cfg.switches.items()):
         configure_ports(SwitchNode(eng, name).switch, decl, ends)
 
     for name in sorted(cfg.l3s):
-        L3Node(eng, name, _router(cfg, name, ZonePolicy(policy_rules)))
+        L3Node(eng, name, _router(cfg, name, policy))
 
     for name, decl in sorted(cfg.firewalls.items()):
         fw = Firewall(nat_capacity=decl.nat_capacity)
@@ -1007,7 +1055,7 @@ def build_engine(cfg: ScenarioConfig, trace=None) -> Engine:
             if masq.node == name:
                 fw.add_scope(masq.network, masq.prefix_len, masq.external)
         FirewallNode(eng, name, fw, decl.inside, decl.outside, decl.cap_bps,
-                     enforce_zones=decl.zones, policy=ZonePolicy(policy_rules))
+                     enforce_zones=decl.zones, policy=policy)
 
     for name, decl in sorted(cfg.balancers.items()):
         lb = LoadBalancer(list(decl.paths), hash_salt=eng.hash_salt)

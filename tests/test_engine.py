@@ -8,9 +8,10 @@ import pytest
 from conftest import TraceLines, bulk_transfer_time
 from test_acceptance import FIREWALL_RIG
 from netfab.engine import (ARP_PENDING_MAX, BULK_LOSS_WINDOW, BULK_WINDOW,
-                           BulkSender, Engine, HostNode, Node, SwitchNode,
-                           TrafficSpec, UnknownTarget)
+                           BulkSender, Engine, HostNode, L3Node, Node,
+                           SwitchNode, TrafficSpec, UnknownTarget)
 from netfab.l2 import PortConfig
+from netfab.l3 import VlanInterface, ZoneRouter
 from netfab.packet import (BROADCAST, Packet, ip_addr, make_frame, node_mac,
                            push_tag)
 from netfab.scenario import (FaultDecl, build_engine, build_spring8_redundant,
@@ -471,6 +472,28 @@ class TestDropCounts:
         m = eng.metrics
         assert m.drops[("sw", "vlan")] == 3 == m.dropped_total()
         assert m.frames_created == m.frames_consumed == 5
+
+    def test_frame_on_no_l3_interface_is_a_vlan_drop(self):
+        """An L3 switch routes only what arrives on one of its interfaces:
+        a trunk frame tagged with a VID it has no interface for or sent
+        untagged, a tagged frame on an interface's port, and a frame on a
+        port with no interface are each one vlan drop."""
+        eng = Engine()
+        router = ZoneRouter()
+        router.add_interface(VlanInterface(10, ip_addr("10.0.0.254"), 24,
+                                           "dmz"))
+        router.add_interface(VlanInterface(20, ip_addr("10.0.20.1"), 24,
+                                           "dmz", port="p"))
+        L3Node(eng, "r", router)
+        for i, port in enumerate(("trunk", "p", "q"), 1):
+            HostNode(eng, f"h{i}", ip_addr(f"10.0.0.{i}"), 24)
+            eng.add_link(f"h{i}", 0, "r", port, 100_000_000)
+        eng.send("h1", 0, push_tag(big_frame(), 30))
+        eng.send("h1", 0, big_frame())
+        eng.send("h2", 0, push_tag(big_frame(), 20))
+        eng.send("h3", 0, big_frame())
+        eng.run_until(1_000_000)
+        assert eng.metrics.drops == {("r", "vlan"): 4}
 
     def test_host_takes_its_own_and_broadcast_but_not_a_group_address(self):
         """A host accepts a frame to its own MAC or to broadcast; any other

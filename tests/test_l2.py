@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -151,6 +152,19 @@ class TestIngress:
         sw = Switch("sw")
         with pytest.raises(InvalidVid):
             sw.configure_port(1, PortConfig("trunk", allowed=set()))
+
+    @pytest.mark.parametrize("bad", [0, 4095, 10.0, "10"])
+    def test_trunk_vid_refused_as_check_vid_refuses_it(self, bad):
+        """A float equal to a VID passes a subset test, so the trunk check
+        refuses what `check_vid` refuses, with its message."""
+        message = f"vid must be in [1, 4094], got {bad!r}"
+        with pytest.raises(InvalidVid, match=re.escape(message)):
+            PortConfig("trunk", allowed={bad})
+
+    def test_trunk_vids_kept_as_given(self):
+        allowed = frozenset({10, 20})
+        assert PortConfig("trunk", allowed=allowed).allowed is allowed
+        assert PortConfig("trunk", allowed=[20, 10]).vids == allowed
 
 
 class TestAging:

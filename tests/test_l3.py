@@ -4,8 +4,8 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from netfab.l3 import (DuplicateVid, OverlappingSubnet, Route, VlanInterface,
-                       ZonePolicy, ZoneRouter)
+from netfab.l3 import (DEFAULT_ZONE_POLICY, DuplicateVid, L3Error,
+                       OverlappingSubnet, Route, VlanInterface, ZoneRouter)
 from netfab.packet import Packet, ip_addr, ip_network
 
 
@@ -45,6 +45,27 @@ class TestInterfaces:
         with pytest.raises(OverlappingSubnet):
             r.add_interface(VlanInterface(2, ip_addr("10.0.1.129"), 25, "dmz"))
 
+    @pytest.mark.parametrize("subnet", ["10.0.0.0/16", "10.0.1.0/24"])
+    def test_new_subnet_holding_an_old_one(self, subnet):
+        """A new subnet that holds an older interface's address overlaps
+        it, as an equal one does, and the error names that VID."""
+        r = ZoneRouter()
+        r.add_interface(VlanInterface(1, ip_addr("10.1.0.1"), 16, "dmz"))
+        r.add_interface(VlanInterface(2, ip_addr("10.0.1.1"), 24, "dmz"))
+        net, plen = ip_network(subnet)
+        with pytest.raises(OverlappingSubnet,
+                           match=f"^{subnet} overlaps vid 2$"):
+            r.add_interface(VlanInterface(3, net + 9, plen, "dmz"))
+
+    def test_port_with_two_interfaces(self):
+        r = ZoneRouter()
+        r.add_interface(VlanInterface(1, ip_addr("10.0.1.1"), 24, "dmz",
+                                      port="fw"))
+        with pytest.raises(L3Error, match="^port 'fw' already has vid 1$"):
+            r.add_interface(VlanInterface(2, ip_addr("10.0.2.1"), 24, "dmz",
+                                          port="fw"))
+        assert r.ports == {"fw": r.interfaces[1]} and 2 not in r.interfaces
+
 
 class TestRouteLookup:
     def test_longest_prefix_wins(self):
@@ -56,6 +77,25 @@ class TestRouteLookup:
         r.add_route(Route(net_b, len_b, via_vid=1))
         assert r.route_lookup(ip_addr("10.0.1.7")).prefix_len == 24
         assert r.route_lookup(ip_addr("10.0.2.7")).prefix_len == 16
+
+    def test_gateway_route_bound_to_its_interface_at_insert(self):
+        r = make_router()
+        gw = ip_addr("192.0.2.254")
+        net, plen = ip_network("198.51.100.0/24")
+        route = r.add_route(Route(net, plen, gateway=gw))
+        assert route == Route(net, plen, via_vid=20, gateway=gw)
+        assert r.route_lookup(ip_addr("198.51.100.7")) is route
+        p = pkt("10.0.30.5", "198.51.100.7")
+        assert r.forward(p, 30, 0) == (
+            "forward", 20, gw, dataclasses.replace(p, ttl=63))
+
+    def test_gateway_on_no_subnet_refused_at_insert(self):
+        r = make_router()
+        net, plen = ip_network("198.51.100.0/24")
+        with pytest.raises(
+                L3Error, match="^gateway 203.0.113.1 not on any attached subnet$"):
+            r.add_route(Route(net, plen, gateway=ip_addr("203.0.113.1")))
+        assert r.route_lookup(ip_addr("198.51.100.7")) is None
 
     def test_no_route(self):
         r = make_router()
@@ -78,10 +118,9 @@ class TestRouteLookup:
 
 class TestZonePolicy:
     def test_table_total_default_deny(self):
-        pol = ZonePolicy()
         for zf in ("clean", "dmz", "public"):
             for zt in ("clean", "dmz", "public"):
-                assert pol.verdict(zf, zt) in ("permit", "deny-new")
+                assert DEFAULT_ZONE_POLICY[zf, zt] in ("permit", "deny-new")
 
     def test_public_to_dmz_denied(self):
         r = make_router()
@@ -144,12 +183,19 @@ def test_lpm_matches_linear_scan(route_specs, probe):
     r = ZoneRouter()
     r.add_interface(VlanInterface(1, ip_addr("172.16.0.1"), 30, "dmz"))
     # connected first, then routes in insertion order; a longer prefix
-    # replaces the best so far, an equal one does not
+    # replaces the best so far, and an equal one, which would never take
+    # effect, is refused
     best = Route(prefix=ip_addr("172.16.0.0"), prefix_len=30, via_vid=1)
     if not in_network(probe, best.prefix, 30):
         best = None
+    installed = {(ip_addr("172.16.0.0"), 30)}
     for net, plen, gw in route_specs:
         net &= prefix_mask(plen)
+        if (net, plen) in installed:
+            with pytest.raises(L3Error, match="never takes effect"):
+                r.add_route(Route(net, plen, gateway=ip_addr(gw)))
+            continue
+        installed.add((net, plen))
         route = r.add_route(Route(net, plen, gateway=ip_addr(gw)))
         if in_network(probe, net, plen) and (best is None
                                              or plen > best.prefix_len):
