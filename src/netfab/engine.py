@@ -12,7 +12,7 @@ from .firewall import (Firewall, NoScope, PoolExhausted, SHAPE_INTERVAL_US,
 from .l2 import Switch
 from .l3 import DEFAULT_ZONE_POLICY, ZoneRouter
 from .packet import (Arp, BROADCAST, FlowKey, Frame, Packet, PrefixTable,
-                     ip_str, make_frame, node_mac, prefix_mask)
+                     ip_str, make_frame, node_mac, prefix_mask, segment)
 from .resilience import PROBE_INTERVAL_US, LoadBalancer, Unavailable
 
 DEFAULT_PROP_US = 5
@@ -128,11 +128,14 @@ class BulkSender:
     BULK_LOSS_WINDOW on an expiry and grows back by the bytes each new ACK
     covers (RFC 5681 slow start, with no ssthresh)."""
 
-    __slots__ = ("spec", "una", "next", "high", "timed", "srtt", "rttvar",
-                 "rto", "deadline", "armed", "window", "stats")
+    __slots__ = ("spec", "template", "una", "next", "high", "timed", "srtt",
+                 "rttvar", "rto", "deadline", "armed", "window", "stats")
 
-    def __init__(self, spec: TrafficSpec):
+    def __init__(self, spec: TrafficSpec, src_ip: int):
         self.spec = spec
+        self.template = Packet(  # each segment is a copy of it
+            src_ip=src_ip, dst_ip=spec.dst_ip, protocol="tcp",
+            src_port=spec.src_port, dst_port=spec.dst_port)
         self.una = 0  # first unacknowledged byte
         self.next = 0  # next byte to send
         self.high = 0  # one past the highest byte ever sent
@@ -153,6 +156,41 @@ class BulkSender:
             self.srtt = (7 * self.srtt + rtt) // 8
         self.rto = min(max(self.srtt + max(1, 4 * self.rttvar), RTO_MIN_US),
                        RTO_MAX_US)
+
+
+class FlowSender:
+    """Sender side of one cbr or ping flow: its packet template, checked
+    once, the microseconds between its packets, and its stats once it
+    offers. A cbr flow's "traffic" events and a ping flow's "ping" events
+    carry it."""
+
+    __slots__ = ("spec", "template", "interval", "stats")
+
+    def __init__(self, spec: TrafficSpec, src_ip: int):
+        self.spec = spec
+        if spec.kind == "cbr":
+            self.template = Packet(
+                src_ip=src_ip, dst_ip=spec.dst_ip, protocol="udp",
+                src_port=spec.src_port, dst_port=spec.dst_port,
+                payload_bytes=CBR_PACKET - 40, meta=("cbr", spec.flow_id))
+            self.interval = cbr_interval_us(spec.rate_bps)
+        else:
+            self.template = Packet(src_ip=src_ip, dst_ip=spec.dst_ip,
+                                   protocol="icmp", payload_bytes=56)
+            self.interval = PING_INTERVAL_US
+        self.stats: Optional[FlowStats] = None
+
+
+@dataclass(slots=True)
+class FlowReceiver:
+    """Receiver side of one flow: its stats, a bulk flow's in-order bytes
+    and segments taken, and the template of its answers (a bulk flow's ACKs,
+    a ping flow's echo replies), which goes back to the source tuple of the
+    last packet answered."""
+    stats: FlowStats
+    received: int = 0
+    segs: int = 0
+    reply: Optional[Packet] = None
 
 
 class Metrics:
@@ -480,65 +518,74 @@ class HostNode(Node):
         self.port = 0
         self.arp = Resolver()
         self.bulk_send: dict[str, BulkSender] = {}
-        self.bulk_recv: dict[str, dict] = {}
+        self.recv: dict[str, FlowReceiver] = {}
         self.ping_seen: dict[str, int] = {}  # echo replies, by flow
 
     # -- traffic -----------------------------------------------------------
-    # a failed host keeps each flow's schedule and sends nothing
+    # a failed host keeps each flow's schedule and sends nothing; a flow's
+    # packets are copies of one template, checked when the flow starts
 
     def add_generator(self, spec: TrafficSpec):
         self.engine.schedule(spec.start_us, "traffic", self, spec)
 
     def on_event(self, kind: str, payload):
-        if kind != "traffic":
-            if kind == "ping":  # payload: (spec, sequence number)
-                self._send_ping(*payload)
-            elif kind == "rto":  # payload: the flow's BulkSender
-                self._on_rto(payload)
-            return
-        spec = payload  # the flow's TrafficSpec
-        now = self.engine.now
+        if kind == "traffic":
+            # payload: the flow's TrafficSpec at its start, then a cbr
+            # flow's FlowSender
+            if payload.__class__ is FlowSender:
+                self._send_cbr(payload)
+            else:
+                self._start(payload)
+        elif kind == "ping":  # payload: (its FlowSender, sequence number)
+            self._send_ping(*payload)
+        elif kind == "rto":  # payload: the flow's BulkSender
+            self._on_rto(payload)
+
+    def _start(self, spec: TrafficSpec):
         if spec.kind == "cbr":
-            if spec.stop_us is not None and now >= spec.stop_us:
-                return
-            if not self.failed:
-                self.send_packet(Packet(
-                    src_ip=self.ip, dst_ip=spec.dst_ip, protocol="udp",
-                    src_port=spec.src_port, dst_port=spec.dst_port,
-                    payload_bytes=CBR_PACKET - 40, meta=("cbr", spec.flow_id)),
-                    self.engine.metrics.flow(spec.flow_id))
-            self.engine.schedule(now + cbr_interval_us(spec.rate_bps),
-                                 "traffic", self, spec)
+            self._send_cbr(FlowSender(spec, self.ip))
         elif spec.kind == "bulk":
-            self.bulk_send[spec.flow_id] = st = BulkSender(spec)
+            self.bulk_send[spec.flow_id] = st = BulkSender(spec, self.ip)
             if self.failed:  # starts once the timer finds the host up
                 self._start_rto(st)
             else:
                 self._bulk_pump(st)
         elif spec.kind == "ping":
-            self._send_ping(spec, 0)
+            self._send_ping(FlowSender(spec, self.ip), 0)
 
-    def _send_ping(self, spec: TrafficSpec, seq: int):
+    def _send_cbr(self, flow: FlowSender):
+        now = self.engine.now
+        stop = flow.spec.stop_us
+        if stop is not None and now >= stop:
+            return
         if not self.failed:
-            pkt = Packet(src_ip=self.ip, dst_ip=spec.dst_ip, protocol="icmp",
-                         payload_bytes=56,
-                         meta=("ping", spec.flow_id, "req", seq))
-            self.send_packet(pkt, self.engine.metrics.flow(spec.flow_id))
+            self._offer(flow, flow.template.meta)
+        self.engine.schedule(now + flow.interval, "traffic", self, flow)
+
+    def _send_ping(self, flow: FlowSender, seq: int):
+        spec = flow.spec
+        if not self.failed:
+            self._offer(flow, ("ping", spec.flow_id, "req", seq))
         if seq + 1 < spec.count:
-            self.engine.schedule(self.engine.now + PING_INTERVAL_US, "ping",
-                                 self, (spec, seq + 1))
+            self.engine.schedule(self.engine.now + flow.interval, "ping",
+                                 self, (flow, seq + 1))
+
+    def _offer(self, flow: FlowSender, meta: tuple):
+        """Send a copy of flow's template carrying meta."""
+        if flow.stats is None:  # a flow is in the summary once it offers
+            flow.stats = self.engine.metrics.flow(flow.spec.flow_id)
+        tpl = flow.template
+        self.send_packet(segment(tpl, tpl.payload_bytes, meta), flow.stats)
 
     def _bulk_pump(self, st: BulkSender):
         spec = st.spec
-        fid, total = spec.flow_id, spec.total_bytes
+        fid, total, tpl = spec.flow_id, spec.total_bytes, st.template
         while st.next < total and st.next - st.una < st.window:
             if st.stats is None:  # a flow is in the summary once it offers
                 st.stats = self.engine.metrics.flow(fid)
             seg = min(BULK_SEGMENT, total - st.next)
-            pkt = Packet(src_ip=self.ip, dst_ip=spec.dst_ip, protocol="tcp",
-                         src_port=spec.src_port, dst_port=spec.dst_port,
-                         payload_bytes=seg,
-                         meta=("bulk", fid, "data", seg, total, st.next))
+            pkt = segment(tpl, seg,
+                          ("bulk", fid, "data", seg, total, st.next))
             st.next += seg
             if st.next > st.high:  # new data; Karn: only it is timed
                 st.high = st.next
@@ -632,23 +679,18 @@ class HostNode(Node):
         meta = pkt.meta
         if not meta:
             return
-        kind = meta[0]
-        if kind == "bulk":
-            if meta[2] == "ack":
-                self._on_ack(meta[1], meta[3])
-                return
-            rx = self.bulk_recv.get(meta[1])
-            if rx is None:
-                rx = self.bulk_recv[meta[1]] = {
-                    "received": 0, "segs": 0,
-                    "flow": self.engine.metrics.flow(meta[1])}
-            st = rx["flow"]
-        elif kind == "ping" and meta[2] == "rep":
-            self.ping_seen[meta[1]] = self.ping_seen.get(meta[1], 0) + 1
-            self.engine.metrics.flow(meta[1]).completed_at = self.engine.now
+        kind, fid = meta[0], meta[1]
+        if kind == "bulk" and meta[2] == "ack":
+            self._on_ack(fid, meta[3])
             return
-        else:
-            st = self.engine.metrics.flow(meta[1])
+        if kind == "ping" and meta[2] == "rep":
+            self.ping_seen[fid] = self.ping_seen.get(fid, 0) + 1
+            self.engine.metrics.flow(fid).completed_at = self.engine.now
+            return
+        rx = self.recv.get(fid)
+        if rx is None:
+            rx = self.recv[fid] = FlowReceiver(self.engine.metrics.flow(fid))
+        st = rx.stats
         st.delivered_packets += 1
         st.delivered_bytes += pkt.size
         self.engine.metrics.host_delivered += 1
@@ -660,32 +702,40 @@ class HostNode(Node):
             return
         st.delivered_payload += pkt.payload_bytes  # bulk's: once, in order
         if kind == "ping":
-            reply = Packet(src_ip=self.ip, dst_ip=pkt.src_ip, protocol="icmp",
-                           src_port=pkt.dst_port, dst_port=pkt.src_port,
-                           payload_bytes=pkt.payload_bytes,
-                           meta=("ping", meta[1], "rep", meta[3]))
-            self.send_packet(reply)
+            self.send_packet(segment(self._reply_template(rx, pkt),
+                                     pkt.payload_bytes,
+                                     ("ping", fid, "rep", meta[3])))
 
-    def _on_bulk_data(self, pkt: Packet, rx: dict):
+    def _reply_template(self, rx: FlowReceiver, pkt: Packet) -> Packet:
+        """rx's answer template, built anew, checked, when pkt comes from
+        another tuple than the last packet answered: an answer goes back to
+        the tuple its packet came from."""
+        reply = rx.reply
+        if (reply is None or reply.dst_ip != pkt.src_ip
+                or reply.dst_port != pkt.src_port
+                or reply.src_port != pkt.dst_port):
+            rx.reply = reply = Packet(
+                src_ip=self.ip, dst_ip=pkt.src_ip, protocol=pkt.protocol,
+                src_port=pkt.dst_port, dst_port=pkt.src_port)
+        return reply
+
+    def _on_bulk_data(self, pkt: Packet, rx: FlowReceiver):
         # only the next in-order segment is taken; an ACK goes every
         # BULK_ACK_EVERY segments, at completion, and at once on an
         # out-of-order or duplicate segment
         _, fid, _, seg, total, offset = pkt.meta
-        in_order = offset == rx["received"]
+        in_order = offset == rx.received
         if in_order:
-            rx["received"] += seg
-            rx["segs"] += 1
-            flow = rx["flow"]
+            rx.received += seg
+            rx.segs += 1
+            flow = rx.stats
             flow.delivered_payload += seg
-            if rx["received"] >= total and flow.completed_at is None:
+            if rx.received >= total and flow.completed_at is None:
                 flow.completed_at = self.engine.now
-        if (not in_order or rx["segs"] % BULK_ACK_EVERY == 0
-                or rx["received"] >= total):
-            ack = Packet(src_ip=self.ip, dst_ip=pkt.src_ip, protocol="tcp",
-                         src_port=pkt.dst_port, dst_port=pkt.src_port,
-                         payload_bytes=0,
-                         meta=("bulk", fid, "ack", rx["received"]))
-            self.send_packet(ack)
+        if (not in_order or rx.segs % BULK_ACK_EVERY == 0
+                or rx.received >= total):
+            self.send_packet(segment(self._reply_template(rx, pkt), 0,
+                                     ("bulk", fid, "ack", rx.received)))
 
     def _on_ack(self, fid: str, acked: int):
         """A cumulative ACK at the sender."""

@@ -1,4 +1,10 @@
-"""Frames, VLAN tags, IPv4 packets and flow keys shared by every layer."""
+"""Frames, VLAN tags, IPv4 packets and flow keys shared by every layer.
+
+A `Packet` is checked once, where its fields are first chosen: the checked
+`Packet(...)` constructor builds a flow's template at a host and a probe or
+reply at a middlebox. Every other packet is a copy of a checked one, built
+here without `__init__`: `packet_copy` on the forwarding path and `segment`
+for each packet a host sends from its flow's template."""
 from __future__ import annotations
 
 import functools
@@ -231,6 +237,21 @@ def packet_copy(packet: Packet, src_ip: int, dst_ip: int, src_port: int,
     out.ttl, out.meta, out.size = ttl, packet.meta, packet.size
     out.key = tuple.__new__(FlowKey, (
         src_ip, dst_ip, packet.protocol, src_port, dst_port))
+    return out
+
+
+def segment(template: Packet, payload_bytes: int, meta: tuple) -> Packet:
+    """template carrying payload_bytes and meta, for a host's flow: no
+    checks. The caller passes a payload size of at least 0; the template's
+    endpoints, ports and key were checked when it was built."""
+    out = object.__new__(Packet)
+    out.src_ip, out.dst_ip, out.protocol = (
+        template.src_ip, template.dst_ip, template.protocol)
+    out.src_port, out.dst_port, out.payload_bytes = (
+        template.src_port, template.dst_port, payload_bytes)
+    out.ttl, out.meta, out.size = (
+        template.ttl, meta, payload_bytes + IP_HEADER_BYTES)
+    out.key = template.key
     return out
 
 

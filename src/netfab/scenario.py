@@ -65,8 +65,12 @@ class ValidationError(ScenarioError):
 
 
 class LoopError(ScenarioError):
-    def __init__(self, vid: int, cycle: list[str]):
-        what = f"vlan {vid} forms" if vid else "inline firewalls form"
+    """A cycle frames go round for ever: on VID `vid`, or, with `vid` 0, one
+    that crosses no VLAN, whose nodes `kinds` names."""
+
+    def __init__(self, vid: int, cycle: list[str],
+                 kinds: str = "inline firewalls"):
+        what = f"vlan {vid} forms" if vid else f"{kinds} form"
         super().__init__(f"{what} a loop: {' - '.join(cycle)}")
         self.vid = vid
         self.cycle = cycle
@@ -793,7 +797,9 @@ def _check_loops(cfg: ScenarioConfig):
                 domains = cycle(faced[arrival], faced[sent])
                 nodes += [node for node, _vid in domains]
                 vids += [vid for _node, vid in domains]
-        return LoopError(max(vids, default=0), nodes)
+        kinds = ("balancers" if all(node in balancers for node in nodes)
+                 else "balancers and inline firewalls")
+        return LoopError(max(vids, default=0), nodes, kinds)
 
     done = set()
 

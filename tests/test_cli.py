@@ -359,6 +359,37 @@ def test_balancer_front_and_path_on_one_vlan_rejected(tmp_path, capsys):
     assert "error: vlan 10 forms a loop: lb - sw\n" in capsys.readouterr().err
 
 
+# two balancers cabled path to front both ways: no switch, no VLAN
+BALANCER_RING = (
+    BALANCER_LOOP.replace("h:access:10,f:access:10,x:access:10", "h:access:10")
+    .replace("name=lb ip=10.0.10.2 peer_ip=10.0.10.3 paths=x,y",
+             "name=la ip=10.0.10.2 peer_ip=10.0.10.3 paths=x,y\n"
+             "name=lb ip=10.0.10.4 peer_ip=10.0.10.5 paths=x,y")
+    .replace("a=lb:front b=sw:f bw=100000000\na=lb:x b=sw:x bw=100000000",
+             "a=la:x b=lb:front bw=100000000\n"
+             "a=lb:x b=la:front bw=100000000"))
+
+
+@pytest.mark.parametrize("text, error", [
+    (BALANCER_RING, "balancers form a loop: la - lb"),
+    # an inline firewall in place of lb
+    (BALANCER_RING.replace("name=lb ip=10.0.10.4 peer_ip=10.0.10.5 "
+                           "paths=x,y\n", "")
+     .replace("[host]", "[firewall]\nname=fw inside=inline::dmz "
+              "outside=inline::public\n\n[host]")
+     .replace("b=lb:front", "b=fw:inside").replace("a=lb:x", "a=fw:outside"),
+     "balancers and inline firewalls form a loop: la - fw"),
+], ids=["balancers", "balancer-and-firewall"])
+def test_loop_that_crosses_no_vlan_named_by_its_nodes(tmp_path, capsys, text,
+                                                      error):
+    """A loop on no VLAN is worded by the kinds of node in it, not always
+    as one of inline firewalls."""
+    path = tmp_path / "ring.nf"
+    path.write_text(text)
+    assert main(["run", str(path)]) == 2
+    assert f"error: {error}\n" in capsys.readouterr().err
+
+
 def test_switch_before_a_balancers_front_accepted(tmp_path, capsys):
     """A switch between l3r:wan and lbi:front puts `front` in a domain none
     of lbi's paths reaches, so spring8-redundant stays loop-free."""

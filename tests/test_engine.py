@@ -1,7 +1,8 @@
+import dataclasses
 import gc
 import hashlib
 import weakref
-from collections import deque
+from collections import Counter, deque
 
 import pytest
 
@@ -12,8 +13,8 @@ from netfab.engine import (ARP_PENDING_MAX, BULK_LOSS_WINDOW, BULK_WINDOW,
                            SwitchNode, TrafficSpec, UnknownTarget)
 from netfab.l2 import PortConfig
 from netfab.l3 import VlanInterface, ZoneRouter
-from netfab.packet import (BROADCAST, Packet, ip_addr, make_frame, node_mac,
-                           push_tag)
+from netfab.packet import (BROADCAST, FlowKey, Packet, ip_addr, make_frame,
+                           node_mac, push_tag)
 from netfab.scenario import (FaultDecl, build_engine, build_spring8_redundant,
                              load_scenario, parse_scenario, serialize_scenario,
                              validate_scenario)
@@ -588,7 +589,7 @@ class TestBulkRecovery:
         st = eng.metrics.flows["b1"]
         assert st.completed_at is not None and st.completed_at > 400_000
         assert st.delivered_payload == total  # no byte counted twice
-        assert h2.bulk_recv["b1"]["received"] == total
+        assert h2.recv["b1"].received == total
         assert st.offered_payload > total
         assert eng.metrics.drops[("sw", "link-down")] > 0
         # the first resend, lost on the dead link, doubles the RTO from its
@@ -614,7 +615,7 @@ class TestBulkRecovery:
         eng.run_until(5_000_000)
         st = eng.metrics.flows["b1"]
         assert st.completed_at is not None
-        assert st.delivered_payload == total == h2.bulk_recv["b1"]["received"]
+        assert st.delivered_payload == total == h2.recv["b1"].received
         segments = -(-total // 1460)
         assert st.delivered_packets > segments  # refused segments came again
 
@@ -665,7 +666,7 @@ class TestBulkRecovery:
         for offset, taken in ((0, 1460), (2920, 1460), (1460, 2920),
                               (1460, 2920), (2920, 4380), (4380, 5840)):
             h2._deliver(data(offset))
-            assert h2.bulk_recv["b"]["received"] == taken
+            assert h2.recv["b"].received == taken
         assert eng.metrics.flows["b"].delivered_payload == 5840
         # ACKs (held for h1's MAC): at once for the gap and the duplicate,
         # then on the fourth segment taken, which completes the flow
@@ -675,7 +676,9 @@ class TestBulkRecovery:
     def test_rto_follows_rfc6298(self):
         def sender():
             return BulkSender(TrafficSpec(kind="bulk", src="a", dst="b",
-                                          flow_id="f"))
+                                          flow_id="f",
+                                          dst_ip=ip_addr("10.0.0.2")),
+                              ip_addr("10.0.0.1"))
         st = sender()
         assert st.rto == 1_000_000  # before any sample
         st.measure(100_000)
@@ -690,6 +693,49 @@ class TestBulkRecovery:
         st = sender()
         st.measure(100_000_000)
         assert st.rto == 60_000_000  # ceiling
+
+
+class TestHostPackets:
+    """A host builds each packet it sends as an unchecked copy of its flow's
+    template, and each such copy must be the packet the checked constructor
+    builds from the same fields."""
+
+    @pytest.mark.parametrize("where", ["rig", "spring8-redundant"])
+    def test_every_sent_packet_is_the_checked_one(self, where, monkeypatch):
+        if where == "rig":  # one flow of each kind through the NAT firewall
+            cfg = parse_scenario(
+                FIREWALL_RIG.format(duration=3, total=1_000_000)
+                + "kind=cbr src=h1 dst=h2 flow=c rate=10000000 stop=1 "
+                  "sport=40001 dport=5002\n"
+                  "kind=ping src=h1 dst=h2 flow=p count=3\n")
+        else:  # its bulk `daq` and ping `mon-check`, and one cbr flow
+            cfg = build_spring8_redundant()
+            cfg.traffic.append(TrafficSpec(
+                "cbr", "bl01h2", "c", dst="ext2", rate_bps=10_000_000,
+                stop_us=1_000_000, src_port=40_001, dst_port=5002))
+        validate_scenario(cfg)
+        eng = build_engine(cfg)
+        sent = []
+        send_packet = HostNode.send_packet
+
+        def record(host, packet, *args):
+            sent.append(packet)
+            return send_packet(host, packet, *args)
+
+        monkeypatch.setattr(HostNode, "send_packet", record)
+        eng.run_until(3_000_000)
+        fields = [f.name for f in dataclasses.fields(Packet) if f.init]
+        kinds = Counter()
+        for pkt in sent:
+            checked = Packet(**{name: getattr(pkt, name) for name in fields})
+            assert (checked, checked.size, checked.key) == (
+                pkt, pkt.size, pkt.key)
+            assert type(pkt.key) is FlowKey
+            kinds[" ".join(pkt.meta[0:3:2])] += 1
+        assert set(kinds) == {"bulk data", "bulk ack", "cbr", "ping req",
+                              "ping rep"}
+        assert kinds["ping req"] == kinds["ping rep"] == 3
+        assert len({id(pkt) for pkt in sent}) == len(sent)  # one per send
 
 
 class TestInlinePeer:

@@ -408,7 +408,7 @@ class TestFirewallRigPath:
     """The criterion 3/4 rig: one backlogged NAT'd transfer through the
     170 Mbps shaper."""
 
-    def test_checks_run_once_per_host_packet_and_one_tick_per_side(
+    def test_checks_run_once_per_flow_template_and_one_tick_per_side(
             self, monkeypatch):
         cfg = parse_scenario(FIREWALL_RIG.format(duration=0.2,
                                                  total=2_000_000_000))
@@ -446,10 +446,13 @@ class TestFirewallRigPath:
             backlogged += bool(fw.outside.shaper.queue)
         offered = eng.metrics.flows["xfer"].offered_packets
         assert backlogged > 0
-        # every segment and ACK is translated, and none is checked again
+        # every segment and ACK is translated, and none is checked again:
+        # the checks run once on the data template and once on the ACK
+        # template, however many packets are copied from them
         assert 0 < calls["masquerade_out"] <= offered
         assert 0 < calls["masquerade_in"] <= calls["acks"]
-        assert calls["checks"] == offered + calls["acks"]
+        assert offered > 1_000 and calls["acks"] > 100
+        assert calls["checks"] == 2
 
     def test_recover_of_a_busy_firewall_keeps_one_tick_per_side(self):
         """A recover empties the shaper queues but leaves a pending
