@@ -73,12 +73,12 @@ class Direction:
     with the link's settings, so a frame hop reads this record alone.
     `busy_until` is when the last frame sent finishes serializing and
     `pending` counts the frames in flight. A link points to its directions
-    and none points back."""
+    and none points back; `node` holds no reference to the engine."""
     link_id: str
     bandwidth_bps: int
     prop_us: int
     queue_cap: int
-    node: Optional["Node"]  # None once the engine is closed
+    node: "Node"
     port: object
     up: bool = True
     busy_until: int = 0
@@ -255,6 +255,10 @@ def trace_line(t: int, node: str, ev: str, vlan, flow, info: str) -> str:
 class Engine:
     """Single-owner event loop; identical (scenario, seed) gives identical traces.
 
+    It owns its nodes, links and queued events, and none points back to it:
+    each node method that needs the engine takes it as its first argument.
+    So dropping an engine frees it at once, by reference counting alone.
+
     `trace` is None or a sink called with each record (t, node, ev, vlan,
     flow, info) as it happens; `trace_line` is a record's text."""
 
@@ -334,11 +338,11 @@ class Engine:
                     metrics.drop(node.name, "fault")
                     self.trace(node.name, "drop", None, None, "node failed")
                 else:
-                    node.on_frame(target.port, payload)
+                    node.on_frame(self, target.port, payload)
             elif kind == "fault":
                 self._apply_fault(target, payload)
             else:
-                target.on_event(kind, payload)
+                target.on_event(self, kind, payload)
         self.now = t_end_us
         return metrics
 
@@ -386,18 +390,6 @@ class Engine:
     def residual_frames(self) -> int:
         return sum(sum(l.pending) for l in self.links.values())
 
-    def close(self):
-        """Drop the nodes and the queued events that point to them. Each node
-        points back to its engine, so until then the engine is a reference
-        cycle that only a full garbage collection frees. `metrics`, `links`
-        and `link_at` stay readable; a closed engine has nothing left to run."""
-        self.nodes.clear()
-        for link in self.links.values():
-            for direction in link.directions:
-                direction.node = None
-        self._ends.clear()
-        self._heap.clear()
-
     # -- trace -------------------------------------------------------------
 
     def trace(self, node: str, ev: str, vlan, flow, info: str):
@@ -409,22 +401,21 @@ class Node:
     kind = "node"
 
     def __init__(self, engine: Engine, name: str):
-        self.engine = engine
         self.name = name
         self.mac = node_mac(name)
         self.failed = False
         engine.add_node(self)
 
-    def on_frame(self, port, frame: Frame):
+    def on_frame(self, engine: Engine, port, frame: Frame):
         raise NotImplementedError
 
-    def on_event(self, kind: str, payload):
+    def on_event(self, engine: Engine, kind: str, payload):
         pass
 
-    def _repeat(self, kind: str, interval_us: int) -> bool:
+    def _repeat(self, engine: Engine, kind: str, interval_us: int) -> bool:
         """Schedule the next event of a periodic kind; True when the node is
         up to do this one's work. Ticks keep running while a node is failed."""
-        self.engine.schedule(self.engine.now + interval_us, kind, self)
+        engine.schedule(engine.now + interval_us, kind, self)
         return not self.failed
 
     def reset_dynamic(self):
@@ -437,9 +428,9 @@ class Resolver:
     (scope, ip). At most ARP_PENDING_MAX packets wait for one MAC; a new one
     pushes out the oldest, counted as an `arp-pending` drop. A scope is what
     the node sends on: a port, a VLAN or a firewall side. The owning node
-    passes itself to each call, so a resolver holds no reference back to it;
-    its `emit(scope, payload, dst_mac)` puts a frame on a scope and its
-    `ip_on(scope)` is its own address there."""
+    passes the engine and itself to each call, so a resolver holds no
+    reference to either; its `emit(engine, scope, payload, dst_mac)` puts a
+    frame on a scope and its `ip_on(scope)` is its own address there."""
 
     # one per host in a campus scenario: no per-instance __dict__
     __slots__ = ("cache", "pending", "last_req")
@@ -449,32 +440,32 @@ class Resolver:
         self.pending: dict[tuple, list[Packet]] = {}
         self.last_req: dict[tuple, int] = {}
 
-    def send(self, node: Node, scope, ip: int, packet: Packet):
+    def send(self, engine: Engine, node: Node, scope, ip: int, packet: Packet):
         """Send packet to ip's MAC, or hold it and ask for that MAC."""
         key = (scope, ip)
         mac = self.cache.get(key)
         if mac is not None:
-            node.emit(scope, packet, mac)
+            node.emit(engine, scope, packet, mac)
             return
         held = self.pending.setdefault(key, [])
         if len(held) == ARP_PENDING_MAX:
             del held[0]
-            node.engine.metrics.drop(node.name, "arp-pending")
+            engine.metrics.drop(node.name, "arp-pending")
         held.append(packet)
-        now = node.engine.now
+        now = engine.now
         last = self.last_req.get(key)
         if last is None or now - last >= ARP_RETRY_US:
             self.last_req[key] = now
             req = Arp("request", node.ip_on(scope), node.mac, ip)
-            node.emit(scope, req, BROADCAST)
+            node.emit(engine, scope, req, BROADCAST)
 
-    def learn(self, node: Node, scope, arp: Arp):
+    def learn(self, engine: Engine, node: Node, scope, arp: Arp):
         """Cache the sender of arp; a reply also sends what was held for it."""
         key = (scope, arp.sender_ip)
         self.cache[key] = arp.sender_mac
         if arp.op == "reply":
             for packet in self.pending.pop(key, ()):
-                node.emit(scope, packet, arp.sender_mac)
+                node.emit(engine, scope, packet, arp.sender_mac)
 
     def clear(self):
         self.cache.clear()
@@ -490,17 +481,17 @@ class SwitchNode(Node):
         self.switch = Switch(name, hash_salt=engine.hash_salt)
         engine.schedule(FDB_AGE_SWEEP_US, "age_tick", self)
 
-    def on_frame(self, port, frame: Frame):
-        out = self.switch.ingress(port, frame, self.engine.now)
+    def on_frame(self, engine: Engine, port, frame: Frame):
+        out = self.switch.ingress(port, frame, engine.now)
         if out is None:
-            self.engine.metrics.drop(self.name, "vlan")
+            engine.metrics.drop(self.name, "vlan")
             return
         for out_port, out_frame in out:
-            self.engine.send(self.name, out_port, out_frame)
+            engine.send(self.name, out_port, out_frame)
 
-    def on_event(self, kind: str, payload):
-        if kind == "age_tick" and self._repeat(kind, FDB_AGE_SWEEP_US):
-            self.switch.age_fdb(self.engine.now)
+    def on_event(self, engine: Engine, kind: str, payload):
+        if kind == "age_tick" and self._repeat(engine, kind, FDB_AGE_SWEEP_US):
+            self.switch.age_fdb(engine.now)
 
     def reset_dynamic(self):
         self.switch.reset_dynamic()
@@ -525,64 +516,65 @@ class HostNode(Node):
     # a failed host keeps each flow's schedule and sends nothing; a flow's
     # packets are copies of one template, checked when the flow starts
 
-    def add_generator(self, spec: TrafficSpec):
-        self.engine.schedule(spec.start_us, "traffic", self, spec)
+    def add_generator(self, engine: Engine, spec: TrafficSpec):
+        engine.schedule(spec.start_us, "traffic", self, spec)
 
-    def on_event(self, kind: str, payload):
+    def on_event(self, engine: Engine, kind: str, payload):
         if kind == "traffic":
             # payload: the flow's TrafficSpec at its start, then a cbr
             # flow's FlowSender
             if payload.__class__ is FlowSender:
-                self._send_cbr(payload)
+                self._send_cbr(engine, payload)
             else:
-                self._start(payload)
+                self._start(engine, payload)
         elif kind == "ping":  # payload: (its FlowSender, sequence number)
-            self._send_ping(*payload)
+            self._send_ping(engine, *payload)
         elif kind == "rto":  # payload: the flow's BulkSender
-            self._on_rto(payload)
+            self._on_rto(engine, payload)
 
-    def _start(self, spec: TrafficSpec):
+    def _start(self, engine: Engine, spec: TrafficSpec):
         if spec.kind == "cbr":
-            self._send_cbr(FlowSender(spec, self.ip))
+            self._send_cbr(engine, FlowSender(spec, self.ip))
         elif spec.kind == "bulk":
             self.bulk_send[spec.flow_id] = st = BulkSender(spec, self.ip)
             if self.failed:  # starts once the timer finds the host up
-                self._start_rto(st)
+                self._start_rto(engine, st)
             else:
-                self._bulk_pump(st)
+                self._bulk_pump(engine, st)
         elif spec.kind == "ping":
-            self._send_ping(FlowSender(spec, self.ip), 0)
+            self._send_ping(engine, FlowSender(spec, self.ip), 0)
 
-    def _send_cbr(self, flow: FlowSender):
-        now = self.engine.now
+    def _send_cbr(self, engine: Engine, flow: FlowSender):
+        now = engine.now
         stop = flow.spec.stop_us
         if stop is not None and now >= stop:
             return
         if not self.failed:
-            self._offer(flow, flow.template.meta)
-        self.engine.schedule(now + flow.interval, "traffic", self, flow)
+            self._offer(engine, flow, flow.template.meta)
+        engine.schedule(now + flow.interval, "traffic", self, flow)
 
-    def _send_ping(self, flow: FlowSender, seq: int):
+    def _send_ping(self, engine: Engine, flow: FlowSender, seq: int):
         spec = flow.spec
         if not self.failed:
-            self._offer(flow, ("ping", spec.flow_id, "req", seq))
+            self._offer(engine, flow, ("ping", spec.flow_id, "req", seq))
         if seq + 1 < spec.count:
-            self.engine.schedule(self.engine.now + flow.interval, "ping",
-                                 self, (flow, seq + 1))
+            engine.schedule(engine.now + flow.interval, "ping", self,
+                            (flow, seq + 1))
 
-    def _offer(self, flow: FlowSender, meta: tuple):
+    def _offer(self, engine: Engine, flow: FlowSender, meta: tuple):
         """Send a copy of flow's template carrying meta."""
         if flow.stats is None:  # a flow is in the summary once it offers
-            flow.stats = self.engine.metrics.flow(flow.spec.flow_id)
+            flow.stats = engine.metrics.flow(flow.spec.flow_id)
         tpl = flow.template
-        self.send_packet(segment(tpl, tpl.payload_bytes, meta), flow.stats)
+        self.send_packet(engine, segment(tpl, tpl.payload_bytes, meta),
+                         flow.stats)
 
-    def _bulk_pump(self, st: BulkSender):
+    def _bulk_pump(self, engine: Engine, st: BulkSender):
         spec = st.spec
         fid, total, tpl = spec.flow_id, spec.total_bytes, st.template
         while st.next < total and st.next - st.una < st.window:
             if st.stats is None:  # a flow is in the summary once it offers
-                st.stats = self.engine.metrics.flow(fid)
+                st.stats = engine.metrics.flow(fid)
             seg = min(BULK_SEGMENT, total - st.next)
             pkt = segment(tpl, seg,
                           ("bulk", fid, "data", seg, total, st.next))
@@ -590,22 +582,22 @@ class HostNode(Node):
             if st.next > st.high:  # new data; Karn: only it is timed
                 st.high = st.next
                 if st.timed is None:
-                    st.timed = (st.next, self.engine.now)
-            self.send_packet(pkt, st.stats)
+                    st.timed = (st.next, engine.now)
+            self.send_packet(engine, pkt, st.stats)
         if st.deadline is None and st.una < st.next:
-            self._start_rto(st)
+            self._start_rto(engine, st)
 
-    def _start_rto(self, st: BulkSender):
+    def _start_rto(self, engine: Engine, st: BulkSender):
         """Set the timer to expire RTO from now. The flow keeps one live
         "rto" event: a later deadline is met when that event fires early."""
-        now = self.engine.now
+        now = engine.now
         st.deadline = now + st.rto
         if st.armed is None or st.armed > st.deadline:
             st.armed = st.deadline
-            self.engine.schedule(st.deadline, "rto", self, st)
+            engine.schedule(st.deadline, "rto", self, st)
 
-    def _on_rto(self, st: BulkSender):
-        now = self.engine.now
+    def _on_rto(self, engine: Engine, st: BulkSender):
+        now = engine.now
         if st.armed != now:
             return  # superseded by an earlier deadline
         st.armed = None
@@ -613,98 +605,98 @@ class HostNode(Node):
             return
         if now < st.deadline:
             st.armed = st.deadline
-            self.engine.schedule(st.deadline, "rto", self, st)
+            engine.schedule(st.deadline, "rto", self, st)
             return
         st.deadline = None
         if self.failed:
-            self._start_rto(st)
+            self._start_rto(engine, st)
             return
         # expiry: back off, forget the timed segment, resend from una
         st.rto = min(2 * st.rto, RTO_MAX_US)
         st.window = BULK_LOSS_WINDOW
         st.timed = None
         st.next = st.una
-        self._bulk_pump(st)
+        self._bulk_pump(engine, st)
 
     # -- sending -----------------------------------------------------------
 
-    def send_packet(self, packet: Packet, stats: Optional[FlowStats] = None):
+    def send_packet(self, engine: Engine, packet: Packet,
+                    stats: Optional[FlowStats] = None):
         """Send packet; with its flow's stats it counts as offered."""
         if stats is not None:
             stats.offered_packets += 1
             stats.offered_bytes += packet.size
             stats.offered_payload += packet.payload_bytes
-            if self.engine.trace_enabled:
-                self.engine.trace(self.name, "tx", None, packet.key,
-                                  f"kind={packet.meta[0]}")
+            if engine.trace_enabled:
+                engine.trace(self.name, "tx", None, packet.key,
+                             f"kind={packet.meta[0]}")
         dst_ip = packet.dst_ip  # on-link, else through the gateway
         if (dst_ip ^ self.ip) & self.mask and self.gw_ip is not None:
             dst_ip = self.gw_ip
-        self.arp.send(self, self.port, dst_ip, packet)
+        self.arp.send(engine, self, self.port, dst_ip, packet)
 
-    def emit(self, port, payload, dst_mac: bytes):
-        self.engine.send(self.name, port, make_frame(self.mac, dst_mac, payload))
+    def emit(self, engine: Engine, port, payload, dst_mac: bytes):
+        engine.send(self.name, port, make_frame(self.mac, dst_mac, payload))
 
     def ip_on(self, _port) -> int:
         return self.ip
 
     # -- receiving ---------------------------------------------------------
 
-    def on_frame(self, port, frame: Frame):
+    def on_frame(self, engine: Engine, port, frame: Frame):
         payload = frame.payload
         if isinstance(payload, Arp):
-            self._on_arp(payload)
+            self._on_arp(engine, payload)
             return
         if not isinstance(payload, Packet):
-            self.engine.metrics.frames_filtered += 1
+            engine.metrics.frames_filtered += 1
             return
         if frame.dst != self.mac and frame.dst != BROADCAST:
-            self.engine.metrics.frames_filtered += 1
+            engine.metrics.frames_filtered += 1
             return
         if payload.dst_ip != self.ip:
-            self.engine.metrics.frames_filtered += 1
+            engine.metrics.frames_filtered += 1
             return
-        self._deliver(payload)
+        self._deliver(engine, payload)
 
-    def _on_arp(self, arp: Arp):
+    def _on_arp(self, engine: Engine, arp: Arp):
         if arp.target_ip != self.ip:
-            self.engine.metrics.frames_filtered += 1
+            engine.metrics.frames_filtered += 1
             return
-        self.arp.learn(self, self.port, arp)
+        self.arp.learn(engine, self, self.port, arp)
         if arp.op == "request":
             reply = Arp("reply", self.ip, self.mac, arp.sender_ip)
-            self.emit(self.port, reply, arp.sender_mac)
+            self.emit(engine, self.port, reply, arp.sender_mac)
 
-    def _deliver(self, pkt: Packet):
+    def _deliver(self, engine: Engine, pkt: Packet):
         meta = pkt.meta
         if not meta:
             return
         kind, fid = meta[0], meta[1]
         if kind == "bulk" and meta[2] == "ack":
-            self._on_ack(fid, meta[3])
+            self._on_ack(engine, fid, meta[3])
             return
         if kind == "ping" and meta[2] == "rep":
             self.ping_seen[fid] = self.ping_seen.get(fid, 0) + 1
-            self.engine.metrics.flow(fid).completed_at = self.engine.now
+            engine.metrics.flow(fid).completed_at = engine.now
             return
         rx = self.recv.get(fid)
         if rx is None:
-            rx = self.recv[fid] = FlowReceiver(self.engine.metrics.flow(fid))
+            rx = self.recv[fid] = FlowReceiver(engine.metrics.flow(fid))
         st = rx.stats
         st.delivered_packets += 1
         st.delivered_bytes += pkt.size
-        self.engine.metrics.host_delivered += 1
-        if self.engine.trace_enabled:
-            self.engine.trace(self.name, "rx", None, pkt.key,
-                              f"kind={kind}")
+        engine.metrics.host_delivered += 1
+        if engine.trace_enabled:
+            engine.trace(self.name, "rx", None, pkt.key, f"kind={kind}")
         if kind == "bulk":
-            self._on_bulk_data(pkt, rx)
+            self._on_bulk_data(engine, pkt, rx)
             return
         st.delivered_payload += pkt.payload_bytes  # bulk's: once, in order
         if kind == "ping":
-            self.send_packet(segment(self._reply_template(rx, pkt),
-                                     pkt.payload_bytes,
-                                     ("ping", fid, "rep", meta[3])))
+            self.send_packet(engine, segment(
+                self._reply_template(rx, pkt), pkt.payload_bytes,
+                ("ping", fid, "rep", meta[3])))
 
     def _reply_template(self, rx: FlowReceiver, pkt: Packet) -> Packet:
         """rx's answer template, built anew, checked, when pkt comes from
@@ -719,7 +711,7 @@ class HostNode(Node):
                 src_port=pkt.dst_port, dst_port=pkt.src_port)
         return reply
 
-    def _on_bulk_data(self, pkt: Packet, rx: FlowReceiver):
+    def _on_bulk_data(self, engine: Engine, pkt: Packet, rx: FlowReceiver):
         # only the next in-order segment is taken; an ACK goes every
         # BULK_ACK_EVERY segments, at completion, and at once on an
         # out-of-order or duplicate segment
@@ -731,19 +723,20 @@ class HostNode(Node):
             flow = rx.stats
             flow.delivered_payload += seg
             if rx.received >= total and flow.completed_at is None:
-                flow.completed_at = self.engine.now
+                flow.completed_at = engine.now
         if (not in_order or rx.segs % BULK_ACK_EVERY == 0
                 or rx.received >= total):
-            self.send_packet(segment(self._reply_template(rx, pkt), 0,
-                                     ("bulk", fid, "ack", rx.received)))
+            self.send_packet(engine, segment(
+                self._reply_template(rx, pkt), 0,
+                ("bulk", fid, "ack", rx.received)))
 
-    def _on_ack(self, fid: str, acked: int):
+    def _on_ack(self, engine: Engine, fid: str, acked: int):
         """A cumulative ACK at the sender."""
         st = self.bulk_send.get(fid)
         if st is None:
             return
         if acked > st.una:
-            now = self.engine.now
+            now = engine.now
             st.window = min(st.window + acked - st.una, BULK_WINDOW)
             st.una = acked
             st.next = max(st.next, acked)
@@ -753,8 +746,8 @@ class HostNode(Node):
             # RFC 6298 (5.2), (5.3): off when all is acked, else restart
             st.deadline = None
             if acked < st.next:
-                self._start_rto(st)
-        self._bulk_pump(st)
+                self._start_rto(engine, st)
+        self._bulk_pump(engine, st)
 
     def reset_dynamic(self):
         self.arp.clear()
@@ -769,64 +762,64 @@ class L3Node(Node):
         self.arp = Resolver()
         engine.schedule(FDB_AGE_SWEEP_US, "age_tick", self)
 
-    def on_event(self, kind: str, payload):
-        if kind == "age_tick" and self._repeat(kind, FDB_AGE_SWEEP_US):
-            self.router.conn.sweep(self.engine.now)
+    def on_event(self, engine: Engine, kind: str, payload):
+        if kind == "age_tick" and self._repeat(engine, kind, FDB_AGE_SWEEP_US):
+            self.router.conn.sweep(engine.now)
 
-    def emit(self, vid: int, frame_payload, dst_mac: bytes):
+    def emit(self, engine: Engine, vid: int, frame_payload, dst_mac: bytes):
         port = self.router.interfaces[vid].port
         if port is not None:
-            self.engine.send(self.name, port,
-                             make_frame(self.mac, dst_mac, frame_payload))
+            engine.send(self.name, port,
+                        make_frame(self.mac, dst_mac, frame_payload))
         else:
-            self.engine.send(self.name, "trunk", make_frame(
+            engine.send(self.name, "trunk", make_frame(
                 self.mac, dst_mac, frame_payload, vid))
 
     def ip_on(self, vid: int) -> int:
         return self.router.interfaces[vid].ip
 
-    def on_frame(self, port, frame: Frame):
+    def on_frame(self, engine: Engine, port, frame: Frame):
         # reads the payload and destination in place: untagging needs no copy
         vid = frame.tag
         if port == "trunk":
             if vid not in self.router.interfaces:  # None is never a key
-                self.engine.metrics.drop(self.name, "vlan")
+                engine.metrics.drop(self.name, "vlan")
                 return
         else:
             iface = self.router.ports.get(port)
             if iface is None or vid is not None:
-                self.engine.metrics.drop(self.name, "vlan")
+                engine.metrics.drop(self.name, "vlan")
                 return
             vid = iface.vid
         iface = self.router.interfaces[vid]
         payload = frame.payload
         if isinstance(payload, Arp):
-            self._on_arp(vid, iface, payload)
+            self._on_arp(engine, vid, iface, payload)
             return
         if not isinstance(payload, Packet):
-            self.engine.metrics.frames_filtered += 1
+            engine.metrics.frames_filtered += 1
             return
         if frame.dst != self.mac and frame.dst != BROADCAST:
-            self.engine.metrics.frames_filtered += 1
+            engine.metrics.frames_filtered += 1
             return
         if payload.dst_ip in self.router.local_ips:
-            self.engine.metrics.frames_filtered += 1
+            engine.metrics.frames_filtered += 1
             return
-        result = self.router.forward(payload, vid, self.engine.now)
+        result = self.router.forward(payload, vid, engine.now)
         if result[0] == "drop":
             reason = result[1]
-            self.engine.metrics.drop(self.name, reason)
-            self.engine.trace(self.name, "drop", vid, payload.key, reason)
+            engine.metrics.drop(self.name, reason)
+            engine.trace(self.name, "drop", vid, payload.key, reason)
             return
         _, egress_vid, next_hop, out = result
         target = next_hop if next_hop is not None else out.dst_ip
-        self.arp.send(self, egress_vid, target, out)
+        self.arp.send(engine, self, egress_vid, target, out)
 
-    def _on_arp(self, vid: int, iface, arp: Arp):
-        self.arp.learn(self, vid, arp)
+    def _on_arp(self, engine: Engine, vid: int, iface, arp: Arp):
+        self.arp.learn(engine, self, vid, arp)
         if arp.op == "request" and arp.target_ip == iface.ip:
             reply = Arp("reply", iface.ip, self.mac, arp.sender_ip)
-            self.emit(vid, reply, arp.sender_mac)
+            self.emit(engine, vid, reply, arp.sender_mac)
 
     def reset_dynamic(self):
         self.arp.clear()
@@ -851,8 +844,8 @@ class SideState:
     whether its shape_tick is queued, and, on an inline inside, the MAC its
     last packet came from, where reverse-NAT'd packets go (a transparent
     bridge learns stations from source addresses too, IEEE 802.1D). The two
-    sides of a node hold no reference to each other, so reference counting
-    alone frees them once the engine is closed."""
+    sides of a node hold no reference to each other or to the engine, so
+    reference counting alone frees them with it."""
     port: str
     cfg: FirewallSide
     deny_new: bool
@@ -895,75 +888,78 @@ class FirewallNode(Node):
             table.insert(0, 0, cfg.gw)
         return SideState(port, cfg, deny_new, table, Shaper(cap_bps))
 
-    def on_event(self, kind: str, payload):
+    def on_event(self, engine: Engine, kind: str, payload):
         if kind == "age_tick":
-            if self._repeat(kind, NAT_SWEEP_US):
-                self.fw.sweep_expired(self.engine.now)
+            if self._repeat(engine, kind, NAT_SWEEP_US):
+                self.fw.sweep_expired(engine.now)
         elif kind == "shape_tick":
             side = payload  # the side's SideState
             side.tick_scheduled = False
             if self.failed:
                 return
             for pkt, mac_hint in side.shaper.shape():
-                self._emit_packet(side, pkt, mac_hint)
+                self._emit_packet(engine, side, pkt, mac_hint)
             if side.shaper.queue:
-                self._schedule_tick(side)
+                self._schedule_tick(engine, side)
 
-    def _schedule_tick(self, side: SideState):
+    def _schedule_tick(self, engine: Engine, side: SideState):
         """The side's next shape_tick; its caller knows none is pending."""
         side.tick_scheduled = True
-        next_at = (self.engine.now // SHAPE_INTERVAL_US + 1) * SHAPE_INTERVAL_US
-        self.engine.schedule(next_at, "shape_tick", self, side)
+        next_at = (engine.now // SHAPE_INTERVAL_US + 1) * SHAPE_INTERVAL_US
+        engine.schedule(next_at, "shape_tick", self, side)
 
-    def _enqueue(self, side: SideState, pkt: Packet, mac_hint):
+    def _enqueue(self, engine: Engine, side: SideState, pkt: Packet,
+                 mac_hint):
         if not side.shaper.offer(pkt.size, (pkt, mac_hint)):
-            self.engine.metrics.drop(self.name, "queue")
+            engine.metrics.drop(self.name, "queue")
         elif not side.tick_scheduled:
-            self._schedule_tick(side)
+            self._schedule_tick(engine, side)
 
-    def _emit_packet(self, side: SideState, pkt: Packet, mac_hint):
-        self.engine.metrics.fw_bytes[self.name] += pkt.size
+    def _emit_packet(self, engine: Engine, side: SideState, pkt: Packet,
+                     mac_hint):
+        engine.metrics.fw_bytes[self.name] += pkt.size
         if mac_hint is not None:
-            self.emit(side.port, pkt, mac_hint)
+            self.emit(engine, side.port, pkt, mac_hint)
             return
         next_hop = side.next_hops.lookup(pkt.dst_ip)
-        self.arp.send(self, side.port,
+        self.arp.send(engine, self, side.port,
                       pkt.dst_ip if next_hop is None else next_hop, pkt)
 
-    def emit(self, port: str, payload, dst_mac: bytes):
-        self.engine.send(self.name, port, make_frame(self.mac, dst_mac, payload))
+    def emit(self, engine: Engine, port: str, payload, dst_mac: bytes):
+        engine.send(self.name, port, make_frame(self.mac, dst_mac, payload))
 
     def ip_on(self, port: str) -> int:
         return self.sides[port].cfg.ip or 0
 
-    def on_frame(self, port, frame: Frame):
+    def on_frame(self, engine: Engine, port, frame: Frame):
         side = self.sides[port]
         out = self.outside if side is self.inside else self.inside
         payload = frame.payload
         if isinstance(payload, Arp):
-            self._on_arp(side, out, frame, payload)
+            self._on_arp(engine, side, out, frame, payload)
             return
         if not isinstance(payload, Packet):
-            self.engine.metrics.frames_filtered += 1
+            engine.metrics.frames_filtered += 1
             return
         if side.cfg.mode == "routed":
             if frame.dst != self.mac and frame.dst != BROADCAST:
-                self.engine.metrics.frames_filtered += 1
+                engine.metrics.frames_filtered += 1
                 return
         elif side is self.inside and payload.protocol != "probe":
             side.peer_mac = frame.src
         hint = frame.dst if out.cfg.mode == "inline" else None
         if payload.protocol == "probe":
             # health checks are control-plane: no NAT, no shaping
-            self._emit_packet(out, payload, hint)
+            self._emit_packet(engine, out, payload, hint)
             return
-        self._forward(side, out, payload, hint)
+        self._forward(engine, side, out, payload, hint)
 
-    def _forward(self, side: SideState, out: SideState, pkt: Packet, hint):
+    def _forward(self, engine: Engine, side: SideState, out: SideState,
+                 pkt: Packet, hint):
         """Pass pkt, which arrived on `side`, to `out`'s shaper: reverse NAT
         and inline transit on the outside, else the zone check, NAT on the
         inside, and a conntrack note."""
-        engine, fw = self.engine, self.fw
+        fw = self.fw
         now, key = engine.now, pkt.key
         if side is self.outside:
             if pkt.dst_ip in fw.external_ips:
@@ -976,11 +972,11 @@ class FirewallNode(Node):
                     engine.trace(self.name, "nat", None, key, "in to "
                                  f"{ip_str(translated.dst_ip)}:"
                                  f"{translated.dst_port}")
-                self._enqueue(out, translated, out.peer_mac)
+                self._enqueue(engine, out, translated, out.peer_mac)
                 return
             if out.cfg.mode == "inline":
                 # transit toward the L3 switch, which owns zone policy here
-                self._enqueue(out, pkt, hint)
+                self._enqueue(engine, out, pkt, hint)
                 return
         # a new flow where zone policy denies it: only replies pass
         if side.deny_new and not fw.conn.established(key, now):
@@ -1000,22 +996,22 @@ class FirewallNode(Node):
                 engine.trace(self.name, "drop", None, key, "nat-full")
                 return
         fw.conn.entries[key] = now
-        self._enqueue(out, pkt, hint)
+        self._enqueue(engine, out, pkt, hint)
 
-    def _on_arp(self, side: SideState, out: SideState, frame: Frame,
-                arp: Arp):
+    def _on_arp(self, engine: Engine, side: SideState, out: SideState,
+                frame: Frame, arp: Arp):
         cfg = side.cfg
         if cfg.mode == "routed":  # an inline side resolves no next hop
-            self.arp.learn(self, side.port, arp)
+            self.arp.learn(engine, self, side.port, arp)
         owned = arp.target_ip == cfg.ip or (
             side is self.outside and arp.target_ip in self.fw.external_ips)
         if arp.op == "request" and owned:
             reply = Arp("reply", arp.target_ip, self.mac, arp.sender_ip)
-            self.emit(side.port, reply, arp.sender_mac)
+            self.emit(engine, side.port, reply, arp.sender_mac)
             return
         if cfg.mode == "inline":
             # transparent for the spanned segment's address resolution
-            self.engine.send(self.name, out.port, frame)
+            engine.send(self.name, out.port, frame)
 
     def reset_dynamic(self):
         # a pending shape_tick stays queued, so tick_scheduled stays as it is
@@ -1037,57 +1033,58 @@ class BalancerNode(Node):
         self.lb = lb
         engine.schedule(PROBE_INTERVAL_US, "probe_tick", self)
 
-    def on_event(self, kind: str, payload):
-        if kind != "probe_tick" or not self._repeat(kind, PROBE_INTERVAL_US):
+    def on_event(self, engine: Engine, kind: str, payload):
+        if kind != "probe_tick" or not self._repeat(engine, kind,
+                                                     PROBE_INTERVAL_US):
             return
-        due = self.lb.probe_tick(self.engine.now)
-        self._drain_transitions()
+        due = self.lb.probe_tick(engine.now)
+        self._drain_transitions(engine)
         for pid in due:
             pkt = Packet(src_ip=self.ip, dst_ip=self.peer_ip, protocol="probe",
                          meta=("probe", self.name, "req", pid))
-            self.engine.trace(self.name, "probe", None, pkt.key,
-                              f"send path={pid}")
-            self.engine.send(self.name, pid, make_frame(self.mac, BROADCAST, pkt))
+            engine.trace(self.name, "probe", None, pkt.key,
+                         f"send path={pid}")
+            engine.send(self.name, pid, make_frame(self.mac, BROADCAST, pkt))
 
-    def _drain_transitions(self):
+    def _drain_transitions(self, engine: Engine):
         for pid, state in self.lb.transitions:
-            self.engine.trace(self.name, f"path_{state}", None, None,
-                              f"path={pid}")
+            engine.trace(self.name, f"path_{state}", None, None,
+                         f"path={pid}")
         self.lb.transitions.clear()
 
-    def on_frame(self, port, frame: Frame):
+    def on_frame(self, engine: Engine, port, frame: Frame):
         payload = frame.payload
         if port == "front":
-            self._from_front(frame, payload)
+            self._from_front(engine, frame, payload)
         else:
-            self._from_back(port, frame, payload)
+            self._from_back(engine, port, frame, payload)
 
-    def _from_front(self, frame: Frame, payload):
+    def _from_front(self, engine: Engine, frame: Frame, payload):
         if isinstance(payload, Arp):
             up = self.lb.up
             owner = self.lb.dest_override.get(payload.target_ip)
             pid = owner if owner in up else (up[0] if up else None)
             if pid is None:
-                self.engine.metrics.drop(self.name, "unavailable")
+                engine.metrics.drop(self.name, "unavailable")
                 return
-            self.engine.send(self.name, pid, frame)
+            engine.send(self.name, pid, frame)
             return
         if not isinstance(payload, Packet):
-            self.engine.metrics.frames_filtered += 1
+            engine.metrics.frames_filtered += 1
             return
         key = payload.key
         try:
             pid = self.lb.dispatch(key, payload.dst_ip)
         except Unavailable:
-            self.engine.metrics.unavailable += 1
-            self.engine.metrics.drop(self.name, "unavailable")
-            self.engine.trace(self.name, "drop", None, key, "unavailable")
+            engine.metrics.unavailable += 1
+            engine.metrics.drop(self.name, "unavailable")
+            engine.trace(self.name, "drop", None, key, "unavailable")
             return
-        if self.engine.trace_enabled:
-            self.engine.trace(self.name, "tx", None, key, f"dispatch path={pid}")
-        self.engine.send(self.name, pid, frame)
+        if engine.trace_enabled:
+            engine.trace(self.name, "tx", None, key, f"dispatch path={pid}")
+        engine.send(self.name, pid, frame)
 
-    def _from_back(self, port, frame: Frame, payload):
+    def _from_back(self, engine: Engine, port, frame: Frame, payload):
         if isinstance(payload, Packet) and payload.protocol == "probe" \
                 and payload.dst_ip == self.ip:
             meta = payload.meta
@@ -1095,15 +1092,15 @@ class BalancerNode(Node):
                 reply = Packet(src_ip=self.ip, dst_ip=payload.src_ip,
                                protocol="probe",
                                meta=("probe", self.name, "rep", meta[3]))
-                self.engine.send(self.name, port,
-                                 make_frame(self.mac, BROADCAST, reply))
+                engine.send(self.name, port,
+                            make_frame(self.mac, BROADCAST, reply))
             elif meta and meta[0] == "probe" and meta[2] == "rep":
-                self.engine.trace(self.name, "probe", None, payload.key,
-                                  f"reply path={port}")
-                self.lb.on_probe_reply(port, self.engine.now)
-                self._drain_transitions()
+                engine.trace(self.name, "probe", None, payload.key,
+                             f"reply path={port}")
+                self.lb.on_probe_reply(port, engine.now)
+                self._drain_transitions(engine)
             return
-        self.engine.send(self.name, "front", frame)
+        engine.send(self.name, "front", frame)
 
     def reset_dynamic(self):
         self.lb.reset_dynamic()

@@ -10,6 +10,7 @@ from .packet import (VIDS, Frame, FlowKey, InvalidVid, check_vid,
                      frame_copy, frame_flow_key)
 
 FDB_AGING_US = 300_000_000  # 300 s
+NO_VIDS = frozenset()  # every access port's `allowed`: one set, not one each
 
 
 class L2Error(Exception):
@@ -24,20 +25,20 @@ class NoLiveMember(L2Error):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PortConfig:
     """One switch port's VLAN membership, as a `[switch]` line declares it.
     The config and every switch built from it share the record, so it is
     frozen; whether the port is up is the switch's state."""
     mode: str  # "access" | "trunk"
     vid: Optional[int] = None
-    allowed: frozenset = frozenset()
+    allowed: frozenset = NO_VIDS
     lag_group: Optional[str] = None
 
     def __post_init__(self):
         if self.mode == "access":
             check_vid(self.vid)
-            object.__setattr__(self, "allowed", frozenset())
+            object.__setattr__(self, "allowed", NO_VIDS)
         elif self.mode == "trunk":
             if not self.allowed:
                 raise InvalidVid("trunk allowed set must be non-empty")

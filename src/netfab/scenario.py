@@ -110,7 +110,7 @@ class BalancerDecl:
     override: dict = field(default_factory=dict)  # external ip -> path
 
 
-@dataclass
+@dataclass(slots=True)
 class HostDecl:
     name: str
     ip: int
@@ -120,7 +120,7 @@ class HostDecl:
     group: Optional[str] = None
 
 
-@dataclass
+@dataclass(slots=True)
 class LinkDecl:
     a: tuple
     b: tuple
@@ -802,21 +802,24 @@ def _check_loops(cfg: ScenarioConfig):
         return LoopError(max(vids, default=0), nodes, kinds)
 
     done = set()
-
-    def search(trail):
-        """Depth first over arrivals; `trail` holds the (sent, arrival)
-        hops that led to its last arrival."""
-        for hop in hops(trail[-1][1]):
+    for port in ports:
+        if port in done:
+            continue
+        # depth first, not by a nested function that calls itself (a cycle):
+        # `trail` holds the hops to each arrival, `todo` its hops to follow
+        trail, todo = [(None, port)], [hops(port)]
+        while todo:
+            hop = next(todo[-1], None)
+            if hop is None:
+                done.add(trail.pop()[1])
+                todo.pop()
+                continue
             for i, (_sent, seen) in enumerate(trail):
                 if seen == hop[1]:
                     raise ring(trail[i + 1:] + [hop])
             if hop[1] not in done:
-                search(trail + [hop])
-        done.add(trail[-1][1])
-
-    for port in ports:
-        if port not in done:
-            search([(None, port)])
+                trail.append(hop)
+                todo.append(hops(hop[1]))
 
 
 def validate_scenario(cfg: ScenarioConfig, horizon_us: Optional[int] = None):
@@ -1078,7 +1081,7 @@ def build_engine(cfg: ScenarioConfig, trace=None) -> Engine:
     for spec in cfg.traffic:
         if spec.dst_ip is None:
             spec = replace(spec, dst_ip=cfg.hosts[spec.dst].ip)
-        eng.nodes[spec.src].add_generator(spec)
+        eng.nodes[spec.src].add_generator(eng, spec)
 
     for f in cfg.faults:
         eng.inject_fault(f.at_us, f.action, f.target)

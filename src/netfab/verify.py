@@ -51,13 +51,9 @@ def verify(cfg: ScenarioConfig, invariant: str,
 
 
 def _simulate(cfg: ScenarioConfig, until_us: int, trace=None) -> Metrics:
-    """Run cfg's engine to until_us and close it, so no node outlives the
-    query; its metrics stay readable."""
-    eng = build_engine(cfg, trace=trace)
-    try:
-        return eng.run_until(until_us)
-    finally:
-        eng.close()
+    """The metrics of cfg's engine run to until_us. Nothing points back
+    into the engine, so it is freed when this returns."""
+    return build_engine(cfg, trace=trace).run_until(until_us)
 
 
 # -- isolation -------------------------------------------------------------
@@ -342,18 +338,19 @@ def _node_details(obj) -> str:
 
 def status(cfg: ScenarioConfig, at_us: int,
            node: Optional[str] = None) -> StatusReport:
+    """Node states (only `node`'s when given) at at_us and the VLANs the
+    faults cut off. Dropped once its rows are read, the engine is freed
+    before `affected_vlans` runs: nothing points back into it."""
     if node is not None and node not in cfg.node_names():
         raise UnknownNode(node)
     eng = build_engine(cfg)
-    try:
-        eng.run_until(at_us)
-        dead_nodes = {n for n, obj in eng.nodes.items() if obj.failed}
-        dead_links = {lid for lid, link in eng.links.items() if not link.up}
-        rows = [(name, obj.kind, "failed" if obj.failed else "up",
-                 _node_details(obj))
-                for name, obj in sorted(eng.nodes.items())
-                if node is None or name == node]
-    finally:
-        eng.close()  # after the node states are read
+    eng.run_until(at_us)
+    dead_nodes = {n for n, obj in eng.nodes.items() if obj.failed}
+    dead_links = {lid for lid, link in eng.links.items() if not link.up}
+    rows = [(name, obj.kind, "failed" if obj.failed else "up",
+             _node_details(obj))
+            for name, obj in sorted(eng.nodes.items())
+            if node is None or name == node]
+    del eng
     return StatusReport(at_us, rows,
                         affected_vlans(cfg, dead_nodes, dead_links))

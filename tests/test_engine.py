@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import hashlib
+import pickle
 import weakref
 from collections import Counter, deque
 
@@ -97,7 +98,7 @@ class TestTransport:
         order = []
 
         class Probe(SwitchNode):
-            def on_event(self, kind, payload):
+            def on_event(self, engine, kind, payload):
                 order.append(payload)
 
         sw = Probe(eng, "sw")
@@ -116,10 +117,10 @@ class TestTransport:
         order = []
 
         class Probe(Node):
-            def on_frame(self, port, frame):
+            def on_frame(self, engine, port, frame):
                 order.append("frame")
 
-            def on_event(self, kind, payload):
+            def on_event(self, engine, kind, payload):
                 order.append(kind)
 
         HostNode(eng, "h1", ip_addr("10.0.0.1"), 24)
@@ -170,8 +171,8 @@ class TestEndToEnd:
     def test_ping_round_trip(self):
         eng = Engine()
         h1, h2 = lan(eng)
-        h1.add_generator(TrafficSpec(kind="ping", src="h1", dst="h2",
-                                     flow_id="p1", dst_ip=h2.ip, count=3))
+        h1.add_generator(eng, TrafficSpec(kind="ping", src="h1", dst="h2",
+                                          flow_id="p1", dst_ip=h2.ip, count=3))
         eng.run_until(5_000_000)
         assert h1.ping_seen["p1"] == 3
         st = eng.metrics.flows["p1"]
@@ -182,10 +183,10 @@ class TestEndToEnd:
         eng = Engine()
         h1, h2 = lan(eng)
         total = 100_000
-        h1.add_generator(TrafficSpec(kind="bulk", src="h1", dst="h2",
-                                     flow_id="b1", dst_ip=h2.ip,
-                                     total_bytes=total, src_port=40000,
-                                     dst_port=5001))
+        h1.add_generator(eng, TrafficSpec(kind="bulk", src="h1", dst="h2",
+                                          flow_id="b1", dst_ip=h2.ip,
+                                          total_bytes=total, src_port=40000,
+                                          dst_port=5001))
         eng.run_until(10_000_000)
         st = eng.metrics.flows["b1"]
         assert st.completed_at is not None
@@ -196,10 +197,10 @@ class TestEndToEnd:
     def test_cbr_within_capacity_no_loss(self):
         eng = Engine()
         h1, h2 = lan(eng, bw=100_000_000)
-        h1.add_generator(TrafficSpec(kind="cbr", src="h1", dst="h2",
-                                     flow_id="c1", dst_ip=h2.ip,
-                                     rate_bps=34_130_000, src_port=40000,
-                                     dst_port=5001, stop_us=2_000_000))
+        h1.add_generator(eng, TrafficSpec(kind="cbr", src="h1", dst="h2",
+                                          flow_id="c1", dst_ip=h2.ip,
+                                          rate_bps=34_130_000, src_port=40000,
+                                          dst_port=5001, stop_us=2_000_000))
         eng.run_until(3_000_000)
         st = eng.metrics.flows["c1"]
         assert st.delivered_packets == st.offered_packets > 1000
@@ -208,10 +209,10 @@ class TestEndToEnd:
     def test_cbr_over_slow_link_drops(self):
         eng = Engine()
         h1, h2 = lan(eng, bw=10_000_000)
-        h1.add_generator(TrafficSpec(kind="cbr", src="h1", dst="h2",
-                                     flow_id="c1", dst_ip=h2.ip,
-                                     rate_bps=34_130_000, src_port=40000,
-                                     dst_port=5001, stop_us=2_000_000))
+        h1.add_generator(eng, TrafficSpec(kind="cbr", src="h1", dst="h2",
+                                          flow_id="c1", dst_ip=h2.ip,
+                                          rate_bps=34_130_000, src_port=40000,
+                                          dst_port=5001, stop_us=2_000_000))
         eng.run_until(3_000_000)
         st = eng.metrics.flows["c1"]
         assert st.delivered_packets < st.offered_packets
@@ -226,10 +227,10 @@ class TestEndToEnd:
         gw = ip_addr("10.0.0.254")
         h1 = HostNode(eng, "h1", ip_addr("10.0.0.1"), 24, gw_ip=gw)
         eng.add_link("h1", 0, "sw", "p1", 100_000_000)
-        h1.add_generator(TrafficSpec(kind="cbr", src="h1", dst="remote",
-                                     flow_id="c1", dst_ip=ip_addr("10.9.0.1"),
-                                     rate_bps=1_000_000, src_port=40000,
-                                     dst_port=5001, stop_us=10_000_000))
+        h1.add_generator(eng, TrafficSpec(
+            kind="cbr", src="h1", dst="remote", flow_id="c1",
+            dst_ip=ip_addr("10.9.0.1"), rate_bps=1_000_000, src_port=40000,
+            dst_port=5001, stop_us=10_000_000))
         eng.run_until(10_000_000)
         held = h1.arp.pending[(0, gw)]
         offered = eng.metrics.flows["c1"].offered_packets
@@ -238,36 +239,48 @@ class TestEndToEnd:
         assert dropped == offered - ARP_PENDING_MAX
         oldest = held[0]
         newest = Packet(src_ip=h1.ip, dst_ip=gw, protocol="udp")
-        h1.arp.send(h1, 0, gw, newest)
+        h1.arp.send(eng, h1, 0, gw, newest)
         assert held[-1] is newest and all(p is not oldest for p in held)
         assert len(held) == ARP_PENDING_MAX
 
     def test_frame_conservation(self):
         eng = Engine()
         h1, h2 = lan(eng)
-        h1.add_generator(TrafficSpec(kind="ping", src="h1", dst="h2",
-                                     flow_id="p1", dst_ip=h2.ip, count=5))
+        h1.add_generator(eng, TrafficSpec(kind="ping", src="h1", dst="h2",
+                                          flow_id="p1", dst_ip=h2.ip, count=5))
         eng.run_until(10_000_000)
         m = eng.metrics
         assert m.frames_created == m.frames_consumed + eng.residual_frames()
         assert eng.residual_frames() == 0
 
 
-def test_close_frees_every_node(gc_off):
-    """After close, reference counting alone frees the engine and its nodes,
-    and leaves no cyclic garbage; the metrics it returned still read the
-    same."""
+def test_dropped_engine_frees_every_node(gc_off):
+    """Nothing points back into an engine, so once a run's engine is
+    dropped, reference counting alone frees it and its nodes and leaves no
+    cyclic garbage; the metrics it returned still read the same."""
     gc.collect()
     eng = build_engine(build_spring8_redundant())
     metrics = eng.run_until(3_000_000)
     summary = metrics.summary_lines()
     refs = [weakref.ref(eng), *(weakref.ref(n) for n in eng.nodes.values())]
     assert len(refs) > 500
-    eng.close()
     del eng
     assert [r for r in refs if r() is not None] == []
     assert gc.collect() == 0
     assert metrics.summary_lines() == summary
+
+
+def test_running_engine_survives_a_pickle_round_trip():
+    """A copy of an engine stopped mid-run, made through pickle, shares no
+    state with it: the copy and then the original each run on to the
+    summary of a fresh run."""
+    expected = build_engine(build_spring8_redundant()).run_until(
+        3_000_000).summary_lines()
+    eng = build_engine(build_spring8_redundant())
+    eng.run_until(500_000)
+    clone = pickle.loads(pickle.dumps(eng))
+    assert clone.run_until(3_000_000).summary_lines() == expected
+    assert eng.run_until(3_000_000).summary_lines() == expected
 
 
 def floats_reachable(root) -> list[str]:
@@ -309,7 +322,6 @@ def test_simulated_state_holds_no_float():
     assert rig.metrics.fw_bytes["fw"] > 0
     for eng in (campus, rig):
         assert floats_reachable(eng) == []
-        eng.close()
 
 
 class TestFaults:
@@ -327,8 +339,8 @@ class TestFaults:
     def test_failed_link_drops_traffic(self):
         eng = Engine()
         h1, h2 = lan(eng)
-        h1.add_generator(TrafficSpec(kind="ping", src="h1", dst="h2",
-                                     flow_id="p1", dst_ip=h2.ip, count=5))
+        h1.add_generator(eng, TrafficSpec(kind="ping", src="h1", dst="h2",
+                                          flow_id="p1", dst_ip=h2.ip, count=5))
         eng.inject_fault(1_500_000, "fail_link", "h2:0-sw:p2")
         eng.run_until(10_000_000)
         assert h1.ping_seen["p1"] == 2  # pings at t=0 and t=1s only
@@ -337,8 +349,8 @@ class TestFaults:
     def test_failed_node_drops_then_recovers(self):
         eng = Engine()
         h1, h2 = lan(eng)
-        h1.add_generator(TrafficSpec(kind="ping", src="h1", dst="h2",
-                                     flow_id="p1", dst_ip=h2.ip, count=6))
+        h1.add_generator(eng, TrafficSpec(kind="ping", src="h1", dst="h2",
+                                          flow_id="p1", dst_ip=h2.ip, count=6))
         eng.inject_fault(1_500_000, "fail_node", "h2")
         eng.inject_fault(3_500_000, "recover", "h2")
         eng.run_until(10_000_000)
@@ -348,8 +360,8 @@ class TestFaults:
     def test_recover_clears_learned_state(self):
         eng = Engine()
         h1, h2 = lan(eng)
-        h1.add_generator(TrafficSpec(kind="ping", src="h1", dst="h2",
-                                     flow_id="p1", dst_ip=h2.ip, count=1))
+        h1.add_generator(eng, TrafficSpec(kind="ping", src="h1", dst="h2",
+                                          flow_id="p1", dst_ip=h2.ip, count=1))
         eng.run_until(1_000_000)
         assert h1.arp.cache
         eng.inject_fault(1_100_000, "fail_node", "h1")
@@ -533,12 +545,12 @@ class TestDeterminism:
         lines = TraceLines()
         eng = Engine(seed=seed, trace=lines)
         h1, h2, h3 = lan(eng, hosts=3)
-        h1.add_generator(TrafficSpec(kind="cbr", src="h1", dst="h2",
-                                     flow_id="c1", dst_ip=h2.ip,
-                                     rate_bps=8_000_000, src_port=40000,
-                                     dst_port=5001, stop_us=500_000))
-        h3.add_generator(TrafficSpec(kind="ping", src="h3", dst="h1",
-                                     flow_id="p1", dst_ip=h1.ip, count=3))
+        h1.add_generator(eng, TrafficSpec(kind="cbr", src="h1", dst="h2",
+                                          flow_id="c1", dst_ip=h2.ip,
+                                          rate_bps=8_000_000, src_port=40000,
+                                          dst_port=5001, stop_us=500_000))
+        h3.add_generator(eng, TrafficSpec(kind="ping", src="h3", dst="h1",
+                                          flow_id="p1", dst_ip=h1.ip, count=3))
         eng.run_until(4_000_000)
         blob = lines.text() + "\n".join(eng.metrics.summary_lines())
         return hashlib.sha256(blob.encode()).hexdigest()
@@ -550,8 +562,8 @@ class TestDeterminism:
         lines = TraceLines()
         eng = Engine(seed=1, trace=lines)
         h1, h2 = lan(eng)
-        h1.add_generator(TrafficSpec(kind="ping", src="h1", dst="h2",
-                                     flow_id="p1", dst_ip=h2.ip, count=1))
+        h1.add_generator(eng, TrafficSpec(kind="ping", src="h1", dst="h2",
+                                          flow_id="p1", dst_ip=h2.ip, count=1))
         eng.run_until(1_000_000)
         assert lines
         for line in lines:
@@ -579,10 +591,10 @@ class TestBulkRecovery:
         eng = Engine(trace=lines)
         h1, h2 = lan(eng)
         total = 2_000_000  # about 0.17 s at 100 Mbps without the outage
-        h1.add_generator(TrafficSpec(kind="bulk", src="h1", dst="h2",
-                                     flow_id="b1", dst_ip=h2.ip,
-                                     total_bytes=total, src_port=40000,
-                                     dst_port=5001))
+        h1.add_generator(eng, TrafficSpec(kind="bulk", src="h1", dst="h2",
+                                          flow_id="b1", dst_ip=h2.ip,
+                                          total_bytes=total, src_port=40000,
+                                          dst_port=5001))
         eng.inject_fault(50_000, "fail_link", "h2:0-sw:p2")
         eng.inject_fault(400_000, "recover", "h2:0-sw:p2")
         eng.run_until(10_000_000)
@@ -606,10 +618,10 @@ class TestBulkRecovery:
         eng = Engine()
         h1, h2 = lan(eng)
         total = 500_000
-        h1.add_generator(TrafficSpec(kind="bulk", src="h1", dst="h2",
-                                     flow_id="b1", dst_ip=h2.ip,
-                                     total_bytes=total, src_port=40000,
-                                     dst_port=5001))
+        h1.add_generator(eng, TrafficSpec(kind="bulk", src="h1", dst="h2",
+                                          flow_id="b1", dst_ip=h2.ip,
+                                          total_bytes=total, src_port=40000,
+                                          dst_port=5001))
         eng.inject_fault(20_000, "fail_link", "h2:0-sw:p2")
         eng.inject_fault(20_300, "recover", "h2:0-sw:p2")
         eng.run_until(5_000_000)
@@ -630,10 +642,10 @@ class TestBulkRecovery:
             HostNode(eng, f"h{i}", ip_addr(f"10.0.0.{i}"), 24)
             eng.add_link(f"h{i}", 0, "sw", f"p{i}", bw, queue_cap=queue)
         h1, h2 = eng.nodes["h1"], eng.nodes["h2"]
-        h1.add_generator(TrafficSpec(kind="bulk", src="h1", dst="h2",
-                                     flow_id="b1", dst_ip=h2.ip,
-                                     total_bytes=150_000, src_port=40000,
-                                     dst_port=5001))
+        h1.add_generator(eng, TrafficSpec(kind="bulk", src="h1", dst="h2",
+                                          flow_id="b1", dst_ip=h2.ip,
+                                          total_bytes=150_000, src_port=40000,
+                                          dst_port=5001))
         eng.run_until(60_000_000)
         st = eng.metrics.flows["b1"]
         assert st.delivered_payload == 150_000
@@ -645,10 +657,10 @@ class TestBulkRecovery:
     def test_loss_free_window_stays_at_64k(self):
         eng = Engine()
         h1, h2 = lan(eng)
-        h1.add_generator(TrafficSpec(kind="bulk", src="h1", dst="h2",
-                                     flow_id="b1", dst_ip=h2.ip,
-                                     total_bytes=500_000, src_port=40000,
-                                     dst_port=5001))
+        h1.add_generator(eng, TrafficSpec(kind="bulk", src="h1", dst="h2",
+                                          flow_id="b1", dst_ip=h2.ip,
+                                          total_bytes=500_000, src_port=40000,
+                                          dst_port=5001))
         eng.run_until(1_000_000)
         assert eng.metrics.flows["b1"].completed_at is not None
         assert h1.bulk_send["b1"].window == BULK_WINDOW
@@ -665,7 +677,7 @@ class TestBulkRecovery:
         # in order, gap, in order, duplicate, in order, last
         for offset, taken in ((0, 1460), (2920, 1460), (1460, 2920),
                               (1460, 2920), (2920, 4380), (4380, 5840)):
-            h2._deliver(data(offset))
+            h2._deliver(eng, data(offset))
             assert h2.recv["b"].received == taken
         assert eng.metrics.flows["b"].delivered_payload == 5840
         # ACKs (held for h1's MAC): at once for the gap and the duplicate,
@@ -718,9 +730,9 @@ class TestHostPackets:
         sent = []
         send_packet = HostNode.send_packet
 
-        def record(host, packet, *args):
+        def record(host, engine, packet, *args):
             sent.append(packet)
-            return send_packet(host, packet, *args)
+            return send_packet(host, engine, packet, *args)
 
         monkeypatch.setattr(HostNode, "send_packet", record)
         eng.run_until(3_000_000)

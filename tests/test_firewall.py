@@ -155,7 +155,7 @@ def test_zone_check_gates_outbound_only_with_zones_on(from_side, zones,
     src, dst = (near, far) if from_side == "inside" else (far, near)
     pkt = Packet(src_ip=src, dst_ip=dst, protocol="tcp", src_port=40_000,
                  dst_port=80)
-    node.on_frame(from_side, make_frame(b"\x02" + bytes(5), node.mac, pkt))
+    node.on_frame(eng, from_side, make_frame(b"\x02" + bytes(5), node.mac, pkt))
     assert eng.metrics.drops[("fw", "acl")] == dropped
 
 
@@ -429,9 +429,9 @@ class TestFirewallRigPath:
                                 counted(name, getattr(Firewall, name)))
         send_packet = HostNode.send_packet
 
-        def host_send(host, packet, *args, **kwargs):
+        def host_send(host, engine, packet, *args, **kwargs):
             calls["acks"] += packet.meta[2] == "ack"
-            return send_packet(host, packet, *args, **kwargs)
+            return send_packet(host, engine, packet, *args, **kwargs)
 
         monkeypatch.setattr(HostNode, "send_packet", host_send)
         fw = eng.nodes["fw"]

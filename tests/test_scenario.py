@@ -561,7 +561,6 @@ class TestBundledCounts:
         answered = [h for h in hosts if eng.nodes[h].ping_seen.get(h) == 3]
         assert len(answered) == len(hosts) == 112
         assert not [k for k in eng.metrics.drops if k[1] == "no-link"]
-        eng.close()
 
     def test_redundant_override_maps_each_firewall(self):
         cfg = build_spring8_redundant()

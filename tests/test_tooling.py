@@ -7,13 +7,15 @@ lookups with the program's tests, and runs a scenario under the hooks, which
 turn themselves off when an attribute they read is gone.
 
 It also pins the model digests of two `perfbench/workloads.py` workloads,
-so a speed claim is checked to keep the model; lints the package and its
+so a speed claim is checked to keep the model, and checks that the ops-audit
+workload's setup leaves no cyclic garbage; lints the package and its
 tests for imports no module uses, and the package for definitions nothing
 in it reads; holds the frame hop to a budget of Python calls per event and
 loading a scenario file to one per declaration line; and keeps the README's
 table of scenario keys to the format's own.
 """
 import ast
+import gc
 import importlib
 import re
 import importlib.util
@@ -95,6 +97,18 @@ def test_bench_model_digest_at_seed_1(name, digest):
     result = workload.check(prepared, workload.run(prepared))
     assert set(result.checks.values()) == {"ok"}
     assert result.digest == digest
+
+
+def test_ops_audit_setup_leaves_no_cyclic_garbage(gc_off):
+    """The ops-audit workload's `setup` builds an engine for each scenario
+    text and drops it. Nothing points back into an engine, so reference
+    counting frees each one and no cyclic garbage is left for the timed
+    queries."""
+    workload = _load("perfbench_workloads", WORKLOADS).WORKLOADS["ops-audit"]
+    texts = workload.texts(1)
+    gc.collect()
+    workload.setup(texts)  # its result dropped at once
+    assert gc.collect() == 0
 
 
 def _unused_imports(path: Path) -> list[str]:
@@ -206,7 +220,7 @@ def test_python_calls_per_declaration_line_within_budget():
         validate_scenario(cfg)
         return build_engine(cfg)
 
-    load().close()
+    load()
     calls = 0
 
     def count(_frame, event, _arg):
@@ -219,7 +233,6 @@ def test_python_calls_per_declaration_line_within_budget():
         eng = load()
     finally:
         sys.setprofile(None)
-    eng.close()
     assert len(lines) > 1200
     assert calls / len(lines) <= LOAD_CALLS_PER_LINE_CEILING
 

@@ -305,7 +305,6 @@ def test_fault_applies_first_however_late_it_was_queued(name, digest):
     eng.run_until(499_999)
     eng.inject_fault(500_000, "fail_node", "fw1")
     eng.run_until(cfg.duration_us)
-    eng.close()
     text = lines.text() + "\n".join(eng.metrics.summary_lines())
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
 
