@@ -15,6 +15,7 @@ from __future__ import annotations
 import functools
 from dataclasses import MISSING, dataclass, field, fields, replace
 from decimal import Decimal, DecimalException
+from itertools import groupby
 from operator import attrgetter
 from typing import Any, Callable, NamedTuple, Optional
 
@@ -65,11 +66,14 @@ class ValidationError(ScenarioError):
 
 
 class LoopError(ScenarioError):
-    """A cycle frames go round for ever: on VID `vid`, or, with `vid` 0, one
-    that crosses no VLAN, whose nodes `kinds` names."""
+    """A cycle frames go round for ever, its nodes in the order frames travel:
+    on VID `vid`, the largest it crosses, or, with `vid` 0, on none, worded
+    by whether its nodes are `balancers`, inline firewalls or both."""
 
-    def __init__(self, vid: int, cycle: list[str],
-                 kinds: str = "inline firewalls"):
+    def __init__(self, vid: int, cycle: list[str], balancers=()):
+        lbs = sum(node in balancers for node in cycle)
+        kinds = ("inline firewalls" if not lbs else "balancers"
+                 if lbs == len(cycle) else "balancers and inline firewalls")
         what = f"vlan {vid} forms" if vid else f"{kinds} form"
         super().__init__(f"{what} a loop: {' - '.join(cycle)}")
         self.vid = vid
@@ -676,150 +680,117 @@ def _framing(cfg: ScenarioConfig, node: str, port) -> Optional[tuple]:
     return None
 
 
-def vlan_graph(cfg: ScenarioConfig, links) -> dict:
-    """node -> [(peer, vids, link id, bundle)] for each of `links` ending at
-    it. `vids` are the VIDs both ends carry (`_framing`); None: any.
-    `bundle` is both ends' (switch, LAG) pairs, whichever end is `a`, so
-    all members of a bundle share it (IEEE 802.1AX); None off a bundle."""
+def arrival_graph(cfg: ScenarioConfig, ends: dict, sources=()) -> dict:
+    """Where a flooded frame goes, as the engine forwards one: each arrival,
+    (node, port, VID) with VID None off a switch, -> the arrivals it causes.
+    A switch floods an arrival on VID v out of every other cabled port that
+    carries v, never into the ingress port's LAG group; an inline firewall
+    side passes it out of the other side; a balancer passes it from `front`
+    out of each path and from a path out of `front`; a host, an L3 switch
+    and a routed side end it. The far end takes the frame on the VID of its
+    tag or of its access port. `ends` is `far_ends(cfg)`. Only arrivals that
+    can lie on a cycle are listed: at a port that passes frames on, from one
+    that passes them on too. Given `sources` (no switches), lists also hold
+    arrivals that end and those from a source, and (source, None, v) lists
+    what it sends on VID v (None: on any)."""
     switches = cfg.switches
+    onward = {}  # a port that passes what arrives on -> the ports it leaves by
+    for name, fw in cfg.firewalls.items():
+        if fw.inside.mode == "inline":
+            onward[(name, "inside")] = ("outside",)
+        if fw.outside.mode == "inline":
+            onward[(name, "outside")] = ("inside",)
+    for name, bal in cfg.balancers.items():
+        onward[(name, "front")] = bal.paths
+        onward.update(((name, path), ("front",)) for path in bal.paths)
+    exits = {(name, out) for (name, _), outs in onward.items() for out in outs}
     graph: dict = {}
-    for link in links:
-        (na, pa), (nb, pb) = link.a, link.b
-        va, vb = _framing(cfg, na, pa)[1], _framing(cfg, nb, pb)[1]
-        vids = vb if va is None else va if vb is None else va & vb
-        bundle = None
-        if na in switches and nb in switches:
-            lags = (switches[na].ports[pa].lag_group,
-                    switches[nb].ports[pb].lag_group)
-            if None not in lags:
-                bundle = frozenset(zip((na, nb), lags))
-        link_id = link.link_id
-        graph.setdefault(na, []).append((nb, vids, link_id, bundle))
-        graph.setdefault(nb, []).append((na, vids, link_id, bundle))
+    floods: dict = {}  # (switch, VID) -> [(port, LAG group, arrival)]
+    leaves: dict = {}  # a non-switch port -> the arrivals of what leaves it
+    listed = []  # the arrivals to list
+    hosts = () if sources else cfg.hosts  # a host never passes frames on
+    for (node, port), (peer, far) in ends.items():
+        if node in hosts or peer in hosts:
+            continue
+        if node in switches:
+            spec = switches[node].ports[port]
+            vids, group = spec.allowed or (spec.vid,), spec.lag_group
+        elif node in sources or (node, port) in exits:
+            vids, group = _framing(cfg, node, port)[1], None
+        else:
+            continue
+        if peer in switches:
+            spec = switches[peer].ports[far]
+            far_vids, passes = spec.allowed or (spec.vid,), True
+        elif (peer, far) in onward:
+            far_vids, passes = None, True
+        elif sources:
+            far_vids, passes = _framing(cfg, peer, far)[1], False
+        else:
+            continue
+        if vids is None:
+            vids = (None,) if far_vids is None else far_vids
+        for vid in vids:
+            if far_vids is not None and vid not in far_vids:
+                continue
+            arrival = (peer, far, vid if peer in switches else None)
+            if passes:
+                listed.append(arrival)
+            if node in switches:
+                floods.setdefault((node, vid), []).append(
+                    (port, group, arrival))
+                continue
+            leaves.setdefault((node, port), []).append(arrival)
+            if node in sources:
+                graph.setdefault((node, None, vid), []).append(arrival)
+    for arrival in listed:
+        node, port, vid = arrival
+        out = graph[arrival] = []
+        if vid is None:
+            for leave in onward[(node, port)]:
+                out += leaves.get((node, leave), ())
+            continue
+        group = switches[node].ports[port].lag_group
+        for other, other_group, nxt in floods.get((node, vid), ()):
+            if other != port and (other_group is None or other_group != group):
+                out.append(nxt)
     return graph
 
 
-def vlan_reach(graph: dict, vid: int, start: str, dead_nodes,
-               dead_links) -> dict:
-    """The nodes with a path on `vid` to `start` in `graph` that avoids
-    `dead_nodes` and `dead_links`, each mapped to the node it was reached
-    from (`start` to None); empty when `start` is dead."""
-    via = {} if start in dead_nodes else {start: None}
-    frontier = list(via)
-    while frontier:
-        node = frontier.pop()
-        for nxt, vids, link_id, _bundle in graph.get(node, ()):
-            if (nxt not in via and nxt not in dead_nodes
-                    and (vids is None or vid in vids)
-                    and link_id not in dead_links):
-                via[nxt] = node
-                frontier.append(nxt)
-    return via
-
-
-def _check_loops(cfg: ScenarioConfig):
-    """Cycle check over the broadcast domains frames cross: a switch on one
-    VID is a domain, and so is a firewall with an inline side, which passes
-    what reaches one side on to the other. A LAG bundle is one edge. The
-    edges join domains, VID by VID, into one forest; one whose ends the
-    forest already joins closes a cycle with the forest path `vlan_reach`
-    finds. Balancers then close a loop when frames arriving at their ports
-    cause one another in a cycle (`hops`)."""
-    switches = cfg.switches
-    bridges = switches.keys() | {
-        name for name, fw in cfg.firewalls.items()
-        if "inline" in (fw.inside.mode, fw.outside.mode)}
-    graph = vlan_graph(cfg, [l for l in cfg.links
-                             if l.a[0] in bridges and l.b[0] in bridges])
-    edges: dict = {}  # vid, 0 for none, -> bundle or link id -> 2 domains
-    for node, ends in graph.items():
-        for peer, vids, link_id, bundle in ends:
-            for vid in (0,) if vids is None else vids:  # firewall to firewall
-                edges.setdefault(vid, {}).setdefault(bundle or link_id, (
-                    (node, vid if node in switches else 0),
-                    (peer, vid if peer in switches else 0)))
-    up: dict = {}  # the forest: domain -> a domain nearer its tree's root
-    forest: dict = {}  # domain -> its forest edges, as in `vlan_graph`
-
-    def root(domain):
-        while domain in up:
-            domain = up[domain]
-        return domain
-
-    def cycle(a, b) -> list:
-        """The domains on the forest path from domain b to domain a."""
-        tree = vlan_reach(forest, 0, a, (), ())
-        path = [b]
-        while path[-1] != a:
-            path.append(tree[path[-1]])
-        return path
-
-    for vid in sorted(edges):
-        for a, b in edges[vid].values():
-            root_a, root_b = root(a), root(b)
-            if root_a == root_b:
-                raise LoopError(vid, [node for node, _vid in cycle(a, b)])
-            up[root_b] = root_a
-            forest.setdefault(a, []).append((b, None, None, None))
-            forest.setdefault(b, []).append((a, None, None, None))
-    ends = far_ends(cfg)
-    balancers = cfg.balancers
-    ports = [(name, port) for name, bal in balancers.items()
-             for port in ("front", *bal.paths)]
-    faced = {}  # a balancer port -> the domain its far end lies in
-    for port in ports:
-        node, far = ends.get(port, (None, None))
-        if node in bridges:
-            faced[port] = (node, switches[node].ports[far].vid
-                           if node in switches else 0)
-
-    def hops(arrival):
-        """(port sent on, next arrival) for a frame that reaches a balancer
-        port: it leaves on each path from `front`, on `front` from a path,
-        and reaches the balancer port its port is cabled to, or each other
-        balancer port whose far end shares its domain's tree."""
-        name, port = arrival
-        for out in balancers[name].paths if port == "front" else ("front",):
-            sent = (name, out)
-            if sent in faced:
-                tree = root(faced[sent])
-                yield from ((sent, other) for other, domain in faced.items()
-                            if other != sent and root(domain) == tree)
-            elif sent in ends and ends[sent][0] in balancers:
-                yield sent, ends[sent]
-
-    def ring(trail) -> LoopError:
-        """The loop of the (sent, arrival) hops in `trail`."""
-        nodes, vids = [], []
-        for sent, arrival in trail:
-            nodes.append(sent[0])
-            if sent in faced:
-                domains = cycle(faced[arrival], faced[sent])
-                nodes += [node for node, _vid in domains]
-                vids += [vid for _node, vid in domains]
-        kinds = ("balancers" if all(node in balancers for node in nodes)
-                 else "balancers and inline firewalls")
-        return LoopError(max(vids, default=0), nodes, kinds)
-
-    done = set()
-    for port in ports:
-        if port in done:
+def _refuse_storms(cfg: ScenarioConfig, ends: dict):
+    """Raise a `LoopError` for a cycle in `arrival_graph`, which a broadcast
+    goes round for ever. One depth-first search starts at each balancer's
+    `front`, each firewall's `inside`, each switch arrival by (VID, node,
+    port name), then any other. The first arrival it reaches that passes a
+    frame to one on its path closes the cycle, through the latest such."""
+    graph = arrival_graph(cfg, ends)
+    starts = [(name, "front", None) for name in cfg.balancers]
+    starts += [(name, "inside", None) for name in cfg.firewalls]
+    order = sorted([(a[2], a[0], str(a[1]), a) for a in graph if a[2]])
+    starts += [key[3] for key in order] + list(graph)
+    done = set()  # the arrivals whose every onward path is searched
+    for arrival in starts:
+        if arrival in done or arrival not in graph:
             continue
-        # depth first, not by a nested function that calls itself (a cycle):
-        # `trail` holds the hops to each arrival, `todo` its hops to follow
-        trail, todo = [(None, port)], [hops(port)]
-        while todo:
-            hop = next(todo[-1], None)
-            if hop is None:
-                done.add(trail.pop()[1])
-                todo.pop()
+        path, todo = {}, []  # a stack: a function calling itself is a cycle
+        while arrival is not None or todo:
+            if arrival is None:
+                arrival = next(todo[-1], None)
+                if arrival is None:
+                    done.add(path.popitem()[0])
+                    todo.pop()
+                elif arrival in done:
+                    arrival = None
                 continue
-            for i, (_sent, seen) in enumerate(trail):
-                if seen == hop[1]:
-                    raise ring(trail[i + 1:] + [hop])
-            if hop[1] not in done:
-                trail.append(hop)
-                todo.append(hops(hop[1]))
+            path[arrival] = len(path)
+            back = path.keys() & graph[arrival]  # arrivals on the path it feeds
+            if back:
+                cycle = list(path)[max(map(path.get, back)):]
+                nodes = [node for node, _ in groupby(a[0] for a in cycle)]
+                raise LoopError(max(a[2] or 0 for a in cycle), nodes,
+                                cfg.balancers)
+            todo.append(iter(graph[arrival]))
+            arrival = None
 
 
 def validate_scenario(cfg: ScenarioConfig, horizon_us: Optional[int] = None):
@@ -856,8 +827,6 @@ def validate_scenario(cfg: ScenarioConfig, horizon_us: Optional[int] = None):
             vids = "|".join(map(str, sorted(near)))
             raise ValidationError(node, f"vlan {vids} is not carried by "
                                         f"{peer}:{port}")
-        if link_id in link_ids:
-            raise ValidationError(link_id, "duplicate link")
         link_ids.add(link_id)
     if cfg.vlans:
         for name, sw in cfg.switches.items():
@@ -958,7 +927,26 @@ def validate_scenario(cfg: ScenarioConfig, horizon_us: Optional[int] = None):
             raise ValidationError(name, (
                 f"gateway {ip_str(host.gw)} is not an L3 interface{on} or a "
                 f"firewall side{within}"))
-    _check_loops(cfg)
+    # a LAG aggregates links between two systems (IEEE 802.1AX)
+    ends = far_ends(cfg)
+    bundles = {}  # (switch, LAG group) -> the (switch, group) it faces
+    for name, sw in cfg.switches.items():
+        for pid, spec in sw.ports.items():
+            far = ends.get((name, pid))
+            if spec.lag_group is None or far is None:
+                continue
+            peer, port = far
+            peer_sw = cfg.switches.get(peer) if peer != name else None
+            group = peer_sw and peer_sw.ports[port].lag_group
+            faced = bundles.setdefault((name, spec.lag_group), (peer, group))
+            if group is None or faced != (peer, group):
+                raise ValidationError(f"{name}:{pid}", (
+                    f"lag {spec.lag_group} member faces {peer}:{port}, "
+                    "which is no lag member of another switch" if group is None
+                    else f"lag {spec.lag_group} faces lag {group} of {peer} "
+                    f"and lag {faced[1]} of {faced[0]}, but a lag joins two "
+                    "switches"))
+    _refuse_storms(cfg, ends)
 
 
 def offered_packets(cfg: ScenarioConfig, horizon_us: int) -> int:

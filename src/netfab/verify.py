@@ -12,8 +12,7 @@ from .firewall import Firewall
 from .l2 import PortConfig
 from .packet import Packet, ip_addr, ip_str
 from .scenario import (FaultDecl, HostDecl, LinkDecl, ScenarioConfig,
-                       build_engine, far_ends, host_gateways, vlan_graph,
-                       vlan_reach)
+                       arrival_graph, build_engine, far_ends, host_gateways)
 
 
 class UnknownInvariant(Exception):
@@ -283,19 +282,31 @@ def affected_vlans(cfg: ScenarioConfig, dead_nodes: set,
                    dead_links: set) -> list[int]:
     """Beamline VLANs whose hosts lost their management reachability.
 
-    A host needs an L2 path on its VLAN to its gateway, the node
-    `host_gateways` names, and the gateway one
-    on the monitor's VLAN to the monitor host. A path is symmetric, so one
-    `vlan_reach` per (VID, gateway or monitor) serves all hosts behind it."""
+    A frame that a host's gateway (`host_gateways`) sends on the host's
+    VLAN must reach the host, and one the monitor host sends on its VLAN
+    the gateway; a host with no gateway needs the monitor's frame on its
+    VLAN. Frames go as `scenario.arrival_graph` says, through no dead node
+    or link: one search per (VID, gateway or monitor) serves all hosts."""
     monitor = _first_host(cfg, "mgmt")
     mon_vid = cfg.hosts[monitor].vlan if monitor is not None else None
-    graph = vlan_graph(cfg, cfg.links)
     gateways = host_gateways(cfg)
+    graph = arrival_graph(cfg, far_ends(cfg), {monitor, *gateways.values()})
 
     def unreachable(dead_n, dead_l):
+        cut = {end for link in cfg.links if dead_l and link.link_id in dead_l
+               for end in (link.a, link.b)}  # the ends of the dead links
+
         @functools.cache
         def reached(vid, start):
-            return vlan_reach(graph, vid, start, dead_n, dead_l)
+            """The nodes a frame `start` sends on `vid` reaches, itself too."""
+            seen, todo = set(), [(start, None, vid), (start, None, None)]
+            while todo:
+                arrival = todo.pop()
+                if (arrival not in seen and arrival[0] not in dead_n
+                        and arrival[:2] not in cut):
+                    seen.add(arrival)
+                    todo += graph.get(arrival, ())
+            return {node for node, _port, _vid in seen}
 
         bad = set()
         for host, decl in cfg.hosts.items():

@@ -166,6 +166,28 @@ def switch_links_on(cfg, vid) -> dict:
     return edges
 
 
+def breaks_lag_rule(cfg) -> bool:
+    """Whether some cabled member of a switch's LAG group faces anything but
+    a LAG member on another switch, or the group's members face more than
+    one (switch, group) pair: IEEE 802.1AX aggregates links between two
+    systems."""
+    faced = {}  # (switch, group) -> the (switch, group) pairs it faces
+    for link in cfg.links:
+        for (na, pa), (nb, pb) in ((link.a, link.b), (link.b, link.a)):
+            if na not in cfg.switches:
+                continue
+            group = cfg.switches[na].ports[pa].lag_group
+            if group is None:
+                continue
+            if nb == na or nb not in cfg.switches:
+                return True
+            far = cfg.switches[nb].ports[pb].lag_group
+            if far is None:
+                return True
+            faced.setdefault((na, group), set()).add((nb, far))
+    return any(len(pairs) > 1 for pairs in faced.values())
+
+
 def looped_vids(cfg) -> set:
     """The VIDs whose inter-switch links form a cycle, by counting rather
     than searching: a VID's graph has one iff its edges outnumber its nodes

@@ -616,6 +616,59 @@ def test_isolation_probe_leaves_out_an_uncabled_lag_member(tmp_path, capsys):
     assert "result=fail" in out and "reached a1" in out
 
 
+SPLIT_LAG = """
+[vlan]
+vid=10 name=v10
+
+[switch]
+name=s1 ports=h:access:10,u1:access:10:g1,u2:access:10:g1
+name=s2 ports=h:access:10,u:access:10:g1
+name=s3 ports=h:access:10,u:access:10:g1
+
+[host]
+name=h1 ip=10.0.10.1/24 vlan=10
+name=h2 ip=10.0.10.2/24 vlan=10
+name=h3 ip=10.0.10.3/24 vlan=10
+
+[link]
+a=h1:0 b=s1:h bw=100000000
+a=h2:0 b=s2:h bw=100000000
+a=h3:0 b=s3:h bw=100000000
+a=s1:u1 b=s2:u bw=100000000
+a=s1:u2 b=s3:u bw=100000000
+
+[traffic]
+kind=ping src=h1 dst=h2 flow=p2 count=3
+kind=ping src=h1 dst=h3 flow=p3 count=3
+"""
+
+
+@pytest.mark.parametrize("text, error", [
+    # s1 hashes each flow onto one member, so a ping to the host behind the
+    # other switch is lost (both flows at seed 1, without the check)
+    (SPLIT_LAG, "s1:u2: lag g1 faces lag g1 of s3 and lag g1 of s2, but a "
+                "lag joins two switches"),
+    (SPLIT_LAG.replace("u:access:10:g1\nname=s3", "u:access:10\nname=s3")
+     .replace("a=s1:u2 b=s3:u bw=100000000\n", ""),
+     "s1:u1: lag g1 member faces s2:u, which is no lag member of another "
+     "switch"),
+    (SPLIT_LAG.replace("a=s1:u1 b=s2:u bw=100000000\n"
+                       "a=s1:u2 b=s3:u bw=100000000",
+                       "a=s1:u1 b=s1:u2 bw=100000000"),
+     "s1:u1: lag g1 member faces s1:u2, which is no lag member of another "
+     "switch"),
+], ids=["split-over-two-switches", "member-facing-a-plain-port",
+        "cabled-to-itself"])
+def test_lag_that_joins_other_than_two_switches_rejected(tmp_path, capsys,
+                                                         text, error):
+    """Every cabled member of a switch's LAG group faces a LAG member of
+    one group on one other switch (IEEE 802.1AX)."""
+    path = tmp_path / "lag.nf"
+    path.write_text(text)
+    assert main(["run", str(path)]) == 2
+    assert f"error: {error}\n" in capsys.readouterr().err
+
+
 TWO_SWITCHES = """
 [engine]
 seed=1 duration=0.1

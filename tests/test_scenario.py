@@ -6,11 +6,13 @@ from operator import attrgetter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import looped_vids, random_topology, switch_links_on
+from conftest import (breaks_lag_rule, looped_vids, random_topology,
+                      switch_links_on)
 from netfab.engine import FirewallSide, TrafficSpec
 from netfab.l2 import PortConfig
 from netfab.l3 import VERDICTS, ZONES, Route, VlanInterface
-from netfab.packet import ip_addr, prefix_mask
+from netfab.packet import (BROADCAST, Arp, ip_addr, make_frame, node_mac,
+                           prefix_mask)
 from netfab.scenario import (BUNDLED, FORMAT, MAX_SECONDS, AclDecl,
                              BalancerDecl, FaultDecl, FirewallDecl, HostDecl,
                              L3Decl, LinkDecl, LoopError, MasqDecl,
@@ -224,14 +226,15 @@ a=s1:t2 b=s2:t2 bw=1000000000
             validate_scenario(parse_scenario(text))
 
 
-@settings(max_examples=60, deadline=2000)
+@settings(max_examples=300, deadline=2000)
 @given(st.integers(0, 2**32 - 1), st.data())
 def test_loop_check_matches_cycle_count(seed, data):
     """Extra inter-switch links on a random tree fabric and two new
     switches, some of them LAGs whose members are cabled either way round:
-    validation reports a loop exactly when some VID's links, a bundle
-    counted once, close a cycle, and the loop it reports is a cycle of
-    links that carry its VID."""
+    a file whose LAG groups do not each join two switches is refused as
+    such, and otherwise validation reports a loop exactly when some VID's
+    links, a bundle counted once, close a cycle, and the loop it reports is
+    a cycle of links that carry its VID."""
     cfg = random_topology(random.Random(seed))
     for name in ("y1", "y2"):
         cfg.switches[name] = SwitchDecl(name, {})
@@ -252,6 +255,10 @@ def test_loop_check_matches_cycle_count(seed, data):
             if data.draw(st.booleans()):
                 ends.reverse()
             cfg.links.append(LinkDecl(ends[0], ends[1], 100_000_000))
+    if breaks_lag_rule(cfg):
+        with pytest.raises(ValidationError):
+            validate_scenario(cfg)
+        return
     looped = looped_vids(cfg)
     if not looped:
         validate_scenario(cfg)
@@ -265,6 +272,106 @@ def test_loop_check_matches_cycle_count(seed, data):
         joining = [key for key, pair in edges.items() if {a, b} == set(pair)]
         # a two-switch cycle goes out on one logical link, back on another
         assert len(joining) >= (2 if len(cycle) == 2 else 1)
+
+
+@st.composite
+def small_fabrics(draw):
+    """A file of 1-4 switches with access, trunk and LAG ports on VIDs 10
+    and 20, 0-2 firewalls with one or two inline sides and 0-2 balancers,
+    cabled at random: each LAG group joins one pair of switches and each
+    link frames alike at both ends, so only the loop check can refuse it."""
+    cfg = ScenarioConfig()
+    for vid in (10, 20):
+        cfg.vlans[vid] = VlanDecl(vid, f"v{vid}")
+    switches = [f"s{i}" for i in range(1, draw(st.integers(1, 4)) + 1)]
+    for name in switches:
+        cfg.switches[name] = SwitchDecl(name, {})
+    free = []  # the firewall sides and balancer ports with no link yet
+    for i in range(draw(st.integers(0, 2))):
+        fw = FirewallDecl(f"fw{i}")
+        modes = draw(st.sampled_from([("inline", "inline"),
+                                      ("inline", "routed"),
+                                      ("routed", "inline")]))
+        fw.inside = FirewallSide(modes[0], None, 24, "dmz")
+        fw.outside = FirewallSide(modes[1], None, 24, "public")
+        cfg.firewalls[fw.name] = fw
+        free += [(fw.name, "inside"), (fw.name, "outside")]
+    for i in range(draw(st.integers(0, 2))):
+        name = f"lb{i}"
+        cfg.balancers[name] = BalancerDecl(name, ip_addr(f"10.0.0.{2 * i + 1}"),
+                                           ip_addr(f"10.0.0.{2 * i + 2}"),
+                                           ("x", "y"))
+        free += [(name, "front"), (name, "x"), (name, "y")]
+    vids = st.sets(st.sampled_from([10, 20]), min_size=1)
+
+    def port(sw, spec):
+        ports = cfg.switches[sw].ports
+        pid = f"p{len(ports)}"
+        ports[pid] = spec
+        return sw, pid
+
+    for _ in range(draw(st.integers(0, 7))):
+        kind = draw(st.sampled_from(["trunk", "access", "lag", "edge",
+                                     "direct"]))
+        a, b = draw(st.lists(st.sampled_from(switches), min_size=2,
+                             max_size=2))
+        if kind == "trunk":
+            ends = (port(a, PortConfig("trunk", allowed=draw(vids))),
+                    port(b, PortConfig("trunk", allowed=draw(vids))))
+        elif kind == "access":
+            vid = draw(st.sampled_from([10, 20]))
+            ends = (port(a, PortConfig("access", vid=vid)),
+                    port(b, PortConfig("access", vid=vid)))
+        elif kind == "lag":
+            if a == b:
+                continue
+            group = "-".join(sorted((a, b)))  # one bundle per switch pair
+            allowed = draw(vids)
+            ends = (port(a, PortConfig("trunk", allowed=allowed,
+                                       lag_group=group)),
+                    port(b, PortConfig("trunk", allowed=allowed,
+                                       lag_group=group)))
+        elif not free or (kind == "direct" and len(free) < 2):
+            continue
+        elif kind == "edge":
+            far = free.pop(draw(st.integers(0, len(free) - 1)))
+            vid = draw(st.sampled_from([10, 20]))
+            ends = (port(a, PortConfig("access", vid=vid)), far)
+        else:
+            ends = (free.pop(draw(st.integers(0, len(free) - 1))),
+                    free.pop(draw(st.integers(0, len(free) - 1))))
+        cfg.links.append(LinkDecl(*ends, 10_000_000))
+    return cfg
+
+
+@settings(max_examples=150, deadline=5000)
+@given(small_fabrics())
+def test_loop_check_agrees_with_the_engine(cfg):
+    """One broadcast ARP arrives at every cabled port, on each VID a trunk
+    carries: a file the loop check accepts has no frame in flight 50 ms
+    later, and one it refuses for a cycle with no balancer on it still has
+    some. A balancer sends a broadcast from `front` down one path only,
+    while the check counts each, so a cycle through one may not storm."""
+    try:
+        validate_scenario(cfg)
+        loop = None
+    except LoopError as exc:
+        loop = exc
+    eng = build_engine(cfg)
+    arp = Arp("request", ip_addr("10.0.0.100"), node_mac("probe"),
+              ip_addr("10.0.0.101"))
+    for link in cfg.links:
+        for node, pid in (link.a, link.b):
+            spec = cfg.switches[node].ports[pid] if node in cfg.switches else None
+            tags = spec.allowed if spec is not None and spec.allowed else (None,)
+            for tag in sorted(tags, key=str):
+                eng.send(node, pid, make_frame(node_mac(node), BROADCAST, arp,
+                                               tag))
+    eng.run_until(50_000)
+    if loop is None:
+        assert eng.residual_frames() == 0
+    elif not set(loop.cycle) & set(cfg.balancers):
+        assert eng.residual_frames() > 0, loop
 
 
 class TestRoundTrip:
