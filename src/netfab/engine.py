@@ -5,7 +5,7 @@ import functools
 from collections import Counter
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
-from typing import Optional
+from typing import Mapping, Optional
 
 from .firewall import (Firewall, NoScope, PoolExhausted, SHAPE_INTERVAL_US,
                        Shaper)
@@ -412,6 +412,17 @@ class Node:
     def on_event(self, engine: Engine, kind: str, payload):
         pass
 
+    def egress(self, scope) -> tuple:
+        """(port, tag) a frame sent on scope leaves by: a scope is the port
+        it names, untagged, unless the node's kind says otherwise."""
+        return scope, None
+
+    def emit(self, engine: Engine, scope, payload, dst_mac: bytes):
+        """Frame payload to dst_mac and send it on scope."""
+        port, tag = self.egress(scope)
+        engine.send(self.name, port, make_frame(self.mac, dst_mac, payload,
+                                                tag))
+
     def _repeat(self, engine: Engine, kind: str, interval_us: int) -> bool:
         """Schedule the next event of a periodic kind; True when the node is
         up to do this one's work. Ticks keep running while a node is failed."""
@@ -423,29 +434,34 @@ class Node:
 
 
 class Resolver:
-    """ARP for one node: learned MACs, packets held until their reply, and a
-    request repeated every ARP_RETRY_US while packets wait, keyed by
+    """ARP for one node: learned next hops, packets held until their reply,
+    and a request repeated every ARP_RETRY_US while packets wait, keyed by
     (scope, ip). At most ARP_PENDING_MAX packets wait for one MAC; a new one
     pushes out the oldest, counted as an `arp-pending` drop. A scope is what
-    the node sends on: a port, a VLAN or a firewall side. The owning node
-    passes the engine and itself to each call, so a resolver holds no
-    reference to either; its `emit(engine, scope, payload, dst_mac)` puts a
-    frame on a scope and its `ip_on(scope)` is its own address there."""
+    the node sends on: a port, a VLAN or a firewall side. A learned entry
+    holds how a frame to it leaves, (port, tag, MAC), built once from the
+    node's `egress(scope)`, as a Linux neighbour entry caches its hardware
+    header; so a packet to a known next hop goes straight to `make_frame`
+    and `Engine.send`. The owning node passes the engine and itself to each
+    call, so a resolver holds no reference to either; the node's
+    `ip_on(scope)` is its own address there."""
 
     # one per host in a campus scenario: no per-instance __dict__
     __slots__ = ("cache", "pending", "last_req")
 
     def __init__(self):
-        self.cache: dict[tuple, bytes] = {}
+        self.cache: dict[tuple, tuple] = {}  # (port, tag, MAC)
         self.pending: dict[tuple, list[Packet]] = {}
         self.last_req: dict[tuple, int] = {}
 
     def send(self, engine: Engine, node: Node, scope, ip: int, packet: Packet):
         """Send packet to ip's MAC, or hold it and ask for that MAC."""
         key = (scope, ip)
-        mac = self.cache.get(key)
-        if mac is not None:
-            node.emit(engine, scope, packet, mac)
+        hop = self.cache.get(key)
+        if hop is not None:
+            port, tag, mac = hop
+            engine.send(node.name, port,
+                        make_frame(node.mac, mac, packet, tag))
             return
         held = self.pending.setdefault(key, [])
         if len(held) == ARP_PENDING_MAX:
@@ -462,10 +478,13 @@ class Resolver:
     def learn(self, engine: Engine, node: Node, scope, arp: Arp):
         """Cache the sender of arp; a reply also sends what was held for it."""
         key = (scope, arp.sender_ip)
-        self.cache[key] = arp.sender_mac
+        port, tag = node.egress(scope)
+        mac = arp.sender_mac
+        self.cache[key] = (port, tag, mac)
         if arp.op == "reply":
             for packet in self.pending.pop(key, ()):
-                node.emit(engine, scope, packet, arp.sender_mac)
+                engine.send(node.name, port,
+                            make_frame(node.mac, mac, packet, tag))
 
     def clear(self):
         self.cache.clear()
@@ -635,9 +654,6 @@ class HostNode(Node):
             dst_ip = self.gw_ip
         self.arp.send(engine, self, self.port, dst_ip, packet)
 
-    def emit(self, engine: Engine, port, payload, dst_mac: bytes):
-        engine.send(self.name, port, make_frame(self.mac, dst_mac, payload))
-
     def ip_on(self, _port) -> int:
         return self.ip
 
@@ -766,14 +782,11 @@ class L3Node(Node):
         if kind == "age_tick" and self._repeat(engine, kind, FDB_AGE_SWEEP_US):
             self.router.conn.sweep(engine.now)
 
-    def emit(self, engine: Engine, vid: int, frame_payload, dst_mac: bytes):
+    def egress(self, vid: int) -> tuple:
+        """An interface bound to a port sends on it untagged, any other on
+        the trunk tagged with its VID."""
         port = self.router.interfaces[vid].port
-        if port is not None:
-            engine.send(self.name, port,
-                        make_frame(self.mac, dst_mac, frame_payload))
-        else:
-            engine.send(self.name, "trunk", make_frame(
-                self.mac, dst_mac, frame_payload, vid))
+        return (port, None) if port is not None else ("trunk", vid)
 
     def ip_on(self, vid: int) -> int:
         return self.router.interfaces[vid].ip
@@ -861,7 +874,7 @@ class FirewallNode(Node):
     def __init__(self, engine: Engine, name: str, fw: Firewall,
                  inside: FirewallSide, outside: FirewallSide, cap_bps: int,
                  enforce_zones: bool = True,
-                 policy: dict = DEFAULT_ZONE_POLICY):
+                 policy: Mapping = DEFAULT_ZONE_POLICY):
         super().__init__(engine, name)
         self.fw = fw
         # zones and policy are fixed, so each direction's verdict is too:
@@ -918,15 +931,13 @@ class FirewallNode(Node):
     def _emit_packet(self, engine: Engine, side: SideState, pkt: Packet,
                      mac_hint):
         engine.metrics.fw_bytes[self.name] += pkt.size
-        if mac_hint is not None:
-            self.emit(engine, side.port, pkt, mac_hint)
+        if mac_hint is not None:  # a side's scope is its port, untagged
+            engine.send(self.name, side.port,
+                        make_frame(self.mac, mac_hint, pkt))
             return
         next_hop = side.next_hops.lookup(pkt.dst_ip)
         self.arp.send(engine, self, side.port,
                       pkt.dst_ip if next_hop is None else next_hop, pkt)
-
-    def emit(self, engine: Engine, port: str, payload, dst_mac: bytes):
-        engine.send(self.name, port, make_frame(self.mac, dst_mac, payload))
 
     def ip_on(self, port: str) -> int:
         return self.sides[port].cfg.ip or 0

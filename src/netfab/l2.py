@@ -10,6 +10,7 @@ from .packet import (VIDS, Frame, FlowKey, InvalidVid, check_vid,
                      frame_copy, frame_flow_key)
 
 FDB_AGING_US = 300_000_000  # 300 s
+FLOW_CACHE_ENTRIES = 8192  # a switch's flow rows; a full table starts over
 NO_VIDS = frozenset()  # every access port's `allowed`: one set, not one each
 
 
@@ -91,6 +92,14 @@ class Switch:
     It forwards from per-VLAN tables, as Linux bridge VLAN filtering does
     (net/bridge/br_vlan.c), built on first use and dropped by every port
     change. LAG choices are memoised until a port change or FDB sweep.
+
+    A known unicast flow forwards from one exact-match row, as Open
+    vSwitch's microflow cache does: (ingress port, tag, src, dst) -> (the
+    source's FdbEntry, VID, egresses). A row is added when the source is
+    learned on its ingress port and the destination is known on another;
+    the table is emptied by a station move, an FDB deletion, a port change
+    and at FLOW_CACHE_ENTRIES rows, so a row always decides as the tables
+    would.
     """
 
     def __init__(self, name: str, hash_salt: bytes = b""):
@@ -103,6 +112,7 @@ class Switch:
         self._egress: dict[tuple, tuple] = {}  # by (port, vid)
         self._plans: dict[tuple, tuple] = {}  # (ingress, vid) -> egresses
         self._lag_memo: dict[tuple, int] = {}  # (live, flow key) -> member
+        self._flows: dict[tuple, tuple] = {}  # (port, tag, src, dst) -> row
 
     def configure_port(self, port_id, cfg: PortConfig) -> PortConfig:
         """Give port_id cfg's membership, up; with no LAG it keeps its group."""
@@ -136,6 +146,7 @@ class Switch:
         self._egress.clear()
         self._plans.clear()
         self._lag_memo.clear()
+        self._flows.clear()
 
     def ingress(self, port_id: int, frame: Frame,
                 now: int) -> Optional[list[tuple[int, Frame]]]:
@@ -145,41 +156,57 @@ class Switch:
         A frame that arrives tagged leaves trunks as the same object; the
         untagged copy is made once, when an access port needs it.
         """
-        port = self.ports.get(port_id)
-        if port is None:
-            raise UnknownPort(f"{self.name} has no port {port_id}")
-        # VLAN classification: a trunk has no vid, an access port no allowed
-        vid = frame.tag
-        if vid is None:
-            vid, untagged, tagged = port.vid, frame, None
-        elif vid in port.allowed:
+        tag, src, dst = frame.tag, frame.src, frame.dst
+        if tag is None:
+            untagged, tagged = frame, None
+        else:
             untagged, tagged = None, frame
+        flows = self._flows
+        row = flows.get((port_id, tag, src, dst))
+        if row is not None:  # a known flow: its source is learned here
+            known, vid, egresses = row
+            known.last_seen = now
         else:
-            return None
-        if vid is None or port_id in self.down:
-            return None
-
-        # learning refreshes a known station's entry in place; a group source
-        # is never learned, so a frame to a group address misses and floods
-        fdb = self.fdb
-        src = frame.src
-        if not src[0] & 1:
-            known = fdb.get((vid, src))
-            if known is None:
-                fdb[(vid, src)] = FdbEntry(port_id, now)
+            port = self.ports.get(port_id)
+            if port is None:
+                raise UnknownPort(f"{self.name} has no port {port_id}")
+            # classification: a trunk has no vid, an access port no allowed
+            if tag is None:
+                vid = port.vid
+            elif tag in port.allowed:
+                vid = tag
             else:
-                known.port, known.last_seen = port_id, now
+                return None
+            if vid is None or port_id in self.down:
+                return None
 
-        # forwarding decision
-        entry = fdb.get((vid, frame.dst))
-        if entry is None:
-            egresses = self._flood_targets(port_id, vid)
-        elif entry.port == port_id:
-            return []  # destination behind the ingress port: filter silently
-        else:
-            egresses = self._egress.get((entry.port, vid))
-            if egresses is None:
-                egresses = self._egress_of(entry.port, vid)
+            # learning refreshes a known station in place; a group source is
+            # never learned, so a frame to a group address misses and floods
+            fdb = self.fdb
+            known = None
+            if not src[0] & 1:
+                known = fdb.get((vid, src))
+                if known is None:
+                    known = fdb[(vid, src)] = FdbEntry(port_id, now)
+                else:
+                    if known.port != port_id:  # a station move
+                        flows.clear()
+                    known.port, known.last_seen = port_id, now
+
+            # forwarding decision
+            entry = fdb.get((vid, dst))
+            if entry is None:
+                egresses = self._flood_targets(port_id, vid)
+            elif entry.port == port_id:
+                return []  # destination behind the ingress port: filter
+            else:
+                egresses = self._egress.get((entry.port, vid))
+                if egresses is None:
+                    egresses = self._egress_of(entry.port, vid)
+                if known is not None:
+                    if len(flows) >= FLOW_CACHE_ENTRIES:
+                        flows.clear()
+                    flows[(port_id, tag, src, dst)] = (known, vid, egresses)
 
         out: list[tuple[int, Frame]] = []
         trunks = self.trunks
@@ -238,6 +265,9 @@ class Switch:
         for k in stale:
             del self.fdb[k]
         self._lag_memo.clear()
+        if stale:
+            self._flows.clear()
 
     def reset_dynamic(self):
         self.fdb.clear()
+        self._flows.clear()

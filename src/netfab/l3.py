@@ -2,7 +2,8 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from types import MappingProxyType
+from typing import Mapping, Optional
 
 from .packet import (FlowKey, Packet, PrefixTable, check_vid, ip_str,
                      packet_copy, prefix_mask)
@@ -13,8 +14,9 @@ VERDICTS = ("permit", "deny-new")
 CONN_TIMEOUT_US = 600_000_000  # 600 s idle
 
 #: clean > dmz > public trust ordering; initiation allowed down the ordering,
-#: replies admitted statefully.
-DEFAULT_ZONE_POLICY = {
+#: replies admitted statefully. Read-only: it is the shared default argument
+#: of every router and firewall that is given no policy.
+DEFAULT_ZONE_POLICY = MappingProxyType({
     ("clean", "clean"): "permit",
     ("clean", "dmz"): "permit",
     ("clean", "public"): "permit",
@@ -24,7 +26,7 @@ DEFAULT_ZONE_POLICY = {
     ("public", "public"): "permit",
     ("public", "dmz"): "deny-new",
     ("public", "clean"): "deny-new",
-}
+})
 
 
 class L3Error(Exception):
@@ -105,7 +107,7 @@ class ZoneRouter:
     `policy` maps every (from zone, to zone) pair to its verdict; the router
     only reads it, so one table may serve many routers."""
 
-    def __init__(self, policy: dict = DEFAULT_ZONE_POLICY):
+    def __init__(self, policy: Mapping = DEFAULT_ZONE_POLICY):
         self.interfaces: dict[int, VlanInterface] = {}
         self.ports: dict[str, VlanInterface] = {}  # a port's one interface
         self.local_ips: set[int] = set()

@@ -17,7 +17,7 @@ from dataclasses import MISSING, dataclass, field, fields, replace
 from decimal import Decimal, DecimalException
 from itertools import groupby
 from operator import attrgetter
-from typing import Any, Callable, NamedTuple, Optional
+from typing import Any, Callable, Mapping, NamedTuple, Optional
 
 from .engine import (BULK_SEGMENT, CBR_PACKET, DEFAULT_LINK_QUEUE,
                      DEFAULT_PROP_US, PING_INTERVAL_US, Engine, FAULT_ACTIONS,
@@ -515,7 +515,7 @@ FORMAT = {
     ], store="vlans", index="vid"),
     "switch": Form(SwitchDecl, [
         Key("name", TEXT, required=True),
-        Key("ports", PORTS, required=True),
+        Key("ports", PORTS),
     ], store="switches", index="name"),
     "l3": Form(L3Decl, [
         Key("name", TEXT, required=True),
@@ -1016,7 +1016,7 @@ def configure_ports(switch: Switch, decl: SwitchDecl, ends: dict):
 
 
 def _router(cfg: ScenarioConfig, name: str,
-            policy: dict = DEFAULT_ZONE_POLICY) -> ZoneRouter:
+            policy: Mapping = DEFAULT_ZONE_POLICY) -> ZoneRouter:
     """L3 switch `name`, reading zone `policy`; raises `L3Error` when its
     lines conflict."""
     router = ZoneRouter(policy=policy)

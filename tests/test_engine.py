@@ -14,8 +14,8 @@ from netfab.engine import (ARP_PENDING_MAX, BULK_LOSS_WINDOW, BULK_WINDOW,
                            SwitchNode, TrafficSpec, UnknownTarget)
 from netfab.l2 import PortConfig
 from netfab.l3 import VlanInterface, ZoneRouter
-from netfab.packet import (BROADCAST, FlowKey, Packet, ip_addr, make_frame,
-                           node_mac, push_tag)
+from netfab.packet import (BROADCAST, Arp, FlowKey, Packet, ip_addr,
+                           make_frame, node_mac, push_tag)
 from netfab.scenario import (FaultDecl, build_engine, build_spring8_redundant,
                              load_scenario, parse_scenario, serialize_scenario,
                              validate_scenario)
@@ -368,6 +368,53 @@ class TestFaults:
         eng.inject_fault(1_200_000, "recover", "h1")
         eng.run_until(2_000_000)
         assert not h1.arp.cache
+
+    def test_l3_switch_frames_each_interface_as_it_is_bound(self):
+        """An L3 switch's ARP entry holds the egress its interface gives: a
+        routed packet leaves untagged on an interface's `port=`, tagged on
+        the trunk otherwise, framed as the switch's own ARP frames on that
+        interface; `recover` empties the entries."""
+        eng = Engine()
+        router = ZoneRouter()
+        router.add_interface(VlanInterface(10, ip_addr("10.0.10.254"), 24,
+                                           "dmz"))
+        router.add_interface(VlanInterface(20, ip_addr("10.0.20.254"), 24,
+                                           "dmz", port="p"))
+        r = L3Node(eng, "r", router)
+        sw = SwitchNode(eng, "sw")
+        sw.switch.configure_port("h", PortConfig("access", vid=10))
+        sw.switch.configure_port("up", PortConfig("trunk", allowed={10}))
+        h1 = HostNode(eng, "h1", ip_addr("10.0.10.1"), 24,
+                      gw_ip=ip_addr("10.0.10.254"))
+        h2 = HostNode(eng, "h2", ip_addr("10.0.20.1"), 24,
+                      gw_ip=ip_addr("10.0.20.254"))
+        eng.add_link("h1", 0, "sw", "h", 100_000_000)
+        eng.add_link("sw", "up", "r", "trunk", 100_000_000)
+        eng.add_link("h2", 0, "r", "p", 100_000_000)
+        sent = []
+
+        def send(node, port, frame, send=eng.send):
+            if node == "r":
+                sent.append((port, frame.tag, type(frame.payload)))
+            send(node, port, frame)
+
+        eng.send = send
+        h1.add_generator(eng, TrafficSpec(kind="ping", src="h1", dst="h2",
+                                          flow_id="p1", dst_ip=h2.ip,
+                                          count=2))
+        eng.run_until(2_000_000)
+        assert h1.ping_seen["p1"] == 2
+        assert r.arp.cache == {(10, h1.ip): ("trunk", 10, h1.mac),
+                               (20, h2.ip): ("p", None, h2.mac)}
+        by_egress = {}
+        for port, tag, kind in sent:
+            by_egress.setdefault((port, tag), set()).add(kind)
+        assert by_egress == {("trunk", 10): {Arp, Packet},
+                             ("p", None): {Arp, Packet}}
+        eng.inject_fault(2_100_000, "fail_node", "r")
+        eng.inject_fault(2_200_000, "recover", "r")
+        eng.run_until(2_300_000)
+        assert r.arp.cache == {}
 
     def test_failed_host_keeps_its_flow_schedules(self):
         """h1 on the firewall rig fails at 0.5 s and recovers at 1.5 s. It

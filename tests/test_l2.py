@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import ReferenceSwitch
-from netfab.l2 import (InvalidVid, NoLiveMember, PortConfig, Switch,
-                       UnknownPort, lag_select)
+from netfab.l2 import (FDB_AGING_US, FLOW_CACHE_ENTRIES, InvalidVid,
+                       NoLiveMember, PortConfig, Switch, UnknownPort,
+                       lag_select)
 from netfab.packet import BROADCAST, FlowKey, Packet, make_frame, push_tag
 
 MULTICAST = bytes.fromhex("01005e000001")
@@ -276,7 +277,7 @@ def _frame(draw, macs, vids):
 def test_switch_matches_reference(data):
     """The table-driven switch against the per-frame port scan it replaced:
     the same emissions (port, equal frame, order), the same refusals and
-    FDB after every frame, port change and age sweep."""
+    FDB after every frame, port change, age sweep and reset."""
     draw = data.draw
     vids = [1, 2, 3]
     salt = draw(st.binary(max_size=4))
@@ -300,7 +301,7 @@ def test_switch_matches_reference(data):
     for _ in range(draw(st.integers(1, 40))):
         now += draw(st.integers(0, 100_000_000))
         action = draw(st.sampled_from(["frame"] * 6 + ["configure", "up",
-                                                       "age"]))
+                                                       "age", "reset"]))
         port = draw(st.integers(1, n_ports))
         if action == "frame":
             frame = _frame(draw, macs, vids)
@@ -317,9 +318,12 @@ def test_switch_matches_reference(data):
             up = not ref.ports[port].up
             for s in (sw, ref):
                 s.set_port_up(port, up)
-        else:
+        elif action == "age":
             for s in (sw, ref):
                 s.age_fdb(now)
+        else:
+            for s in (sw, ref):
+                s.reset_dynamic()
         assert sw.fdb == ref.fdb
 
 
@@ -346,3 +350,75 @@ class TestFdbRefresh:
         assert (entry.port, entry.last_seen) == (2, 5)
         out = sw.ingress(3, uni_frame(3, 1), now=6)
         assert [p for p, _ in out] == [2]
+
+
+class TestFlowCache:
+    """A known flow forwards from its cached row exactly as the tables
+    would, however the stations, the FDB and the ports change under it."""
+
+    def ports_of(self, out):
+        return [p for p, _ in out]
+
+    def test_cached_flow_follows_every_change(self):
+        sw = build_switch([(1, "access", 10), (2, "access", 10),
+                           (3, "access", 10), (4, "access", 10)])
+        sw.ingress(2, bcast_frame(2), now=0)  # station 2 behind port 2
+        for t in (1, 2):
+            assert self.ports_of(sw.ingress(1, uni_frame(1, 2), now=t)) == [2]
+        assert len(sw._flows) == 1
+        # a hit refreshes the source's entry as learning does
+        assert sw.fdb[(10, mac(1))].last_seen == 2
+
+        # station move: 2 now behind port 3
+        sw.ingress(3, bcast_frame(2), now=10)
+        assert self.ports_of(sw.ingress(1, uni_frame(1, 2), now=11)) == [3]
+        # the source moves: its entry follows it, and back again
+        assert self.ports_of(sw.ingress(4, uni_frame(1, 2), now=12)) == [3]
+        assert self.ports_of(sw.ingress(1, uni_frame(1, 2), now=13)) == [3]
+        assert sw.fdb[(10, mac(1))].port == 1
+
+        # aging: station 2 is forgotten while station 1 keeps sending
+        later = 11 + FDB_AGING_US
+        assert self.ports_of(sw.ingress(1, uni_frame(1, 2), now=later)) == [3]
+        sw.age_fdb(later + 1)
+        assert (10, mac(2)) not in sw.fdb
+        assert self.ports_of(sw.ingress(1, uni_frame(1, 2),
+                                        now=later + 2)) == [2, 3, 4]
+
+        # the destination's port goes down, then its VLAN changes
+        sw.ingress(3, bcast_frame(2), now=later + 3)
+        assert self.ports_of(sw.ingress(1, uni_frame(1, 2),
+                                        now=later + 4)) == [3]
+        sw.set_port_up(3, False)
+        assert sw.ingress(1, uni_frame(1, 2), now=later + 5) == []
+        sw.set_port_up(3, True)
+        assert self.ports_of(sw.ingress(1, uni_frame(1, 2),
+                                        now=later + 6)) == [3]
+        sw.configure_port(3, PortConfig("access", vid=20))
+        assert self.ports_of(sw.ingress(1, uni_frame(1, 2),
+                                        now=later + 7)) == [2, 4]
+
+        # a reset forgets every station
+        sw.ingress(2, bcast_frame(2), now=later + 8)
+        assert self.ports_of(sw.ingress(1, uni_frame(1, 2),
+                                        now=later + 9)) == [2]
+        sw.reset_dynamic()
+        assert sw.fdb == {}
+        assert self.ports_of(sw.ingress(1, uni_frame(1, 2),
+                                        now=later + 10)) == [2, 4]
+
+    def test_table_stays_within_its_bound(self):
+        """91 stations on each side make 8281 known flows, more than the
+        table holds: a full table starts over and no flow is misforwarded."""
+        sw = build_switch([(1, "access", 10), (2, "access", 10),
+                           (3, "access", 10)])
+        side = 91
+        assert side * side > FLOW_CACHE_ENTRIES
+        for i in range(1, 2 * side + 1):
+            sw.ingress(1 if i <= side else 2, bcast_frame(i), now=0)
+        for i in range(1, side + 1):
+            for j in range(side + 1, 2 * side + 1):
+                out = sw.ingress(1, uni_frame(i, j), now=1)
+                assert self.ports_of(out) == [2]
+                assert len(sw._flows) <= FLOW_CACHE_ENTRIES
+        assert len(sw._flows) == side * side - FLOW_CACHE_ENTRIES

@@ -122,6 +122,15 @@ class TestZonePolicy:
             for zt in ("clean", "dmz", "public"):
                 assert DEFAULT_ZONE_POLICY[zf, zt] in ("permit", "deny-new")
 
+    def test_default_policy_is_read_only(self):
+        """Every router and firewall given no policy shares the default
+        table, so no one of them may change it for the others."""
+        with pytest.raises(TypeError):
+            DEFAULT_ZONE_POLICY["public", "clean"] = "permit"
+        with pytest.raises(TypeError):
+            del DEFAULT_ZONE_POLICY["clean", "dmz"]
+        assert DEFAULT_ZONE_POLICY["public", "clean"] == "deny-new"
+
     def test_public_to_dmz_denied(self):
         r = make_router()
         res = r.forward(pkt("192.0.2.50", "10.0.10.5"), ingress_vid=20, now=0)

@@ -537,7 +537,7 @@ CONFIGS = st.builds(
                                             maybe(networks()))),
     switches=keyed(WORDS.map("s".__add__), lambda name: st.builds(
         SwitchDecl, st.just(name),
-        st.dictionaries(PORT_IDS, PORT_SPECS, min_size=1, max_size=3))),
+        st.dictionaries(PORT_IDS, PORT_SPECS, max_size=3))),
     l3s=keyed(WORDS.map("r".__add__), lambda name: st.builds(
         L3Decl, st.just(name), in_file_order(st.builds(
             VlanInterface, VIDS, IPS, PREFIX_LENS, ZONE_NAMES,

@@ -178,7 +178,7 @@ def test_every_definition_is_read_in_the_package():
     assert unread == READ_OUTSIDE_THE_PACKAGE
 
 
-CALLS_PER_EVENT_CEILING = 5.71  # 5.629 when set
+CALLS_PER_EVENT_CEILING = 5.38  # 5.303 when set
 
 
 def test_python_calls_per_event_within_budget():
