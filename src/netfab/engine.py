@@ -211,8 +211,8 @@ class Metrics:
             self.flows[fid] = st
         return st
 
-    def drop(self, node: str, reason: str):
-        self.drops[(node, reason)] += 1
+    def drop(self, node: str, reason: str, n: int = 1):
+        self.drops[(node, reason)] += n
 
     def dropped_total(self) -> int:
         return sum(self.drops.values())
@@ -441,10 +441,12 @@ class Resolver:
     the node sends on: a port, a VLAN or a firewall side. A learned entry
     holds how a frame to it leaves, (port, tag, MAC), built once from the
     node's `egress(scope)`, as a Linux neighbour entry caches its hardware
-    header; so a packet to a known next hop goes straight to `make_frame`
-    and `Engine.send`. The owning node passes the engine and itself to each
-    call, so a resolver holds no reference to either; the node's
-    `ip_on(scope)` is its own address there."""
+    header. A node hands `send` a burst, the packets it has for one next
+    hop, as netmap and DPDK move packets in batches: one lookup serves the
+    burst, and each packet goes on to `make_frame` and `Engine.send` in
+    order. The owning node passes the engine and itself to each call, so a
+    resolver holds no reference to either; the node's `ip_on(scope)` is its
+    own address there."""
 
     # one per host in a campus scenario: no per-instance __dict__
     __slots__ = ("cache", "pending", "last_req")
@@ -454,20 +456,23 @@ class Resolver:
         self.pending: dict[tuple, list[Packet]] = {}
         self.last_req: dict[tuple, int] = {}
 
-    def send(self, engine: Engine, node: Node, scope, ip: int, packet: Packet):
-        """Send packet to ip's MAC, or hold it and ask for that MAC."""
+    def send(self, engine: Engine, node: Node, scope, ip: int, packets):
+        """Send packets, in order, to ip's MAC, or hold them and ask for
+        that MAC."""
         key = (scope, ip)
         hop = self.cache.get(key)
         if hop is not None:
             port, tag, mac = hop
-            engine.send(node.name, port,
-                        make_frame(node.mac, mac, packet, tag))
+            name, src, send = node.name, node.mac, engine.send
+            for packet in packets:
+                send(name, port, make_frame(src, mac, packet, tag))
             return
         held = self.pending.setdefault(key, [])
-        if len(held) == ARP_PENDING_MAX:
-            del held[0]
-            engine.metrics.drop(node.name, "arp-pending")
-        held.append(packet)
+        held.extend(packets)
+        over = len(held) - ARP_PENDING_MAX
+        if over > 0:  # the oldest make room
+            del held[:over]
+            engine.metrics.drop(node.name, "arp-pending", over)
         now = engine.now
         last = self.last_req.get(key)
         if last is None or now - last >= ARP_RETRY_US:
@@ -477,14 +482,11 @@ class Resolver:
 
     def learn(self, engine: Engine, node: Node, scope, arp: Arp):
         """Cache the sender of arp; a reply also sends what was held for it."""
-        key = (scope, arp.sender_ip)
-        port, tag = node.egress(scope)
-        mac = arp.sender_mac
-        self.cache[key] = (port, tag, mac)
-        if arp.op == "reply":
-            for packet in self.pending.pop(key, ()):
-                engine.send(node.name, port,
-                            make_frame(node.mac, mac, packet, tag))
+        ip = arp.sender_ip
+        key = (scope, ip)
+        self.cache[key] = (*node.egress(scope), arp.sender_mac)
+        if arp.op == "reply" and key in self.pending:
+            self.send(engine, node, scope, ip, self.pending.pop(key))
 
     def clear(self):
         self.cache.clear()
@@ -585,24 +587,27 @@ class HostNode(Node):
         if flow.stats is None:  # a flow is in the summary once it offers
             flow.stats = engine.metrics.flow(flow.spec.flow_id)
         tpl = flow.template
-        self.send_packet(engine, segment(tpl, tpl.payload_bytes, meta),
+        self.send_packet(engine, (segment(tpl, tpl.payload_bytes, meta),),
                          flow.stats)
 
     def _bulk_pump(self, engine: Engine, st: BulkSender):
+        """Send the window's worth of segments as one burst."""
         spec = st.spec
         fid, total, tpl = spec.flow_id, spec.total_bytes, st.template
+        window = []
         while st.next < total and st.next - st.una < st.window:
-            if st.stats is None:  # a flow is in the summary once it offers
-                st.stats = engine.metrics.flow(fid)
             seg = min(BULK_SEGMENT, total - st.next)
-            pkt = segment(tpl, seg,
-                          ("bulk", fid, "data", seg, total, st.next))
+            window.append(segment(tpl, seg,
+                                  ("bulk", fid, "data", seg, total, st.next)))
             st.next += seg
             if st.next > st.high:  # new data; Karn: only it is timed
                 st.high = st.next
                 if st.timed is None:
                     st.timed = (st.next, engine.now)
-            self.send_packet(engine, pkt, st.stats)
+        if window:
+            if st.stats is None:  # a flow is in the summary once it offers
+                st.stats = engine.metrics.flow(fid)
+            self.send_packet(engine, window, st.stats)
         if st.deadline is None and st.una < st.next:
             self._start_rto(engine, st)
 
@@ -639,20 +644,22 @@ class HostNode(Node):
 
     # -- sending -----------------------------------------------------------
 
-    def send_packet(self, engine: Engine, packet: Packet,
+    def send_packet(self, engine: Engine, packets,
                     stats: Optional[FlowStats] = None):
-        """Send packet; with its flow's stats it counts as offered."""
+        """Send packets, all of one flow, through one choice of next hop;
+        with the flow's stats each counts as offered."""
         if stats is not None:
-            stats.offered_packets += 1
-            stats.offered_bytes += packet.size
-            stats.offered_payload += packet.payload_bytes
-            if engine.trace_enabled:
-                engine.trace(self.name, "tx", None, packet.key,
-                             f"kind={packet.meta[0]}")
-        dst_ip = packet.dst_ip  # on-link, else through the gateway
+            stats.offered_packets += len(packets)
+            for packet in packets:
+                stats.offered_bytes += packet.size
+                stats.offered_payload += packet.payload_bytes
+                if engine.trace_enabled:
+                    engine.trace(self.name, "tx", None, packet.key,
+                                 f"kind={packet.meta[0]}")
+        dst_ip = packets[0].dst_ip  # on-link, else through the gateway
         if (dst_ip ^ self.ip) & self.mask and self.gw_ip is not None:
             dst_ip = self.gw_ip
-        self.arp.send(engine, self, self.port, dst_ip, packet)
+        self.arp.send(engine, self, self.port, dst_ip, packets)
 
     def ip_on(self, _port) -> int:
         return self.ip
@@ -710,9 +717,9 @@ class HostNode(Node):
             return
         st.delivered_payload += pkt.payload_bytes  # bulk's: once, in order
         if kind == "ping":
-            self.send_packet(engine, segment(
+            self.send_packet(engine, (segment(
                 self._reply_template(rx, pkt), pkt.payload_bytes,
-                ("ping", fid, "rep", meta[3])))
+                ("ping", fid, "rep", meta[3])),))
 
     def _reply_template(self, rx: FlowReceiver, pkt: Packet) -> Packet:
         """rx's answer template, built anew, checked, when pkt comes from
@@ -742,9 +749,9 @@ class HostNode(Node):
                 flow.completed_at = engine.now
         if (not in_order or rx.segs % BULK_ACK_EVERY == 0
                 or rx.received >= total):
-            self.send_packet(engine, segment(
+            self.send_packet(engine, (segment(
                 self._reply_template(rx, pkt), 0,
-                ("bulk", fid, "ack", rx.received)))
+                ("bulk", fid, "ack", rx.received)),))
 
     def _on_ack(self, engine: Engine, fid: str, acked: int):
         """A cumulative ACK at the sender."""
@@ -826,7 +833,7 @@ class L3Node(Node):
             return
         _, egress_vid, next_hop, out = result
         target = next_hop if next_hop is not None else out.dst_ip
-        self.arp.send(engine, self, egress_vid, target, out)
+        self.arp.send(engine, self, egress_vid, target, (out,))
 
     def _on_arp(self, engine: Engine, vid: int, iface, arp: Arp):
         self.arp.learn(engine, self, vid, arp)
@@ -910,8 +917,9 @@ class FirewallNode(Node):
             side.tick_scheduled = False
             if self.failed:
                 return
-            for pkt, mac_hint in side.shaper.shape():
-                self._emit_packet(engine, side, pkt, mac_hint)
+            released = side.shaper.shape()
+            if released:
+                self._emit(engine, side, released)
             if side.shaper.queue:
                 self._schedule_tick(engine, side)
 
@@ -928,16 +936,30 @@ class FirewallNode(Node):
         elif not side.tick_scheduled:
             self._schedule_tick(engine, side)
 
-    def _emit_packet(self, engine: Engine, side: SideState, pkt: Packet,
-                     mac_hint):
-        engine.metrics.fw_bytes[self.name] += pkt.size
-        if mac_hint is not None:  # a side's scope is its port, untagged
-            engine.send(self.name, side.port,
-                        make_frame(self.mac, mac_hint, pkt))
-            return
-        next_hop = side.next_hops.lookup(pkt.dst_ip)
-        self.arp.send(engine, self, side.port,
-                      pkt.dst_ip if next_hop is None else next_hop, pkt)
+    def _emit(self, engine: Engine, side: SideState, items: list):
+        """Send items, (packet, MAC hint) pairs, on side in FIFO order, run
+        by run: a run of hinted packets straight to their MAC, a run of
+        others to one destination IP through one next-hop lookup and one
+        resolver call."""
+        size, runs, last = 0, [], None  # runs: (MAC or IP, packets)
+        for pkt, hint in items:
+            size += pkt.size
+            to = pkt.dst_ip if hint is None else hint
+            if to != last:
+                last, run = to, []
+                runs.append((to, run))
+            run.append(pkt)
+        engine.metrics.fw_bytes[self.name] += size
+        port = side.port
+        for to, run in runs:
+            if to.__class__ is int:
+                next_hop = side.next_hops.lookup(to)
+                self.arp.send(engine, self, port,
+                              to if next_hop is None else next_hop, run)
+            else:  # a side's scope is its port, untagged
+                name, mac, send = self.name, self.mac, engine.send
+                for pkt in run:
+                    send(name, port, make_frame(mac, to, pkt))
 
     def ip_on(self, port: str) -> int:
         return self.sides[port].cfg.ip or 0
@@ -961,7 +983,7 @@ class FirewallNode(Node):
         hint = frame.dst if out.cfg.mode == "inline" else None
         if payload.protocol == "probe":
             # health checks are control-plane: no NAT, no shaping
-            self._emit_packet(engine, out, payload, hint)
+            self._emit(engine, out, [(payload, hint)])
             return
         self._forward(engine, side, out, payload, hint)
 

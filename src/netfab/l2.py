@@ -99,7 +99,11 @@ class Switch:
     learned on its ingress port and the destination is known on another;
     the table is emptied by a station move, an FDB deletion, a port change
     and at FLOW_CACHE_ENTRIES rows, so a row always decides as the tables
-    would.
+    would. A station seen on another member of its entry's LAG group has
+    not moved (IEEE 802.1AX learns on the aggregator): either member gives
+    the same egress, so the entry follows it, on a hit too, and no row is
+    dropped. No row leads back into the ingress port's own group, where
+    the tables decide by member.
     """
 
     def __init__(self, name: str, hash_salt: bytes = b""):
@@ -165,7 +169,7 @@ class Switch:
         row = flows.get((port_id, tag, src, dst))
         if row is not None:  # a known flow: its source is learned here
             known, vid, egresses = row
-            known.last_seen = now
+            known.port, known.last_seen = port_id, now
         else:
             port = self.ports.get(port_id)
             if port is None:
@@ -183,14 +187,17 @@ class Switch:
             # learning refreshes a known station in place; a group source is
             # never learned, so a frame to a group address misses and floods
             fdb = self.fdb
+            lag = port.lag_group
             known = None
             if not src[0] & 1:
                 known = fdb.get((vid, src))
                 if known is None:
                     known = fdb[(vid, src)] = FdbEntry(port_id, now)
                 else:
-                    if known.port != port_id:  # a station move
-                        flows.clear()
+                    if known.port != port_id and (
+                            lag is None
+                            or self.ports[known.port].lag_group != lag):
+                        flows.clear()  # a station move
                     known.port, known.last_seen = port_id, now
 
             # forwarding decision
@@ -203,7 +210,9 @@ class Switch:
                 egresses = self._egress.get((entry.port, vid))
                 if egresses is None:
                     egresses = self._egress_of(entry.port, vid)
-                if known is not None:
+                if known is not None and (
+                        lag is None
+                        or self.ports[entry.port].lag_group != lag):
                     if len(flows) >= FLOW_CACHE_ENTRIES:
                         flows.clear()
                     flows[(port_id, tag, src, dst)] = (known, vid, egresses)

@@ -10,8 +10,10 @@ import pytest
 from conftest import TraceLines, bulk_transfer_time
 from test_acceptance import FIREWALL_RIG
 from netfab.engine import (ARP_PENDING_MAX, BULK_LOSS_WINDOW, BULK_WINDOW,
-                           BulkSender, Engine, HostNode, L3Node, Node,
-                           SwitchNode, TrafficSpec, UnknownTarget)
+                           BulkSender, Engine, FirewallNode, FirewallSide,
+                           FlowStats, HostNode, L3Node, Node, SwitchNode,
+                           TrafficSpec, UnknownTarget)
+from netfab.firewall import Firewall
 from netfab.l2 import PortConfig
 from netfab.l3 import VlanInterface, ZoneRouter
 from netfab.packet import (BROADCAST, Arp, FlowKey, Packet, ip_addr,
@@ -239,7 +241,7 @@ class TestEndToEnd:
         assert dropped == offered - ARP_PENDING_MAX
         oldest = held[0]
         newest = Packet(src_ip=h1.ip, dst_ip=gw, protocol="udp")
-        h1.arp.send(eng, h1, 0, gw, newest)
+        h1.arp.send(eng, h1, 0, gw, (newest,))
         assert held[-1] is newest and all(p is not oldest for p in held)
         assert len(held) == ARP_PENDING_MAX
 
@@ -754,6 +756,90 @@ class TestBulkRecovery:
         assert st.rto == 60_000_000  # ceiling
 
 
+class TestBursts:
+    """A node hands its resolver each burst it has for one next hop: one
+    lookup serves the burst, and its packets leave frame by frame, in
+    order, as each would alone."""
+
+    @staticmethod
+    def recorded(eng: Engine) -> list:
+        """What eng is asked to send, as (node, port, dst, tag, payload)."""
+        sent = []
+        eng.send = lambda node, port, frame: sent.append(
+            (node, port, frame.dst, frame.tag, frame.payload))
+        return sent
+
+    def test_unresolved_burst_is_held_in_order_and_flushed_in_order(self):
+        eng = Engine()
+        gw, gw_mac = ip_addr("10.0.0.254"), node_mac("gw")
+        h1 = HostNode(eng, "h1", ip_addr("10.0.0.1"), 24, gw_ip=gw)
+        sent = self.recorded(eng)
+        tpl = Packet(src_ip=h1.ip, dst_ip=ip_addr("10.9.0.1"),
+                     protocol="udp", src_port=40000, dst_port=5001)
+        burst = [dataclasses.replace(tpl, payload_bytes=i)
+                 for i in range(ARP_PENDING_MAX + 3)]
+        stats = FlowStats()
+        h1.send_packet(eng, burst[:40], stats)
+        h1.send_packet(eng, burst[40:], stats)
+        assert stats.offered_packets == len(burst)
+        # the oldest three made room, and one request went out
+        held = h1.arp.pending[(0, gw)]
+        assert [id(p) for p in held] == [id(p) for p in burst[3:]]
+        assert eng.metrics.drops == {("h1", "arp-pending"): 3}
+        (request,) = sent
+        assert request[:4] == ("h1", 0, BROADCAST, None)
+        assert (request[4].op, request[4].target_ip) == ("request", gw)
+        sent.clear()
+        h1.on_frame(eng, 0, make_frame(gw_mac, h1.mac,
+                                       Arp("reply", gw, gw_mac, h1.ip)))
+        assert [id(f[4]) for f in sent] == [id(p) for p in burst[3:]]
+        assert {f[:4] for f in sent} == {("h1", 0, gw_mac, None)}
+        assert h1.arp.pending == {}
+
+    def test_firewall_release_leaves_as_each_packet_would_alone(self):
+        """One shaped release mixes hinted packets and packets to two next
+        hops: it leaves in FIFO order, frame for frame, as the same packets
+        emitted one at a time."""
+        def rig():
+            eng = Engine()
+            outside = FirewallSide(ip=ip_addr("192.0.2.1"), prefix_len=24,
+                                   gw=ip_addr("192.0.2.254"),
+                                   routes=[(ip_addr("192.0.2.128"), 25,
+                                            ip_addr("192.0.2.2"))])
+            fw = FirewallNode(eng, "fw", Firewall(), FirewallSide(), outside,
+                              cap_bps=10**9)
+            for name, ip in (("gw", "192.0.2.254"), ("r2", "192.0.2.2")):
+                fw.arp.learn(eng, fw, "outside", Arp(
+                    "request", ip_addr(ip), node_mac(name), outside.ip))
+            return eng, fw, self.recorded(eng)
+
+        def pkt(i, dst):
+            return Packet(src_ip=ip_addr("192.0.2.1"), dst_ip=ip_addr(dst),
+                          protocol="udp", src_port=1000 + i, dst_port=9)
+
+        peer = node_mac("peer")
+        items = [(pkt(0, "198.51.100.1"), None), (pkt(1, "198.51.100.1"), None),
+                 (pkt(2, "192.0.2.200"), None), (pkt(3, "198.51.100.7"), peer),
+                 (pkt(4, "198.51.100.7"), peer), (pkt(5, "198.51.100.1"), None),
+                 (pkt(6, "192.0.2.130"), None), (pkt(7, "192.0.2.200"), None)]
+        eng, fw, released = rig()
+        for p, hint in items:
+            fw._enqueue(eng, fw.outside, p, hint)
+        fw.on_event(eng, "shape_tick", fw.outside)
+        assert not fw.outside.shaper.queue
+        eng_alone, fw_alone, alone = rig()
+        for item in items:
+            fw_alone._emit(eng_alone, fw_alone.outside, [item])
+        assert [id(f[4]) for f in released] == [id(p) for p, _ in items]
+        assert released == alone
+        gw, r2 = node_mac("gw"), node_mac("r2")
+        assert [f[2] for f in released] == [gw, gw, r2, peer, peer, gw, r2,
+                                            r2]
+        size = sum(p.size for p, _ in items)
+        assert eng.metrics.fw_bytes == eng_alone.metrics.fw_bytes == {
+            "fw": size}
+
+
 class TestHostPackets:
     """A host builds each packet it sends as an unchecked copy of its flow's
     template, and each such copy must be the packet the checked constructor
@@ -777,9 +863,9 @@ class TestHostPackets:
         sent = []
         send_packet = HostNode.send_packet
 
-        def record(host, engine, packet, *args):
-            sent.append(packet)
-            return send_packet(host, engine, packet, *args)
+        def record(host, engine, packets, *args):
+            sent.extend(packets)
+            return send_packet(host, engine, packets, *args)
 
         monkeypatch.setattr(HostNode, "send_packet", record)
         eng.run_until(3_000_000)

@@ -429,9 +429,9 @@ class TestFirewallRigPath:
                                 counted(name, getattr(Firewall, name)))
         send_packet = HostNode.send_packet
 
-        def host_send(host, engine, packet, *args, **kwargs):
-            calls["acks"] += packet.meta[2] == "ack"
-            return send_packet(host, engine, packet, *args, **kwargs)
+        def host_send(host, engine, packets, *args, **kwargs):
+            calls["acks"] += sum(p.meta[2] == "ack" for p in packets)
+            return send_packet(host, engine, packets, *args, **kwargs)
 
         monkeypatch.setattr(HostNode, "send_packet", host_send)
         fw = eng.nodes["fw"]

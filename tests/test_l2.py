@@ -422,3 +422,40 @@ class TestFlowCache:
                 assert self.ports_of(out) == [2]
                 assert len(sw._flows) <= FLOW_CACHE_ENTRIES
         assert len(sw._flows) == side * side - FLOW_CACHE_ENTRIES
+
+    def test_station_between_members_of_its_group_has_not_moved(self):
+        """A station whose frames arrive on either member of one LAG group
+        keeps its entry up to date, frame by frame, and other flows keep
+        their rows: it has not moved (IEEE 802.1AX learns on the
+        aggregator), and either member gives the same egress."""
+        sw = build_switch([(1, "trunk", {10}, "g"), (2, "trunk", {10}, "g"),
+                           (3, "access", 10), (4, "access", 10)])
+        sw.ingress(4, bcast_frame(4), now=0)
+        assert self.ports_of(sw.ingress(3, uni_frame(3, 4), now=1)) == [4]
+        row = (3, None, mac(3), mac(4))
+        assert row in sw._flows
+        to_group = None
+        for t, member in enumerate((1, 2, 1, 2, 2, 1), start=2):
+            tagged = push_tag(uni_frame(1, 3), 10)
+            assert self.ports_of(sw.ingress(member, tagged, now=t)) == [3]
+            assert (sw.fdb[(10, mac(1))].port,
+                    sw.fdb[(10, mac(1))].last_seen) == (member, t)
+            assert row in sw._flows
+            out = self.ports_of(sw.ingress(3, uni_frame(3, 1), now=t))
+            assert to_group in (None, out) and out[0] in (1, 2)
+            to_group = out
+        assert self.ports_of(sw.ingress(3, uni_frame(3, 4), now=9)) == [4]
+
+    def test_no_row_leads_back_into_the_ingress_group(self):
+        """Station 2 is learned on member 2 of group g and station 1 sends
+        to it from member 1: the tables send that back into the group, and
+        filter it once station 2 shows up on member 1. No row may keep the
+        first decision past the second."""
+        sw = build_switch([(1, "trunk", {10}, "g"), (2, "trunk", {10}, "g"),
+                           (3, "access", 10)])
+        sw.ingress(2, push_tag(bcast_frame(2), 10), now=0)
+        for t in (1, 2):
+            out = sw.ingress(1, push_tag(uni_frame(1, 2), 10), now=t)
+            assert self.ports_of(out)[0] in (1, 2)
+        sw.ingress(1, push_tag(bcast_frame(2), 10), now=3)
+        assert sw.ingress(1, push_tag(uni_frame(1, 2), 10), now=4) == []

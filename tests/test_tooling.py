@@ -10,8 +10,9 @@ It also pins the model digests of two `perfbench/workloads.py` workloads,
 so a speed claim is checked to keep the model, and checks that the ops-audit
 workload's setup leaves no cyclic garbage; lints the package and its
 tests for imports no module uses, and the package for definitions nothing
-in it reads; holds the frame hop to a budget of Python calls per event and
-loading a scenario file to one per declaration line; and keeps the README's
+in it reads; holds the frame hop on spring8-redundant and on the firewall
+rig to a budget of Python calls per event, and loading a scenario file to
+one per declaration line; and keeps the README's
 table of scenario keys to the format's own.
 """
 import ast
@@ -24,6 +25,7 @@ from pathlib import Path
 
 import pytest
 
+from test_acceptance import FIREWALL_RIG
 from netfab.scenario import (FORMAT, build_engine, load_scenario,
                              parse_scenario, serialize_scenario,
                              validate_scenario)
@@ -178,15 +180,14 @@ def test_every_definition_is_read_in_the_package():
     assert unread == READ_OUTSIDE_THE_PACKAGE
 
 
-CALLS_PER_EVENT_CEILING = 5.38  # 5.303 when set
+CALLS_PER_EVENT_CEILING = 5.16  # 5.085 when set
+RIG_CALLS_PER_EVENT_CEILING = 5.68  # 5.596 when set
 
 
-def test_python_calls_per_event_within_budget():
-    """Python calls per processed event on spring8-redundant run to 3 s.
-    The count is exact on any host, so a call added to the frame hop shows
-    here without timing noise. Every event pushed is processed or still
-    queued, and every push takes the next sequence number."""
-    eng = build_engine(load_scenario("spring8-redundant"))
+def _calls_per_event(eng, until_us: int) -> float:
+    """Python calls per event processed while eng runs to until_us. Every
+    event pushed is processed or still queued, and every push takes the
+    next sequence number."""
     calls = 0
 
     def count(_frame, event, _arg):
@@ -196,12 +197,32 @@ def test_python_calls_per_event_within_budget():
 
     sys.setprofile(count)
     try:
-        eng.run_until(3_000_000)
+        eng.run_until(until_us)
     finally:
         sys.setprofile(None)
     events = eng._seq - len(eng._heap)
     assert events > 70_000
-    assert calls / events <= CALLS_PER_EVENT_CEILING
+    return calls / events
+
+
+def test_python_calls_per_event_within_budget():
+    """Python calls per processed event on spring8-redundant run to 3 s.
+    The count is exact on any host, so a call added to the frame hop shows
+    here without timing noise."""
+    eng = build_engine(load_scenario("spring8-redundant"))
+    assert _calls_per_event(eng, 3_000_000) <= CALLS_PER_EVENT_CEILING
+
+
+def test_firewall_rig_calls_per_event_within_budget():
+    """Python calls per processed event on the 170 Mbps firewall rig run to
+    1 s: one backlogged NAT'd transfer, so a call added to the NAT, shaper
+    or bulk sender path shows here without timing noise."""
+    cfg = parse_scenario(FIREWALL_RIG.format(duration=1,
+                                             total=2_000_000_000))
+    validate_scenario(cfg)
+    eng = build_engine(cfg)
+    assert _calls_per_event(eng, cfg.duration_us) <= (
+        RIG_CALLS_PER_EVENT_CEILING)
 
 
 LOAD_CALLS_PER_LINE_CEILING = 21.35  # 21.13 when set
