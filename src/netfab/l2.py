@@ -89,21 +89,20 @@ def lag_select(members: list, key: FlowKey, salt: bytes = b"") -> int:
 class Switch:
     """One VLAN-aware learning bridge; owned by a single engine.
 
-    It forwards from per-VLAN tables, as Linux bridge VLAN filtering does
-    (net/bridge/br_vlan.c), built on first use and dropped by every port
-    change. LAG choices are memoised until a port change or FDB sweep.
-
     A known unicast flow forwards from one exact-match row, as Open
     vSwitch's microflow cache does: (ingress port, tag, src, dst) -> (the
     source's FdbEntry, VID, egresses). A row is added when the source is
     learned on its ingress port and the destination is known on another;
     the table is emptied by a station move, an FDB deletion, a port change
-    and at FLOW_CACHE_ENTRIES rows, so a row always decides as the tables
-    would. A station seen on another member of its entry's LAG group has
-    not moved (IEEE 802.1AX learns on the aggregator): either member gives
-    the same egress, so the entry follows it, on a hit too, and no row is
-    dropped. No row leads back into the ingress port's own group, where
-    the tables decide by member.
+    and at FLOW_CACHE_ENTRIES rows, so a row always decides as the port
+    records would. A miss reads the records: `ports`, `down` and each
+    PortConfig. A station seen on another member of its entry's LAG group
+    has not moved (IEEE 802.1AX learns on the aggregator): either member
+    gives the same egress, so the entry follows it, on a hit too, and no
+    row is dropped. No row leads back into the ingress port's own group,
+    where a miss decides by member. LAG choices are memoised per (live
+    members, flow), which no port change or FDB sweep makes stale, and the
+    memo is emptied at FLOW_CACHE_ENTRIES entries.
     """
 
     def __init__(self, name: str, hash_salt: bytes = b""):
@@ -113,8 +112,6 @@ class Switch:
         self.trunks: set = set()  # ports whose mode is "trunk"
         self.fdb: dict[tuple, FdbEntry] = {}
         self.hash_salt = hash_salt
-        self._egress: dict[tuple, tuple] = {}  # by (port, vid)
-        self._plans: dict[tuple, tuple] = {}  # (ingress, vid) -> egresses
         self._lag_memo: dict[tuple, int] = {}  # (live, flow key) -> member
         self._flows: dict[tuple, tuple] = {}  # (port, tag, src, dst) -> row
 
@@ -129,7 +126,7 @@ class Switch:
             self.trunks.add(port_id)
         else:
             self.trunks.discard(port_id)
-        self._forget_tables()
+        self._flows.clear()
         # purge learned entries for VLANs this port no longer carries
         stale = [k for k, e in self.fdb.items()
                  if e.port == port_id and k[0] not in cfg.vids]
@@ -144,12 +141,6 @@ class Switch:
             self.down.discard(port_id)
         else:
             self.down.add(port_id)
-        self._forget_tables()
-
-    def _forget_tables(self):
-        self._egress.clear()
-        self._plans.clear()
-        self._lag_memo.clear()
         self._flows.clear()
 
     def ingress(self, port_id: int, frame: Frame,
@@ -207,9 +198,7 @@ class Switch:
             elif entry.port == port_id:
                 return []  # destination behind the ingress port: filter
             else:
-                egresses = self._egress.get((entry.port, vid))
-                if egresses is None:
-                    egresses = self._egress_of(entry.port, vid)
+                egresses = self._egress_of(entry.port, vid)
                 if known is not None and (
                         lag is None
                         or self.ports[entry.port].lag_group != lag):
@@ -219,12 +208,15 @@ class Switch:
 
         out: list[tuple[int, Frame]] = []
         trunks = self.trunks
+        memo = self._lag_memo
         for t, live in egresses:
             if live is not None:
                 key = (live, frame_flow_key(frame))
-                t = self._lag_memo.get(key)
+                t = memo.get(key)
                 if t is None:
-                    t = self._lag_memo[key] = lag_select(*key, self.hash_salt)
+                    if len(memo) >= FLOW_CACHE_ENTRIES:
+                        memo.clear()
+                    t = memo[key] = lag_select(*key, self.hash_salt)
             if t in trunks:
                 if tagged is None:
                     tagged = frame_copy(frame, vid)
@@ -235,45 +227,49 @@ class Switch:
                 out.append((t, untagged))
         return out
 
-    def _egress_of(self, port_id: int, vid: int) -> tuple:
-        """How a frame for port_id leaves: ((port, None),), ((None, live
-        members of its LAG group),), or () when it cannot. `ingress` reads
-        the memo itself and calls this only on a miss."""
-        key = (port_id, vid)
-        if key not in self._egress:
-            cfg = self.ports.get(port_id)
-            egress = ()
-            if cfg is not None and vid in cfg.vids:
-                if cfg.lag_group is None:
-                    if port_id not in self.down:
-                        egress = ((port_id, None),)
-                else:
-                    live = tuple(p for p, c in sorted(self.ports.items())
-                                 if c.lag_group == cfg.lag_group
-                                 and p not in self.down and vid in c.vids)
-                    if live:
-                        egress = ((None, live),)
-            self._egress[key] = egress
-        return self._egress[key]
+    def _egress_of(self, port_id, vid: int) -> tuple:
+        """How a frame leaves for port_id, which carries vid: ((port,
+        None),), ((None, live members of its LAG group),), or () when it
+        cannot."""
+        ports, down = self.ports, self.down
+        group = ports[port_id].lag_group
+        if group is None:
+            return () if port_id in down else ((port_id, None),)
+        live = tuple([p for p in sorted(ports, key=str)
+                      if ports[p].lag_group == group and p not in down
+                      and (ports[p].vid == vid or vid in ports[p].allowed)])
+        return ((None, live),) if live else ()
 
-    def _flood_targets(self, ingress_port: int, vid: int) -> tuple:
-        """Every other VLAN member in port order, a LAG group once at its
-        first live member, never the ingress port's group."""
-        plan = self._plans.get((ingress_port, vid))
-        if plan is None:
-            group = self.ports[ingress_port].lag_group
-            plan = self._plans[(ingress_port, vid)] = tuple(
-                e for p, cfg in sorted(self.ports.items()) if p != ingress_port
-                for e in self._egress_of(p, vid)
-                if e[1] is None or (p == e[1][0] and cfg.lag_group != group))
-        return plan
+    def _flood_targets(self, ingress_port, vid: int) -> list:
+        """Every other port that is up and carries vid, in port order, as
+        `_egress_of` gives it: a LAG group once, at its first live member,
+        never the ingress port's group."""
+        ports, down = self.ports, self.down
+        skip = ports[ingress_port].lag_group
+        out = []
+        first = {}  # LAG group -> its place in out
+        for p in sorted(ports, key=str):
+            cfg = ports[p]
+            if (p == ingress_port or p in down
+                    or (cfg.vid != vid and vid not in cfg.allowed)):
+                continue
+            group = cfg.lag_group
+            if group is None:
+                out.append((p, None))
+            elif group != skip:
+                at = first.get(group)
+                if at is None:
+                    first[group] = len(out)
+                    out.append((None, (p,)))
+                else:
+                    out[at] = (None, out[at][1] + (p,))
+        return out
 
     def age_fdb(self, now: int):
         stale = [k for k, e in self.fdb.items()
                  if now - e.last_seen > FDB_AGING_US]
         for k in stale:
             del self.fdb[k]
-        self._lag_memo.clear()
         if stale:
             self._flows.clear()
 

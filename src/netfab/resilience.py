@@ -34,8 +34,8 @@ class LoadBalancer:
     """Health-probes two firewall paths and pins flows to live ones."""
 
     def __init__(self, path_ids: list[str], hash_salt: bytes = b""):
-        if len(path_ids) != 2:
-            raise ValueError("exactly two firewall paths are balanced")
+        if len(path_ids) != 2 or path_ids[0] == path_ids[1]:
+            raise ValueError("exactly two distinct firewall paths are balanced")
         # in path-id order, which reset_dynamic keeps: every list of paths
         # this class returns is sorted without sorting
         self.paths = {pid: PathHealth(pid) for pid in sorted(path_ids)}

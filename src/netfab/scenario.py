@@ -323,7 +323,10 @@ def _read_override(text: str) -> dict:
         addr, _, path = item.rpartition(":")
         if not path:
             raise ValueError(f"override is ip:path, got {item!r}")
-        override[ip_addr(addr)] = path
+        ip = ip_addr(addr)
+        if ip in override:
+            raise ValueError(f"duplicate override address {addr!r}")
+        override[ip] = path
     return override
 
 
@@ -858,10 +861,18 @@ def validate_scenario(cfg: ScenarioConfig, horizon_us: Optional[int] = None):
             raise ValidationError("acl", f"from={pair[0]} to={pair[1]} is "
                                          "declared twice")
         zone_pairs.add(pair)
+    scopes = set()  # NAT keeps the first scope for a network
     for masq in cfg.masquerades:
         if masq.node not in cfg.firewalls:
             raise ValidationError(masq.node,
                                   "masquerade scope on undeclared firewall")
+        scope = (masq.node, masq.network & prefix_mask(masq.prefix_len),
+                 masq.prefix_len)
+        if scope in scopes:
+            raise ValidationError(masq.node, (
+                f"masquerade {_write_ip_len(scope[1:])} never takes effect: "
+                "an earlier line already scopes it"))
+        scopes.add(scope)
     for fw in cfg.firewalls.values():
         # an inline side passes frames on to the MAC they were sent to
         for port, side in (("inside", fw.inside), ("outside", fw.outside)):
@@ -869,9 +880,27 @@ def validate_scenario(cfg: ScenarioConfig, horizon_us: Optional[int] = None):
                 key = f"{port}_gw" if side.gw is not None else f"{port}_routes"
                 raise ValidationError(fw.name,
                                       f"{key} has no effect on an inline side")
+            # the side's next hops keep the first entry for a prefix:
+            # (network, length) -> what gives it
+            first = {}
+            if side.ip is not None:
+                first[side.ip & prefix_mask(side.prefix_len),
+                      side.prefix_len] = f"the {port} subnet"
+            hops = [(net, plen, f"{port}_routes {_write_ip_len((net, plen))}")
+                    for net, plen, _ in side.routes]
+            if side.gw is not None:
+                hops.append((0, 0, f"{port}_gw"))
+            for net, plen, what in hops:
+                prefix = (net & prefix_mask(plen), plen)
+                if prefix in first:
+                    raise ValidationError(fw.name, (
+                        f"{what} never takes effect: {first[prefix]} already "
+                        "routes it"))
+                first[prefix] = f"an earlier {port}_routes entry"
     for bal in cfg.balancers.values():
-        if len(bal.paths) != 2:
-            raise ValidationError(bal.name, "balancer needs exactly two paths")
+        if len(bal.paths) != 2 or bal.paths[0] == bal.paths[1]:
+            raise ValidationError(bal.name,
+                                  "balancer needs exactly two distinct paths")
         for path in bal.override.values():
             if path not in bal.paths:
                 raise ValidationError(bal.name,

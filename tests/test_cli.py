@@ -281,6 +281,37 @@ def test_route_that_never_takes_effect_rejected(tmp_path, capsys, route,
     assert f"error: r1: {error}\n" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("old, new, error", [
+    ("zones=on", "zones=on inside_routes=10.0.0.0/24:10.0.0.2",
+     "fw: inside_routes 10.0.0.0/24 never takes effect: the inside subnet "
+     "already routes it"),
+    ("zones=on", "zones=on inside_routes=10.8.0.0/16:10.0.0.2,"
+     "10.8.0.0/16:10.0.0.3",
+     "fw: inside_routes 10.8.0.0/16 never takes effect: an earlier "
+     "inside_routes entry already routes it"),
+    ("zones=on", "zones=on outside_gw=198.18.0.2 "
+     "outside_routes=0.0.0.0/0:198.18.0.3",
+     "fw: outside_gw never takes effect: an earlier outside_routes entry "
+     "already routes it"),
+    ("external=198.18.0.61", "external=198.18.0.61\n"
+     "node=fw network=0.0.0.0/0 external=198.18.0.62",
+     "fw: masquerade 0.0.0.0/0 never takes effect: an earlier line already "
+     "scopes it"),
+], ids=["side-subnet", "earlier-route", "gw-beside-default", "masquerade"])
+def test_firewall_line_that_never_takes_effect_rejected(tmp_path, capsys,
+                                                        old, new, error):
+    """A side's next hops and the NAT scopes each keep the first entry for
+    a prefix, so a route to the side's own subnet or to a prefix an earlier
+    route gives, a gateway beside a default route, and a second scope for
+    one network would never be used."""
+    path = tmp_path / "rig.nf"
+    text = FIREWALL_RIG.format(duration=3, total=1_000_000)
+    assert old in text
+    path.write_text(text.replace(old, new))
+    assert main(["run", str(path)]) == 2
+    assert f"error: {error}\n" in capsys.readouterr().err
+
+
 def test_second_acl_for_a_zone_pair_rejected(tmp_path, capsys):
     """Zone policy keeps one verdict per zone pair, so of two `[acl]` lines
     for a pair only the last would take effect."""
@@ -427,6 +458,40 @@ def test_ring_of_two_balancers_rejected(tmp_path, capsys):
     assert main(["run", str(path)]) == 2
     assert ("error: vlan 99 forms a loop: lbi - fw1 - lbo - wsw\n"
             in capsys.readouterr().err)
+
+
+LBI = ("name=lbi ip=192.0.2.2 peer_ip=192.0.2.3 paths=fw1,fw2 "
+       "override=192.0.2.61:fw1,192.0.2.62:fw2")
+
+
+@pytest.mark.parametrize("line, link, error", [
+    # no link names the second path, so the file would run with one path
+    ("name=lbi ip=192.0.2.2 peer_ip=192.0.2.3 paths=fw1,fw1 "
+     "override=192.0.2.61:fw1", "a=lbi:fw2 b=fw2:inside bw=1000000000\n",
+     "lbi: balancer needs exactly two distinct paths"),
+    # the second entry would silently replace the first
+    (LBI.replace("192.0.2.62:fw2", "192.0.2.61:fw2"), "",
+     "override: duplicate override address '192.0.2.61'"),
+], ids=["paths", "override"])
+def test_balancer_line_naming_one_thing_twice_rejected(tmp_path, capsys,
+                                                       line, link, error):
+    path = tmp_path / "redundant.nf"
+    text = serialize_scenario(build_spring8_redundant())
+    assert LBI in text and link in text
+    path.write_text(text.replace(LBI, line).replace(link, ""))
+    assert main(["run", str(path)]) == 2
+    assert error in capsys.readouterr().err
+
+
+def test_numbered_and_named_ports_on_one_switch_run(tmp_path, capsys):
+    """A switch whose ports are `1` and `up` floods the first ARP request
+    in port order, and the ping across it completes."""
+    path = tmp_path / "mixed.nf"
+    path.write_text(MINI.replace("p1:access:10,p2:access:10",
+                                 "1:access:10,up:access:10")
+                    .replace("sw1:p1", "sw1:1").replace("sw1:p2", "sw1:up"))
+    assert main(["run", str(path)]) == 0
+    assert "\np\t192\t192\t112\t1.000056\n" in capsys.readouterr().out
 
 
 def test_nat_bijection_remote_inside_scope(tmp_path, capsys):

@@ -112,6 +112,16 @@ class TestIngress:
         with pytest.raises(UnknownPort):
             sw.ingress(99, bcast_frame(1), now=0)
 
+    def test_numbered_and_named_ports_flood_in_text_order(self):
+        """A `[switch]` line may name some ports by number and others by
+        name; the switch orders them all by their text."""
+        sw = build_switch([("up", "access", 10), (2, "access", 10),
+                           (1, "access", 10)])
+        assert [p for p, _ in sw.ingress(1, bcast_frame(1), now=0)] == [
+            2, "up"]
+        assert [p for p, _ in sw.ingress("up", bcast_frame(2), now=1)] == [
+            1, 2]
+
     def test_move_port_without_recabling(self):
         sw = build_switch([(1, "access", 10), (2, "access", 10),
                            (3, "access", 20)])
@@ -353,8 +363,9 @@ class TestFdbRefresh:
 
 
 class TestFlowCache:
-    """A known flow forwards from its cached row exactly as the tables
-    would, however the stations, the FDB and the ports change under it."""
+    """A known flow forwards from its cached row exactly as the port
+    records would, however the stations, the FDB and the ports change
+    under it."""
 
     def ports_of(self, out):
         return [p for p, _ in out]
@@ -423,6 +434,21 @@ class TestFlowCache:
                 assert len(sw._flows) <= FLOW_CACHE_ENTRIES
         assert len(sw._flows) == side * side - FLOW_CACHE_ENTRIES
 
+    def test_lag_memo_stays_within_its_bound(self):
+        """More flows than FLOW_CACHE_ENTRIES leave one LAG group: the memo
+        of LAG choices starts over when full, and every choice is still the
+        one `lag_select` makes."""
+        sw = build_switch([(1, "access", 10), (2, "trunk", {10}, "g"),
+                           (3, "trunk", {10}, "g"), (4, "trunk", {10}, "g")])
+        sw.ingress(2, push_tag(bcast_frame(2), 10), now=0)
+        flows = 20_000
+        assert flows > FLOW_CACHE_ENTRIES
+        for i in range(flows):
+            pkt = Packet(0x0a000001, 0x0a000002, "udp", 1 + i, 5001)
+            out = sw.ingress(1, make_frame(mac(1), mac(2), pkt), now=1)
+            assert self.ports_of(out) == [lag_select([2, 3, 4], pkt.key)]
+            assert len(sw._lag_memo) <= FLOW_CACHE_ENTRIES
+
     def test_station_between_members_of_its_group_has_not_moved(self):
         """A station whose frames arrive on either member of one LAG group
         keeps its entry up to date, frame by frame, and other flows keep
@@ -448,8 +474,8 @@ class TestFlowCache:
 
     def test_no_row_leads_back_into_the_ingress_group(self):
         """Station 2 is learned on member 2 of group g and station 1 sends
-        to it from member 1: the tables send that back into the group, and
-        filter it once station 2 shows up on member 1. No row may keep the
+        to it from member 1: a miss sends that back into the group, and
+        filters it once station 2 shows up on member 1. No row may keep the
         first decision past the second."""
         sw = build_switch([(1, "trunk", {10}, "g"), (2, "trunk", {10}, "g"),
                            (3, "access", 10)])

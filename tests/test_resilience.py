@@ -29,6 +29,8 @@ class TestHealth:
     def test_two_paths_required(self):
         with pytest.raises(ValueError):
             LoadBalancer(["only"])
+        with pytest.raises(ValueError):
+            LoadBalancer(["fw1", "fw1"])
 
     def test_starts_up(self):
         assert make_lb().up == ["fw1", "fw2"]

@@ -11,9 +11,10 @@ so a speed claim is checked to keep the model, and checks that the ops-audit
 workload's setup leaves no cyclic garbage; lints the package and its
 tests for imports no module uses, and the package for definitions nothing
 in it reads; holds the frame hop on spring8-redundant and on the firewall
-rig to a budget of Python calls per event, and loading a scenario file to
-one per declaration line; and keeps the README's
-table of scenario keys to the format's own.
+rig to a budget of Python calls per event, a switch's flood to calls that
+do not grow with its width, and loading a scenario file to one per
+declaration line; and keeps the README's table of scenario keys to the
+format's own.
 """
 import ast
 import gc
@@ -26,6 +27,8 @@ from pathlib import Path
 import pytest
 
 from test_acceptance import FIREWALL_RIG
+from netfab.l2 import PortConfig, Switch
+from netfab.packet import BROADCAST, make_frame
 from netfab.scenario import (FORMAT, build_engine, load_scenario,
                              parse_scenario, serialize_scenario,
                              validate_scenario)
@@ -223,6 +226,36 @@ def test_firewall_rig_calls_per_event_within_budget():
     eng = build_engine(cfg)
     assert _calls_per_event(eng, cfg.duration_us) <= (
         RIG_CALLS_PER_EVENT_CEILING)
+
+
+def _flood_calls(width: int) -> int:
+    """Python calls to flood one frame from a fresh ingress port of a
+    switch with `width` access ports on one VLAN."""
+    sw = Switch("sw")
+    for p in range(width):
+        sw.configure_port(f"p{p:03d}", PortConfig("access", vid=10))
+    sw.ingress("p000", make_frame(bytes(6), BROADCAST, 46), now=0)
+    frame = make_frame(bytes(5) + b"\x01", BROADCAST, 46)
+    calls = 0
+
+    def count(_frame, event, _arg):
+        nonlocal calls
+        if event == "call":
+            calls += 1
+
+    sys.setprofile(count)
+    try:
+        out = sw.ingress("p001", frame, now=1)
+    finally:
+        sys.setprofile(None)
+    assert len(out) == width - 1
+    return calls
+
+
+def test_python_calls_per_flood_do_not_grow_with_switch_width():
+    """A flood reads each port's record in one pass and makes no call per
+    port, so a 256-port switch floods with the calls a 16-port one does."""
+    assert _flood_calls(256) == _flood_calls(16)
 
 
 LOAD_CALLS_PER_LINE_CEILING = 21.35  # 21.13 when set
