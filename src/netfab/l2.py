@@ -63,7 +63,7 @@ class PortConfig:
 @dataclass(slots=True)
 class FdbEntry:
     """A learned station; its (vid, mac) key holds the rest."""
-    port: int
+    port: object  # a bridge port: a port id, or (LAG group,), its aggregator
     last_seen: int
 
 
@@ -89,20 +89,17 @@ def lag_select(members: list, key: FlowKey, salt: bytes = b"") -> int:
 class Switch:
     """One VLAN-aware learning bridge; owned by a single engine.
 
-    A known unicast flow forwards from one exact-match row, as Open
-    vSwitch's microflow cache does: (ingress port, tag, src, dst) -> (the
-    source's FdbEntry, VID, egresses). A row is added when the source is
-    learned on its ingress port and the destination is known on another;
-    the table is emptied by a station move, an FDB deletion, a port change
-    and at FLOW_CACHE_ENTRIES rows, so a row always decides as the port
-    records would. A miss reads the records: `ports`, `down` and each
-    PortConfig. A station seen on another member of its entry's LAG group
-    has not moved (IEEE 802.1AX learns on the aggregator): either member
-    gives the same egress, so the entry follows it, on a hit too, and no
-    row is dropped. No row leads back into the ingress port's own group,
-    where a miss decides by member. LAG choices are memoised per (live
-    members, flow), which no port change or FDB sweep makes stale, and the
-    memo is emptied at FLOW_CACHE_ENTRIES entries.
+    A LAG group is one bridge port, `(group,)`, its aggregator (IEEE
+    802.1AX), for learning, filtering and flooding. A known unicast flow
+    forwards from one exact-match row, as Open vSwitch's microflow cache
+    does: (ingress port, tag, src, dst) -> (the source's FdbEntry, VID,
+    egresses). A row is added when the source is learned and the destination
+    is known behind another bridge port; the table is emptied by a station
+    move, an FDB deletion, a port change and at FLOW_CACHE_ENTRIES rows, so
+    a row always decides as the port records would. A miss reads the
+    records: `ports`, `down` and each PortConfig. LAG choices are memoised
+    per (live members, flow), which no port change or FDB sweep makes stale,
+    and the memo too is emptied at FLOW_CACHE_ENTRIES entries.
     """
 
     def __init__(self, name: str, hash_salt: bytes = b""):
@@ -127,9 +124,10 @@ class Switch:
         else:
             self.trunks.discard(port_id)
         self._flows.clear()
-        # purge learned entries for VLANs this port no longer carries
-        stale = [k for k, e in self.fdb.items()
-                 if e.port == port_id and k[0] not in cfg.vids]
+        # an entry naming the port goes when the port drops its VLAN or joins
+        # a group; `_egress_of` picks an aggregator's members by VID
+        stale = [k for k, e in self.fdb.items() if e.port == port_id
+                 and (k[0] not in cfg.vids or cfg.lag_group is not None)]
         for k in stale:
             del self.fdb[k]
         return cfg
@@ -160,7 +158,7 @@ class Switch:
         row = flows.get((port_id, tag, src, dst))
         if row is not None:  # a known flow: its source is learned here
             known, vid, egresses = row
-            known.port, known.last_seen = port_id, now
+            known.last_seen = now
         else:
             port = self.ports.get(port_id)
             if port is None:
@@ -179,29 +177,26 @@ class Switch:
             # never learned, so a frame to a group address misses and floods
             fdb = self.fdb
             lag = port.lag_group
+            bridge = port_id if lag is None else (lag,)
             known = None
             if not src[0] & 1:
                 known = fdb.get((vid, src))
                 if known is None:
-                    known = fdb[(vid, src)] = FdbEntry(port_id, now)
+                    known = fdb[(vid, src)] = FdbEntry(bridge, now)
                 else:
-                    if known.port != port_id and (
-                            lag is None
-                            or self.ports[known.port].lag_group != lag):
+                    if known.port != bridge:
                         flows.clear()  # a station move
-                    known.port, known.last_seen = port_id, now
+                    known.port, known.last_seen = bridge, now
 
             # forwarding decision
             entry = fdb.get((vid, dst))
             if entry is None:
                 egresses = self._flood_targets(port_id, vid)
-            elif entry.port == port_id:
-                return []  # destination behind the ingress port: filter
+            elif entry.port == bridge:
+                return []  # destination behind the ingress bridge port
             else:
                 egresses = self._egress_of(entry.port, vid)
-                if known is not None and (
-                        lag is None
-                        or self.ports[entry.port].lag_group != lag):
+                if known is not None:
                     if len(flows) >= FLOW_CACHE_ENTRIES:
                         flows.clear()
                     flows[(port_id, tag, src, dst)] = (known, vid, egresses)
@@ -227,23 +222,22 @@ class Switch:
                 out.append((t, untagged))
         return out
 
-    def _egress_of(self, port_id, vid: int) -> tuple:
-        """How a frame leaves for port_id, which carries vid: ((port,
-        None),), ((None, live members of its LAG group),), or () when it
-        cannot."""
+    def _egress_of(self, bridge, vid: int) -> tuple:
+        """How a frame leaves for a bridge port that carries vid: ((port,
+        None),), ((None, live members of the group that carry vid),) for an
+        aggregator `(group,)`, or () when it cannot."""
         ports, down = self.ports, self.down
-        group = ports[port_id].lag_group
-        if group is None:
-            return () if port_id in down else ((port_id, None),)
+        if not isinstance(bridge, tuple):
+            return () if bridge in down else ((bridge, None),)
         live = tuple([p for p in sorted(ports, key=str)
-                      if ports[p].lag_group == group and p not in down
+                      if ports[p].lag_group in bridge and p not in down
                       and (ports[p].vid == vid or vid in ports[p].allowed)])
         return ((None, live),) if live else ()
 
     def _flood_targets(self, ingress_port, vid: int) -> list:
         """Every other port that is up and carries vid, in port order, as
         `_egress_of` gives it: a LAG group once, at its first live member,
-        never the ingress port's group."""
+        never the ingress bridge port."""
         ports, down = self.ports, self.down
         skip = ports[ingress_port].lag_group
         out = []

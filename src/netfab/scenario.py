@@ -27,7 +27,7 @@ from .firewall import DEFAULT_CAP_BPS, DEFAULT_NAT_CAPACITY, Firewall
 from .l2 import PortConfig, Switch
 from .l3 import (DEFAULT_ZONE_POLICY, VERDICTS, ZONES, L3Error, Route,
                  VlanInterface, ZoneRouter)
-from .packet import (check_vid, in_network, ip_addr, ip_network, ip_str,
+from .packet import (VIDS, in_network, ip_addr, ip_network, ip_str,
                      prefix_mask)
 from .resilience import LoadBalancer
 
@@ -196,10 +196,14 @@ class Codec(NamedTuple):
     write: Callable[[Any], str] = str
 
 
-def _int_in(lo: int, hi: Optional[int] = None) -> Codec:
+def _int_in(lo: Optional[int] = None, hi: Optional[int] = None) -> Codec:
+    """The one integer reader: int()'s inputs, in [lo, hi] where given."""
     def read(text: str) -> int:
-        value = int(text)
-        if value < lo or (hi is not None and value > hi):
+        try:
+            value = int(text)
+        except ValueError:
+            raise ValueError(f"expected an integer, got {text!r}") from None
+        if (lo is not None and value < lo) or (hi is not None and value > hi):
             bound = f"in [{lo}, {hi}]" if hi is not None else f">= {lo}"
             raise ValueError(f"must be {bound}, got {value}")
         return value
@@ -272,9 +276,9 @@ def _read_ports(text: str) -> dict:
         lag = parts[3] if len(parts) == 4 else None
         if mode == "trunk":
             spec = PortConfig(mode, allowed=frozenset(
-                map(int, vids.split("|"))), lag_group=lag)
+                map(INT.read, vids.split("|"))), lag_group=lag)
         else:
-            spec = PortConfig(mode, vid=int(vids), lag_group=lag)
+            spec = PortConfig(mode, vid=INT.read(vids), lag_group=lag)
         if pid in ports:
             raise ValueError(f"duplicate port {pid!r}")
         ports[pid] = spec
@@ -331,13 +335,13 @@ def _read_override(text: str) -> dict:
 
 
 TEXT = Codec(str)
-INT = Codec(int)
+INT = _int_in()
 COUNT = _int_in(0)
 POSITIVE = _int_in(1)
 L4_PORT = _int_in(0, 65535)
 SEED = _int_in(-2**63, 2**63 - 1)  # the engine salts its hashes with 8 bytes
 PREFIX_LEN = _int_in(0, 32)
-VID = Codec(lambda text: check_vid(int(text)))
+VID = _int_in(min(VIDS), max(VIDS))
 ZONE = _one_of(ZONES)
 SIDE_MODE = _one_of(("routed", "inline"))
 ON_OFF = Codec(lambda text: _one_of(("on", "off")).read(text) == "on",
@@ -686,8 +690,8 @@ def _framing(cfg: ScenarioConfig, node: str, port) -> Optional[tuple]:
 def arrival_graph(cfg: ScenarioConfig, ends: dict, sources=()) -> dict:
     """Where a flooded frame goes, as the engine forwards one: each arrival,
     (node, port, VID) with VID None off a switch, -> the arrivals it causes.
-    A switch floods an arrival on VID v out of every other cabled port that
-    carries v, never into the ingress port's LAG group; an inline firewall
+    A switch floods an arrival on VID v out of every cabled port that
+    carries v on another bridge port (a LAG group is one); an inline firewall
     side passes it out of the other side; a balancer passes it from `front`
     out of each path and from a path out of `front`; a host, an L3 switch
     and a routed side end it. The far end takes the frame on the VID of its
@@ -708,7 +712,7 @@ def arrival_graph(cfg: ScenarioConfig, ends: dict, sources=()) -> dict:
         onward.update(((name, path), ("front",)) for path in bal.paths)
     exits = {(name, out) for (name, _), outs in onward.items() for out in outs}
     graph: dict = {}
-    floods: dict = {}  # (switch, VID) -> [(port, LAG group, arrival)]
+    floods: dict = {}  # (switch, VID) -> [(bridge port, arrival)]
     leaves: dict = {}  # a non-switch port -> the arrivals of what leaves it
     listed = []  # the arrivals to list
     hosts = () if sources else cfg.hosts  # a host never passes frames on
@@ -717,9 +721,10 @@ def arrival_graph(cfg: ScenarioConfig, ends: dict, sources=()) -> dict:
             continue
         if node in switches:
             spec = switches[node].ports[port]
-            vids, group = spec.allowed or (spec.vid,), spec.lag_group
+            vids = spec.allowed or (spec.vid,)
+            bridge = port if spec.lag_group is None else (spec.lag_group,)
         elif node in sources or (node, port) in exits:
-            vids, group = _framing(cfg, node, port)[1], None
+            vids = _framing(cfg, node, port)[1]
         else:
             continue
         if peer in switches:
@@ -740,8 +745,7 @@ def arrival_graph(cfg: ScenarioConfig, ends: dict, sources=()) -> dict:
             if passes:
                 listed.append(arrival)
             if node in switches:
-                floods.setdefault((node, vid), []).append(
-                    (port, group, arrival))
+                floods.setdefault((node, vid), []).append((bridge, arrival))
                 continue
             leaves.setdefault((node, port), []).append(arrival)
             if node in sources:
@@ -754,8 +758,9 @@ def arrival_graph(cfg: ScenarioConfig, ends: dict, sources=()) -> dict:
                 out += leaves.get((node, leave), ())
             continue
         group = switches[node].ports[port].lag_group
-        for other, other_group, nxt in floods.get((node, vid), ()):
-            if other != port and (other_group is None or other_group != group):
+        bridge = port if group is None else (group,)
+        for other, nxt in floods.get((node, vid), ()):
+            if other != bridge:
                 out.append(nxt)
     return graph
 

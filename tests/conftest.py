@@ -331,8 +331,11 @@ class ReferenceSwitch:
     """`netfab.l2.Switch` as it was before its forwarding tables: every frame
     scans the ports. The reference the table-driven switch is compared
     against; kept verbatim apart from this name, this docstring, its port
-    record, `ReferencePort`, and the shapes of a MAC address and an FDB
-    entry."""
+    record, `ReferencePort`, the shapes of a MAC address and an FDB entry,
+    and the bridge-port rule: a LAG group is one bridge port, `(group,)`,
+    its aggregator (IEEE 802.1AX), so a station is learned on it, a frame
+    to a station behind the ingress bridge port is filtered, and an entry
+    that names a port is purged when the port joins a group."""
 
     def __init__(self, name: str, fdb_aging_us: int = DEFAULT_FDB_AGING_US,
                  hash_salt: bytes = b""):
@@ -359,9 +362,10 @@ class ReferenceSwitch:
                             allowed=frozenset(allowed), lag_group=lag_group)
         self.ports[port_id] = cfg
         self._counters(port_id)
-        # purge learned entries for VLANs this port no longer carries
-        stale = [k for k, e in self.fdb.items()
-                 if e.port == port_id and not cfg.member_of(k[0])]
+        # purge learned entries for VLANs this port no longer carries, and
+        # every entry naming it once it joins a group
+        stale = [k for k, e in self.fdb.items() if e.port == port_id
+                 and (not cfg.member_of(k[0]) or lag_group is not None)]
         for k in stale:
             del self.fdb[k]
         return cfg
@@ -402,19 +406,20 @@ class ReferenceSwitch:
             return []
 
         # learning
+        bridge = port_id if port.lag_group is None else (port.lag_group,)
         if not frame.src[0] & 1:
-            self.fdb[(vid, frame.src)] = FdbEntry(port_id, now)
+            self.fdb[(vid, frame.src)] = FdbEntry(bridge, now)
 
         # forwarding decision
         targets: list[int] = []
         entry = self.fdb.get((vid, frame.dst)) if classify_dst(inner) == "unicast" else None
         if entry is not None:
-            if entry.port != port_id:
-                tcfg = self.ports.get(entry.port)
-                if tcfg is not None and tcfg.member_of(vid):
+            if entry.port != bridge:
+                if (isinstance(entry.port, tuple)
+                        or self.ports[entry.port].member_of(vid)):
                     targets = [self._lag_resolve(entry.port, vid, inner)]
                     targets = [t for t in targets if t is not None]
-            # destination behind the ingress port: filter silently
+            # destination behind the ingress bridge port: filter silently
         else:
             targets = self._flood_targets(port_id, vid, inner)
 
@@ -431,13 +436,12 @@ class ReferenceSwitch:
             out.append((t, emitted))
         return out
 
-    def _lag_resolve(self, port_id: int, vid: int, inner: Frame) -> Optional[int]:
-        """Map a chosen port to a live member of its LAG group (itself if ungrouped)."""
-        cfg = self.ports[port_id]
-        if cfg.lag_group is None:
-            return port_id if cfg.up else None
+    def _lag_resolve(self, bridge, vid: int, inner: Frame) -> Optional[int]:
+        """Map a bridge port to a live port: itself, or a group member."""
+        if not isinstance(bridge, tuple):
+            return bridge if self.ports[bridge].up else None
         live = [p for p, c in sorted(self.ports.items())
-                if c.lag_group == cfg.lag_group and c.up and c.member_of(vid)]
+                if (c.lag_group,) == bridge and c.up and c.member_of(vid)]
         if not live:
             return None
         return lag_select(live, frame_flow_key(inner), self.hash_salt)
@@ -453,7 +457,7 @@ class ReferenceSwitch:
                 if cfg.lag_group == ingress_group or cfg.lag_group in seen_groups:
                     continue
                 seen_groups.add(cfg.lag_group)
-                choice = self._lag_resolve(p, vid, inner)
+                choice = self._lag_resolve((cfg.lag_group,), vid, inner)
                 if choice is not None:
                     targets.append(choice)
             else:

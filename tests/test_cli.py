@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import TraceLines
 from netfab.cli import main
+from netfab.l2 import Switch
 from netfab.scenario import (BUNDLED, MAX_OFFERED_PACKETS, build_engine,
                              build_spring8_redundant, build_spring8_upgraded,
                              load_scenario, parse_scenario, serialize_scenario,
@@ -532,6 +533,27 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("old, new, error", [
+    ("bw=100000000\na=h2", "bw=x\na=h2", "line 16: bw: expected an integer, "
+                                         "got 'x'"),
+    ("p2:access:10", "p2:access:1O", "line 9: ports: expected an integer, "
+                                     "got '1O'"),
+    ("p2:access:10", "p2:trunk:10|x", "line 9: ports: expected an integer, "
+                                      "got 'x'"),
+    ("vid=10", "vid=ten", "line 6: vid: expected an integer, got 'ten'"),
+    ("count=2", "count=2.0", "line 20: count: expected an integer, "
+                             "got '2.0'"),
+], ids=["bw", "access-vid", "trunk-vid", "vid", "count"])
+def test_integer_parse_error_names_the_expected_form(tmp_path, capsys, old,
+                                                     new, error):
+    """Every integer in a scenario file is read by one reader, whose error
+    names the form it expects rather than passing int()'s message on."""
+    bad = tmp_path / "bad.nf"
+    bad.write_text(MINI.replace(old, new, 1))
+    assert main(["run", str(bad)]) == 2
+    assert capsys.readouterr().err == f"error: {error}\n"
+
+
 def test_inject_emits_derived_scenario(tmp_path, capsys):
     mini = write_mini(tmp_path)
     assert main(["inject", mini, "--at", "1", "--action", "fail_node",
@@ -732,6 +754,64 @@ def test_lag_that_joins_other_than_two_switches_rejected(tmp_path, capsys,
     path.write_text(text)
     assert main(["run", str(path)]) == 2
     assert f"error: {error}\n" in capsys.readouterr().err
+
+
+LAG_PAIR = """
+[engine]
+seed=1 duration=1
+
+[vlan]
+vid=10 name=lab
+
+[switch]
+name=s1 ports=h:access:10,u1:trunk:10:g,u2:trunk:10:g
+name=s2 ports=h:access:10,u1:trunk:10:g,u2:trunk:10:g
+
+[host]
+name=a ip=10.0.10.1/24 vlan=10
+name=b ip=10.0.10.2/24 vlan=10
+
+[link]
+a=a:0 b=s1:h bw=100000000
+a=b:0 b=s2:h bw=100000000
+a=s1:u1 b=s2:u1 bw=1000000000
+a=s1:u2 b=s2:u2 bw=1000000000
+
+[traffic]
+kind=cbr src=a dst=b flow=ab rate=1000000 sport=1000 dport=5001 stop=0.5
+kind=cbr src=b dst=a flow=ba rate=1000000 sport=2000 dport=5001 stop=0.5
+"""
+
+
+def test_lag_between_two_switches_carries_both_directions(tmp_path, capsys,
+                                                           monkeypatch):
+    """Two switches joined by a two-member LAG, a station behind each, and
+    a cbr flow each way whose key hashes onto the other member: every flow
+    delivers all it offered and no frame drops."""
+    flows = {1000: "ab", 2000: "ba"}  # source port -> flow
+    used = {}  # (switch, flow) -> the members its data frames left by
+    ingress = Switch.ingress
+
+    def watch(self, port, frame, now):
+        out = ingress(self, port, frame, now)
+        for egress, sent in out or ():
+            flow = flows.get(getattr(sent.payload, "src_port", None))
+            if flow is not None and egress in ("u1", "u2"):
+                used.setdefault((self.name, flow), set()).add(egress)
+        return out
+
+    monkeypatch.setattr(Switch, "ingress", watch)
+    path = tmp_path / "lag.nf"
+    path.write_text(LAG_PAIR)
+    assert main(["run", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "drops_total=0\n" in out
+    rows = [line.split("\t") for line in out.splitlines()
+            if line.startswith(("ab\t", "ba\t"))]
+    assert len(rows) == 2
+    assert all(int(offered) == int(delivered) > 0
+               for _, offered, delivered, *_ in rows)
+    assert used == {("s1", "ab"): {"u1"}, ("s2", "ba"): {"u2"}}
 
 
 TWO_SWITCHES = """

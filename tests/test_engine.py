@@ -14,7 +14,7 @@ from netfab.engine import (ARP_PENDING_MAX, BULK_LOSS_WINDOW, BULK_WINDOW,
                            FlowStats, HostNode, L3Node, Node, SwitchNode,
                            TrafficSpec, UnknownTarget)
 from netfab.firewall import Firewall
-from netfab.l2 import PortConfig
+from netfab.l2 import PortConfig, Switch
 from netfab.l3 import VlanInterface, ZoneRouter
 from netfab.packet import (BROADCAST, Arp, FlowKey, Packet, ip_addr,
                            make_frame, node_mac, push_tag)
@@ -453,6 +453,33 @@ class TestFaults:
         assert eng.nodes["h1"].ping_seen["p"] == 3
         assert flows["b"].completed_at is not None
         assert flows["b"].delivered_payload == 100_000
+
+    def test_no_frame_leaves_by_its_ingress_bridge_port(self, monkeypatch):
+        """spring8-redundant with fw1 failed at 1 s: over the whole run, no
+        switch sends a frame out of the bridge port it came in on, where a
+        LAG group is one bridge port (IEEE 802.1D, 802.1AX)."""
+        from_lags, hairpins = 0, []
+        ingress = Switch.ingress
+
+        def watch(self, port, frame, now):
+            nonlocal from_lags
+            out = ingress(self, port, frame, now)
+            ports = self.ports
+            lag = ports[port].lag_group
+            for egress, _ in out or ():
+                group = ports[egress].lag_group
+                from_lags += lag is not None
+                if (egress if group is None else (group,)) == (
+                        port if lag is None else (lag,)):
+                    hairpins.append((self.name, port, egress, now))
+            return out
+
+        monkeypatch.setattr(Switch, "ingress", watch)
+        cfg = load_scenario("spring8-redundant")
+        cfg.faults.append(FaultDecl(1_000_000, "fail_node", "fw1"))
+        build_engine(cfg).run_until(cfg.duration_us)
+        assert from_lags > 0  # frames that arrived on a LAG member went on
+        assert hairpins == []
 
     @pytest.mark.parametrize("member", ["agg1:up1-bb:a1x",
                                         "agg1:up2-bb:a1y"])

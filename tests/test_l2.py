@@ -452,8 +452,8 @@ class TestFlowCache:
     def test_station_between_members_of_its_group_has_not_moved(self):
         """A station whose frames arrive on either member of one LAG group
         keeps its entry up to date, frame by frame, and other flows keep
-        their rows: it has not moved (IEEE 802.1AX learns on the
-        aggregator), and either member gives the same egress."""
+        their rows: it has not moved, because its entry names the group's
+        aggregator (IEEE 802.1AX), and either member gives the same egress."""
         sw = build_switch([(1, "trunk", {10}, "g"), (2, "trunk", {10}, "g"),
                            (3, "access", 10), (4, "access", 10)])
         sw.ingress(4, bcast_frame(4), now=0)
@@ -465,7 +465,7 @@ class TestFlowCache:
             tagged = push_tag(uni_frame(1, 3), 10)
             assert self.ports_of(sw.ingress(member, tagged, now=t)) == [3]
             assert (sw.fdb[(10, mac(1))].port,
-                    sw.fdb[(10, mac(1))].last_seen) == (member, t)
+                    sw.fdb[(10, mac(1))].last_seen) == (("g",), t)
             assert row in sw._flows
             out = self.ports_of(sw.ingress(3, uni_frame(3, 1), now=t))
             assert to_group in (None, out) and out[0] in (1, 2)
@@ -474,14 +474,25 @@ class TestFlowCache:
 
     def test_no_row_leads_back_into_the_ingress_group(self):
         """Station 2 is learned on member 2 of group g and station 1 sends
-        to it from member 1: a miss sends that back into the group, and
-        filters it once station 2 shows up on member 1. No row may keep the
-        first decision past the second."""
+        to it from member 1: the group is one bridge port, so the frame is
+        filtered from the first frame on, and station 2 showing up on
+        member 1 changes nothing."""
         sw = build_switch([(1, "trunk", {10}, "g"), (2, "trunk", {10}, "g"),
                            (3, "access", 10)])
         sw.ingress(2, push_tag(bcast_frame(2), 10), now=0)
         for t in (1, 2):
-            out = sw.ingress(1, push_tag(uni_frame(1, 2), 10), now=t)
-            assert self.ports_of(out)[0] in (1, 2)
+            assert sw.ingress(1, push_tag(uni_frame(1, 2), 10), now=t) == []
         sw.ingress(1, push_tag(bcast_frame(2), 10), now=3)
         assert sw.ingress(1, push_tag(uni_frame(1, 2), 10), now=4) == []
+        assert sw._flows == {}
+
+    def test_known_unicast_never_hairpins_into_its_lag(self):
+        """IEEE 802.1D never forwards a frame to its reception port, and
+        under IEEE 802.1AX a LAG's aggregator is that port: a frame from
+        member 1 to a station learned on member 2 of the same group is
+        filtered, not sent out member 2."""
+        sw = build_switch([(1, "trunk", {10}, "g"), (2, "trunk", {10}, "g"),
+                           (3, "access", 10)])
+        sw.ingress(2, push_tag(bcast_frame(2), 10), now=0)
+        assert sw.ingress(1, push_tag(uni_frame(1, 2), 10), now=1) == []
+        assert sw.fdb[(10, mac(2))].port == ("g",)
