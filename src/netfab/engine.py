@@ -5,6 +5,7 @@ import functools
 from collections import Counter
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
+from math import gcd
 from typing import Mapping, Optional
 
 from .firewall import (Firewall, NoScope, PoolExhausted, SHAPE_INTERVAL_US,
@@ -71,11 +72,15 @@ def link_id_of(a: tuple, b: tuple) -> str:
 class Direction:
     """One direction of a link: a FIFO toward the far end (`node`, `port`)
     with the link's settings, so a frame hop reads this record alone.
+    A frame of `size` bytes serializes in size * `ser_num` // `ser_den` µs,
+    where `ser_num`/`ser_den` is 8_000_000/bandwidth reduced by their gcd:
+    the same floor with smaller operands (size // 125 at 1 Gbps).
     `busy_until` is when the last frame sent finishes serializing and
     `pending` counts the frames in flight. A link points to its directions
     and none points back; `node` holds no reference to the engine."""
     link_id: str
-    bandwidth_bps: int
+    ser_num: int
+    ser_den: int
     prop_us: int
     queue_cap: int
     node: "Node"
@@ -289,10 +294,12 @@ class Engine:
                  queue_cap: int = DEFAULT_LINK_QUEUE) -> Link:
         a, b = (a_node, a_port), (b_node, b_port)
         link_id = link_id_of(a, b)
-        self._ends[a] = to_b = Direction(link_id, bandwidth_bps, prop_us,
-                                         queue_cap, self.nodes[b_node], b_port)
-        self._ends[b] = to_a = Direction(link_id, bandwidth_bps, prop_us,
-                                         queue_cap, self.nodes[a_node], a_port)
+        g = gcd(8_000_000, bandwidth_bps)
+        num, den = 8_000_000 // g, bandwidth_bps // g
+        self._ends[a] = to_b = Direction(link_id, num, den, prop_us, queue_cap,
+                                         self.nodes[b_node], b_port)
+        self._ends[b] = to_a = Direction(link_id, num, den, prop_us, queue_cap,
+                                         self.nodes[a_node], a_port)
         link = self.links[link_id] = Link(link_id, a, b, (to_b, to_a))
         self.link_at[a] = self.link_at[b] = link
         return link
@@ -324,8 +331,11 @@ class Engine:
         if t_end_us < self.now:
             raise ValueError("cannot run backwards")
         heap, pop, metrics = self._heap, heappop, self.metrics
-        while heap and heap[0][0] <= t_end_us:
-            at, _seq, kind, target, payload = pop(heap)
+        while heap:
+            at, seq, kind, target, payload = pop(heap)
+            if at > t_end_us:  # the first event past the horizon goes back
+                heappush(heap, (at, seq, kind, target, payload))
+                break
             self.now = at
             if kind == "deliver":
                 # frame `payload` reaches the far end of direction `target`
@@ -380,7 +390,7 @@ class Engine:
             return
         now, busy = self.now, direction.busy_until
         direction.busy_until = done = (now if now > busy else busy) + (
-            frame.size_bytes * 8_000_000 // direction.bandwidth_bps)
+            frame.size_bytes * direction.ser_num // direction.ser_den)
         direction.pending += 1
         self.metrics.frames_created += 1
         self._seq = seq = self._seq + 1

@@ -92,14 +92,19 @@ class Switch:
     A LAG group is one bridge port, `(group,)`, its aggregator (IEEE
     802.1AX), for learning, filtering and flooding. A known unicast flow
     forwards from one exact-match row, as Open vSwitch's microflow cache
-    does: (ingress port, tag, src, dst) -> (the source's FdbEntry, VID,
-    egresses). A row is added when the source is learned and the destination
-    is known behind another bridge port; the table is emptied by a station
-    move, an FDB deletion, a port change and at FLOW_CACHE_ENTRIES rows, so
-    a row always decides as the port records would. A miss reads the
-    records: `ports`, `down` and each PortConfig. LAG choices are memoised
-    per (live members, flow), which no port change or FDB sweep makes stale,
-    and the memo too is emptied at FLOW_CACHE_ENTRIES entries.
+    does, and the row holds the flow's actions: (ingress port, tag, src,
+    dst) -> (the source's FdbEntry, its emission). For a plain port the
+    emission is (egress port, the tag a frame leaves with, None), which a
+    hit replays: the frame itself when its tag stays, else one copy. For an
+    aggregator it is (None, VID, the LAG egress), whose member the memo
+    resolves per flow, and for a port that is down (None, VID, ()). A row
+    is added when the source is learned and the destination is known behind
+    another bridge port; the table is emptied by a station move, an FDB
+    deletion, a port change and at FLOW_CACHE_ENTRIES rows, so a row always
+    decides as the port records would. A miss reads the records: `ports`,
+    `down` and each PortConfig. LAG choices are memoised per (live members,
+    flow), which no port change or FDB sweep makes stale, and the memo too
+    is emptied at FLOW_CACHE_ENTRIES entries.
     """
 
     def __init__(self, name: str, hash_salt: bytes = b""):
@@ -146,18 +151,14 @@ class Switch:
         """Process an arriving frame; returns (egress port, frame) emissions,
         or None when the port refuses it: down, or not carrying its VID.
 
-        A frame that arrives tagged leaves trunks as the same object; the
-        untagged copy is made once, when an access port needs it.
+        A frame that keeps its tag leaves as the same object; a retagged copy
+        is made once, tagged for trunks and untagged for access ports.
         """
-        tag, src, dst = frame.tag, frame.src, frame.dst
-        if tag is None:
-            untagged, tagged = frame, None
-        else:
-            untagged, tagged = None, frame
+        tag = frame.tag
         flows = self._flows
-        row = flows.get((port_id, tag, src, dst))
+        row = flows.get((port_id, tag, frame.src, frame.dst))
         if row is not None:  # a known flow: its source is learned here
-            known, vid, egresses = row
+            known, out, vid, egresses = row
             known.last_seen = now
         else:
             port = self.ports.get(port_id)
@@ -176,6 +177,7 @@ class Switch:
             # learning refreshes a known station in place; a group source is
             # never learned, so a frame to a group address misses and floods
             fdb = self.fdb
+            src, dst = frame.src, frame.dst
             lag = port.lag_group
             bridge = port_id if lag is None else (lag,)
             known = None
@@ -195,13 +197,22 @@ class Switch:
             elif entry.port == bridge:
                 return []  # destination behind the ingress bridge port
             else:
-                egresses = self._egress_of(entry.port, vid)
+                out, vid, egresses = self._egress_of(entry.port, vid)
                 if known is not None:
                     if len(flows) >= FLOW_CACHE_ENTRIES:
                         flows.clear()
-                    flows[(port_id, tag, src, dst)] = (known, vid, egresses)
+                    flows[(port_id, tag, src, dst)] = (known, out, vid,
+                                                       egresses)
+        if egresses is None:  # one port, and vid the tag the frame leaves with
+            if vid == tag:
+                return [(out, frame)]
+            return [(out, frame_copy(frame, vid))]
 
-        out: list[tuple[int, Frame]] = []
+        if tag is None:
+            untagged, tagged = frame, None
+        else:
+            untagged, tagged = None, frame
+        emissions: list[tuple[int, Frame]] = []
         trunks = self.trunks
         memo = self._lag_memo
         for t, live in egresses:
@@ -215,24 +226,27 @@ class Switch:
             if t in trunks:
                 if tagged is None:
                     tagged = frame_copy(frame, vid)
-                out.append((t, tagged))
+                emissions.append((t, tagged))
             else:
                 if untagged is None:
                     untagged = frame_copy(frame, None)
-                out.append((t, untagged))
-        return out
+                emissions.append((t, untagged))
+        return emissions
 
     def _egress_of(self, bridge, vid: int) -> tuple:
-        """How a frame leaves for a bridge port that carries vid: ((port,
-        None),), ((None, live members of the group that carry vid),) for an
-        aggregator `(group,)`, or () when it cannot."""
+        """How a frame of VLAN vid leaves for a bridge port, as a flow row
+        holds it: (port, the tag it leaves with, None) for a port that is up,
+        else (None, vid, egresses): ((None, live members of the group that
+        carry vid),) for an aggregator `(group,)`, or () when it cannot."""
         ports, down = self.ports, self.down
         if not isinstance(bridge, tuple):
-            return () if bridge in down else ((bridge, None),)
+            if bridge in down:
+                return None, vid, ()
+            return bridge, vid if bridge in self.trunks else None, None
         live = tuple([p for p in sorted(ports, key=str)
                       if ports[p].lag_group in bridge and p not in down
                       and (ports[p].vid == vid or vid in ports[p].allowed)])
-        return ((None, live),) if live else ()
+        return None, vid, ((None, live),) if live else ()
 
     def _flood_targets(self, ingress_port, vid: int) -> list:
         """Every other port that is up and carries vid, in port order, as

@@ -40,6 +40,8 @@ MAX_SECONDS = 86_400
 # together: a 12 Gbps cbr flow runs about a million packets in 6 s of wall
 # time (2-vCPU VM, CPython 3.11), so the cap is about a minute of work
 MAX_OFFERED_PACKETS = 10_000_000
+# the fastest link a file may declare: a 64 B frame serializes in 1 ns
+MAX_LINK_BW = 512_000_000_000
 
 # the [traffic] keys that only some kinds of flow read -> those kinds
 FLOW_KEYS = {"stop": ("cbr",), "rate": ("cbr",), "total": ("bulk",),
@@ -255,7 +257,9 @@ def _write_ip_len(value: tuple) -> str:
 
 
 def _port_token(tok: str):
-    return int(tok) if tok.isdigit() else tok
+    """A port number when int() reads one (any Unicode decimal digits),
+    else a port name: '²' is a digit but no decimal, so it names a port."""
+    return int(tok) if tok.isdecimal() else tok
 
 
 def _read_endpoint(text: str) -> tuple:
@@ -809,6 +813,9 @@ def validate_scenario(cfg: ScenarioConfig, horizon_us: Optional[int] = None):
     endpoints = set()
     for link in cfg.links:
         link_id = link.link_id
+        if link.bw > MAX_LINK_BW:
+            raise ValidationError(link_id, f"bw must be at most {MAX_LINK_BW}"
+                                           " bps")
         framing = []
         for node, port in (link.a, link.b):
             framing.append(_framing(cfg, node, port))

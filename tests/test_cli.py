@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 from conftest import TraceLines
 from netfab.cli import main
 from netfab.l2 import Switch
-from netfab.scenario import (BUNDLED, MAX_OFFERED_PACKETS, build_engine,
+from netfab.scenario import (BUNDLED, MAX_LINK_BW, MAX_OFFERED_PACKETS,
+                             build_engine,
                              build_spring8_redundant, build_spring8_upgraded,
                              load_scenario, parse_scenario, serialize_scenario,
                              validate_scenario)
@@ -552,6 +553,38 @@ def test_integer_parse_error_names_the_expected_form(tmp_path, capsys, old,
     bad.write_text(MINI.replace(old, new, 1))
     assert main(["run", str(bad)]) == 2
     assert capsys.readouterr().err == f"error: {error}\n"
+
+
+@pytest.mark.parametrize("token, port", [("²", "²"), ("٣", 3)],
+                         ids=["superscript-two", "arabic-indic-three"])
+def test_port_token_is_a_number_exactly_when_int_reads_one(tmp_path, capsys,
+                                                          token, port):
+    """'²' is a digit that int() refuses, so it names a port as 'up' does;
+    '٣' is a decimal digit, so it is port 3. Either runs, and parse inverts
+    serialize on it."""
+    text = MINI.replace("p2", token)
+    path = tmp_path / "ports.nf"
+    path.write_text(text)
+    assert main(["run", str(path), "--report", os.devnull]) == 0
+    assert capsys.readouterr().err == ""
+    cfg = parse_scenario(text)
+    assert port in cfg.switches["sw1"].ports
+    assert cfg.links[1].b == ("sw1", port)
+    assert parse_scenario(serialize_scenario(cfg)) == cfg
+
+
+def test_link_faster_than_the_bound_rejected(tmp_path, capsys):
+    """A link may run at MAX_LINK_BW and no faster: beyond it a frame would
+    serialize in less than 1 ns."""
+    for bw, code in ((MAX_LINK_BW, 0), (MAX_LINK_BW + 1, 2), (10**30, 2)):
+        path = tmp_path / "fast.nf"
+        path.write_text(MINI.replace("bw=100000000\na=h2",
+                                     f"bw={bw} prop=0\na=h2"))
+        assert main(["run", str(path), "--report", os.devnull]) == code
+        err = capsys.readouterr().err
+        assert err == ("" if code == 0 else
+                       f"error: h1:0-sw1:p1: bw must be at most "
+                       f"{MAX_LINK_BW} bps\n")
 
 
 def test_inject_emits_derived_scenario(tmp_path, capsys):

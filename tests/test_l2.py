@@ -8,7 +8,8 @@ from conftest import ReferenceSwitch
 from netfab.l2 import (FDB_AGING_US, FLOW_CACHE_ENTRIES, InvalidVid,
                        NoLiveMember, PortConfig, Switch, UnknownPort,
                        lag_select)
-from netfab.packet import BROADCAST, FlowKey, Packet, make_frame, push_tag
+from netfab.packet import (BROADCAST, Arp, FlowKey, Packet, make_frame,
+                           push_tag)
 
 MULTICAST = bytes.fromhex("01005e000001")
 
@@ -417,6 +418,47 @@ class TestFlowCache:
         assert sw.fdb == {}
         assert self.ports_of(sw.ingress(1, uni_frame(1, 2),
                                         now=later + 10)) == [2, 4]
+
+    @pytest.mark.parametrize("ingress, egress", [
+        (("access", 10), [("access", 10)]),
+        (("access", 10), [("trunk", {10, 20})]),
+        (("trunk", {10, 20}), [("access", 10)]),
+        (("trunk", {10, 20}), [("trunk", {10, 30})]),
+        (("access", 10), [("trunk", {10}, "g"), ("trunk", {10}, "g")]),
+        (("trunk", {10}), [("trunk", {10}, "g"), ("access", 10, "g")]),
+    ], ids=["access-access", "access-trunk", "trunk-access", "trunk-trunk",
+            "access-lag", "trunk-lag"])
+    @pytest.mark.parametrize("payload", [
+        Packet(0x0a000001, 0x0a000002, "udp", 4000, 5001),
+        Arp("reply", 0x0a000001, mac(1), 0x0a000002),
+    ], ids=["ip", "arp"])
+    def test_hit_emits_what_a_miss_emits(self, ingress, egress, payload):
+        """A frame leaves a known flow's row as the port records would send
+        it: same ports, tags, sizes and payload object, and as the arriving
+        frame itself wherever its tag stays."""
+        sw = build_switch([(1, *ingress)] + [(p, *spec) for p, spec
+                                             in enumerate(egress, start=2)])
+        tag = 10 if ingress[0] == "trunk" else None
+        station = bcast_frame(2)
+        if egress[0][0] == "trunk":
+            station = push_tag(station, 10)
+        sw.ingress(2, station, now=0)
+        frame = make_frame(mac(1), mac(2), payload, tag)
+
+        def emitted(now):
+            out = sw.ingress(1, frame, now)
+            for _, f in out:
+                assert f.payload is payload
+                assert (f is frame) == (f.tag == tag)
+            return [(p, f.tag, f.size_bytes) for p, f in out]
+
+        made = emitted(1)  # the miss that makes the row
+        assert (1, tag, mac(1), mac(2)) in sw._flows
+        hit = emitted(2)
+        assert sw.fdb[(10, mac(1))].last_seen == 2
+        sw._flows.clear()
+        assert emitted(3) == hit == made
+        assert len(hit) == 1
 
     def test_table_stays_within_its_bound(self):
         """91 stations on each side make 8281 known flows, more than the

@@ -12,7 +12,8 @@ workload's setup leaves no cyclic garbage; lints the package and its
 tests for imports no module uses, and the package for definitions nothing
 in it reads; holds the frame hop on spring8-redundant and on the firewall
 rig to a budget of Python calls per event, a switch's flood to calls that
-do not grow with its width, and loading a scenario file to one per
+do not grow with its width, a known flow's switch hop to a budget of
+bytecodes, and loading a scenario file to one per
 declaration line; and keeps the README's table of scenario keys to the
 format's own.
 """
@@ -28,7 +29,7 @@ import pytest
 
 from test_acceptance import FIREWALL_RIG
 from netfab.l2 import PortConfig, Switch
-from netfab.packet import BROADCAST, make_frame
+from netfab.packet import BROADCAST, Packet, make_frame, push_tag
 from netfab.scenario import (FORMAT, build_engine, load_scenario,
                              parse_scenario, serialize_scenario,
                              validate_scenario)
@@ -256,6 +257,60 @@ def test_python_calls_per_flood_do_not_grow_with_switch_width():
     """A flood reads each port's record in one pass and makes no call per
     port, so a 256-port switch floods with the calls a 16-port one does."""
     assert _flood_calls(256) == _flood_calls(16)
+
+
+# bytecodes of one Switch.ingress on a flow-cache hit, CPython 3.11
+INGRESS_HIT_BYTECODES_CEILING = {
+    "plain-keeps-tag": 44,  # 41 when set
+    "plain-retags": 90,  # 85 when set
+    "lag": 152,  # 145 when set
+}
+
+
+@pytest.mark.skipif(
+    sys.implementation.name != "cpython" or sys.version_info[:2] != (3, 11),
+    reason="bytecode budgets are measured on CPython 3.11")
+@pytest.mark.parametrize("case, egress", [
+    ("plain-keeps-tag", [PortConfig("access", vid=10)]),
+    ("plain-retags", [PortConfig("trunk", allowed={10})]),
+    ("lag", [PortConfig("trunk", allowed={10}, lag_group="g"),
+             PortConfig("trunk", allowed={10}, lag_group="g")]),
+])
+def test_bytecodes_per_flow_cache_hit_within_budget(case, egress):
+    """The Python bytecodes one `Switch.ingress` call runs on a known flow,
+    with every call it makes, counted by `sys.settrace` opcode events: a
+    plain row replays its stored emission, a LAG row its memoised member.
+    The count is exact, so work added to the hit shows here, which a budget
+    of calls cannot see when it adds no call."""
+    sw = Switch("sw")
+    sw.configure_port(1, PortConfig("access", vid=10))
+    for port, cfg in enumerate(egress, start=2):
+        sw.configure_port(port, cfg)
+    station = make_frame(bytes(5) + b"\x02", BROADCAST, 46)
+    sw.ingress(2, push_tag(station, 10) if egress[0].allowed else station,
+               now=0)
+    frame = make_frame(bytes(5) + b"\x01", bytes(5) + b"\x02",
+                       Packet(0x0a000001, 0x0a000002, "udp", 4000, 5001))
+    sw.ingress(1, frame, now=1)
+    assert sw._flows
+    ops = 0
+
+    def count(frame, event, _arg):
+        nonlocal ops
+        if event == "call":
+            frame.f_trace_opcodes = True
+            frame.f_trace_lines = False
+        elif event == "opcode":
+            ops += 1
+        return count
+
+    sys.settrace(count)
+    try:
+        out = sw.ingress(1, frame, now=2)
+    finally:
+        sys.settrace(None)
+    assert len(out) == 1
+    assert ops <= INGRESS_HIT_BYTECODES_CEILING[case]
 
 
 LOAD_CALLS_PER_LINE_CEILING = 21.35  # 21.13 when set
